@@ -2,7 +2,11 @@
 
 Everything downstream (optimizers, verification, the experiment harness)
 consumes objectives through :class:`FiniteSumProblem`: n component
-functions, each exposing a value and a gradient at a point. Charged
+functions, each exposing a value and a gradient at a point. The batched
+oracle :meth:`FiniteSumProblem.component_gradients` returns one gradient
+row per requested component in a single numpy call; full gradients,
+mini-batch corrections and the non-finite scan all go through it, and
+its rows are bitwise equal to the single-component calls. Charged
 oracle access goes through :func:`full_gradient` or explicit
 ``counter.charge`` calls; diagnostic evaluations (loss curves, true
 gradient norms) use the problem's own methods and are never charged.
@@ -53,9 +57,12 @@ class FiniteSumProblem:
     """Objective f(x) = (1/n) sum_i f_i(x) accessed through component oracles.
 
     Component indices are 1-based in the public interface. Subclasses
-    implement :meth:`component_value` and :meth:`component_gradient`;
-    they may override :meth:`value` and :meth:`metric_gradient` with
-    vectorized versions, which are used for diagnostics only.
+    implement :meth:`component_value` and :meth:`component_gradient`,
+    and should override :meth:`component_gradients` with a batched
+    version whose rows are bitwise equal to :meth:`component_gradient`
+    (the default stacks single calls). They may override :meth:`value`
+    and :meth:`metric_gradient` with vectorized versions, which are used
+    for diagnostics only.
 
     Instances are immutable after construction and safe for concurrent
     read-only evaluation.
@@ -78,9 +85,29 @@ class FiniteSumProblem:
     def component_gradient(self, i: int, x: np.ndarray) -> np.ndarray:
         raise NotImplementedError
 
+    def component_gradients(self, indices, x: np.ndarray) -> np.ndarray:
+        """Gradients of the components ``indices`` at x, shape (k, d).
+
+        Indices are 1-based like :meth:`component_gradient` and may
+        repeat; row r is bitwise equal to
+        ``component_gradient(indices[r], x)``.
+        """
+        indices = self._check_indices(indices)
+        if indices.size == 0:
+            return np.empty((0, self.d))
+        return np.stack([self.component_gradient(int(i), x) for i in indices])
+
     def _check_index(self, i: int) -> None:
         if not 1 <= i <= self.n:
             raise IndexError(f"component index {i} out of range 1..{self.n}")
+
+    def _check_indices(self, indices) -> np.ndarray:
+        """1-d int64 array of 1-based indices, each checked to be in range."""
+        indices = np.asarray(indices, dtype=np.int64).reshape(-1)
+        bad = (indices < 1) | (indices > self.n)
+        if bad.any():
+            self._check_index(int(indices[np.argmax(bad)]))
+        return indices
 
     def mean_gradient(self, x: np.ndarray) -> np.ndarray:
         """Definitional full gradient: arithmetic mean of all component gradients.
@@ -88,10 +115,7 @@ class FiniteSumProblem:
         This is the reference summation used by the charged oracle path,
         so estimator-reset exactness can be asserted bitwise against it.
         """
-        grads = np.stack(
-            [self.component_gradient(i, x) for i in range(1, self.n + 1)]
-        )
-        return grads.mean(axis=0)
+        return self.component_gradients(np.arange(1, self.n + 1), x).mean(axis=0)
 
     def value(self, x: np.ndarray) -> float:
         """Objective value (1/n) sum_i f_i(x). Diagnostic, uncharged."""
@@ -119,10 +143,12 @@ def full_gradient(
     counter.charge(problem.n)
     g = problem.mean_gradient(x)
     if not np.all(np.isfinite(g)):
-        for i in range(1, problem.n + 1):
-            gi = problem.component_gradient(i, x)
-            if not np.all(np.isfinite(gi)):
-                raise ValueError(f"non-finite gradient from component {i}")
+        rows = problem.component_gradients(np.arange(1, problem.n + 1), x)
+        bad = ~np.isfinite(rows).all(axis=1)
+        if bad.any():
+            raise ValueError(
+                f"non-finite gradient from component {int(np.argmax(bad)) + 1}"
+            )
         raise ValueError("non-finite full gradient")
     return g
 

@@ -51,6 +51,9 @@ SWEEPABLE_PARAM = {
 
 CSV_HEADER = "algo,seed,epoch,oracle_calls,loss,grad_norm,step_size"
 
+# Algorithm parameters that count steps or samples.
+INTEGER_PARAMS = ("period", "epoch_length", "inner_batch", "batch_size")
+
 
 class ConfigError(ValueError):
     """Invalid experiment configuration; raised before any run starts."""
@@ -167,7 +170,32 @@ def _algorithm_smoothness(spec: AlgorithmSpec, problem: FiniteSumProblem) -> flo
     return float(value)
 
 
-def validate_config(config: ExperimentConfig, problem: FiniteSumProblem) -> None:
+def _is_integer(value) -> bool:
+    if isinstance(value, bool):
+        return False
+    if isinstance(value, float):
+        return value.is_integer()
+    return isinstance(value, (int, np.integer))
+
+
+def _int_param(spec: AlgorithmSpec, key: str, default):
+    """Integer parameter ``key`` of ``spec``, or ``default`` when unset."""
+    if key not in spec.params:
+        return default
+    value = spec.params[key]
+    if not _is_integer(value):
+        raise ConfigError(
+            f"{spec.name}: parameter {key!r} must be an integer, got {value!r}"
+        )
+    return int(value)
+
+
+def check_settings(config: ExperimentConfig) -> None:
+    """Every check that needs no problem instance, run before it is built."""
+    if not _is_integer(config.master_seed) or config.master_seed < 0:
+        raise ConfigError(
+            f"master_seed must be a non-negative integer, got {config.master_seed!r}"
+        )
     if config.repeats < 1:
         raise ConfigError("repeats must be at least 1")
     if (config.steps is None) == (config.epochs is None):
@@ -183,8 +211,6 @@ def validate_config(config: ExperimentConfig, problem: FiniteSumProblem) -> None
     for spec in config.algorithms:
         if spec.name not in ALGORITHM_NAMES:
             raise ConfigError(f"unknown algorithm {spec.name!r}")
-        if spec.name in ("spider", "spiderboost"):
-            _algorithm_smoothness(spec, problem)
         if spec.name == "spider" and float(spec.params.get("eps", 0.01)) <= 0:
             raise ConfigError("spider needs a positive target accuracy 'eps'")
         for key, value in spec.params.items():
@@ -195,12 +221,11 @@ def validate_config(config: ExperimentConfig, problem: FiniteSumProblem) -> None
                 "beta0",
                 "g0",
                 "b0",
-                "period",
-                "epoch_length",
-                "inner_batch",
-                "batch_size",
+                *INTEGER_PARAMS,
             ):
                 raise ConfigError(f"unknown parameter {key!r} for {spec.name}")
+            if key in INTEGER_PARAMS:
+                _int_param(spec, key, None)
             if key != "period" and float(value) <= 0:
                 raise ConfigError(f"{spec.name}: parameter {key!r} must be positive")
 
@@ -214,15 +239,15 @@ def steps_for_budget(
     if name in ("sgd", "adagrad_norm"):
         return max(1, budget_calls)
     if name == "svrg":
-        period = int(spec.params.get("epoch_length", n))
-        inner_cost = 2 * int(spec.params.get("inner_batch", 1))
+        period = _int_param(spec, "epoch_length", n)
+        inner_cost = 2 * _int_param(spec, "inner_batch", 1)
     elif name == "spiderboost":
         root = math.isqrt(n) if math.isqrt(n) ** 2 == n else math.isqrt(n) + 1
-        period = int(spec.params.get("period", root))
-        inner_cost = 2 * int(spec.params.get("batch_size", root))
+        period = _int_param(spec, "period", root)
+        inner_cost = 2 * _int_param(spec, "batch_size", root)
     else:  # adaspider, spider
-        period = int(spec.params.get("period", n))
-        inner_cost = 2 * int(spec.params.get("inner_batch", 1))
+        period = _int_param(spec, "period", n)
+        inner_cost = 2 * _int_param(spec, "inner_batch", 1)
     cycle_cost = n + inner_cost * (period - 1)
     cycles = budget_calls // cycle_cost
     remainder = budget_calls - cycles * cycle_cost
@@ -246,8 +271,8 @@ def run_algorithm(
             steps=steps,
             beta0=float(p.get("beta0", 1.0)),
             g0=float(p.get("g0", 1.0)),
-            period=int(p["period"]) if "period" in p else None,
-            inner_batch=int(p.get("inner_batch", 1)),
+            period=_int_param(spec, "period", None),
+            inner_batch=_int_param(spec, "inner_batch", 1),
         )
         return adaspider_run(problem, x0, config, rng, **run_kwargs)
     if spec.name == "spider":
@@ -258,8 +283,8 @@ def run_algorithm(
             smoothness=_algorithm_smoothness(spec, problem),
             steps=steps,
             rng=rng,
-            period=int(p["period"]) if "period" in p else None,
-            inner_batch=int(p.get("inner_batch", 1)),
+            period=_int_param(spec, "period", None),
+            inner_batch=_int_param(spec, "inner_batch", 1),
             **run_kwargs,
         )
     if spec.name == "spiderboost":
@@ -272,8 +297,8 @@ def run_algorithm(
             smoothness=smoothness,
             steps=steps,
             rng=rng,
-            period=int(p["period"]) if "period" in p else None,
-            batch_size=int(p["batch_size"]) if "batch_size" in p else None,
+            period=_int_param(spec, "period", None),
+            batch_size=_int_param(spec, "batch_size", None),
             **run_kwargs,
         )
     if spec.name == "svrg":
@@ -281,10 +306,10 @@ def run_algorithm(
             problem,
             x0,
             eta=float(p.get("eta", 0.01)),
-            epoch_length=int(p["epoch_length"]) if "epoch_length" in p else None,
+            epoch_length=_int_param(spec, "epoch_length", None),
             steps=steps,
             rng=rng,
-            inner_batch=int(p.get("inner_batch", 1)),
+            inner_batch=_int_param(spec, "inner_batch", 1),
             **run_kwargs,
         )
     if spec.name == "sgd":
@@ -311,8 +336,11 @@ def _run_rng(master_seed: int, algo_name: str, repeat: int) -> np.random.Generat
 
 def run_experiment(config: ExperimentConfig) -> list:
     """Execute every (algorithm, repeat) pair; |records| = algorithms x repeats."""
+    check_settings(config)
     problem = build_problem(config.problem)
-    validate_config(config, problem)
+    for spec in config.algorithms:
+        if spec.name in ("spider", "spiderboost"):
+            _algorithm_smoothness(spec, problem)  # the one check that needs it
     records = []
     for spec in config.algorithms:
         if config.steps is not None:
@@ -515,13 +543,15 @@ def config_from_dict(doc: dict) -> ExperimentConfig:
         params = entry.pop("params", {})
         params.update(entry)
         algorithms.append(AlgorithmSpec(name=name, params=params))
+    seed = doc.get("master_seed", 0)
     return ExperimentConfig(
         problem=problem,
         algorithms=algorithms,
         steps=doc.get("steps"),
         epochs=doc.get("epochs"),
         repeats=int(doc.get("repeats", 5)),
-        master_seed=int(doc.get("master_seed", 0)),
+        # a non-integer seed stays as given, for check_settings to name
+        master_seed=int(seed) if _is_integer(seed) else seed,
         out=doc.get("out"),
         format=doc.get("format", "csv"),
     )

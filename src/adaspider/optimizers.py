@@ -52,6 +52,30 @@ class SpiderEstimatorState:
             raise ValueError("full-gradient period must be at least 1")
 
 
+def _sampled_correction(
+    problem: FiniteSumProblem,
+    x: np.ndarray,
+    anchor: np.ndarray,
+    batch_size: int,
+    rng: np.random.Generator,
+    counter: OracleCounter,
+) -> np.ndarray:
+    """Mean of grad f_i(x) - grad f_i(anchor) over ``batch_size`` components
+    drawn uniformly with replacement (one rng draw); charges 2 per sample.
+
+    The sum runs from zero in sampling order, adding each grad f_i(x) and
+    subtracting each grad f_i(anchor). ``np.add.accumulate`` along the
+    interleaved rows keeps exactly that order for every d; a plain axis-0
+    sum does not once d == 1, where numpy switches to pairwise summation.
+    """
+    indices = rng.integers(problem.n, size=batch_size) + 1
+    terms = np.zeros((2 * batch_size + 1, problem.d))
+    terms[1::2] = problem.component_gradients(indices, x)
+    np.negative(problem.component_gradients(indices, anchor), out=terms[2::2])
+    counter.charge(2 * batch_size)
+    return np.add.accumulate(terms, axis=0)[-1] / batch_size
+
+
 def spider_estimator_update(
     state: SpiderEstimatorState,
     problem: FiniteSumProblem,
@@ -86,13 +110,12 @@ def spider_estimator_update(
         )
         counter.charge(2)
     else:
-        indices = rng.integers(n, size=batch_size)
-        diff = np.zeros(problem.d)
-        for i in indices:
-            diff += problem.component_gradient(int(i) + 1, x_t)
-            diff -= problem.component_gradient(int(i) + 1, state.anchor_point)
-        counter.charge(2 * batch_size)
-        estimate = diff / batch_size + state.estimate
+        estimate = (
+            _sampled_correction(
+                problem, x_t, state.anchor_point, batch_size, rng, counter
+            )
+            + state.estimate
+        )
     state.estimate = estimate
     state.anchor_point = np.array(x_t, copy=True)
     state.grad_norm_accum += float(estimate @ estimate)
@@ -432,13 +455,10 @@ def svrg_run(
             )
             counter.charge(2)
         else:
-            indices = rng.integers(problem.n, size=inner_batch)
-            diff = np.zeros(problem.d)
-            for i in indices:
-                diff += problem.component_gradient(int(i) + 1, x)
-                diff -= problem.component_gradient(int(i) + 1, snapshot)
-            counter.charge(2 * inner_batch)
-            corrected = diff / inner_batch + snapshot_grad
+            corrected = (
+                _sampled_correction(problem, x, snapshot, inner_batch, rng, counter)
+                + snapshot_grad
+            )
         x = x - eta * corrected
         if not trace.record_step(eta, corrected, x, t):
             break

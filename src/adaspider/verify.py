@@ -190,10 +190,9 @@ def check_variance_recursion(
 
     grad_x = problem.mean_gradient(x)
     grad_y = problem.mean_gradient(y)
-    diffs = [
-        problem.component_gradient(i, x) - problem.component_gradient(i, y)
-        for i in range(1, problem.n + 1)
-    ]
+    all_components = np.arange(1, problem.n + 1)
+    diffs = problem.component_gradients(all_components, x)
+    diffs -= problem.component_gradients(all_components, y)
     lhs = 0.0
     rhs_var = 0.0
     for v, p in outcomes:
@@ -239,15 +238,13 @@ def sweep_variance_recursion(
         else:
             z = rng.standard_normal(d)
             grad_z = problem.mean_gradient(z)
-            dist = [
-                (
-                    problem.component_gradient(i, y)
-                    - problem.component_gradient(i, z)
-                    + grad_z,
-                    1.0 / n,
-                )
-                for i in range(1, n + 1)
-            ]
+            all_components = np.arange(1, n + 1)
+            outcomes = (
+                problem.component_gradients(all_components, y)
+                - problem.component_gradients(all_components, z)
+                + grad_z
+            )
+            dist = [(outcome, 1.0 / n) for outcome in outcomes]
         single = check_variance_recursion(problem, x, y, dist, rhs_factor=rhs_factor)
         if not margins or single.worst_margin < min(margins):
             worst_detail = f"worst trial {trial}: {single.detail}"

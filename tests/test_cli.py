@@ -66,6 +66,27 @@ class TestRun:
         assert [r.epoch for r in rows] == [0, 1, 2, 3, 4, 5]
         assert rows[-1].oracle_calls <= 64 * 2 + 2 * 98
 
+    def test_negative_seed_exits_2_and_names_field(self, tmp_path, capsys):
+        out_path = tmp_path / "records.csv"
+        code, _out, err = run_main(
+            capsys, "run", "--seed", "-1", "--out", str(out_path)
+        )
+        assert code == 2
+        assert "master_seed" in err
+        assert not out_path.exists()
+
+    def test_non_integer_inner_batch_exits_2_and_names_field(self, tmp_path, capsys):
+        config = {
+            "problem": {"n": 12, "d": 4},
+            "algorithms": [{"name": "adaspider", "inner_batch": 1.7}],
+            "steps": 24,
+        }
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(config))
+        code, _out, err = run_main(capsys, "run", "--config", str(cfg_path))
+        assert code == 2
+        assert "inner_batch" in err
+
     def test_unknown_flag_is_an_error(self, capsys):
         code, _out, _err = run_main(capsys, "run", "--wat", "3")
         assert code == 2
@@ -235,3 +256,19 @@ class TestConsoleScript:
         )
         assert proc.returncode == 0
         assert json.loads(proc.stdout)["pass"] is True
+
+    def test_python_dash_m(self, tmp_path):
+        env = dict(os.environ, ADASPIDER_OUT_DIR=str(tmp_path))
+        proc = subprocess.run(
+            [sys.executable, "-m", "adaspider"], capture_output=True, env=env, text=True
+        )
+        assert proc.returncode == 2  # no subcommand is a usage error
+        proc = subprocess.run(
+            [sys.executable, "-m", "adaspider", "run", "--steps", "20"]
+            + ["--repeats", "1"],
+            capture_output=True,
+            env=env,
+            text=True,
+        )
+        assert proc.returncode == 0
+        assert (tmp_path / "records.csv").exists()

@@ -108,6 +108,65 @@ class TestRunExperiment:
                 )
             )
 
+    def test_negative_master_seed_rejected_before_problem_is_built(self, monkeypatch):
+        import adaspider.harness as harness
+
+        def fail_build(spec):
+            raise AssertionError("problem built before the seed was checked")
+
+        monkeypatch.setattr(harness, "build_problem", fail_build)
+        with pytest.raises(ConfigError, match="master_seed"):
+            run_experiment(small_config(master_seed=-1))
+
+    @pytest.mark.parametrize("seed", [-1, 1.5])
+    def test_bad_seed_in_document_names_field(self, seed):
+        doc = {
+            "problem": {"n": 8, "d": 2},
+            "algorithms": [{"name": "sgd"}],
+            "steps": 5,
+            "master_seed": seed,
+        }
+        with pytest.raises(ConfigError, match="master_seed"):
+            run_experiment(config_from_dict(doc))
+
+    def test_integral_float_seed_in_document_accepted(self):
+        doc = {
+            "problem": {"n": 8, "d": 2},
+            "algorithms": [{"name": "sgd"}],
+            "steps": 5,
+            "repeats": 1,
+        }
+        records = run_experiment(config_from_dict(dict(doc, master_seed=2.0)))
+        assert records == run_experiment(config_from_dict(dict(doc, master_seed=2)))
+
+    @pytest.mark.parametrize(
+        "name,key",
+        [
+            ("adaspider", "inner_batch"),
+            ("adaspider", "period"),
+            ("spider", "inner_batch"),
+            ("spiderboost", "batch_size"),
+            ("spiderboost", "period"),
+            ("svrg", "epoch_length"),
+            ("svrg", "inner_batch"),
+        ],
+    )
+    def test_non_integer_count_parameters_rejected(self, name, key):
+        spec = AlgorithmSpec(name=name, params={key: 1.7, "smoothness": 10.0})
+        with pytest.raises(ConfigError, match=key):
+            run_experiment(small_config(algorithms=[spec]))
+        problem = build_problem(ProblemSpec(n=12, d=4))
+        with pytest.raises(ConfigError, match=key):
+            steps_for_budget(spec, problem, 100)
+
+    def test_integral_float_count_parameter_accepted(self):
+        spec = AlgorithmSpec(name="adaspider", params={"inner_batch": 2.0})
+        problem = build_problem(ProblemSpec(n=12, d=4))
+        assert steps_for_budget(spec, problem, 100) == steps_for_budget(
+            AlgorithmSpec(name="adaspider", params={"inner_batch": 2}), problem, 100
+        )
+        assert run_experiment(small_config(algorithms=[spec], repeats=1))
+
     def test_epoch_budget_resolves_per_algorithm(self):
         config = small_config(
             steps=None,
