@@ -178,15 +178,23 @@ def _is_integer(value) -> bool:
     return isinstance(value, (int, np.integer))
 
 
+def _as_int(value):
+    """``value`` as an int when integral; otherwise unchanged, for
+    check_settings to name."""
+    return int(value) if _is_integer(value) else value
+
+
+def _require_integer(field_name: str, value) -> None:
+    if not _is_integer(value):
+        raise ConfigError(f"{field_name} must be an integer, got {value!r}")
+
+
 def _int_param(spec: AlgorithmSpec, key: str, default):
     """Integer parameter ``key`` of ``spec``, or ``default`` when unset."""
     if key not in spec.params:
         return default
     value = spec.params[key]
-    if not _is_integer(value):
-        raise ConfigError(
-            f"{spec.name}: parameter {key!r} must be an integer, got {value!r}"
-        )
+    _require_integer(f"{spec.name}: parameter {key!r}", value)
     return int(value)
 
 
@@ -196,10 +204,18 @@ def check_settings(config: ExperimentConfig) -> None:
         raise ConfigError(
             f"master_seed must be a non-negative integer, got {config.master_seed!r}"
         )
+    _require_integer("repeats", config.repeats)
     if config.repeats < 1:
         raise ConfigError("repeats must be at least 1")
     if (config.steps is None) == (config.epochs is None):
         raise ConfigError("exactly one of 'steps' and 'epochs' must be set")
+    for name in ("steps", "epochs"):
+        if getattr(config, name) is not None:
+            _require_integer(name, getattr(config, name))
+    for name in ("n", "d", "data_seed"):
+        _require_integer(f"problem.{name}", getattr(config.problem, name))
+    for dim in config.problem.layer_dims:
+        _require_integer("problem.layer_dims entry", dim)
     if config.steps is not None and config.steps < 1:
         raise ConfigError("steps must be at least 1")
     if config.epochs is not None and config.epochs < 1:
@@ -337,7 +353,12 @@ def _run_rng(master_seed: int, algo_name: str, repeat: int) -> np.random.Generat
 def run_experiment(config: ExperimentConfig) -> list:
     """Execute every (algorithm, repeat) pair; |records| = algorithms x repeats."""
     check_settings(config)
-    problem = build_problem(config.problem)
+    return _run_on_problem(config, build_problem(config.problem))
+
+
+def _run_on_problem(config: ExperimentConfig, problem: FiniteSumProblem) -> list:
+    """:func:`run_experiment` on ``problem``, already built from
+    ``config.problem`` after ``check_settings(config)`` passed."""
     for spec in config.algorithms:
         if spec.name in ("spider", "spiderboost"):
             _algorithm_smoothness(spec, problem)  # the one check that needs it
@@ -362,7 +383,9 @@ def sweep_step_size(config: ExperimentConfig, algo_name: str, grid=None):
 
     The score of a grid value is the mean final true gradient norm over
     repeats; any diverged repeat ranks the value strictly after every
-    fully converged one. Returns (best value, {value: records}).
+    fully converged one. Every grid value is checked before the problem
+    is built, once, for the whole sweep. Returns (best value, {value:
+    records}).
     """
     if algo_name not in SWEEPABLE_PARAM:
         raise ConfigError(
@@ -376,15 +399,20 @@ def sweep_step_size(config: ExperimentConfig, algo_name: str, grid=None):
     param = SWEEPABLE_PARAM[algo_name]
     base = next((a for a in config.algorithms if a.name == algo_name), None)
     base_params = dict(base.params) if base is not None else {}
-    results: dict = {}
-    scores = []
+    trials = []
     for value in grid:
         params = dict(base_params)
         params[param] = value
         trial_config = replace(
             config, algorithms=[AlgorithmSpec(name=algo_name, params=params)]
         )
-        records = run_experiment(trial_config)
+        check_settings(trial_config)
+        trials.append((value, trial_config))
+    problem = build_problem(config.problem)
+    results: dict = {}
+    scores = []
+    for value, trial_config in trials:
+        records = _run_on_problem(trial_config, problem)
         results[value] = records
         if any(r.diverged for r in records):
             scores.append(float("inf"))
@@ -517,7 +545,13 @@ def config_from_dict(doc: dict) -> ExperimentConfig:
     if "lambda" in prob_doc:
         prob_doc["lam"] = prob_doc.pop("lambda")
     if "layer_dims" in prob_doc:
-        prob_doc["layer_dims"] = tuple(int(v) for v in prob_doc["layer_dims"])
+        dims = prob_doc["layer_dims"]
+        if not isinstance(dims, (list, tuple)):
+            raise ConfigError(f"problem.layer_dims must be a list, got {dims!r}")
+        prob_doc["layer_dims"] = tuple(_as_int(v) for v in dims)
+    for name in ("n", "d", "data_seed"):
+        if name in prob_doc:
+            prob_doc[name] = _as_int(prob_doc[name])
     prob_fields = {
         "path",
         "synthetic",
@@ -543,15 +577,15 @@ def config_from_dict(doc: dict) -> ExperimentConfig:
         params = entry.pop("params", {})
         params.update(entry)
         algorithms.append(AlgorithmSpec(name=name, params=params))
-    seed = doc.get("master_seed", 0)
+    # integer fields are converted only when integral; any other value stays
+    # as given, for check_settings to name
     return ExperimentConfig(
         problem=problem,
         algorithms=algorithms,
-        steps=doc.get("steps"),
-        epochs=doc.get("epochs"),
-        repeats=int(doc.get("repeats", 5)),
-        # a non-integer seed stays as given, for check_settings to name
-        master_seed=int(seed) if _is_integer(seed) else seed,
+        steps=_as_int(doc.get("steps")),
+        epochs=_as_int(doc.get("epochs")),
+        repeats=_as_int(doc.get("repeats", 5)),
+        master_seed=_as_int(doc.get("master_seed", 0)),
         out=doc.get("out"),
         format=doc.get("format", "csv"),
     )

@@ -31,6 +31,22 @@ from .core import FiniteSumProblem, OracleCounter, as_param_vector, full_gradien
 DIVERGENCE_LIMIT = 1e12
 
 
+def _vector_norm(v: np.ndarray) -> float:
+    """Euclidean norm of a float64 vector; bitwise equal to
+    ``float(np.linalg.norm(v))``, which computes sqrt(v.dot(v)) for a real
+    1-d array, without its argument handling."""
+    return math.sqrt(v.dot(v))
+
+
+def _diverged(x: np.ndarray) -> bool:
+    """True if any coordinate is non-finite or beyond DIVERGENCE_LIMIT.
+
+    One reduction: a NaN propagates through the maximum and fails the
+    comparison, and an infinity exceeds the limit.
+    """
+    return not (np.maximum.reduce(np.abs(x)) <= DIVERGENCE_LIMIT)
+
+
 @dataclass
 class SpiderEstimatorState:
     """State of the recursive gradient estimator.
@@ -123,17 +139,23 @@ def spider_estimator_update(
     return estimate
 
 
+def _adaspider_constants(n: int, beta0: float, g0: float) -> tuple[float, float]:
+    """The run-constant factors (n^{1/4} beta0, sqrt(n) G0^2) of the step size."""
+    if n < 1:
+        raise ValueError("component count must be positive")
+    if beta0 <= 0 or g0 <= 0:
+        raise ValueError("beta0 and G0 must be positive")
+    return n**0.25 * beta0, math.sqrt(n) * g0**2
+
+
 def adaspider_step_size(
     n: int, beta0: float, g0: float, accumulator: float
 ) -> float:
     """Adaptive step size; the accumulator must already include ||g_t||^2."""
     if accumulator < 0:
         raise ValueError("squared-norm accumulator cannot be negative")
-    if n < 1:
-        raise ValueError("component count must be positive")
-    if beta0 <= 0 or g0 <= 0:
-        raise ValueError("beta0 and G0 must be positive")
-    return 1.0 / (n**0.25 * beta0 * math.sqrt(math.sqrt(n) * g0**2 + accumulator))
+    scale, offset = _adaspider_constants(n, beta0, g0)
+    return 1.0 / (scale * math.sqrt(offset + accumulator))
 
 
 @dataclass
@@ -249,16 +271,24 @@ class _TraceBuilder:
             self._iterates.append(np.array(x, copy=True))
 
     def record_step(
-        self, gamma: float, estimate: np.ndarray, x_new: np.ndarray, t: int
+        self,
+        gamma: float,
+        estimate: np.ndarray,
+        x_new: np.ndarray,
+        t: int,
+        norm: float | None = None,
     ) -> bool:
-        """Record one completed step; returns False if the run must abort."""
+        """Record one completed step; returns False if the run must abort.
+
+        ``norm`` is ||estimate|| when the caller has already computed it.
+        """
         self._step_sizes.append(gamma)
-        self._est_norms.append(float(np.linalg.norm(estimate)))
+        self._est_norms.append(_vector_norm(estimate) if norm is None else norm)
         self._calls.append(self._counter.component_calls)
         self._last_gamma = gamma
         if self._keep_path:
             self._estimates.append(np.array(estimate, copy=True))
-        if not np.all(np.isfinite(x_new)) or np.max(np.abs(x_new)) > DIVERGENCE_LIMIT:
+        if _diverged(x_new):
             self._diverged_at = t
             self._rows.append(
                 EpochRow(
@@ -309,14 +339,15 @@ def adaspider_run(
     counter = OracleCounter()
     state = SpiderEstimatorState(period=period)
     trace = _TraceBuilder(problem, "adaspider", counter, keep_path)
+    # adaspider_step_size with its checks and constants taken out of the loop;
+    # same operations in the same order, so every gamma is bitwise equal
+    scale, offset = _adaspider_constants(problem.n, config.beta0, config.g0)
     for t in range(config.steps):
         trace.step_start(x)
         estimate = spider_estimator_update(
             state, problem, x, rng, counter, batch_size=config.inner_batch
         )
-        gamma = adaspider_step_size(
-            problem.n, config.beta0, config.g0, state.grad_norm_accum
-        )
+        gamma = 1.0 / (scale * math.sqrt(offset + state.grad_norm_accum))
         x = x - gamma * estimate
         if not trace.record_step(gamma, estimate, x, t):
             break
@@ -359,13 +390,13 @@ def spider_run(
         estimate = spider_estimator_update(
             state, problem, x, rng, counter, batch_size=inner_batch
         )
-        norm = float(np.linalg.norm(estimate))
+        norm = _vector_norm(estimate)
         if norm == 0.0:
             gamma = cap
         else:
             gamma = min(epsilon / (smoothness * math.sqrt(n) * norm), cap)
         x = x - gamma * estimate
-        if not trace.record_step(gamma, estimate, x, t):
+        if not trace.record_step(gamma, estimate, x, t, norm):
             break
     return trace.finish(x)
 
@@ -533,13 +564,18 @@ def select_output(trace: RunTrace, rng: np.random.Generator):
 
     Uniform sampling is over the recorded iterate snapshots; the best
     iterate minimizes the measured true gradient norm, earliest on ties.
+    The non-finite terminal snapshot of a diverged run is never picked;
+    the epoch-0 snapshot always precedes it.
     """
-    if not trace.epoch_points:
+    points, rows = trace.epoch_points, trace.epoch_rows
+    if trace.diverged:
+        points, rows = points[:-1], rows[:-1]
+    if not points:
         raise ValueError("trace has no recorded iterates")
-    uniform_idx = int(rng.integers(len(trace.epoch_points)))
-    norms = np.array([row.grad_norm for row in trace.epoch_rows])
+    uniform_idx = int(rng.integers(len(points)))
+    norms = np.array([row.grad_norm for row in rows])
     best_idx = int(np.argmin(norms))
-    return trace.epoch_points[uniform_idx], trace.epoch_points[best_idx]
+    return points[uniform_idx], points[best_idx]
 
 
 def closed_form_oracle_calls(steps: int, n: int, period: int, inner_cost: int = 2) -> int:

@@ -87,6 +87,38 @@ class TestRun:
         assert code == 2
         assert "inner_batch" in err
 
+    @pytest.mark.parametrize(
+        "field,doc_update",
+        [
+            ("repeats", {"repeats": 2.7}),
+            ("layer_dims", {"problem": {"loss": "mlp", "n": 8, "layer_dims": [4, 3.7, 2]}}),
+            ("steps", {"steps": 5.5}),
+            ("epochs", {"epochs": 1.5}),
+            ("problem.n", {"problem": {"n": 50.5, "d": 2}}),
+            ("problem.d", {"problem": {"n": 8, "d": 3.5}}),
+            ("problem.data_seed", {"problem": {"n": 8, "d": 2, "data_seed": 1.5}}),
+        ],
+    )
+    @pytest.mark.parametrize("command", ["run", "sweep"])
+    def test_non_integer_field_exits_2_and_names_it(
+        self, tmp_path, capsys, field, doc_update, command
+    ):
+        config = {"problem": {"n": 8, "d": 2}, "algorithms": [{"name": "sgd"}]}
+        config.update(doc_update)
+        if "epochs" not in config:
+            config["steps"] = config.get("steps", 5)
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(config))
+        out_path = tmp_path / "records.csv"
+        argv = [command, "--config", str(cfg_path), "--out", str(out_path)]
+        if command == "sweep":
+            argv += ["--algo", "sgd", "--grid", "0.1"]
+        code, out, err = run_main(capsys, *argv)
+        assert code == 2
+        assert field in err
+        assert out == ""
+        assert not out_path.exists()
+
     def test_unknown_flag_is_an_error(self, capsys):
         code, _out, _err = run_main(capsys, "run", "--wat", "3")
         assert code == 2

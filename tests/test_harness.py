@@ -167,6 +167,62 @@ class TestRunExperiment:
         )
         assert run_experiment(small_config(algorithms=[spec], repeats=1))
 
+    @pytest.mark.parametrize(
+        "field,doc_update",
+        [
+            ("repeats", {"repeats": 2.7}),
+            ("layer_dims", {"problem": {"loss": "mlp", "n": 8, "layer_dims": [4, 3.7, 2]}}),
+            ("steps", {"steps": 5.5}),
+            ("epochs", {"steps": None, "epochs": 1.5}),
+            ("problem.n", {"problem": {"n": 50.5, "d": 2}}),
+            ("problem.d", {"problem": {"n": 8, "d": 3.5}}),
+            ("problem.data_seed", {"problem": {"n": 8, "d": 2, "data_seed": 1.5}}),
+            ("repeats", {"repeats": "3"}),
+            ("problem.n", {"problem": {"n": True, "d": 2}}),
+        ],
+    )
+    def test_non_integer_fields_rejected_before_problem_is_built(
+        self, monkeypatch, field, doc_update
+    ):
+        import adaspider.harness as harness
+
+        def fail_build(spec):
+            raise AssertionError("problem built before the fields were checked")
+
+        monkeypatch.setattr(harness, "build_problem", fail_build)
+        doc = {"problem": {"n": 8, "d": 2}, "algorithms": [{"name": "sgd"}], "steps": 5}
+        doc.update(doc_update)
+        doc = {key: value for key, value in doc.items() if value is not None}
+        with pytest.raises(ConfigError, match=field):
+            run_experiment(config_from_dict(doc))
+        with pytest.raises(ConfigError, match=field):
+            sweep_step_size(config_from_dict(doc), "sgd", [0.1])
+
+    def test_layer_dims_must_be_a_list(self):
+        doc = {"problem": {"loss": "mlp", "layer_dims": 4}, "algorithms": [{"name": "sgd"}]}
+        with pytest.raises(ConfigError, match="layer_dims"):
+            config_from_dict(doc)
+
+    def test_integral_float_fields_in_document_accepted(self):
+        doc = {
+            "problem": {"loss": "mlp", "n": 8, "layer_dims": [4, 3, 2], "data_seed": 1},
+            "algorithms": [{"name": "sgd"}],
+            "steps": 5,
+            "repeats": 2,
+        }
+        floats = {
+            "problem": {"loss": "mlp", "n": 8.0, "layer_dims": [4.0, 3, 2.0],
+                        "data_seed": 1.0},
+            "algorithms": [{"name": "sgd"}],
+            "steps": 5.0,
+            "repeats": 2.0,
+        }
+        config = config_from_dict(floats)
+        assert config.problem.layer_dims == (4, 3, 2)
+        assert run_experiment(config) == run_experiment(config_from_dict(doc))
+        epochs = config_from_dict(dict(doc, steps=None, epochs=2.0))
+        assert epochs.epochs == 2 and type(epochs.epochs) is int
+
     def test_epoch_budget_resolves_per_algorithm(self):
         config = small_config(
             steps=None,
@@ -231,6 +287,33 @@ class TestSweep:
         assert best == 1e-2
         assert any(r.diverged for r in results[1e3])
         assert not any(r.diverged for r in results[1e-2])
+
+    def test_problem_built_once_per_sweep(self, monkeypatch):
+        import adaspider.harness as harness
+
+        built = []
+        original = harness.build_problem
+
+        def counting_build(spec):
+            built.append(spec)
+            return original(spec)
+
+        monkeypatch.setattr(harness, "build_problem", counting_build)
+        config = small_config(algorithms=[AlgorithmSpec(name="svrg")], steps=20)
+        sweep_step_size(config, "svrg", [1e-3, 1e-2, 1e-1, 1.0])
+        assert len(built) == 1
+
+    def test_sweep_records_equal_independent_runs(self):
+        config = small_config(
+            algorithms=[AlgorithmSpec(name="svrg", params={"epoch_length": 5})],
+            steps=30,
+        )
+        grid = [1e-2, 0.3, 1e3]
+        _, results = sweep_step_size(config, "svrg", grid)
+        for value in grid:
+            spec = AlgorithmSpec(name="svrg", params={"epoch_length": 5, "eta": value})
+            expected = run_experiment(small_config(algorithms=[spec], steps=30))
+            assert results[value] == expected
 
     def test_adaptive_method_not_sweepable(self):
         with pytest.raises(ConfigError, match="tunable"):

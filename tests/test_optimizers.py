@@ -591,6 +591,34 @@ class TestSelectOutput:
         assert np.array_equal(b1, b2)
 
 
+    def test_diverged_terminal_snapshot_never_picked(self):
+        # eta 1e13 moves x0 = 1 beyond the divergence limit in one step, so
+        # the trace holds the epoch-0 snapshot and the non-finite terminal one
+        problem = two_component_quadratic()
+        trace = sgd_run(
+            problem, np.array([1.0]), eta=1e13, steps=5, rng=np.random.default_rng(0)
+        )
+        assert trace.diverged and trace.diverged_at == 0
+        assert len(trace.epoch_points) == 2
+        assert abs(trace.epoch_points[-1][0]) > 1e12
+        for seed in range(20):
+            uniform, best = select_output(trace, np.random.default_rng(seed))
+            assert np.array_equal(uniform, np.array([1.0]))
+            assert np.array_equal(best, np.array([1.0]))
+
+    def test_diverged_run_picks_only_finite_snapshots(self):
+        problem = ScaledSquare([0.5])  # gradient x; eta 3 doubles |x| per step
+        trace = sgd_run(
+            problem, np.array([1.0]), eta=3.0, steps=200, rng=np.random.default_rng(0)
+        )
+        assert trace.diverged
+        finite = trace.epoch_points[:-1]
+        for seed in range(50):
+            uniform, best = select_output(trace, np.random.default_rng(seed))
+            assert any(uniform is p for p in finite)
+            assert best is finite[0]
+
+
 class TestTraceShape:
     def test_trace_length_equals_steps_and_calls_non_decreasing(self):
         dataset = generate_synthetic("separable-logistic", n=7, d=3, seed=5)
