@@ -17,6 +17,7 @@ import numpy as np
 from .core import finite_difference_gradient
 from .data import generate_synthetic
 from .harness import (
+    ALGORITHM_PARAMS,
     AlgorithmSpec,
     ConfigError,
     DEFAULT_SWEEP_GRID,
@@ -91,19 +92,13 @@ def _apply_overrides(config: ExperimentConfig, args) -> ExperimentConfig:
     if args.steps is not None:
         config.steps = args.steps
         config.epochs = None
-    accepts = {
-        "eta": ("sgd", "svrg", "adagrad_norm", "spiderboost"),
-        "beta0": ("adaspider",),
-        "g0": ("adaspider",),
-        "smoothness": ("spider", "spiderboost"),
-        "eps": ("spider",),
-    }
-    for key, names in accepts.items():
+    # each flag sets the parameter only on the algorithms that read it
+    for key in ("eta", "beta0", "g0", "smoothness", "eps"):
         value = getattr(args, key)
         if value is None:
             continue
         for spec in config.algorithms:
-            if spec.name in names:
+            if key in ALGORITHM_PARAMS.get(spec.name, ()):
                 spec.params[key] = value
     if args.out is not None:
         config.out = args.out

@@ -1,63 +1,130 @@
-"""LibSVM-format parsing and synthetic dataset generation."""
+"""LibSVM parsing, serialization and synthetic dataset generation.
+
+A :class:`Dataset` is stored as compressed sparse rows (CSR) of numpy
+arrays; LibSVM text is only an input and an output format.
+"""
 
 from __future__ import annotations
 
 import sys
 from dataclasses import dataclass
+from itertools import repeat
+from operator import contains
 
 import numpy as np
 
 SYNTHETIC_KINDS = ("separable-logistic", "quadratic", "two-cluster-classification")
 
+_MAX_INDEX = np.iinfo(np.int64).max
 
-@dataclass(frozen=True)
+
+def _frozen_array(name: str, value, dtype) -> np.ndarray:
+    """``value`` as a read-only 1-d array of ``dtype``.
+
+    Integer fields refuse non-integer input instead of truncating it. The
+    result is a view, so freezing it leaves the caller's array writable.
+    """
+    arr = np.asarray(value)
+    if arr.ndim != 1:
+        raise ValueError(f"{name} must be one-dimensional, got shape {arr.shape}")
+    if dtype is np.int64 and arr.size and arr.dtype.kind not in "iu":
+        raise ValueError(f"{name} must hold integers, got dtype {arr.dtype}")
+    arr = arr.astype(dtype, copy=False).view()
+    arr.flags.writeable = False
+    return arr
+
+
+def _first_order_violation(indptr: np.ndarray, indices: np.ndarray):
+    """(row, position) of the first index that is not above its row
+    predecessor (0 before a row's first entry), or None."""
+    prev = np.empty_like(indices)
+    prev[1:] = indices[:-1]
+    starts = indptr[:-1][np.diff(indptr) > 0]
+    prev[starts] = 0
+    bad = np.flatnonzero(indices <= prev)
+    if not bad.size:
+        return None
+    k = int(bad[0])
+    return int(np.searchsorted(indptr, k, side="right")) - 1, k
+
+
+@dataclass(frozen=True, eq=False)
 class Dataset:
-    """Sparse feature rows with labels.
+    """Sparse feature rows with labels, stored as CSR arrays.
 
-    Each row is a tuple of (index, value) pairs with strictly increasing
-    1-based indices. ``d`` is the feature dimension and must cover every
-    index present. Datasets are immutable after construction.
+    Row ``r`` holds the entries ``indptr[r]:indptr[r + 1]`` of ``indices``
+    (1-based feature indices, strictly increasing within a row) and
+    ``values``; ``labels`` has one entry per row. ``d`` is the feature
+    dimension and must cover every index present. The arrays are
+    read-only and datasets are immutable after construction.
     """
 
-    rows: tuple
-    labels: tuple
+    indptr: np.ndarray
+    indices: np.ndarray
+    values: np.ndarray
+    labels: np.ndarray
     d: int
 
     def __post_init__(self):
-        if len(self.rows) != len(self.labels):
+        for name, dtype in (("indptr", np.int64), ("indices", np.int64),
+                            ("values", np.float64), ("labels", np.float64)):
+            object.__setattr__(self, name, _frozen_array(name, getattr(self, name), dtype))
+        indptr, indices, values, labels = self.indptr, self.indices, self.values, self.labels
+        if not indptr.size or indptr[0] != 0 or (np.diff(indptr) < 0).any():
+            raise ValueError("indptr must start at 0 and be non-decreasing")
+        if indptr[-1] != indices.size or indices.size != values.size:
             raise ValueError(
-                f"{len(self.rows)} rows but {len(self.labels)} labels"
+                f"indptr ends at {indptr[-1]} but there are {indices.size} "
+                f"indices and {values.size} values"
             )
+        n = indptr.size - 1
+        if n != labels.size:
+            raise ValueError(f"{n} rows but {labels.size} labels")
         if self.d < 0:
             raise ValueError("feature dimension must be non-negative")
-        for r, row in enumerate(self.rows):
-            prev = 0
-            for idx, _val in row:
-                if idx <= prev:
-                    raise ValueError(
-                        f"row {r + 1}: indices must be strictly increasing "
-                        f"and 1-based (saw {idx} after {prev})"
-                    )
-                prev = idx
-            if prev > self.d:
-                raise ValueError(
-                    f"row {r + 1}: feature index {prev} exceeds dimension {self.d}"
-                )
+        # the first failing row, checked as rows were read: order, then bound
+        order = _first_order_violation(indptr, indices)
+        filled = np.flatnonzero(np.diff(indptr) > 0)
+        over = filled[indices[indptr[filled + 1] - 1] > self.d]
+        if order is not None and (not over.size or order[0] <= over[0]):
+            r, k = order
+            prev = 0 if k == indptr[r] else int(indices[k - 1])
+            raise ValueError(
+                f"row {r + 1}: indices must be strictly increasing "
+                f"and 1-based (saw {int(indices[k])} after {prev})"
+            )
+        if over.size:
+            r = int(over[0])
+            raise ValueError(
+                f"row {r + 1}: feature index {int(indices[indptr[r + 1] - 1])} "
+                f"exceeds dimension {self.d}"
+            )
+
+    def __eq__(self, other) -> bool:
+        """Exact equality of every stored number and of ``d``
+        (-0.0 equals 0.0; NaN equals nothing)."""
+        if not isinstance(other, Dataset):
+            return NotImplemented
+        if self is other:
+            return True
+        return bool(self.d == other.d) and all(
+            np.array_equal(getattr(self, name), getattr(other, name))
+            for name in ("indptr", "indices", "values", "labels")
+        )
 
     @property
     def n(self) -> int:
-        return len(self.rows)
+        return self.labels.size
 
     def dense(self) -> np.ndarray:
         """Materialize the feature matrix as an (n, d) float64 array."""
         out = np.zeros((self.n, self.d))
-        for r, row in enumerate(self.rows):
-            for idx, val in row:
-                out[r, idx - 1] = val
+        rows = np.repeat(np.arange(self.n), np.diff(self.indptr))
+        out[rows, self.indices - 1] = self.values
         return out
 
     def dense_labels(self) -> np.ndarray:
-        return np.asarray(self.labels, dtype=np.float64)
+        return self.labels.copy()
 
 
 def map_binary_labels(labels) -> np.ndarray:
@@ -66,18 +133,59 @@ def map_binary_labels(labels) -> np.ndarray:
     Accepted raw values: 0 -> -1, 1 -> +1, -1 -> -1, +1 -> +1.
     Anything else is an error.
     """
-    out = np.empty(len(labels))
-    for k, y in enumerate(labels):
-        if y in (0.0, -1.0):
-            out[k] = -1.0
-        elif y == 1.0:
-            out[k] = 1.0
-        else:
-            raise ValueError(
-                f"label {y!r} not usable for logistic loss "
-                "(expected one of 0, 1, -1, +1)"
+    arr = np.asarray(labels, dtype=np.float64)
+    positive = arr == 1.0
+    bad = np.flatnonzero(~(positive | (arr == 0.0) | (arr == -1.0)))
+    if bad.size:
+        raise ValueError(
+            f"label {labels[int(bad[0])]!r} not usable for logistic loss "
+            "(expected one of 0, 1, -1, +1)"
+        )
+    return np.where(positive, 1.0, -1.0)
+
+
+def _line_error(lineno: int, line: str) -> ValueError:
+    """The error for a stripped data line, worded by a token-by-token
+    re-scan; only called once the line is known to be bad."""
+    parts = line.split()
+    try:
+        float(parts[0])
+    except ValueError:
+        return ValueError(f"line {lineno}: unparseable label {parts[0]!r}")
+    prev = 0
+    for token in parts[1:]:
+        idx_str, sep, val_str = token.partition(":")
+        if not sep:
+            return ValueError(f"line {lineno}: malformed feature pair {token!r}")
+        try:
+            idx = int(idx_str)
+            float(val_str)
+        except ValueError:
+            return ValueError(f"line {lineno}: unparseable feature pair {token!r}")
+        if idx <= prev:
+            return ValueError(
+                f"line {lineno}: feature indices must be strictly "
+                f"increasing and 1-based (saw {idx} after {prev})"
             )
-    return out
+        if idx > _MAX_INDEX:
+            return ValueError(f"line {lineno}: feature index {idx} does not fit in 64 bits")
+        prev = idx
+    raise AssertionError(f"line {lineno} has no error")  # pragma: no cover
+
+
+def _parse_line(line: str):
+    """(label, index strings, value strings) of a stripped data line, or
+    ValueError when a token is not one ``idx:val`` pair or the label is
+    not a float."""
+    parts = line.split()
+    label = float(parts[0])
+    pairs = parts[1:]
+    joined = " ".join(pairs)
+    # every token holds exactly one ':', so the pieces alternate index, value
+    if joined.count(":") != len(pairs) or not all(map(contains, pairs, repeat(":"))):
+        raise ValueError
+    pieces = joined.replace(":", " ").split(" ") if pairs else []
+    return label, pieces[0::2], pieces[1::2]
 
 
 def parse_libsvm(text: str, d: int | None = None) -> Dataset:
@@ -85,47 +193,50 @@ def parse_libsvm(text: str, d: int | None = None) -> Dataset:
 
     Each non-empty, non-comment line is ``label idx:val idx:val ...``.
     Lines beginning with ``#`` are skipped. The dimension is the maximum
-    feature index seen, unless ``d`` overrides it upward.
+    feature index seen, unless ``d`` overrides it upward. Numbers are read
+    with Python's ``int`` and ``float``; errors name the first bad line.
     """
-    rows: list[tuple] = []
+    lines = text.split("\n")
     labels: list[float] = []
-    max_index = 0
-    for lineno, raw in enumerate(text.split("\n"), start=1):
+    linenos: list[int] = []
+    counts: list[int] = []
+    index_chunks: list[np.ndarray] = []
+    value_chunks: list[np.ndarray] = []
+    prev_strs, idx = None, None
+
+    def collected():
+        indptr = np.zeros(len(counts) + 1, dtype=np.int64)
+        np.cumsum(counts, out=indptr[1:])
+        indices = (
+            np.concatenate(index_chunks) if index_chunks else np.zeros(0, np.int64)
+        )
+        order = _first_order_violation(indptr, indices)
+        if order is not None:
+            lineno = linenos[order[0]]
+            raise _line_error(lineno, lines[lineno - 1].strip())
+        return indptr, indices
+
+    for lineno, raw in enumerate(lines, start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
-        parts = line.split()
         try:
-            label = float(parts[0])
-        except ValueError:
-            raise ValueError(
-                f"line {lineno}: unparseable label {parts[0]!r}"
-            ) from None
-        row = []
-        prev = 0
-        for token in parts[1:]:
-            idx_str, sep, val_str = token.partition(":")
-            if not sep:
-                raise ValueError(
-                    f"line {lineno}: malformed feature pair {token!r}"
-                )
-            try:
-                idx = int(idx_str)
-                val = float(val_str)
-            except ValueError:
-                raise ValueError(
-                    f"line {lineno}: unparseable feature pair {token!r}"
-                ) from None
-            if idx <= prev:
-                raise ValueError(
-                    f"line {lineno}: feature indices must be strictly "
-                    f"increasing and 1-based (saw {idx} after {prev})"
-                )
-            prev = idx
-            row.append((idx, val))
-        max_index = max(max_index, prev)
-        rows.append(tuple(row))
+            label, idx_strs, val_strs = _parse_line(line)
+            k = len(idx_strs)
+            if idx_strs != prev_strs:  # rows often repeat the previous indices
+                idx = np.fromiter(map(int, idx_strs), dtype=np.int64, count=k)
+                prev_strs = idx_strs
+            vals = np.fromiter(map(float, val_strs), dtype=np.float64, count=k)
+        except (ValueError, OverflowError):
+            collected()  # an order error on an earlier line comes first
+            raise _line_error(lineno, line) from None
         labels.append(label)
+        linenos.append(lineno)
+        counts.append(k)
+        index_chunks.append(idx)
+        value_chunks.append(vals)
+    indptr, indices = collected()
+    max_index = int(indices.max()) if indices.size else 0
     if d is None:
         d = max_index
     elif d < max_index:
@@ -133,7 +244,8 @@ def parse_libsvm(text: str, d: int | None = None) -> Dataset:
             f"requested dimension {d} is below the maximum feature "
             f"index {max_index}; dimension may only be overridden upward"
         )
-    return Dataset(rows=tuple(rows), labels=tuple(labels), d=d)
+    values = np.concatenate(value_chunks) if value_chunks else np.zeros(0)
+    return Dataset(indptr=indptr, indices=indices, values=values, labels=labels, d=d)
 
 
 def load_libsvm(path: str, d: int | None = None) -> Dataset:
@@ -145,12 +257,24 @@ def load_libsvm(path: str, d: int | None = None) -> Dataset:
 
 
 def format_libsvm(dataset: Dataset) -> str:
-    """Serialize to LibSVM text. ``parse_libsvm`` of the result round-trips."""
+    """Serialize to LibSVM text. ``parse_libsvm`` of the result round-trips.
+
+    Labels and values are written as ``repr`` of the float, so the text
+    is exact. Rows are formatted one at a time, each by one ``str.format``
+    call on a template of its index pattern, which consecutive rows with
+    the same indices (every row of a dense dataset) share.
+    """
+    bounds = dataset.indptr.tolist()
+    indices = dataset.indices.tolist()
+    values = dataset.values.tolist()
+    pattern, template = None, ""
     lines = []
-    for row, label in zip(dataset.rows, dataset.labels):
-        fields = [repr(float(label))]
-        fields.extend(f"{idx}:{val!r}" for idx, val in row)
-        lines.append(" ".join(fields))
+    for label, a, b in zip(dataset.labels.tolist(), bounds, bounds[1:]):
+        columns = indices[a:b]
+        if columns != pattern:
+            pattern = columns
+            template = "{!r}" + "".join([f" {idx}:{{!r}}" for idx in columns])
+        lines.append(template.format(label, *values[a:b]))
     return "\n".join(lines) + ("\n" if lines else "")
 
 
@@ -160,23 +284,20 @@ def scale_features(dataset: Dataset) -> Dataset:
     Off by default everywhere; columns that are identically zero are
     left untouched.
     """
+    columns = dataset.indices - 1
     max_abs = np.zeros(dataset.d)
-    for row in dataset.rows:
-        for idx, val in row:
-            max_abs[idx - 1] = max(max_abs[idx - 1], abs(val))
-    scaled_rows = tuple(
-        tuple(
-            (idx, val / max_abs[idx - 1] if max_abs[idx - 1] > 0 else val)
-            for idx, val in row
-        )
-        for row in dataset.rows
+    # fmax skips NaN values, so a NaN never becomes a column's scale
+    np.fmax.at(max_abs, columns, np.abs(dataset.values))
+    scale = max_abs[columns]
+    values = np.divide(
+        dataset.values, scale, out=dataset.values.copy(), where=scale > 0
     )
-    return Dataset(rows=scaled_rows, labels=dataset.labels, d=dataset.d)
-
-
-def _dense_to_rows(features: np.ndarray) -> tuple:
-    return tuple(
-        tuple((j + 1, float(v)) for j, v in enumerate(row)) for row in features
+    return Dataset(
+        indptr=dataset.indptr,
+        indices=dataset.indices,
+        values=values,
+        labels=dataset.labels,
+        d=dataset.d,
     )
 
 
@@ -196,6 +317,7 @@ def generate_synthetic(
     (features, target) pairs for least squares with additive noise of
     scale ``noise``. ``two-cluster-classification`` draws ``n_classes``
     Gaussian clusters with integer class labels for the network task.
+    Every feature is stored, so each row holds the indices 1..d.
     """
     if n < 1 or d < 1:
         raise ValueError("n and d must be at least 1")
@@ -217,7 +339,9 @@ def generate_synthetic(
         features = means[assignments] + rng.standard_normal((n, d))
         labels = assignments.astype(np.float64)
     return Dataset(
-        rows=_dense_to_rows(features),
-        labels=tuple(float(y) for y in labels),
+        indptr=np.arange(0, n * d + 1, d, dtype=np.int64),
+        indices=np.tile(np.arange(1, d + 1, dtype=np.int64), n),
+        values=features.reshape(-1),
+        labels=labels,
         d=d,
     )

@@ -34,7 +34,17 @@ from .problems import (
     kaiming_uniform_scaled_init,
 )
 
-ALGORITHM_NAMES = ("adaspider", "spider", "spiderboost", "svrg", "sgd", "adagrad_norm")
+# The parameter keys each algorithm reads. The algorithm names, the check
+# of configured keys and the CLI's per-flag targets all follow from it.
+ALGORITHM_PARAMS = {
+    "adaspider": ("beta0", "g0", "period", "inner_batch"),
+    "spider": ("eps", "smoothness", "period", "inner_batch"),
+    "spiderboost": ("eta", "smoothness", "period", "batch_size"),
+    "svrg": ("eta", "epoch_length", "inner_batch"),
+    "sgd": ("eta",),
+    "adagrad_norm": ("eta", "b0"),
+}
+ALGORITHM_NAMES = tuple(ALGORITHM_PARAMS)
 
 # Initial-step grid of the standard parameter sweep.
 DEFAULT_SWEEP_GRID = (1e-3, 1e-2, 1e-1, 1.0, 1e1, 1e2, 1e3)
@@ -214,8 +224,19 @@ def check_settings(config: ExperimentConfig) -> None:
             _require_integer(name, getattr(config, name))
     for name in ("n", "d", "data_seed"):
         _require_integer(f"problem.{name}", getattr(config.problem, name))
-    for dim in config.problem.layer_dims:
+    if config.problem.data_seed < 0:
+        raise ConfigError(
+            f"problem.data_seed must be non-negative, got {config.problem.data_seed!r}"
+        )
+    dims = config.problem.layer_dims
+    for dim in dims:
         _require_integer("problem.layer_dims entry", dim)
+    if len(dims) < 2:
+        raise ConfigError(
+            f"problem.layer_dims must list at least input and output sizes, got {list(dims)}"
+        )
+    if min(dims) < 1:
+        raise ConfigError(f"problem.layer_dims entries must be positive, got {list(dims)}")
     if config.steps is not None and config.steps < 1:
         raise ConfigError("steps must be at least 1")
     if config.epochs is not None and config.epochs < 1:
@@ -230,15 +251,7 @@ def check_settings(config: ExperimentConfig) -> None:
         if spec.name == "spider" and float(spec.params.get("eps", 0.01)) <= 0:
             raise ConfigError("spider needs a positive target accuracy 'eps'")
         for key, value in spec.params.items():
-            if key not in (
-                "eta",
-                "eps",
-                "smoothness",
-                "beta0",
-                "g0",
-                "b0",
-                *INTEGER_PARAMS,
-            ):
+            if key not in ALGORITHM_PARAMS[spec.name]:
                 raise ConfigError(f"unknown parameter {key!r} for {spec.name}")
             if key in INTEGER_PARAMS:
                 _int_param(spec, key, None)

@@ -119,6 +119,65 @@ class TestRun:
         assert out == ""
         assert not out_path.exists()
 
+    @pytest.mark.parametrize(
+        "field,problem",
+        [
+            ("problem.layer_dims", {"loss": "mlp", "n": 5, "layer_dims": [4, 0, 2]}),
+            ("problem.layer_dims", {"loss": "mlp", "n": 5, "layer_dims": [4, -3, 2]}),
+            ("problem.layer_dims", {"loss": "mlp", "n": 5, "layer_dims": []}),
+            ("problem.data_seed", {"n": 8, "d": 2, "data_seed": -1}),
+        ],
+    )
+    @pytest.mark.parametrize("command", ["run", "sweep"])
+    def test_bad_value_exits_2_and_names_field(
+        self, tmp_path, capsys, field, problem, command
+    ):
+        config = {"problem": problem, "algorithms": [{"name": "sgd"}], "epochs": 1}
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(config))
+        out_path = tmp_path / "records.csv"
+        argv = [command, "--config", str(cfg_path), "--out", str(out_path)]
+        if command == "sweep":
+            argv += ["--algo", "sgd", "--grid", "0.1"]
+        code, out, err = run_main(capsys, *argv)
+        assert code == 2
+        assert field in err
+        assert out == ""
+        assert not out_path.exists()
+
+    def test_parameter_the_algorithm_ignores_exits_2(self, tmp_path, capsys):
+        config = {
+            "problem": {"n": 8, "d": 2},
+            "algorithms": [{"name": "sgd", "beta0": 5, "period": 3}],
+            "steps": 5,
+        }
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(config))
+        out_path = tmp_path / "records.csv"
+        code, _out, err = run_main(
+            capsys, "run", "--config", str(cfg_path), "--out", str(out_path)
+        )
+        assert code == 2
+        assert "unknown parameter 'beta0' for sgd" in err
+        assert not out_path.exists()
+
+    def test_flags_reach_only_algorithms_that_read_them(self, tmp_path, capsys):
+        config = {
+            "problem": {"n": 8, "d": 2},
+            "algorithms": [{"name": "adaspider"}, {"name": "sgd"}, {"name": "spider"}],
+            "steps": 5,
+            "repeats": 1,
+        }
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(config))
+        out_path = tmp_path / "records.csv"
+        code, _out, _err = run_main(
+            capsys, "run", "--config", str(cfg_path), "--out", str(out_path),
+            "--eta", "0.05", "--beta0", "2", "--eps", "0.1", "--smoothness", "3",
+        )
+        assert code == 0
+        assert len(load_records(str(out_path), "csv")) == 3
+
     def test_unknown_flag_is_an_error(self, capsys):
         code, _out, _err = run_main(capsys, "run", "--wat", "3")
         assert code == 2

@@ -6,12 +6,15 @@ import numpy as np
 import pytest
 
 from adaspider.harness import (
+    ALGORITHM_NAMES,
+    ALGORITHM_PARAMS,
     AlgorithmSpec,
     ConfigError,
     DEFAULT_SWEEP_GRID,
     ExperimentConfig,
     ProblemSpec,
     build_problem,
+    check_settings,
     config_from_dict,
     emit_records,
     initial_point,
@@ -197,6 +200,58 @@ class TestRunExperiment:
             run_experiment(config_from_dict(doc))
         with pytest.raises(ConfigError, match=field):
             sweep_step_size(config_from_dict(doc), "sgd", [0.1])
+
+    @pytest.mark.parametrize(
+        "field,problem",
+        [
+            ("problem.layer_dims", {"loss": "mlp", "n": 5, "layer_dims": [4, 0, 2]}),
+            ("problem.layer_dims", {"loss": "mlp", "n": 5, "layer_dims": [4, -3, 2]}),
+            ("problem.layer_dims", {"loss": "mlp", "n": 5, "layer_dims": [4]}),
+            ("problem.layer_dims", {"loss": "mlp", "n": 5, "layer_dims": []}),
+            ("problem.data_seed", {"n": 8, "d": 2, "data_seed": -1}),
+            ("problem.data_seed", {"loss": "mlp", "n": 5, "data_seed": -3}),
+        ],
+    )
+    def test_bad_values_rejected_before_problem_is_built(self, monkeypatch, field, problem):
+        import adaspider.harness as harness
+
+        def fail_build(spec):
+            raise AssertionError("problem built before the fields were checked")
+
+        monkeypatch.setattr(harness, "build_problem", fail_build)
+        doc = {"problem": problem, "algorithms": [{"name": "sgd"}], "steps": 5}
+        with pytest.raises(ConfigError, match=field):
+            run_experiment(config_from_dict(doc))
+        with pytest.raises(ConfigError, match=field):
+            sweep_step_size(config_from_dict(doc), "sgd", [0.1])
+
+    def test_each_algorithm_rejects_keys_it_does_not_read(self):
+        every_key = sorted({key for keys in ALGORITHM_PARAMS.values() for key in keys})
+        for name, keys in ALGORITHM_PARAMS.items():
+            for key in every_key:
+                spec = AlgorithmSpec(name=name, params={key: 3})
+                config = small_config(algorithms=[spec], repeats=1)
+                if key in keys:
+                    check_settings(config)
+                else:
+                    with pytest.raises(ConfigError) as excinfo:
+                        check_settings(config)
+                    assert str(excinfo.value) == f"unknown parameter {key!r} for {name}"
+        assert ALGORITHM_NAMES == tuple(ALGORITHM_PARAMS)
+
+    def test_sgd_with_ignored_parameters_rejected(self):
+        spec = AlgorithmSpec(name="sgd", params={"beta0": 5, "period": 3})
+        with pytest.raises(ConfigError, match="unknown parameter 'beta0' for sgd"):
+            run_experiment(small_config(algorithms=[spec]))
+
+    def test_parameter_keys_checked_in_order(self):
+        # the first bad key is reported, whichever check it fails
+        spec = AlgorithmSpec(name="svrg", params={"inner_batch": 1.5, "beta0": 1.0})
+        with pytest.raises(ConfigError, match="inner_batch"):
+            check_settings(small_config(algorithms=[spec]))
+        spec = AlgorithmSpec(name="svrg", params={"beta0": 1.0, "inner_batch": 1.5})
+        with pytest.raises(ConfigError, match="beta0"):
+            check_settings(small_config(algorithms=[spec]))
 
     def test_layer_dims_must_be_a_list(self):
         doc = {"problem": {"loss": "mlp", "layer_dims": 4}, "algorithms": [{"name": "sgd"}]}

@@ -57,13 +57,15 @@ class TestRegularizedERM:
     def test_logistic_gradient_at_zero(self):
         # sigmoid(0) = 1/2, so the loss part is -b a / 2 and the
         # regularizer part vanishes
-        dataset = Dataset(rows=(((1, 2.0), (2, -1.0)),), labels=(1.0,), d=2)
+        dataset = Dataset(
+            indptr=[0, 2], indices=[1, 2], values=[2.0, -1.0], labels=[1.0], d=2
+        )
         problem = RegularizedERM(dataset, loss_kind="logistic", lam=0.1)
         grad = problem.component_gradient(1, np.zeros(2))
         assert np.allclose(grad, [-1.0, 0.5])
 
     def test_squared_unit_case(self):
-        dataset = Dataset(rows=(((1, 1.0),),), labels=(0.0,), d=1)
+        dataset = Dataset(indptr=[0, 1], indices=[1], values=[1.0], labels=[0.0], d=1)
         problem = RegularizedERM(dataset, loss_kind="squared", lam=0.0)
         grad = problem.component_gradient(1, np.array([1.0]))
         assert np.allclose(grad, [1.0])
@@ -116,7 +118,7 @@ class TestRegularizedERM:
         )
 
     def test_rejects_non_binary_labels_for_logistic(self):
-        dataset = Dataset(rows=(((1, 1.0),),), labels=(2.0,), d=1)
+        dataset = Dataset(indptr=[0, 1], indices=[1], values=[1.0], labels=[2.0], d=1)
         with pytest.raises(ValueError, match="label"):
             RegularizedERM(dataset, loss_kind="logistic")
 
