@@ -14,7 +14,7 @@ import sys
 
 import numpy as np
 
-from .core import finite_difference_gradient
+from .core import NonFiniteGradientError, finite_difference_gradient
 from .data import generate_synthetic
 from .harness import (
     ALGORITHM_PARAMS,
@@ -340,6 +340,9 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except NonFiniteGradientError as exc:  # runtime fault, though a ValueError
+        print(f"error: {exc}", file=sys.stderr)
+        return 3
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

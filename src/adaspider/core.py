@@ -36,6 +36,14 @@ def as_param_vector(values, d: int | None = None) -> np.ndarray:
     return x
 
 
+class NonFiniteGradientError(ValueError):
+    """A component gradient evaluated to a non-finite value mid-run.
+
+    A runtime fault of the data or the iterate, not of the configuration:
+    the command line exits 3 for it.
+    """
+
+
 @dataclass
 class OracleCounter:
     """Counts component-gradient evaluations charged to one optimizer run.
@@ -61,8 +69,9 @@ class FiniteSumProblem:
     and should override :meth:`component_gradients` with a batched
     version whose rows are bitwise equal to :meth:`component_gradient`
     (the default stacks single calls). They may override :meth:`value`
-    and :meth:`metric_gradient` with vectorized versions, which are used
-    for diagnostics only.
+    and :meth:`metric_gradients` with vectorized versions, which are used
+    for diagnostics only, and :meth:`mean_gradients` with a batched
+    version bitwise equal to :meth:`mean_gradient` row for row.
 
     Instances are immutable after construction and safe for concurrent
     read-only evaluation.
@@ -109,6 +118,15 @@ class FiniteSumProblem:
             self._check_index(int(indices[np.argmax(bad)]))
         return indices
 
+    def _check_points(self, points) -> np.ndarray:
+        """A (T, d) float64 block of points, one per row."""
+        points = np.asarray(points, dtype=np.float64)
+        if points.ndim != 2 or points.shape[1] != self.d:
+            raise ValueError(
+                f"points have shape {points.shape}, expected (T, {self.d})"
+            )
+        return points
+
     def mean_gradient(self, x: np.ndarray) -> np.ndarray:
         """Definitional full gradient: arithmetic mean of all component gradients.
 
@@ -116,6 +134,17 @@ class FiniteSumProblem:
         so estimator-reset exactness can be asserted bitwise against it.
         """
         return self.component_gradients(np.arange(1, self.n + 1), x).mean(axis=0)
+
+    def mean_gradients(self, points) -> np.ndarray:
+        """:meth:`mean_gradient` at every row of ``points``, shape (T, d).
+
+        Row t is bitwise equal to ``mean_gradient(points[t])``; the
+        default stacks single calls.
+        """
+        points = self._check_points(points)
+        if points.shape[0] == 0:
+            return np.empty((0, self.d))
+        return np.stack([self.mean_gradient(x) for x in points])
 
     def value(self, x: np.ndarray) -> float:
         """Objective value (1/n) sum_i f_i(x). Diagnostic, uncharged."""
@@ -125,16 +154,30 @@ class FiniteSumProblem:
     def metric_gradient(self, x: np.ndarray) -> np.ndarray:
         """Full gradient for logging and verification. Diagnostic, uncharged.
 
-        Subclasses may override with a vectorized implementation; agreement
-        with :meth:`mean_gradient` is then up to float reassociation.
+        The one-row case of :meth:`metric_gradients`, so each family
+        keeps one formula for it.
         """
-        return self.mean_gradient(x)
+        return self.metric_gradients(np.asarray(x, dtype=np.float64)[None])[0]
+
+    def metric_gradients(self, points) -> np.ndarray:
+        """:meth:`metric_gradient` at every row of ``points``, shape (T, d).
+
+        Diagnostic, uncharged; defaults to :meth:`mean_gradients`.
+        Subclasses may override with a vectorized implementation;
+        agreement with :meth:`mean_gradient` is then up to float
+        reassociation.
+        """
+        return self.mean_gradients(points)
 
 
 def full_gradient(
     problem: FiniteSumProblem, x: np.ndarray, counter: OracleCounter
 ) -> np.ndarray:
-    """Exact full gradient (1/n) sum_i grad f_i(x), charging n oracle calls."""
+    """Exact full gradient (1/n) sum_i grad f_i(x), charging n oracle calls.
+
+    Raises :class:`NonFiniteGradientError`, naming the first bad
+    component, when the gradient is not finite.
+    """
     x = np.asarray(x, dtype=np.float64)
     if x.shape != (problem.d,):
         raise ValueError(
@@ -146,10 +189,10 @@ def full_gradient(
         rows = problem.component_gradients(np.arange(1, problem.n + 1), x)
         bad = ~np.isfinite(rows).all(axis=1)
         if bad.any():
-            raise ValueError(
+            raise NonFiniteGradientError(
                 f"non-finite gradient from component {int(np.argmax(bad)) + 1}"
             )
-        raise ValueError("non-finite full gradient")
+        raise NonFiniteGradientError("non-finite full gradient")
     return g
 
 

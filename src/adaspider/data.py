@@ -137,8 +137,11 @@ def map_binary_labels(labels) -> np.ndarray:
     positive = arr == 1.0
     bad = np.flatnonzero(~(positive | (arr == 0.0) | (arr == -1.0)))
     if bad.size:
+        label = labels[int(bad[0])]
+        if isinstance(label, np.generic):  # a plain number, not np.float64(...)
+            label = label.item()
         raise ValueError(
-            f"label {labels[int(bad[0])]!r} not usable for logistic loss "
+            f"label {label!r} not usable for logistic loss "
             "(expected one of 0, 1, -1, +1)"
         )
     return np.where(positive, 1.0, -1.0)

@@ -146,13 +146,16 @@ class RegularizedERM(FiniteSumProblem):
         losses = self._loss_value(margins, self._labels)
         return float(losses.mean()) + self.lam * nonconvex_regularizer(x)
 
-    def metric_gradient(self, x: np.ndarray) -> np.ndarray:
-        margins = np.einsum("ij,j->i", self._features, x)
+    def metric_gradients(self, points) -> np.ndarray:
+        """Full gradients at the rows of ``points``: all margins in one
+        einsum, then all loss slopes, then one einsum back to features."""
+        points = self._check_points(points)
+        margins = np.einsum("ij,tj->ti", self._features, points)
         coeff = self._loss_slope(margins, self._labels)
-        grad = np.einsum("ij,i->j", self._features, coeff) / self.n
+        grads = np.einsum("ij,ti->tj", self._features, coeff) / self.n
         if self.lam:
-            grad = grad + self.lam * nonconvex_regularizer_grad(x)
-        return grad
+            grads += self.lam * nonconvex_regularizer_grad(points)
+        return grads
 
 
 class QuadraticProblem(FiniteSumProblem):
@@ -214,9 +217,19 @@ class QuadraticProblem(FiniteSumProblem):
         lin = np.einsum("ij,j->i", self.offsets, x)
         return float(np.mean(quad + lin))
 
-    def metric_gradient(self, x: np.ndarray) -> np.ndarray:
+    def mean_gradients(self, points) -> np.ndarray:
+        """:meth:`mean_gradient` at every row of ``points`` in one stacked
+        ``np.matmul``: the per-component products and the mean over
+        components are the ones :meth:`component_gradients` and
+        :meth:`mean_gradient` make for a single point."""
+        points = self._check_points(points)
+        products = np.matmul(self.matrices[None], points[:, None, :, None])
+        return (products[..., 0] + self.offsets).mean(axis=1)
+
+    def metric_gradients(self, points) -> np.ndarray:
+        points = self._check_points(points)
         return (
-            np.einsum("ijk,k->j", self.matrices, x) + self.offsets.sum(axis=0)
+            np.einsum("ijk,tk->tj", self.matrices, points) + self.offsets.sum(axis=0)
         ) / self.n
 
 

@@ -22,7 +22,7 @@ import numpy as np
 
 from .core import FiniteSumProblem
 from .data import generate_synthetic
-from .optimizers import AdaSpiderConfig, RunTrace, adaspider_run
+from .optimizers import AdaSpiderConfig, RunTrace, _vector_norm, adaspider_run
 from .problems import QuadraticProblem, RegularizedERM
 
 _SLACK = 1e-12
@@ -358,10 +358,10 @@ def _variance_sides(
             problem, x0, config, np.random.default_rng(seed), keep_path=True
         )
         gammas = trace.step_sizes
+        devs = trace.estimates - problem.mean_gradients(trace.iterates)
         lhs = 0.0
-        for t in range(trace.num_steps):
-            dev = trace.estimates[t] - problem.mean_gradient(trace.iterates[t])
-            lhs += gammas[t] ** weight_power * float(dev @ dev)
+        for gamma, dev in zip(gammas, devs):
+            lhs += gamma**weight_power * float(dev @ dev)
         rhs = l2n * float(
             np.sum(gammas ** (2 + weight_power) * trace.estimator_norms**2)
         )
@@ -433,6 +433,32 @@ def check_weighted_variance(
     )
 
 
+# Rows of true gradients evaluated per batched call along a stored path;
+# bounds the per-element sigmoid temporaries of the logistic family.
+_PATH_BLOCK = 256
+
+
+def _path_gradient_norms(
+    problem: FiniteSumProblem,
+    x0: np.ndarray,
+    config: AdaSpiderConfig,
+    seed: int,
+) -> np.ndarray:
+    """||grad f(x_t)|| at every iterate of one seeded adaptive run.
+
+    Only the norms outlive the call, so the stored path is freed before
+    the caller starts the next run.
+    """
+    iterates = adaspider_run(
+        problem, x0, config, np.random.default_rng(seed), keep_path=True
+    ).iterates
+    norms = np.empty(len(iterates))
+    for start in range(0, len(iterates), _PATH_BLOCK):
+        block = problem.metric_gradients(iterates[start : start + _PATH_BLOCK])
+        norms[start : start + len(block)] = [_vector_norm(g) for g in block]
+    return norms
+
+
 def check_rate_scaling(
     problem: FiniteSumProblem,
     t_grid,
@@ -448,32 +474,29 @@ def check_rate_scaling(
     The per-seed slope over the budget grid must have median at most
     ``slope_threshold`` (the target decay is -1/2 up to a slowly growing
     factor; the default threshold is an engineering tolerance).
+
+    Each seed runs once, for the largest budget, and budget T averages
+    the true gradient norms at the first T iterates. This is exactly the
+    run with budget T: the adaptive step size uses no horizon, so the rng
+    draws and steps do not depend on the budget, and a run that diverges
+    at step t stops there under every budget above t.
     """
     t_grid = [int(t) for t in t_grid]
     if len(t_grid) < 3:
         raise ValueError("rate fit needs at least 3 budget grid points")
     if sorted(t_grid) != t_grid or len(set(t_grid)) != len(t_grid):
         raise ValueError("budget grid must be strictly increasing")
+    if t_grid[0] < 1:
+        raise ValueError("step budget must be at least 1")
     if x0 is None:
         x0 = np.zeros(problem.d)
+    config = AdaSpiderConfig(steps=t_grid[-1], beta0=beta0, g0=g0)
     slopes = []
     for seed in seeds:
+        norms = _path_gradient_norms(problem, x0, config, seed)
         means = []
         for t_budget in t_grid:
-            trace = adaspider_run(
-                problem,
-                x0,
-                AdaSpiderConfig(steps=t_budget, beta0=beta0, g0=g0),
-                np.random.default_rng(seed),
-                keep_path=True,
-            )
-            norms = np.array(
-                [
-                    float(np.linalg.norm(problem.metric_gradient(xt)))
-                    for xt in trace.iterates
-                ]
-            )
-            mean_norm = float(norms.mean())
+            mean_norm = float(norms[:t_budget].mean())
             if mean_norm <= 0.0:
                 raise ValueError(
                     "degenerate instance: zero mean gradient norm, no fit possible"

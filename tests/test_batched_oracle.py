@@ -1,6 +1,6 @@
 """Batched component oracle: bitwise agreement with single-component calls,
-derived full gradients and mini-batch corrections, the sigmoid, and
-golden record digests."""
+derived full gradients and mini-batch corrections, true gradients batched
+over many points, the sigmoid, and golden record digests."""
 
 import hashlib
 import json
@@ -12,7 +12,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from adaspider.cli import main
-from adaspider.core import FiniteSumProblem, OracleCounter, full_gradient
+from adaspider.core import (
+    FiniteSumProblem,
+    NonFiniteGradientError,
+    OracleCounter,
+    full_gradient,
+)
 from adaspider.data import generate_synthetic
 from adaspider.optimizers import (
     SpiderEstimatorState,
@@ -31,11 +36,13 @@ FAMILIES = ("logistic", "squared", "quadratic", "mlp")
 MLP_DIMS = (6, 5, 4, 3)
 
 
-def make_problem(family: str, n: int, seed: int):
-    """A small instance of ``family`` and a sampler of points for it."""
+def make_problem(family: str, n: int, seed: int, d: int | None = None):
+    """A small instance of ``family`` and a sampler of points for it; ``d``
+    sets the dimension where the family allows it (the network's is fixed
+    by ``MLP_DIMS``)."""
     rng = np.random.default_rng(seed)
     if family == "quadratic":
-        problem = QuadraticProblem.random(n, 3, rng)
+        problem = QuadraticProblem.random(n, d or 3, rng)
         return problem, lambda r, scale: scale * r.standard_normal(problem.d)
     if family == "mlp":
         dataset = generate_synthetic(
@@ -46,7 +53,7 @@ def make_problem(family: str, n: int, seed: int):
             MLP_DIMS, scale, r
         ).params
     kind = "separable-logistic" if family == "logistic" else "quadratic"
-    problem = RegularizedERM(generate_synthetic(kind, n, 4, seed), loss_kind=family)
+    problem = RegularizedERM(generate_synthetic(kind, n, d or 4, seed), loss_kind=family)
     return problem, lambda r, scale: scale * r.standard_normal(problem.d)
 
 
@@ -137,6 +144,81 @@ class TestDerivedFullGradients:
         problem = QuadraticProblem(mats, offsets)
         with pytest.raises(ValueError, match="component 3"):
             full_gradient(problem, np.zeros(2), OracleCounter())
+
+    def test_nonfinite_gradient_is_its_own_error(self):
+        # a ValueError subclass, so the command line can tell it from bad input
+        problem = QuadraticProblem(np.stack([np.eye(1)] * 2), [[1.0], [np.inf]])
+        with pytest.raises(NonFiniteGradientError, match="component 2"):
+            full_gradient(problem, np.zeros(1), OracleCounter())
+
+
+class TestBatchedPointGradients:
+    """metric_gradients and mean_gradients: one row per point, each bitwise
+    equal to the single-point call."""
+
+    @pytest.mark.parametrize("family", FAMILIES)
+    @settings(max_examples=15, deadline=None)
+    @given(
+        n=st.integers(min_value=1, max_value=30),
+        d=st.integers(min_value=1, max_value=6),
+        seed=st.integers(min_value=0, max_value=10_000),
+        scale=st.sampled_from([0.01, 1.0, 30.0]),
+        # lengths around the 256-row blocks of the rate check
+        count=st.sampled_from([1, 2, 7, 255, 256, 257]),
+    )
+    def test_metric_gradient_rows_bitwise(self, family, n, d, seed, scale, count):
+        problem, _ = make_problem(family, n, seed, d)
+        points = scale * np.random.default_rng(seed + 1).standard_normal(
+            (count, problem.d)
+        )
+        rows = problem.metric_gradients(points)
+        assert rows.shape == (count, problem.d)
+        for row, x in zip(rows, points):
+            assert same_bits(row, problem.metric_gradient(x))
+
+    def test_one_dimensional_metric_gradients(self):
+        for family in ("logistic", "squared", "quadratic"):
+            problem, _ = make_problem(family, 12, 3, d=1)
+            points = np.linspace(-40.0, 40.0, 257)[:, None]
+            rows = problem.metric_gradients(points)
+            for row, x in zip(rows, points):
+                assert same_bits(row, problem.metric_gradient(x))
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        n=st.integers(min_value=1, max_value=20),
+        d=st.integers(min_value=1, max_value=5),
+        count=st.integers(min_value=1, max_value=50),
+        seed=st.integers(min_value=0, max_value=10_000),
+        definite=st.booleans(),
+    )
+    def test_quadratic_mean_gradient_rows_bitwise(self, n, d, count, seed, definite):
+        rng = np.random.default_rng(seed)
+        problem = QuadraticProblem.random(n, d, rng, definite=definite)
+        points = rng.standard_normal((count, d))
+        rows = problem.mean_gradients(points)
+        assert rows.shape == (count, d)
+        for row, x in zip(rows, points):
+            assert same_bits(row, problem.mean_gradient(x))
+            assert same_bits(row, stacked_mean(problem, x))
+
+    @pytest.mark.parametrize("family", FAMILIES)
+    def test_mean_gradients_rows_bitwise_every_family(self, family):
+        problem, point = make_problem(family, 9, 2)
+        rng = np.random.default_rng(3)
+        points = np.stack([point(rng, 1.0) for _ in range(4)])
+        for row, x in zip(problem.mean_gradients(points), points):
+            assert same_bits(row, problem.mean_gradient(x))
+
+    @pytest.mark.parametrize("family", FAMILIES)
+    def test_empty_and_misshaped_blocks(self, family):
+        problem, _ = make_problem(family, 5, 0)
+        for method in (problem.metric_gradients, problem.mean_gradients):
+            assert method(np.empty((0, problem.d))).shape == (0, problem.d)
+            with pytest.raises(ValueError, match="expected"):
+                method(np.zeros(problem.d))
+            with pytest.raises(ValueError, match="expected"):
+                method(np.zeros((2, problem.d + 1)))
 
 
 class TestMiniBatchCorrections:

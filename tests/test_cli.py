@@ -1,5 +1,6 @@
 """Command-line workflows and exit-code contract."""
 
+import hashlib
 import json
 import os
 import subprocess
@@ -7,8 +8,20 @@ import sys
 
 import pytest
 
+from adaspider import cli
 from adaspider.cli import gradient_check_report, main
 from adaspider.harness import load_records
+from adaspider.verify import LemmaReport
+
+VERIFY_CHECK_NAMES = (
+    "sweep_sqrt_lemma",
+    "sweep_log_lemma",
+    "sweep_variance_recursion",
+    "check_cumulative_variance",
+    "check_weighted_variance",
+    "sweep_trajectory_bound",
+    "check_rate_scaling",
+)
 
 
 def run_main(capsys, *argv):
@@ -229,6 +242,36 @@ class TestRun:
         assert err != ""
 
 
+    @pytest.mark.parametrize(
+        "line, loss, code, message",
+        [
+            # the squared margin overflows: a runtime fault, found mid-run
+            ("1e200 1:1e200", "squared", 3, "non-finite gradient from component 1"),
+            ("2 1:1", "logistic", 2, "label 2.0 not usable for logistic loss"),
+        ],
+    )
+    def test_bad_data_exit_code_and_message(
+        self, tmp_path, capsys, line, loss, code, message
+    ):
+        data_path = tmp_path / "data.svm"
+        data_path.write_text(line + "\n")
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(
+            json.dumps(
+                {
+                    "problem": {"path": str(data_path), "loss": loss},
+                    "algorithms": [{"name": "adaspider"}],
+                    "epochs": 1,
+                }
+            )
+        )
+        got, _out, err = run_main(
+            capsys, "run", "--config", str(cfg_path), "--out", str(tmp_path / "r.csv")
+        )
+        assert got == code
+        assert f"error: {message}" in err
+
+
 class TestSweep:
     def test_sweep_reports_best(self, tmp_path, capsys):
         config = {
@@ -290,6 +333,43 @@ class TestVerify:
         assert code == 0
         for line in out.strip().splitlines():
             json.loads(line)
+
+
+    # SHA-256 of ``adaspider verify --suite all`` standard output, computed
+    # with one fresh run per budget and one true-gradient call per iterate
+    # in the rate check, and one full-gradient call per iterate in the
+    # variance checks.
+    @pytest.mark.parametrize(
+        "seed, digest",
+        [
+            ("0", "d2733aa640666ed82ed84f640dad5bdcb0ff311c58076177bad7179f137b34e5"),
+            ("1729", "911cdfbc9aac6bf275d04a0d6302df8d87c3b211bb695cc6ab8bc5fc422150f3"),
+        ],
+    )
+    def test_full_suite_golden_digest(self, capsys, seed, digest):
+        code, out, _err = run_main(capsys, "verify", "--suite", "all", "--seed", seed)
+        assert code == 0
+        assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest
+
+    def test_checks_called_through_cli_namespace(self, capsys, monkeypatch):
+        # an outside profiler times each check, and marks the end of
+        # set-up, by replacing these names on the cli module
+        calls = {name: 0 for name in (*VERIFY_CHECK_NAMES, "gradient_check_report")}
+
+        def stub(name):
+            def fake(*args, **kwargs):
+                calls[name] += 1
+                if name == "gradient_check_report":
+                    return {"pass": True}
+                return LemmaReport(name, 1, 0, 0.0, True)
+
+            return fake
+
+        for name in calls:
+            monkeypatch.setattr(cli, name, stub(name))
+        assert run_main(capsys, "verify", "--suite", "all")[0] == 0
+        assert run_main(capsys, "gradcheck", "--points", "1")[0] == 0
+        assert calls == dict.fromkeys(calls, 1)
 
 
 class TestGradcheck:

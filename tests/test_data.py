@@ -18,6 +18,7 @@ from adaspider.data import (
     parse_libsvm,
     scale_features,
 )
+from adaspider.problems import RegularizedERM
 
 
 def csr(rows, labels, d):
@@ -354,6 +355,15 @@ class TestCSR:
             map_binary_labels([float("nan")])
         assert map_binary_labels([-0.0, 1.0, -1.0, 0.0]).tolist() == [-1.0, 1.0, -1.0, -1.0]
         assert map_binary_labels(()).shape == (0,)
+
+    def test_binary_label_error_prints_array_labels_plainly(self):
+        expected = "label 2.0 not usable for logistic loss (expected one of 0, 1, -1, +1)"
+        with pytest.raises(ValueError) as excinfo:
+            map_binary_labels(np.array([1.0, 2.0]))
+        assert str(excinfo.value) == expected
+        with pytest.raises(ValueError) as excinfo:
+            RegularizedERM(parse_libsvm("2 1:1"))
+        assert str(excinfo.value) == expected
 
 
 class TestParseErrors:

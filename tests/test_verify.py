@@ -12,6 +12,7 @@ from adaspider.optimizers import AdaSpiderConfig, adaspider_run
 from adaspider.problems import QuadraticProblem
 from adaspider.verify import (
     LemmaReport,
+    _path_gradient_norms,
     check_cumulative_variance,
     check_log_lemma,
     check_rate_scaling,
@@ -250,7 +251,68 @@ class TestMonteCarloVariance:
         assert not report.passed
 
 
+def separate_budget_means(problem, t_grid, seed, x0, beta0=1.0):
+    """The per-budget means as the rate check first computed them: one
+    fresh run per budget and one true-gradient call per stored iterate."""
+    means = []
+    for t_budget in t_grid:
+        trace = adaspider_run(
+            problem,
+            x0,
+            AdaSpiderConfig(steps=t_budget, beta0=beta0),
+            np.random.default_rng(seed),
+            keep_path=True,
+        )
+        norms = np.array(
+            [float(np.linalg.norm(problem.metric_gradient(xt))) for xt in trace.iterates]
+        )
+        means.append(float(norms.mean()))
+    return means
+
+
+# (problem, budget grid, seeds, x0, beta0); the logistic grid crosses the
+# 256-row evaluation blocks, the last instance diverges at step 23.
+RATE_CASES = {
+    "logistic": (default_rate_problem(), (10, 256, 600), (0, 1), None, 1.0),
+    "single-component": (
+        QuadraticProblem(np.array([[[1.0, 0.0], [0.0, 2.0]]]), np.zeros((1, 2))),
+        (10, 100, 1000),
+        (0, 1, 2),
+        np.array([2.0, 1.0]),
+        1.0,
+    ),
+    "diverging": (
+        QuadraticProblem(np.array([[[-1.0]], [[-3.0]]]), np.array([[0.5], [-0.2]])),
+        (10, 100, 1000),
+        (0,),
+        np.array([1.0]),
+        1e-11,
+    ),
+}
+
+
 class TestRateScaling:
+    @pytest.mark.parametrize("case", sorted(RATE_CASES))
+    def test_one_run_per_seed_equals_separate_budget_runs(self, case):
+        problem, t_grid, seeds, x0, beta0 = RATE_CASES[case]
+        start = np.zeros(problem.d) if x0 is None else x0
+        config = AdaSpiderConfig(steps=t_grid[-1], beta0=beta0)
+        slopes = []
+        for seed in seeds:
+            expected = separate_budget_means(problem, t_grid, seed, start, beta0)
+            norms = _path_gradient_norms(problem, start, config, seed)
+            assert [float(norms[:t].mean()) for t in t_grid] == expected
+            slopes.append(float(np.polyfit(np.log(t_grid), np.log(expected), 1)[0]))
+        report = check_rate_scaling(problem, t_grid, seeds, beta0=beta0, x0=x0)
+        assert report.worst_margin == -0.35 - float(np.median(slopes))
+        if case == "diverging":
+            trace = adaspider_run(problem, start, config, np.random.default_rng(0))
+            assert trace.diverged_at == 23
+
+    def test_nonpositive_budget_rejected(self):
+        with pytest.raises(ValueError, match="at least 1"):
+            check_rate_scaling(default_rate_problem(), (0, 10, 100), seeds=())
+
     def test_single_component_quadratic_fast_decay(self):
         # n=1 makes the run exact gradient descent; decay beats -1/2 easily
         problem = QuadraticProblem(
