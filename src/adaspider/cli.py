@@ -17,7 +17,7 @@ import numpy as np
 from .core import NonFiniteGradientError, finite_difference_gradient
 from .data import generate_synthetic
 from .harness import (
-    ALGORITHM_PARAMS,
+    ALGORITHMS,
     AlgorithmSpec,
     ConfigError,
     DEFAULT_SWEEP_GRID,
@@ -53,6 +53,9 @@ GRADCHECK_TOLERANCE = 1e-5
 _FD_STEP = 1e-6
 
 VERIFY_SUITES = ("all", "sqrt", "log", "variance", "trajectory", "rate")
+
+# The algorithm parameters that `run` and `sweep` take as --<name> flags.
+PARAM_FLAGS = {key: row.params[key][0] for row in ALGORITHMS.values() for key in row.flags}
 
 
 def _default_out(fmt: str, out: str | None) -> str:
@@ -93,12 +96,12 @@ def _apply_overrides(config: ExperimentConfig, args) -> ExperimentConfig:
         config.steps = args.steps
         config.epochs = None
     # each flag sets the parameter only on the algorithms that read it
-    for key in ("eta", "beta0", "g0", "smoothness", "eps"):
+    for key in PARAM_FLAGS:
         value = getattr(args, key)
         if value is None:
             continue
         for spec in config.algorithms:
-            if key in ALGORITHM_PARAMS.get(spec.name, ()):
+            if key in getattr(ALGORITHMS.get(spec.name), "params", ()):
                 spec.params[key] = value
     if args.out is not None:
         config.out = args.out
@@ -122,9 +125,10 @@ def _cmd_sweep(args) -> int:
     algo_name = args.algo
     args.algo = None
     config = _apply_overrides(_load_config(args.config), args)
-    grid = (
-        [float(v) for v in args.grid.split(",")] if args.grid else list(DEFAULT_SWEEP_GRID)
-    )
+    try:
+        grid = [float(v) for v in args.grid.split(",")] if args.grid else list(DEFAULT_SWEEP_GRID)
+    except ValueError:
+        raise ConfigError(f"--grid must list numbers, got {args.grid!r}") from None
     best, results = sweep_step_size(config, algo_name, grid)
     summary = {
         "algo": algo_name,
@@ -273,35 +277,23 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     run = sub.add_parser("run", help="execute an experiment and emit records")
-    run.add_argument("--config", help="JSON experiment configuration")
     run.add_argument("--algo", help="run a single named algorithm instead")
-    run.add_argument("--seed", type=int, help="master seed override")
-    run.add_argument("--repeats", type=int)
-    run.add_argument("--steps", type=int, help="step budget override")
-    run.add_argument("--beta0", type=float)
-    run.add_argument("--g0", type=float)
-    run.add_argument("--eta", type=float)
-    run.add_argument("--smoothness", type=float)
-    run.add_argument("--eps", type=float)
-    run.add_argument("--out")
-    run.add_argument("--format", choices=("csv", "json"))
     run.set_defaults(func=_cmd_run)
 
     sweep = sub.add_parser("sweep", help="step-size sweep for one algorithm")
-    sweep.add_argument("--config")
     sweep.add_argument("--algo", required=True)
     sweep.add_argument("--grid", help="comma-separated positive values")
-    sweep.add_argument("--seed", type=int)
-    sweep.add_argument("--repeats", type=int)
-    sweep.add_argument("--steps", type=int)
-    sweep.add_argument("--beta0", type=float)
-    sweep.add_argument("--g0", type=float)
-    sweep.add_argument("--eta", type=float)
-    sweep.add_argument("--smoothness", type=float)
-    sweep.add_argument("--eps", type=float)
-    sweep.add_argument("--out")
-    sweep.add_argument("--format", choices=("csv", "json"))
     sweep.set_defaults(func=_cmd_sweep)
+
+    for command in (run, sweep):
+        command.add_argument("--config", help="JSON experiment configuration")
+        command.add_argument("--seed", type=int, help="master seed override")
+        command.add_argument("--repeats", type=int)
+        command.add_argument("--steps", type=int, help="step budget override")
+        for key, kind in PARAM_FLAGS.items():
+            command.add_argument(f"--{key}", type=kind)
+        command.add_argument("--out")
+        command.add_argument("--format", choices=("csv", "json"))
 
     verify = sub.add_parser("verify", help="run numerical verification suites")
     verify.add_argument("--suite", choices=VERIFY_SUITES, default="all")

@@ -10,19 +10,24 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
 import zlib
 from dataclasses import dataclass, field, replace
+from typing import Callable
 
 import numpy as np
 
 from .core import FiniteSumProblem
 from .data import generate_synthetic, load_libsvm, scale_features
-from .optimizers import (
+# run_algorithm calls the *_run names through this module's namespace, so
+# that a wrapper installed on harness.<name>_run is the one that runs.
+from .optimizers import (  # noqa: F401
     AdaSpiderConfig,
     EpochRow,
     RunTrace,
     adagrad_norm_run,
     adaspider_run,
+    ceil_sqrt,
     sgd_run,
     spider_run,
     spiderboost_run,
@@ -34,39 +39,106 @@ from .problems import (
     kaiming_uniform_scaled_init,
 )
 
-# The parameter keys each algorithm reads. The algorithm names, the check
-# of configured keys and the CLI's per-flag targets all follow from it.
-ALGORITHM_PARAMS = {
-    "adaspider": ("beta0", "g0", "period", "inner_batch"),
-    "spider": ("eps", "smoothness", "period", "inner_batch"),
-    "spiderboost": ("eta", "smoothness", "period", "batch_size"),
-    "svrg": ("eta", "epoch_length", "inner_batch"),
-    "sgd": ("eta",),
-    "adagrad_norm": ("eta", "b0"),
-}
-ALGORITHM_NAMES = tuple(ALGORITHM_PARAMS)
-
 # Initial-step grid of the standard parameter sweep.
 DEFAULT_SWEEP_GRID = (1e-3, 1e-2, 1e-1, 1.0, 1e1, 1e2, 1e3)
 
-# Which parameter a step-size sweep tunes, per algorithm. The adaptive
-# method is parameter-free and deliberately absent.
-SWEEPABLE_PARAM = {
-    "sgd": "eta",
-    "adagrad_norm": "eta",
-    "svrg": "eta",
-    "spiderboost": "eta",
-    "spider": "eps",
-}
-
 CSV_HEADER = "algo,seed,epoch,oracle_calls,loss,grad_norm,step_size"
-
-# Algorithm parameters that count steps or samples.
-INTEGER_PARAMS = ("period", "epoch_length", "inner_batch", "batch_size")
 
 
 class ConfigError(ValueError):
     """Invalid experiment configuration; raised before any run starts."""
+
+
+# Per estimator: (period, calls per reset, calls per inner step), from an
+# algorithm's period, inner batch and n. Resets fall on every period-th step
+# from t = 0. A stochastic step is a one-call reset; a SPIDER batch of n or
+# more takes the exact full-gradient difference.
+ESTIMATOR_COSTS = {
+    "stochastic": lambda m, b, n: (1, 1, 0),
+    "SVRG snapshot": lambda m, b, n: (m, n, 2 * b),
+    "SPIDER": lambda m, b, n: (m, n, 2 * min(b, n)),
+}
+
+# Parameter defaults taken from the problem; "L" is its smoothness constant.
+_PROBLEM_DEFAULTS = {
+    "n": lambda problem: problem.n,
+    "ceil(sqrt(n))": lambda problem: ceil_sqrt(problem.n),
+    "L": lambda problem: problem.known_smoothness,
+}
+
+
+@dataclass(frozen=True)
+class Algorithm:
+    """One registry row: an estimator of ESTIMATOR_COSTS paired with a step rule.
+
+    ``params`` maps each key the algorithm reads to (type, default). Every
+    value must be positive and finite; a default named in _PROBLEM_DEFAULTS
+    comes from the problem, and None leaves the key unset.
+
+    - ``flags``: the keys that `run` and `sweep` also take as --<key>;
+    - ``sweep``: the key a step-size sweep tunes;
+    - ``period``, ``batch``: the keys of the estimator's reset period and
+      inner batch;
+    - ``args(p, steps)``: the keyword arguments of ``<name>_run``.
+    """
+
+    estimator: str
+    step_rule: str
+    params: dict
+    flags: tuple = ()
+    sweep: str | None = None
+    period: str | None = None
+    batch: str | None = None
+    args: Callable = lambda p, steps: dict(p, steps=steps)
+
+
+def _spiderboost_args(p: dict, steps: int) -> dict:
+    # SpiderBoost steps by 1/smoothness; eta, when set, is that step itself
+    eta = p.pop("eta")
+    if eta is not None:
+        p["smoothness"] = 1.0 / eta
+    return dict(p, steps=steps)
+
+
+# The algorithm registry. Names, parameter checks, dispatch, step budgets,
+# oracle-call counts and the CLI's parameter flags all follow from it.
+ALGORITHMS = {
+    # parameter-free, so not sweepable
+    "adaspider": Algorithm(
+        "SPIDER", "AdaSpider",
+        {"beta0": (float, 1.0), "g0": (float, 1.0), "period": (int, "n"),
+         "inner_batch": (int, 1)},
+        flags=("beta0", "g0"), period="period", batch="inner_batch",
+        args=lambda p, steps: {"config": AdaSpiderConfig(steps=steps, **p)},
+    ),
+    "spider": Algorithm(
+        "SPIDER", "eps-tied",
+        {"eps": (float, 0.01), "smoothness": (float, "L"), "period": (int, "n"),
+         "inner_batch": (int, 1)},
+        flags=("eps", "smoothness"), sweep="eps", period="period", batch="inner_batch",
+        args=lambda p, steps: {"epsilon": p.pop("eps"), **p, "steps": steps},
+    ),
+    "spiderboost": Algorithm(
+        "SPIDER", "constant 1/smoothness, or eta",
+        {"eta": (float, None), "smoothness": (float, "L"),
+         "period": (int, "ceil(sqrt(n))"), "batch_size": (int, "ceil(sqrt(n))")},
+        flags=("eta", "smoothness"), sweep="eta", period="period", batch="batch_size",
+        args=_spiderboost_args,
+    ),
+    "svrg": Algorithm(
+        "SVRG snapshot", "constant eta",
+        {"eta": (float, 0.01), "epoch_length": (int, "n"), "inner_batch": (int, 1)},
+        flags=("eta",), sweep="eta", period="epoch_length", batch="inner_batch",
+    ),
+    "sgd": Algorithm(
+        "stochastic", "constant eta", {"eta": (float, 0.01)}, flags=("eta",), sweep="eta",
+    ),
+    "adagrad_norm": Algorithm(
+        "stochastic", "AdaGrad-Norm", {"eta": (float, 0.01), "b0": (float, 1e-4)},
+        flags=("eta",), sweep="eta",
+    ),
+}
+ALGORITHM_NAMES = tuple(ALGORITHMS)
 
 
 @dataclass
@@ -170,16 +242,6 @@ def initial_point(
     return np.zeros(problem.d)
 
 
-def _algorithm_smoothness(spec: AlgorithmSpec, problem: FiniteSumProblem) -> float:
-    value = spec.params.get("smoothness", problem.known_smoothness)
-    if value is None:
-        raise ConfigError(
-            f"{spec.name} needs a smoothness constant: pass 'smoothness' or use "
-            "a problem that provides one"
-        )
-    return float(value)
-
-
 def _is_integer(value) -> bool:
     if isinstance(value, bool):
         return False
@@ -199,13 +261,40 @@ def _require_integer(field_name: str, value) -> None:
         raise ConfigError(f"{field_name} must be an integer, got {value!r}")
 
 
-def _int_param(spec: AlgorithmSpec, key: str, default):
-    """Integer parameter ``key`` of ``spec``, or ``default`` when unset."""
-    if key not in spec.params:
-        return default
-    value = spec.params[key]
-    _require_integer(f"{spec.name}: parameter {key!r}", value)
-    return int(value)
+def _check_params(spec: AlgorithmSpec) -> Algorithm:
+    """``spec``'s registry row, once every configured parameter, in order,
+    is one the algorithm reads, of its type, positive and finite."""
+    row = ALGORITHMS.get(spec.name)
+    if row is None:
+        raise ConfigError(f"unknown algorithm {spec.name!r}")
+    for key, value in spec.params.items():
+        if key not in row.params:
+            raise ConfigError(f"unknown parameter {key!r} for {spec.name}")
+        field_name = f"{spec.name}: parameter {key!r}"
+        if row.params[key][0] is int:
+            _require_integer(field_name, value)
+        elif isinstance(value, bool) or not isinstance(value, numbers.Real):
+            raise ConfigError(f"{field_name} must be a number, got {value!r}")
+        if not 0 < value < math.inf:
+            raise ConfigError(f"{field_name} must be positive and finite, got {value!r}")
+    return row
+
+
+def _resolve(spec: AlgorithmSpec, problem: FiniteSumProblem) -> tuple[Algorithm, dict]:
+    """``spec``'s row and all its parameters, typed, with defaults filled in."""
+    row = _check_params(spec)
+    params = {}
+    for key, (kind, default) in row.params.items():
+        value = spec.params.get(key, default)
+        if isinstance(value, str):
+            value = _PROBLEM_DEFAULTS[value](problem)
+            if value is None:  # only "L" can be missing
+                raise ConfigError(
+                    f"{spec.name} needs a smoothness constant: pass 'smoothness' or use "
+                    "a problem that provides one"
+                )
+        params[key] = None if value is None else kind(value)
+    return row, params
 
 
 def check_settings(config: ExperimentConfig) -> None:
@@ -246,43 +335,38 @@ def check_settings(config: ExperimentConfig) -> None:
     if not config.algorithms:
         raise ConfigError("algorithm list is empty")
     for spec in config.algorithms:
-        if spec.name not in ALGORITHM_NAMES:
-            raise ConfigError(f"unknown algorithm {spec.name!r}")
-        if spec.name == "spider" and float(spec.params.get("eps", 0.01)) <= 0:
-            raise ConfigError("spider needs a positive target accuracy 'eps'")
-        for key, value in spec.params.items():
-            if key not in ALGORITHM_PARAMS[spec.name]:
-                raise ConfigError(f"unknown parameter {key!r} for {spec.name}")
-            if key in INTEGER_PARAMS:
-                _int_param(spec, key, None)
-            if key != "period" and float(value) <= 0:
-                raise ConfigError(f"{spec.name}: parameter {key!r} must be positive")
+        _check_params(spec)
+
+
+def _costs(spec: AlgorithmSpec, problem: FiniteSumProblem) -> tuple[int, int, int]:
+    """(period, calls per reset, calls per inner step) of ``spec``."""
+    row, p = _resolve(spec, problem)
+    return ESTIMATOR_COSTS[row.estimator](p.get(row.period), p.get(row.batch), problem.n)
+
+
+def closed_form_oracle_calls(
+    spec: AlgorithmSpec, problem: FiniteSumProblem, steps: int
+) -> int:
+    """Charged calls of ``steps`` steps: one reset at every t < steps with
+    t % period == 0, one inner step at every other t."""
+    period, reset, inner = _costs(spec, problem)
+    resets = -(-steps // period)
+    return reset * resets + inner * (steps - resets)
 
 
 def steps_for_budget(
     spec: AlgorithmSpec, problem: FiniteSumProblem, budget_calls: int
 ) -> int:
-    """Largest step count whose charged calls stay within the budget."""
-    n = problem.n
-    name = spec.name
-    if name in ("sgd", "adagrad_norm"):
-        return max(1, budget_calls)
-    if name == "svrg":
-        period = _int_param(spec, "epoch_length", n)
-        inner_cost = 2 * _int_param(spec, "inner_batch", 1)
-    elif name == "spiderboost":
-        root = math.isqrt(n) if math.isqrt(n) ** 2 == n else math.isqrt(n) + 1
-        period = _int_param(spec, "period", root)
-        inner_cost = 2 * _int_param(spec, "batch_size", root)
-    else:  # adaspider, spider
-        period = _int_param(spec, "period", n)
-        inner_cost = 2 * _int_param(spec, "inner_batch", 1)
-    cycle_cost = n + inner_cost * (period - 1)
-    cycles = budget_calls // cycle_cost
-    remainder = budget_calls - cycles * cycle_cost
+    """Largest step count whose charged calls stay within the budget.
+
+    At least one step runs, even when the budget is below one reset's cost.
+    """
+    period, reset, inner = _costs(spec, problem)
+    cycle_cost = reset + inner * (period - 1)
+    cycles, remainder = divmod(budget_calls, cycle_cost)
     extra = 0
-    if remainder >= n:
-        extra = 1 + min(period - 1, (remainder - n) // inner_cost)
+    if remainder >= reset:  # so period > 1 and inner > 0
+        extra = 1 + min(period - 1, (remainder - reset) // inner)
     return max(1, cycles * period + extra)
 
 
@@ -294,68 +378,11 @@ def run_algorithm(
     rng: np.random.Generator,
     **run_kwargs,
 ) -> RunTrace:
-    p = spec.params
-    if spec.name == "adaspider":
-        config = AdaSpiderConfig(
-            steps=steps,
-            beta0=float(p.get("beta0", 1.0)),
-            g0=float(p.get("g0", 1.0)),
-            period=_int_param(spec, "period", None),
-            inner_batch=_int_param(spec, "inner_batch", 1),
-        )
-        return adaspider_run(problem, x0, config, rng, **run_kwargs)
-    if spec.name == "spider":
-        return spider_run(
-            problem,
-            x0,
-            epsilon=float(p.get("eps", 0.01)),
-            smoothness=_algorithm_smoothness(spec, problem),
-            steps=steps,
-            rng=rng,
-            period=_int_param(spec, "period", None),
-            inner_batch=_int_param(spec, "inner_batch", 1),
-            **run_kwargs,
-        )
-    if spec.name == "spiderboost":
-        smoothness = (
-            1.0 / float(p["eta"]) if "eta" in p else _algorithm_smoothness(spec, problem)
-        )
-        return spiderboost_run(
-            problem,
-            x0,
-            smoothness=smoothness,
-            steps=steps,
-            rng=rng,
-            period=_int_param(spec, "period", None),
-            batch_size=_int_param(spec, "batch_size", None),
-            **run_kwargs,
-        )
-    if spec.name == "svrg":
-        return svrg_run(
-            problem,
-            x0,
-            eta=float(p.get("eta", 0.01)),
-            epoch_length=_int_param(spec, "epoch_length", None),
-            steps=steps,
-            rng=rng,
-            inner_batch=_int_param(spec, "inner_batch", 1),
-            **run_kwargs,
-        )
-    if spec.name == "sgd":
-        return sgd_run(
-            problem, x0, eta=float(p.get("eta", 0.01)), steps=steps, rng=rng, **run_kwargs
-        )
-    if spec.name == "adagrad_norm":
-        return adagrad_norm_run(
-            problem,
-            x0,
-            eta=float(p.get("eta", 0.01)),
-            b0=float(p.get("b0", 1e-4)),
-            steps=steps,
-            rng=rng,
-            **run_kwargs,
-        )
-    raise ConfigError(f"unknown algorithm {spec.name!r}")
+    """Run ``spec`` through ``<name>_run``, looked up in this module when
+    called."""
+    row, p = _resolve(spec, problem)
+    run = globals()[f"{spec.name}_run"]
+    return run(problem, x0, rng=rng, **row.args(p, steps), **run_kwargs)
 
 
 def _run_rng(master_seed: int, algo_name: str, repeat: int) -> np.random.Generator:
@@ -373,8 +400,7 @@ def _run_on_problem(config: ExperimentConfig, problem: FiniteSumProblem) -> list
     """:func:`run_experiment` on ``problem``, already built from
     ``config.problem`` after ``check_settings(config)`` passed."""
     for spec in config.algorithms:
-        if spec.name in ("spider", "spiderboost"):
-            _algorithm_smoothness(spec, problem)  # the one check that needs it
+        _resolve(spec, problem)  # the checks that need the problem
     records = []
     for spec in config.algorithms:
         if config.steps is not None:
@@ -400,16 +426,14 @@ def sweep_step_size(config: ExperimentConfig, algo_name: str, grid=None):
     is built, once, for the whole sweep. Returns (best value, {value:
     records}).
     """
-    if algo_name not in SWEEPABLE_PARAM:
+    param = _check_params(AlgorithmSpec(name=algo_name)).sweep
+    if param is None:
         raise ConfigError(
             f"{algo_name} does not expose a tunable step-size scale"
         )
     grid = list(DEFAULT_SWEEP_GRID if grid is None else grid)
     if not grid:
         raise ConfigError("sweep grid is empty")
-    if any(v <= 0 for v in grid):
-        raise ConfigError("sweep grid values must be positive")
-    param = SWEEPABLE_PARAM[algo_name]
     base = next((a for a in config.algorithms if a.name == algo_name), None)
     base_params = dict(base.params) if base is not None else {}
     trials = []

@@ -10,8 +10,13 @@ parameter-free step size
     gamma_t = 1 / (n^{1/4} * beta0 * sqrt(sqrt(n) * G0^2 + sum_{s<=t} ||g_s||^2)).
 
 The accumulator includes the current ||g_t||^2, which is what bounds
-every step length by 1/beta0. Baselines (SGD, AdaGrad-Norm, SVRG,
-Spider, SpiderBoost) share the oracle accounting and trace format.
+every step length by 1/beta0.
+
+Every method pairs one of three gradient estimators (stochastic, SVRG
+snapshot, SPIDER) with one of four step rules (constant, AdaGrad-Norm, the
+eps-tied SPIDER step, the AdaSpider step above), and all six run the one
+step loop, ``_TraceBuilder.run``, with the same oracle accounting and trace
+format. ``harness.ALGORITHMS`` lists the pairs.
 
 Each run is strictly sequential; independent runs may execute in
 parallel with rng streams derived from distinct seeds.
@@ -226,17 +231,12 @@ class RunTrace:
 
 
 class _TraceBuilder:
-    """Collects per-step records and epoch diagnostics during a run."""
+    """Runs the one step loop of every method, collecting per-step records
+    and epoch diagnostics; ``counter`` takes the run's charged calls."""
 
-    def __init__(
-        self,
-        problem: FiniteSumProblem,
-        algo: str,
-        counter: OracleCounter,
-        keep_path: bool,
-    ):
+    def __init__(self, problem: FiniteSumProblem, algo: str, keep_path: bool):
         self._problem = problem
-        self._counter = counter
+        self.counter = OracleCounter()
         self._keep_path = keep_path
         self.algo = algo
         self._step_sizes: list[float] = []
@@ -250,22 +250,46 @@ class _TraceBuilder:
         self._last_gamma = 0.0
         self._diverged_at: int | None = None
 
+    def run(self, x0: np.ndarray, steps: int, estimate, step_size) -> RunTrace:
+        """The step loop: g = estimate(x, t), gamma = step_size(g, ||g||),
+        x <- x - gamma * g, for ``steps`` steps or until x diverges."""
+        if steps < 1:
+            raise ValueError("step budget must be at least 1")
+        x = as_param_vector(x0, self._problem.d)
+        for t in range(steps):
+            self.step_start(x)
+            g = estimate(x, t)
+            norm = _vector_norm(g)
+            gamma = step_size(g, norm)
+            x = x - gamma * g
+            if not self.record_step(gamma, g, x, t, norm):
+                break
+        return RunTrace(
+            algo=self.algo,
+            step_sizes=np.asarray(self._step_sizes),
+            estimator_norms=np.asarray(self._est_norms),
+            oracle_calls=np.asarray(self._calls, dtype=np.int64),
+            epoch_rows=self._rows,
+            epoch_points=self._points,
+            x_final=np.array(x, copy=True),
+            diverged=self._diverged_at is not None,
+            diverged_at=self._diverged_at,
+            iterates=np.stack(self._iterates) if self._iterates else None,
+            estimates=np.stack(self._estimates) if self._estimates else None,
+        )
+
+    def _log_row(self, x: np.ndarray, loss: float, grad_norm: float, step_size: float):
+        calls = self.counter.component_calls
+        self._rows.append(EpochRow(calls // self._problem.n, calls, loss, grad_norm, step_size))
+        self._points.append(np.array(x, copy=True))
+
     def step_start(self, x: np.ndarray) -> None:
         """Log an epoch row if the charged calls completed another full pass."""
-        epoch = self._counter.component_calls // self._problem.n
+        epoch = self.counter.component_calls // self._problem.n
         if epoch > self._last_epoch:
-            self._rows.append(
-                EpochRow(
-                    epoch=epoch,
-                    oracle_calls=self._counter.component_calls,
-                    loss=self._problem.value(x),
-                    grad_norm=float(
-                        np.linalg.norm(self._problem.metric_gradient(x))
-                    ),
-                    step_size=self._last_gamma,
-                )
-            )
-            self._points.append(np.array(x, copy=True))
+            loss = self._problem.value(x)
+            grad_norm = float(np.linalg.norm(self._problem.metric_gradient(x)))
+            self._log_row(x, loss, grad_norm, self._last_gamma)
             self._last_epoch = epoch
         if self._keep_path:
             self._iterates.append(np.array(x, copy=True))
@@ -276,47 +300,77 @@ class _TraceBuilder:
         estimate: np.ndarray,
         x_new: np.ndarray,
         t: int,
-        norm: float | None = None,
+        norm: float,
     ) -> bool:
-        """Record one completed step; returns False if the run must abort.
-
-        ``norm`` is ||estimate|| when the caller has already computed it.
-        """
+        """Record one completed step with ``norm`` = ||estimate||; returns
+        False if the run must abort."""
         self._step_sizes.append(gamma)
-        self._est_norms.append(_vector_norm(estimate) if norm is None else norm)
-        self._calls.append(self._counter.component_calls)
+        self._est_norms.append(norm)
+        self._calls.append(self.counter.component_calls)
         self._last_gamma = gamma
         if self._keep_path:
             self._estimates.append(np.array(estimate, copy=True))
         if _diverged(x_new):
             self._diverged_at = t
-            self._rows.append(
-                EpochRow(
-                    epoch=self._counter.component_calls // self._problem.n,
-                    oracle_calls=self._counter.component_calls,
-                    loss=float("inf"),
-                    grad_norm=float("inf"),
-                    step_size=gamma,
-                )
-            )
-            self._points.append(np.array(x_new, copy=True))
+            self._log_row(x_new, float("inf"), float("inf"), gamma)
             return False
         return True
 
-    def finish(self, x_final: np.ndarray) -> RunTrace:
-        return RunTrace(
-            algo=self.algo,
-            step_sizes=np.asarray(self._step_sizes),
-            estimator_norms=np.asarray(self._est_norms),
-            oracle_calls=np.asarray(self._calls, dtype=np.int64),
-            epoch_rows=self._rows,
-            epoch_points=self._points,
-            x_final=np.array(x_final, copy=True),
-            diverged=self._diverged_at is not None,
-            diverged_at=self._diverged_at,
-            iterates=np.stack(self._iterates) if self._iterates else None,
-            estimates=np.stack(self._estimates) if self._estimates else None,
+
+# The three estimators. Each returns estimate(x, t), which makes the step's
+# rng draws and charges its oracle calls to ``counter``.
+
+
+def _stochastic(problem: FiniteSumProblem, rng, counter: OracleCounter):
+    """One uniformly drawn component gradient per step; charges 1."""
+
+    def estimate(x, t):
+        i = int(rng.integers(problem.n)) + 1
+        grad = problem.component_gradient(i, x)
+        counter.charge(1)
+        return grad
+
+    return estimate
+
+
+def _svrg(problem: FiniteSumProblem, rng, counter: OracleCounter, epoch_length, inner_batch):
+    """Every ``epoch_length`` steps the iterate becomes the snapshot y with
+    stored full gradient mu (charging n), and the estimate is mu itself; in
+    between, grad f_i(x) - grad f_i(y) + mu averaged over ``inner_batch``
+    sampled components (charging 2 per sample)."""
+    snapshot = snapshot_grad = None
+
+    def estimate(x, t):
+        nonlocal snapshot, snapshot_grad
+        if t % epoch_length == 0:
+            snapshot = np.array(x, copy=True)
+            snapshot_grad = full_gradient(problem, snapshot, counter)
+            return snapshot_grad
+        if inner_batch == 1:
+            i = int(rng.integers(problem.n)) + 1
+            corrected = (
+                problem.component_gradient(i, x)
+                - problem.component_gradient(i, snapshot)
+                + snapshot_grad
+            )
+            counter.charge(2)
+            return corrected
+        return (
+            _sampled_correction(problem, x, snapshot, inner_batch, rng, counter)
+            + snapshot_grad
         )
+
+    return estimate
+
+
+def _spider(problem: FiniteSumProblem, rng, counter: OracleCounter, state, batch_size):
+    """:func:`spider_estimator_update` on ``state``, with ``batch_size``
+    samples per inner step."""
+    if batch_size < 1:
+        raise ValueError("inner batch size must be at least 1")
+    return lambda x, t: spider_estimator_update(
+        state, problem, x, rng, counter, batch_size=batch_size
+    )
 
 
 def adaspider_run(
@@ -334,24 +388,19 @@ def adaspider_run(
     rng draw per inner step and none at reset steps, so a scalar
     re-implementation with the same rng reproduces the run exactly.
     """
-    x = as_param_vector(x0, problem.d)
     period = config.period if config.period is not None else problem.n
-    counter = OracleCounter()
     state = SpiderEstimatorState(period=period)
-    trace = _TraceBuilder(problem, "adaspider", counter, keep_path)
     # adaspider_step_size with its checks and constants taken out of the loop;
     # same operations in the same order, so every gamma is bitwise equal
     scale, offset = _adaspider_constants(problem.n, config.beta0, config.g0)
-    for t in range(config.steps):
-        trace.step_start(x)
-        estimate = spider_estimator_update(
-            state, problem, x, rng, counter, batch_size=config.inner_batch
-        )
-        gamma = 1.0 / (scale * math.sqrt(offset + state.grad_norm_accum))
-        x = x - gamma * estimate
-        if not trace.record_step(gamma, estimate, x, t):
-            break
-    return trace.finish(x)
+    trace = _TraceBuilder(problem, "adaspider", keep_path)
+    estimate = _spider(problem, rng, trace.counter, state, config.inner_batch)
+    return trace.run(
+        x0,
+        config.steps,
+        estimate,
+        lambda g, norm: 1.0 / (scale * math.sqrt(offset + state.grad_norm_accum)),
+    )
 
 
 def spider_run(
@@ -376,29 +425,23 @@ def spider_run(
         raise ValueError("target accuracy must be positive")
     if smoothness <= 0:
         raise ValueError("smoothness constant must be positive")
-    if steps < 1:
-        raise ValueError("step budget must be at least 1")
-    x = as_param_vector(x0, problem.d)
     n = problem.n
-    period = period if period is not None else n
-    counter = OracleCounter()
-    state = SpiderEstimatorState(period=period)
-    trace = _TraceBuilder(problem, "spider", counter, keep_path)
+    state = SpiderEstimatorState(period=period if period is not None else n)
     cap = 1.0 / (2.0 * math.sqrt(n) * smoothness)
-    for t in range(steps):
-        trace.step_start(x)
-        estimate = spider_estimator_update(
-            state, problem, x, rng, counter, batch_size=inner_batch
-        )
-        norm = _vector_norm(estimate)
+
+    def step_size(g, norm):
         if norm == 0.0:
-            gamma = cap
-        else:
-            gamma = min(epsilon / (smoothness * math.sqrt(n) * norm), cap)
-        x = x - gamma * estimate
-        if not trace.record_step(gamma, estimate, x, t, norm):
-            break
-    return trace.finish(x)
+            return cap
+        return min(epsilon / (smoothness * math.sqrt(n) * norm), cap)
+
+    trace = _TraceBuilder(problem, "spider", keep_path)
+    estimate = _spider(problem, rng, trace.counter, state, inner_batch)
+    return trace.run(x0, steps, estimate, step_size)
+
+
+def ceil_sqrt(n: int) -> int:
+    """ceil(sqrt(n)) for n >= 1: SpiderBoost's default period and batch."""
+    return math.isqrt(n - 1) + 1
 
 
 def spiderboost_run(
@@ -417,26 +460,13 @@ def spiderboost_run(
     """
     if smoothness <= 0:
         raise ValueError("smoothness constant must be positive")
-    if steps < 1:
-        raise ValueError("step budget must be at least 1")
-    x = as_param_vector(x0, problem.d)
-    n = problem.n
-    root = math.isqrt(n) if math.isqrt(n) ** 2 == n else math.isqrt(n) + 1
-    period = period if period is not None else root
+    root = ceil_sqrt(problem.n)
+    state = SpiderEstimatorState(period=period if period is not None else root)
     batch = batch_size if batch_size is not None else root
-    counter = OracleCounter()
-    state = SpiderEstimatorState(period=period)
-    trace = _TraceBuilder(problem, "spiderboost", counter, keep_path)
     gamma = 1.0 / smoothness
-    for t in range(steps):
-        trace.step_start(x)
-        estimate = spider_estimator_update(
-            state, problem, x, rng, counter, batch_size=batch
-        )
-        x = x - gamma * estimate
-        if not trace.record_step(gamma, estimate, x, t):
-            break
-    return trace.finish(x)
+    trace = _TraceBuilder(problem, "spiderboost", keep_path)
+    estimate = _spider(problem, rng, trace.counter, state, batch)
+    return trace.run(x0, steps, estimate, lambda g, norm: gamma)
 
 
 def svrg_run(
@@ -450,50 +480,18 @@ def svrg_run(
     inner_batch: int = 1,
     keep_path: bool = False,
 ) -> RunTrace:
-    """Snapshot-corrected stochastic steps with constant step size.
-
-    Every ``epoch_length`` steps the current iterate becomes the snapshot
-    y with stored full gradient mu (charging n); that step moves along mu
-    itself. Inner steps use grad f_i(x) - grad f_i(y) + mu averaged over
-    ``inner_batch`` sampled components (charging 2 per sample).
-    """
+    """Snapshot-corrected stochastic steps (:func:`_svrg`, epoch length n
+    by default) with constant step size ``eta``."""
     if eta <= 0:
         raise ValueError("step size must be positive")
-    if steps < 1:
-        raise ValueError("step budget must be at least 1")
     if inner_batch < 1:
         raise ValueError("inner batch size must be at least 1")
-    x = as_param_vector(x0, problem.d)
     m = epoch_length if epoch_length is not None else problem.n
     if m < 1:
         raise ValueError("epoch length must be at least 1")
-    counter = OracleCounter()
-    trace = _TraceBuilder(problem, "svrg", counter, keep_path)
-    snapshot = x
-    snapshot_grad = np.zeros(problem.d)
-    for t in range(steps):
-        trace.step_start(x)
-        if t % m == 0:
-            snapshot = np.array(x, copy=True)
-            snapshot_grad = full_gradient(problem, snapshot, counter)
-            corrected = snapshot_grad
-        elif inner_batch == 1:
-            i = int(rng.integers(problem.n)) + 1
-            corrected = (
-                problem.component_gradient(i, x)
-                - problem.component_gradient(i, snapshot)
-                + snapshot_grad
-            )
-            counter.charge(2)
-        else:
-            corrected = (
-                _sampled_correction(problem, x, snapshot, inner_batch, rng, counter)
-                + snapshot_grad
-            )
-        x = x - eta * corrected
-        if not trace.record_step(eta, corrected, x, t):
-            break
-    return trace.finish(x)
+    trace = _TraceBuilder(problem, "svrg", keep_path)
+    estimate = _svrg(problem, rng, trace.counter, m, inner_batch)
+    return trace.run(x0, steps, estimate, lambda g, norm: eta)
 
 
 def sgd_run(
@@ -508,20 +506,9 @@ def sgd_run(
     """Plain stochastic gradient descent, one component per step."""
     if eta <= 0:
         raise ValueError("step size must be positive")
-    if steps < 1:
-        raise ValueError("step budget must be at least 1")
-    x = as_param_vector(x0, problem.d)
-    counter = OracleCounter()
-    trace = _TraceBuilder(problem, "sgd", counter, keep_path)
-    for t in range(steps):
-        trace.step_start(x)
-        i = int(rng.integers(problem.n)) + 1
-        grad = problem.component_gradient(i, x)
-        counter.charge(1)
-        x = x - eta * grad
-        if not trace.record_step(eta, grad, x, t):
-            break
-    return trace.finish(x)
+    trace = _TraceBuilder(problem, "sgd", keep_path)
+    estimate = _stochastic(problem, rng, trace.counter)
+    return trace.run(x0, steps, estimate, lambda g, norm: eta)
 
 
 def adagrad_norm_run(
@@ -540,23 +527,16 @@ def adagrad_norm_run(
         raise ValueError("step size must be positive")
     if b0 <= 0:
         raise ValueError("norm offset b0 must be positive")
-    if steps < 1:
-        raise ValueError("step budget must be at least 1")
-    x = as_param_vector(x0, problem.d)
-    counter = OracleCounter()
-    trace = _TraceBuilder(problem, "adagrad_norm", counter, keep_path)
     accum = 0.0
-    for t in range(steps):
-        trace.step_start(x)
-        i = int(rng.integers(problem.n)) + 1
-        grad = problem.component_gradient(i, x)
-        counter.charge(1)
-        accum += float(grad @ grad)
-        gamma = eta / math.sqrt(b0**2 + accum)
-        x = x - gamma * grad
-        if not trace.record_step(gamma, grad, x, t):
-            break
-    return trace.finish(x)
+
+    def step_size(g, norm):
+        nonlocal accum
+        accum += float(g @ g)
+        return eta / math.sqrt(b0**2 + accum)
+
+    trace = _TraceBuilder(problem, "adagrad_norm", keep_path)
+    estimate = _stochastic(problem, rng, trace.counter)
+    return trace.run(x0, steps, estimate, step_size)
 
 
 def select_output(trace: RunTrace, rng: np.random.Generator):
@@ -576,10 +556,3 @@ def select_output(trace: RunTrace, rng: np.random.Generator):
     norms = np.array([row.grad_norm for row in rows])
     best_idx = int(np.argmin(norms))
     return points[uniform_idx], points[best_idx]
-
-
-def closed_form_oracle_calls(steps: int, n: int, period: int, inner_cost: int = 2) -> int:
-    """Charged calls of a periodic-reset run: n per reset plus
-    ``inner_cost`` per inner step."""
-    resets = -(-steps // period)  # number of t < steps with t % period == 0
-    return n * resets + inner_cost * (steps - resets)

@@ -17,6 +17,7 @@ from adaspider.harness import (
     ExperimentConfig,
     ProblemSpec,
     build_problem,
+    closed_form_oracle_calls,
     emit_records,
     load_records,
     run_experiment,
@@ -27,7 +28,6 @@ from adaspider.optimizers import (
     AdaSpiderConfig,
     adaspider_run,
     adaspider_step_size,
-    closed_form_oracle_calls,
 )
 from adaspider.problems import QuadraticProblem, RegularizedERM
 from adaspider.verify import (
@@ -157,7 +157,7 @@ def test_criterion_05_oracle_accounting():
             AdaSpiderConfig(steps=steps),
             np.random.default_rng(steps),
         )
-        expected = closed_form_oracle_calls(steps, n, n)
+        expected = closed_form_oracle_calls(AlgorithmSpec("adaspider"), problem, steps)
         ok &= int(trace.oracle_calls[-1]) == expected
         if steps == n:
             ok &= expected == n + 2 * (n - 1)

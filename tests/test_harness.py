@@ -7,7 +7,7 @@ import pytest
 
 from adaspider.harness import (
     ALGORITHM_NAMES,
-    ALGORITHM_PARAMS,
+    ALGORITHMS,
     AlgorithmSpec,
     ConfigError,
     DEFAULT_SWEEP_GRID,
@@ -15,6 +15,7 @@ from adaspider.harness import (
     ProblemSpec,
     build_problem,
     check_settings,
+    closed_form_oracle_calls,
     config_from_dict,
     emit_records,
     initial_point,
@@ -23,7 +24,6 @@ from adaspider.harness import (
     steps_for_budget,
     sweep_step_size,
 )
-from adaspider.optimizers import closed_form_oracle_calls
 
 
 def small_config(**overrides):
@@ -80,13 +80,14 @@ class TestRunExperiment:
         config = small_config(steps=30)
         records = run_experiment(config)
         n = 12
-        expected = closed_form_oracle_calls(30, n, n)
+        problem = build_problem(config.problem)
+        assert problem.n == n
+        expected = closed_form_oracle_calls(AlgorithmSpec("adaspider"), problem, 30)
         for record in records:
             assert record.rows[-1].oracle_calls <= expected
         # the per-step counter is exact; re-run directly for the final value
         from adaspider.optimizers import AdaSpiderConfig, adaspider_run
 
-        problem = build_problem(config.problem)
         trace = adaspider_run(
             problem,
             np.zeros(4),
@@ -226,8 +227,9 @@ class TestRunExperiment:
             sweep_step_size(config_from_dict(doc), "sgd", [0.1])
 
     def test_each_algorithm_rejects_keys_it_does_not_read(self):
-        every_key = sorted({key for keys in ALGORITHM_PARAMS.values() for key in keys})
-        for name, keys in ALGORITHM_PARAMS.items():
+        every_key = sorted({key for row in ALGORITHMS.values() for key in row.params})
+        for name, row in ALGORITHMS.items():
+            keys = tuple(row.params)
             for key in every_key:
                 spec = AlgorithmSpec(name=name, params={key: 3})
                 config = small_config(algorithms=[spec], repeats=1)
@@ -237,7 +239,7 @@ class TestRunExperiment:
                     with pytest.raises(ConfigError) as excinfo:
                         check_settings(config)
                     assert str(excinfo.value) == f"unknown parameter {key!r} for {name}"
-        assert ALGORITHM_NAMES == tuple(ALGORITHM_PARAMS)
+        assert ALGORITHM_NAMES == tuple(ALGORITHMS)
 
     def test_sgd_with_ignored_parameters_rejected(self):
         spec = AlgorithmSpec(name="sgd", params={"beta0": 5, "period": 3})
@@ -299,9 +301,9 @@ class TestStepsForBudget:
         problem = build_problem(ProblemSpec(n=12, d=4))
         spec = AlgorithmSpec(name="adaspider")
         steps = steps_for_budget(spec, problem, budget)
-        used = closed_form_oracle_calls(steps, 12, 12)
+        used = closed_form_oracle_calls(spec, problem, steps)
         assert used <= budget
-        one_more = closed_form_oracle_calls(steps + 1, 12, 12)
+        one_more = closed_form_oracle_calls(spec, problem, steps + 1)
         assert one_more > budget
 
     def test_sgd_budget_is_step_count(self):
@@ -374,6 +376,10 @@ class TestSweep:
         with pytest.raises(ConfigError, match="tunable"):
             sweep_step_size(small_config(), "adaspider", [0.1])
 
+    def test_unknown_algorithm_named_as_unknown(self):
+        with pytest.raises(ConfigError, match="unknown algorithm 'foo'"):
+            sweep_step_size(small_config(), "foo", [0.1])
+
     def test_sweep_preserves_base_parameters(self):
         config = small_config(
             algorithms=[
@@ -385,9 +391,9 @@ class TestSweep:
         assert best == 0.02
         # epoch_length 3 means full passes every 3 steps: n + 2 + 2 per cycle
         record = results[0.02][0]
-        from adaspider.optimizers import closed_form_oracle_calls
-
-        assert record.rows[-1].oracle_calls <= closed_form_oracle_calls(12, 12, 3)
+        problem = build_problem(config.problem)
+        spec = AlgorithmSpec(name="svrg", params={"epoch_length": 3})
+        assert record.rows[-1].oracle_calls <= closed_form_oracle_calls(spec, problem, 12)
 
     def test_spider_sweep_tunes_accuracy_scale(self):
         config = small_config(

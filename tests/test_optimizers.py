@@ -9,13 +9,13 @@ from hypothesis import strategies as st
 
 from adaspider.core import OracleCounter
 from adaspider.data import generate_synthetic
+from adaspider.harness import AlgorithmSpec, closed_form_oracle_calls
 from adaspider.optimizers import (
     AdaSpiderConfig,
     SpiderEstimatorState,
     adagrad_norm_run,
     adaspider_run,
     adaspider_step_size,
-    closed_form_oracle_calls,
     select_output,
     sgd_run,
     spider_estimator_update,
@@ -195,7 +195,9 @@ class TestAdaSpiderRun:
                 AdaSpiderConfig(steps=steps),
                 np.random.default_rng(0),
             )
-            assert trace.oracle_calls[-1] == closed_form_oracle_calls(steps, 8, 8)
+            assert trace.oracle_calls[-1] == closed_form_oracle_calls(
+                AlgorithmSpec("adaspider"), problem, steps
+            )
 
     def test_matches_scalar_reference_simulation(self):
         # independent straight-line re-implementation in plain floats
@@ -363,6 +365,15 @@ class TestSpiderRun:
             spider_run(problem, np.zeros(3), 0.0, 1.0, 5, np.random.default_rng(0))
         with pytest.raises(ValueError):
             spider_run(problem, np.zeros(3), 0.1, -1.0, 5, np.random.default_rng(0))
+
+    @pytest.mark.parametrize("batch", [0, -2])
+    def test_non_positive_batch_rejected(self, batch):
+        problem = zero_problem()
+        rng = np.random.default_rng(0)
+        with pytest.raises(ValueError, match="batch"):
+            spider_run(problem, np.zeros(3), 0.1, 1.0, 5, rng, inner_batch=batch)
+        with pytest.raises(ValueError, match="batch"):
+            spiderboost_run(problem, np.zeros(3), 1.0, 5, rng, batch_size=batch)
 
 
 class TestSpiderBoostRun:
