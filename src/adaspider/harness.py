@@ -12,7 +12,7 @@ import json
 import math
 import numbers
 import zlib
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 from typing import Callable
 
 import numpy as np
@@ -59,7 +59,8 @@ ESTIMATOR_COSTS = {
     "SPIDER": lambda m, b, n: (m, n, 2 * min(b, n)),
 }
 
-# Parameter defaults taken from the problem; "L" is its smoothness constant.
+# Parameter defaults taken from the problem; "L" is its smoothness constant,
+# which a problem may not know (None).
 _PROBLEM_DEFAULTS = {
     "n": lambda problem: problem.n,
     "ceil(sqrt(n))": lambda problem: ceil_sqrt(problem.n),
@@ -69,7 +70,8 @@ _PROBLEM_DEFAULTS = {
 
 @dataclass(frozen=True)
 class Algorithm:
-    """One registry row: an estimator of ESTIMATOR_COSTS paired with a step rule.
+    """One registry row: an estimator of ESTIMATOR_COSTS, and the parameters
+    of the estimator and of the step rule it is paired with.
 
     ``params`` maps each key the algorithm reads to (type, default). Every
     value must be positive and finite; a default named in _PROBLEM_DEFAULTS
@@ -83,7 +85,6 @@ class Algorithm:
     """
 
     estimator: str
-    step_rule: str
     params: dict
     flags: tuple = ()
     sweep: str | None = None
@@ -101,40 +102,44 @@ def _spiderboost_args(p: dict, steps: int) -> dict:
 
 
 # The algorithm registry. Names, parameter checks, dispatch, step budgets,
-# oracle-call counts and the CLI's parameter flags all follow from it.
+# oracle-call counts and the CLI's parameter flags all follow from it. The
+# comment on each row names its step rule.
 ALGORITHMS = {
-    # parameter-free, so not sweepable
+    # the AdaSpider step: parameter-free, so not sweepable
     "adaspider": Algorithm(
-        "SPIDER", "AdaSpider",
+        "SPIDER",
         {"beta0": (float, 1.0), "g0": (float, 1.0), "period": (int, "n"),
          "inner_batch": (int, 1)},
         flags=("beta0", "g0"), period="period", batch="inner_batch",
         args=lambda p, steps: {"config": AdaSpiderConfig(steps=steps, **p)},
     ),
+    # the eps-tied step
     "spider": Algorithm(
-        "SPIDER", "eps-tied",
+        "SPIDER",
         {"eps": (float, 0.01), "smoothness": (float, "L"), "period": (int, "n"),
          "inner_batch": (int, 1)},
         flags=("eps", "smoothness"), sweep="eps", period="period", batch="inner_batch",
         args=lambda p, steps: {"epsilon": p.pop("eps"), **p, "steps": steps},
     ),
+    # a constant step: 1/smoothness, or eta when set
     "spiderboost": Algorithm(
-        "SPIDER", "constant 1/smoothness, or eta",
+        "SPIDER",
         {"eta": (float, None), "smoothness": (float, "L"),
          "period": (int, "ceil(sqrt(n))"), "batch_size": (int, "ceil(sqrt(n))")},
         flags=("eta", "smoothness"), sweep="eta", period="period", batch="batch_size",
         args=_spiderboost_args,
     ),
+    # a constant step eta
     "svrg": Algorithm(
-        "SVRG snapshot", "constant eta",
+        "SVRG snapshot",
         {"eta": (float, 0.01), "epoch_length": (int, "n"), "inner_batch": (int, 1)},
         flags=("eta",), sweep="eta", period="epoch_length", batch="inner_batch",
     ),
-    "sgd": Algorithm(
-        "stochastic", "constant eta", {"eta": (float, 0.01)}, flags=("eta",), sweep="eta",
-    ),
+    # a constant step eta
+    "sgd": Algorithm("stochastic", {"eta": (float, 0.01)}, flags=("eta",), sweep="eta"),
+    # the AdaGrad-Norm step
     "adagrad_norm": Algorithm(
-        "stochastic", "AdaGrad-Norm", {"eta": (float, 0.01), "b0": (float, 1e-4)},
+        "stochastic", {"eta": (float, 0.01), "b0": (float, 1e-4)},
         flags=("eta",), sweep="eta",
     ),
 }
@@ -201,30 +206,25 @@ class RunRecord:
 
 
 def build_problem(spec: ProblemSpec) -> FiniteSumProblem:
-    if spec.loss == "mlp":
-        dataset = (
-            load_libsvm(spec.path)
-            if spec.path
-            else generate_synthetic(
-                "two-cluster-classification",
-                spec.n,
-                spec.layer_dims[0],
-                spec.data_seed,
-                n_classes=spec.layer_dims[-1],
-            )
-        )
-        if spec.scale:
-            dataset = scale_features(dataset)
-        return MLPClassificationProblem(dataset, spec.layer_dims)
-    if spec.loss not in ("logistic", "squared"):
+    if spec.loss not in ("logistic", "squared", "mlp"):
         raise ConfigError(f"unknown loss kind {spec.loss!r}")
     if spec.path:
         dataset = load_libsvm(spec.path)
+    elif spec.loss == "mlp":
+        dataset = generate_synthetic(
+            "two-cluster-classification",
+            spec.n,
+            spec.layer_dims[0],
+            spec.data_seed,
+            n_classes=spec.layer_dims[-1],
+        )
     else:
         kind = spec.synthetic if spec.loss == "logistic" else "quadratic"
         dataset = generate_synthetic(kind, spec.n, spec.d, spec.data_seed)
     if spec.scale:
         dataset = scale_features(dataset)
+    if spec.loss == "mlp":
+        return MLPClassificationProblem(dataset, spec.layer_dims)
     return RegularizedERM(dataset, loss_kind=spec.loss, lam=spec.lam)
 
 
@@ -288,12 +288,13 @@ def _resolve(spec: AlgorithmSpec, problem: FiniteSumProblem) -> tuple[Algorithm,
         value = spec.params.get(key, default)
         if isinstance(value, str):
             value = _PROBLEM_DEFAULTS[value](problem)
-            if value is None:  # only "L" can be missing
-                raise ConfigError(
-                    f"{spec.name} needs a smoothness constant: pass 'smoothness' or use "
-                    "a problem that provides one"
-                )
         params[key] = None if value is None else kind(value)
+    # a step rule that reads a smoothness needs one, unless eta sets the step
+    if "smoothness" in params and params["smoothness"] is None and params.get("eta") is None:
+        raise ConfigError(
+            f"{spec.name} needs a smoothness constant: pass 'smoothness' or use "
+            "a problem that provides one"
+        )
     return row, params
 
 
@@ -309,8 +310,11 @@ def check_settings(config: ExperimentConfig) -> None:
     if (config.steps is None) == (config.epochs is None):
         raise ConfigError("exactly one of 'steps' and 'epochs' must be set")
     for name in ("steps", "epochs"):
-        if getattr(config, name) is not None:
-            _require_integer(name, getattr(config, name))
+        value = getattr(config, name)
+        if value is not None:
+            _require_integer(name, value)
+            if value < 1:
+                raise ConfigError(f"{name} must be at least 1")
     for name in ("n", "d", "data_seed"):
         _require_integer(f"problem.{name}", getattr(config.problem, name))
     if config.problem.data_seed < 0:
@@ -326,10 +330,6 @@ def check_settings(config: ExperimentConfig) -> None:
         )
     if min(dims) < 1:
         raise ConfigError(f"problem.layer_dims entries must be positive, got {list(dims)}")
-    if config.steps is not None and config.steps < 1:
-        raise ConfigError("steps must be at least 1")
-    if config.epochs is not None and config.epochs < 1:
-        raise ConfigError("epochs must be at least 1")
     if config.format not in ("csv", "json"):
         raise ConfigError(f"unknown output format {config.format!r}")
     if not config.algorithms:
@@ -464,21 +464,12 @@ def _format_float(value: float) -> str:
 
 
 def records_to_row_dicts(records) -> list:
-    rows = []
-    for record in records:
-        for row in record.rows:
-            rows.append(
-                {
-                    "algo": record.algo,
-                    "seed": record.seed,
-                    "epoch": row.epoch,
-                    "oracle_calls": row.oracle_calls,
-                    "loss": row.loss,
-                    "grad_norm": row.grad_norm,
-                    "step_size": row.step_size,
-                }
-            )
-    return rows
+    """One dict per epoch row, keyed by the CSV columns in their order."""
+    return [
+        {"algo": record.algo, "seed": record.seed, **vars(row)}
+        for record in records
+        for row in record.rows
+    ]
 
 
 def emit_records(records, fmt: str, path: str) -> None:
@@ -492,19 +483,9 @@ def emit_records(records, fmt: str, path: str) -> None:
     if fmt == "csv":
         lines = [CSV_HEADER]
         for row in records_to_row_dicts(records):
-            lines.append(
-                ",".join(
-                    [
-                        row["algo"],
-                        str(row["seed"]),
-                        str(row["epoch"]),
-                        str(row["oracle_calls"]),
-                        _format_float(row["loss"]),
-                        _format_float(row["grad_norm"]),
-                        _format_float(row["step_size"]),
-                    ]
-                )
-            )
+            # algo, seed, epoch and oracle_calls as they are, then the floats
+            cells = list(row.values())
+            lines.append(",".join([*map(str, cells[:4]), *map(_format_float, cells[4:])]))
         text = "\n".join(lines) + "\n"
     elif fmt == "json":
         text = json.dumps(records_to_row_dicts(records), indent=1) + "\n"
@@ -540,20 +521,8 @@ def load_records(path: str, fmt: str) -> list:
         lines = [ln for ln in text.splitlines() if ln]
         if not lines or lines[0] != CSV_HEADER:
             raise ValueError(f"{path} does not start with the expected CSV header")
-        row_dicts = []
-        for line in lines[1:]:
-            algo, seed, epoch, calls, loss, norm, step = line.split(",")
-            row_dicts.append(
-                {
-                    "algo": algo,
-                    "seed": seed,
-                    "epoch": epoch,
-                    "oracle_calls": calls,
-                    "loss": loss,
-                    "grad_norm": norm,
-                    "step_size": step,
-                }
-            )
+        columns = CSV_HEADER.split(",")
+        row_dicts = [dict(zip(columns, line.split(","), strict=True)) for line in lines[1:]]
     elif fmt == "json":
         row_dicts = json.loads(text)
     else:
@@ -565,17 +534,7 @@ def config_from_dict(doc: dict) -> ExperimentConfig:
     """Build a validated config from a parsed JSON document."""
     if not isinstance(doc, dict):
         raise ConfigError("config document must be a JSON object")
-    known = {
-        "problem",
-        "algorithms",
-        "steps",
-        "epochs",
-        "repeats",
-        "master_seed",
-        "out",
-        "format",
-    }
-    unknown = set(doc) - known
+    unknown = set(doc) - {f.name for f in fields(ExperimentConfig)}
     if unknown:
         raise ConfigError(f"unknown config fields: {sorted(unknown)}")
     prob_doc = dict(doc.get("problem", {}))
@@ -589,19 +548,7 @@ def config_from_dict(doc: dict) -> ExperimentConfig:
     for name in ("n", "d", "data_seed"):
         if name in prob_doc:
             prob_doc[name] = _as_int(prob_doc[name])
-    prob_fields = {
-        "path",
-        "synthetic",
-        "n",
-        "d",
-        "data_seed",
-        "loss",
-        "lam",
-        "scale",
-        "layer_dims",
-        "c_init",
-    }
-    unknown = set(prob_doc) - prob_fields
+    unknown = set(prob_doc) - {f.name for f in fields(ProblemSpec)}
     if unknown:
         raise ConfigError(f"unknown problem fields: {sorted(unknown)}")
     problem = ProblemSpec(**prob_doc)

@@ -15,7 +15,7 @@ every step length by 1/beta0.
 Every method pairs one of three gradient estimators (stochastic, SVRG
 snapshot, SPIDER) with one of four step rules (constant, AdaGrad-Norm, the
 eps-tied SPIDER step, the AdaSpider step above), and all six run the one
-step loop, ``_TraceBuilder.run``, with the same oracle accounting and trace
+step loop, ``_run_loop``, with the same oracle accounting and trace
 format. ``harness.ALGORITHMS`` lists the pairs.
 
 Each run is strictly sequential; independent runs may execute in
@@ -84,11 +84,18 @@ def _sampled_correction(
     """Mean of grad f_i(x) - grad f_i(anchor) over ``batch_size`` components
     drawn uniformly with replacement (one rng draw); charges 2 per sample.
 
-    The sum runs from zero in sampling order, adding each grad f_i(x) and
-    subtracting each grad f_i(anchor). ``np.add.accumulate`` along the
-    interleaved rows keeps exactly that order for every d; a plain axis-0
-    sum does not once d == 1, where numpy switches to pairwise summation.
+    A single sample is one scalar draw and one difference of two component
+    gradients. For a larger batch the sum runs from zero in sampling order,
+    adding each grad f_i(x) and subtracting each grad f_i(anchor).
+    ``np.add.accumulate`` along the interleaved rows keeps exactly that order
+    for every d; a plain axis-0 sum does not once d == 1, where numpy switches
+    to pairwise summation.
     """
+    if batch_size == 1:
+        i = int(rng.integers(problem.n)) + 1
+        diff = problem.component_gradient(i, x) - problem.component_gradient(i, anchor)
+        counter.charge(2)
+        return diff
     indices = rng.integers(problem.n, size=batch_size) + 1
     terms = np.zeros((2 * batch_size + 1, problem.d))
     terms[1::2] = problem.component_gradients(indices, x)
@@ -122,21 +129,11 @@ def spider_estimator_update(
         diff = problem.mean_gradient(x_t) - problem.mean_gradient(state.anchor_point)
         counter.charge(2 * n)
         estimate = diff + state.estimate
-    elif batch_size == 1:
-        i = int(rng.integers(n)) + 1
-        estimate = (
-            problem.component_gradient(i, x_t)
-            - problem.component_gradient(i, state.anchor_point)
-            + state.estimate
-        )
-        counter.charge(2)
     else:
-        estimate = (
-            _sampled_correction(
-                problem, x_t, state.anchor_point, batch_size, rng, counter
-            )
-            + state.estimate
+        correction = _sampled_correction(
+            problem, x_t, state.anchor_point, batch_size, rng, counter
         )
+        estimate = correction + state.estimate
     state.estimate = estimate
     state.anchor_point = np.array(x_t, copy=True)
     state.grad_norm_accum += float(estimate @ estimate)
@@ -230,91 +227,71 @@ class RunTrace:
         return len(self.step_sizes)
 
 
-class _TraceBuilder:
-    """Runs the one step loop of every method, collecting per-step records
-    and epoch diagnostics; ``counter`` takes the run's charged calls."""
+def _run_loop(
+    problem: FiniteSumProblem,
+    algo: str,
+    x0: np.ndarray,
+    steps: int,
+    counter: OracleCounter,
+    estimate,
+    step_size,
+    keep_path: bool,
+) -> RunTrace:
+    """The one step loop of every method: g = estimate(x, t), gamma =
+    step_size(g, ||g||), x <- x - gamma * g, for ``steps`` steps or until x
+    diverges; ``estimate`` charges its oracle calls to ``counter``.
 
-    def __init__(self, problem: FiniteSumProblem, algo: str, keep_path: bool):
-        self._problem = problem
-        self.counter = OracleCounter()
-        self._keep_path = keep_path
-        self.algo = algo
-        self._step_sizes: list[float] = []
-        self._est_norms: list[float] = []
-        self._calls: list[int] = []
-        self._rows: list[EpochRow] = []
-        self._points: list[np.ndarray] = []
-        self._iterates: list[np.ndarray] = []
-        self._estimates: list[np.ndarray] = []
-        self._last_epoch = -1
-        self._last_gamma = 0.0
-        self._diverged_at: int | None = None
+    At the top of a step an epoch row is logged if the charged calls have
+    completed another full pass; a diverged iterate gets a last row with
+    infinite loss and gradient norm, and ends the run.
+    """
+    if steps < 1:
+        raise ValueError("step budget must be at least 1")
+    n = problem.n
+    x = as_param_vector(x0, problem.d)
+    step_sizes, est_norms, calls, rows, points, iterates, estimates = ([] for _ in range(7))
+    gamma, last_epoch, diverged_at = 0.0, -1, None
 
-    def run(self, x0: np.ndarray, steps: int, estimate, step_size) -> RunTrace:
-        """The step loop: g = estimate(x, t), gamma = step_size(g, ||g||),
-        x <- x - gamma * g, for ``steps`` steps or until x diverges."""
-        if steps < 1:
-            raise ValueError("step budget must be at least 1")
-        x = as_param_vector(x0, self._problem.d)
-        for t in range(steps):
-            self.step_start(x)
-            g = estimate(x, t)
-            norm = _vector_norm(g)
-            gamma = step_size(g, norm)
-            x = x - gamma * g
-            if not self.record_step(gamma, g, x, t, norm):
-                break
-        return RunTrace(
-            algo=self.algo,
-            step_sizes=np.asarray(self._step_sizes),
-            estimator_norms=np.asarray(self._est_norms),
-            oracle_calls=np.asarray(self._calls, dtype=np.int64),
-            epoch_rows=self._rows,
-            epoch_points=self._points,
-            x_final=np.array(x, copy=True),
-            diverged=self._diverged_at is not None,
-            diverged_at=self._diverged_at,
-            iterates=np.stack(self._iterates) if self._iterates else None,
-            estimates=np.stack(self._estimates) if self._estimates else None,
-        )
+    def log_row(x, loss, grad_norm):
+        # the row's step size is the last one taken
+        done = counter.component_calls
+        rows.append(EpochRow(done // n, done, loss, grad_norm, gamma))
+        points.append(np.array(x, copy=True))
 
-    def _log_row(self, x: np.ndarray, loss: float, grad_norm: float, step_size: float):
-        calls = self.counter.component_calls
-        self._rows.append(EpochRow(calls // self._problem.n, calls, loss, grad_norm, step_size))
-        self._points.append(np.array(x, copy=True))
-
-    def step_start(self, x: np.ndarray) -> None:
-        """Log an epoch row if the charged calls completed another full pass."""
-        epoch = self.counter.component_calls // self._problem.n
-        if epoch > self._last_epoch:
-            loss = self._problem.value(x)
-            grad_norm = float(np.linalg.norm(self._problem.metric_gradient(x)))
-            self._log_row(x, loss, grad_norm, self._last_gamma)
-            self._last_epoch = epoch
-        if self._keep_path:
-            self._iterates.append(np.array(x, copy=True))
-
-    def record_step(
-        self,
-        gamma: float,
-        estimate: np.ndarray,
-        x_new: np.ndarray,
-        t: int,
-        norm: float,
-    ) -> bool:
-        """Record one completed step with ``norm`` = ||estimate||; returns
-        False if the run must abort."""
-        self._step_sizes.append(gamma)
-        self._est_norms.append(norm)
-        self._calls.append(self.counter.component_calls)
-        self._last_gamma = gamma
-        if self._keep_path:
-            self._estimates.append(np.array(estimate, copy=True))
-        if _diverged(x_new):
-            self._diverged_at = t
-            self._log_row(x_new, float("inf"), float("inf"), gamma)
-            return False
-        return True
+    for t in range(steps):
+        epoch = counter.component_calls // n
+        if epoch > last_epoch:
+            loss = problem.value(x)
+            log_row(x, loss, float(np.linalg.norm(problem.metric_gradient(x))))
+            last_epoch = epoch
+        if keep_path:
+            iterates.append(np.array(x, copy=True))
+        g = estimate(x, t)
+        norm = _vector_norm(g)
+        gamma = step_size(g, norm)
+        x = x - gamma * g
+        step_sizes.append(gamma)
+        est_norms.append(norm)
+        calls.append(counter.component_calls)
+        if keep_path:
+            estimates.append(np.array(g, copy=True))
+        if _diverged(x):
+            diverged_at = t
+            log_row(x, float("inf"), float("inf"))
+            break
+    return RunTrace(
+        algo=algo,
+        step_sizes=np.asarray(step_sizes),
+        estimator_norms=np.asarray(est_norms),
+        oracle_calls=np.asarray(calls, dtype=np.int64),
+        epoch_rows=rows,
+        epoch_points=points,
+        x_final=np.array(x, copy=True),
+        diverged=diverged_at is not None,
+        diverged_at=diverged_at,
+        iterates=np.stack(iterates) if iterates else None,
+        estimates=np.stack(estimates) if estimates else None,
+    )
 
 
 # The three estimators. Each returns estimate(x, t), which makes the step's
@@ -346,19 +323,8 @@ def _svrg(problem: FiniteSumProblem, rng, counter: OracleCounter, epoch_length, 
             snapshot = np.array(x, copy=True)
             snapshot_grad = full_gradient(problem, snapshot, counter)
             return snapshot_grad
-        if inner_batch == 1:
-            i = int(rng.integers(problem.n)) + 1
-            corrected = (
-                problem.component_gradient(i, x)
-                - problem.component_gradient(i, snapshot)
-                + snapshot_grad
-            )
-            counter.charge(2)
-            return corrected
-        return (
-            _sampled_correction(problem, x, snapshot, inner_batch, rng, counter)
-            + snapshot_grad
-        )
+        correction = _sampled_correction(problem, x, snapshot, inner_batch, rng, counter)
+        return correction + snapshot_grad
 
     return estimate
 
@@ -393,13 +359,12 @@ def adaspider_run(
     # adaspider_step_size with its checks and constants taken out of the loop;
     # same operations in the same order, so every gamma is bitwise equal
     scale, offset = _adaspider_constants(problem.n, config.beta0, config.g0)
-    trace = _TraceBuilder(problem, "adaspider", keep_path)
-    estimate = _spider(problem, rng, trace.counter, state, config.inner_batch)
-    return trace.run(
-        x0,
-        config.steps,
-        estimate,
+    counter = OracleCounter()
+    estimate = _spider(problem, rng, counter, state, config.inner_batch)
+    return _run_loop(
+        problem, "adaspider", x0, config.steps, counter, estimate,
         lambda g, norm: 1.0 / (scale * math.sqrt(offset + state.grad_norm_accum)),
+        keep_path,
     )
 
 
@@ -434,9 +399,9 @@ def spider_run(
             return cap
         return min(epsilon / (smoothness * math.sqrt(n) * norm), cap)
 
-    trace = _TraceBuilder(problem, "spider", keep_path)
-    estimate = _spider(problem, rng, trace.counter, state, inner_batch)
-    return trace.run(x0, steps, estimate, step_size)
+    counter = OracleCounter()
+    estimate = _spider(problem, rng, counter, state, inner_batch)
+    return _run_loop(problem, "spider", x0, steps, counter, estimate, step_size, keep_path)
 
 
 def ceil_sqrt(n: int) -> int:
@@ -464,9 +429,11 @@ def spiderboost_run(
     state = SpiderEstimatorState(period=period if period is not None else root)
     batch = batch_size if batch_size is not None else root
     gamma = 1.0 / smoothness
-    trace = _TraceBuilder(problem, "spiderboost", keep_path)
-    estimate = _spider(problem, rng, trace.counter, state, batch)
-    return trace.run(x0, steps, estimate, lambda g, norm: gamma)
+    counter = OracleCounter()
+    estimate = _spider(problem, rng, counter, state, batch)
+    return _run_loop(
+        problem, "spiderboost", x0, steps, counter, estimate, lambda g, norm: gamma, keep_path
+    )
 
 
 def svrg_run(
@@ -489,9 +456,11 @@ def svrg_run(
     m = epoch_length if epoch_length is not None else problem.n
     if m < 1:
         raise ValueError("epoch length must be at least 1")
-    trace = _TraceBuilder(problem, "svrg", keep_path)
-    estimate = _svrg(problem, rng, trace.counter, m, inner_batch)
-    return trace.run(x0, steps, estimate, lambda g, norm: eta)
+    counter = OracleCounter()
+    estimate = _svrg(problem, rng, counter, m, inner_batch)
+    return _run_loop(
+        problem, "svrg", x0, steps, counter, estimate, lambda g, norm: eta, keep_path
+    )
 
 
 def sgd_run(
@@ -506,9 +475,11 @@ def sgd_run(
     """Plain stochastic gradient descent, one component per step."""
     if eta <= 0:
         raise ValueError("step size must be positive")
-    trace = _TraceBuilder(problem, "sgd", keep_path)
-    estimate = _stochastic(problem, rng, trace.counter)
-    return trace.run(x0, steps, estimate, lambda g, norm: eta)
+    counter = OracleCounter()
+    estimate = _stochastic(problem, rng, counter)
+    return _run_loop(
+        problem, "sgd", x0, steps, counter, estimate, lambda g, norm: eta, keep_path
+    )
 
 
 def adagrad_norm_run(
@@ -534,9 +505,11 @@ def adagrad_norm_run(
         accum += float(g @ g)
         return eta / math.sqrt(b0**2 + accum)
 
-    trace = _TraceBuilder(problem, "adagrad_norm", keep_path)
-    estimate = _stochastic(problem, rng, trace.counter)
-    return trace.run(x0, steps, estimate, step_size)
+    counter = OracleCounter()
+    estimate = _stochastic(problem, rng, counter)
+    return _run_loop(
+        problem, "adagrad_norm", x0, steps, counter, estimate, step_size, keep_path
+    )
 
 
 def select_output(trace: RunTrace, rng: np.random.Generator):
