@@ -29,10 +29,9 @@ from .harness import (
     sweep_step_size,
 )
 from .problems import (
-    MLPNet,
+    MLPClassificationProblem,
     RegularizedERM,
     kaiming_uniform_scaled_init,
-    mlp_loss_and_gradient,
     nonconvex_regularizer,
     nonconvex_regularizer_grad,
 )
@@ -190,8 +189,11 @@ def gradient_check_report(points: int = 20, seed: int = 0, corrupt: bool = False
     """Compare every analytic gradient against central differences.
 
     Returns per-family and overall max relative errors over ``points``
-    random evaluation points each. ``corrupt`` deliberately offsets the
-    regularizer gradient, for self-testing the check.
+    random evaluation points each. The loss families check each problem's
+    own ``component_gradient`` against differences of its
+    ``component_value``, the oracle that runs use. ``corrupt``
+    deliberately offsets the regularizer gradient, for self-testing the
+    check.
     """
     rng = np.random.default_rng(seed)
     families: dict[str, float] = {}
@@ -212,45 +214,35 @@ def gradient_check_report(points: int = 20, seed: int = 0, corrupt: bool = False
         worst = max(worst, rel_error(analytic, numeric))
     families["regularizer"] = worst
 
-    for loss_kind, kind in (("logistic", "separable-logistic"), ("squared", "quadratic")):
-        dataset = generate_synthetic(kind, n=8, d=5, seed=seed)
-        problem = RegularizedERM(dataset, loss_kind=loss_kind, lam=0.1)
+    def erm(kind: str, loss_kind: str):
+        problem = RegularizedERM(
+            generate_synthetic(kind, n=8, d=5, seed=seed), loss_kind=loss_kind, lam=0.1
+        )
+        return problem, lambda: rng.standard_normal(problem.d)
+
+    dims = (20, 16, 16, 4)
+    clusters = generate_synthetic(
+        "two-cluster-classification", n=8, d=dims[0], seed=seed, n_classes=dims[-1]
+    )
+    cases = {
+        "logistic": erm("separable-logistic", "logistic"),
+        "squared": erm("quadratic", "squared"),
+        "mlp": (
+            MLPClassificationProblem(clusters, dims),
+            lambda: kaiming_uniform_scaled_init(dims, 0.1, rng).params,
+        ),
+    }
+    for family, (problem, draw_point) in cases.items():
         worst = 0.0
         for _ in range(points):
-            x = rng.standard_normal(problem.d)
+            x = draw_point()
             i = int(rng.integers(problem.n)) + 1
             analytic = problem.component_gradient(i, x)
             numeric = finite_difference_gradient(
                 lambda p: problem.component_value(i, p), x, _FD_STEP
             )
             worst = max(worst, rel_error(analytic, numeric))
-        families[loss_kind] = worst
-
-    layer_dims = (20, 16, 16, 4)
-    dataset = generate_synthetic(
-        "two-cluster-classification", n=8, d=layer_dims[0], seed=seed,
-        n_classes=layer_dims[-1],
-    )
-    features = dataset.dense()
-    labels = dataset.dense_labels().astype(int)
-    worst = 0.0
-    for _ in range(points):
-        params = kaiming_uniform_scaled_init(layer_dims, 0.1, rng).params
-        k = int(rng.integers(dataset.n))
-        one_hot = np.zeros(layer_dims[-1])
-        one_hot[labels[k]] = 1.0
-        net = MLPNet(layer_dims=layer_dims, params=params)
-        _, analytic = mlp_loss_and_gradient(net, features[k], one_hot)
-
-        def loss_at(p: np.ndarray) -> float:
-            value, _ = mlp_loss_and_gradient(
-                MLPNet(layer_dims=layer_dims, params=p), features[k], one_hot
-            )
-            return value
-
-        numeric = finite_difference_gradient(loss_at, params, _FD_STEP)
-        worst = max(worst, rel_error(analytic, numeric))
-    families["mlp"] = worst
+        families[family] = worst
 
     max_error = max(families.values())
     return {

@@ -5,11 +5,14 @@ non-convex regularizer), random quadratic families for verification,
 and a small fully connected ELU network with manual backpropagation.
 
 Each family implements the batched oracle ``component_gradients`` in
-numpy with no per-row Python loop. Its rows are bitwise equal to the
-single-component ``component_gradient``: per-sample products run as a
-stacked ``np.matmul``, which calls the same BLAS kernel per row as the
-1-d ``np.dot``/``w @ h`` of the single path (a plain 2-d product would
-not), and every other step is elementwise.
+numpy with no per-row Python loop. For the empirical-risk and quadratic
+families its rows are bitwise equal to the single-component
+``component_gradient``: per-sample products run as a stacked
+``np.matmul``, which calls the same BLAS kernel per row as the 1-d
+``np.dot`` of the single path (a plain 2-d product would not), and every
+other step is elementwise. The network has one stacked forward pass and
+one backpropagation; its single-sample gradient, loss and logits are
+their one-row cases.
 """
 
 from __future__ import annotations
@@ -294,18 +297,48 @@ def _unpack_params(layer_dims, params: np.ndarray):
     return layers
 
 
-def _forward_cached(layer_dims, params: np.ndarray, inputs: np.ndarray):
-    """Forward pass keeping pre-activations for backpropagation."""
+def _stacked_forward(layer_dims, params: np.ndarray, inputs: np.ndarray):
+    """Forward pass of a (k, d_in) stack of inputs, keeping every row's
+    activations and pre-activations for :func:`_backprop`.
+
+    ``np.matmul(w, h[:, :, None])`` runs the gemv of ``w @ h`` once per
+    row, so a row's logits do not depend on the other rows.
+    """
     layers = _unpack_params(layer_dims, params)
-    activations = [np.asarray(inputs, dtype=np.float64)]
+    h = inputs
+    activations = [h]
     pre_acts = []
-    h = activations[0]
     for k, (w, b) in enumerate(layers):
-        z = w @ h + b
+        z = np.matmul(w, h[:, :, None])[:, :, 0] + b
         pre_acts.append(z)
         h = elu(z) if k < len(layers) - 1 else z
         activations.append(h)
     return layers, activations, pre_acts
+
+
+def _backprop(layers, activations, pre_acts, one_hot: np.ndarray) -> np.ndarray:
+    """Cross-entropy gradient of every row of a :func:`_stacked_forward`
+    pass, one flat parameter vector per row, by manual backpropagation
+    through the affine and ELU layers."""
+    logits = activations[-1]
+    shifted = np.exp(logits - logits.max(axis=1, keepdims=True))
+    # softmax - label is the gradient of the loss in the logits
+    delta = shifted / shifted.sum(axis=1, keepdims=True) - one_hot
+    blocks = []  # per layer, last first: bias gradient, then weight gradient
+    for k in range(len(layers) - 1, -1, -1):
+        w, _b = layers[k]
+        blocks.append(delta)
+        outer = delta[:, :, None] * activations[k][:, None, :]
+        blocks.append(outer.reshape(len(delta), w.size))
+        if k > 0:
+            delta = np.matmul(w.T, delta[:, :, None])[:, :, 0] * elu_derivative(
+                pre_acts[k - 1]
+            )
+    grads = np.concatenate(blocks[::-1], axis=1)
+    # -0.0 products become +0.0, as when accumulating into a zero vector;
+    # the recorded runs were made with that arithmetic.
+    grads += 0.0
+    return grads
 
 
 def mlp_forward(net: MLPNet, inputs: np.ndarray) -> np.ndarray:
@@ -323,16 +356,15 @@ def mlp_forward(net: MLPNet, inputs: np.ndarray) -> np.ndarray:
             f"input has shape {inputs.shape}, expected ({net.layer_dims[0]},) "
             f"or (k, {net.layer_dims[0]})"
         )
-    _, activations, _ = _forward_cached(net.layer_dims, net.params, inputs)
-    return activations[-1]
+    _, activations, _ = _stacked_forward(net.layer_dims, net.params, inputs[None])
+    return activations[-1][0]
 
 
 def mlp_loss_and_gradient(net: MLPNet, inputs: np.ndarray, one_hot_label: np.ndarray):
     """Cross-entropy value and its gradient with respect to all parameters.
 
     The loss is logsumexp(logits) - label' logits, computed stably, and
-    the gradient comes from manual backpropagation through the affine
-    and ELU layers.
+    the gradient is the one-row case of :func:`_backprop`.
     """
     one_hot_label = np.asarray(one_hot_label, dtype=np.float64)
     n_classes = net.layer_dims[-1]
@@ -346,28 +378,10 @@ def mlp_loss_and_gradient(net: MLPNet, inputs: np.ndarray, one_hot_label: np.nda
         raise ValueError(
             f"input has shape {inputs.shape}, expected ({net.layer_dims[0]},)"
         )
-
-    layers, activations, pre_acts = _forward_cached(
-        net.layer_dims, net.params, inputs
-    )
-    logits = activations[-1]
-    m = float(np.max(logits))
-    shifted = np.exp(logits - m)
-    total = float(np.sum(shifted))
-    loss = m + np.log(total) - float(one_hot_label @ logits)
-
-    grad = np.zeros_like(net.params)
-    grad_layers = _unpack_params(net.layer_dims, grad)
-    # softmax - label is the gradient of the loss in the logits
-    delta = shifted / total - one_hot_label
-    for k in range(len(layers) - 1, -1, -1):
-        w, _b = layers[k]
-        gw, gb = grad_layers[k]
-        gw += np.outer(delta, activations[k])
-        gb += delta
-        if k > 0:
-            delta = (w.T @ delta) * elu_derivative(pre_acts[k - 1])
-    return float(loss), grad
+    stacked = _stacked_forward(net.layer_dims, net.params, inputs[None])
+    logits = stacked[1][-1][0]
+    loss = logsumexp(logits) - float(one_hot_label @ logits)
+    return loss, _backprop(*stacked, one_hot_label[None])[0]
 
 
 def kaiming_uniform_scaled_init(
@@ -416,61 +430,35 @@ class MLPClassificationProblem(FiniteSumProblem):
         self._one_hot[np.arange(dataset.n), classes] = 1.0
         super().__init__(n=dataset.n, d=mlp_param_count(layer_dims))
 
-    def _net(self, x: np.ndarray) -> MLPNet:
-        return MLPNet(layer_dims=self.layer_dims, params=np.asarray(x, dtype=np.float64))
+    def _params(self, x: np.ndarray) -> np.ndarray:
+        x = np.asarray(x, dtype=np.float64)
+        if x.shape != (self.d,):
+            raise ValueError(f"parameters have shape {x.shape}, expected ({self.d},)")
+        return x
 
     def component_value(self, i: int, x: np.ndarray) -> float:
+        """Cross-entropy of sample i: a one-row forward pass, no backprop."""
         self._check_index(i)
-        loss, _ = mlp_loss_and_gradient(
-            self._net(x), self._features[i - 1], self._one_hot[i - 1]
+        _, activations, _ = _stacked_forward(
+            self.layer_dims, self._params(x), self._features[i - 1 : i]
         )
-        return loss
+        logits = activations[-1][0]
+        return logsumexp(logits) - float(self._one_hot[i - 1] @ logits)
 
     def component_gradient(self, i: int, x: np.ndarray) -> np.ndarray:
-        self._check_index(i)
-        _, grad = mlp_loss_and_gradient(
-            self._net(x), self._features[i - 1], self._one_hot[i - 1]
-        )
-        return grad
+        return self.component_gradients((i,), x)[0]
 
     def component_gradients(self, indices, x: np.ndarray) -> np.ndarray:
-        """Backpropagation of all requested samples at once.
-
-        The same operations as :func:`mlp_loss_and_gradient`, with the
-        sample as a leading axis; ``np.matmul(w, h[:, :, None])`` runs the
-        gemv of ``w @ h`` once per sample.
-        """
+        """Forward and backpropagation of all requested samples at once."""
         idx = self._check_indices(indices) - 1
-        layers = _unpack_params(self.layer_dims, np.asarray(x, dtype=np.float64))
-        h = self._features[idx]
-        activations = [h]
-        pre_acts = []
-        for k, (w, b) in enumerate(layers):
-            z = np.matmul(w, h[:, :, None])[:, :, 0] + b
-            pre_acts.append(z)
-            h = elu(z) if k < len(layers) - 1 else z
-            activations.append(h)
-        shifted = np.exp(h - h.max(axis=1, keepdims=True))
-        delta = shifted / shifted.sum(axis=1, keepdims=True) - self._one_hot[idx]
-
-        blocks = []  # per layer, last first: bias gradient, then weight gradient
-        for k in range(len(layers) - 1, -1, -1):
-            w, _b = layers[k]
-            blocks.append(delta)
-            outer = delta[:, :, None] * activations[k][:, None, :]
-            blocks.append(outer.reshape(idx.size, w.size))
-            if k > 0:
-                delta = np.matmul(w.T, delta[:, :, None])[:, :, 0] * elu_derivative(
-                    pre_acts[k - 1]
-                )
-        grads = np.concatenate(blocks[::-1], axis=1)
-        # The single path accumulates into zeros, which turns -0.0 into +0.0.
-        grads += 0.0
-        return grads
+        stacked = _stacked_forward(
+            self.layer_dims, self._params(x), self._features[idx]
+        )
+        return _backprop(*stacked, self._one_hot[idx])
 
     def value(self, x: np.ndarray) -> float:
         """Mean cross-entropy via one batched forward pass (diagnostics)."""
-        logits = mlp_forward(self._net(x), self._features)
+        logits = mlp_forward(MLPNet(self.layer_dims, self._params(x)), self._features)
         peak = logits.max(axis=1, keepdims=True)
         lse = peak[:, 0] + np.log(np.sum(np.exp(logits - peak), axis=1))
         losses = lse - np.einsum("ij,ij->i", self._one_hot, logits)

@@ -334,25 +334,26 @@ def sweep_trajectory_bound(
     return report
 
 
-def _variance_sides(
-    problem: FiniteSumProblem,
-    config: AdaSpiderConfig,
-    seeds,
-    x0: np.ndarray | None,
-    weight_power: int,
-):
-    """Per-seed (lhs, rhs) sums for the variance bounds.
+def _variance_check(
+    lemma: str, weight_power: int, problem, config, seeds, x0, rhs_factor
+) -> LemmaReport:
+    """Both Monte-Carlo variance checks, from per-seed (lhs, rhs) sums.
 
     weight_power 0: plain sums against L^2 n sum gamma^2 ||g||^2.
     weight_power 1: gamma-weighted sums against L^2 n sum gamma^3 ||g||^2.
+    The bound holds if mean(rhs_factor * rhs - lhs) + 3 stderr >= 0.
     """
+    seeds = list(seeds)
+    if len(seeds) < 50:
+        raise ValueError(
+            f"{len(seeds)} seeds is statistically meaningless here; use at least 50"
+        )
     if problem.known_smoothness is None:
         raise ValueError("variance bounds need the instance smoothness constant")
     if x0 is None:
         x0 = np.zeros(problem.d)
     l2n = problem.known_smoothness**2 * problem.n
-    lhs_vals = np.empty(len(seeds))
-    rhs_vals = np.empty(len(seeds))
+    diffs = np.empty(len(seeds))
     for k, seed in enumerate(seeds):
         trace = adaspider_run(
             problem, x0, config, np.random.default_rng(seed), keep_path=True
@@ -365,25 +366,17 @@ def _variance_sides(
         rhs = l2n * float(
             np.sum(gammas ** (2 + weight_power) * trace.estimator_norms**2)
         )
-        lhs_vals[k] = lhs
-        rhs_vals[k] = rhs
-    return lhs_vals, rhs_vals
-
-
-def _monte_carlo_report(
-    lemma: str, lhs_vals, rhs_vals, rhs_factor: float, n_seeds: int
-) -> LemmaReport:
-    diffs = rhs_factor * rhs_vals - lhs_vals
+        diffs[k] = rhs_factor * rhs - lhs
     mean = float(diffs.mean())
     stderr = float(diffs.std(ddof=1) / math.sqrt(len(diffs)))
     margin = mean + 3.0 * stderr
     return LemmaReport(
         lemma=lemma,
-        trials=n_seeds,
+        trials=len(seeds),
         violations=0 if margin >= 0 else 1,
         worst_margin=margin,
         passed=margin >= 0,
-        detail=f"mean margin {mean:.3e}, stderr {stderr:.3e}, {n_seeds} seeds",
+        detail=f"mean margin {mean:.3e}, stderr {stderr:.3e}, {len(seeds)} seeds",
     )
 
 
@@ -400,14 +393,8 @@ def check_cumulative_variance(
         sum_t E||g_t - grad f(x_t)||^2 <= L^2 n sum_t E[gamma_t^2 ||g_t||^2],
 
     asserted within three standard errors over the seeded runs."""
-    seeds = list(seeds)
-    if len(seeds) < 50:
-        raise ValueError(
-            f"{len(seeds)} seeds is statistically meaningless here; use at least 50"
-        )
-    lhs_vals, rhs_vals = _variance_sides(problem, config, seeds, x0, weight_power=0)
-    return _monte_carlo_report(
-        "cumulative_variance", lhs_vals, rhs_vals, rhs_factor, len(seeds)
+    return _variance_check(
+        "cumulative_variance", 0, problem, config, seeds, x0, rhs_factor
     )
 
 
@@ -421,15 +408,11 @@ def check_weighted_variance(
 ) -> LemmaReport:
     """Monte-Carlo check of the step-size-weighted variance bound
 
-        E[sum_t gamma_t ||g_t - grad f(x_t)||^2] <= L^2 n E[sum_t gamma_t^3 ||g_t||^2]."""
-    seeds = list(seeds)
-    if len(seeds) < 50:
-        raise ValueError(
-            f"{len(seeds)} seeds is statistically meaningless here; use at least 50"
-        )
-    lhs_vals, rhs_vals = _variance_sides(problem, config, seeds, x0, weight_power=1)
-    return _monte_carlo_report(
-        "weighted_variance", lhs_vals, rhs_vals, rhs_factor, len(seeds)
+        E[sum_t gamma_t ||g_t - grad f(x_t)||^2] <= L^2 n E[sum_t gamma_t^3 ||g_t||^2],
+
+    asserted within three standard errors over the seeded runs."""
+    return _variance_check(
+        "weighted_variance", 1, problem, config, seeds, x0, rhs_factor
     )
 
 

@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from mlp_reference import reference_rows
 
 from adaspider.cli import main
 from adaspider.core import (
@@ -97,12 +98,13 @@ class TestRowsMatchSingleCalls:
 
     def test_mlp_signed_zeros_at_zero_parameters(self):
         # zero activations times a negative error give -0.0 products, which
-        # the single path's accumulation into zeros turns into +0.0
+        # the per-sample reference's accumulation into zeros turns into +0.0
         problem, _ = make_problem("mlp", 6, 0)
         x = np.zeros(problem.d)
         rows = problem.component_gradients(np.arange(1, 7), x)
-        for i, row in enumerate(rows, start=1):
-            assert same_bits(row, problem.component_gradient(i, x))
+        expected = reference_rows(problem, range(1, 7), x)
+        for row, (_logits, _loss, grad) in zip(rows, expected):
+            assert same_bits(row, grad)
 
     def test_default_stacks_single_calls(self):
         class Linear(FiniteSumProblem):

@@ -11,6 +11,7 @@ import pytest
 from adaspider import cli
 from adaspider.cli import gradient_check_report, main
 from adaspider.harness import load_records
+from adaspider.problems import MLPClassificationProblem
 from adaspider.verify import LemmaReport
 
 VERIFY_CHECK_NAMES = (
@@ -395,6 +396,36 @@ class TestGradcheck:
     def test_report_function_directly(self):
         report = gradient_check_report(points=5, seed=1)
         assert report["pass"]
+
+    # SHA-256 of ``adaspider gradcheck`` standard output by (seed, points),
+    # computed with the network family checked through the per-sample
+    # loss and gradient.
+    GOLDEN = {
+        ("0", "20"): "439159c5ff666e1c3a075ed8088b62f4ad93cf9b604b01873b18b91607976d32",
+        ("1729", "20"): "2c5ad603ac3b315d22b6037880b517cfaf5f51feb2c3a3f078dd8521a4f56258",
+        ("0", "5"): "423e8b3be446757b1a90f98ebcd0bc229d524abc9cf9e94849bc5ee42a824b9d",
+        ("1729", "5"): "6650549aa9c077705200b11e9d9f35d5aef29df339584253cfa99cc3ba365b50",
+    }
+
+    @pytest.mark.parametrize("seed, points", sorted(GOLDEN))
+    def test_golden_digest(self, capsys, seed, points):
+        code, out, _ = run_main(capsys, "gradcheck", "--points", points, "--seed", seed)
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == self.GOLDEN[seed, points]
+
+    def test_checks_the_network_problem_oracle(self, monkeypatch):
+        # gradcheck must test the component_gradient that runs call
+        exact = MLPClassificationProblem.component_gradient
+        monkeypatch.setattr(
+            MLPClassificationProblem,
+            "component_gradient",
+            lambda self, i, x: exact(self, i, x) + 1e-3,
+        )
+        report = gradient_check_report(points=3, seed=0)
+        assert report["families"]["mlp"] > report["tolerance"]
+        assert report["pass"] is False
+        others = {k: v for k, v in report["families"].items() if k != "mlp"}
+        assert max(others.values()) <= report["tolerance"]
 
 
 class TestConsoleScript:
