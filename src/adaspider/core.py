@@ -98,13 +98,19 @@ class FiniteSumProblem:
         """Gradients of the components ``indices`` at x, shape (k, d).
 
         Indices are 1-based like :meth:`component_gradient` and may
-        repeat; row r is bitwise equal to
-        ``component_gradient(indices[r], x)``.
+        repeat. ``x`` is one point, or a (k, d) block with one point per
+        index. Row r is bitwise equal to
+        ``component_gradient(indices[r], x)``, or to
+        ``component_gradient(indices[r], x[r])`` for a block.
         """
         indices = self._check_indices(indices)
         if indices.size == 0:
             return np.empty((0, self.d))
-        return np.stack([self.component_gradient(int(i), x) for i in indices])
+        x = self._check_at(indices, x)
+        points = x if x.ndim == 2 else [x] * indices.size
+        return np.stack(
+            [self.component_gradient(int(i), p) for i, p in zip(indices, points)]
+        )
 
     def _check_index(self, i: int) -> None:
         if not 1 <= i <= self.n:
@@ -117,6 +123,15 @@ class FiniteSumProblem:
         if bad.any():
             self._check_index(int(indices[np.argmax(bad)]))
         return indices
+
+    def _check_at(self, indices: np.ndarray, x) -> np.ndarray:
+        """``x`` as float64: one point, or a (k, d) block of one point per index."""
+        x = np.asarray(x, dtype=np.float64)
+        if x.ndim == 2 and x.shape != (indices.size, self.d):
+            raise ValueError(
+                f"points have shape {x.shape}, expected ({indices.size}, {self.d})"
+            )
+        return x
 
     def _check_points(self, points) -> np.ndarray:
         """A (T, d) float64 block of points, one per row."""

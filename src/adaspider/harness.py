@@ -8,6 +8,7 @@ stable hash of the algorithm name, and the repeat index.
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 import numbers
@@ -22,12 +23,14 @@ from .data import generate_synthetic, load_libsvm, scale_features
 # run_algorithm calls the *_run names through this module's namespace, so
 # that a wrapper installed on harness.<name>_run is the one that runs.
 from .optimizers import (  # noqa: F401
+    LOCKSTEP_ALGORITHMS,
     AdaSpiderConfig,
     EpochRow,
     RunTrace,
     adagrad_norm_run,
     adaspider_run,
     ceil_sqrt,
+    lockstep_run,
     sgd_run,
     spider_run,
     spiderboost_run,
@@ -376,13 +379,41 @@ def run_algorithm(
     x0: np.ndarray,
     steps: int,
     rng: np.random.Generator,
+    *,
+    group: _Lockstep | None = None,
     **run_kwargs,
 ) -> RunTrace:
     """Run ``spec`` through ``<name>_run``, looked up in this module when
-    called."""
+    called; or, when the run is in a lockstep ``group``, take its outcome
+    from the group, which steps all its runs at the first such call."""
+    if group is not None:
+        return group.outcome(rng)
     row, p = _resolve(spec, problem)
     run = globals()[f"{spec.name}_run"]
     return run(problem, x0, rng=rng, **row.args(p, steps), **run_kwargs)
+
+
+class _Lockstep:
+    """Planned runs that :func:`lockstep_run` steps together, all at the
+    first request for the outcome of any of them."""
+
+    def __init__(self, problem: FiniteSumProblem, runs: list):
+        self.problem = problem
+        self.name = runs[0][0].name
+        self.runs = []
+        for spec, _repeat, x0, steps, rng in runs:
+            row, p = _resolve(spec, problem)
+            self.runs.append(dict(row.args(p, steps), x0=x0, rng=rng))
+        self.outcomes = None
+
+    def outcome(self, rng: np.random.Generator) -> RunTrace:
+        """The trace of the run drawing from ``rng``, or the error it met."""
+        if self.outcomes is None:
+            self.outcomes = lockstep_run(self.problem, self.name, self.runs)
+        outcome = self.outcomes[[run["rng"] for run in self.runs].index(rng)]
+        if isinstance(outcome, Exception):
+            raise outcome
+        return outcome
 
 
 def _run_rng(master_seed: int, algo_name: str, repeat: int) -> np.random.Generator:
@@ -393,15 +424,17 @@ def _run_rng(master_seed: int, algo_name: str, repeat: int) -> np.random.Generat
 def run_experiment(config: ExperimentConfig) -> list:
     """Execute every (algorithm, repeat) pair; |records| = algorithms x repeats."""
     check_settings(config)
-    return _run_on_problem(config, build_problem(config.problem))
+    problem = build_problem(config.problem)
+    return _execute(problem, _plan(config, problem))
 
 
-def _run_on_problem(config: ExperimentConfig, problem: FiniteSumProblem) -> list:
-    """:func:`run_experiment` on ``problem``, already built from
-    ``config.problem`` after ``check_settings(config)`` passed."""
+def _plan(config: ExperimentConfig, problem: FiniteSumProblem) -> list:
+    """The runs of ``config`` on ``problem``, already built from
+    ``config.problem`` after ``check_settings(config)`` passed: one
+    (spec, repeat, x0, steps, rng) per (algorithm, repeat) pair, in order."""
     for spec in config.algorithms:
         _resolve(spec, problem)  # the checks that need the problem
-    records = []
+    plan = []
     for spec in config.algorithms:
         if config.steps is not None:
             steps = config.steps
@@ -410,10 +443,32 @@ def _run_on_problem(config: ExperimentConfig, problem: FiniteSumProblem) -> list
         for repeat in range(config.repeats):
             x0 = initial_point(config.problem, problem, config.master_seed, repeat)
             rng = _run_rng(config.master_seed, spec.name, repeat)
-            trace = run_algorithm(spec, problem, x0, steps, rng)
-            records.append(
-                RunRecord(algo=spec.name, seed=repeat, rows=list(trace.epoch_rows))
-            )
+            plan.append((spec, repeat, x0, steps, rng))
+    return plan
+
+
+def _lockstep_key(run: tuple, problem: FiniteSumProblem):
+    """What runs must share to step together; None for a run that cannot."""
+    spec, _repeat, _x0, steps, _rng = run
+    if spec.name not in LOCKSTEP_ALGORITHMS:
+        return None
+    return spec.name, steps, _costs(spec, problem)
+
+
+def _execute(problem: FiniteSumProblem, plan: list) -> list:
+    """One record per planned run, in order.
+
+    Consecutive runs of one lockstep method with the same step count,
+    period and inner batch form a :class:`_Lockstep` group. Every run
+    still makes one :func:`run_algorithm` call, in plan order.
+    """
+    records = []
+    for key, runs in itertools.groupby(plan, key=lambda run: _lockstep_key(run, problem)):
+        runs = list(runs)
+        group = _Lockstep(problem, runs) if key is not None and len(runs) > 1 else None
+        for spec, repeat, x0, steps, rng in runs:
+            trace = run_algorithm(spec, problem, x0, steps, rng, group=group)
+            records.append(RunRecord(algo=spec.name, seed=repeat, rows=list(trace.epoch_rows)))
     return records
 
 
@@ -444,17 +499,19 @@ def sweep_step_size(config: ExperimentConfig, algo_name: str, grid=None):
             config, algorithms=[AlgorithmSpec(name=algo_name, params=params)]
         )
         check_settings(trial_config)
-        trials.append((value, trial_config))
+        trials.append(trial_config)
     problem = build_problem(config.problem)
+    plans = [_plan(trial_config, problem) for trial_config in trials]
+    records = _execute(problem, [run for plan in plans for run in plan])
     results: dict = {}
     scores = []
-    for value, trial_config in trials:
-        records = _run_on_problem(trial_config, problem)
-        results[value] = records
-        if any(r.diverged for r in records):
+    for value, plan in zip(grid, plans):
+        trial, records = records[: len(plan)], records[len(plan) :]
+        results[value] = trial
+        if any(r.diverged for r in trial):
             scores.append(float("inf"))
         else:
-            scores.append(float(np.mean([r.final_grad_norm for r in records])))
+            scores.append(float(np.mean([r.final_grad_norm for r in trial])))
     best = grid[int(np.argmin(scores))]
     return best, results
 

@@ -18,18 +18,27 @@ eps-tied SPIDER step, the AdaSpider step above), and all six run the one
 step loop, ``_run_loop``, with the same oracle accounting and trace
 format. ``harness.ALGORITHMS`` lists the pairs.
 
-Each run is strictly sequential; independent runs may execute in
-parallel with rng streams derived from distinct seeds.
+Runs of sgd, AdaGrad-Norm and SVRG that share a step count, period and
+inner batch can also step together as one (R, d) block of iterates,
+:func:`lockstep_run`, with traces bitwise equal to the runs made one at a
+time; each run keeps its own rng stream and oracle counter.
 """
 
 from __future__ import annotations
 
+import inspect
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .core import FiniteSumProblem, OracleCounter, as_param_vector, full_gradient
+from .core import (
+    FiniteSumProblem,
+    NonFiniteGradientError,
+    OracleCounter,
+    as_param_vector,
+    full_gradient,
+)
 
 # Iterates beyond this magnitude (or any non-finite coordinate) abort the
 # run; the trace records the step index instead of raising.
@@ -87,9 +96,9 @@ def _sampled_correction(
     A single sample is one scalar draw and one difference of two component
     gradients. For a larger batch the sum runs from zero in sampling order,
     adding each grad f_i(x) and subtracting each grad f_i(anchor).
-    ``np.add.accumulate`` along the interleaved rows keeps exactly that order
-    for every d; a plain axis-0 sum does not once d == 1, where numpy switches
-    to pairwise summation.
+    ``np.add.accumulate`` along the interleaved rows (:func:`_mean_difference`)
+    keeps exactly that order for every d; a plain axis-0 sum does not once
+    d == 1, where numpy switches to pairwise summation.
     """
     if batch_size == 1:
         i = int(rng.integers(problem.n)) + 1
@@ -97,11 +106,20 @@ def _sampled_correction(
         counter.charge(2)
         return diff
     indices = rng.integers(problem.n, size=batch_size) + 1
-    terms = np.zeros((2 * batch_size + 1, problem.d))
-    terms[1::2] = problem.component_gradients(indices, x)
-    np.negative(problem.component_gradients(indices, anchor), out=terms[2::2])
     counter.charge(2 * batch_size)
-    return np.add.accumulate(terms, axis=0)[-1] / batch_size
+    return _mean_difference(
+        problem.component_gradients(indices, x), problem.component_gradients(indices, anchor)
+    )
+
+
+def _mean_difference(at_x: np.ndarray, at_anchor: np.ndarray) -> np.ndarray:
+    """Mean over axis -2 of ``at_x - at_anchor``, summed from zero in
+    sampling order: add each grad f_i(x), subtract each grad f_i(anchor)."""
+    *lead, batch, d = at_x.shape
+    terms = np.zeros((*lead, 2 * batch + 1, d))
+    terms[..., 1::2, :] = at_x
+    np.negative(at_anchor, out=terms[..., 2::2, :])
+    return np.add.accumulate(terms, axis=-2)[..., -1, :] / batch
 
 
 def spider_estimator_update(
@@ -510,6 +528,187 @@ def adagrad_norm_run(
     return _run_loop(
         problem, "adagrad_norm", x0, steps, counter, estimate, step_size, keep_path
     )
+
+
+# The methods whose runs can step together in :func:`lockstep_run`.
+LOCKSTEP_ALGORITHMS = ("sgd", "adagrad_norm", "svrg")
+
+# A lockstep member draws its sample indices this many at a time, and the
+# step sizes and norms of this many steps are written out at a time.
+_DRAW_CHUNK = 1024
+_RECORD_CHUNK = 256
+
+
+def lockstep_run(problem: FiniteSumProblem, algo: str, runs: list) -> list:
+    """R runs of one method stepped together as one (R, d) iterate block.
+
+    ``algo`` is one of LOCKSTEP_ALGORITHMS, and ``runs`` holds the keyword
+    arguments of R calls of ``<algo>_run``: each its own x0, rng, eta and
+    b0, all the same steps, epoch_length and inner_batch. Returns, in
+    order, what each call would: its RunTrace, equal field for field and
+    bit for bit, or the NonFiniteGradientError it would raise.
+
+    Every member keeps its own rng, counter and step size. Its sample
+    indices come in chunks of ``rng.integers(n, size=k)``, which yields
+    the values of k scalar draws in order. A member stops on its own when
+    it diverges or its snapshot gradient is not finite; the others step
+    on. Snapshot gradients go through ``full_gradient`` one member at a
+    time and charge its counter there; the sampled steps' calls are
+    charged when the member stops.
+    """
+    if algo not in LOCKSTEP_ALGORITHMS:
+        raise ValueError(f"{algo} does not run in lockstep")
+    if not runs:
+        return []
+    shared = [(kw["steps"], kw.get("epoch_length"), kw.get("inner_batch", 1)) for kw in runs]
+    if any(key != shared[0] for key in shared):
+        raise ValueError("lockstep runs must share steps, epoch length and inner batch")
+    accepted = set(inspect.signature(globals()[f"{algo}_run"]).parameters)
+    accepted -= {"problem", "keep_path"}
+    for kw in runs:
+        if not set(kw) <= accepted:
+            raise TypeError(f"{algo} lockstep runs take no {sorted(set(kw) - accepted)}")
+        if kw["eta"] <= 0:
+            raise ValueError("step size must be positive")
+        if algo == "adagrad_norm" and kw["b0"] <= 0:
+            raise ValueError("norm offset b0 must be positive")
+    steps, period, batch = shared[0]
+    n, d, size = problem.n, problem.d, len(runs)
+    svrg = algo == "svrg"
+    period = period if period is not None else n
+    if steps < 1:
+        raise ValueError("step budget must be at least 1")
+    if period < 1 or batch < 1:
+        raise ValueError("epoch length and inner batch must be at least 1")
+    resets = -(-steps // period) if svrg else 0
+    to_draw = (steps - resets) * batch  # per member
+    chunk = batch * max(1, _DRAW_CHUNK // batch)
+
+    rngs = [kw["rng"] for kw in runs]
+    counters = [OracleCounter() for _ in runs]
+    outcomes: list = [None] * size
+    rows, points = [[] for _ in runs], [[] for _ in runs]
+    step_sizes, est_norms = np.empty((size, steps)), np.empty((size, steps))
+    oracle_calls = np.empty(steps, dtype=np.int64)
+    # Per-row state, one row per member still stepping; ``live`` maps rows
+    # to members, in member order.
+    live = np.arange(size)
+    x = np.stack([as_param_vector(kw["x0"], d) for kw in runs])
+    eta = np.array([float(kw["eta"]) for kw in runs])
+    offset = np.array([float(kw.get("b0", 0.0)) ** 2 for kw in runs])
+    accum = np.zeros(size)
+    gamma = np.zeros(size)  # the last step size, as epoch rows log it
+    draws = np.empty((size, 0), dtype=np.int64)
+    snapshot = snapshot_grad = x
+    gammas, norms = [], []  # of the steps after the first ``recorded``
+    calls = sampled = drawn = pos = recorded = 0
+    last_epoch = -1
+
+    def log_rows(which, losses, grad_norms):
+        for k, loss, grad_norm in zip(which, losses, grad_norms):
+            r = live[k]
+            rows[r].append(EpochRow(calls // n, calls, loss, grad_norm, float(gamma[k])))
+            points[r].append(np.array(x[k], copy=True))
+
+    def record():
+        nonlocal recorded
+        taken = recorded + len(gammas)
+        step_sizes[live, recorded:taken] = np.stack(gammas, axis=1)
+        est_norms[live, recorded:taken] = np.stack(norms, axis=1)
+        recorded = taken
+        gammas.clear()
+        norms.clear()
+
+    def stop(mask, diverged_at=None):
+        """End the runs of the masked rows and drop those rows."""
+        nonlocal live, x, eta, offset, accum, gamma, draws, snapshot, snapshot_grad
+        if gammas:
+            record()
+        for k in np.flatnonzero(mask):
+            r = live[k]
+            counters[r].charge(sampled)
+            if outcomes[r] is None:
+                outcomes[r] = RunTrace(
+                    algo=algo,
+                    step_sizes=step_sizes[r, :recorded],
+                    estimator_norms=est_norms[r, :recorded],
+                    oracle_calls=oracle_calls[:recorded],
+                    epoch_rows=rows[r],
+                    epoch_points=points[r],
+                    x_final=np.array(x[k], copy=True),
+                    diverged=diverged_at is not None,
+                    diverged_at=diverged_at,
+                )
+        keep = ~mask
+        live, x, eta, offset, accum, gamma, draws, snapshot, snapshot_grad = (
+            a[keep] for a in (live, x, eta, offset, accum, gamma, draws, snapshot, snapshot_grad)
+        )
+
+    for t in range(steps):
+        if calls // n > last_epoch:
+            grads = problem.metric_gradients(x)
+            log_rows(
+                range(len(live)),
+                [problem.value(p) for p in x],
+                [float(np.linalg.norm(g)) for g in grads],
+            )
+            last_epoch = calls // n
+        if svrg and t % period == 0:
+            snapshot, snapshot_grad = np.array(x, copy=True), np.empty_like(x)
+            faulted = np.zeros(len(live), dtype=bool)
+            for k, r in enumerate(live):
+                try:
+                    snapshot_grad[k] = full_gradient(problem, snapshot[k], counters[r])
+                except NonFiniteGradientError as exc:
+                    outcomes[r], faulted[k] = exc, True
+            calls += n
+            if faulted.any():
+                stop(faulted)
+                if not live.size:
+                    break
+            g = snapshot_grad
+        else:
+            if pos == draws.shape[1]:
+                fill = min(chunk, to_draw - drawn)
+                draws = np.stack([rngs[r].integers(n, size=fill) for r in live]) + 1
+                drawn, pos = drawn + fill, 0
+            indices = draws[:, pos : pos + batch]
+            pos += batch
+            if not svrg:
+                g = problem.component_gradients(indices[:, 0], x)
+            else:
+                # the samples at the iterates and at the snapshots, in one call
+                at = np.repeat(np.concatenate([x, snapshot]), batch, axis=0)
+                both = problem.component_gradients(np.tile(indices.ravel(), 2), at)
+                at_x, at_anchor = both.reshape(2, len(live), batch, d)
+                if batch == 1:  # as _sampled_correction: one difference
+                    g = (at_x[:, 0] - at_anchor[:, 0]) + snapshot_grad
+                else:
+                    g = _mean_difference(at_x, at_anchor) + snapshot_grad
+            cost = 2 * batch if svrg else 1
+            calls += cost
+            sampled += cost
+        squares = np.matmul(g[:, None, :], g[:, :, None])[:, 0, 0]  # g.dot(g) per row
+        if algo == "adagrad_norm":
+            accum += squares
+            gamma = eta / np.sqrt(offset + accum)
+        else:
+            gamma = eta
+        x = x - gamma[:, None] * g
+        gammas.append(gamma)
+        norms.append(np.sqrt(squares))
+        oracle_calls[t] = calls
+        if len(gammas) == _RECORD_CHUNK:
+            record()
+        if not np.abs(x).max() <= DIVERGENCE_LIMIT:  # as in _diverged, per row
+            diverged = ~(np.abs(x).max(axis=1) <= DIVERGENCE_LIMIT)
+            which = np.flatnonzero(diverged)
+            log_rows(which, [math.inf] * len(which), [math.inf] * len(which))
+            stop(diverged, diverged_at=t)
+            if not live.size:
+                break
+    stop(np.ones(len(live), dtype=bool))
+    return outcomes
 
 
 def select_output(trace: RunTrace, rng: np.random.Generator):

@@ -5,14 +5,15 @@ non-convex regularizer), random quadratic families for verification,
 and a small fully connected ELU network with manual backpropagation.
 
 Each family implements the batched oracle ``component_gradients`` in
-numpy with no per-row Python loop. For the empirical-risk and quadratic
-families its rows are bitwise equal to the single-component
-``component_gradient``: per-sample products run as a stacked
-``np.matmul``, which calls the same BLAS kernel per row as the 1-d
-``np.dot`` of the single path (a plain 2-d product would not), and every
-other step is elementwise. The network has one stacked forward pass and
-one backpropagation; its single-sample gradient, loss and logits are
-their one-row cases.
+numpy. For the empirical-risk and quadratic families its rows are
+bitwise equal to the single-component ``component_gradient``, at one
+shared point or at one point per row: per-sample products run as a
+stacked ``np.matmul``, which calls the same BLAS kernel per row as the
+1-d ``np.dot`` of the single path (a plain 2-d product would not), and
+every other step is elementwise. The network has one stacked forward
+pass and one backpropagation at a shared point; its single-sample
+gradient, loss and logits are their one-row cases. At one point per row
+it stacks single-sample calls.
 """
 
 from __future__ import annotations
@@ -134,9 +135,11 @@ class RegularizedERM(FiniteSumProblem):
         return grad
 
     def component_gradients(self, indices, x: np.ndarray) -> np.ndarray:
-        idx = self._check_indices(indices) - 1
+        indices = self._check_indices(indices)
+        x = self._check_at(indices, x)
+        idx = indices - 1
         grads = self._features[idx]
-        margins = np.matmul(grads[:, None, :], x)[:, 0]
+        margins = np.matmul(grads[:, None, :], x[..., None])[:, 0, 0]
         grads *= self._loss_slope(margins, self._labels[idx])[:, None]
         if self.lam:
             grads += self.lam * nonconvex_regularizer_grad(x)
@@ -211,9 +214,10 @@ class QuadraticProblem(FiniteSumProblem):
         return self.matrices[i - 1] @ x + self.offsets[i - 1]
 
     def component_gradients(self, indices, x: np.ndarray) -> np.ndarray:
-        idx = self._check_indices(indices) - 1
-        column = np.asarray(x, dtype=np.float64)[:, None]
-        return np.matmul(self.matrices[idx], column)[:, :, 0] + self.offsets[idx]
+        indices = self._check_indices(indices)
+        x = self._check_at(indices, x)
+        idx = indices - 1
+        return np.matmul(self.matrices[idx], x[..., None])[:, :, 0] + self.offsets[idx]
 
     def value(self, x: np.ndarray) -> float:
         quad = 0.5 * np.einsum("j,ijk,k->i", x, self.matrices, x)
@@ -449,7 +453,10 @@ class MLPClassificationProblem(FiniteSumProblem):
         return self.component_gradients((i,), x)[0]
 
     def component_gradients(self, indices, x: np.ndarray) -> np.ndarray:
-        """Forward and backpropagation of all requested samples at once."""
+        """Forward and backpropagation of all requested samples at once;
+        a block of points, one per sample, stacks single calls."""
+        if np.ndim(x) == 2:
+            return super().component_gradients(indices, x)
         idx = self._check_indices(indices) - 1
         stacked = _stacked_forward(
             self.layer_dims, self._params(x), self._features[idx]

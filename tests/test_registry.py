@@ -2,7 +2,9 @@
 each row, the typed parameter checks, the names that outside tools wrap,
 and the README's table of rows."""
 
+import functools
 import json
+import zlib
 from pathlib import Path
 
 import numpy as np
@@ -28,6 +30,7 @@ from adaspider.harness import (
     steps_for_budget,
     sweep_step_size,
 )
+from adaspider.optimizers import RunTrace
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 
@@ -242,6 +245,70 @@ class TestWrappedNames:
             assert counts == {"spider_estimator_update": 0, "full_gradient": 2}
         else:
             assert counts == {"spider_estimator_update": 0, "full_gradient": 0}
+
+    # A sweep is one lockstep group of grid x repeats runs; a repeats run
+    # groups the repeats of sgd and of svrg, and steps adaspider's alone.
+    @pytest.mark.parametrize("case", ["sweep", "repeats"])
+    def test_run_algorithm_once_per_run_in_order(self, monkeypatch, case):
+        grid = [0.01, 0.1, 1.0]
+        names = ["sgd", "adaspider", "svrg"]
+        config = ExperimentConfig(
+            problem=ProblemSpec(n=12, d=3),
+            algorithms=[AlgorithmSpec(name) for name in names],
+            epochs=3,
+            repeats=3,
+            master_seed=4,
+        )
+        calls, results, charged_before = [], [], []
+        counters = []
+
+        # the markers of an outside benchmark: a wrapper on the harness name
+        # noting the first call, and a registry of every counter made
+        def wrap(fn):
+            def wrapper(spec, problem, x0, steps, rng, **kwargs):
+                if not calls:
+                    charged_before.append(sum(c.component_calls for c in counters))
+                seeds = rng.bit_generator.seed_seq.entropy
+                calls.append((spec.name, spec.params.get("eta"), seeds))
+                results.append(fn(spec, problem, x0, steps, rng, **kwargs))
+                return results[-1]
+
+            return functools.update_wrapper(wrapper, fn)
+
+        original_init = optimizers.OracleCounter.__init__
+
+        def register(counter, *args, **kwargs):
+            original_init(counter, *args, **kwargs)
+            counters.append(counter)
+
+        snapshots = []
+        full_gradient = optimizers.full_gradient
+
+        def count_snapshots(*args, **kwargs):
+            snapshots.append(args[1])
+            return full_gradient(*args, **kwargs)
+
+        monkeypatch.setattr(harness, "run_algorithm", wrap(harness.run_algorithm))
+        monkeypatch.setattr(optimizers.OracleCounter, "__init__", register)
+        monkeypatch.setattr(optimizers, "full_gradient", count_snapshots)
+        if case == "sweep":
+            sweep_step_size(config, "sgd", grid)
+            expected = [("sgd", eta, r) for eta in grid for r in range(3)]
+        else:
+            run_experiment(config)
+            expected = [(name, None, r) for name in names for r in range(3)]
+        assert calls == [
+            (name, eta, [4, zlib.crc32(name.encode()), r]) for name, eta, r in expected
+        ]
+        assert all(isinstance(trace, RunTrace) for trace in results)
+        assert charged_before == [0]
+        assert sum(c.component_calls for c in counters) == sum(
+            t.oracle_calls[-1] for t in results
+        )
+        # one full gradient per SVRG snapshot (every n = 12 steps) of every
+        # run, and one per SPIDER reset
+        svrg_and_spider = [t for t in results if t.algo in ("svrg", "adaspider")]
+        assert len(snapshots) == sum(-(-t.num_steps // 12) for t in svrg_and_spider)
 
 
 def readme_table_rows() -> dict:
