@@ -455,20 +455,32 @@ def _lockstep_key(run: tuple, problem: FiniteSumProblem):
     return spec.name, steps, _costs(spec, problem)
 
 
+# A lockstep group keeps the step records of all its runs until its last
+# run is taken, about 25 bytes per run and step (a run alone peaks near 110
+# bytes per step), so a group holds at most this many run-steps, ~100 MB.
+_GROUP_RUN_STEPS = 1 << 22
+
+
 def _execute(problem: FiniteSumProblem, plan: list) -> list:
     """One record per planned run, in order.
 
     Consecutive runs of one lockstep method with the same step count,
-    period and inner batch form a :class:`_Lockstep` group. Every run
-    still makes one :func:`run_algorithm` call, in plan order.
+    period and inner batch form :class:`_Lockstep` groups of up to
+    _GROUP_RUN_STEPS run-steps. Every run still makes one
+    :func:`run_algorithm` call, in plan order.
     """
     records = []
     for key, runs in itertools.groupby(plan, key=lambda run: _lockstep_key(run, problem)):
         runs = list(runs)
-        group = _Lockstep(problem, runs) if key is not None and len(runs) > 1 else None
-        for spec, repeat, x0, steps, rng in runs:
-            trace = run_algorithm(spec, problem, x0, steps, rng, group=group)
-            records.append(RunRecord(algo=spec.name, seed=repeat, rows=list(trace.epoch_rows)))
+        size = 1 if key is None else max(1, _GROUP_RUN_STEPS // runs[0][3])
+        for start in range(0, len(runs), size):
+            part = runs[start : start + size]
+            group = _Lockstep(problem, part) if len(part) > 1 else None
+            for spec, repeat, x0, steps, rng in part:
+                trace = run_algorithm(spec, problem, x0, steps, rng, group=group)
+                records.append(
+                    RunRecord(algo=spec.name, seed=repeat, rows=list(trace.epoch_rows))
+                )
     return records
 
 

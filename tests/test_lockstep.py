@@ -195,6 +195,30 @@ class TestGroupEqualsRuns:
             lockstep_run(problem, "sgd", runs)
 
 
+@pytest.mark.parametrize("cap,sizes", [(1 << 22, [6]), (40, [2, 2, 2]), (30, [1] * 6)])
+def test_groups_split_to_bound_memory(monkeypatch, cap, sizes):
+    # 3 grid values x 2 repeats of 20 steps: at most cap // 20 runs a group
+    config = harness.ExperimentConfig(
+        problem=harness.ProblemSpec(n=10, d=2),
+        algorithms=[AlgorithmSpec("sgd")],
+        steps=20,
+        repeats=2,
+    )
+    want = harness.sweep_step_size(config, "sgd", [0.1, 1.0, 10.0])
+    groups = []
+
+    def counting(problem, algo, runs):
+        groups.append(len(runs))
+        return lockstep_run(problem, algo, runs)
+
+    monkeypatch.setattr(harness, "_GROUP_RUN_STEPS", cap)
+    monkeypatch.setattr(harness, "lockstep_run", counting)
+    got = harness.sweep_step_size(config, "sgd", [0.1, 1.0, 10.0])
+    assert groups == [size for size in sizes if size > 1]
+    assert got[0] == want[0]
+    assert bits(list(got[1].values())) == bits(list(want[1].values()))
+
+
 @settings(max_examples=40, deadline=None)
 @given(
     n=st.sampled_from([1, 7, 500, 2**31 + 5]),
