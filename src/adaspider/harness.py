@@ -23,7 +23,6 @@ from .data import generate_synthetic, load_libsvm, scale_features
 # run_algorithm calls the *_run names through this module's namespace, so
 # that a wrapper installed on harness.<name>_run is the one that runs.
 from .optimizers import (  # noqa: F401
-    LOCKSTEP_ALGORITHMS,
     AdaSpiderConfig,
     EpochRow,
     RunTrace,
@@ -447,12 +446,12 @@ def _plan(config: ExperimentConfig, problem: FiniteSumProblem) -> list:
     return plan
 
 
-def _lockstep_key(run: tuple, problem: FiniteSumProblem):
-    """What runs must share to step together; None for a run that cannot."""
+def _lockstep_key(run: tuple, problem: FiniteSumProblem) -> tuple:
+    """What runs must share to step together: the method, the step count,
+    and the period and inner batch it resolves to."""
     spec, _repeat, _x0, steps, _rng = run
-    if spec.name not in LOCKSTEP_ALGORITHMS:
-        return None
-    return spec.name, steps, _costs(spec, problem)
+    row, p = _resolve(spec, problem)
+    return spec.name, steps, p.get(row.period), p.get(row.batch)
 
 
 # A lockstep group keeps the step records of all its runs until its last
@@ -464,15 +463,15 @@ _GROUP_RUN_STEPS = 1 << 22
 def _execute(problem: FiniteSumProblem, plan: list) -> list:
     """One record per planned run, in order.
 
-    Consecutive runs of one lockstep method with the same step count,
-    period and inner batch form :class:`_Lockstep` groups of up to
-    _GROUP_RUN_STEPS run-steps. Every run still makes one
-    :func:`run_algorithm` call, in plan order.
+    Consecutive runs of one method with the same step count, period and
+    inner batch form :class:`_Lockstep` groups of up to _GROUP_RUN_STEPS
+    run-steps. Every run still makes one :func:`run_algorithm` call, in
+    plan order.
     """
     records = []
-    for key, runs in itertools.groupby(plan, key=lambda run: _lockstep_key(run, problem)):
+    for _key, runs in itertools.groupby(plan, key=lambda run: _lockstep_key(run, problem)):
         runs = list(runs)
-        size = 1 if key is None else max(1, _GROUP_RUN_STEPS // runs[0][3])
+        size = max(1, _GROUP_RUN_STEPS // runs[0][3])
         for start in range(0, len(runs), size):
             part = runs[start : start + size]
             group = _Lockstep(problem, part) if len(part) > 1 else None

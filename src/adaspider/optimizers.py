@@ -18,15 +18,15 @@ eps-tied SPIDER step, the AdaSpider step above), and all six run the one
 step loop, ``_run_loop``, with the same oracle accounting and trace
 format. ``harness.ALGORITHMS`` lists the pairs.
 
-Runs of sgd, AdaGrad-Norm and SVRG that share a step count, period and
-inner batch can also step together as one (R, d) block of iterates,
+Runs of any one method that share a step count, period and inner batch
+can also step together as one (R, d) block of iterates,
 :func:`lockstep_run`, with traces bitwise equal to the runs made one at a
-time; each run keeps its own rng stream and oracle counter.
+time; each run keeps its own rng stream, oracle counter and step size,
+and its arguments are checked as its run function checks them.
 """
 
 from __future__ import annotations
 
-import inspect
 import math
 from dataclasses import dataclass
 
@@ -263,8 +263,6 @@ def _run_loop(
     completed another full pass; a diverged iterate gets a last row with
     infinite loss and gradient norm, and ends the run.
     """
-    if steps < 1:
-        raise ValueError("step budget must be at least 1")
     n = problem.n
     x = as_param_vector(x0, problem.d)
     step_sizes, est_norms, calls, rows, points, iterates, estimates = ([] for _ in range(7))
@@ -312,6 +310,115 @@ def _run_loop(
     )
 
 
+@dataclass(frozen=True)
+class _Method:
+    """One run's arguments as both step loops read them, once checked.
+
+    ``estimator`` is "stochastic" (one sampled gradient a step), "svrg" or
+    "spider", with reset ``period`` and inner ``batch`` (both 1 for
+    "stochastic"). ``rule`` names the step rule and ``coeffs`` holds its
+    run constants:
+
+    - "constant", (eta,): gamma = eta;
+    - "adaptive", (eta, scale, offset): gamma = eta / (scale * sqrt(offset
+      + the running sum of ||g_s||^2, the current one included));
+    - "eps", (eps, lsn, cap): gamma = min(eps / (lsn * ||g_t||), cap), and
+      cap where the norm or the denominator is zero.
+    """
+
+    estimator: str
+    steps: int
+    period: int
+    batch: int
+    rule: str
+    coeffs: tuple
+
+    def __post_init__(self):
+        if self.steps < 1:
+            raise ValueError("step budget must be at least 1")
+
+
+# Each method's checks of its arguments, in the order and with the errors
+# of its run function, which the lockstep groups make too.
+
+
+def _check_eta(eta) -> None:
+    if eta <= 0:
+        raise ValueError("step size must be positive")
+
+
+def _check_batch(batch) -> None:
+    if batch < 1:
+        raise ValueError("inner batch size must be at least 1")
+
+
+def _spider_period(period, default: int) -> int:
+    period = period if period is not None else default
+    if period < 1:
+        raise ValueError("full-gradient period must be at least 1")
+    return period
+
+
+def _adaspider_method(problem: FiniteSumProblem, config: AdaSpiderConfig) -> _Method:
+    period = _spider_period(config.period, problem.n)
+    # adaspider_step_size with its checks and constants taken out of the
+    # loop; same operations in the same order, so every gamma is bitwise equal
+    scale, offset = _adaspider_constants(problem.n, config.beta0, config.g0)
+    _check_batch(config.inner_batch)
+    return _Method(
+        "spider", config.steps, period, config.inner_batch, "adaptive", (1.0, scale, offset)
+    )
+
+
+def _spider_method(
+    problem: FiniteSumProblem, epsilon, smoothness, steps, period=None, inner_batch=1
+) -> _Method:
+    if epsilon <= 0:
+        raise ValueError("target accuracy must be positive")
+    if smoothness <= 0:
+        raise ValueError("smoothness constant must be positive")
+    period = _spider_period(period, problem.n)
+    _check_batch(inner_batch)
+    root_n = math.sqrt(problem.n)
+    cap = 1.0 / (2.0 * root_n * smoothness)
+    return _Method("spider", steps, period, inner_batch, "eps", (epsilon, smoothness * root_n, cap))
+
+
+def _spiderboost_method(
+    problem: FiniteSumProblem, smoothness, steps, period=None, batch_size=None
+) -> _Method:
+    if smoothness <= 0:
+        raise ValueError("smoothness constant must be positive")
+    root = ceil_sqrt(problem.n)
+    period = _spider_period(period, root)
+    batch = batch_size if batch_size is not None else root
+    _check_batch(batch)
+    return _Method("spider", steps, period, batch, "constant", (1.0 / smoothness,))
+
+
+def _svrg_method(
+    problem: FiniteSumProblem, eta, epoch_length, steps, inner_batch=1
+) -> _Method:
+    _check_eta(eta)
+    _check_batch(inner_batch)
+    m = epoch_length if epoch_length is not None else problem.n
+    if m < 1:
+        raise ValueError("epoch length must be at least 1")
+    return _Method("svrg", steps, m, inner_batch, "constant", (eta,))
+
+
+def _sgd_method(problem: FiniteSumProblem, eta, steps) -> _Method:
+    _check_eta(eta)
+    return _Method("stochastic", steps, 1, 1, "constant", (eta,))
+
+
+def _adagrad_norm_method(problem: FiniteSumProblem, eta, b0, steps) -> _Method:
+    _check_eta(eta)
+    if b0 <= 0:
+        raise ValueError("norm offset b0 must be positive")
+    return _Method("stochastic", steps, 1, 1, "adaptive", (eta, 1.0, b0**2))
+
+
 # The three estimators. Each returns estimate(x, t), which makes the step's
 # rng draws and charges its oracle calls to ``counter``.
 
@@ -347,14 +454,50 @@ def _svrg(problem: FiniteSumProblem, rng, counter: OracleCounter, epoch_length, 
     return estimate
 
 
-def _spider(problem: FiniteSumProblem, rng, counter: OracleCounter, state, batch_size):
-    """:func:`spider_estimator_update` on ``state``, with ``batch_size``
-    samples per inner step."""
-    if batch_size < 1:
-        raise ValueError("inner batch size must be at least 1")
-    return lambda x, t: spider_estimator_update(
-        state, problem, x, rng, counter, batch_size=batch_size
-    )
+def _step_rule(method: _Method, state: SpiderEstimatorState | None):
+    """``method``'s step rule for one run: step_size(g, ||g||) -> gamma."""
+    if method.rule == "constant":
+        (eta,) = method.coeffs
+        return lambda g, norm: eta
+    if method.rule == "eps":
+        eps, lsn, cap = method.coeffs
+
+        def step_size(g, norm):
+            denom = lsn * norm
+            if norm == 0.0 or denom == 0.0:  # eps / denom would be +inf
+                return cap
+            return min(eps / denom, cap)
+
+        return step_size
+    eta, scale, offset = method.coeffs
+    if state is not None:  # the SPIDER estimator keeps the sum of squared norms
+        return lambda g, norm: eta / (scale * math.sqrt(offset + state.grad_norm_accum))
+    accum = 0.0
+
+    def step_size(g, norm):
+        nonlocal accum
+        accum += float(g @ g)
+        return eta / (scale * math.sqrt(offset + accum))
+
+    return step_size
+
+
+def _run(problem, algo: str, x0, rng, keep_path: bool, method: _Method) -> RunTrace:
+    """One run of ``method`` on :func:`_run_loop`, charged to a new counter."""
+    counter = OracleCounter()
+    state = None
+    if method.estimator == "stochastic":
+        estimate = _stochastic(problem, rng, counter)
+    elif method.estimator == "svrg":
+        estimate = _svrg(problem, rng, counter, method.period, method.batch)
+    else:
+        state, batch = SpiderEstimatorState(period=method.period), method.batch
+
+        def estimate(x, t):
+            return spider_estimator_update(state, problem, x, rng, counter, batch_size=batch)
+
+    step_size = _step_rule(method, state)
+    return _run_loop(problem, algo, x0, method.steps, counter, estimate, step_size, keep_path)
 
 
 def adaspider_run(
@@ -372,18 +515,8 @@ def adaspider_run(
     rng draw per inner step and none at reset steps, so a scalar
     re-implementation with the same rng reproduces the run exactly.
     """
-    period = config.period if config.period is not None else problem.n
-    state = SpiderEstimatorState(period=period)
-    # adaspider_step_size with its checks and constants taken out of the loop;
-    # same operations in the same order, so every gamma is bitwise equal
-    scale, offset = _adaspider_constants(problem.n, config.beta0, config.g0)
-    counter = OracleCounter()
-    estimate = _spider(problem, rng, counter, state, config.inner_batch)
-    return _run_loop(
-        problem, "adaspider", x0, config.steps, counter, estimate,
-        lambda g, norm: 1.0 / (scale * math.sqrt(offset + state.grad_norm_accum)),
-        keep_path,
-    )
+    method = _adaspider_method(problem, config)
+    return _run(problem, "adaspider", x0, rng, keep_path, method)
 
 
 def spider_run(
@@ -401,25 +534,12 @@ def spider_run(
     """Accuracy-dependent variant: same estimator, step size
     min(eps / (L sqrt(n) ||g_t||), 1 / (2 sqrt(n) L)).
 
-    A zero estimator norm selects the constant branch. ``inner_batch``
-    is an opaque mini-batch knob, default 1.
+    A zero estimator norm, or a denominator that underflows to zero,
+    selects the constant branch. ``inner_batch`` is an opaque mini-batch
+    knob, default 1.
     """
-    if epsilon <= 0:
-        raise ValueError("target accuracy must be positive")
-    if smoothness <= 0:
-        raise ValueError("smoothness constant must be positive")
-    n = problem.n
-    state = SpiderEstimatorState(period=period if period is not None else n)
-    cap = 1.0 / (2.0 * math.sqrt(n) * smoothness)
-
-    def step_size(g, norm):
-        if norm == 0.0:
-            return cap
-        return min(epsilon / (smoothness * math.sqrt(n) * norm), cap)
-
-    counter = OracleCounter()
-    estimate = _spider(problem, rng, counter, state, inner_batch)
-    return _run_loop(problem, "spider", x0, steps, counter, estimate, step_size, keep_path)
+    method = _spider_method(problem, epsilon, smoothness, steps, period, inner_batch)
+    return _run(problem, "spider", x0, rng, keep_path, method)
 
 
 def ceil_sqrt(n: int) -> int:
@@ -441,17 +561,8 @@ def spiderboost_run(
     """Constant-step variant: full gradient every ceil(sqrt(n)) steps,
     mini-batched corrections of size ceil(sqrt(n)) in between, step 1/L.
     """
-    if smoothness <= 0:
-        raise ValueError("smoothness constant must be positive")
-    root = ceil_sqrt(problem.n)
-    state = SpiderEstimatorState(period=period if period is not None else root)
-    batch = batch_size if batch_size is not None else root
-    gamma = 1.0 / smoothness
-    counter = OracleCounter()
-    estimate = _spider(problem, rng, counter, state, batch)
-    return _run_loop(
-        problem, "spiderboost", x0, steps, counter, estimate, lambda g, norm: gamma, keep_path
-    )
+    method = _spiderboost_method(problem, smoothness, steps, period, batch_size)
+    return _run(problem, "spiderboost", x0, rng, keep_path, method)
 
 
 def svrg_run(
@@ -467,18 +578,8 @@ def svrg_run(
 ) -> RunTrace:
     """Snapshot-corrected stochastic steps (:func:`_svrg`, epoch length n
     by default) with constant step size ``eta``."""
-    if eta <= 0:
-        raise ValueError("step size must be positive")
-    if inner_batch < 1:
-        raise ValueError("inner batch size must be at least 1")
-    m = epoch_length if epoch_length is not None else problem.n
-    if m < 1:
-        raise ValueError("epoch length must be at least 1")
-    counter = OracleCounter()
-    estimate = _svrg(problem, rng, counter, m, inner_batch)
-    return _run_loop(
-        problem, "svrg", x0, steps, counter, estimate, lambda g, norm: eta, keep_path
-    )
+    method = _svrg_method(problem, eta, epoch_length, steps, inner_batch)
+    return _run(problem, "svrg", x0, rng, keep_path, method)
 
 
 def sgd_run(
@@ -491,13 +592,7 @@ def sgd_run(
     keep_path: bool = False,
 ) -> RunTrace:
     """Plain stochastic gradient descent, one component per step."""
-    if eta <= 0:
-        raise ValueError("step size must be positive")
-    counter = OracleCounter()
-    estimate = _stochastic(problem, rng, counter)
-    return _run_loop(
-        problem, "sgd", x0, steps, counter, estimate, lambda g, norm: eta, keep_path
-    )
+    return _run(problem, "sgd", x0, rng, keep_path, _sgd_method(problem, eta, steps))
 
 
 def adagrad_norm_run(
@@ -512,26 +607,21 @@ def adagrad_norm_run(
 ) -> RunTrace:
     """Stochastic gradients scaled by the inverse root of their running
     squared-norm sum; the accumulator includes the current norm."""
-    if eta <= 0:
-        raise ValueError("step size must be positive")
-    if b0 <= 0:
-        raise ValueError("norm offset b0 must be positive")
-    accum = 0.0
-
-    def step_size(g, norm):
-        nonlocal accum
-        accum += float(g @ g)
-        return eta / math.sqrt(b0**2 + accum)
-
-    counter = OracleCounter()
-    estimate = _stochastic(problem, rng, counter)
-    return _run_loop(
-        problem, "adagrad_norm", x0, steps, counter, estimate, step_size, keep_path
-    )
+    method = _adagrad_norm_method(problem, eta, b0, steps)
+    return _run(problem, "adagrad_norm", x0, rng, keep_path, method)
 
 
-# The methods whose runs can step together in :func:`lockstep_run`.
-LOCKSTEP_ALGORITHMS = ("sgd", "adagrad_norm", "svrg")
+# Every method's runs can step together in :func:`lockstep_run`, which
+# checks each run's arguments with its method's entry here.
+_METHODS = {
+    "adaspider": _adaspider_method,
+    "spider": _spider_method,
+    "spiderboost": _spiderboost_method,
+    "svrg": _svrg_method,
+    "sgd": _sgd_method,
+    "adagrad_norm": _adagrad_norm_method,
+}
+LOCKSTEP_ALGORITHMS = tuple(_METHODS)
 
 # A lockstep member draws its sample indices this many at a time, and the
 # step sizes and norms of this many steps are written out at a time.
@@ -539,50 +629,66 @@ _DRAW_CHUNK = 1024
 _RECORD_CHUNK = 256
 
 
-def lockstep_run(problem: FiniteSumProblem, algo: str, runs: list) -> list:
+def _row_squares(rows: np.ndarray) -> np.ndarray:
+    """``v.dot(v)`` for every row v of a (R, d) block: one stacked
+    ``np.matmul``, which takes the same dot per row."""
+    return np.matmul(rows[:, None, :], rows[:, :, None])[:, 0, 0]
+
+
+def _row_norms(rows: np.ndarray) -> np.ndarray:
+    """:func:`_vector_norm` of every row of a (R, d) block, bitwise."""
+    return np.sqrt(_row_squares(rows))
+
+
+def lockstep_run(
+    problem: FiniteSumProblem, algo: str, runs: list, *, keep_path: bool | str = False
+) -> list:
     """R runs of one method stepped together as one (R, d) iterate block.
 
     ``algo`` is one of LOCKSTEP_ALGORITHMS, and ``runs`` holds the keyword
-    arguments of R calls of ``<algo>_run``: each its own x0, rng, eta and
-    b0, all the same steps, epoch_length and inner_batch. Returns, in
-    order, what each call would: its RunTrace, equal field for field and
-    bit for bit, or the NonFiniteGradientError it would raise.
+    arguments of R calls of ``<algo>_run`` with the same step count,
+    period and inner batch; each call's arguments are checked, in order,
+    as that call checks them. Returns, in order, what each call with
+    ``keep_path`` would: its RunTrace, equal field for field and bit for
+    bit, or the NonFiniteGradientError it would raise. ``keep_path`` may
+    also be "iterates", which keeps the iterates and leaves ``estimates``
+    None, for a caller that reads only the iterates of long runs: the
+    group holds every member's path at once, 8 bytes per coordinate and
+    step for each of the two.
 
     Every member keeps its own rng, counter and step size. Its sample
     indices come in chunks of ``rng.integers(n, size=k)``, which yields
-    the values of k scalar draws in order. A member stops on its own when
-    it diverges or its snapshot gradient is not finite; the others step
-    on. Snapshot gradients go through ``full_gradient`` one member at a
-    time and charge its counter there; the sampled steps' calls are
-    charged when the member stops.
+    the values of k scalar draws in order. SVRG and SPIDER share one inner
+    step, grad f_i(x) - grad f_i(anchor) + base: SVRG's anchor and base
+    are its snapshot and the snapshot's gradient, SPIDER's the previous
+    iterate and estimate. A SPIDER batch of n or more takes the exact
+    difference of full gradients instead and draws nothing. A member
+    stops on its own when it diverges or its reset gradient is not
+    finite; the others step on. Reset gradients go through
+    ``full_gradient`` one member at a time and charge its counter there;
+    the sampled steps' calls are charged when the member stops.
     """
-    if algo not in LOCKSTEP_ALGORITHMS:
+    if algo not in _METHODS:
         raise ValueError(f"{algo} does not run in lockstep")
+    methods, x0s = [], []
+    for kw in runs:
+        args = {key: value for key, value in kw.items() if key not in ("x0", "rng")}
+        methods.append(_METHODS[algo](problem, **args))
+        x0s.append(as_param_vector(kw["x0"], problem.d))
     if not runs:
         return []
-    shared = [(kw["steps"], kw.get("epoch_length"), kw.get("inner_batch", 1)) for kw in runs]
-    if any(key != shared[0] for key in shared):
-        raise ValueError("lockstep runs must share steps, epoch length and inner batch")
-    accepted = set(inspect.signature(globals()[f"{algo}_run"]).parameters)
-    accepted -= {"problem", "keep_path"}
-    for kw in runs:
-        if not set(kw) <= accepted:
-            raise TypeError(f"{algo} lockstep runs take no {sorted(set(kw) - accepted)}")
-        if kw["eta"] <= 0:
-            raise ValueError("step size must be positive")
-        if algo == "adagrad_norm" and kw["b0"] <= 0:
-            raise ValueError("norm offset b0 must be positive")
-    steps, period, batch = shared[0]
+    if len({(m.steps, m.period, m.batch) for m in methods}) > 1:
+        raise ValueError("lockstep runs must share steps, period and inner batch")
+    method = methods[0]
+    steps, period, batch, rule = method.steps, method.period, method.batch, method.rule
     n, d, size = problem.n, problem.d, len(runs)
-    svrg = algo == "svrg"
-    period = period if period is not None else n
-    if steps < 1:
-        raise ValueError("step budget must be at least 1")
-    if period < 1 or batch < 1:
-        raise ValueError("epoch length and inner batch must be at least 1")
-    resets = -(-steps // period) if svrg else 0
-    to_draw = (steps - resets) * batch  # per member
+    resets = method.estimator != "stochastic"
+    moving = method.estimator == "spider"  # the anchor is the last iterate
+    exact = moving and batch >= n
+    inner_steps = steps - (-(-steps // period) if resets else 0)
+    to_draw = 0 if exact else inner_steps * batch  # per member
     chunk = batch * max(1, _DRAW_CHUNK // batch)
+    cost = 2 * (n if exact else batch) if resets else 1  # per inner step
 
     rngs = [kw["rng"] for kw in runs]
     counters = [OracleCounter() for _ in runs]
@@ -590,16 +696,17 @@ def lockstep_run(problem: FiniteSumProblem, algo: str, runs: list) -> list:
     rows, points = [[] for _ in runs], [[] for _ in runs]
     step_sizes, est_norms = np.empty((size, steps)), np.empty((size, steps))
     oracle_calls = np.empty(steps, dtype=np.int64)
+    iterates = np.empty((size, steps, d)) if keep_path else None
+    estimates = np.empty((size, steps, d)) if keep_path is True else None
     # Per-row state, one row per member still stepping; ``live`` maps rows
     # to members, in member order.
     live = np.arange(size)
-    x = np.stack([as_param_vector(kw["x0"], d) for kw in runs])
-    eta = np.array([float(kw["eta"]) for kw in runs])
-    offset = np.array([float(kw.get("b0", 0.0)) ** 2 for kw in runs])
+    x = np.stack(x0s)
+    coeffs = np.array([m.coeffs for m in methods])
     accum = np.zeros(size)
     gamma = np.zeros(size)  # the last step size, as epoch rows log it
     draws = np.empty((size, 0), dtype=np.int64)
-    snapshot = snapshot_grad = x
+    anchor = base = x
     gammas, norms = [], []  # of the steps after the first ``recorded``
     calls = sampled = drawn = pos = recorded = 0
     last_epoch = -1
@@ -621,7 +728,7 @@ def lockstep_run(problem: FiniteSumProblem, algo: str, runs: list) -> list:
 
     def stop(mask, diverged_at=None):
         """End the runs of the masked rows and drop those rows."""
-        nonlocal live, x, eta, offset, accum, gamma, draws, snapshot, snapshot_grad
+        nonlocal live, x, coeffs, accum, gamma, draws, anchor, base
         if gammas:
             record()
         for k in np.flatnonzero(mask):
@@ -638,65 +745,81 @@ def lockstep_run(problem: FiniteSumProblem, algo: str, runs: list) -> list:
                     x_final=np.array(x[k], copy=True),
                     diverged=diverged_at is not None,
                     diverged_at=diverged_at,
+                    iterates=None if iterates is None else iterates[r, :recorded],
+                    estimates=None if estimates is None else estimates[r, :recorded],
                 )
         keep = ~mask
-        live, x, eta, offset, accum, gamma, draws, snapshot, snapshot_grad = (
-            a[keep] for a in (live, x, eta, offset, accum, gamma, draws, snapshot, snapshot_grad)
+        live, x, coeffs, accum, gamma, draws, anchor, base = (
+            a[keep] for a in (live, x, coeffs, accum, gamma, draws, anchor, base)
         )
 
     for t in range(steps):
         if calls // n > last_epoch:
-            grads = problem.metric_gradients(x)
-            log_rows(
-                range(len(live)),
-                [problem.value(p) for p in x],
-                [float(np.linalg.norm(g)) for g in grads],
-            )
+            grad_norms = _row_norms(problem.metric_gradients(x)).tolist()
+            log_rows(range(len(live)), [problem.value(p) for p in x], grad_norms)
             last_epoch = calls // n
-        if svrg and t % period == 0:
-            snapshot, snapshot_grad = np.array(x, copy=True), np.empty_like(x)
+        if iterates is not None:
+            iterates[live, t] = x
+        if resets and t % period == 0:
+            g = np.empty_like(x)
             faulted = np.zeros(len(live), dtype=bool)
             for k, r in enumerate(live):
                 try:
-                    snapshot_grad[k] = full_gradient(problem, snapshot[k], counters[r])
+                    g[k] = full_gradient(problem, x[k], counters[r])
                 except NonFiniteGradientError as exc:
                     outcomes[r], faulted[k] = exc, True
             calls += n
+            anchor, base = x, g
             if faulted.any():
                 stop(faulted)
                 if not live.size:
                     break
-            g = snapshot_grad
+            g = base
         else:
-            if pos == draws.shape[1]:
-                fill = min(chunk, to_draw - drawn)
-                draws = np.stack([rngs[r].integers(n, size=fill) for r in live]) + 1
-                drawn, pos = drawn + fill, 0
-            indices = draws[:, pos : pos + batch]
-            pos += batch
-            if not svrg:
-                g = problem.component_gradients(indices[:, 0], x)
+            if exact:  # as spider_estimator_update: two full gradients
+                both = problem.mean_gradients(np.concatenate([x, anchor]))
+                g = (both[: len(live)] - both[len(live) :]) + base
             else:
-                # the samples at the iterates and at the snapshots, in one call
-                at = np.repeat(np.concatenate([x, snapshot]), batch, axis=0)
-                both = problem.component_gradients(np.tile(indices.ravel(), 2), at)
-                at_x, at_anchor = both.reshape(2, len(live), batch, d)
-                if batch == 1:  # as _sampled_correction: one difference
-                    g = (at_x[:, 0] - at_anchor[:, 0]) + snapshot_grad
+                if pos == draws.shape[1]:
+                    fill = min(chunk, to_draw - drawn)
+                    draws = np.stack([rngs[r].integers(n, size=fill) for r in live]) + 1
+                    drawn, pos = drawn + fill, 0
+                indices = draws[:, pos : pos + batch]
+                pos += batch
+                if not resets:
+                    g = problem.component_gradients(indices[:, 0], x)
                 else:
-                    g = _mean_difference(at_x, at_anchor) + snapshot_grad
-            cost = 2 * batch if svrg else 1
+                    # the samples at the iterates and at the anchors, in one call
+                    at = np.repeat(np.concatenate([x, anchor]), batch, axis=0)
+                    both = problem.component_gradients(np.tile(indices.ravel(), 2), at)
+                    at_x, at_anchor = both.reshape(2, len(live), batch, d)
+                    if batch == 1:  # as _sampled_correction: one difference
+                        g = (at_x[:, 0] - at_anchor[:, 0]) + base
+                    else:
+                        g = _mean_difference(at_x, at_anchor) + base
             calls += cost
             sampled += cost
-        squares = np.matmul(g[:, None, :], g[:, :, None])[:, 0, 0]  # g.dot(g) per row
-        if algo == "adagrad_norm":
+            if moving:
+                anchor, base = x, g
+        if estimates is not None:
+            estimates[live, t] = g
+        squares = _row_squares(g)
+        norm = np.sqrt(squares)
+        if rule == "adaptive":
             accum += squares
-            gamma = eta / np.sqrt(offset + accum)
+            gamma = coeffs[:, 0] / (coeffs[:, 1] * np.sqrt(coeffs[:, 2] + accum))
+        elif rule == "eps":
+            eps, lsn, cap = coeffs.T
+            denom = lsn * norm
+            with np.errstate(divide="ignore", invalid="ignore"):
+                quotient = eps / denom
+            # Python's min(quotient, cap) takes cap only if cap < quotient
+            gamma = np.where((norm == 0.0) | (denom == 0.0) | (cap < quotient), cap, quotient)
         else:
-            gamma = eta
+            gamma = coeffs[:, 0]
         x = x - gamma[:, None] * g
         gammas.append(gamma)
-        norms.append(np.sqrt(squares))
+        norms.append(norm)
         oracle_calls[t] = calls
         if len(gammas) == _RECORD_CHUNK:
             record()

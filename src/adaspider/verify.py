@@ -22,7 +22,7 @@ import numpy as np
 
 from .core import FiniteSumProblem
 from .data import generate_synthetic
-from .optimizers import AdaSpiderConfig, RunTrace, _vector_norm, adaspider_run
+from .optimizers import AdaSpiderConfig, RunTrace, _row_norms, adaspider_run, lockstep_run
 from .problems import QuadraticProblem, RegularizedERM
 
 _SLACK = 1e-12
@@ -334,6 +334,35 @@ def sweep_trajectory_bound(
     return report
 
 
+# A lockstep block of seeded runs keeps every run's stored path (up to 16
+# bytes per coordinate and step) until its last trace is taken, so a block
+# holds at most this many path coordinates, ~64 MB.
+_SEED_BLOCK_COORDS = 1 << 22
+
+
+def _seeded_runs(problem: FiniteSumProblem, x0: np.ndarray, config, seeds, keep_path):
+    """The traces of ``adaspider_run(problem, x0, config,
+    np.random.default_rng(seed), keep_path=True)`` for each seed, in order,
+    without ``estimates`` when ``keep_path`` is "iterates".
+
+    The runs step together in :func:`lockstep_run` blocks of up to
+    _SEED_BLOCK_COORDS path coordinates, one block for the suite's own
+    checks; a run's error is raised at its turn, as the runs made one at a
+    time would raise it.
+    """
+    seeds = list(seeds)
+    size = max(1, _SEED_BLOCK_COORDS // (config.steps * problem.d))
+    for start in range(0, len(seeds), size):
+        runs = [
+            dict(x0=x0, config=config, rng=np.random.default_rng(seed))
+            for seed in seeds[start : start + size]
+        ]
+        for outcome in lockstep_run(problem, "adaspider", runs, keep_path=keep_path):
+            if isinstance(outcome, Exception):
+                raise outcome
+            yield outcome
+
+
 def _variance_check(
     lemma: str, weight_power: int, problem, config, seeds, x0, rhs_factor
 ) -> LemmaReport:
@@ -354,10 +383,7 @@ def _variance_check(
         x0 = np.zeros(problem.d)
     l2n = problem.known_smoothness**2 * problem.n
     diffs = np.empty(len(seeds))
-    for k, seed in enumerate(seeds):
-        trace = adaspider_run(
-            problem, x0, config, np.random.default_rng(seed), keep_path=True
-        )
+    for k, trace in enumerate(_seeded_runs(problem, x0, config, seeds, True)):
         gammas = trace.step_sizes
         devs = trace.estimates - problem.mean_gradients(trace.iterates)
         lhs = 0.0
@@ -421,24 +447,17 @@ def check_weighted_variance(
 _PATH_BLOCK = 256
 
 
-def _path_gradient_norms(
-    problem: FiniteSumProblem,
-    x0: np.ndarray,
-    config: AdaSpiderConfig,
-    seed: int,
-) -> np.ndarray:
-    """||grad f(x_t)|| at every iterate of one seeded adaptive run.
+def _path_gradient_norms(problem: FiniteSumProblem, iterates: np.ndarray) -> np.ndarray:
+    """||grad f(x_t)|| at every row of a stored (T, d) path.
 
-    Only the norms outlive the call, so the stored path is freed before
-    the caller starts the next run.
+    The true gradients come in blocks of _PATH_BLOCK rows, so the
+    temporaries stay bounded while the caller holds the paths of every
+    seed of its lockstep block.
     """
-    iterates = adaspider_run(
-        problem, x0, config, np.random.default_rng(seed), keep_path=True
-    ).iterates
     norms = np.empty(len(iterates))
     for start in range(0, len(iterates), _PATH_BLOCK):
         block = problem.metric_gradients(iterates[start : start + _PATH_BLOCK])
-        norms[start : start + len(block)] = [_vector_norm(g) for g in block]
+        norms[start : start + len(block)] = _row_norms(block)
     return norms
 
 
@@ -462,7 +481,8 @@ def check_rate_scaling(
     the true gradient norms at the first T iterates. This is exactly the
     run with budget T: the adaptive step size uses no horizon, so the rng
     draws and steps do not depend on the budget, and a run that diverges
-    at step t stops there under every budget above t.
+    at step t stops there under every budget above t. The seeds' runs
+    step together as one lockstep block.
     """
     t_grid = [int(t) for t in t_grid]
     if len(t_grid) < 3:
@@ -475,8 +495,8 @@ def check_rate_scaling(
         x0 = np.zeros(problem.d)
     config = AdaSpiderConfig(steps=t_grid[-1], beta0=beta0, g0=g0)
     slopes = []
-    for seed in seeds:
-        norms = _path_gradient_norms(problem, x0, config, seed)
+    for trace in _seeded_runs(problem, x0, config, seeds, "iterates"):
+        norms = _path_gradient_norms(problem, trace.iterates)
         means = []
         for t_budget in t_grid:
             mean_norm = float(norms[:t_budget].mean())

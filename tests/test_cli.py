@@ -337,9 +337,10 @@ class TestVerify:
 
 
     # SHA-256 of ``adaspider verify --suite all`` standard output, computed
-    # with one fresh run per budget and one true-gradient call per iterate
-    # in the rate check, and one full-gradient call per iterate in the
-    # variance checks.
+    # with one fresh run per budget and seed and one true-gradient call per
+    # iterate in the rate check, and one run per seed and one full-gradient
+    # call per iterate in the variance checks; the seeds' runs now step as
+    # one lockstep block in each check.
     @pytest.mark.parametrize(
         "seed, digest",
         [

@@ -1,11 +1,11 @@
-"""Lockstep groups: sgd, AdaGrad-Norm and SVRG runs stepped together as one
-iterate block give the traces, oracle counts, errors and records of the
-same runs stepped one at a time."""
+"""Lockstep groups: the runs of one method stepped together as one iterate
+block give the traces, oracle counts, errors and records of the same runs
+stepped one at a time."""
 
 import hashlib
 import json
 import math
-from dataclasses import fields
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -18,7 +18,13 @@ from adaspider.cli import main
 from adaspider.core import FiniteSumProblem, NonFiniteGradientError
 from adaspider.data import generate_synthetic
 from adaspider.harness import AlgorithmSpec, closed_form_oracle_calls
-from adaspider.optimizers import LOCKSTEP_ALGORITHMS, RunTrace, lockstep_run, svrg_run
+from adaspider.optimizers import (
+    LOCKSTEP_ALGORITHMS,
+    AdaSpiderConfig,
+    RunTrace,
+    lockstep_run,
+    svrg_run,
+)
 from adaspider.problems import (
     MLPClassificationProblem,
     QuadraticProblem,
@@ -28,7 +34,9 @@ from adaspider.problems import (
 
 FAMILIES = ("logistic", "squared", "quadratic", "mlp")
 MLP_DIMS = (3, 4, 2)
-ETAS = (1e-3, 1e-2, 0.1, 1.0, 10.0, 100.0, 1e3)
+# A member's step scale: eta of sgd, AdaGrad-Norm and SVRG, eps and
+# 1/smoothness of SPIDER, 1/smoothness of SpiderBoost, 1/beta0 of AdaSpider.
+SCALES = (1e-3, 1e-2, 0.1, 1.0, 10.0, 100.0, 1e3)
 
 
 def make_problem(family: str, n: int, d: int, seed: int) -> FiniteSumProblem:
@@ -53,17 +61,45 @@ def start_point(family: str, problem, seed: int, scale: float) -> np.ndarray:
     return scale * rng.standard_normal(problem.d)
 
 
-def group_runs(algo, etas, x0s, seed, steps, epoch_length, inner_batch):
+def method_args(algo, k, scale, steps, period, batch) -> dict:
+    """The arguments of member k's ``<algo>_run`` call besides x0 and rng."""
+    if algo == "sgd":
+        return {"eta": scale, "steps": steps}
+    if algo == "adagrad_norm":
+        return {"eta": scale, "b0": 0.5 + k, "steps": steps}
+    if algo == "svrg":
+        return {"eta": scale, "epoch_length": period, "inner_batch": batch, "steps": steps}
+    if algo == "adaspider":
+        config = AdaSpiderConfig(
+            steps=steps, beta0=1.0 / scale, g0=0.5 + k, period=period, inner_batch=batch
+        )
+        return {"config": config}
+    if algo == "spider":
+        return {
+            "epsilon": scale, "smoothness": 1.0 / scale, "steps": steps,
+            "period": period, "inner_batch": batch,
+        }
+    return {"smoothness": 1.0 / scale, "steps": steps, "period": period, "batch_size": batch}
+
+
+def group_runs(algo, scales, x0s, seed, steps, period, batch):
     """The keyword arguments of one ``<algo>_run`` call per member."""
-    runs = []
-    for k, (eta, x0) in enumerate(zip(etas, x0s)):
-        run = {"x0": x0, "rng": np.random.default_rng([seed, k]), "eta": eta, "steps": steps}
-        if algo == "adagrad_norm":
-            run["b0"] = 0.5 + k
-        elif algo == "svrg":
-            run.update(epoch_length=epoch_length, inner_batch=inner_batch)
-        runs.append(run)
-    return runs
+    return [
+        dict(method_args(algo, k, scale, steps, period, batch), x0=x0,
+             rng=np.random.default_rng([seed, k]))
+        for k, (scale, x0) in enumerate(zip(scales, x0s))
+    ]
+
+
+def registry_spec(algo, kw) -> AlgorithmSpec:
+    """The registry spec of a ``<algo>_run`` call's arguments."""
+    params = {key: v for key, v in kw.items() if key not in ("x0", "rng", "steps")}
+    if algo == "adaspider":
+        params = {key: getattr(params["config"], key)
+                  for key in ("beta0", "g0", "period", "inner_batch")}
+    elif algo == "spider":
+        params["eps"] = params.pop("epsilon")
+    return AlgorithmSpec(algo, params={key: v for key, v in params.items() if v is not None})
 
 
 def bits(value):
@@ -101,23 +137,31 @@ def counted(fn):
     return result, list(RecordingCounter.made)
 
 
-def one_at_a_time(problem, algo, runs) -> list:
+def fresh_rng(kw) -> np.random.Generator:
+    return np.random.default_rng(kw["rng"].bit_generator.seed_seq)
+
+
+def one_at_a_time(problem, algo, runs, keep_path=False) -> list:
     run = getattr(optimizers, f"{algo}_run")
     outcomes = []
     for kw in runs:
-        kw = dict(kw, rng=np.random.default_rng(kw["rng"].bit_generator.seed_seq))
+        kw = dict(kw, rng=fresh_rng(kw))
         try:
-            outcomes.append(run(problem, **kw))
+            outcomes.append(run(problem, **kw, keep_path=keep_path))
         except NonFiniteGradientError as exc:
             outcomes.append(exc)
     return outcomes
 
 
-def check_group(problem, algo, runs):
+def check_group(problem, algo, runs, keep_path=False):
     """Lockstep outcomes equal the sequential ones, and every counter
-    holds the closed-form count of its run's steps; returns the traces."""
-    sequential, seq_counters = counted(lambda: one_at_a_time(problem, algo, runs))
-    grouped, counters = counted(lambda: lockstep_run(problem, algo, runs))
+    holds the closed-form count of its run's steps; returns the traces.
+    With ``keep_path`` "iterates" the sequential runs keep their whole
+    path and the group's traces lack only the estimates."""
+    sequential, seq_counters = counted(
+        lambda: one_at_a_time(problem, algo, runs, bool(keep_path))
+    )
+    grouped, counters = counted(lambda: lockstep_run(problem, algo, runs, keep_path=keep_path))
     assert len(grouped) == len(sequential) == len(counters) == len(seq_counters)
     for got, want, counter, seq_counter, kw in zip(
         grouped, sequential, counters, seq_counters, runs
@@ -126,60 +170,91 @@ def check_group(problem, algo, runs):
         if isinstance(want, Exception):
             assert type(got) is type(want) and str(got) == str(want)
             continue
+        if keep_path == "iterates":
+            want = replace(want, estimates=None)
         assert_same_trace(got, want)
-        params = {k: v for k, v in kw.items() if k not in ("x0", "rng", "steps")}
-        spec = AlgorithmSpec(algo, params={k: v for k, v in params.items() if v is not None})
+        assert (got.iterates is not None) == bool(keep_path)
+        spec = registry_spec(algo, kw)
         assert counter.component_calls == closed_form_oracle_calls(spec, problem, got.num_steps)
     return grouped
 
 
 class TestGroupEqualsRuns:
-    @settings(max_examples=60, deadline=None)
+    @settings(max_examples=150, deadline=None)
     @given(
         family=st.sampled_from(FAMILIES),
         algo=st.sampled_from(LOCKSTEP_ALGORITHMS),
         n=st.integers(min_value=1, max_value=12),
         d=st.integers(min_value=1, max_value=4),
-        etas=st.lists(st.sampled_from(ETAS), min_size=2, max_size=9),
+        scales=st.lists(st.sampled_from(SCALES), min_size=2, max_size=9),
         steps=st.integers(min_value=1, max_value=60),
-        epoch_length=st.one_of(st.none(), st.integers(min_value=1, max_value=15)),
-        inner_batch=st.integers(min_value=1, max_value=4),
+        period=st.one_of(st.none(), st.integers(min_value=1, max_value=15)),
+        batch=st.integers(min_value=1, max_value=4),
         scale=st.sampled_from([0.0, 1.0]),
         seed=st.integers(min_value=0, max_value=10_000),
         # index draws and step records are taken in chunks of this size
         chunk=st.sampled_from([1, 2, 5, 1024]),
+        keep_path=st.sampled_from([False, True, "iterates"]),
     )
-    @example("squared", "sgd", 8, 1, list(ETAS), 40, None, 1, 1.0, 0, 1024)
-    @example("quadratic", "svrg", 6, 1, [0.1, 10.0, 1e3], 30, 4, 3, 1.0, 1, 2)
-    @example("mlp", "adagrad_norm", 5, 1, [0.1, 1.0], 20, None, 1, 0.0, 2, 5)
-    @example("logistic", "svrg", 9, 3, list(ETAS) + [0.5, 5.0], 50, 7, 2, 0.0, 3, 1)
+    @example("squared", "sgd", 8, 1, list(SCALES), 40, None, 1, 1.0, 0, 1024, False)
+    @example("quadratic", "svrg", 6, 1, [0.1, 10.0, 1e3], 30, 4, 3, 1.0, 1, 2, True)
+    @example("mlp", "adagrad_norm", 5, 1, [0.1, 1.0], 20, None, 1, 0.0, 2, 5, False)
+    @example("logistic", "svrg", 9, 3, list(SCALES) + [0.5, 5.0], 50, 7, 2, 0.0, 3, 1, False)
+    # a SPIDER batch of n or more takes the exact full-gradient difference
+    @example("quadratic", "adaspider", 1, 2, [1.0, 10.0], 30, 5, 1, 1.0, 0, 5, True)
+    @example("logistic", "spiderboost", 4, 3, list(SCALES), 40, 3, 4, 1.0, 1, 2, False)
+    @example("mlp", "spider", 6, 1, [0.1, 1.0, 10.0], 25, 5, 2, 0.0, 2, 1, True)
+    @example("squared", "adaspider", 10, 2, list(SCALES), 60, None, 3, 1.0, 4, 5, "iterates")
     def test_every_trace_field_bitwise(
-        self, family, algo, n, d, etas, steps, epoch_length, inner_batch, scale, seed, chunk
+        self, family, algo, n, d, scales, steps, period, batch, scale, seed, chunk, keep_path
     ):
         problem = make_problem(family, n, d, seed)
-        x0s = [start_point(family, problem, seed + k, scale) for k in range(len(etas))]
-        runs = group_runs(algo, etas, x0s, seed, steps, epoch_length, inner_batch)
+        x0s = [start_point(family, problem, seed + k, scale) for k in range(len(scales))]
+        runs = group_runs(algo, scales, x0s, seed, steps, period, batch)
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(optimizers, "_DRAW_CHUNK", chunk)
             mp.setattr(optimizers, "_RECORD_CHUNK", chunk)
-            check_group(problem, algo, runs)
+            check_group(problem, algo, runs, keep_path)
 
     # AdaGrad-Norm's own step shrinks as it grows, so only its first steps
-    # can diverge.
+    # can diverge; a SPIDER step is at most scale^2 / sqrt(n) long.
     @pytest.mark.parametrize(
-        "algo,etas,stop_steps",
+        "algo,scales,stop_steps",
         [
             ("sgd", [0.01, 0.3, 0.6, 1.0, 3.0, 10.0, 100.0, 1e4, 1e8], 3),
             ("svrg", [0.01, 0.3, 0.6, 1.0, 3.0, 10.0, 100.0, 1e4, 1e8], 3),
             ("adagrad_norm", list(np.geomspace(1e10, 1e13, 16)), 2),
+            ("spider", list(np.geomspace(1e2, 1e8, 16)), 3),
+            ("spiderboost", [0.01, 0.3, 0.6, 1.0, 3.0, 10.0, 100.0, 1e4, 1e8], 3),
         ],
     )
-    def test_members_diverge_at_different_steps(self, algo, etas, stop_steps):
+    def test_members_diverge_at_different_steps(self, algo, scales, stop_steps):
         problem = make_problem("squared", 10, 3, 1)
-        runs = group_runs(algo, etas, [np.ones(3)] * len(etas), 5, 300, 5, 2)
-        traces = check_group(problem, algo, runs)
+        runs = group_runs(algo, scales, [np.ones(3)] * len(scales), 5, 300, 5, 2)
+        traces = check_group(problem, algo, runs, keep_path=True)
         assert len({t.diverged_at for t in traces if t.diverged}) >= stop_steps
         assert any(not t.diverged for t in traces)
+
+    @pytest.mark.parametrize("batch", [6, 9])
+    def test_spider_batch_of_n_or_more_draws_nothing(self, batch):
+        # the exact full-gradient difference of spider_estimator_update
+        problem = make_problem("logistic", 6, 3, 2)
+        x0s = [start_point("logistic", problem, k, 1.0) for k in range(3)]
+        runs = group_runs("spiderboost", [0.1, 1.0, 10.0], x0s, 2, 40, 4, batch)
+        check_group(problem, "spiderboost", runs)
+        for kw in runs:
+            assert kw["rng"].bit_generator.state == fresh_rng(kw).bit_generator.state
+
+    def test_spider_step_is_the_cap_where_its_denominator_underflows(self):
+        # L sqrt(n) ||g|| = 1e-200 * sqrt(2) * 1e-150 is below the smallest
+        # subnormal, so eps / (L sqrt(n) ||g||) would be +inf
+        problem = QuadraticProblem(np.array([[[1.0]], [[1.0]]]), np.zeros((2, 1)))
+        runs = group_runs("spider", [1.0, 1.0], [np.array([1e-150])] * 2, 0, 3, None, 1)
+        for kw in runs:
+            kw["smoothness"] = 1e-200
+        traces = check_group(problem, "spider", runs)
+        cap = 1.0 / (2.0 * math.sqrt(2) * 1e-200)
+        assert all(t.step_sizes[0] == cap for t in traces)
 
     def test_runs_must_share_steps_and_period(self):
         problem = make_problem("logistic", 6, 2, 0)
@@ -187,12 +262,59 @@ class TestGroupEqualsRuns:
         runs[1]["epoch_length"] = 4
         with pytest.raises(ValueError, match="share"):
             lockstep_run(problem, "svrg", runs)
-        with pytest.raises(ValueError, match="lockstep"):
+        runs = group_runs("adaspider", [0.1, 0.2], [np.zeros(2)] * 2, 0, 10, 3, 1)
+        runs[1]["config"].inner_batch = 2
+        with pytest.raises(ValueError, match="share"):
             lockstep_run(problem, "adaspider", runs)
+        with pytest.raises(ValueError, match="lockstep"):
+            lockstep_run(problem, "newton", runs)
         runs = group_runs("sgd", [0.1, 0.2], [np.zeros(2)] * 2, 0, 10, None, 1)
         runs[0]["keep_path"] = True
         with pytest.raises(TypeError, match="keep_path"):
             lockstep_run(problem, "sgd", runs)
+
+
+# One bad argument of each run function: (algo, key, value, message). The
+# AdaSpider keys are set on its config after the config's own checks.
+BAD_ARGUMENTS = [
+    ("sgd", "eta", 0.0, "step size must be positive"),
+    ("adagrad_norm", "eta", -1.0, "step size must be positive"),
+    ("adagrad_norm", "b0", 0.0, "norm offset b0 must be positive"),
+    ("svrg", "eta", 0.0, "step size must be positive"),
+    ("svrg", "epoch_length", 0, "epoch length must be at least 1"),
+    ("svrg", "inner_batch", 0, "inner batch size must be at least 1"),
+    ("spider", "epsilon", 0.0, "target accuracy must be positive"),
+    ("spider", "smoothness", -1.0, "smoothness constant must be positive"),
+    ("spider", "period", 0, "full-gradient period must be at least 1"),
+    ("spider", "inner_batch", 0, "inner batch size must be at least 1"),
+    ("spiderboost", "smoothness", 0.0, "smoothness constant must be positive"),
+    ("spiderboost", "period", 0, "full-gradient period must be at least 1"),
+    ("spiderboost", "batch_size", 0, "inner batch size must be at least 1"),
+    ("adaspider", "beta0", 0.0, "beta0 and G0 must be positive"),
+    ("adaspider", "g0", -1.0, "beta0 and G0 must be positive"),
+    ("adaspider", "period", 0, "full-gradient period must be at least 1"),
+    ("adaspider", "inner_batch", 0, "inner batch size must be at least 1"),
+    *[(algo, "steps", 0, "step budget must be at least 1") for algo in LOCKSTEP_ALGORITHMS],
+    ("spider", "x0", [math.nan, 0.0], "parameter vector contains non-finite entries"),
+    ("sgd", "x0", [0.0], "expected dimension 2, got 1"),
+]
+
+
+@pytest.mark.parametrize("algo,key,value,message", BAD_ARGUMENTS)
+def test_group_refuses_a_bad_argument_as_its_run_function(algo, key, value, message):
+    problem = make_problem("logistic", 6, 2, 0)
+    runs = group_runs(algo, [0.1, 0.2, 0.3], [np.zeros(2)] * 3, 0, 10, 3, 2)
+    bad = runs[1]
+    if algo == "adaspider" and key != "x0":
+        setattr(bad["config"], key, value)
+    else:
+        bad[key] = value
+    with pytest.raises(ValueError) as alone:
+        getattr(optimizers, f"{algo}_run")(problem, **bad)
+    with pytest.raises(ValueError) as grouped:
+        lockstep_run(problem, algo, runs)
+    assert type(grouped.value) is type(alone.value)
+    assert str(grouped.value) == str(alone.value) == message
 
 
 @pytest.mark.parametrize("cap,sizes", [(1 << 22, [6]), (40, [2, 2, 2]), (30, [1] * 6)])
@@ -217,6 +339,33 @@ def test_groups_split_to_bound_memory(monkeypatch, cap, sizes):
     assert groups == [size for size in sizes if size > 1]
     assert got[0] == want[0]
     assert bits(list(got[1].values())) == bits(list(want[1].values()))
+
+
+def test_spider_family_repeats_step_as_groups(monkeypatch):
+    # SpiderBoost's batch of n takes the exact full-gradient difference
+    config = harness.ExperimentConfig(
+        problem=harness.ProblemSpec(n=9, d=3),
+        algorithms=[
+            AlgorithmSpec("adaspider", params={"inner_batch": 2}),
+            AlgorithmSpec("spider"),
+            AlgorithmSpec("spiderboost", params={"batch_size": 9}),
+        ],
+        epochs=4,
+        repeats=3,
+    )
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(harness, "_GROUP_RUN_STEPS", 1)  # every run alone
+        alone = harness.run_experiment(config)
+    groups = []
+
+    def counting(problem, algo, runs):
+        groups.append((algo, len(runs)))
+        return lockstep_run(problem, algo, runs)
+
+    monkeypatch.setattr(harness, "lockstep_run", counting)
+    grouped = harness.run_experiment(config)
+    assert groups == [("adaspider", 3), ("spider", 3), ("spiderboost", 3)]
+    assert bits(grouped) == bits(alone)
 
 
 @settings(max_examples=40, deadline=None)
@@ -250,14 +399,17 @@ class SteepWall(FiniteSumProblem):
 
 
 class TestFaultOrder:
-    # Snapshots every step: member k reaches x = -eta_k * t at step t. The
-    # first member stays clear of the wall, the second meets it at step 1
-    # at component 9, the third at step 1 at component 10.
+    # Resets every step. An SVRG member k reaches x = -eta_k * t at step t;
+    # an AdaSpider member's first step is scale_k / (10^(1/4) sqrt(sqrt(10)
+    # g0^2 + 1)) long, with g0 = 0.5 + k. The first member stays clear of
+    # the wall, the second meets it at step 1 at component 9, the third at
+    # step 1 at component 10.
     ETAS = [0.01, 2.5, 1.5]
 
-    def test_faulting_members_stop_and_others_finish(self):
-        runs = group_runs("svrg", self.ETAS, [np.zeros(1)] * 3, 0, 6, 1, 1)
-        outcomes = check_group(SteepWall(10), "svrg", runs)
+    @pytest.mark.parametrize("algo,scales", [("svrg", ETAS), ("adaspider", [0.01, 12.7, 12.2])])
+    def test_faulting_members_stop_and_others_finish(self, algo, scales):
+        runs = group_runs(algo, scales, [np.zeros(1)] * 3, 0, 6, 1, 1)
+        outcomes = check_group(SteepWall(10), algo, runs)
         assert isinstance(outcomes[0], RunTrace) and outcomes[0].num_steps == 6
         assert [str(e) for e in outcomes[1:]] == [
             "non-finite gradient from component 9",

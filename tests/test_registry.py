@@ -247,7 +247,7 @@ class TestWrappedNames:
             assert counts == {"spider_estimator_update": 0, "full_gradient": 0}
 
     # A sweep is one lockstep group of grid x repeats runs; a repeats run
-    # groups the repeats of sgd and of svrg, and steps adaspider's alone.
+    # groups the repeats of each algorithm.
     @pytest.mark.parametrize("case", ["sweep", "repeats"])
     def test_run_algorithm_once_per_run_in_order(self, monkeypatch, case):
         grid = [0.01, 0.1, 1.0]

@@ -17,6 +17,7 @@ from adaspider.optimizers import (
     DIVERGENCE_LIMIT,
     AdaSpiderConfig,
     _diverged,
+    _row_norms,
     _vector_norm,
     adaspider_run,
     adaspider_step_size,
@@ -54,6 +55,14 @@ any_vectors = arrays(
     st.integers(min_value=1, max_value=40),
     elements=st.floats(allow_nan=True, allow_infinity=True),
 )
+block_shapes = st.tuples(st.integers(min_value=1, max_value=9), st.integers(min_value=1, max_value=40))
+scaled_blocks = st.tuples(
+    arrays(np.float64, block_shapes, elements=st.floats(-1.0, 1.0, allow_nan=False)),
+    st.sampled_from([1e-320, 1e-160, 1.0, 1e160, 1e300]),
+).map(lambda pair: pair[0] * pair[1])
+any_blocks = arrays(
+    np.float64, block_shapes, elements=st.floats(allow_nan=True, allow_infinity=True)
+)
 
 
 @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
@@ -87,6 +96,14 @@ class TestNorm:
 
     def test_returns_python_float(self):
         assert type(_vector_norm(np.array([3.0, 4.0]))) is float
+
+    @given(st.one_of(scaled_blocks, any_blocks))
+    @settings(max_examples=300, deadline=None)
+    def test_row_norms_equal_vector_norm_per_row(self, block):
+        norms = _row_norms(block)
+        assert norms.shape == (block.shape[0],)
+        for row, norm in zip(block, norms):
+            assert same_bits(norm, _vector_norm(row))
 
 
 @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")

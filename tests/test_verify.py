@@ -8,8 +8,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from adaspider import verify
+from adaspider.data import generate_synthetic
 from adaspider.optimizers import AdaSpiderConfig, adaspider_run
-from adaspider.problems import QuadraticProblem
+from adaspider.problems import QuadraticProblem, RegularizedERM
 from adaspider.verify import (
     LemmaReport,
     _path_gradient_norms,
@@ -300,7 +302,10 @@ class TestRateScaling:
         slopes = []
         for seed in seeds:
             expected = separate_budget_means(problem, t_grid, seed, start, beta0)
-            norms = _path_gradient_norms(problem, start, config, seed)
+            path = adaspider_run(
+                problem, start, config, np.random.default_rng(seed), keep_path=True
+            ).iterates
+            norms = _path_gradient_norms(problem, path)
             assert [float(norms[:t].mean()) for t in t_grid] == expected
             slopes.append(float(np.polyfit(np.log(t_grid), np.log(expected), 1)[0]))
         report = check_rate_scaling(problem, t_grid, seeds, beta0=beta0, x0=x0)
@@ -349,6 +354,82 @@ class TestRateScaling:
             slope_threshold=-50.0,
         )
         assert not report.passed
+
+
+def per_seed_variance_report(lemma, weight_power, problem, config, seeds, x0) -> dict:
+    """A Monte-Carlo variance report made with one adaspider_run per seed."""
+    l2n = problem.known_smoothness**2 * problem.n
+    diffs = np.empty(len(seeds))
+    for k, seed in enumerate(seeds):
+        trace = adaspider_run(problem, x0, config, np.random.default_rng(seed), keep_path=True)
+        gammas = trace.step_sizes
+        devs = trace.estimates - problem.mean_gradients(trace.iterates)
+        lhs = 0.0
+        for gamma, dev in zip(gammas, devs):
+            lhs += gamma**weight_power * float(dev @ dev)
+        rhs = l2n * float(np.sum(gammas ** (2 + weight_power) * trace.estimator_norms**2))
+        diffs[k] = rhs - lhs
+    mean = float(diffs.mean())
+    stderr = float(diffs.std(ddof=1) / math.sqrt(len(diffs)))
+    margin = mean + 3.0 * stderr
+    return {
+        "lemma": lemma,
+        "trials": len(seeds),
+        "violations": 0 if margin >= 0 else 1,
+        "worst_margin": margin,
+        "pass": margin >= 0,
+        "detail": f"mean margin {mean:.3e}, stderr {stderr:.3e}, {len(seeds)} seeds",
+    }
+
+
+def per_seed_rate_slopes(problem, t_grid, seeds, x0, beta0, g0) -> list:
+    """Rate-fit slopes made with one adaspider_run per seed and one true
+    gradient call per iterate."""
+    config = AdaSpiderConfig(steps=t_grid[-1], beta0=beta0, g0=g0)
+    slopes = []
+    for seed in seeds:
+        trace = adaspider_run(problem, x0, config, np.random.default_rng(seed), keep_path=True)
+        norms = np.array(
+            [float(np.linalg.norm(problem.metric_gradient(xt))) for xt in trace.iterates]
+        )
+        means = [float(norms[:t].mean()) for t in t_grid]
+        slopes.append(float(np.polyfit(np.log(t_grid), np.log(means), 1)[0]))
+    return slopes
+
+
+class TestSeededChecksEqualPerSeedRuns:
+    """The rate and variance checks step their seeds as one lockstep block;
+    their reports equal those of one run per seed."""
+
+    @pytest.mark.parametrize("block", [1 << 22, 25 * 3 * 7, 1])
+    def test_variance_reports(self, monkeypatch, block):
+        # blocks of all 60 seeds, of 7 seeds and of one seed
+        monkeypatch.setattr(verify, "_SEED_BLOCK_COORDS", block)
+        problem = QuadraticProblem.random(6, 3, np.random.default_rng(5), definite=True)
+        config = AdaSpiderConfig(steps=25, beta0=1.5, g0=0.7, period=5, inner_batch=2)
+        seeds = list(range(7, 427, 7))
+        x0 = np.array([0.5, -1.0, 2.0])
+        for check, lemma, power in (
+            (check_cumulative_variance, "cumulative_variance", 0),
+            (check_weighted_variance, "weighted_variance", 1),
+        ):
+            report = check(problem, config, seeds, x0=x0)
+            assert report.to_dict() == per_seed_variance_report(
+                lemma, power, problem, config, seeds, x0
+            )
+
+    @pytest.mark.parametrize("block", [1 << 22, 300 * 4 * 3, 1])
+    def test_rate_report(self, monkeypatch, block):
+        monkeypatch.setattr(verify, "_SEED_BLOCK_COORDS", block)
+        dataset = generate_synthetic("quadratic", n=20, d=4, seed=3)
+        problem = RegularizedERM(dataset, loss_kind="squared", lam=0.1)
+        t_grid, seeds, x0 = (5, 40, 300), (3, 11, 4, 8), np.full(4, 0.3)
+        report = check_rate_scaling(problem, t_grid, seeds, beta0=0.5, g0=2.0, x0=x0)
+        median = float(np.median(per_seed_rate_slopes(problem, t_grid, seeds, x0, 0.5, 2.0)))
+        assert report.worst_margin == -0.35 - median
+        assert report.detail == (
+            f"median slope {median:.3f} over {len(seeds)} seeds, threshold -0.35"
+        )
 
 
 class TestReports:
