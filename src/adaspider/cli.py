@@ -191,9 +191,9 @@ def gradient_check_report(points: int = 20, seed: int = 0, corrupt: bool = False
     Returns per-family and overall max relative errors over ``points``
     random evaluation points each. The loss families check each problem's
     own ``component_gradient`` against differences of its
-    ``component_value``, the oracle that runs use. ``corrupt``
-    deliberately offsets the regularizer gradient, for self-testing the
-    check.
+    ``component_values``, which the network evaluates in one forward pass
+    per block of perturbed points. ``corrupt`` deliberately offsets the
+    regularizer gradient, for self-testing the check.
     """
     rng = np.random.default_rng(seed)
     families: dict[str, float] = {}
@@ -210,7 +210,9 @@ def gradient_check_report(points: int = 20, seed: int = 0, corrupt: bool = False
         analytic = nonconvex_regularizer_grad(x)
         if corrupt:
             analytic = analytic + 1e-3
-        numeric = finite_difference_gradient(nonconvex_regularizer, x, _FD_STEP)
+        numeric = finite_difference_gradient(
+            lambda points: np.array([nonconvex_regularizer(p) for p in points]), x, _FD_STEP
+        )
         worst = max(worst, rel_error(analytic, numeric))
     families["regularizer"] = worst
 
@@ -239,7 +241,7 @@ def gradient_check_report(points: int = 20, seed: int = 0, corrupt: bool = False
             i = int(rng.integers(problem.n)) + 1
             analytic = problem.component_gradient(i, x)
             numeric = finite_difference_gradient(
-                lambda p: problem.component_value(i, p), x, _FD_STEP
+                lambda points: problem.component_values(i, points), x, _FD_STEP
             )
             worst = max(worst, rel_error(analytic, numeric))
         families[family] = worst

@@ -6,7 +6,8 @@ functions, each exposing a value and a gradient at a point. The batched
 oracle :meth:`FiniteSumProblem.component_gradients` returns one gradient
 row per requested component in a single numpy call; full gradients,
 mini-batch corrections and the non-finite scan all go through it, and
-its rows are bitwise equal to the single-component calls. Charged
+its rows are bitwise equal to the single-component calls, as is the
+single-sample correction ``component_gradient_difference``. Charged
 oracle access goes through :func:`full_gradient` or explicit
 ``counter.charge`` calls; diagnostic evaluations (loss curves, true
 gradient norms) use the problem's own methods and are never charged.
@@ -70,8 +71,9 @@ class FiniteSumProblem:
     version whose rows are bitwise equal to :meth:`component_gradient`
     (the default stacks single calls). They may override :meth:`value`
     and :meth:`metric_gradients` with vectorized versions, which are used
-    for diagnostics only, and :meth:`mean_gradients` with a batched
-    version bitwise equal to :meth:`mean_gradient` row for row.
+    for diagnostics only, and :meth:`mean_gradients`,
+    :meth:`component_values` and :meth:`component_gradient_difference`
+    with faster versions bitwise equal to their defaults.
 
     Instances are immutable after construction and safe for concurrent
     read-only evaluation.
@@ -111,6 +113,15 @@ class FiniteSumProblem:
         return np.stack(
             [self.component_gradient(int(i), p) for i, p in zip(indices, points)]
         )
+
+    def component_values(self, i: int, points) -> np.ndarray:
+        """:meth:`component_value` of component i at each row of ``points``, shape (T,)."""
+        return np.array([self.component_value(i, p) for p in self._check_points(points)])
+
+    def component_gradient_difference(self, i: int, x, anchor) -> np.ndarray:
+        """grad f_i(x) - grad f_i(anchor), the SPIDER and SVRG single-sample
+        correction: bitwise the difference of two :meth:`component_gradient` calls."""
+        return self.component_gradient(i, x) - self.component_gradient(i, anchor)
 
     def _check_index(self, i: int) -> None:
         if not 1 <= i <= self.n:
@@ -211,20 +222,29 @@ def full_gradient(
     return g
 
 
+# Most points per call of a finite-difference value function.
+_FD_BLOCK = 256
+
+
 def finite_difference_gradient(
-    value_fn: Callable[[np.ndarray], float], x: np.ndarray, h: float
+    values: Callable[[np.ndarray], np.ndarray], x: np.ndarray, h: float
 ) -> np.ndarray:
-    """Central-difference gradient of ``value_fn`` at ``x`` with step ``h``.
+    """Central-difference gradient at ``x``, step ``h``, of the function
+    whose values at the rows of a (B, d) block ``values`` returns, shape (B,).
 
     Independent oracle for checking analytic gradients: component j is
-    (f(x + h e_j) - f(x - h e_j)) / (2 h).
+    (f(x + h e_j) - f(x - h e_j)) / (2 h). A call of ``values`` gets at most
+    _FD_BLOCK points, x + h e_j for a run of j, then x - h e_j for the run.
     """
     if h <= 0:
         raise ValueError(f"finite-difference step must be positive, got {h}")
     x = np.asarray(x, dtype=np.float64)
     grad = np.zeros_like(x)
-    for j in range(x.shape[0]):
-        step = np.zeros_like(x)
-        step[j] = h
-        grad[j] = (value_fn(x + step) - value_fn(x - step)) / (2.0 * h)
+    for start in range(0, x.shape[0], _FD_BLOCK // 2):
+        coords = np.arange(start, min(start + _FD_BLOCK // 2, x.shape[0]))
+        steps = np.zeros((coords.size, x.shape[0]))
+        steps[coords - start, coords] = h
+        vals = values(np.concatenate((x + steps, x - steps)))
+        plus, minus = np.asarray(vals, dtype=np.float64).reshape(2, coords.size)
+        grad[coords] = (plus - minus) / (2.0 * h)
     return grad

@@ -93,16 +93,17 @@ def _sampled_correction(
     """Mean of grad f_i(x) - grad f_i(anchor) over ``batch_size`` components
     drawn uniformly with replacement (one rng draw); charges 2 per sample.
 
-    A single sample is one scalar draw and one difference of two component
-    gradients. For a larger batch the sum runs from zero in sampling order,
-    adding each grad f_i(x) and subtracting each grad f_i(anchor).
+    A single sample is one scalar draw and one
+    ``component_gradient_difference``. For a larger batch the sum runs from
+    zero in sampling order, adding each grad f_i(x) and subtracting each
+    grad f_i(anchor).
     ``np.add.accumulate`` along the interleaved rows (:func:`_mean_difference`)
     keeps exactly that order for every d; a plain axis-0 sum does not once
     d == 1, where numpy switches to pairwise summation.
     """
     if batch_size == 1:
         i = int(rng.integers(problem.n)) + 1
-        diff = problem.component_gradient(i, x) - problem.component_gradient(i, anchor)
+        diff = problem.component_gradient_difference(i, x, anchor)
         counter.charge(2)
         return diff
     indices = rng.integers(problem.n, size=batch_size) + 1
@@ -791,7 +792,8 @@ def lockstep_run(
                 else:
                     # the samples at the iterates and at the anchors, in one call
                     at = np.repeat(np.concatenate([x, anchor]), batch, axis=0)
-                    both = problem.component_gradients(np.tile(indices.ravel(), 2), at)
+                    flat = indices.ravel()
+                    both = problem.component_gradients(np.concatenate((flat, flat)), at)
                     at_x, at_anchor = both.reshape(2, len(live), batch, d)
                     if batch == 1:  # as _sampled_correction: one difference
                         g = (at_x[:, 0] - at_anchor[:, 0]) + base

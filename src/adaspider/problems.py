@@ -5,15 +5,15 @@ non-convex regularizer), random quadratic families for verification,
 and a small fully connected ELU network with manual backpropagation.
 
 Each family implements the batched oracle ``component_gradients`` in
-numpy. For the empirical-risk and quadratic families its rows are
-bitwise equal to the single-component ``component_gradient``, at one
-shared point or at one point per row: per-sample products run as a
-stacked ``np.matmul``, which calls the same BLAS kernel per row as the
-1-d ``np.dot`` of the single path (a plain 2-d product would not), and
-every other step is elementwise. The network has one stacked forward
-pass and one backpropagation at a shared point; its single-sample
-gradient, loss and logits are their one-row cases. At one point per row
-it stacks single-sample calls.
+numpy. Its rows are bitwise equal to the single-component
+``component_gradient``, at one shared point or at one point per row:
+per-sample products run as a stacked ``np.matmul``, which calls the same
+BLAS kernel per row as a single call (a plain 2-d product would not),
+and every other step is elementwise. The network has one stacked forward
+pass and one backpropagation, at one shared parameter vector or at one
+per row, whose per-row weights are views of the rows; its single-sample
+gradient, loss and logits are their one-row cases, and the difference of
+one sample's gradients at two points is one two-row pass.
 """
 
 from __future__ import annotations
@@ -245,10 +245,6 @@ def elu(z: np.ndarray) -> np.ndarray:
     return np.where(z > 0, z, np.expm1(np.minimum(z, 0.0)))
 
 
-def elu_derivative(z: np.ndarray) -> np.ndarray:
-    return np.where(z > 0, 1.0, np.exp(np.minimum(z, 0.0)))
-
-
 def logsumexp(z: np.ndarray) -> float:
     """Stable log sum exp: the max is subtracted before exponentiating."""
     m = float(np.max(z))
@@ -289,56 +285,64 @@ class MLPNet:
 
 
 def _unpack_params(layer_dims, params: np.ndarray):
-    """Views of the flat vector as per-layer (weight, bias) pairs."""
+    """Views of the flat vector as per-layer (weight, bias) pairs; of a
+    (k, d) block, as (k, out, in) weight and (k, out) bias stacks."""
     layers = []
     offset = 0
+    lead = params.shape[:-1]
     for d_in, d_out in zip(layer_dims[:-1], layer_dims[1:]):
-        w = params[offset : offset + d_in * d_out].reshape(d_out, d_in)
-        offset += d_in * d_out
-        b = params[offset : offset + d_out]
-        offset += d_out
-        layers.append((w, b))
+        end = offset + d_in * d_out
+        w = params[..., offset:end].reshape(lead + (d_out, d_in))
+        layers.append((w, params[..., end : end + d_out]))
+        offset = end + d_out
     return layers
 
 
 def _stacked_forward(layer_dims, params: np.ndarray, inputs: np.ndarray):
-    """Forward pass of a (k, d_in) stack of inputs, keeping every row's
-    activations and pre-activations for :func:`_backprop`.
+    """Forward pass of a (k, d_in) stack of inputs at one parameter vector
+    (d,) or at one per row (k, d). Returns, for :func:`_backprop`, the
+    layers, every layer's activations and each hidden layer's ``z > 0``
+    mask and ``min(z, 0)``, which the ELU and its derivative share.
 
     ``np.matmul(w, h[:, :, None])`` runs the gemv of ``w @ h`` once per
-    row, so a row's logits do not depend on the other rows.
+    row, whether ``w`` is one (out, in) matrix or a (k, out, in) stack of
+    views of the rows of ``params``, so a row's logits depend neither on
+    the other rows nor on whether the rows share their parameters.
     """
     layers = _unpack_params(layer_dims, params)
     h = inputs
     activations = [h]
-    pre_acts = []
+    splits = []
     for k, (w, b) in enumerate(layers):
-        z = np.matmul(w, h[:, :, None])[:, :, 0] + b
-        pre_acts.append(z)
-        h = elu(z) if k < len(layers) - 1 else z
+        h = np.matmul(w, h[:, :, None])[:, :, 0] + b
+        if k < len(layers) - 1:  # elu(h), as :func:`elu` computes it
+            positive, below = h > 0, np.minimum(h, 0.0)
+            splits.append((positive, below))
+            h = np.where(positive, h, np.expm1(below))
         activations.append(h)
-    return layers, activations, pre_acts
+    return layers, activations, splits
 
 
-def _backprop(layers, activations, pre_acts, one_hot: np.ndarray) -> np.ndarray:
+def _backprop(layers, activations, splits, one_hot: np.ndarray) -> np.ndarray:
     """Cross-entropy gradient of every row of a :func:`_stacked_forward`
     pass, one flat parameter vector per row, by manual backpropagation
-    through the affine and ELU layers."""
+    through the affine and ELU layers. Each layer's gradient is written
+    into its views of one (k, d) array."""
     logits = activations[-1]
     shifted = np.exp(logits - logits.max(axis=1, keepdims=True))
     # softmax - label is the gradient of the loss in the logits
     delta = shifted / shifted.sum(axis=1, keepdims=True) - one_hot
-    blocks = []  # per layer, last first: bias gradient, then weight gradient
+    dims = [h.shape[1] for h in activations]
+    grads = np.empty((len(delta), mlp_param_count(dims)))
+    grad_layers = _unpack_params(dims, grads)
     for k in range(len(layers) - 1, -1, -1):
-        w, _b = layers[k]
-        blocks.append(delta)
-        outer = delta[:, :, None] * activations[k][:, None, :]
-        blocks.append(outer.reshape(len(delta), w.size))
+        grad_w, grad_b = grad_layers[k]
+        grad_b[...] = delta
+        np.multiply(delta[:, :, None], activations[k][:, None, :], out=grad_w)
         if k > 0:
-            delta = np.matmul(w.T, delta[:, :, None])[:, :, 0] * elu_derivative(
-                pre_acts[k - 1]
-            )
-    grads = np.concatenate(blocks[::-1], axis=1)
+            positive, below = splits[k - 1]
+            delta = np.matmul(np.swapaxes(layers[k][0], -1, -2), delta[:, :, None])[:, :, 0]
+            delta *= np.where(positive, 1.0, np.exp(below))  # the ELU's derivative
     # -0.0 products become +0.0, as when accumulating into a zero vector;
     # the recorded runs were made with that arithmetic.
     grads += 0.0
@@ -434,34 +438,47 @@ class MLPClassificationProblem(FiniteSumProblem):
         self._one_hot[np.arange(dataset.n), classes] = 1.0
         super().__init__(n=dataset.n, d=mlp_param_count(layer_dims))
 
-    def _params(self, x: np.ndarray) -> np.ndarray:
+    def _params(self, x: np.ndarray, rows: int | None = None) -> np.ndarray:
+        """``x`` as float64: one parameter vector, or a (rows, d) block."""
         x = np.asarray(x, dtype=np.float64)
-        if x.shape != (self.d,):
-            raise ValueError(f"parameters have shape {x.shape}, expected ({self.d},)")
+        if x.shape not in ((self.d,), (rows, self.d)):
+            raise ValueError(f"parameters have shape {x.shape}, expected ({self.d},) or one per row")
         return x
 
+    def _gradients(self, rows, params: np.ndarray) -> np.ndarray:
+        """One pass for the 0-based samples ``rows`` at one point or one per row."""
+        stacked = _stacked_forward(self.layer_dims, params, self._features[rows])
+        return _backprop(*stacked, self._one_hot[rows])
+
     def component_value(self, i: int, x: np.ndarray) -> float:
-        """Cross-entropy of sample i: a one-row forward pass, no backprop."""
+        """Cross-entropy of sample i: the one-row :meth:`component_values`."""
+        return float(self.component_values(i, self._params(x)[None])[0])
+
+    def component_values(self, i: int, points) -> np.ndarray:
+        """One forward pass with one parameter vector per row, then each
+        row's scalar tail as :meth:`component_value` takes it."""
         self._check_index(i)
-        _, activations, _ = _stacked_forward(
-            self.layer_dims, self._params(x), self._features[i - 1 : i]
-        )
-        logits = activations[-1][0]
-        return logsumexp(logits) - float(self._one_hot[i - 1] @ logits)
+        points = self._check_points(points)
+        inputs = np.broadcast_to(self._features[i - 1], (len(points), self.layer_dims[0]))
+        _, activations, _ = _stacked_forward(self.layer_dims, points, inputs)
+        label = self._one_hot[i - 1]
+        return np.array([logsumexp(z) - float(label @ z) for z in activations[-1]])
 
     def component_gradient(self, i: int, x: np.ndarray) -> np.ndarray:
-        return self.component_gradients((i,), x)[0]
+        self._check_index(i)
+        return self._gradients(slice(i - 1, i), self._params(x))[0]
+
+    def component_gradient_difference(self, i: int, x, anchor) -> np.ndarray:
+        """One two-row pass, at x and at the anchor."""
+        self._check_index(i)
+        both = self._gradients([i - 1, i - 1], np.stack((self._params(x), self._params(anchor))))
+        return both[0] - both[1]
 
     def component_gradients(self, indices, x: np.ndarray) -> np.ndarray:
-        """Forward and backpropagation of all requested samples at once;
-        a block of points, one per sample, stacks single calls."""
-        if np.ndim(x) == 2:
-            return super().component_gradients(indices, x)
+        """Forward and backpropagation of all requested samples in one
+        pass, at one point or at one point per sample."""
         idx = self._check_indices(indices) - 1
-        stacked = _stacked_forward(
-            self.layer_dims, self._params(x), self._features[idx]
-        )
-        return _backprop(*stacked, self._one_hot[idx])
+        return self._gradients(idx, self._params(x, idx.size))
 
     def value(self, x: np.ndarray) -> float:
         """Mean cross-entropy via one batched forward pass (diagnostics)."""

@@ -16,13 +16,16 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+import weakref
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .core import FiniteSumProblem
 from .data import generate_synthetic
-from .optimizers import AdaSpiderConfig, RunTrace, _row_norms, adaspider_run, lockstep_run
+from .optimizers import (
+    AdaSpiderConfig, RunTrace, _row_norms, _row_squares, adaspider_run, lockstep_run
+)
 from .problems import QuadraticProblem, RegularizedERM
 
 _SLACK = 1e-12
@@ -363,6 +366,25 @@ def _seeded_runs(problem: FiniteSumProblem, x0: np.ndarray, config, seeds, keep_
             yield outcome
 
 
+# Per problem, held weakly, the key and result of its last _variance_traces call.
+_variance_runs: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
+
+
+def _variance_traces(problem: FiniteSumProblem, config, seeds: tuple, x0) -> list:
+    """Per seed, the step sizes, squared deviations ||g_t - grad f(x_t)||^2
+    and estimator norms of the seeded runs both variance checks read; the
+    last result is kept, so the two checks of one suite share their runs."""
+    key = (replace(config), seeds, np.asarray(x0, dtype=np.float64).tobytes())
+    last = _variance_runs.get(problem)
+    if last is None or last[0] != key:
+        traces = []
+        for trace in _seeded_runs(problem, x0, config, seeds, True):
+            devs = trace.estimates - problem.mean_gradients(trace.iterates)
+            traces.append((trace.step_sizes, _row_squares(devs), trace.estimator_norms))
+        last = _variance_runs[problem] = (key, traces)
+    return last[1]
+
+
 def _variance_check(
     lemma: str, weight_power: int, problem, config, seeds, x0, rhs_factor
 ) -> LemmaReport:
@@ -372,7 +394,7 @@ def _variance_check(
     weight_power 1: gamma-weighted sums against L^2 n sum gamma^3 ||g||^2.
     The bound holds if mean(rhs_factor * rhs - lhs) + 3 stderr >= 0.
     """
-    seeds = list(seeds)
+    seeds = tuple(seeds)
     if len(seeds) < 50:
         raise ValueError(
             f"{len(seeds)} seeds is statistically meaningless here; use at least 50"
@@ -383,15 +405,11 @@ def _variance_check(
         x0 = np.zeros(problem.d)
     l2n = problem.known_smoothness**2 * problem.n
     diffs = np.empty(len(seeds))
-    for k, trace in enumerate(_seeded_runs(problem, x0, config, seeds, True)):
-        gammas = trace.step_sizes
-        devs = trace.estimates - problem.mean_gradients(trace.iterates)
+    for k, (gammas, squares, norms) in enumerate(_variance_traces(problem, config, seeds, x0)):
         lhs = 0.0
-        for gamma, dev in zip(gammas, devs):
-            lhs += gamma**weight_power * float(dev @ dev)
-        rhs = l2n * float(
-            np.sum(gammas ** (2 + weight_power) * trace.estimator_norms**2)
-        )
+        for gamma, square in zip(gammas, squares):
+            lhs += gamma**weight_power * square
+        rhs = l2n * float(np.sum(gammas ** (2 + weight_power) * norms**2))
         diffs[k] = rhs_factor * rhs - lhs
     mean = float(diffs.mean())
     stderr = float(diffs.std(ddof=1) / math.sqrt(len(diffs)))

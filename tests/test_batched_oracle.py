@@ -285,6 +285,28 @@ class TestMiniBatchCorrections:
             assert same_bits(trace.estimates[t], diff / 3 + mu)
 
 
+    @pytest.mark.parametrize("family", FAMILIES)
+    @settings(max_examples=25, deadline=None)
+    @given(
+        n=st.integers(min_value=1, max_value=12),
+        d=st.integers(min_value=1, max_value=5),
+        seed=st.integers(min_value=0, max_value=10_000),
+        # 0.0 and -0.0 give zero points of both signs
+        scale=st.sampled_from([0.0, -0.0, 0.01, 1.0, 30.0]),
+        pick=st.integers(min_value=0, max_value=10**6),
+    )
+    def test_single_sample_difference_bitwise(self, family, n, d, seed, scale, pick):
+        # the one-sample correction of SPIDER and SVRG, which the network
+        # takes as one two-row pass
+        problem, point = make_problem(family, n, seed, d)
+        rng = np.random.default_rng(seed + 1)
+        x, anchor = point(rng, 1.0), scale * point(rng, 1.0)
+        i = 1 + pick % n
+        expected = problem.component_gradient(i, x) - problem.component_gradient(i, anchor)
+        assert same_bits(problem.component_gradient_difference(i, x, anchor), expected)
+        assert same_bits(problem.component_gradient_difference(i, x, x), np.zeros(problem.d))
+
+
 class TestSigmoid:
     @staticmethod
     def reference(z: float) -> float:

@@ -111,17 +111,46 @@ class TestOracleCounter:
 
 class TestFiniteDifferences:
     def test_square_derivative(self):
-        grad = finite_difference_gradient(lambda x: x[0] ** 2, np.array([1.0]), 1e-5)
+        grad = finite_difference_gradient(lambda ps: ps[:, 0] ** 2, np.array([1.0]), 1e-5)
         assert grad[0] == pytest.approx(2.0, abs=1e-8)
 
     def test_constant_exactly_zero(self):
-        grad = finite_difference_gradient(lambda x: 3.5, np.ones(4), 1e-4)
+        grad = finite_difference_gradient(lambda ps: np.full(len(ps), 3.5), np.ones(4), 1e-4)
         assert np.array_equal(grad, np.zeros(4))
 
     def test_nonpositive_step_rejected(self):
         for h in (0.0, -1e-5):
             with pytest.raises(ValueError):
-                finite_difference_gradient(lambda x: 0.0, np.ones(2), h)
+                finite_difference_gradient(lambda ps: np.zeros(len(ps)), np.ones(2), h)
+
+    @pytest.mark.parametrize("d", [1, 127, 128, 129, 300])
+    def test_blocks_equal_one_coordinate_at_a_time(self, d):
+        # at most 256 points a call, each difference bitwise the one of
+        # two single evaluations
+        rng = np.random.default_rng(d)
+        x, weights = rng.standard_normal(d), rng.standard_normal(d)
+        x[0] = -0.0  # x - 0.0 keeps the sign, x + 0.0 does not
+
+        def value(p):
+            return float(np.sum(np.sin(p) * weights)) + float(np.copysign(1.0, p[0]))
+
+        sizes = []
+
+        def values(points):
+            sizes.append(len(points))
+            return [value(p) for p in points]
+
+        grad = finite_difference_gradient(values, x, 1e-6)
+        assert max(sizes) <= 256 and sum(sizes) == 2 * d
+        for j in range(d):
+            step = np.zeros(d)
+            step[j] = 1e-6
+            expected = (value(x + step) - value(x - step)) / 2e-6
+            assert np.float64(grad[j]).tobytes() == np.float64(expected).tobytes()
+
+    def test_values_of_the_wrong_shape_rejected(self):
+        with pytest.raises(ValueError):
+            finite_difference_gradient(lambda ps: np.zeros(3), np.ones(2), 1e-6)
 
     def test_logistic_component_matches_analytic(self):
         dataset = generate_synthetic("separable-logistic", n=6, d=4, seed=3)
@@ -132,7 +161,7 @@ class TestFiniteDifferences:
             i = int(rng.integers(6)) + 1
             analytic = problem.component_gradient(i, x)
             numeric = finite_difference_gradient(
-                lambda p: problem.component_value(i, p), x, 1e-6
+                lambda ps: problem.component_values(i, ps), x, 1e-6
             )
             assert np.linalg.norm(analytic - numeric) <= 1e-5 * max(
                 1.0, np.linalg.norm(analytic)

@@ -256,6 +256,19 @@ class TestGroupEqualsRuns:
         cap = 1.0 / (2.0 * math.sqrt(2) * 1e-200)
         assert all(t.step_sizes[0] == cap for t in traces)
 
+    @pytest.mark.parametrize("algo", LOCKSTEP_ALGORITHMS)
+    @pytest.mark.parametrize("batch", [1, 3])
+    def test_network_of_the_training_script(self, algo, batch):
+        # the (20, 16, 16, 4) network, whose blocks are one pass at one
+        # parameter vector per row
+        dims = (20, 16, 16, 4)
+        clusters = generate_synthetic("two-cluster-classification", 24, 20, 4, n_classes=4)
+        problem = MLPClassificationProblem(clusters, dims)
+        x0s = [kaiming_uniform_scaled_init(dims, 0.01, np.random.default_rng([4, k])).params
+               for k in range(3)]
+        runs = group_runs(algo, [0.1, 1.0, 10.0], x0s, 4, 40, 6, batch)
+        check_group(problem, algo, runs, keep_path=True)
+
     def test_runs_must_share_steps_and_period(self):
         problem = make_problem("logistic", 6, 2, 0)
         runs = group_runs("svrg", [0.1, 0.2], [np.zeros(2)] * 2, 0, 10, 3, 1)

@@ -40,7 +40,9 @@ class TestRegularizer:
         rng = np.random.default_rng(5)
         for _ in range(10):
             x = 3.0 * rng.standard_normal(4)
-            numeric = finite_difference_gradient(nonconvex_regularizer, x, 1e-6)
+            numeric = finite_difference_gradient(
+                lambda ps: [nonconvex_regularizer(p) for p in ps], x, 1e-6
+            )
             assert np.allclose(nonconvex_regularizer_grad(x), numeric, atol=1e-6)
 
     def test_bounded_value_and_gradient(self):
@@ -79,7 +81,7 @@ class TestRegularizedERM:
             i = int(rng.integers(10)) + 1
             analytic = problem.component_gradient(i, x)
             numeric = finite_difference_gradient(
-                lambda p: problem.component_value(i, p), x, 1e-6
+                lambda ps: problem.component_values(i, ps), x, 1e-6
             )
             rel = np.linalg.norm(analytic - numeric) / max(1.0, np.linalg.norm(analytic))
             assert rel <= 1e-5
@@ -93,7 +95,7 @@ class TestRegularizedERM:
             i = int(rng.integers(10)) + 1
             analytic = problem.component_gradient(i, x)
             numeric = finite_difference_gradient(
-                lambda p: problem.component_value(i, p), x, 1e-6
+                lambda ps: problem.component_values(i, ps), x, 1e-6
             )
             rel = np.linalg.norm(analytic - numeric) / max(1.0, np.linalg.norm(analytic))
             assert rel <= 1e-5
@@ -143,7 +145,7 @@ class TestQuadraticProblem:
         x = rng.standard_normal(3)
         for i in range(1, 5):
             numeric = finite_difference_gradient(
-                lambda p: problem.component_value(i, p), x, 1e-6
+                lambda ps: problem.component_values(i, ps), x, 1e-6
             )
             assert np.allclose(problem.component_gradient(i, x), numeric, atol=1e-5)
 
@@ -214,7 +216,9 @@ class TestMLPLoss:
                 )
                 return value
 
-            numeric = finite_difference_gradient(loss_at, net.params, 1e-6)
+            numeric = finite_difference_gradient(
+                lambda ps: [loss_at(p) for p in ps], net.params, 1e-6
+            )
             rel = np.linalg.norm(analytic - numeric) / max(1.0, np.linalg.norm(analytic))
             assert rel <= 1e-5
 
@@ -295,7 +299,7 @@ class TestMLPProblem:
         for i in (1, 3, 5):
             analytic = problem.component_gradient(i, x)
             numeric = finite_difference_gradient(
-                lambda p: problem.component_value(i, p), x, 1e-6
+                lambda ps: problem.component_values(i, ps), x, 1e-6
             )
             rel = np.linalg.norm(analytic - numeric) / max(1.0, np.linalg.norm(analytic))
             assert rel <= 1e-5

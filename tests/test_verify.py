@@ -1,7 +1,9 @@
 """Inequality checkers: witness instances pass, corrupted bounds fail."""
 
+import gc
 import json
 import math
+import weakref
 
 import numpy as np
 import pytest
@@ -417,6 +419,45 @@ class TestSeededChecksEqualPerSeedRuns:
             assert report.to_dict() == per_seed_variance_report(
                 lemma, power, problem, config, seeds, x0
             )
+
+    def test_both_variance_checks_share_their_runs(self, monkeypatch):
+        made = []
+
+        def seeded_runs(*args):
+            made.append(args[3])
+            return original(*args)
+
+        original = verify._seeded_runs
+        monkeypatch.setattr(verify, "_seeded_runs", seeded_runs)
+        problem = default_variance_problem(3)
+        config, seeds = AdaSpiderConfig(steps=20), range(1, 61)
+        reports = [check(problem, config, seeds) for check in (
+            check_cumulative_variance, check_weighted_variance,
+            check_cumulative_variance, check_weighted_variance,
+        )]
+        assert len(made) == 1
+        assert [r.to_dict() for r in reports[:2]] == [r.to_dict() for r in reports[2:]]
+        # another config, seeds or x0 runs them anew, and so does going back
+        changes = [
+            (AdaSpiderConfig(steps=21), seeds, None),
+            (AdaSpiderConfig(steps=20), range(1, 62), None),
+            (AdaSpiderConfig(steps=20), seeds, np.array([-0.0, 0.0])),
+        ]
+        for other_config, other_seeds, x0 in changes:
+            check_weighted_variance(problem, other_config, other_seeds, x0=x0)
+            check_weighted_variance(problem, config, seeds)
+        assert len(made) == 1 + 2 * len(changes)
+        # so does another problem object; the kept runs do not keep their
+        # problem alive
+        check_weighted_variance(default_variance_problem(3), config, seeds)
+        assert len(made) == 2 + 2 * len(changes)
+        config.steps = 21  # the key keeps a copy of the config
+        check_weighted_variance(problem, config, seeds)
+        assert len(made) == 3 + 2 * len(changes)
+        problem_ref = weakref.ref(problem)
+        del problem
+        gc.collect()
+        assert problem_ref() is None
 
     @pytest.mark.parametrize("block", [1 << 22, 300 * 4 * 3, 1])
     def test_rate_report(self, monkeypatch, block):
