@@ -138,7 +138,8 @@ def spider_estimator_update(
     ``batch_size`` components uniformly with replacement and charges two
     calls per sampled component; exactly one rng draw is consumed. A
     batch of n or more uses all components exactly once (the correction
-    is then the exact full-gradient difference).
+    is then the exact full-gradient difference). ``rng`` is a generator or
+    a stand-in with its ``integers``, such as a run's :class:`_Draws`.
     """
     t = state.step_index
     n = problem.n
@@ -338,6 +339,16 @@ class _Method:
         if self.steps < 1:
             raise ValueError("step budget must be at least 1")
 
+    def index_draws(self, n: int) -> int:
+        """The sample indices a whole run draws: ``batch`` per inner step,
+        and none for a SPIDER batch of n or more, which takes the exact
+        difference of full gradients."""
+        if self.estimator == "stochastic":
+            return self.steps
+        if self.estimator == "spider" and self.batch >= n:
+            return 0
+        return (self.steps + (-self.steps // self.period)) * self.batch
+
 
 # Each method's checks of its arguments, in the order and with the errors
 # of its run function, which the lockstep groups make too.
@@ -420,6 +431,52 @@ def _adagrad_norm_method(problem: FiniteSumProblem, eta, b0, steps) -> _Method:
     return _Method("stochastic", steps, 1, 1, "adaptive", (eta, 1.0, b0**2))
 
 
+# A run draws its sample indices this many at a time, and a lockstep group
+# writes out the step sizes and norms of this many steps at a time.
+_DRAW_CHUNK = 1024
+_RECORD_CHUNK = 256
+
+
+class _Draws:
+    """A run's sample indices, drawn from ``rng`` in chunks of
+    ``rng.integers(n, size=k)``, which yields the values of k scalar draws
+    in order and leaves the generator where they would. Chunks are whole
+    batches and add up to at most the run's own ``total`` draws.
+    :meth:`integers` serves them as the generator's would, one value or one
+    batch at a time; :meth:`settle` leaves the generator where scalar draws
+    of the values served so far would."""
+
+    def __init__(self, rng: np.random.Generator, n: int, total: int, batch: int):
+        self.rng, self.n, self.left = rng, n, total
+        self.chunk = batch * max(1, _DRAW_CHUNK // batch)
+        self.values = np.empty(0, dtype=np.int64)
+        self.state, self.size, self.pos = None, 0, 0
+
+    def refill(self) -> np.ndarray:
+        """Draw and return the next chunk of ``size`` values."""
+        self.size = min(self.chunk, self.left)
+        self.left -= self.size
+        self.state = self.rng.bit_generator.state
+        return self.rng.integers(self.n, size=self.size)
+
+    def integers(self, n: int, size: int | None = None):
+        if self.pos == len(self.values):
+            self.values, self.pos = self.refill(), 0
+        pos = self.pos
+        if size is None:
+            self.pos += 1
+            return self.values[pos]
+        self.pos += size
+        return self.values[pos : pos + size]
+
+    def settle(self, served: int) -> None:
+        """Rewind to before the current chunk and redraw its first ``served``
+        values."""
+        if served < self.size:
+            self.rng.bit_generator.state = self.state
+            self.rng.integers(self.n, size=served)
+
+
 # The three estimators. Each returns estimate(x, t), which makes the step's
 # rng draws and charges its oracle calls to ``counter``.
 
@@ -484,21 +541,27 @@ def _step_rule(method: _Method, state: SpiderEstimatorState | None):
 
 
 def _run(problem, algo: str, x0, rng, keep_path: bool, method: _Method) -> RunTrace:
-    """One run of ``method`` on :func:`_run_loop`, charged to a new counter."""
+    """One run of ``method`` on :func:`_run_loop`, charged to a new counter.
+    Its sample indices come from :class:`_Draws`, which the run settles when
+    it ends, so ``rng`` ends where the run's scalar draws leave it."""
     counter = OracleCounter()
+    draws = _Draws(rng, problem.n, method.index_draws(problem.n), method.batch)
     state = None
     if method.estimator == "stochastic":
-        estimate = _stochastic(problem, rng, counter)
+        estimate = _stochastic(problem, draws, counter)
     elif method.estimator == "svrg":
-        estimate = _svrg(problem, rng, counter, method.period, method.batch)
+        estimate = _svrg(problem, draws, counter, method.period, method.batch)
     else:
         state, batch = SpiderEstimatorState(period=method.period), method.batch
 
         def estimate(x, t):
-            return spider_estimator_update(state, problem, x, rng, counter, batch_size=batch)
+            return spider_estimator_update(state, problem, x, draws, counter, batch_size=batch)
 
     step_size = _step_rule(method, state)
-    return _run_loop(problem, algo, x0, method.steps, counter, estimate, step_size, keep_path)
+    try:
+        return _run_loop(problem, algo, x0, method.steps, counter, estimate, step_size, keep_path)
+    finally:
+        draws.settle(draws.pos)
 
 
 def adaspider_run(
@@ -624,11 +687,6 @@ _METHODS = {
 }
 LOCKSTEP_ALGORITHMS = tuple(_METHODS)
 
-# A lockstep member draws its sample indices this many at a time, and the
-# step sizes and norms of this many steps are written out at a time.
-_DRAW_CHUNK = 1024
-_RECORD_CHUNK = 256
-
 
 def _row_squares(rows: np.ndarray) -> np.ndarray:
     """``v.dot(v)`` for every row v of a (R, d) block: one stacked
@@ -658,12 +716,12 @@ def lockstep_run(
     step for each of the two.
 
     Every member keeps its own rng, counter and step size. Its sample
-    indices come in chunks of ``rng.integers(n, size=k)``, which yields
-    the values of k scalar draws in order. SVRG and SPIDER share one inner
-    step, grad f_i(x) - grad f_i(anchor) + base: SVRG's anchor and base
-    are its snapshot and the snapshot's gradient, SPIDER's the previous
-    iterate and estimate. A SPIDER batch of n or more takes the exact
-    difference of full gradients instead and draws nothing. A member
+    indices come in chunks from a :class:`_Draws`, settled when the member
+    stops. SVRG and SPIDER share one inner step, grad f_i(x) - grad
+    f_i(anchor) + base: SVRG's anchor and base are its snapshot and the
+    snapshot's gradient, SPIDER's the previous iterate and estimate. A
+    SPIDER batch of n or more takes the exact difference of full gradients
+    instead and draws nothing. A member
     stops on its own when it diverges or its reset gradient is not
     finite; the others step on. Reset gradients go through
     ``full_gradient`` one member at a time and charge its counter there;
@@ -686,12 +744,9 @@ def lockstep_run(
     resets = method.estimator != "stochastic"
     moving = method.estimator == "spider"  # the anchor is the last iterate
     exact = moving and batch >= n
-    inner_steps = steps - (-(-steps // period) if resets else 0)
-    to_draw = 0 if exact else inner_steps * batch  # per member
-    chunk = batch * max(1, _DRAW_CHUNK // batch)
     cost = 2 * (n if exact else batch) if resets else 1  # per inner step
 
-    rngs = [kw["rng"] for kw in runs]
+    sources = [_Draws(kw["rng"], n, method.index_draws(n), batch) for kw in runs]
     counters = [OracleCounter() for _ in runs]
     outcomes: list = [None] * size
     rows, points = [[] for _ in runs], [[] for _ in runs]
@@ -709,7 +764,7 @@ def lockstep_run(
     draws = np.empty((size, 0), dtype=np.int64)
     anchor = base = x
     gammas, norms = [], []  # of the steps after the first ``recorded``
-    calls = sampled = drawn = pos = recorded = 0
+    calls = sampled = pos = recorded = 0
     last_epoch = -1
 
     def log_rows(which, losses, grad_norms):
@@ -735,6 +790,7 @@ def lockstep_run(
         for k in np.flatnonzero(mask):
             r = live[k]
             counters[r].charge(sampled)
+            sources[r].settle(pos)
             if outcomes[r] is None:
                 outcomes[r] = RunTrace(
                     algo=algo,
@@ -782,9 +838,8 @@ def lockstep_run(
                 g = (both[: len(live)] - both[len(live) :]) + base
             else:
                 if pos == draws.shape[1]:
-                    fill = min(chunk, to_draw - drawn)
-                    draws = np.stack([rngs[r].integers(n, size=fill) for r in live]) + 1
-                    drawn, pos = drawn + fill, 0
+                    draws = np.stack([sources[r].refill() for r in live]) + 1
+                    pos = 0
                 indices = draws[:, pos : pos + batch]
                 pos += batch
                 if not resets:

@@ -18,6 +18,7 @@ one sample's gradients at two points is one two-row pass.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -42,19 +43,23 @@ def _sigmoid_scalar(z: float) -> float:
         return 0.0
 
 
+# The largest double whose ``math.exp`` is finite; the next one overflows.
+_EXP_LIMIT = 709.782712893384
+
+
 def sigmoid(z: np.ndarray) -> np.ndarray:
     """Logistic function 1 / (1 + e^{-z}), elementwise.
 
     The exponentials come from the C library's exp (``math.exp``), one
     element at a time: numpy's vectorized exp rounds differently on some
-    inputs, which would change the logged records.
+    inputs, which would change the logged records. Where e^{-z} overflows
+    it is taken as +inf (``math.exp(inf)``), so 1 / (1 + inf) gives 0.0,
+    as :func:`_sigmoid_scalar` does.
     """
     z = np.asarray(z, dtype=np.float64)
-    try:
-        e = np.fromiter(map(math.exp, (-z).ravel().tolist()), np.float64, z.size)
-    except OverflowError:
-        values = [_sigmoid_scalar(v) for v in z.ravel().tolist()]
-        return np.array(values).reshape(z.shape)
+    neg = -z.ravel()
+    neg[neg > _EXP_LIMIT] = math.inf
+    e = np.fromiter(map(math.exp, neg.tolist()), np.float64, z.size)
     return (1.0 / (1.0 + e)).reshape(z.shape)
 
 
@@ -245,16 +250,25 @@ def elu(z: np.ndarray) -> np.ndarray:
     return np.where(z > 0, z, np.expm1(np.minimum(z, 0.0)))
 
 
-def logsumexp(z: np.ndarray) -> float:
-    """Stable log sum exp: the max is subtracted before exponentiating."""
-    m = float(np.max(z))
-    return m + float(np.log(np.sum(np.exp(z - m))))
+def logsumexp(z: np.ndarray) -> np.ndarray:
+    """Stable log sum exp over the last axis: the max is subtracted first."""
+    m = np.maximum.reduce(z, axis=-1, keepdims=True)
+    return (m + np.log(np.add.reduce(np.exp(z - m), axis=-1, keepdims=True)))[..., 0]
+
+
+@functools.cache
+def _layout(layer_dims: tuple):
+    """Each layer's (weight start, weight end, bias end, (out, in)); the count."""
+    spans, end = [], 0
+    for d_in, d_out in zip(layer_dims[:-1], layer_dims[1:]):
+        start, end = end, end + d_in * d_out
+        spans.append((start, end, end + d_out, (d_out, d_in)))
+        end += d_out
+    return tuple(spans), end
 
 
 def mlp_param_count(layer_dims) -> int:
-    return sum(
-        d_in * d_out + d_out for d_in, d_out in zip(layer_dims[:-1], layer_dims[1:])
-    )
+    return _layout(tuple(layer_dims))[1]
 
 
 @dataclass(frozen=True)
@@ -287,22 +301,18 @@ class MLPNet:
 def _unpack_params(layer_dims, params: np.ndarray):
     """Views of the flat vector as per-layer (weight, bias) pairs; of a
     (k, d) block, as (k, out, in) weight and (k, out) bias stacks."""
-    layers = []
-    offset = 0
     lead = params.shape[:-1]
-    for d_in, d_out in zip(layer_dims[:-1], layer_dims[1:]):
-        end = offset + d_in * d_out
-        w = params[..., offset:end].reshape(lead + (d_out, d_in))
-        layers.append((w, params[..., end : end + d_out]))
-        offset = end + d_out
-    return layers
+    return [
+        (params[..., start:end].reshape(lead + shape), params[..., end:bias_end])
+        for start, end, bias_end, shape in _layout(tuple(layer_dims))[0]
+    ]
 
 
 def _stacked_forward(layer_dims, params: np.ndarray, inputs: np.ndarray):
     """Forward pass of a (k, d_in) stack of inputs at one parameter vector
     (d,) or at one per row (k, d). Returns, for :func:`_backprop`, the
-    layers, every layer's activations and each hidden layer's ``z > 0``
-    mask and ``min(z, 0)``, which the ELU and its derivative share.
+    layers, every layer's activations and each hidden layer's
+    ``min(z, 0)``, which the ELU and its derivative share.
 
     ``np.matmul(w, h[:, :, None])`` runs the gemv of ``w @ h`` once per
     row, whether ``w`` is one (out, in) matrix or a (k, out, in) stack of
@@ -310,39 +320,34 @@ def _stacked_forward(layer_dims, params: np.ndarray, inputs: np.ndarray):
     the other rows nor on whether the rows share their parameters.
     """
     layers = _unpack_params(layer_dims, params)
-    h = inputs
-    activations = [h]
-    splits = []
+    h, activations, belows = inputs, [inputs], []
     for k, (w, b) in enumerate(layers):
         h = np.matmul(w, h[:, :, None])[:, :, 0] + b
         if k < len(layers) - 1:  # elu(h), as :func:`elu` computes it
-            positive, below = h > 0, np.minimum(h, 0.0)
-            splits.append((positive, below))
-            h = np.where(positive, h, np.expm1(below))
+            belows.append(np.minimum(h, 0.0))
+            h = np.where(h > 0, h, np.expm1(belows[-1]))
         activations.append(h)
-    return layers, activations, splits
+    return layers, activations, belows
 
 
-def _backprop(layers, activations, splits, one_hot: np.ndarray) -> np.ndarray:
+def _backprop(layer_dims, layers, activations, belows, one_hot: np.ndarray) -> np.ndarray:
     """Cross-entropy gradient of every row of a :func:`_stacked_forward`
     pass, one flat parameter vector per row, by manual backpropagation
     through the affine and ELU layers. Each layer's gradient is written
     into its views of one (k, d) array."""
     logits = activations[-1]
-    shifted = np.exp(logits - logits.max(axis=1, keepdims=True))
+    shifted = np.exp(logits - np.maximum.reduce(logits, axis=1, keepdims=True))
     # softmax - label is the gradient of the loss in the logits
-    delta = shifted / shifted.sum(axis=1, keepdims=True) - one_hot
-    dims = [h.shape[1] for h in activations]
-    grads = np.empty((len(delta), mlp_param_count(dims)))
-    grad_layers = _unpack_params(dims, grads)
+    delta = shifted / np.add.reduce(shifted, axis=1, keepdims=True) - one_hot
+    grads = np.empty((len(delta), mlp_param_count(layer_dims)))
+    grad_layers = _unpack_params(layer_dims, grads)
     for k in range(len(layers) - 1, -1, -1):
         grad_w, grad_b = grad_layers[k]
         grad_b[...] = delta
         np.multiply(delta[:, :, None], activations[k][:, None, :], out=grad_w)
         if k > 0:
-            positive, below = splits[k - 1]
-            delta = np.matmul(np.swapaxes(layers[k][0], -1, -2), delta[:, :, None])[:, :, 0]
-            delta *= np.where(positive, 1.0, np.exp(below))  # the ELU's derivative
+            delta = np.matmul(layers[k][0].swapaxes(-1, -2), delta[:, :, None])[:, :, 0]
+            delta *= np.exp(belows[k - 1])  # ELU derivative: exp(+0.0) = 1 where z > 0
     # -0.0 products become +0.0, as when accumulating into a zero vector;
     # the recorded runs were made with that arithmetic.
     grads += 0.0
@@ -388,8 +393,8 @@ def mlp_loss_and_gradient(net: MLPNet, inputs: np.ndarray, one_hot_label: np.nda
         )
     stacked = _stacked_forward(net.layer_dims, net.params, inputs[None])
     logits = stacked[1][-1][0]
-    loss = logsumexp(logits) - float(one_hot_label @ logits)
-    return loss, _backprop(*stacked, one_hot_label[None])[0]
+    loss = float(logsumexp(logits) - one_hot_label @ logits)
+    return loss, _backprop(net.layer_dims, *stacked, one_hot_label[None])[0]
 
 
 def kaiming_uniform_scaled_init(
@@ -448,21 +453,20 @@ class MLPClassificationProblem(FiniteSumProblem):
     def _gradients(self, rows, params: np.ndarray) -> np.ndarray:
         """One pass for the 0-based samples ``rows`` at one point or one per row."""
         stacked = _stacked_forward(self.layer_dims, params, self._features[rows])
-        return _backprop(*stacked, self._one_hot[rows])
+        return _backprop(self.layer_dims, *stacked, self._one_hot[rows])
 
     def component_value(self, i: int, x: np.ndarray) -> float:
         """Cross-entropy of sample i: the one-row :meth:`component_values`."""
         return float(self.component_values(i, self._params(x)[None])[0])
 
     def component_values(self, i: int, points) -> np.ndarray:
-        """One forward pass with one parameter vector per row, then each
-        row's scalar tail as :meth:`component_value` takes it."""
+        """One forward pass with one parameter vector per row, then the
+        cross-entropy of every row at once."""
         self._check_index(i)
         points = self._check_points(points)
         inputs = np.broadcast_to(self._features[i - 1], (len(points), self.layer_dims[0]))
-        _, activations, _ = _stacked_forward(self.layer_dims, points, inputs)
-        label = self._one_hot[i - 1]
-        return np.array([logsumexp(z) - float(label @ z) for z in activations[-1]])
+        logits = _stacked_forward(self.layer_dims, points, inputs)[1][-1]
+        return logsumexp(logits) - logits @ self._one_hot[i - 1]
 
     def component_gradient(self, i: int, x: np.ndarray) -> np.ndarray:
         self._check_index(i)
@@ -483,7 +487,5 @@ class MLPClassificationProblem(FiniteSumProblem):
     def value(self, x: np.ndarray) -> float:
         """Mean cross-entropy via one batched forward pass (diagnostics)."""
         logits = mlp_forward(MLPNet(self.layer_dims, self._params(x)), self._features)
-        peak = logits.max(axis=1, keepdims=True)
-        lse = peak[:, 0] + np.log(np.sum(np.exp(logits - peak), axis=1))
-        losses = lse - np.einsum("ij,ij->i", self._one_hot, logits)
+        losses = logsumexp(logits) - np.einsum("ij,ij->i", self._one_hot, logits)
         return float(losses.mean())

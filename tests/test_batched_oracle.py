@@ -326,8 +326,30 @@ class TestSigmoid:
             assert same_bits(value, self.reference(z))
         assert got[-1] == 0.0 and got[-2] == 1.0
 
+    def test_exp_threshold_and_non_finite_inputs_in_mixed_arrays(self):
+        # 709.782712893384 is the largest double whose math.exp is finite
+        limit = 709.782712893384
+        assert math.isfinite(math.exp(limit))
+        with pytest.raises(OverflowError):
+            math.exp(np.nextafter(limit, math.inf))
+        around = [np.nextafter(limit, 0.0), limit, np.nextafter(limit, math.inf)]
+        special = [math.inf, -math.inf, math.nan, -math.nan]
+        ordinary = [0.5, -3.0, 40.0, -800.0]
+        for values in (
+            around + special + ordinary,
+            ordinary[::-1] + [-v for v in around] + special[::-1],
+            [-v for v in around] + ordinary + [math.nan] + around,
+        ):
+            z = np.array(values)
+            expected = [self.reference(v) for v in values]
+            assert same_bits(sigmoid(z), expected)
+            assert same_bits(sigmoid(z.reshape(-1, 1)), np.reshape(expected, (-1, 1)))
+        # at the threshold the value is still a positive subnormal; past it, 0
+        below, at, past = sigmoid(-np.array(around))
+        assert 0.0 < below and 0.0 < at < 2.0**-1022 and same_bits(past, 0.0)
+
     def test_random_inputs_match_formula(self):
-        # no overflow here, so the whole array takes the fast path
+        # random finite inputs, element by element against the scalar formula
         z = np.random.default_rng(0).normal(0.0, 100.0, size=2000)
         expected = [self.reference(v) for v in z.tolist()]
         assert same_bits(sigmoid(z), expected)

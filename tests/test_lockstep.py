@@ -395,6 +395,113 @@ def test_chunked_draws_equal_scalar_draws(n, chunks, seed):
     assert chunked_rng.bit_generator.state == scalar_rng.bit_generator.state
 
 
+class Ramp(FiniteSumProblem):
+    """n components of gradient -1 in one coordinate: every estimate is -1,
+    so the iterate climbs by its step size each step. From its
+    ``fault_at``-th evaluation at a positive point on, the full gradient
+    there is infinite."""
+
+    def __init__(self, n: int, fault_at: int | None = None):
+        super().__init__(n=n, d=1)
+        self.fault_at, self.positive_resets = fault_at, 0
+
+    def component_value(self, i, x):
+        return -float(x[0])
+
+    def component_gradient(self, i, x):
+        self._check_index(i)
+        return np.array([-1.0])
+
+    def mean_gradient(self, x):
+        if x[0] > 0:
+            self.positive_resets += 1
+            if self.fault_at is not None and self.positive_resets >= self.fault_at:
+                return np.array([math.inf])
+        return np.array([-1.0])
+
+    def metric_gradients(self, points):
+        return -np.ones((len(points), 1))
+
+
+def scalar_draws(algo, steps_taken: int, period: int, batch: int) -> int:
+    """The values a run's first ``steps_taken`` steps draw one at a time:
+    one a step for sgd and AdaGrad-Norm, ``batch`` an inner step otherwise."""
+    if algo in ("sgd", "adagrad_norm"):
+        return steps_taken
+    return (steps_taken - -(-steps_taken // period)) * batch
+
+
+def assert_left_after_scalar_draws(kw, n: int, count: int) -> None:
+    fresh = fresh_rng(kw)
+    for _ in range(count):
+        fresh.integers(n)
+    assert kw["rng"].bit_generator.state == fresh.bit_generator.state
+
+
+def runs_or_group(problem, algo, runs, grouped: bool) -> list:
+    """The outcomes of ``runs`` as one group, or made one at a time with
+    their own generators."""
+    if grouped:
+        return lockstep_run(problem, algo, runs)
+    outcomes = []
+    for kw in runs:
+        try:
+            outcomes.append(getattr(optimizers, f"{algo}_run")(problem, **kw))
+        except NonFiniteGradientError as exc:
+            outcomes.append(exc)
+    return outcomes
+
+
+METHOD_BATCHES = [
+    (algo, batch)
+    for algo in LOCKSTEP_ALGORITHMS
+    for batch in ((1,) if algo in ("sgd", "adagrad_norm") else (1, 3))
+]
+
+
+class TestGeneratorLeftAsScalarDraws:
+    """Index draws come in chunks, but a run leaves its generator where the
+    scalar draws it consumed would, alone or in a group, whether it
+    completed, diverged or met a non-finite reset gradient."""
+
+    @pytest.mark.parametrize("grouped", [False, True])
+    @pytest.mark.parametrize("algo,batch", METHOD_BATCHES)
+    def test_diverged_and_completed_runs(self, algo, batch, grouped):
+        # the first member climbs past the divergence limit within 40 steps
+        problem = Ramp(10)
+        x0s = [np.array([optimizers.DIVERGENCE_LIMIT - 5.0]), np.zeros(1)]
+        runs = group_runs(algo, [1.0, 1.0], x0s, 3, 300, 10, batch)
+        outcomes = runs_or_group(problem, algo, runs, grouped)
+        assert outcomes[0].diverged and 2 < outcomes[0].num_steps < 40
+        assert not outcomes[1].diverged and outcomes[1].num_steps == 300
+        for trace, kw in zip(outcomes, runs):
+            assert_left_after_scalar_draws(kw, 10, scalar_draws(algo, trace.num_steps, 10, batch))
+
+    @pytest.mark.parametrize("grouped", [False, True])
+    @pytest.mark.parametrize(
+        "algo,batch", [(a, b) for a, b in METHOD_BATCHES if a not in ("sgd", "adagrad_norm")]
+    )
+    def test_non_finite_reset(self, algo, batch, grouped):
+        # the first member's fourth reset, at step 30, is not finite
+        problem = Ramp(10, fault_at=4)
+        runs = group_runs(algo, [1e-3, 1e-3], [np.ones(1), np.array([-1e6])], 4, 300, 10, batch)
+        outcomes = runs_or_group(problem, algo, runs, grouped)
+        assert isinstance(outcomes[0], NonFiniteGradientError)
+        assert outcomes[1].num_steps == 300
+        assert_left_after_scalar_draws(runs[0], 10, scalar_draws(algo, 30, 10, batch))
+        assert_left_after_scalar_draws(runs[1], 10, scalar_draws(algo, 300, 10, batch))
+
+    def test_diverged_member_draws_on_as_its_run_alone(self):
+        problem = RegularizedERM(generate_synthetic("quadratic", 50, 5, 0), "squared", 0.1)
+        alone, member = np.random.default_rng(0), np.random.default_rng(0)
+        trace = optimizers.sgd_run(problem, np.ones(5), 1e3, 300, alone)
+        [grouped] = lockstep_run(
+            problem, "sgd", [dict(x0=np.ones(5), eta=1e3, steps=300, rng=member)]
+        )
+        assert trace.diverged_at == grouped.diverged_at == 3
+        assert member.integers(1000) == alone.integers(1000)
+
+
 class SteepWall(FiniteSumProblem):
     """n components of slope 1 in one coordinate. Component i's gradient is
     infinite wherever x <= i - n - 1, so the first non-finite component of

@@ -12,14 +12,16 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
-from mlp_reference import reference_rows
+from mlp_reference import elu_derivative, reference_rows
 
 from adaspider.data import generate_synthetic
 from adaspider.problems import (
     MLPClassificationProblem,
     MLPNet,
     _stacked_forward,
+    _unpack_params,
     kaiming_uniform_scaled_init,
+    logsumexp,
     mlp_forward,
     mlp_loss_and_gradient,
     mlp_param_count,
@@ -141,3 +143,82 @@ def test_training_script_golden_digest(repeats, seed, tmp_path, monkeypatch, cap
     monkeypatch.setattr(sys, "argv", [str(SCRIPT), *argv, "--out", str(out)])
     runpy.run_path(str(SCRIPT), run_name="__main__")
     assert hashlib.sha256(out.read_bytes()).hexdigest() == TRAIN_GOLDEN[repeats, seed]
+
+
+# Per layer (out, in) and where its weight matrix starts in the flat vector,
+# written out by hand; the bias follows its weights.
+LAYOUTS = {
+    (3, 2): [((2, 3), 0)],
+    (20, 16, 16, 4): [((16, 20), 0), ((16, 16), 336), ((4, 16), 608)],
+    (5, 1, 3): [((1, 5), 0), ((3, 1), 6)],  # a width-1 hidden layer
+}
+TOTALS = {(3, 2): 8, (20, 16, 16, 4): 676, (5, 1, 3): 12}
+
+
+@pytest.mark.parametrize("dims", sorted(LAYOUTS))
+def test_layout_views_tile_the_vector_once_in_order(dims):
+    total = TOTALS[dims]
+    assert mlp_param_count(dims) == total
+    flat = np.arange(total, dtype=np.float64)
+    block = np.stack([flat, -flat, 2.0 * flat])
+    layers, stacked = _unpack_params(dims, flat), _unpack_params(dims, block)
+    assert len(layers) == len(stacked) == len(LAYOUTS[dims])
+    pieces = []
+    for (w, b), (ws, bs), ((out, inp), start) in zip(layers, stacked, LAYOUTS[dims]):
+        weights = np.arange(start, start + out * inp, dtype=np.float64).reshape(out, inp)
+        bias = np.arange(start + out * inp, start + out * inp + out, dtype=np.float64)
+        assert same_bits(w, weights) and same_bits(b, bias)
+        assert same_bits(ws, np.stack([weights, -weights, 2.0 * weights]))
+        assert same_bits(bs, np.stack([bias, -bias, 2.0 * bias]))
+        # views, not copies: writes reach the flat vector
+        assert np.shares_memory(w, flat) and np.shares_memory(b, flat)
+        assert np.shares_memory(ws, block) and np.shares_memory(bs, block)
+        pieces += [w.ravel(), b]
+    assert same_bits(np.concatenate(pieces), flat)  # each entry once, in order
+
+
+def test_elu_derivative_is_the_exponential_of_min_z_0():
+    """exp(min(z, 0)), as the backpropagation takes it, is bitwise the
+    two-branch derivative where(z > 0, 1, exp(min(z, 0)))."""
+    tiny = np.finfo(np.float64).smallest_subnormal
+    normal = np.finfo(np.float64).tiny
+    edges = [
+        0.0, -0.0, tiny, -tiny, 3 * tiny, -3 * tiny, normal, -normal,
+        np.nextafter(normal, 0.0), -np.nextafter(normal, 0.0), 1e-300, -1e-300,
+        1.0, -1.0, 709.0, -709.0, -745.0, -746.0, 1e308, -1e308,
+        np.inf, -np.inf, np.nan, -np.nan,
+    ]
+    rng = np.random.default_rng(0)
+    z = np.concatenate(
+        [edges] + [scale * rng.standard_normal(2000) for scale in (1e-300, 1e-3, 1.0, 30.0, 1e3)]
+    )
+    assert same_bits(np.exp(np.minimum(z, 0.0)), elu_derivative(z))
+
+
+def per_row_tail(z: np.ndarray, label: np.ndarray) -> float:
+    """Cross-entropy of one row of logits, one scalar at a time."""
+    m = float(np.max(z))
+    return m + float(np.log(np.sum(np.exp(z - m)))) - float(label @ z)
+
+
+@pytest.mark.parametrize("scale", [1e-3, 0.1, 1.0, 10.0, 100.0, 700.0])
+@pytest.mark.parametrize("classes", [2, 4, 7])
+def test_row_wise_value_tail_equals_the_per_row_tail(scale, classes):
+    """component_values and logsumexp take all rows at once; on this
+    machine's exp and log kernels that is bitwise the tail of one row at a
+    time. A one-layer network with zero weights has its bias as logits, so
+    the rows reach the tail unchanged."""
+    dims = (3, classes)
+    dataset = generate_synthetic("two-cluster-classification", 8, 3, 0, n_classes=classes)
+    problem = MLPClassificationProblem(dataset, dims)
+    logits = scale * np.random.default_rng(classes).standard_normal((500, classes))
+    points = np.zeros((500, problem.d))
+    points[:, 3 * classes :] = logits
+    inputs = problem._features[[0] * len(points)]
+    assert same_bits(_stacked_forward(dims, points, inputs)[1][-1], logits)
+    no_label = np.zeros(classes)
+    assert same_bits(logsumexp(logits), [per_row_tail(z, no_label) for z in logits])
+    for i in range(1, problem.n + 1):
+        label = problem._one_hot[i - 1]
+        expected = [per_row_tail(z, label) for z in logits]
+        assert same_bits(problem.component_values(i, points), expected)
