@@ -9,7 +9,7 @@ from __future__ import annotations
 import sys
 from dataclasses import dataclass
 from itertools import repeat
-from operator import contains
+from operator import contains, ge
 
 import numpy as np
 
@@ -37,11 +37,11 @@ def _frozen_array(name: str, value, dtype) -> np.ndarray:
 def _first_order_violation(indptr: np.ndarray, indices: np.ndarray):
     """(row, position) of the first index that is not above its row
     predecessor (0 before a row's first entry), or None."""
-    prev = np.empty_like(indices)
-    prev[1:] = indices[:-1]
+    bad = np.empty(indices.size, dtype=bool)
+    np.less_equal(indices[1:], indices[:-1], out=bad[1:])
     starts = indptr[:-1][np.diff(indptr) > 0]
-    prev[starts] = 0
-    bad = np.flatnonzero(indices <= prev)
+    bad[starts] = indices[starts] <= 0
+    bad = np.flatnonzero(bad)
     if not bad.size:
         return None
     k = int(bad[0])
@@ -198,47 +198,36 @@ def parse_libsvm(text: str, d: int | None = None) -> Dataset:
     Lines beginning with ``#`` are skipped. The dimension is the maximum
     feature index seen, unless ``d`` overrides it upward. Numbers are read
     with Python's ``int`` and ``float``; errors name the first bad line.
+    Lines are read one at a time into growable typed buffers, which become
+    the dataset's arrays without a copy.
     """
-    lines = text.split("\n")
-    labels: list[float] = []
-    linenos: list[int] = []
-    counts: list[int] = []
-    index_chunks: list[np.ndarray] = []
-    value_chunks: list[np.ndarray] = []
+    from array import array  # a shared library, so only processes that parse load it
+
+    labels, indptr, indices, values = array("d"), array("q", [0]), array("q"), array("d")
     prev_strs, idx = None, None
-
-    def collected():
-        indptr = np.zeros(len(counts) + 1, dtype=np.int64)
-        np.cumsum(counts, out=indptr[1:])
-        indices = (
-            np.concatenate(index_chunks) if index_chunks else np.zeros(0, np.int64)
-        )
-        order = _first_order_violation(indptr, indices)
-        if order is not None:
-            lineno = linenos[order[0]]
-            raise _line_error(lineno, lines[lineno - 1].strip())
-        return indptr, indices
-
-    for lineno, raw in enumerate(lines, start=1):
-        line = raw.strip()
+    start, lineno = 0, 0
+    while start < len(text):
+        end = text.find("\n", start)
+        if end < 0:
+            end = len(text)
+        line = text[start:end].strip()
+        start, lineno = end + 1, lineno + 1
         if not line or line.startswith("#"):
             continue
         try:
             label, idx_strs, val_strs = _parse_line(line)
-            k = len(idx_strs)
             if idx_strs != prev_strs:  # rows often repeat the previous indices
-                idx = np.fromiter(map(int, idx_strs), dtype=np.int64, count=k)
+                idx = array("q", list(map(int, idx_strs)))
+                if any(map(ge, (0, *idx), idx)):  # 1-based, strictly increasing
+                    raise ValueError
                 prev_strs = idx_strs
-            vals = np.fromiter(map(float, val_strs), dtype=np.float64, count=k)
+            values.fromlist(list(map(float, val_strs)))
         except (ValueError, OverflowError):
-            collected()  # an order error on an earlier line comes first
             raise _line_error(lineno, line) from None
         labels.append(label)
-        linenos.append(lineno)
-        counts.append(k)
-        index_chunks.append(idx)
-        value_chunks.append(vals)
-    indptr, indices = collected()
+        indices.extend(idx)
+        indptr.append(len(indices))
+    indices = np.asarray(indices)
     max_index = int(indices.max()) if indices.size else 0
     if d is None:
         d = max_index
@@ -247,7 +236,6 @@ def parse_libsvm(text: str, d: int | None = None) -> Dataset:
             f"requested dimension {d} is below the maximum feature "
             f"index {max_index}; dimension may only be overridden upward"
         )
-    values = np.concatenate(value_chunks) if value_chunks else np.zeros(0)
     return Dataset(indptr=indptr, indices=indices, values=values, labels=labels, d=d)
 
 
@@ -263,22 +251,28 @@ def format_libsvm(dataset: Dataset) -> str:
     """Serialize to LibSVM text. ``parse_libsvm`` of the result round-trips.
 
     Labels and values are written as ``repr`` of the float, so the text
-    is exact. Rows are formatted one at a time, each by one ``str.format``
-    call on a template of its index pattern, which consecutive rows with
-    the same indices (every row of a dense dataset) share.
+    is exact. Rows are read from the arrays one at a time, so the text's
+    lines and the text itself are the only large objects. A row whose
+    indices differ from the previous row's is formatted pair by pair; a
+    run of rows with the same indices (every row of a dense dataset)
+    shares one ``str.format`` template of them.
     """
     bounds = dataset.indptr.tolist()
-    indices = dataset.indices.tolist()
-    values = dataset.values.tolist()
-    pattern, template = None, ""
+    indices, values = dataset.indices, dataset.values
+    pattern, template = None, None
     lines = []
     for label, a, b in zip(dataset.labels.tolist(), bounds, bounds[1:]):
-        columns = indices[a:b]
+        columns, row = indices[a:b].tolist(), values[a:b].tolist()
         if columns != pattern:
-            pattern = columns
+            pattern, template = columns, None
+            pairs = [f" {idx}:{val!r}" for idx, val in zip(columns, row)]
+            lines.append(repr(label) + "".join(pairs))
+            continue
+        if template is None:
             template = "{!r}" + "".join([f" {idx}:{{!r}}" for idx in columns])
-        lines.append(template.format(label, *values[a:b]))
-    return "\n".join(lines) + ("\n" if lines else "")
+        lines.append(template.format(label, *row))
+    lines.append("")  # the join then ends the text with a newline
+    return "\n".join(lines)
 
 
 def scale_features(dataset: Dataset) -> Dataset:

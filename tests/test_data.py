@@ -1,7 +1,10 @@
 """LibSVM parsing, serialization round-trips, synthetic generators."""
 
+import gc
 import hashlib
+import io
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -86,8 +89,6 @@ class TestParsing:
             parse_libsvm("+1 5:1", d=3)
 
     def test_load_from_path_and_stdin(self, tmp_path, monkeypatch):
-        import io
-
         text = "+1 1:0.5\n-1 2:1.5\n"
         path = tmp_path / "tiny.libsvm"
         path.write_text(text)
@@ -366,45 +367,91 @@ class TestCSR:
         assert str(excinfo.value) == expected
 
 
+# (text, d, message): every bad input, with the error each reader must raise
+PARSE_ERROR_CASES = [
+    ("+1 1:1\n-1 oops\n", None, "line 2: malformed feature pair 'oops'"),
+    ("1 1:", None, "line 1: unparseable feature pair '1:'"),
+    ("1 :5", None, "line 1: unparseable feature pair ':5'"),
+    ("1 1:2:3", None, "line 1: unparseable feature pair '1:2:3'"),
+    ("1 x:1", None, "line 1: unparseable feature pair 'x:1'"),
+    # right piece count, wrong pairing: one token has no ':' and another two
+    ("1 5 1:2:3", None, "line 1: malformed feature pair '5'"),
+    ("1 1:1\nabc 1:1", None, "line 2: unparseable label 'abc'"),
+    ("1 0:1", None,
+     "line 1: feature indices must be strictly increasing and 1-based (saw 0 after 0)"),
+    ("1 -3:1", None,
+     "line 1: feature indices must be strictly increasing and 1-based (saw -3 after 0)"),
+    ("1 2:1 2:3", None,
+     "line 1: feature indices must be strictly increasing and 1-based (saw 2 after 2)"),
+    # comment and blank lines still count as lines
+    ("# c\n\n1 1:1\n\n# d\n1 3:1 1:1", None,
+     "line 6: feature indices must be strictly increasing and 1-based (saw 1 after 3)"),
+    ("1 1:1\r\n1 1:1\r\n-1 oops\r\n", None, "line 3: malformed feature pair 'oops'"),
+    # within a line the first bad token wins
+    ("1 3:1 1:1 oops", None,
+     "line 1: feature indices must be strictly increasing and 1-based (saw 1 after 3)"),
+    ("1 2:1 1:x", None, "line 1: unparseable feature pair '1:x'"),
+    # an order error on an earlier line wins over a later parse error
+    ("1 1:1\n1 2:1 2:1\n1 x", None,
+     "line 2: feature indices must be strictly increasing and 1-based (saw 2 after 2)"),
+    ("1 5:1", 3,
+     "requested dimension 3 is below the maximum feature index 5; "
+     "dimension may only be overridden upward"),
+    ("1 1:1\n1 2:1 99999999999999999999:1", None,
+     "line 2: feature index 99999999999999999999 does not fit in 64 bits"),
+    # the same cases as in TestParsing
+    ("+1 3:1 2:1", None,
+     "line 1: feature indices must be strictly increasing and 1-based (saw 2 after 3)"),
+    ("+1 1:abc", None, "line 1: unparseable feature pair '1:abc'"),
+    ("1 1:1\n1 1:1\nnope 1:1", None, "line 3: unparseable label 'nope'"),
+    # an order error on line 2 is reported before an unparseable line 3, and
+    # an unparseable line 2 before an order error on line 3
+    ("1 1:1\n1 3:1 1:1\n1 1:y", None,
+     "line 2: feature indices must be strictly increasing and 1-based (saw 1 after 3)"),
+    ("1 1:1\n1 1:y\n1 3:1 1:1", None, "line 2: unparseable feature pair '1:y'"),
+    # a first index of 0 after good rows
+    ("1 1:1 2:1\n1 0:1 2:1", None,
+     "line 2: feature indices must be strictly increasing and 1-based (saw 0 after 0)"),
+    ("1 2:1\n\n-1 0:2 1:3", None,
+     "line 3: feature indices must be strictly increasing and 1-based (saw 0 after 0)"),
+    # a bad order and a bad token on one line: the first in token order wins
+    ("1 1:1\n1 x:1 3:1 2:1", None, "line 2: unparseable feature pair 'x:1'"),
+    ("1 3:1 2:1 4:z", None,
+     "line 1: feature indices must be strictly increasing and 1-based (saw 2 after 3)"),
+    ("1 oops 3:1 2:1", None, "line 1: malformed feature pair 'oops'"),
+    # CRLF line ends, and no newline after the last line
+    ("1 1:1\r\n1 2:1 2:1\r\n", None,
+     "line 2: feature indices must be strictly increasing and 1-based (saw 2 after 2)"),
+    ("# c\r\n1 1:1\r\nabc 1:1", None, "line 3: unparseable label 'abc'"),
+    ("1 1:1\n1 2:1 1:1", None,
+     "line 2: feature indices must be strictly increasing and 1-based (saw 1 after 2)"),
+    ("1 1:1\n-1 oops", None, "line 2: malformed feature pair 'oops'"),
+]
+
+
 class TestParseErrors:
-    @pytest.mark.parametrize(
-        "text,d,message",
-        [
-            ("+1 1:1\n-1 oops\n", None, "line 2: malformed feature pair 'oops'"),
-            ("1 1:", None, "line 1: unparseable feature pair '1:'"),
-            ("1 :5", None, "line 1: unparseable feature pair ':5'"),
-            ("1 1:2:3", None, "line 1: unparseable feature pair '1:2:3'"),
-            ("1 x:1", None, "line 1: unparseable feature pair 'x:1'"),
-            # right piece count, wrong pairing: one token has no ':' and another two
-            ("1 5 1:2:3", None, "line 1: malformed feature pair '5'"),
-            ("1 1:1\nabc 1:1", None, "line 2: unparseable label 'abc'"),
-            ("1 0:1", None,
-             "line 1: feature indices must be strictly increasing and 1-based (saw 0 after 0)"),
-            ("1 -3:1", None,
-             "line 1: feature indices must be strictly increasing and 1-based (saw -3 after 0)"),
-            ("1 2:1 2:3", None,
-             "line 1: feature indices must be strictly increasing and 1-based (saw 2 after 2)"),
-            # comment and blank lines still count as lines
-            ("# c\n\n1 1:1\n\n# d\n1 3:1 1:1", None,
-             "line 6: feature indices must be strictly increasing and 1-based (saw 1 after 3)"),
-            ("1 1:1\r\n1 1:1\r\n-1 oops\r\n", None, "line 3: malformed feature pair 'oops'"),
-            # within a line the first bad token wins
-            ("1 3:1 1:1 oops", None,
-             "line 1: feature indices must be strictly increasing and 1-based (saw 1 after 3)"),
-            ("1 2:1 1:x", None, "line 1: unparseable feature pair '1:x'"),
-            # an order error on an earlier line wins over a later parse error
-            ("1 1:1\n1 2:1 2:1\n1 x", None,
-             "line 2: feature indices must be strictly increasing and 1-based (saw 2 after 2)"),
-            ("1 5:1", 3,
-             "requested dimension 3 is below the maximum feature index 5; "
-             "dimension may only be overridden upward"),
-            ("1 1:1\n1 2:1 99999999999999999999:1", None,
-             "line 2: feature index 99999999999999999999 does not fit in 64 bits"),
-        ],
-    )
+    @pytest.mark.parametrize("text,d,message", PARSE_ERROR_CASES)
     def test_message_and_line_number(self, text, d, message):
         with pytest.raises(ValueError) as excinfo:
             parse_libsvm(text, d=d)
+        assert str(excinfo.value) == message
+
+    @pytest.mark.parametrize("reader", ["path", "stdin"])
+    @pytest.mark.parametrize("text,d,message", PARSE_ERROR_CASES)
+    def test_every_reader_gives_the_same_error(
+        self, text, d, message, reader, tmp_path, monkeypatch
+    ):
+        data = text.encode()
+        if reader == "path":
+            path = tmp_path / "bad.libsvm"
+            path.write_bytes(data)  # CRLF kept on disk
+            source = str(path)
+        else:  # a POSIX stdin splits lines at "\n" only and keeps "\r"
+            stdin = io.TextIOWrapper(io.BytesIO(data), encoding="utf-8", newline="\n")
+            monkeypatch.setattr("sys.stdin", stdin)
+            source = "-"
+        with pytest.raises(ValueError) as excinfo:
+            load_libsvm(source, d=d)
         assert str(excinfo.value) == message
 
     def test_python_number_syntax_accepted(self):
@@ -451,10 +498,34 @@ def sparse_fixture_text() -> str:
     return "\n".join(lines) + "\n"
 
 
+def sparse_random_dataset() -> Dataset:
+    """300 half-filled rows over 40 features: random index patterns, a
+    run of 51 rows with one pattern, 10 empty rows, values over 40 decades."""
+    rng = np.random.default_rng(11)
+    mask = rng.random((300, 40)) < 0.5
+    mask[100:150] = mask[99]
+    mask[200:210] = False
+    counts = mask.sum(axis=1)
+    nnz = int(counts.sum())
+    return Dataset(
+        indptr=np.concatenate([[0], np.cumsum(counts)]),
+        indices=np.nonzero(mask)[1] + 1,
+        values=rng.standard_normal(nnz) * 10.0 ** rng.integers(-20, 21, nnz),
+        labels=rng.standard_normal(300),
+        d=40,
+    )
+
+
 class TestGolden:
     @pytest.mark.parametrize("args,digest", FORMAT_DIGESTS)
     def test_synthetic_export_bytes(self, args, digest):
         assert sha256(format_libsvm(generate_synthetic(*args))) == digest
+
+    def test_sparse_random_export_bytes(self):
+        # rows of differing patterns are written pair by pair, a run of
+        # repeated patterns through one shared template
+        text = format_libsvm(sparse_random_dataset())
+        assert sha256(text) == "06e588805d3eb71d43a2384279b848acd8866ed7fa5f857a51b02f9ba08158a0"
 
     def test_hand_made_export_bytes(self):
         ds = csr(
@@ -504,3 +575,37 @@ class TestGolden:
         assert again == ds
         assert again.values.tobytes() == ds.values.tobytes()
         assert again.labels.tobytes() == ds.labels.tobytes()
+
+
+def traced_peak(fn, arg):
+    """(fn(arg), the peak of memory fn allocated beyond what was live)."""
+    gc.collect()
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        live = tracemalloc.get_traced_memory()[0]
+        result = fn(arg)
+        peak = tracemalloc.get_traced_memory()[1] - live
+    finally:
+        tracemalloc.stop()
+    return result, peak
+
+
+class TestMemory:
+    """Export and import peaks, relative to the size of the text."""
+
+    def test_format_peak_is_about_twice_the_text(self):
+        ds = generate_synthetic("quadratic", 2000, 50, 0)
+        text, peak = traced_peak(format_libsvm, ds)
+        # the lines and their join, 2.1x; whole-dataset lists of the values
+        # and a second copy of the text read 4.8x
+        assert peak <= 2.5 * len(text), peak / len(text)
+
+    def test_parse_peak_is_about_the_text(self):
+        ds = generate_synthetic("quadratic", 2000, 50, 0)
+        text = format_libsvm(ds)
+        again, peak = traced_peak(parse_libsvm, text)
+        assert again == ds
+        # the arrays (0.71x the text here) and buffer slack, 0.82x; a split
+        # copy of the text and per-row value chunks read 2.7x
+        assert peak <= 1.6 * len(text), peak / len(text)
