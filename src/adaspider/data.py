@@ -240,10 +240,11 @@ def parse_libsvm(text: str, d: int | None = None) -> Dataset:
 
 
 def load_libsvm(path: str, d: int | None = None) -> Dataset:
-    """Read LibSVM data from a file path, or standard input when path is '-'."""
+    """Read LibSVM data from a file path, or standard input when path is '-'.
+    Only "\n" ends a line, as in ``parse_libsvm``."""
     if path == "-":
         return parse_libsvm(sys.stdin.read(), d=d)
-    with open(path, "r", encoding="utf-8") as fh:
+    with open(path, "r", encoding="utf-8", newline="\n") as fh:
         return parse_libsvm(fh.read(), d=d)
 
 

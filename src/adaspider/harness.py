@@ -23,9 +23,11 @@ from .data import generate_synthetic, load_libsvm, scale_features
 # run_algorithm calls the *_run names through this module's namespace, so
 # that a wrapper installed on harness.<name>_run is the one that runs.
 from .optimizers import (  # noqa: F401
+    _METHODS,
     AdaSpiderConfig,
     EpochRow,
     RunTrace,
+    _Method,
     adagrad_norm_run,
     adaspider_run,
     ceil_sqrt,
@@ -51,16 +53,6 @@ class ConfigError(ValueError):
     """Invalid experiment configuration; raised before any run starts."""
 
 
-# Per estimator: (period, calls per reset, calls per inner step), from an
-# algorithm's period, inner batch and n. Resets fall on every period-th step
-# from t = 0. A stochastic step is a one-call reset; a SPIDER batch of n or
-# more takes the exact full-gradient difference.
-ESTIMATOR_COSTS = {
-    "stochastic": lambda m, b, n: (1, 1, 0),
-    "SVRG snapshot": lambda m, b, n: (m, n, 2 * b),
-    "SPIDER": lambda m, b, n: (m, n, 2 * min(b, n)),
-}
-
 # Parameter defaults taken from the problem; "L" is its smoothness constant,
 # which a problem may not know (None).
 _PROBLEM_DEFAULTS = {
@@ -72,8 +64,8 @@ _PROBLEM_DEFAULTS = {
 
 @dataclass(frozen=True)
 class Algorithm:
-    """One registry row: an estimator of ESTIMATOR_COSTS, and the parameters
-    of the estimator and of the step rule it is paired with.
+    """One registry row: the parameters of a method of ``optimizers._METHODS``,
+    which builds the method's estimator and step rule from them.
 
     ``params`` maps each key the algorithm reads to (type, default). Every
     value must be positive and finite; a default named in _PROBLEM_DEFAULTS
@@ -81,17 +73,12 @@ class Algorithm:
 
     - ``flags``: the keys that `run` and `sweep` also take as --<key>;
     - ``sweep``: the key a step-size sweep tunes;
-    - ``period``, ``batch``: the keys of the estimator's reset period and
-      inner batch;
     - ``args(p, steps)``: the keyword arguments of ``<name>_run``.
     """
 
-    estimator: str
     params: dict
     flags: tuple = ()
     sweep: str | None = None
-    period: str | None = None
-    batch: str | None = None
     args: Callable = lambda p, steps: dict(p, steps=steps)
 
 
@@ -109,40 +96,35 @@ def _spiderboost_args(p: dict, steps: int) -> dict:
 ALGORITHMS = {
     # the AdaSpider step: parameter-free, so not sweepable
     "adaspider": Algorithm(
-        "SPIDER",
         {"beta0": (float, 1.0), "g0": (float, 1.0), "period": (int, "n"),
          "inner_batch": (int, 1)},
-        flags=("beta0", "g0"), period="period", batch="inner_batch",
+        flags=("beta0", "g0"),
         args=lambda p, steps: {"config": AdaSpiderConfig(steps=steps, **p)},
     ),
     # the eps-tied step
     "spider": Algorithm(
-        "SPIDER",
         {"eps": (float, 0.01), "smoothness": (float, "L"), "period": (int, "n"),
          "inner_batch": (int, 1)},
-        flags=("eps", "smoothness"), sweep="eps", period="period", batch="inner_batch",
+        flags=("eps", "smoothness"), sweep="eps",
         args=lambda p, steps: {"epsilon": p.pop("eps"), **p, "steps": steps},
     ),
     # a constant step: 1/smoothness, or eta when set
     "spiderboost": Algorithm(
-        "SPIDER",
         {"eta": (float, None), "smoothness": (float, "L"),
          "period": (int, "ceil(sqrt(n))"), "batch_size": (int, "ceil(sqrt(n))")},
-        flags=("eta", "smoothness"), sweep="eta", period="period", batch="batch_size",
+        flags=("eta", "smoothness"), sweep="eta",
         args=_spiderboost_args,
     ),
     # a constant step eta
     "svrg": Algorithm(
-        "SVRG snapshot",
         {"eta": (float, 0.01), "epoch_length": (int, "n"), "inner_batch": (int, 1)},
-        flags=("eta",), sweep="eta", period="epoch_length", batch="inner_batch",
+        flags=("eta",), sweep="eta",
     ),
     # a constant step eta
-    "sgd": Algorithm("stochastic", {"eta": (float, 0.01)}, flags=("eta",), sweep="eta"),
+    "sgd": Algorithm({"eta": (float, 0.01)}, flags=("eta",), sweep="eta"),
     # the AdaGrad-Norm step
     "adagrad_norm": Algorithm(
-        "stochastic", {"eta": (float, 0.01), "b0": (float, 1e-4)},
-        flags=("eta",), sweep="eta",
+        {"eta": (float, 0.01), "b0": (float, 1e-4)}, flags=("eta",), sweep="eta"
     ),
 }
 ALGORITHM_NAMES = tuple(ALGORITHMS)
@@ -340,10 +322,15 @@ def check_settings(config: ExperimentConfig) -> None:
         _check_params(spec)
 
 
+def _method(spec: AlgorithmSpec, problem: FiniteSumProblem, steps: int) -> _Method:
+    """The checked description of ``steps`` steps of ``spec``."""
+    row, p = _resolve(spec, problem)
+    return _METHODS[spec.name](problem, **row.args(p, steps))
+
+
 def _costs(spec: AlgorithmSpec, problem: FiniteSumProblem) -> tuple[int, int, int]:
     """(period, calls per reset, calls per inner step) of ``spec``."""
-    row, p = _resolve(spec, problem)
-    return ESTIMATOR_COSTS[row.estimator](p.get(row.period), p.get(row.batch), problem.n)
+    return _method(spec, problem, 1).costs(problem.n)
 
 
 def closed_form_oracle_calls(
@@ -450,8 +437,8 @@ def _lockstep_key(run: tuple, problem: FiniteSumProblem) -> tuple:
     """What runs must share to step together: the method, the step count,
     and the period and inner batch it resolves to."""
     spec, _repeat, _x0, steps, _rng = run
-    row, p = _resolve(spec, problem)
-    return spec.name, steps, p.get(row.period), p.get(row.batch)
+    method = _method(spec, problem, steps)
+    return spec.name, steps, method.period, method.batch
 
 
 # A lockstep group keeps the step records of all its runs until its last

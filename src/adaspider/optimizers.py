@@ -16,7 +16,8 @@ Every method pairs one of three gradient estimators (stochastic, SVRG
 snapshot, SPIDER) with one of four step rules (constant, AdaGrad-Norm, the
 eps-tied SPIDER step, the AdaSpider step above), and all six run the one
 step loop, ``_run_loop``, with the same oracle accounting and trace
-format. ``harness.ALGORITHMS`` lists the pairs.
+format. Each method's ``_METHODS`` entry checks a run's arguments and
+builds its :class:`_Method`; ``harness.ALGORITHMS`` lists the parameters.
 
 Runs of any one method that share a step count, period and inner batch
 can also step together as one (R, d) block of iterates,
@@ -187,7 +188,7 @@ class AdaSpiderConfig:
     beta0 carries units of inverse parameters and G0 units of gradients;
     the defaults of 1 are the untuned, parameter-free setting. ``period``
     defaults to n; ``inner_batch`` averages that many sampled corrections
-    per inner step (an extension, default 1).
+    per inner step (an extension, default 1). A run checks them all.
     """
 
     steps: int
@@ -195,16 +196,6 @@ class AdaSpiderConfig:
     g0: float = 1.0
     period: int | None = None
     inner_batch: int = 1
-
-    def __post_init__(self):
-        if self.steps < 1:
-            raise ValueError("step budget must be at least 1")
-        if self.beta0 <= 0 or self.g0 <= 0:
-            raise ValueError("beta0 and G0 must be positive")
-        if self.period is not None and self.period < 1:
-            raise ValueError("period must be at least 1 when given")
-        if self.inner_batch < 1:
-            raise ValueError("inner batch size must be at least 1")
 
 
 @dataclass
@@ -338,6 +329,15 @@ class _Method:
     def __post_init__(self):
         if self.steps < 1:
             raise ValueError("step budget must be at least 1")
+
+    def costs(self, n: int) -> tuple[int, int, int]:
+        """(period, calls per reset, calls per inner step) on n components:
+        a stochastic step is a one-call reset, and a SPIDER batch of n or
+        more takes the exact full-gradient difference, 2n calls."""
+        if self.estimator == "stochastic":
+            return 1, 1, 0
+        batch = min(self.batch, n) if self.estimator == "spider" else self.batch
+        return self.period, n, 2 * batch
 
     def index_draws(self, n: int) -> int:
         """The sample indices a whole run draws: ``batch`` per inner step,
@@ -685,7 +685,6 @@ _METHODS = {
     "sgd": _sgd_method,
     "adagrad_norm": _adagrad_norm_method,
 }
-LOCKSTEP_ALGORITHMS = tuple(_METHODS)
 
 
 def _row_squares(rows: np.ndarray) -> np.ndarray:
@@ -704,7 +703,7 @@ def lockstep_run(
 ) -> list:
     """R runs of one method stepped together as one (R, d) iterate block.
 
-    ``algo`` is one of LOCKSTEP_ALGORITHMS, and ``runs`` holds the keyword
+    ``algo`` is a key of ``_METHODS``, and ``runs`` holds the keyword
     arguments of R calls of ``<algo>_run`` with the same step count,
     period and inner batch; each call's arguments are checked, in order,
     as that call checks them. Returns, in order, what each call with
@@ -744,7 +743,8 @@ def lockstep_run(
     resets = method.estimator != "stochastic"
     moving = method.estimator == "spider"  # the anchor is the last iterate
     exact = moving and batch >= n
-    cost = 2 * (n if exact else batch) if resets else 1  # per inner step
+    _, reset_cost, inner_cost = method.costs(n)
+    cost = inner_cost if resets else reset_cost  # per sampled step; a stochastic one is a reset
 
     sources = [_Draws(kw["rng"], n, method.index_draws(n), batch) for kw in runs]
     counters = [OracleCounter() for _ in runs]

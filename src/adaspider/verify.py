@@ -24,7 +24,8 @@ import numpy as np
 from .core import FiniteSumProblem
 from .data import generate_synthetic
 from .optimizers import (
-    AdaSpiderConfig, RunTrace, _row_norms, _row_squares, adaspider_run, lockstep_run
+    AdaSpiderConfig, RunTrace, _adaspider_method, _row_norms, _row_squares, adaspider_run,
+    lockstep_run,
 )
 from .problems import QuadraticProblem, RegularizedERM
 
@@ -351,10 +352,10 @@ def _seeded_runs(problem: FiniteSumProblem, x0: np.ndarray, config, seeds, keep_
     The runs step together in :func:`lockstep_run` blocks of up to
     _SEED_BLOCK_COORDS path coordinates, one block for the suite's own
     checks; a run's error is raised at its turn, as the runs made one at a
-    time would raise it.
+    time would raise it. The config is checked first, as every run checks it.
     """
     seeds = list(seeds)
-    size = max(1, _SEED_BLOCK_COORDS // (config.steps * problem.d))
+    size = max(1, _SEED_BLOCK_COORDS // (_adaspider_method(problem, config).steps * problem.d))
     for start in range(0, len(seeds), size):
         runs = [
             dict(x0=x0, config=config, rng=np.random.default_rng(seed))

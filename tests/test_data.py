@@ -88,14 +88,31 @@ class TestParsing:
         with pytest.raises(ValueError, match="upward"):
             parse_libsvm("+1 5:1", d=3)
 
-    def test_load_from_path_and_stdin(self, tmp_path, monkeypatch):
-        text = "+1 1:0.5\n-1 2:1.5\n"
+    # Only "\n" ends a line, whichever reader takes the text: the "\r" of a
+    # "\r\n" ending is trailing whitespace, and a lone "\r" is whitespace
+    # inside a line
+    @pytest.mark.parametrize(
+        "text,error",
+        [
+            ("+1 1:0.5\n-1 2:1.5\n", None),
+            ("+1 1:0.5\r\n-1 2:1.5\r\n", None),
+            ("1 1:1\r1 2:1\n", "line 1: malformed feature pair '1'"),
+        ],
+    )
+    def test_load_from_path_and_stdin(self, tmp_path, monkeypatch, text, error):
         path = tmp_path / "tiny.libsvm"
-        path.write_text(text)
-        from_file = load_libsvm(str(path))
+        path.write_bytes(text.encode())
         monkeypatch.setattr("sys.stdin", io.StringIO(text))
-        from_stdin = load_libsvm("-")
-        assert from_file == from_stdin == parse_libsvm(text)
+        readers = (
+            lambda: load_libsvm(str(path)), lambda: load_libsvm("-"), lambda: parse_libsvm(text)
+        )
+        if error is None:
+            from_file, from_stdin, from_text = (read() for read in readers)
+            assert from_file == from_stdin == from_text == parse_libsvm("+1 1:0.5\n-1 2:1.5\n")
+        else:
+            for read in readers:
+                with pytest.raises(ValueError, match=error):
+                    read()
 
 
 class TestRoundTrip:

@@ -17,9 +17,8 @@ import adaspider.optimizers as optimizers
 from adaspider.cli import main
 from adaspider.core import FiniteSumProblem, NonFiniteGradientError
 from adaspider.data import generate_synthetic
-from adaspider.harness import AlgorithmSpec, closed_form_oracle_calls
+from adaspider.harness import ALGORITHM_NAMES, AlgorithmSpec, closed_form_oracle_calls
 from adaspider.optimizers import (
-    LOCKSTEP_ALGORITHMS,
     AdaSpiderConfig,
     RunTrace,
     lockstep_run,
@@ -183,7 +182,7 @@ class TestGroupEqualsRuns:
     @settings(max_examples=150, deadline=None)
     @given(
         family=st.sampled_from(FAMILIES),
-        algo=st.sampled_from(LOCKSTEP_ALGORITHMS),
+        algo=st.sampled_from(ALGORITHM_NAMES),
         n=st.integers(min_value=1, max_value=12),
         d=st.integers(min_value=1, max_value=4),
         scales=st.lists(st.sampled_from(SCALES), min_size=2, max_size=9),
@@ -256,7 +255,7 @@ class TestGroupEqualsRuns:
         cap = 1.0 / (2.0 * math.sqrt(2) * 1e-200)
         assert all(t.step_sizes[0] == cap for t in traces)
 
-    @pytest.mark.parametrize("algo", LOCKSTEP_ALGORITHMS)
+    @pytest.mark.parametrize("algo", ALGORITHM_NAMES)
     @pytest.mark.parametrize("batch", [1, 3])
     def test_network_of_the_training_script(self, algo, batch):
         # the (20, 16, 16, 4) network, whose blocks are one pass at one
@@ -288,7 +287,7 @@ class TestGroupEqualsRuns:
 
 
 # One bad argument of each run function: (algo, key, value, message). The
-# AdaSpider keys are set on its config after the config's own checks.
+# AdaSpider keys are set on its config, which the run checks.
 BAD_ARGUMENTS = [
     ("sgd", "eta", 0.0, "step size must be positive"),
     ("adagrad_norm", "eta", -1.0, "step size must be positive"),
@@ -307,7 +306,7 @@ BAD_ARGUMENTS = [
     ("adaspider", "g0", -1.0, "beta0 and G0 must be positive"),
     ("adaspider", "period", 0, "full-gradient period must be at least 1"),
     ("adaspider", "inner_batch", 0, "inner batch size must be at least 1"),
-    *[(algo, "steps", 0, "step budget must be at least 1") for algo in LOCKSTEP_ALGORITHMS],
+    *[(algo, "steps", 0, "step budget must be at least 1") for algo in ALGORITHM_NAMES],
     ("spider", "x0", [math.nan, 0.0], "parameter vector contains non-finite entries"),
     ("sgd", "x0", [0.0], "expected dimension 2, got 1"),
 ]
@@ -454,7 +453,7 @@ def runs_or_group(problem, algo, runs, grouped: bool) -> list:
 
 METHOD_BATCHES = [
     (algo, batch)
-    for algo in LOCKSTEP_ALGORITHMS
+    for algo in ALGORITHM_NAMES
     for batch in ((1,) if algo in ("sgd", "adagrad_norm") else (1, 3))
 ]
 

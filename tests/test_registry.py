@@ -18,7 +18,6 @@ from adaspider.cli import PARAM_FLAGS, main
 from adaspider.harness import (
     ALGORITHM_NAMES,
     ALGORITHMS,
-    ESTIMATOR_COSTS,
     AlgorithmSpec,
     ConfigError,
     ExperimentConfig,
@@ -34,14 +33,26 @@ from adaspider.optimizers import RunTrace
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 
+# Per algorithm, the parameter keys of its estimator's reset period and inner
+# batch; the stochastic methods have neither.
+PERIOD_AND_BATCH_KEYS = {
+    "adaspider": ("period", "inner_batch"),
+    "spider": ("period", "inner_batch"),
+    "spiderboost": ("period", "batch_size"),
+    "svrg": ("epoch_length", "inner_batch"),
+    "sgd": (None, None),
+    "adagrad_norm": (None, None),
+}
+
+# The README's label of each `_Method.estimator`.
+ESTIMATOR_LABELS = {"spider": "SPIDER", "svrg": "SVRG snapshot", "stochastic": "stochastic"}
+
 
 def spec_with(name, period=None, batch=None):
-    row = ALGORITHMS[name]
     params = {}
-    if row.period is not None and period is not None:
-        params[row.period] = period
-    if row.batch is not None and batch is not None:
-        params[row.batch] = batch
+    for key, value in zip(PERIOD_AND_BATCH_KEYS[name], (period, batch)):
+        if key is not None and value is not None:
+            params[key] = value
     return AlgorithmSpec(name=name, params=params)
 
 
@@ -236,12 +247,11 @@ class TestWrappedNames:
             monkeypatch.setattr(optimizers, attr, recording)
         problem = build_problem(ProblemSpec(n=8, d=2))
         run_algorithm(AlgorithmSpec(name), problem, np.zeros(2), 10, np.random.default_rng(0))
-        estimator = ALGORITHMS[name].estimator
-        if estimator == "SPIDER":
-            period = harness._costs(AlgorithmSpec(name), problem)[0]
+        method = harness._method(AlgorithmSpec(name), problem, 10)
+        if method.estimator == "spider":
             assert counts["spider_estimator_update"] == 10
-            assert counts["full_gradient"] == -(-10 // period)  # one per reset
-        elif estimator == "SVRG snapshot":
+            assert counts["full_gradient"] == -(-10 // method.period)  # one per reset
+        elif method.estimator == "svrg":
             assert counts == {"spider_estimator_update": 0, "full_gradient": 2}
         else:
             assert counts == {"spider_estimator_update": 0, "full_gradient": 0}
@@ -324,25 +334,31 @@ def readme_table_rows() -> dict:
 def test_readme_table_matches_registry():
     rows = readme_table_rows()
     assert list(rows) == list(ALGORITHMS)
+    assert tuple(optimizers._METHODS) == ALGORITHM_NAMES == tuple(PERIOD_AND_BATCH_KEYS)
+    problems = {n: build_problem(ProblemSpec(n=n, d=2, data_seed=n)) for n in (1, 2, 5, 16)}
     for name, row in ALGORITHMS.items():
         # the step-rule cell is prose; each row's comment in harness.py names it
         estimator, _step_rule, params, sweep, *costs = rows[name]
-        assert estimator == row.estimator
+        period_key, batch_key = PERIOD_AND_BATCH_KEYS[name]
+        built = harness._method(spec_with(name, 3, 5), problems[16], 1)
+        assert estimator == ESTIMATOR_LABELS[built.estimator]
+        assert (built.period, built.batch) == ((3, 5) if period_key else (1, 1))
         assert params == ", ".join(
             f"`{key}: {kind.__name__}" + ("`" if default is None else f" = {default}`")
             for key, (kind, default) in row.params.items()
         )
         assert sweep == (f"`{row.sweep}`" if row.sweep else "none")
         # the cost cells are formulas in n and the row's period and batch keys
-        for n in (1, 2, 5, 16):
+        for n, problem in problems.items():
             for period in (1, 3, 7):
                 for batch in (1, 4, 20):
-                    env = {"n": n, str(row.period): period, str(row.batch): batch}
+                    env = {"n": n, str(period_key): period, str(batch_key): batch}
                     stated = tuple(
                         eval(cell.strip("`"), {"__builtins__": {}, "min": min}, env)
                         for cell in costs
                     )
-                    assert stated == ESTIMATOR_COSTS[row.estimator](period, batch, n)
+                    spec = spec_with(name, period, batch)
+                    assert stated == harness._costs(spec, problem)
 
 
 def test_readme_names_every_parameter_flag():

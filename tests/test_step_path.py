@@ -164,8 +164,7 @@ class TestHoistedStepSize:
 
     def test_run_validates_inputs_once_up_front(self):
         problem = RegularizedERM(generate_synthetic("separable-logistic", 5, 2, 0))
-        config = AdaSpiderConfig(steps=3)
-        config.beta0 = -1.0  # bypasses the config's own check
+        config = AdaSpiderConfig(steps=3, beta0=-1.0)  # the run checks its config
         with pytest.raises(ValueError, match="beta0"):
             adaspider_run(problem, np.zeros(2), config, np.random.default_rng(0))
 

@@ -316,9 +316,19 @@ class TestRateScaling:
             trace = adaspider_run(problem, start, config, np.random.default_rng(0))
             assert trace.diverged_at == 23
 
-    def test_nonpositive_budget_rejected(self):
-        with pytest.raises(ValueError, match="at least 1"):
-            check_rate_scaling(default_rate_problem(), (0, 10, 100), seeds=())
+    @pytest.mark.parametrize(
+        "check",
+        [
+            lambda: check_rate_scaling(default_rate_problem(), (0, 10, 100), seeds=()),
+            lambda: check_cumulative_variance(
+                default_variance_problem(0), AdaSpiderConfig(steps=0), seeds=range(1, 61)
+            ),
+        ],
+        ids=["rate", "variance"],
+    )
+    def test_nonpositive_budget_rejected(self, check):
+        with pytest.raises(ValueError, match="step budget must be at least 1"):
+            check()
 
     def test_single_component_quadratic_fast_decay(self):
         # n=1 makes the run exact gradient descent; decay beats -1/2 easily
