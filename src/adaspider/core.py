@@ -20,10 +20,6 @@ from typing import Callable
 
 import numpy as np
 
-# Dense double-precision decision vector. Parameters are always dense;
-# only data features (module `data`) are sparse.
-ParamVector = np.ndarray
-
 
 def as_param_vector(values, d: int | None = None) -> np.ndarray:
     """Validate and return a finite float64 1-d parameter vector."""

@@ -245,6 +245,14 @@ def _require_integer(field_name: str, value) -> None:
         raise ConfigError(f"{field_name} must be an integer, got {value!r}")
 
 
+def _require(field_name: str, value, kinds, what: str):
+    """``value``, once it is one of ``kinds``, and a bool only where ``kinds``
+    is bool."""
+    if not isinstance(value, kinds) or (isinstance(value, bool) and kinds is not bool):
+        raise ConfigError(f"{field_name} must be {what}, got {value!r}")
+    return value
+
+
 def _check_params(spec: AlgorithmSpec) -> Algorithm:
     """``spec``'s registry row, once every configured parameter, in order,
     is one the algorithm reads, of its type, positive and finite."""
@@ -257,8 +265,8 @@ def _check_params(spec: AlgorithmSpec) -> Algorithm:
         field_name = f"{spec.name}: parameter {key!r}"
         if row.params[key][0] is int:
             _require_integer(field_name, value)
-        elif isinstance(value, bool) or not isinstance(value, numbers.Real):
-            raise ConfigError(f"{field_name} must be a number, got {value!r}")
+        else:
+            _require(field_name, value, numbers.Real, "a number")
         if not 0 < value < math.inf:
             raise ConfigError(f"{field_name} must be positive and finite, got {value!r}")
     return row
@@ -305,6 +313,11 @@ def check_settings(config: ExperimentConfig) -> None:
         raise ConfigError(
             f"problem.data_seed must be non-negative, got {config.problem.data_seed!r}"
         )
+    for field_name, value in (("problem.path", config.problem.path), ("out", config.out)):
+        _require(field_name, value, (str, type(None)), "a string")
+    for name in ("lam", "c_init"):
+        _require(f"problem.{name}", getattr(config.problem, name), numbers.Real, "a number")
+    _require("problem.scale", config.problem.scale, bool, "true or false")
     dims = config.problem.layer_dims
     for dim in dims:
         _require_integer("problem.layer_dims entry", dim)
@@ -592,13 +605,11 @@ def config_from_dict(doc: dict) -> ExperimentConfig:
     unknown = set(doc) - {f.name for f in fields(ExperimentConfig)}
     if unknown:
         raise ConfigError(f"unknown config fields: {sorted(unknown)}")
-    prob_doc = dict(doc.get("problem", {}))
+    prob_doc = dict(_require("problem", doc.get("problem", {}), dict, "a JSON object"))
     if "lambda" in prob_doc:
         prob_doc["lam"] = prob_doc.pop("lambda")
     if "layer_dims" in prob_doc:
-        dims = prob_doc["layer_dims"]
-        if not isinstance(dims, (list, tuple)):
-            raise ConfigError(f"problem.layer_dims must be a list, got {dims!r}")
+        dims = _require("problem.layer_dims", prob_doc["layer_dims"], (list, tuple), "a list")
         prob_doc["layer_dims"] = tuple(_as_int(v) for v in dims)
     for name in ("n", "d", "data_seed"):
         if name in prob_doc:
@@ -608,14 +619,14 @@ def config_from_dict(doc: dict) -> ExperimentConfig:
         raise ConfigError(f"unknown problem fields: {sorted(unknown)}")
     problem = ProblemSpec(**prob_doc)
     algorithms = []
-    for entry in doc.get("algorithms", []):
-        entry = dict(entry)
+    for entry in _require("algorithms", doc.get("algorithms", []), list, "a list"):
+        entry = dict(_require("algorithms entry", entry, dict, "a JSON object"))
         name = entry.pop("name", None)
         if name is None:
             raise ConfigError("every algorithm entry needs a 'name'")
-        params = entry.pop("params", {})
-        params.update(entry)
-        algorithms.append(AlgorithmSpec(name=name, params=params))
+        _require("algorithm name", name, str, "a string")
+        params = _require(f"{name}: params", entry.pop("params", {}), dict, "a JSON object")
+        algorithms.append(AlgorithmSpec(name=name, params={**params, **entry}))
     # integer fields are converted only when integral; any other value stays
     # as given, for check_settings to name
     return ExperimentConfig(

@@ -14,16 +14,14 @@ every step length by 1/beta0.
 
 Every method pairs one of three gradient estimators (stochastic, SVRG
 snapshot, SPIDER) with one of four step rules (constant, AdaGrad-Norm, the
-eps-tied SPIDER step, the AdaSpider step above), and all six run the one
-step loop, ``_run_loop``, with the same oracle accounting and trace
-format. Each method's ``_METHODS`` entry checks a run's arguments and
-builds its :class:`_Method`; ``harness.ALGORITHMS`` lists the parameters.
-
-Runs of any one method that share a step count, period and inner batch
-can also step together as one (R, d) block of iterates,
-:func:`lockstep_run`, with traces bitwise equal to the runs made one at a
-time; each run keeps its own rng stream, oracle counter and step size,
-and its arguments are checked as its run function checks them.
+eps-tied SPIDER step, the AdaSpider step above). Each method's
+``_METHODS`` entry checks a run's arguments and builds its
+:class:`_Method`, which both step loops read; ``harness.ALGORITHMS`` lists
+the parameters. Group size chooses the loop: a run alone steps in
+``_run_loop``, and runs of one method that share a step count, period and
+inner batch step together as one (R, d) block of iterates in
+:func:`lockstep_run`, with traces bitwise equal to the runs made alone;
+each keeps its own rng stream, oracle counter and step size.
 """
 
 from __future__ import annotations
@@ -238,71 +236,6 @@ class RunTrace:
         return len(self.step_sizes)
 
 
-def _run_loop(
-    problem: FiniteSumProblem,
-    algo: str,
-    x0: np.ndarray,
-    steps: int,
-    counter: OracleCounter,
-    estimate,
-    step_size,
-    keep_path: bool,
-) -> RunTrace:
-    """The one step loop of every method: g = estimate(x, t), gamma =
-    step_size(g, ||g||), x <- x - gamma * g, for ``steps`` steps or until x
-    diverges; ``estimate`` charges its oracle calls to ``counter``.
-
-    At the top of a step an epoch row is logged if the charged calls have
-    completed another full pass; a diverged iterate gets a last row with
-    infinite loss and gradient norm, and ends the run.
-    """
-    n = problem.n
-    x = as_param_vector(x0, problem.d)
-    step_sizes, est_norms, calls, rows, points, iterates, estimates = ([] for _ in range(7))
-    gamma, last_epoch, diverged_at = 0.0, -1, None
-
-    def log_row(x, loss, grad_norm):
-        # the row's step size is the last one taken
-        done = counter.component_calls
-        rows.append(EpochRow(done // n, done, loss, grad_norm, gamma))
-        points.append(np.array(x, copy=True))
-
-    for t in range(steps):
-        epoch = counter.component_calls // n
-        if epoch > last_epoch:
-            loss = problem.value(x)
-            log_row(x, loss, float(np.linalg.norm(problem.metric_gradient(x))))
-            last_epoch = epoch
-        if keep_path:
-            iterates.append(np.array(x, copy=True))
-        g = estimate(x, t)
-        norm = _vector_norm(g)
-        gamma = step_size(g, norm)
-        x = x - gamma * g
-        step_sizes.append(gamma)
-        est_norms.append(norm)
-        calls.append(counter.component_calls)
-        if keep_path:
-            estimates.append(np.array(g, copy=True))
-        if _diverged(x):
-            diverged_at = t
-            log_row(x, float("inf"), float("inf"))
-            break
-    return RunTrace(
-        algo=algo,
-        step_sizes=np.asarray(step_sizes),
-        estimator_norms=np.asarray(est_norms),
-        oracle_calls=np.asarray(calls, dtype=np.int64),
-        epoch_rows=rows,
-        epoch_points=points,
-        x_final=np.array(x, copy=True),
-        diverged=diverged_at is not None,
-        diverged_at=diverged_at,
-        iterates=np.stack(iterates) if iterates else None,
-        estimates=np.stack(estimates) if estimates else None,
-    )
-
-
 @dataclass(frozen=True)
 class _Method:
     """One run's arguments as both step loops read them, once checked.
@@ -477,91 +410,97 @@ class _Draws:
             self.rng.integers(self.n, size=served)
 
 
-# The three estimators. Each returns estimate(x, t), which makes the step's
-# rng draws and charges its oracle calls to ``counter``.
+def _run_loop(problem, algo: str, x0, rng, keep_path: bool, method: _Method) -> RunTrace:
+    """The step loop of a run alone: g is ``method``'s estimate at x, gamma
+    its step rule's size, x <- x - gamma * g, for ``method.steps`` steps or
+    until x diverges. Calls are charged to a new counter; indices come from
+    :class:`_Draws`, settled when the run ends, so ``rng`` ends where the
+    run's scalar draws leave it.
 
-
-def _stochastic(problem: FiniteSumProblem, rng, counter: OracleCounter):
-    """One uniformly drawn component gradient per step; charges 1."""
-
-    def estimate(x, t):
-        i = int(rng.integers(problem.n)) + 1
-        grad = problem.component_gradient(i, x)
-        counter.charge(1)
-        return grad
-
-    return estimate
-
-
-def _svrg(problem: FiniteSumProblem, rng, counter: OracleCounter, epoch_length, inner_batch):
-    """Every ``epoch_length`` steps the iterate becomes the snapshot y with
-    stored full gradient mu (charging n), and the estimate is mu itself; in
-    between, grad f_i(x) - grad f_i(y) + mu averaged over ``inner_batch``
-    sampled components (charging 2 per sample)."""
-    snapshot = snapshot_grad = None
-
-    def estimate(x, t):
-        nonlocal snapshot, snapshot_grad
-        if t % epoch_length == 0:
-            snapshot = np.array(x, copy=True)
-            snapshot_grad = full_gradient(problem, snapshot, counter)
-            return snapshot_grad
-        correction = _sampled_correction(problem, x, snapshot, inner_batch, rng, counter)
-        return correction + snapshot_grad
-
-    return estimate
-
-
-def _step_rule(method: _Method, state: SpiderEstimatorState | None):
-    """``method``'s step rule for one run: step_size(g, ||g||) -> gamma."""
-    if method.rule == "constant":
-        (eta,) = method.coeffs
-        return lambda g, norm: eta
-    if method.rule == "eps":
-        eps, lsn, cap = method.coeffs
-
-        def step_size(g, norm):
-            denom = lsn * norm
-            if norm == 0.0 or denom == 0.0:  # eps / denom would be +inf
-                return cap
-            return min(eps / denom, cap)
-
-        return step_size
-    eta, scale, offset = method.coeffs
-    if state is not None:  # the SPIDER estimator keeps the sum of squared norms
-        return lambda g, norm: eta / (scale * math.sqrt(offset + state.grad_norm_accum))
-    accum = 0.0
-
-    def step_size(g, norm):
-        nonlocal accum
-        accum += float(g @ g)
-        return eta / (scale * math.sqrt(offset + accum))
-
-    return step_size
-
-
-def _run(problem, algo: str, x0, rng, keep_path: bool, method: _Method) -> RunTrace:
-    """One run of ``method`` on :func:`_run_loop`, charged to a new counter.
-    Its sample indices come from :class:`_Draws`, which the run settles when
-    it ends, so ``rng`` ends where the run's scalar draws leave it."""
+    A "stochastic" estimate is one sampled component gradient (charging 1).
+    Every ``period`` steps "svrg" makes x its snapshot y and takes y's full
+    gradient mu (charging n); in between, grad f_i(x) - grad f_i(y) + mu
+    averaged over ``batch`` samples (charging 2 each). "spider" is
+    :func:`spider_estimator_update`. An epoch row is logged at the top of a
+    step if the charged calls have completed another full pass; a diverged
+    iterate gets a last row with infinite loss and gradient norm.
+    """
+    n = problem.n
     counter = OracleCounter()
-    draws = _Draws(rng, problem.n, method.index_draws(problem.n), method.batch)
-    state = None
-    if method.estimator == "stochastic":
-        estimate = _stochastic(problem, draws, counter)
-    elif method.estimator == "svrg":
-        estimate = _svrg(problem, draws, counter, method.period, method.batch)
+    draws = _Draws(rng, n, method.index_draws(n), method.batch)
+    estimator, period, batch, rule = method.estimator, method.period, method.batch, method.rule
+    state = SpiderEstimatorState(period=period) if estimator == "spider" else None
+    if rule == "constant":
+        (eta,) = method.coeffs
+    elif rule == "eps":
+        eps, lsn, cap = method.coeffs
     else:
-        state, batch = SpiderEstimatorState(period=method.period), method.batch
+        eta, scale, offset = method.coeffs
+    x = as_param_vector(x0, problem.d)
+    step_sizes, est_norms, calls, rows, points, iterates, estimates = ([] for _ in range(7))
+    gamma, accum, last_epoch, diverged_at = 0.0, 0.0, -1, None
+    y = mu = None  # the SVRG snapshot and its full gradient
 
-        def estimate(x, t):
-            return spider_estimator_update(state, problem, x, draws, counter, batch_size=batch)
+    def log_row(x, loss, grad_norm):
+        # the row's step size is the last one taken
+        done = counter.component_calls
+        rows.append(EpochRow(done // n, done, loss, grad_norm, gamma))
+        points.append(np.array(x, copy=True))
 
-    step_size = _step_rule(method, state)
     try:
-        return _run_loop(problem, algo, x0, method.steps, counter, estimate, step_size, keep_path)
+        for t in range(method.steps):
+            epoch = counter.component_calls // n
+            if epoch > last_epoch:
+                loss = problem.value(x)
+                log_row(x, loss, float(np.linalg.norm(problem.metric_gradient(x))))
+                last_epoch = epoch
+            if keep_path:
+                iterates.append(np.array(x, copy=True))
+            if state is not None:
+                g = spider_estimator_update(state, problem, x, draws, counter, batch_size=batch)
+            elif estimator == "stochastic":
+                g = problem.component_gradient(int(draws.integers(n)) + 1, x)
+                counter.charge(1)
+            elif t % period == 0:
+                y = np.array(x, copy=True)
+                g = mu = full_gradient(problem, y, counter)
+            else:
+                g = _sampled_correction(problem, x, y, batch, draws, counter) + mu
+            norm = _vector_norm(g)
+            if rule == "constant":
+                gamma = eta
+            elif rule == "eps":
+                denom = lsn * norm  # eps / denom would be +inf at zero
+                gamma = cap if norm == 0.0 or denom == 0.0 else min(eps / denom, cap)
+            else:
+                # the SPIDER estimator keeps the sum of squared norms
+                accum = state.grad_norm_accum if state is not None else accum + float(g @ g)
+                gamma = eta / (scale * math.sqrt(offset + accum))
+            x = x - gamma * g
+            step_sizes.append(gamma)
+            est_norms.append(norm)
+            calls.append(counter.component_calls)
+            if keep_path:
+                estimates.append(np.array(g, copy=True))
+            if _diverged(x):
+                diverged_at = t
+                log_row(x, float("inf"), float("inf"))
+                break
     finally:
         draws.settle(draws.pos)
+    return RunTrace(
+        algo=algo,
+        step_sizes=np.asarray(step_sizes),
+        estimator_norms=np.asarray(est_norms),
+        oracle_calls=np.asarray(calls, dtype=np.int64),
+        epoch_rows=rows,
+        epoch_points=points,
+        x_final=np.array(x, copy=True),
+        diverged=diverged_at is not None,
+        diverged_at=diverged_at,
+        iterates=np.stack(iterates) if iterates else None,
+        estimates=np.stack(estimates) if estimates else None,
+    )
 
 
 def adaspider_run(
@@ -580,7 +519,7 @@ def adaspider_run(
     re-implementation with the same rng reproduces the run exactly.
     """
     method = _adaspider_method(problem, config)
-    return _run(problem, "adaspider", x0, rng, keep_path, method)
+    return _run_loop(problem, "adaspider", x0, rng, keep_path, method)
 
 
 def spider_run(
@@ -603,7 +542,7 @@ def spider_run(
     knob, default 1.
     """
     method = _spider_method(problem, epsilon, smoothness, steps, period, inner_batch)
-    return _run(problem, "spider", x0, rng, keep_path, method)
+    return _run_loop(problem, "spider", x0, rng, keep_path, method)
 
 
 def ceil_sqrt(n: int) -> int:
@@ -626,7 +565,7 @@ def spiderboost_run(
     mini-batched corrections of size ceil(sqrt(n)) in between, step 1/L.
     """
     method = _spiderboost_method(problem, smoothness, steps, period, batch_size)
-    return _run(problem, "spiderboost", x0, rng, keep_path, method)
+    return _run_loop(problem, "spiderboost", x0, rng, keep_path, method)
 
 
 def svrg_run(
@@ -640,10 +579,10 @@ def svrg_run(
     inner_batch: int = 1,
     keep_path: bool = False,
 ) -> RunTrace:
-    """Snapshot-corrected stochastic steps (:func:`_svrg`, epoch length n
-    by default) with constant step size ``eta``."""
+    """Snapshot-corrected stochastic steps (epoch length n by default) with
+    constant step size ``eta``."""
     method = _svrg_method(problem, eta, epoch_length, steps, inner_batch)
-    return _run(problem, "svrg", x0, rng, keep_path, method)
+    return _run_loop(problem, "svrg", x0, rng, keep_path, method)
 
 
 def sgd_run(
@@ -656,7 +595,7 @@ def sgd_run(
     keep_path: bool = False,
 ) -> RunTrace:
     """Plain stochastic gradient descent, one component per step."""
-    return _run(problem, "sgd", x0, rng, keep_path, _sgd_method(problem, eta, steps))
+    return _run_loop(problem, "sgd", x0, rng, keep_path, _sgd_method(problem, eta, steps))
 
 
 def adagrad_norm_run(
@@ -672,7 +611,7 @@ def adagrad_norm_run(
     """Stochastic gradients scaled by the inverse root of their running
     squared-norm sum; the accumulator includes the current norm."""
     method = _adagrad_norm_method(problem, eta, b0, steps)
-    return _run(problem, "adagrad_norm", x0, rng, keep_path, method)
+    return _run_loop(problem, "adagrad_norm", x0, rng, keep_path, method)
 
 
 # Every method's runs can step together in :func:`lockstep_run`, which

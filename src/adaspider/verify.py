@@ -510,6 +510,9 @@ def check_rate_scaling(
         raise ValueError("budget grid must be strictly increasing")
     if t_grid[0] < 1:
         raise ValueError("step budget must be at least 1")
+    seeds = tuple(seeds)
+    if not seeds:
+        raise ValueError("rate fit needs at least one seed")
     if x0 is None:
         x0 = np.zeros(problem.d)
     config = AdaSpiderConfig(steps=t_grid[-1], beta0=beta0, g0=g0)

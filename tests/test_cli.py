@@ -140,6 +140,9 @@ class TestRun:
             ("problem.layer_dims", {"loss": "mlp", "n": 5, "layer_dims": [4, -3, 2]}),
             ("problem.layer_dims", {"loss": "mlp", "n": 5, "layer_dims": []}),
             ("problem.data_seed", {"n": 8, "d": 2, "data_seed": -1}),
+            ("problem.path", {"path": 5}),
+            ("problem.lam", {"n": 8, "d": 2, "lam": "x"}),
+            ("problem.scale", {"n": 8, "d": 2, "scale": "no"}),
         ],
     )
     @pytest.mark.parametrize("command", ["run", "sweep"])
@@ -158,6 +161,29 @@ class TestRun:
         assert field in err
         assert out == ""
         assert not out_path.exists()
+
+    @pytest.mark.parametrize(
+        "field,doc_update",
+        [
+            ("problem", {"problem": [8, 2]}),
+            ("params", {"algorithms": [{"name": "sgd", "params": [0.1]}]}),
+            ("algorithms", {"algorithms": "sgd"}),
+            ("algorithms entry", {"algorithms": ["sgd"]}),
+            ("out", {"out": 5}),
+        ],
+    )
+    def test_wrong_structure_exits_2_and_names_field(
+        self, tmp_path, capsys, field, doc_update
+    ):
+        config = {"problem": {"n": 8, "d": 2}, "algorithms": [{"name": "sgd"}], "steps": 5}
+        config.update(doc_update)
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(config))
+        code, out, err = run_main(capsys, "run", "--config", str(cfg_path))
+        assert code == 2
+        assert field in err
+        assert out == ""
+        assert list(tmp_path.iterdir()) == [cfg_path]
 
     def test_parameter_the_algorithm_ignores_exits_2(self, tmp_path, capsys):
         config = {

@@ -211,6 +211,12 @@ class TestRunExperiment:
             ("problem.layer_dims", {"loss": "mlp", "n": 5, "layer_dims": []}),
             ("problem.data_seed", {"n": 8, "d": 2, "data_seed": -1}),
             ("problem.data_seed", {"loss": "mlp", "n": 5, "data_seed": -3}),
+            ("problem.path", {"path": 5}),
+            ("problem.lam", {"n": 8, "d": 2, "lam": "x"}),
+            ("problem.lam", {"n": 8, "d": 2, "lam": None}),
+            ("problem.lam", {"n": 8, "d": 2, "lambda": True}),
+            ("problem.c_init", {"loss": "mlp", "n": 5, "c_init": "0.1"}),
+            ("problem.scale", {"n": 8, "d": 2, "scale": "no"}),
         ],
     )
     def test_bad_values_rejected_before_problem_is_built(self, monkeypatch, field, problem):
@@ -503,6 +509,24 @@ class TestConfigDocument:
             config_from_dict({"problemz": {}})
         with pytest.raises(ConfigError, match="unknown problem fields"):
             config_from_dict({"problem": {"shape": 3}, "algorithms": []})
+
+    @pytest.mark.parametrize(
+        "field,doc",
+        [
+            ("problem", {"problem": [8, 2]}),
+            ("problem", {"problem": None}),
+            ("params", {"algorithms": [{"name": "sgd", "params": [0.1]}]}),
+            ("algorithms", {"algorithms": "sgd"}),
+            ("algorithms", {"algorithms": {"name": "sgd"}}),
+            ("algorithms entry", {"algorithms": ["sgd"]}),
+            ("algorithm name", {"algorithms": [{"name": ["sgd"]}]}),
+            ("out must be a string", {"out": 5}),
+        ],
+    )
+    def test_wrong_structure_or_type_rejected_naming_field(self, field, doc):
+        # check_settings runs before any problem is built or any run starts
+        with pytest.raises(ConfigError, match=field):
+            check_settings(config_from_dict(dict(doc, steps=5)))
 
     def test_algorithm_entry_needs_name(self):
         with pytest.raises(ConfigError, match="name"):

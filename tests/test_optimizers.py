@@ -359,6 +359,43 @@ class TestSpiderRun:
         lengths = trace.step_sizes * trace.estimator_norms
         assert np.all(lengths <= eps / (smoothness * math.sqrt(9)) + 1e-15)
 
+    def test_matches_scalar_reference_simulation(self):
+        # the eps rule in plain floats: both branches of the min are taken
+        problem = two_component_quadratic()
+        seed, steps, eps, smoothness = 5, 40, 0.5, 4.0
+        trace = spider_run(
+            problem,
+            np.array([1.0]),
+            epsilon=eps,
+            smoothness=smoothness,
+            steps=steps,
+            rng=np.random.default_rng(seed),
+            keep_path=True,
+        )
+        rng = np.random.default_rng(seed)
+        coeffs = (1.0, 2.0)
+        cap = 1.0 / (2.0 * math.sqrt(2.0) * smoothness)
+        x, x_prev, estimate = 1.0, None, 0.0
+        ref_iterates, ref_gammas = [], []
+        for t in range(steps):
+            ref_iterates.append(x)
+            if t % 2 == 0:
+                estimate = (2.0 * coeffs[0] * x + 2.0 * coeffs[1] * x) / 2.0
+            else:
+                i = int(rng.integers(2))
+                estimate = 2.0 * coeffs[i] * x - 2.0 * coeffs[i] * x_prev + estimate
+            if estimate == 0.0:
+                gamma = cap
+            else:
+                gamma = min(eps / (smoothness * math.sqrt(2.0) * abs(estimate)), cap)
+            ref_gammas.append(gamma)
+            x_prev = x
+            x = x - gamma * estimate
+        assert cap in ref_gammas and min(ref_gammas) < cap
+        assert np.allclose(trace.iterates[:, 0], ref_iterates, atol=1e-12)
+        assert np.allclose(trace.step_sizes, ref_gammas, atol=1e-12)
+        assert trace.x_final[0] == pytest.approx(x, abs=1e-12)
+
     def test_invalid_parameters(self):
         problem = zero_problem()
         with pytest.raises(ValueError):
@@ -418,6 +455,40 @@ class TestSpiderBoostRun:
                 problem.mean_gradient(trace.iterates[t]),
                 atol=1e-12,
             )
+
+
+    def test_matches_scalar_reference_simulation(self):
+        # a batch of 2 on n = 2 takes the exact difference of full
+        # gradients between resets, and draws nothing
+        problem = two_component_quadratic()
+        steps, smoothness = 30, 4.0
+        rng = np.random.default_rng(9)
+        trace = spiderboost_run(
+            problem,
+            np.array([1.0]),
+            smoothness=smoothness,
+            steps=steps,
+            rng=rng,
+            batch_size=2,
+            keep_path=True,
+        )
+        assert rng.bit_generator.state == np.random.default_rng(9).bit_generator.state
+        coeffs = (1.0, 2.0)
+        x, x_prev, estimate = 1.0, None, 0.0
+        ref_iterates = []
+        for t in range(steps):
+            ref_iterates.append(x)
+            full = (2.0 * coeffs[0] * x + 2.0 * coeffs[1] * x) / 2.0
+            if t % 2 == 0:
+                estimate = full
+            else:
+                prev = (2.0 * coeffs[0] * x_prev + 2.0 * coeffs[1] * x_prev) / 2.0
+                estimate = full - prev + estimate
+            x_prev = x
+            x = x - estimate / smoothness
+        assert np.allclose(trace.iterates[:, 0], ref_iterates, atol=1e-12)
+        assert np.allclose(trace.step_sizes, 1.0 / smoothness, atol=1e-12)
+        assert trace.x_final[0] == pytest.approx(x, abs=1e-12)
 
 
 class TestSvrgRun:
@@ -511,6 +582,30 @@ class TestSgdRun:
         x0 = np.array([1.0, 2.0, 3.0])
         trace = sgd_run(problem, x0, eta=0.5, steps=5, rng=np.random.default_rng(1))
         assert np.array_equal(trace.x_final, x0)
+
+
+    def test_matches_scalar_reference_simulation(self):
+        problem = two_component_quadratic()
+        seed, steps, eta = 31, 40, 0.1
+        trace = sgd_run(
+            problem,
+            np.array([1.0]),
+            eta=eta,
+            steps=steps,
+            rng=np.random.default_rng(seed),
+            keep_path=True,
+        )
+        rng = np.random.default_rng(seed)
+        coeffs = (1.0, 2.0)
+        x = 1.0
+        ref_iterates = []
+        for t in range(steps):
+            ref_iterates.append(x)
+            i = int(rng.integers(2))
+            x = x - eta * 2.0 * coeffs[i] * x
+        assert np.allclose(trace.iterates[:, 0], ref_iterates, atol=1e-12)
+        assert np.allclose(trace.step_sizes, eta, atol=1e-12)
+        assert trace.x_final[0] == pytest.approx(x, abs=1e-12)
 
 
 class TestAdagradNormRun:

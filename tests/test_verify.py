@@ -330,6 +330,16 @@ class TestRateScaling:
         with pytest.raises(ValueError, match="step budget must be at least 1"):
             check()
 
+    def test_empty_seed_list_rejected_before_any_run(self, monkeypatch):
+        import adaspider.verify as verify
+
+        def fail_run(*args, **kwargs):
+            raise AssertionError("a run started before the seeds were checked")
+
+        monkeypatch.setattr(verify, "lockstep_run", fail_run)
+        with pytest.raises(ValueError, match="at least one seed"):
+            check_rate_scaling(default_rate_problem(), (5, 10, 20), seeds=())
+
     def test_single_component_quadratic_fast_decay(self):
         # n=1 makes the run exact gradient descent; decay beats -1/2 easily
         problem = QuadraticProblem(
