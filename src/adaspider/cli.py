@@ -195,6 +195,8 @@ def gradient_check_report(points: int = 20, seed: int = 0, corrupt: bool = False
     per block of perturbed points. ``corrupt`` deliberately offsets the
     regularizer gradient, for self-testing the check.
     """
+    if points < 1:
+        raise ValueError(f"gradient check needs at least one point, got {points}")
     rng = np.random.default_rng(seed)
     families: dict[str, float] = {}
 

@@ -14,7 +14,7 @@ import math
 import numbers
 import zlib
 from dataclasses import dataclass, field, fields, replace
-from typing import Callable
+from typing import Callable, Iterator
 
 import numpy as np
 
@@ -317,6 +317,11 @@ def check_settings(config: ExperimentConfig) -> None:
         _require(field_name, value, (str, type(None)), "a string")
     for name in ("lam", "c_init"):
         _require(f"problem.{name}", getattr(config.problem, name), numbers.Real, "a number")
+    lam, c_init = config.problem.lam, config.problem.c_init
+    if not 0 <= lam < math.inf:
+        raise ConfigError(f"problem.lam must be non-negative and finite, got {lam!r}")
+    if not 0 < c_init < math.inf:
+        raise ConfigError(f"problem.c_init must be positive and finite, got {c_init!r}")
     _require("problem.scale", config.problem.scale, bool, "true or false")
     dims = config.problem.layer_dims
     for dim in dims:
@@ -379,40 +384,20 @@ def run_algorithm(
     steps: int,
     rng: np.random.Generator,
     *,
-    group: _Lockstep | None = None,
+    group: Iterator | None = None,
     **run_kwargs,
 ) -> RunTrace:
     """Run ``spec`` through ``<name>_run``, looked up in this module when
-    called; or, when the run is in a lockstep ``group``, take its outcome
-    from the group, which steps all its runs at the first such call."""
+    called; or, when the run is in a lockstep ``group``, take the group's
+    next outcome, raising it if it is an error."""
     if group is not None:
-        return group.outcome(rng)
-    row, p = _resolve(spec, problem)
-    run = globals()[f"{spec.name}_run"]
-    return run(problem, x0, rng=rng, **row.args(p, steps), **run_kwargs)
-
-
-class _Lockstep:
-    """Planned runs that :func:`lockstep_run` steps together, all at the
-    first request for the outcome of any of them."""
-
-    def __init__(self, problem: FiniteSumProblem, runs: list):
-        self.problem = problem
-        self.name = runs[0][0].name
-        self.runs = []
-        for spec, _repeat, x0, steps, rng in runs:
-            row, p = _resolve(spec, problem)
-            self.runs.append(dict(row.args(p, steps), x0=x0, rng=rng))
-        self.outcomes = None
-
-    def outcome(self, rng: np.random.Generator) -> RunTrace:
-        """The trace of the run drawing from ``rng``, or the error it met."""
-        if self.outcomes is None:
-            self.outcomes = lockstep_run(self.problem, self.name, self.runs)
-        outcome = self.outcomes[[run["rng"] for run in self.runs].index(rng)]
+        outcome = next(group)
         if isinstance(outcome, Exception):
             raise outcome
         return outcome
+    row, p = _resolve(spec, problem)
+    run = globals()[f"{spec.name}_run"]
+    return run(problem, x0, rng=rng, **row.args(p, steps), **run_kwargs)
 
 
 def _run_rng(master_seed: int, algo_name: str, repeat: int) -> np.random.Generator:
@@ -430,7 +415,8 @@ def run_experiment(config: ExperimentConfig) -> list:
 def _plan(config: ExperimentConfig, problem: FiniteSumProblem) -> list:
     """The runs of ``config`` on ``problem``, already built from
     ``config.problem`` after ``check_settings(config)`` passed: one
-    (spec, repeat, x0, steps, rng) per (algorithm, repeat) pair, in order."""
+    (spec, repeat, x0, method, rng) per (algorithm, repeat) pair, in order,
+    where ``method`` is the spec's checked description, built once."""
     for spec in config.algorithms:
         _resolve(spec, problem)  # the checks that need the problem
     plan = []
@@ -439,47 +425,32 @@ def _plan(config: ExperimentConfig, problem: FiniteSumProblem) -> list:
             steps = config.steps
         else:
             steps = steps_for_budget(spec, problem, config.epochs * problem.n)
+        method = _method(spec, problem, steps)
         for repeat in range(config.repeats):
             x0 = initial_point(config.problem, problem, config.master_seed, repeat)
             rng = _run_rng(config.master_seed, spec.name, repeat)
-            plan.append((spec, repeat, x0, steps, rng))
+            plan.append((spec, repeat, x0, method, rng))
     return plan
-
-
-def _lockstep_key(run: tuple, problem: FiniteSumProblem) -> tuple:
-    """What runs must share to step together: the method, the step count,
-    and the period and inner batch it resolves to."""
-    spec, _repeat, _x0, steps, _rng = run
-    method = _method(spec, problem, steps)
-    return spec.name, steps, method.period, method.batch
-
-
-# A lockstep group keeps the step records of all its runs until its last
-# run is taken, about 25 bytes per run and step (a run alone peaks near 110
-# bytes per step), so a group holds at most this many run-steps, ~100 MB.
-_GROUP_RUN_STEPS = 1 << 22
 
 
 def _execute(problem: FiniteSumProblem, plan: list) -> list:
     """One record per planned run, in order.
 
-    Consecutive runs of one method with the same step count, period and
-    inner batch form :class:`_Lockstep` groups of up to _GROUP_RUN_STEPS
-    run-steps. Every run still makes one :func:`run_algorithm` call, in
-    plan order.
+    Consecutive runs of one algorithm whose methods share a step count,
+    period and inner batch step together as one :func:`lockstep_run`
+    group. Every run still makes one :func:`run_algorithm` call, in plan
+    order, and a group steps nothing before its first one.
     """
     records = []
-    for _key, runs in itertools.groupby(plan, key=lambda run: _lockstep_key(run, problem)):
+    for _key, runs in itertools.groupby(
+        plan, key=lambda run: (run[0].name, run[3].steps, run[3].period, run[3].batch)
+    ):
         runs = list(runs)
-        size = max(1, _GROUP_RUN_STEPS // runs[0][3])
-        for start in range(0, len(runs), size):
-            part = runs[start : start + size]
-            group = _Lockstep(problem, part) if len(part) > 1 else None
-            for spec, repeat, x0, steps, rng in part:
-                trace = run_algorithm(spec, problem, x0, steps, rng, group=group)
-                records.append(
-                    RunRecord(algo=spec.name, seed=repeat, rows=list(trace.epoch_rows))
-                )
+        members = [(method, x0, rng) for _, _, x0, method, rng in runs]
+        group = lockstep_run(problem, runs[0][0].name, members) if len(runs) > 1 else None
+        for spec, repeat, x0, method, rng in runs:
+            trace = run_algorithm(spec, problem, x0, method.steps, rng, group=group)
+            records.append(RunRecord(algo=spec.name, seed=repeat, rows=list(trace.epoch_rows)))
     return records
 
 

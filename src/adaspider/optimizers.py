@@ -16,18 +16,20 @@ Every method pairs one of three gradient estimators (stochastic, SVRG
 snapshot, SPIDER) with one of four step rules (constant, AdaGrad-Norm, the
 eps-tied SPIDER step, the AdaSpider step above). Each method's
 ``_METHODS`` entry checks a run's arguments and builds its
-:class:`_Method`, which both step loops read; ``harness.ALGORITHMS`` lists
-the parameters. Group size chooses the loop: a run alone steps in
+:class:`_Method`, which both step loops read; the harness builds each
+planned run's method once with that table, and ``harness.ALGORITHMS``
+lists the parameters. Group size chooses the loop: a run alone steps in
 ``_run_loop``, and runs of one method that share a step count, period and
-inner batch step together as one (R, d) block of iterates in
-:func:`lockstep_run`, with traces bitwise equal to the runs made alone;
-each keeps its own rng stream, oracle counter and step size.
+inner batch step together in blocks of iterates in :func:`lockstep_run`,
+with traces bitwise equal to the runs made alone; each keeps its own rng
+stream, oracle counter and step size.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Iterator
 
 import numpy as np
 
@@ -364,10 +366,13 @@ def _adagrad_norm_method(problem: FiniteSumProblem, eta, b0, steps) -> _Method:
     return _Method("stochastic", steps, 1, 1, "adaptive", (eta, 1.0, b0**2))
 
 
-# A run draws its sample indices this many at a time, and a lockstep group
+# A run draws its sample indices this many at a time, and a lockstep block
 # writes out the step sizes and norms of this many steps at a time.
 _DRAW_CHUNK = 1024
 _RECORD_CHUNK = 256
+# A lockstep member keeps 16 bytes a step for its step sizes and norms, plus
+# 8 d a step for each path it keeps; a block keeps at most 64 MB of them.
+_BLOCK_BYTES = 1 << 26
 
 
 class _Draws:
@@ -614,8 +619,8 @@ def adagrad_norm_run(
     return _run_loop(problem, "adagrad_norm", x0, rng, keep_path, method)
 
 
-# Every method's runs can step together in :func:`lockstep_run`, which
-# checks each run's arguments with its method's entry here.
+# Each method's checks and :class:`_Method` by name: the harness builds each
+# planned run's method once with this table, for a lockstep group to read.
 _METHODS = {
     "adaspider": _adaspider_method,
     "spider": _spider_method,
@@ -639,44 +644,56 @@ def _row_norms(rows: np.ndarray) -> np.ndarray:
 
 def lockstep_run(
     problem: FiniteSumProblem, algo: str, runs: list, *, keep_path: bool | str = False
-) -> list:
-    """R runs of one method stepped together as one (R, d) iterate block.
+) -> Iterator:
+    """R runs of one method stepped together in blocks of (k, d) iterates.
 
-    ``algo`` is a key of ``_METHODS``, and ``runs`` holds the keyword
-    arguments of R calls of ``<algo>_run`` with the same step count,
-    period and inner batch; each call's arguments are checked, in order,
-    as that call checks them. Returns, in order, what each call with
-    ``keep_path`` would: its RunTrace, equal field for field and bit for
-    bit, or the NonFiniteGradientError it would raise. ``keep_path`` may
-    also be "iterates", which keeps the iterates and leaves ``estimates``
-    None, for a caller that reads only the iterates of long runs: the
-    group holds every member's path at once, 8 bytes per coordinate and
-    step for each of the two.
+    ``runs`` holds one (method, x0, rng) per member, where ``method`` is
+    its checked :class:`_Method`, as its ``_METHODS`` entry builds it; the
+    members share one step count, period and inner batch, and ``algo``
+    names them in their traces. Returns a lazy iterator over what each
+    member's ``<algo>_run`` call with ``keep_path`` would give, in order:
+    its RunTrace, equal field for field and bit for bit, or the
+    NonFiniteGradientError it would raise. ``keep_path`` may also be
+    "iterates", which keeps the iterates and leaves ``estimates`` None, for
+    a caller that reads only the iterates of long runs.
 
-    Every member keeps its own rng, counter and step size. Its sample
-    indices come in chunks from a :class:`_Draws`, settled when the member
-    stops. SVRG and SPIDER share one inner step, grad f_i(x) - grad
-    f_i(anchor) + base: SVRG's anchor and base are its snapshot and the
-    snapshot's gradient, SPIDER's the previous iterate and estimate. A
-    SPIDER batch of n or more takes the exact difference of full gradients
-    instead and draws nothing. A member
-    stops on its own when it diverges or its reset gradient is not
-    finite; the others step on. Reset gradients go through
+    The members are split into near-equal blocks that keep at most
+    _BLOCK_BYTES of step records and paths each, and a group of two or
+    more never steps a block of one member. A block is stepped when its
+    first outcome is requested. Records do not depend on the blocks: every
+    member keeps its own rng, counter and step size. Its sample indices
+    come in chunks from a :class:`_Draws`, settled when the member stops.
+    """
+    x0s = [as_param_vector(x0, problem.d) for _, x0, _ in runs]
+    if len({(m.steps, m.period, m.batch) for m, _, _ in runs}) > 1:
+        raise ValueError("lockstep runs must share steps, period and inner batch")
+    if not runs:
+        return iter(())
+    size = len(runs)
+    paths = 2 if keep_path is True else 1 if keep_path else 0
+    member_bytes = (16 + 8 * problem.d * paths) * runs[0][0].steps
+    blocks = -(-size // max(1, _BLOCK_BYTES // member_bytes))
+    blocks = max(1, min(blocks, size // 2))
+    bounds = [size * b // blocks for b in range(blocks + 1)]
+    return (
+        outcome
+        for start, stop in zip(bounds, bounds[1:])
+        for outcome in _lockstep_block(problem, algo, runs[start:stop], x0s[start:stop], keep_path)
+    )
+
+
+def _lockstep_block(problem, algo: str, runs: list, x0s: list, keep_path) -> list:
+    """The outcomes of one block of :func:`lockstep_run`'s members. SVRG
+    and SPIDER share one inner step, grad f_i(x) - grad f_i(anchor) +
+    base: SVRG's anchor and base are its snapshot and the snapshot's
+    gradient, SPIDER's the previous iterate and estimate. A SPIDER batch of
+    n or more takes the exact difference of full gradients instead and
+    draws nothing. A member stops on its own when it diverges or its reset
+    gradient is not finite; the others step on. Reset gradients go through
     ``full_gradient`` one member at a time and charge its counter there;
     the sampled steps' calls are charged when the member stops.
     """
-    if algo not in _METHODS:
-        raise ValueError(f"{algo} does not run in lockstep")
-    methods, x0s = [], []
-    for kw in runs:
-        args = {key: value for key, value in kw.items() if key not in ("x0", "rng")}
-        methods.append(_METHODS[algo](problem, **args))
-        x0s.append(as_param_vector(kw["x0"], problem.d))
-    if not runs:
-        return []
-    if len({(m.steps, m.period, m.batch) for m in methods}) > 1:
-        raise ValueError("lockstep runs must share steps, period and inner batch")
-    method = methods[0]
+    method = runs[0][0]
     steps, period, batch, rule = method.steps, method.period, method.batch, method.rule
     n, d, size = problem.n, problem.d, len(runs)
     resets = method.estimator != "stochastic"
@@ -685,7 +702,7 @@ def lockstep_run(
     _, reset_cost, inner_cost = method.costs(n)
     cost = inner_cost if resets else reset_cost  # per sampled step; a stochastic one is a reset
 
-    sources = [_Draws(kw["rng"], n, method.index_draws(n), batch) for kw in runs]
+    sources = [_Draws(rng, n, method.index_draws(n), batch) for _, _, rng in runs]
     counters = [OracleCounter() for _ in runs]
     outcomes: list = [None] * size
     rows, points = [[] for _ in runs], [[] for _ in runs]
@@ -697,7 +714,7 @@ def lockstep_run(
     # to members, in member order.
     live = np.arange(size)
     x = np.stack(x0s)
-    coeffs = np.array([m.coeffs for m in methods])
+    coeffs = np.array([m.coeffs for m, _, _ in runs])
     accum = np.zeros(size)
     gamma = np.zeros(size)  # the last step size, as epoch rows log it
     draws = np.empty((size, 0), dtype=np.int64)

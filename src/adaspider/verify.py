@@ -110,6 +110,21 @@ def check_log_lemma(alphas, *, rhs_factor: float = 1.0, slack: float = _SLACK) -
     )
 
 
+def _sweep_report(lemma: str, detail: str, trials) -> LemmaReport:
+    """The report of a sweep over ``trials``, (name, report) pairs: the
+    trials' worst margins, their summed violations, and the detail of the
+    first trial with the lowest margin."""
+    margins, violations, worst_detail = [], 0, ""
+    for name, single in trials:
+        if not margins or single.worst_margin < worst:
+            worst, worst_detail = single.worst_margin, f"worst {name}: {single.detail}"
+        margins.append(single.worst_margin)
+        violations += single.violations
+    report = _report(lemma, margins, _SLACK, detail=f"{detail}; {worst_detail}")
+    report.violations, report.passed = violations, violations == 0
+    return report
+
+
 def _sweep_scalar_lemma(
     check,
     lemma: str,
@@ -119,20 +134,15 @@ def _sweep_scalar_lemma(
     max_value: float,
     rhs_factor: float,
 ) -> LemmaReport:
-    margins = []
-    worst_detail = ""
-    for trial in range(trials):
-        length = int(rng.integers(1, max_len + 1))
-        # downscale by a random power so magnitudes vary but stay <= max_value
-        scale = 10.0 ** float(rng.uniform(-6.0, 0.0))
-        alphas = scale * rng.uniform(0.0, max_value, size=length)
-        single = check(alphas, rhs_factor=rhs_factor)
-        if not margins or single.worst_margin < min(margins):
-            worst_detail = f"worst trial {trial}: {single.detail}"
-        margins.append(single.worst_margin)
-    return _report(
-        lemma, margins, _SLACK, detail=f"lengths <= {max_len}; {worst_detail}"
-    )
+    def reports():
+        for trial in range(trials):
+            length = int(rng.integers(1, max_len + 1))
+            # downscale by a random power so magnitudes vary but stay <= max_value
+            scale = 10.0 ** float(rng.uniform(-6.0, 0.0))
+            alphas = scale * rng.uniform(0.0, max_value, size=length)
+            yield f"trial {trial}", check(alphas, rhs_factor=rhs_factor)
+
+    return _sweep_report(lemma, f"lengths <= {max_len}", reports())
 
 
 def sweep_sqrt_lemma(
@@ -229,36 +239,30 @@ def sweep_variance_recursion(
     other half use the one-step estimator distribution from a third
     point, which has genuine variance.
     """
-    margins = []
-    worst_detail = ""
-    for trial in range(trials):
-        n = int(rng.integers(1, max_n + 1))
-        d = int(rng.integers(1, max_d + 1))
-        problem = QuadraticProblem.random(n, d, rng)
-        x = rng.standard_normal(d)
-        y = rng.standard_normal(d)
-        if trial % 2 == 0:
-            dist = [(problem.mean_gradient(y), 1.0)]
-        else:
-            z = rng.standard_normal(d)
-            grad_z = problem.mean_gradient(z)
-            all_components = np.arange(1, n + 1)
-            outcomes = (
-                problem.component_gradients(all_components, y)
-                - problem.component_gradients(all_components, z)
-                + grad_z
+    def reports():
+        for trial in range(trials):
+            n = int(rng.integers(1, max_n + 1))
+            d = int(rng.integers(1, max_d + 1))
+            problem = QuadraticProblem.random(n, d, rng)
+            x = rng.standard_normal(d)
+            y = rng.standard_normal(d)
+            if trial % 2 == 0:
+                dist = [(problem.mean_gradient(y), 1.0)]
+            else:
+                z = rng.standard_normal(d)
+                grad_z = problem.mean_gradient(z)
+                all_components = np.arange(1, n + 1)
+                outcomes = (
+                    problem.component_gradients(all_components, y)
+                    - problem.component_gradients(all_components, z)
+                    + grad_z
+                )
+                dist = [(outcome, 1.0 / n) for outcome in outcomes]
+            yield f"trial {trial}", check_variance_recursion(
+                problem, x, y, dist, rhs_factor=rhs_factor
             )
-            dist = [(outcome, 1.0 / n) for outcome in outcomes]
-        single = check_variance_recursion(problem, x, y, dist, rhs_factor=rhs_factor)
-        if not margins or single.worst_margin < min(margins):
-            worst_detail = f"worst trial {trial}: {single.detail}"
-        margins.append(single.worst_margin)
-    return _report(
-        "variance_recursion",
-        margins,
-        _SLACK,
-        detail=f"exact enumeration on quadratics; {worst_detail}",
-    )
+
+    return _sweep_report("variance_recursion", "exact enumeration on quadratics", reports())
 
 
 def check_trajectory_bound(
@@ -314,34 +318,20 @@ def sweep_trajectory_bound(
     rhs_factor: float = 1.0,
 ) -> LemmaReport:
     """Adaptive runs on random small quadratics, both bounds per run."""
-    margins = []
-    violations = 0
-    worst_detail = ""
-    for run in range(runs):
-        n = int(rng.integers(2, 7))
-        d = int(rng.integers(1, 4))
-        problem = QuadraticProblem.random(n, d, rng, definite=bool(rng.integers(2)))
-        x0 = rng.standard_normal(d)
-        trace = adaspider_run(
-            problem, x0, AdaSpiderConfig(steps=steps), np.random.default_rng(rng.integers(2**32))
-        )
-        rep = check_trajectory_bound(trace, problem, 1.0, rhs_factor=rhs_factor)
-        if not margins or rep.worst_margin < min(margins):
-            worst_detail = f"worst run {run}: {rep.detail}"
-        margins.append(rep.worst_margin)
-        violations += rep.violations
-    report = _report(
-        "trajectory_bound", margins, _SLACK, detail=f"{runs} seeded runs; {worst_detail}"
-    )
-    report.violations = violations
-    report.passed = violations == 0
-    return report
 
+    def reports():
+        for run in range(runs):
+            n = int(rng.integers(2, 7))
+            d = int(rng.integers(1, 4))
+            problem = QuadraticProblem.random(n, d, rng, definite=bool(rng.integers(2)))
+            x0 = rng.standard_normal(d)
+            trace = adaspider_run(
+                problem, x0, AdaSpiderConfig(steps=steps),
+                np.random.default_rng(rng.integers(2**32)),
+            )
+            yield f"run {run}", check_trajectory_bound(trace, problem, 1.0, rhs_factor=rhs_factor)
 
-# A lockstep block of seeded runs keeps every run's stored path (up to 16
-# bytes per coordinate and step) until its last trace is taken, so a block
-# holds at most this many path coordinates, ~64 MB.
-_SEED_BLOCK_COORDS = 1 << 22
+    return _sweep_report("trajectory_bound", f"{runs} seeded runs", reports())
 
 
 def _seeded_runs(problem: FiniteSumProblem, x0: np.ndarray, config, seeds, keep_path):
@@ -349,22 +339,16 @@ def _seeded_runs(problem: FiniteSumProblem, x0: np.ndarray, config, seeds, keep_
     np.random.default_rng(seed), keep_path=True)`` for each seed, in order,
     without ``estimates`` when ``keep_path`` is "iterates".
 
-    The runs step together in :func:`lockstep_run` blocks of up to
-    _SEED_BLOCK_COORDS path coordinates, one block for the suite's own
-    checks; a run's error is raised at its turn, as the runs made one at a
-    time would raise it. The config is checked first, as every run checks it.
+    The config is checked and its method built once, as every run checks
+    it; the runs step together in :func:`lockstep_run`, and a run's error
+    is raised at its turn, as the runs made one at a time would raise it.
     """
-    seeds = list(seeds)
-    size = max(1, _SEED_BLOCK_COORDS // (_adaspider_method(problem, config).steps * problem.d))
-    for start in range(0, len(seeds), size):
-        runs = [
-            dict(x0=x0, config=config, rng=np.random.default_rng(seed))
-            for seed in seeds[start : start + size]
-        ]
-        for outcome in lockstep_run(problem, "adaspider", runs, keep_path=keep_path):
-            if isinstance(outcome, Exception):
-                raise outcome
-            yield outcome
+    method = _adaspider_method(problem, config)
+    runs = [(method, x0, np.random.default_rng(seed)) for seed in seeds]
+    for outcome in lockstep_run(problem, "adaspider", runs, keep_path=keep_path):
+        if isinstance(outcome, Exception):
+            raise outcome
+        yield outcome
 
 
 # Per problem, held weakly, the key and result of its last _variance_traces call.

@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+import math
 import os
 import subprocess
 import sys
@@ -142,6 +143,10 @@ class TestRun:
             ("problem.data_seed", {"n": 8, "d": 2, "data_seed": -1}),
             ("problem.path", {"path": 5}),
             ("problem.lam", {"n": 8, "d": 2, "lam": "x"}),
+            ("problem.lam", {"n": 8, "d": 2, "lam": math.inf}),
+            ("problem.lam", {"n": 8, "d": 2, "lam": -1}),
+            ("problem.c_init", {"loss": "mlp", "n": 5, "c_init": math.inf}),
+            ("problem.c_init", {"loss": "mlp", "n": 5, "c_init": -1}),
             ("problem.scale", {"n": 8, "d": 2, "scale": "no"}),
         ],
     )
@@ -423,6 +428,14 @@ class TestGradcheck:
     def test_report_function_directly(self):
         report = gradient_check_report(points=5, seed=1)
         assert report["pass"]
+
+    @pytest.mark.parametrize("points", ["0", "-3"])
+    def test_no_points_exits_2(self, capsys, points):
+        # with no point checked there is nothing to pass
+        code, out, err = run_main(capsys, "gradcheck", "--points", points)
+        assert code == 2
+        assert out == ""
+        assert err == f"error: gradient check needs at least one point, got {points}\n"
 
     # SHA-256 of ``adaspider gradcheck`` standard output by (seed, points),
     # computed with the network family checked through the per-sample

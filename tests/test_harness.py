@@ -1,6 +1,7 @@
 """Experiment harness: configs, multi-seed runs, sweeps, serialization."""
 
 import json
+import math
 
 import numpy as np
 import pytest
@@ -216,6 +217,16 @@ class TestRunExperiment:
             ("problem.lam", {"n": 8, "d": 2, "lam": None}),
             ("problem.lam", {"n": 8, "d": 2, "lambda": True}),
             ("problem.c_init", {"loss": "mlp", "n": 5, "c_init": "0.1"}),
+            # ranges, whatever the loss
+            ("problem.lam", {"n": 8, "d": 2, "lam": math.inf}),
+            ("problem.lam", {"n": 8, "d": 2, "lam": math.nan}),
+            ("problem.lam", {"n": 8, "d": 2, "lam": -1}),
+            ("problem.lam", {"loss": "mlp", "n": 5, "lam": -math.inf}),
+            ("problem.c_init", {"loss": "mlp", "n": 5, "c_init": math.inf}),
+            ("problem.c_init", {"loss": "mlp", "n": 5, "c_init": math.nan}),
+            ("problem.c_init", {"loss": "mlp", "n": 5, "c_init": -1}),
+            ("problem.c_init", {"loss": "mlp", "n": 5, "c_init": 0}),
+            ("problem.c_init", {"n": 8, "d": 2, "c_init": 0.0}),
             ("problem.scale", {"n": 8, "d": 2, "scale": "no"}),
         ],
     )

@@ -5,7 +5,10 @@ stepped one at a time."""
 import hashlib
 import json
 import math
+import runpy
+import sys
 from dataclasses import fields, replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -90,6 +93,25 @@ def group_runs(algo, scales, x0s, seed, steps, period, batch):
     ]
 
 
+def members(problem, algo, runs) -> list:
+    """The (method, x0, rng) of each member of a lockstep group, its method
+    built from its ``<algo>_run`` call's arguments as that call builds it."""
+    return [
+        (
+            optimizers._METHODS[algo](
+                problem, **{key: v for key, v in kw.items() if key not in ("x0", "rng")}
+            ),
+            kw["x0"],
+            kw["rng"],
+        )
+        for kw in runs
+    ]
+
+
+def grouped_outcomes(problem, algo, runs, keep_path=False) -> list:
+    return list(lockstep_run(problem, algo, members(problem, algo, runs), keep_path=keep_path))
+
+
 def registry_spec(algo, kw) -> AlgorithmSpec:
     """The registry spec of a ``<algo>_run`` call's arguments."""
     params = {key: v for key, v in kw.items() if key not in ("x0", "rng", "steps")}
@@ -160,7 +182,7 @@ def check_group(problem, algo, runs, keep_path=False):
     sequential, seq_counters = counted(
         lambda: one_at_a_time(problem, algo, runs, bool(keep_path))
     )
-    grouped, counters = counted(lambda: lockstep_run(problem, algo, runs, keep_path=keep_path))
+    grouped, counters = counted(lambda: grouped_outcomes(problem, algo, runs, keep_path))
     assert len(grouped) == len(sequential) == len(counters) == len(seq_counters)
     for got, want, counter, seq_counter, kw in zip(
         grouped, sequential, counters, seq_counters, runs
@@ -273,17 +295,11 @@ class TestGroupEqualsRuns:
         runs = group_runs("svrg", [0.1, 0.2], [np.zeros(2)] * 2, 0, 10, 3, 1)
         runs[1]["epoch_length"] = 4
         with pytest.raises(ValueError, match="share"):
-            lockstep_run(problem, "svrg", runs)
+            grouped_outcomes(problem, "svrg", runs)
         runs = group_runs("adaspider", [0.1, 0.2], [np.zeros(2)] * 2, 0, 10, 3, 1)
         runs[1]["config"].inner_batch = 2
         with pytest.raises(ValueError, match="share"):
-            lockstep_run(problem, "adaspider", runs)
-        with pytest.raises(ValueError, match="lockstep"):
-            lockstep_run(problem, "newton", runs)
-        runs = group_runs("sgd", [0.1, 0.2], [np.zeros(2)] * 2, 0, 10, None, 1)
-        runs[0]["keep_path"] = True
-        with pytest.raises(TypeError, match="keep_path"):
-            lockstep_run(problem, "sgd", runs)
+            grouped_outcomes(problem, "adaspider", runs)
 
 
 # One bad argument of each run function: (algo, key, value, message). The
@@ -324,14 +340,36 @@ def test_group_refuses_a_bad_argument_as_its_run_function(algo, key, value, mess
     with pytest.raises(ValueError) as alone:
         getattr(optimizers, f"{algo}_run")(problem, **bad)
     with pytest.raises(ValueError) as grouped:
-        lockstep_run(problem, algo, runs)
+        grouped_outcomes(problem, algo, runs)
     assert type(grouped.value) is type(alone.value)
     assert str(grouped.value) == str(alone.value) == message
 
 
-@pytest.mark.parametrize("cap,sizes", [(1 << 22, [6]), (40, [2, 2, 2]), (30, [1] * 6)])
-def test_groups_split_to_bound_memory(monkeypatch, cap, sizes):
-    # 3 grid values x 2 repeats of 20 steps: at most cap // 20 runs a group
+# A member of 30 steps at d = 3 keeps 16 bytes a step, plus 24 for each path.
+@pytest.mark.parametrize("algo,keep_path,paths", [
+    ("adaspider", True, 2), ("svrg", "iterates", 1), ("sgd", False, 0)
+])
+@pytest.mark.parametrize(
+    "per_block,sizes", [(9, [9]), (8, [4, 5]), (4, [3, 3, 3]), (2, [2, 2, 2, 3]), (0, [2, 2, 2, 3])]
+)
+def test_blocks_bound_the_kept_records(lockstep_blocks, algo, keep_path, paths, per_block, sizes):
+    # near-equal blocks of at most per_block members, none of one member
+    problem = make_problem("logistic", 8, 3, 0)
+    x0s = [start_point("logistic", problem, k, 1.0) for k in range(9)]
+    scales = [*SCALES, 0.5, 5.0]
+    runs = group_runs(algo, scales, x0s, 0, 30, 4, 2)
+    one_block = grouped_outcomes(problem, algo, runs, keep_path)
+    blocks = lockstep_blocks(per_block * (16 + 24 * paths) * 30)
+    got = check_group(problem, algo, group_runs(algo, scales, x0s, 0, 30, 4, 2), keep_path)
+    assert blocks == sizes
+    for trace, want in zip(got, one_block, strict=True):
+        assert_same_trace(trace, want)
+
+
+@pytest.mark.parametrize("per_block,sizes", [(6, [6]), (4, [3, 3]), (2, [2, 2, 2]), (0, [2, 2, 2])])
+def test_groups_split_to_bound_memory(lockstep_blocks, per_block, sizes):
+    # 3 grid values x 2 repeats of 20 steps, one group whose members keep 16
+    # bytes a step
     config = harness.ExperimentConfig(
         problem=harness.ProblemSpec(n=10, d=2),
         algorithms=[AlgorithmSpec("sgd")],
@@ -339,18 +377,37 @@ def test_groups_split_to_bound_memory(monkeypatch, cap, sizes):
         repeats=2,
     )
     want = harness.sweep_step_size(config, "sgd", [0.1, 1.0, 10.0])
-    groups = []
-
-    def counting(problem, algo, runs):
-        groups.append(len(runs))
-        return lockstep_run(problem, algo, runs)
-
-    monkeypatch.setattr(harness, "_GROUP_RUN_STEPS", cap)
-    monkeypatch.setattr(harness, "lockstep_run", counting)
+    blocks = lockstep_blocks(per_block * 16 * 20)
     got = harness.sweep_step_size(config, "sgd", [0.1, 1.0, 10.0])
-    assert groups == [size for size in sizes if size > 1]
+    assert blocks == sizes
     assert got[0] == want[0]
     assert bits(list(got[1].values())) == bits(list(want[1].values()))
+
+
+def test_group_steps_nothing_before_its_first_run(monkeypatch):
+    # benchmark set-up time ends at the first run_algorithm call
+    events = []
+
+    class Counter(optimizers.OracleCounter):
+        def __init__(self):
+            super().__init__()
+            events.append("counter")
+
+    def run_algorithm(*args, **kwargs):
+        events.append("run")
+        return original(*args, **kwargs)
+
+    original = harness.run_algorithm
+    monkeypatch.setattr(optimizers, "OracleCounter", Counter)
+    monkeypatch.setattr(harness, "run_algorithm", run_algorithm)
+    config = harness.ExperimentConfig(
+        problem=harness.ProblemSpec(n=10, d=2),
+        algorithms=[AlgorithmSpec("svrg"), AlgorithmSpec("sgd")],
+        steps=20,
+        repeats=3,
+    )
+    harness.run_experiment(config)
+    assert events == ["run", "counter", "counter", "counter", "run", "run"] * 2
 
 
 def test_spider_family_repeats_step_as_groups(monkeypatch):
@@ -365,8 +422,10 @@ def test_spider_family_repeats_step_as_groups(monkeypatch):
         epochs=4,
         repeats=3,
     )
+    run_alone = harness.run_algorithm
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(harness, "_GROUP_RUN_STEPS", 1)  # every run alone
+        # every run alone: its group is made but never taken
+        mp.setattr(harness, "run_algorithm", lambda *args, group=None: run_alone(*args))
         alone = harness.run_experiment(config)
     groups = []
 
@@ -441,7 +500,7 @@ def runs_or_group(problem, algo, runs, grouped: bool) -> list:
     """The outcomes of ``runs`` as one group, or made one at a time with
     their own generators."""
     if grouped:
-        return lockstep_run(problem, algo, runs)
+        return grouped_outcomes(problem, algo, runs)
     outcomes = []
     for kw in runs:
         try:
@@ -494,7 +553,7 @@ class TestGeneratorLeftAsScalarDraws:
         problem = RegularizedERM(generate_synthetic("quadratic", 50, 5, 0), "squared", 0.1)
         alone, member = np.random.default_rng(0), np.random.default_rng(0)
         trace = optimizers.sgd_run(problem, np.ones(5), 1e3, 300, alone)
-        [grouped] = lockstep_run(
+        [grouped] = grouped_outcomes(
             problem, "sgd", [dict(x0=np.ones(5), eta=1e3, steps=300, rng=member)]
         )
         assert trace.diverged_at == grouped.diverged_at == 3
@@ -641,3 +700,18 @@ def test_golden_run_with_repeats(seed, tmp_path, capsys):
     argv = ["run", "--config", str(tmp_path / "config.json"), "--seed", str(seed)]
     assert main([*argv, "--out", str(out)]) == 0
     assert sha256(out.read_bytes()) == RUN_GOLDEN[seed]
+
+
+COMPARE_SCRIPT = Path(__file__).resolve().parents[1] / "scripts" / "compare_optimizers.py"
+# SHA-256 of the CSV of scripts/compare_optimizers.py at n=60, d=5, 3 epochs
+# and 2 repeats: its SGD and SVRG sweeps step as lockstep groups, then the
+# six algorithms' repeats.
+COMPARE_GOLDEN = "7f21aed8b41585b8617931f559703eb3874cf4715551dabe66b49a82880e937f"
+
+
+def test_comparison_script_golden_digest(tmp_path, monkeypatch, capsys):
+    out = tmp_path / "comparison.csv"
+    argv = ["--n", "60", "--d", "5", "--epochs", "3", "--repeats", "2", "--out", str(out)]
+    monkeypatch.setattr(sys, "argv", [str(COMPARE_SCRIPT), *argv])
+    runpy.run_path(str(COMPARE_SCRIPT), run_name="__main__")
+    assert sha256(out.read_bytes()) == COMPARE_GOLDEN

@@ -420,13 +420,17 @@ def per_seed_rate_slopes(problem, t_grid, seeds, x0, beta0, g0) -> list:
 
 
 class TestSeededChecksEqualPerSeedRuns:
-    """The rate and variance checks step their seeds as one lockstep block;
-    their reports equal those of one run per seed."""
+    """The rate and variance checks step their seeds as one lockstep group;
+    their reports equal those of one run per seed, however the group is
+    split into blocks."""
 
-    @pytest.mark.parametrize("block", [1 << 22, 25 * 3 * 7, 1])
-    def test_variance_reports(self, monkeypatch, block):
-        # blocks of all 60 seeds, of 7 seeds and of one seed
-        monkeypatch.setattr(verify, "_SEED_BLOCK_COORDS", block)
+    # A variance member keeps 16 + 2 * 8 * 3 bytes for each of its 25 steps:
+    # blocks of all 60 seeds, of 6 or 7 seeds, and of two seeds.
+    @pytest.mark.parametrize(
+        "block,sizes", [(1 << 26, [60]), (1600 * 7, [6, 7, 7] * 3), (1, [2] * 30)]
+    )
+    def test_variance_reports(self, lockstep_blocks, block, sizes):
+        blocks = lockstep_blocks(block)
         problem = QuadraticProblem.random(6, 3, np.random.default_rng(5), definite=True)
         config = AdaSpiderConfig(steps=25, beta0=1.5, g0=0.7, period=5, inner_batch=2)
         seeds = list(range(7, 427, 7))
@@ -439,6 +443,7 @@ class TestSeededChecksEqualPerSeedRuns:
             assert report.to_dict() == per_seed_variance_report(
                 lemma, power, problem, config, seeds, x0
             )
+        assert blocks == sizes  # the two checks share one group
 
     def test_both_variance_checks_share_their_runs(self, monkeypatch):
         made = []
@@ -479,9 +484,10 @@ class TestSeededChecksEqualPerSeedRuns:
         gc.collect()
         assert problem_ref() is None
 
-    @pytest.mark.parametrize("block", [1 << 22, 300 * 4 * 3, 1])
-    def test_rate_report(self, monkeypatch, block):
-        monkeypatch.setattr(verify, "_SEED_BLOCK_COORDS", block)
+    # A rate member keeps 16 + 8 * 4 bytes for each of its 300 steps.
+    @pytest.mark.parametrize("block,sizes", [(1 << 26, [4]), (14400 * 3, [2, 2]), (1, [2, 2])])
+    def test_rate_report(self, lockstep_blocks, block, sizes):
+        blocks = lockstep_blocks(block)
         dataset = generate_synthetic("quadratic", n=20, d=4, seed=3)
         problem = RegularizedERM(dataset, loss_kind="squared", lam=0.1)
         t_grid, seeds, x0 = (5, 40, 300), (3, 11, 4, 8), np.full(4, 0.3)
@@ -491,6 +497,7 @@ class TestSeededChecksEqualPerSeedRuns:
         assert report.detail == (
             f"median slope {median:.3f} over {len(seeds)} seeds, threshold -0.35"
         )
+        assert blocks == sizes
 
 
 class TestReports:
