@@ -124,10 +124,14 @@ def _cmd_sweep(args) -> int:
     algo_name = args.algo
     args.algo = None
     config = _apply_overrides(_load_config(args.config), args)
-    try:
-        grid = [float(v) for v in args.grid.split(",")] if args.grid else list(DEFAULT_SWEEP_GRID)
-    except ValueError:
-        raise ConfigError(f"--grid must list numbers, got {args.grid!r}") from None
+    if args.grid is None:
+        grid = list(DEFAULT_SWEEP_GRID)
+    else:
+        try:
+            # an empty --grid is an empty grid, which sweep_step_size refuses
+            grid = [float(v) for v in args.grid.split(",")] if args.grid else []
+        except ValueError:
+            raise ConfigError(f"--grid must list numbers, got {args.grid!r}") from None
     best, results = sweep_step_size(config, algo_name, grid)
     summary = {
         "algo": algo_name,

@@ -193,7 +193,10 @@ def build_problem(spec: ProblemSpec) -> FiniteSumProblem:
     if spec.loss not in ("logistic", "squared", "mlp"):
         raise ConfigError(f"unknown loss kind {spec.loss!r}")
     if spec.path:
-        dataset = load_libsvm(spec.path)
+        try:
+            dataset = load_libsvm(spec.path)
+        except OSError as exc:
+            raise ConfigError(f"problem.path cannot be read: {exc}") from None
     elif spec.loss == "mlp":
         dataset = generate_synthetic(
             "two-cluster-classification",
@@ -315,6 +318,12 @@ def check_settings(config: ExperimentConfig) -> None:
         )
     for field_name, value in (("problem.path", config.problem.path), ("out", config.out)):
         _require(field_name, value, (str, type(None)), "a string")
+    if not config.problem.path:
+        # synthetic data reads n, and d unless the network's layer_dims set it
+        for name in ("n",) if config.problem.loss == "mlp" else ("n", "d"):
+            value = getattr(config.problem, name)
+            if value < 1:
+                raise ConfigError(f"problem.{name} must be at least 1, got {value!r}")
     for name in ("lam", "c_init"):
         _require(f"problem.{name}", getattr(config.problem, name), numbers.Real, "a number")
     lam, c_init = config.problem.lam, config.problem.c_init

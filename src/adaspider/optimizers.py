@@ -214,11 +214,11 @@ class RunTrace:
     """Per-step log of one optimizer run plus per-epoch diagnostics.
 
     ``step_sizes``, ``estimator_norms`` and ``oracle_calls`` have one
-    entry per executed step. Epoch rows (and their iterate snapshots in
-    ``epoch_points``) are recorded at the top of a step whenever the
-    charged-call count has completed another full pass, so every
-    snapshot is one of x_0 .. x_{T-1}. ``iterates``/``estimates`` hold
-    the full path when the run was asked to keep it.
+    entry per executed step. Epoch rows are recorded, with their iterate
+    snapshots in ``epoch_points``, at the top of a step whenever the
+    charged-call count has completed another full pass, so every snapshot
+    is one of x_0 .. x_{T-1}; :func:`_epoch_rows` evaluates them after the
+    steps. ``iterates``/``estimates`` hold the full path when kept.
     """
 
     algo: str
@@ -375,6 +375,16 @@ _RECORD_CHUNK = 256
 _BLOCK_BYTES = 1 << 26
 
 
+def _epoch_rows(problem: FiniteSumProblem, rows: list, points: list, diverged: bool) -> list:
+    """``rows`` with the loss and true gradient norm at each of ``points``,
+    by one ``value`` and one ``metric_gradient`` call a row; a diverged
+    run's last row keeps the infinite ones it was recorded with."""
+    for row, x in zip(rows[: len(rows) - int(diverged)], points):
+        row.loss = problem.value(x)
+        row.grad_norm = float(np.linalg.norm(problem.metric_gradient(x)))
+    return rows
+
+
 class _Draws:
     """A run's sample indices, drawn from ``rng`` in chunks of
     ``rng.integers(n, size=k)``, which yields the values of k scalar draws
@@ -426,9 +436,9 @@ def _run_loop(problem, algo: str, x0, rng, keep_path: bool, method: _Method) -> 
     Every ``period`` steps "svrg" makes x its snapshot y and takes y's full
     gradient mu (charging n); in between, grad f_i(x) - grad f_i(y) + mu
     averaged over ``batch`` samples (charging 2 each). "spider" is
-    :func:`spider_estimator_update`. An epoch row is logged at the top of a
-    step if the charged calls have completed another full pass; a diverged
-    iterate gets a last row with infinite loss and gradient norm.
+    :func:`spider_estimator_update`. An epoch row and a copy of x are
+    recorded at the top of a step if the charged calls have completed
+    another full pass, and for a diverged x; rows are evaluated at the end.
     """
     n = problem.n
     counter = OracleCounter()
@@ -443,22 +453,19 @@ def _run_loop(problem, algo: str, x0, rng, keep_path: bool, method: _Method) -> 
         eta, scale, offset = method.coeffs
     x = as_param_vector(x0, problem.d)
     step_sizes, est_norms, calls, rows, points, iterates, estimates = ([] for _ in range(7))
-    gamma, accum, last_epoch, diverged_at = 0.0, 0.0, -1, None
+    gamma, accum, diverged_at = 0.0, 0.0, None
     y = mu = None  # the SVRG snapshot and its full gradient
 
-    def log_row(x, loss, grad_norm):
+    def mark(x):
         # the row's step size is the last one taken
         done = counter.component_calls
-        rows.append(EpochRow(done // n, done, loss, grad_norm, gamma))
+        rows.append(EpochRow(done // n, done, math.inf, math.inf, gamma))
         points.append(np.array(x, copy=True))
 
     try:
         for t in range(method.steps):
-            epoch = counter.component_calls // n
-            if epoch > last_epoch:
-                loss = problem.value(x)
-                log_row(x, loss, float(np.linalg.norm(problem.metric_gradient(x))))
-                last_epoch = epoch
+            if not rows or counter.component_calls // n > rows[-1].epoch:
+                mark(x)
             if keep_path:
                 iterates.append(np.array(x, copy=True))
             if state is not None:
@@ -489,7 +496,7 @@ def _run_loop(problem, algo: str, x0, rng, keep_path: bool, method: _Method) -> 
                 estimates.append(np.array(g, copy=True))
             if _diverged(x):
                 diverged_at = t
-                log_row(x, float("inf"), float("inf"))
+                mark(x)
                 break
     finally:
         draws.settle(draws.pos)
@@ -498,7 +505,7 @@ def _run_loop(problem, algo: str, x0, rng, keep_path: bool, method: _Method) -> 
         step_sizes=np.asarray(step_sizes),
         estimator_norms=np.asarray(est_norms),
         oracle_calls=np.asarray(calls, dtype=np.int64),
-        epoch_rows=rows,
+        epoch_rows=_epoch_rows(problem, rows, points, diverged_at is not None),
         epoch_points=points,
         x_final=np.array(x, copy=True),
         diverged=diverged_at is not None,
@@ -637,11 +644,6 @@ def _row_squares(rows: np.ndarray) -> np.ndarray:
     return np.matmul(rows[:, None, :], rows[:, :, None])[:, 0, 0]
 
 
-def _row_norms(rows: np.ndarray) -> np.ndarray:
-    """:func:`_vector_norm` of every row of a (R, d) block, bitwise."""
-    return np.sqrt(_row_squares(rows))
-
-
 def lockstep_run(
     problem: FiniteSumProblem, algo: str, runs: list, *, keep_path: bool | str = False
 ) -> Iterator:
@@ -661,8 +663,9 @@ def lockstep_run(
     _BLOCK_BYTES of step records and paths each, and a group of two or
     more never steps a block of one member. A block is stepped when its
     first outcome is requested. Records do not depend on the blocks: every
-    member keeps its own rng, counter and step size. Its sample indices
-    come in chunks from a :class:`_Draws`, settled when the member stops.
+    member keeps its own rng, counter and step size. Its indices come in
+    chunks from a :class:`_Draws`, and when it stops, these are settled
+    and its epoch rows evaluated, as a run alone's are.
     """
     x0s = [as_param_vector(x0, problem.d) for _, x0, _ in runs]
     if len({(m.steps, m.period, m.batch) for m, _, _ in runs}) > 1:
@@ -716,17 +719,16 @@ def _lockstep_block(problem, algo: str, runs: list, x0s: list, keep_path) -> lis
     x = np.stack(x0s)
     coeffs = np.array([m.coeffs for m, _, _ in runs])
     accum = np.zeros(size)
-    gamma = np.zeros(size)  # the last step size, as epoch rows log it
+    gamma = np.zeros(size)  # the last step size, as epoch rows record it
     draws = np.empty((size, 0), dtype=np.int64)
     anchor = base = x
     gammas, norms = [], []  # of the steps after the first ``recorded``
     calls = sampled = pos = recorded = 0
     last_epoch = -1
 
-    def log_rows(which, losses, grad_norms):
-        for k, loss, grad_norm in zip(which, losses, grad_norms):
-            r = live[k]
-            rows[r].append(EpochRow(calls // n, calls, loss, grad_norm, float(gamma[k])))
+    def mark(which):
+        for k, r in zip(which, live[which]):
+            rows[r].append(EpochRow(calls // n, calls, math.inf, math.inf, float(gamma[k])))
             points[r].append(np.array(x[k], copy=True))
 
     def record():
@@ -753,7 +755,7 @@ def _lockstep_block(problem, algo: str, runs: list, x0s: list, keep_path) -> lis
                     step_sizes=step_sizes[r, :recorded],
                     estimator_norms=est_norms[r, :recorded],
                     oracle_calls=oracle_calls[:recorded],
-                    epoch_rows=rows[r],
+                    epoch_rows=_epoch_rows(problem, rows[r], points[r], diverged_at is not None),
                     epoch_points=points[r],
                     x_final=np.array(x[k], copy=True),
                     diverged=diverged_at is not None,
@@ -768,8 +770,7 @@ def _lockstep_block(problem, algo: str, runs: list, x0s: list, keep_path) -> lis
 
     for t in range(steps):
         if calls // n > last_epoch:
-            grad_norms = _row_norms(problem.metric_gradients(x)).tolist()
-            log_rows(range(len(live)), [problem.value(p) for p in x], grad_norms)
+            mark(np.arange(len(live)))
             last_epoch = calls // n
         if iterates is not None:
             iterates[live, t] = x
@@ -838,8 +839,7 @@ def _lockstep_block(problem, algo: str, runs: list, x0s: list, keep_path) -> lis
             record()
         if not np.abs(x).max() <= DIVERGENCE_LIMIT:  # as in _diverged, per row
             diverged = ~(np.abs(x).max(axis=1) <= DIVERGENCE_LIMIT)
-            which = np.flatnonzero(diverged)
-            log_rows(which, [math.inf] * len(which), [math.inf] * len(which))
+            mark(np.flatnonzero(diverged))
             stop(diverged, diverged_at=t)
             if not live.size:
                 break

@@ -24,8 +24,7 @@ import numpy as np
 from .core import FiniteSumProblem
 from .data import generate_synthetic
 from .optimizers import (
-    AdaSpiderConfig, RunTrace, _adaspider_method, _row_norms, _row_squares, adaspider_run,
-    lockstep_run,
+    AdaSpiderConfig, RunTrace, _adaspider_method, _row_squares, adaspider_run, lockstep_run,
 )
 from .problems import QuadraticProblem, RegularizedERM
 
@@ -448,6 +447,11 @@ def check_weighted_variance(
 # Rows of true gradients evaluated per batched call along a stored path;
 # bounds the per-element sigmoid temporaries of the logistic family.
 _PATH_BLOCK = 256
+
+
+def _row_norms(rows: np.ndarray) -> np.ndarray:
+    """``_vector_norm`` of every row of a (R, d) block, bitwise."""
+    return np.sqrt(_row_squares(rows))
 
 
 def _path_gradient_norms(problem: FiniteSumProblem, iterates: np.ndarray) -> np.ndarray:

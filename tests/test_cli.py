@@ -58,6 +58,22 @@ class TestRun:
         assert code == 2
         assert str(missing) in err
 
+    @pytest.mark.parametrize("command", ["run", "sweep"])
+    @pytest.mark.parametrize("name", ["nope.svm", "."])
+    def test_unreadable_data_file_exits_2_and_names_field(self, tmp_path, capsys, command, name):
+        missing = tmp_path / name
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(
+            json.dumps({"problem": {"path": str(missing)}, "algorithms": [{"name": "sgd"}]})
+        )
+        argv = [command, "--config", str(cfg_path), "--steps", "5"]
+        if command == "sweep":
+            argv += ["--algo", "sgd", "--grid", "0.1"]
+        code, out, err = run_main(capsys, *argv)
+        assert code == 2
+        assert "problem.path" in err and str(missing) in err
+        assert out == ""
+
     def test_flag_overrides_on_bundled_default(self, tmp_path, capsys):
         out_path = tmp_path / "records.csv"
         code, _out, _err = run_main(
@@ -142,6 +158,9 @@ class TestRun:
             ("problem.layer_dims", {"loss": "mlp", "n": 5, "layer_dims": []}),
             ("problem.data_seed", {"n": 8, "d": 2, "data_seed": -1}),
             ("problem.path", {"path": 5}),
+            ("problem.n", {"n": 0, "d": 2}),
+            ("problem.d", {"n": 8, "d": 0}),
+            ("problem.n", {"loss": "mlp", "n": -1}),
             ("problem.lam", {"n": 8, "d": 2, "lam": "x"}),
             ("problem.lam", {"n": 8, "d": 2, "lam": math.inf}),
             ("problem.lam", {"n": 8, "d": 2, "lam": -1}),
@@ -327,6 +346,12 @@ class TestSweep:
         assert code == 0
         summary = json.loads(out)
         assert summary["best"] == 0.01
+
+    def test_empty_grid_exits_2(self, capsys):
+        code, out, err = run_main(capsys, "sweep", "--algo", "sgd", "--grid", "")
+        assert code == 2
+        assert err == "error: sweep grid is empty\n"
+        assert out == ""
 
 
 class TestVerify:

@@ -213,6 +213,12 @@ class TestRunExperiment:
             ("problem.data_seed", {"n": 8, "d": 2, "data_seed": -1}),
             ("problem.data_seed", {"loss": "mlp", "n": 5, "data_seed": -3}),
             ("problem.path", {"path": 5}),
+            # the sizes the synthetic data reads
+            ("problem.n", {"n": 0, "d": 2}),
+            ("problem.n", {"loss": "squared", "n": -3, "d": 2}),
+            ("problem.d", {"n": 8, "d": 0}),
+            ("problem.d", {"loss": "squared", "n": 8, "d": -1}),
+            ("problem.n", {"loss": "mlp", "n": 0}),
             ("problem.lam", {"n": 8, "d": 2, "lam": "x"}),
             ("problem.lam", {"n": 8, "d": 2, "lam": None}),
             ("problem.lam", {"n": 8, "d": 2, "lambda": True}),
@@ -242,6 +248,19 @@ class TestRunExperiment:
             run_experiment(config_from_dict(doc))
         with pytest.raises(ConfigError, match=field):
             sweep_step_size(config_from_dict(doc), "sgd", [0.1])
+
+    def test_sizes_the_build_does_not_read_are_not_checked(self, tmp_path):
+        # the network's input size comes from layer_dims, and a data file's
+        # sizes from the file
+        data_path = tmp_path / "data.svm"
+        data_path.write_text("1 1:0.5\n-1 2:1.5\n")
+        for problem in (
+            {"loss": "mlp", "n": 4, "d": 0, "layer_dims": [2, 2]},
+            {"path": str(data_path), "n": 0, "d": -1},
+        ):
+            doc = {"problem": problem, "algorithms": [{"name": "sgd"}], "steps": 3}
+            records = run_experiment(config_from_dict(dict(doc, repeats=1)))
+            assert len(records) == 1
 
     def test_each_algorithm_rejects_keys_it_does_not_read(self):
         every_key = sorted({key for row in ALGORITHMS.values() for key in row.params})

@@ -615,6 +615,76 @@ class TestFaultOrder:
         assert capsys.readouterr().err == f"error: {expected}\n"
 
 
+class DiagnosticCalls:
+    """Counts of a problem's diagnostic calls: ``value``, ``metric_gradient``
+    and ``metric_gradients`` made other than through ``metric_gradient``."""
+
+    def __init__(self, problem):
+        self.counts = {"value": 0, "metric_gradient": 0, "metric_gradients": 0}
+        self.inside = False
+        value, metric_gradient = problem.value, problem.metric_gradient
+        metric_gradients = problem.metric_gradients
+
+        def counted_value(x):
+            self.counts["value"] += 1
+            return value(x)
+
+        def counted_metric_gradient(x):
+            self.counts["metric_gradient"] += 1
+            self.inside = True
+            try:
+                return metric_gradient(x)
+            finally:
+                self.inside = False
+
+        def counted_metric_gradients(points):
+            self.counts["metric_gradients"] += not self.inside
+            return metric_gradients(points)
+
+        problem.value = counted_value
+        problem.metric_gradient = counted_metric_gradient
+        problem.metric_gradients = counted_metric_gradients
+
+
+class TestRowsAfterSteps:
+    """Epoch rows are evaluated after the steps, point by point, by one
+    function for runs alone and for group members."""
+
+    @pytest.mark.parametrize("algo", ["svrg", "adaspider", "sgd"])
+    def test_group_rows_take_one_metric_gradient_each(self, algo):
+        problem = make_problem("logistic", 10, 3, 0)
+        calls = DiagnosticCalls(problem)
+        runs = group_runs(algo, [0.01, 0.1, 1.0], [np.zeros(3)] * 3, 0, 40, 5, 1)
+        traces = grouped_outcomes(problem, algo, runs)
+        rows = [len(trace.epoch_rows) for trace in traces]
+        assert len(set(rows)) == 1 and rows[0] > 1
+        assert all(math.isfinite(row.loss) for t in traces for row in t.epoch_rows)
+        assert calls.counts == {
+            "value": 3 * rows[0], "metric_gradient": 3 * rows[0], "metric_gradients": 0
+        }
+
+    def test_diverged_row_is_not_evaluated(self):
+        problem = make_problem("squared", 10, 3, 1)
+        calls = DiagnosticCalls(problem)
+        runs = group_runs("sgd", [0.01, 1e8], [np.ones(3)] * 2, 5, 300, 5, 1)
+        traces = grouped_outcomes(problem, "sgd", runs)
+        assert [t.diverged for t in traces] == [False, True]
+        assert math.isinf(traces[1].epoch_rows[-1].loss)
+        finite = sum(len(t.epoch_rows) for t in traces) - 1
+        assert calls.counts == {
+            "value": finite, "metric_gradient": finite, "metric_gradients": 0
+        }
+
+    @pytest.mark.parametrize("grouped", [False, True])
+    def test_run_whose_first_reset_faults_evaluates_nothing(self, grouped):
+        problem = Ramp(10, fault_at=1)
+        calls = DiagnosticCalls(problem)
+        runs = group_runs("svrg", [1e-3, 1e-3], [np.ones(1), np.full(1, 2.0)], 4, 30, 10, 1)
+        outcomes = runs_or_group(problem, "svrg", runs, grouped)
+        assert all(isinstance(outcome, NonFiniteGradientError) for outcome in outcomes)
+        assert calls.counts == {"value": 0, "metric_gradient": 0, "metric_gradients": 0}
+
+
 def sha256(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
 

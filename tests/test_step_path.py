@@ -17,12 +17,12 @@ from adaspider.optimizers import (
     DIVERGENCE_LIMIT,
     AdaSpiderConfig,
     _diverged,
-    _row_norms,
     _vector_norm,
     adaspider_run,
     adaspider_step_size,
 )
 from adaspider.problems import RegularizedERM
+from adaspider.verify import _row_norms
 
 LIMIT = DIVERGENCE_LIMIT
 ABOVE_LIMIT = float(np.nextafter(LIMIT, np.inf))
