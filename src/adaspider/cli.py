@@ -23,6 +23,7 @@ from .harness import (
     DEFAULT_SWEEP_GRID,
     ExperimentConfig,
     ProblemSpec,
+    check_settings,
     config_from_dict,
     emit_records,
     run_experiment,
@@ -64,6 +65,23 @@ def _default_out(fmt: str, out: str | None) -> str:
     if base and not os.path.isabs(out) and os.path.dirname(out) == "":
         return os.path.join(base, out)
     return out
+
+
+def _checked_out(fmt: str, out: str | None) -> str:
+    """The records' path, checked before any run starts: a directory, or a
+    file in a directory that does not exist, is a configuration error."""
+    path = _default_out(fmt, out)
+    if os.path.isdir(path):
+        raise ConfigError(f"out {path!r} is a directory")
+    folder = os.path.dirname(path)
+    if folder and not os.path.isdir(folder):
+        raise ConfigError(f"out {path!r} is in a directory that does not exist")
+    return path
+
+
+def _check_seed(seed: int) -> None:
+    if seed < 0:
+        raise ConfigError(f"--seed must be a non-negative integer, got {seed}")
 
 
 def _load_config(path: str | None) -> ExperimentConfig:
@@ -111,8 +129,9 @@ def _apply_overrides(config: ExperimentConfig, args) -> ExperimentConfig:
 
 def _cmd_run(args) -> int:
     config = _apply_overrides(_load_config(args.config), args)
+    check_settings(config)  # out is a string, or None, before it is checked
+    out = _checked_out(config.format, config.out)
     records = run_experiment(config)
-    out = _default_out(config.format, config.out)
     emit_records(records, config.format, out)
     print(f"wrote {len(records)} records to {out}", file=sys.stderr)
     return 0
@@ -132,6 +151,7 @@ def _cmd_sweep(args) -> int:
             grid = [float(v) for v in args.grid.split(",")] if args.grid else []
         except ValueError:
             raise ConfigError(f"--grid must list numbers, got {args.grid!r}") from None
+    out = None if args.out is None else _checked_out(config.format, args.out)
     best, results = sweep_step_size(config, algo_name, grid)
     summary = {
         "algo": algo_name,
@@ -143,8 +163,8 @@ def _cmd_sweep(args) -> int:
         },
     }
     print(json.dumps(summary, indent=1))
-    if args.out is not None:
-        emit_records(results[best], config.format, _default_out(config.format, args.out))
+    if out is not None:
+        emit_records(results[best], config.format, out)
     return 0
 
 
@@ -183,6 +203,7 @@ def _verify_reports(suite: str, seed: int, rhs_factor: float) -> list:
 
 
 def _cmd_verify(args) -> int:
+    _check_seed(args.seed)
     reports = _verify_reports(args.suite, args.seed, args.rhs_factor)
     for report in reports:
         print(report.to_json())
@@ -237,7 +258,7 @@ def gradient_check_report(points: int = 20, seed: int = 0, corrupt: bool = False
         "squared": erm("quadratic", "squared"),
         "mlp": (
             MLPClassificationProblem(clusters, dims),
-            lambda: kaiming_uniform_scaled_init(dims, 0.1, rng).params,
+            lambda: kaiming_uniform_scaled_init(dims, 0.1, rng),
         ),
     }
     for family, (problem, draw_point) in cases.items():
@@ -262,6 +283,7 @@ def gradient_check_report(points: int = 20, seed: int = 0, corrupt: bool = False
 
 
 def _cmd_gradcheck(args) -> int:
+    _check_seed(args.seed)
     report = gradient_check_report(
         points=args.points, seed=args.seed, corrupt=args.corrupt
     )

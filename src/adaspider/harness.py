@@ -225,7 +225,7 @@ def initial_point(
     """
     if spec.loss == "mlp":
         rng = np.random.default_rng([master_seed, repeat])
-        return kaiming_uniform_scaled_init(spec.layer_dims, spec.c_init, rng).params
+        return kaiming_uniform_scaled_init(spec.layer_dims, spec.c_init, rng)
     return np.zeros(problem.d)
 
 

@@ -9,18 +9,20 @@ numpy. Its rows are bitwise equal to the single-component
 ``component_gradient``, at one shared point or at one point per row:
 per-sample products run as a stacked ``np.matmul``, which calls the same
 BLAS kernel per row as a single call (a plain 2-d product would not),
-and every other step is elementwise. The network has one stacked forward
-pass and one backpropagation, at one shared parameter vector or at one
-per row, whose per-row weights are views of the rows; its single-sample
-gradient, loss and logits are their one-row cases, and the difference of
-one sample's gradients at two points is one two-row pass.
+and every other step is elementwise. The network is a flat parameter
+vector, laid out by :func:`_unpack_params`, with one stacked forward pass
+and one backpropagation, at one shared parameter vector or at one per
+row, whose per-row weights are views of the rows; its single-sample
+gradient and loss are their one-row cases, and the difference of one
+sample's gradients at two points is one two-row pass. Only the full
+loss ``value()`` runs its own forward pass, one matrix product per layer
+over all samples.
 """
 
 from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -271,36 +273,11 @@ def mlp_param_count(layer_dims) -> int:
     return _layout(tuple(layer_dims))[1]
 
 
-@dataclass(frozen=True)
-class MLPNet:
-    """Fully connected ELU network: layer sizes plus one flat parameter vector.
-
-    The flat layout is, per layer, the (out, in) weight matrix in row-major
-    order followed by the bias. The parameter vector is what optimizers
-    move; the net object itself never mutates.
-    """
-
-    layer_dims: tuple
-    params: np.ndarray
-
-    def __post_init__(self):
-        if len(self.layer_dims) < 2:
-            raise ValueError("network needs at least input and output dimensions")
-        expected = mlp_param_count(self.layer_dims)
-        if self.params.shape != (expected,):
-            raise ValueError(
-                f"parameter vector has shape {self.params.shape}, "
-                f"expected ({expected},) for dims {tuple(self.layer_dims)}"
-            )
-
-    @property
-    def d(self) -> int:
-        return self.params.shape[0]
-
-
 def _unpack_params(layer_dims, params: np.ndarray):
     """Views of the flat vector as per-layer (weight, bias) pairs; of a
-    (k, d) block, as (k, out, in) weight and (k, out) bias stacks."""
+    (k, d) block, as (k, out, in) weight and (k, out) bias stacks. Per
+    layer, the vector holds the (out, in) weight matrix in row-major order,
+    then the bias."""
     lead = params.shape[:-1]
     return [
         (params[..., start:end].reshape(lead + shape), params[..., end:bias_end])
@@ -354,56 +331,15 @@ def _backprop(layer_dims, layers, activations, belows, one_hot: np.ndarray) -> n
     return grads
 
 
-def mlp_forward(net: MLPNet, inputs: np.ndarray) -> np.ndarray:
-    """Logits of the network: one input vector, or a (k, d_in) batch."""
-    inputs = np.asarray(inputs, dtype=np.float64)
-    if inputs.ndim == 2 and inputs.shape[1] == net.layer_dims[0]:
-        layers = _unpack_params(net.layer_dims, net.params)
-        h = inputs
-        for k, (w, b) in enumerate(layers):
-            z = h @ w.T + b
-            h = elu(z) if k < len(layers) - 1 else z
-        return h
-    if inputs.shape != (net.layer_dims[0],):
-        raise ValueError(
-            f"input has shape {inputs.shape}, expected ({net.layer_dims[0]},) "
-            f"or (k, {net.layer_dims[0]})"
-        )
-    _, activations, _ = _stacked_forward(net.layer_dims, net.params, inputs[None])
-    return activations[-1][0]
-
-
-def mlp_loss_and_gradient(net: MLPNet, inputs: np.ndarray, one_hot_label: np.ndarray):
-    """Cross-entropy value and its gradient with respect to all parameters.
-
-    The loss is logsumexp(logits) - label' logits, computed stably, and
-    the gradient is the one-row case of :func:`_backprop`.
-    """
-    one_hot_label = np.asarray(one_hot_label, dtype=np.float64)
-    n_classes = net.layer_dims[-1]
-    if one_hot_label.shape != (n_classes,) or not (
-        np.all((one_hot_label == 0.0) | (one_hot_label == 1.0))
-        and one_hot_label.sum() == 1.0
-    ):
-        raise ValueError(f"label must be one-hot of length {n_classes}")
-    inputs = np.asarray(inputs, dtype=np.float64)
-    if inputs.shape != (net.layer_dims[0],):
-        raise ValueError(
-            f"input has shape {inputs.shape}, expected ({net.layer_dims[0]},)"
-        )
-    stacked = _stacked_forward(net.layer_dims, net.params, inputs[None])
-    logits = stacked[1][-1][0]
-    loss = float(logsumexp(logits) - one_hot_label @ logits)
-    return loss, _backprop(net.layer_dims, *stacked, one_hot_label[None])[0]
-
-
 def kaiming_uniform_scaled_init(
     layer_dims, c_init: float, rng: np.random.Generator
-) -> MLPNet:
-    """Uniform weight init with per-layer variance c_init / d_in, zero biases.
+) -> np.ndarray:
+    """Flat parameter vector of a network of ``layer_dims``: uniform weights
+    with per-layer variance c_init / d_in, zero biases.
 
     Weights are drawn from [-sqrt(3 c_init / d_in), +sqrt(3 c_init / d_in)],
-    a scaled-down variant of the usual fan-in uniform scheme.
+    a scaled-down variant of the usual fan-in uniform scheme. The vector
+    has the layout of :func:`_unpack_params`, the point that optimizers move.
     """
     if c_init <= 0:
         raise ValueError("c_init must be positive")
@@ -415,7 +351,7 @@ def kaiming_uniform_scaled_init(
         d_out, d_in = w.shape
         bound = np.sqrt(3.0 * c_init / d_in)
         w[...] = rng.uniform(-bound, bound, size=(d_out, d_in))
-    return MLPNet(layer_dims=layer_dims, params=params)
+    return params
 
 
 class MLPClassificationProblem(FiniteSumProblem):
@@ -485,7 +421,15 @@ class MLPClassificationProblem(FiniteSumProblem):
         return self._gradients(idx, self._params(x, idx.size))
 
     def value(self, x: np.ndarray) -> float:
-        """Mean cross-entropy via one batched forward pass (diagnostics)."""
-        logits = mlp_forward(MLPNet(self.layer_dims, self._params(x)), self._features)
-        losses = logsumexp(logits) - np.einsum("ij,ij->i", self._one_hot, logits)
+        """Mean cross-entropy over all samples (diagnostics). Its forward
+        pass is one ``h @ w.T + b`` product per layer, the arithmetic the
+        recorded losses were made with; the stacked pass differs from it in
+        the last bits on some points."""
+        layers = _unpack_params(self.layer_dims, self._params(x))
+        h = self._features
+        for k, (w, b) in enumerate(layers):
+            h = h @ w.T + b
+            if k < len(layers) - 1:
+                h = elu(h)
+        losses = logsumexp(h) - np.einsum("ij,ij->i", self._one_hot, h)
         return float(losses.mean())

@@ -58,7 +58,7 @@ class LemmaReport:
 
 def _report(lemma: str, margins, slack: float, detail: str = "") -> LemmaReport:
     margins = np.asarray(margins, dtype=np.float64)
-    violations = int(np.sum(margins < -slack))
+    violations = int(np.sum(~(margins >= -slack)))  # a NaN margin is a violation
     worst = float(margins.min()) if margins.size else 0.0
     return LemmaReport(
         lemma=lemma,

@@ -5,7 +5,10 @@ recorded network runs were made with.
 The package computes every network logit, loss and gradient through one
 stacked forward pass and one backpropagation over a (k, d_in) block of
 inputs. Their one-row and k-row results are checked bit for bit against
-this code, which keeps no stacked axis.
+this code, which keeps no stacked axis. The full loss ``value()`` runs
+its own forward pass, one matrix product per layer over all samples;
+:func:`reference_value` is that pass, with each sample's loss taken one
+row at a time.
 """
 
 import numpy as np
@@ -29,6 +32,12 @@ def reference_forward_cached(layer_dims, params: np.ndarray, inputs: np.ndarray)
         h = elu(z) if k < len(layers) - 1 else z
         activations.append(h)
     return layers, activations, pre_acts
+
+
+def reference_cross_entropy(logits: np.ndarray, one_hot_label: np.ndarray) -> float:
+    """Cross-entropy of one row of logits, one scalar at a time."""
+    m = float(np.max(logits))
+    return m + float(np.log(np.sum(np.exp(logits - m)))) - float(one_hot_label @ logits)
 
 
 def reference_loss_and_gradient(layer_dims, params, inputs, one_hot_label):
@@ -65,3 +74,16 @@ def reference_rows(problem, indices, x):
         )
         for i in indices
     ]
+
+
+def reference_value(problem, x):
+    """Mean cross-entropy of an ``MLPClassificationProblem`` at ``x``: the
+    logits of all samples from one (n, d_in) matrix product per layer,
+    ``h @ w.T + b``, the arithmetic of the recorded losses; then each
+    sample's cross-entropy one row at a time."""
+    layers = _unpack_params(problem.layer_dims, x)
+    h = problem._features
+    for k, (w, b) in enumerate(layers):
+        z = h @ w.T + b
+        h = elu(z) if k < len(layers) - 1 else z
+    return float(np.mean([reference_cross_entropy(z, y) for z, y in zip(h, problem._one_hot)]))

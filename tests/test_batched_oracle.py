@@ -50,9 +50,7 @@ def make_problem(family: str, n: int, seed: int, d: int | None = None):
             "two-cluster-classification", n, MLP_DIMS[0], seed, n_classes=MLP_DIMS[-1]
         )
         problem = MLPClassificationProblem(dataset, MLP_DIMS)
-        return problem, lambda r, scale: kaiming_uniform_scaled_init(
-            MLP_DIMS, scale, r
-        ).params
+        return problem, lambda r, scale: kaiming_uniform_scaled_init(MLP_DIMS, scale, r)
     kind = "separable-logistic" if family == "logistic" else "quadratic"
     problem = RegularizedERM(generate_synthetic(kind, n, d or 4, seed), loss_kind=family)
     return problem, lambda r, scale: scale * r.standard_normal(problem.d)

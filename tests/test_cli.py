@@ -276,28 +276,37 @@ class TestRun:
         assert code == 0
         assert (tmp_path / "records.csv").exists()
 
-    def test_unwritable_output_exits_3(self, tmp_path, capsys):
-        code, _out, err = run_main(
-            capsys,
-            "run",
-            "--algo",
-            "adaspider",
-            "--steps",
-            "5",
-            "--repeats",
-            "1",
-            "--out",
-            str(tmp_path / "no" / "such" / "dir" / "x.csv"),
-        )
-        assert code == 3
-        assert err != ""
+    @pytest.mark.parametrize("where", ["flag", "config"])
+    @pytest.mark.parametrize("target", ["missing-folder", "directory"])
+    def test_unwritable_output_exits_2_before_any_run(
+        self, tmp_path, capsys, monkeypatch, where, target
+    ):
+        out = tmp_path / "no" / "such" / "dir" / "x.csv" if target == "missing-folder" else tmp_path
+        monkeypatch.setattr(cli, "run_experiment", lambda config: pytest.fail("a run started"))
+        cfg_path = tmp_path / "cfg.json"
+        config = {"algorithms": [{"name": "adaspider"}], "steps": 5}
+        if where == "config":
+            config["out"] = str(out)
+        cfg_path.write_text(json.dumps(config))
+        argv = ["run", "--config", str(cfg_path)]
+        if where == "flag":
+            argv += ["--out", str(out)]
+        code, _out, err = run_main(capsys, *argv)
+        assert code == 2
+        assert err.startswith(f"error: out {str(out)!r} is ")
 
 
     @pytest.mark.parametrize(
         "line, loss, code, message",
         [
-            # the squared margin overflows: a runtime fault, found mid-run
-            ("1e200 1:1e200", "squared", 3, "non-finite gradient from component 1"),
+            # the squared margin overflows: a runtime fault, found mid-run;
+            # the overflow's own warning is the fault under test
+            pytest.param(
+                "1e200 1:1e200", "squared", 3, "non-finite gradient from component 1",
+                marks=pytest.mark.filterwarnings(
+                    "ignore:overflow encountered in multiply:RuntimeWarning"
+                ),
+            ),
             ("2 1:1", "logistic", 2, "label 2.0 not usable for logistic loss"),
         ],
     )
@@ -353,6 +362,17 @@ class TestSweep:
         assert err == "error: sweep grid is empty\n"
         assert out == ""
 
+    @pytest.mark.parametrize("target", ["missing-folder", "directory"])
+    def test_unwritable_output_exits_2_before_any_run(self, tmp_path, capsys, monkeypatch, target):
+        out = tmp_path / "no" / "x.csv" if target == "missing-folder" else tmp_path
+        monkeypatch.setattr(cli, "sweep_step_size", lambda *args: pytest.fail("a run started"))
+        code, stdout, err = run_main(
+            capsys, "sweep", "--algo", "sgd", "--grid", "0.1", "--out", str(out)
+        )
+        assert code == 2
+        assert err.startswith(f"error: out {str(out)!r} is ")
+        assert stdout == ""  # no summary
+
 
 class TestVerify:
     def test_sqrt_suite_passes(self, capsys):
@@ -374,6 +394,12 @@ class TestVerify:
         )
         assert code == 1
         assert json.loads(out.strip())["pass"] is False
+
+    @pytest.mark.parametrize("suite", ["sqrt", "log", "variance", "trajectory"])
+    def test_nan_rhs_factor_fails_every_check(self, capsys, suite):
+        code, out, _err = run_main(capsys, "verify", "--suite", suite, "--rhs-factor", "nan")
+        assert code == 1
+        assert all(json.loads(line)["pass"] is False for line in out.strip().splitlines())
 
     def test_trajectory_suite_passes(self, capsys):
         code, out, _err = run_main(capsys, "verify", "--suite", "trajectory")
@@ -491,6 +517,14 @@ class TestGradcheck:
         assert report["pass"] is False
         others = {k: v for k, v in report["families"].items() if k != "mlp"}
         assert max(others.values()) <= report["tolerance"]
+
+
+@pytest.mark.parametrize("command", ["verify", "gradcheck"])
+def test_negative_seed_exits_2_and_names_flag(capsys, command):
+    code, out, err = run_main(capsys, command, "--seed", "-1")
+    assert code == 2
+    assert err == "error: --seed must be a non-negative integer, got -1\n"
+    assert out == ""
 
 
 class TestConsoleScript:

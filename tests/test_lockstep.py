@@ -59,7 +59,7 @@ def make_problem(family: str, n: int, d: int, seed: int) -> FiniteSumProblem:
 def start_point(family: str, problem, seed: int, scale: float) -> np.ndarray:
     rng = np.random.default_rng([seed, 7])
     if family == "mlp":
-        return kaiming_uniform_scaled_init(MLP_DIMS, 0.1, rng).params
+        return kaiming_uniform_scaled_init(MLP_DIMS, 0.1, rng)
     return scale * rng.standard_normal(problem.d)
 
 
@@ -285,7 +285,7 @@ class TestGroupEqualsRuns:
         dims = (20, 16, 16, 4)
         clusters = generate_synthetic("two-cluster-classification", 24, 20, 4, n_classes=4)
         problem = MLPClassificationProblem(clusters, dims)
-        x0s = [kaiming_uniform_scaled_init(dims, 0.01, np.random.default_rng([4, k])).params
+        x0s = [kaiming_uniform_scaled_init(dims, 0.01, np.random.default_rng([4, k]))
                for k in range(3)]
         runs = group_runs(algo, [0.1, 1.0, 10.0], x0s, 4, 40, 6, batch)
         check_group(problem, algo, runs, keep_path=True)

@@ -1,7 +1,8 @@
 """The network oracle is one stacked forward pass and one backpropagation:
 its one-row and k-row logits, losses and gradients are bitwise equal to
 the per-sample reference in ``mlp_reference``, at one parameter vector
-and at one per row."""
+and at one per row. The full loss ``value()`` is bitwise equal to the
+reference's matrix-product forward pass."""
 
 import hashlib
 import runpy
@@ -12,18 +13,20 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
-from mlp_reference import elu_derivative, reference_rows
+from mlp_reference import (
+    elu_derivative,
+    reference_cross_entropy,
+    reference_rows,
+    reference_value,
+)
 
 from adaspider.data import generate_synthetic
 from adaspider.problems import (
     MLPClassificationProblem,
-    MLPNet,
     _stacked_forward,
     _unpack_params,
     kaiming_uniform_scaled_init,
     logsumexp,
-    mlp_forward,
-    mlp_loss_and_gradient,
     mlp_param_count,
 )
 
@@ -52,7 +55,6 @@ def test_one_row_and_k_row_calls_match_reference(dims, n, seed, scale, picks):
     problem = MLPClassificationProblem(dataset, dims)
     rng = np.random.default_rng(seed + 1)
     x = scale * rng.standard_normal(mlp_param_count(dims))
-    net = MLPNet(layer_dims=dims, params=x)
     indices = [1 + p % n for p in picks]  # a multiset: repeats allowed
     expected = reference_rows(problem, indices, x)
 
@@ -65,11 +67,9 @@ def test_one_row_and_k_row_calls_match_reference(dims, n, seed, scale, picks):
         assert same_bits(activations[-1][r], logits)
         assert same_bits(problem.component_gradient(i, x), grad)
         assert same_bits(problem.component_value(i, x), loss)
-        sample = problem._features[i - 1]
-        assert same_bits(mlp_forward(net, sample), logits)
-        one_loss, one_grad = mlp_loss_and_gradient(net, sample, problem._one_hot[i - 1])
-        assert same_bits(one_loss, loss)
-        assert same_bits(one_grad, grad)
+        one_row = _stacked_forward(dims, x, problem._features[i - 1][None])[1][-1][0]
+        assert same_bits(one_row, logits)
+    assert same_bits(problem.value(x), reference_value(problem, x))
 
 
 def test_problem_oracle_rejects_wrong_parameter_length():
@@ -107,7 +107,7 @@ def test_one_point_per_row_equals_single_calls(seed, c_init, picks, zero):
     dataset = generate_synthetic("two-cluster-classification", 30, 20, seed, n_classes=4)
     problem = MLPClassificationProblem(dataset, NET_DIMS)
     rng = np.random.default_rng(seed + 1)
-    points = np.stack([kaiming_uniform_scaled_init(NET_DIMS, c_init, rng).params for _ in picks])
+    points = np.stack([kaiming_uniform_scaled_init(NET_DIMS, c_init, rng) for _ in picks])
     if zero is not None:  # a row of zero parameters of one sign
         points[0] = zero
     indices = [1 + p % problem.n for p in picks]
@@ -121,7 +121,24 @@ def test_one_point_per_row_equals_single_calls(seed, c_init, picks, zero):
     assert same_bits(values, [problem.component_value(i, x) for x in points])
     _, activations, _ = _stacked_forward(NET_DIMS, points, problem._features[[i - 1] * len(picks)])
     for logits, x in zip(activations[-1], points):
-        assert same_bits(logits, mlp_forward(MLPNet(NET_DIMS, x), problem._features[i - 1]))
+        assert same_bits(logits, _stacked_forward(NET_DIMS, x, problem._features[[i - 1]])[1][-1][0])
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    seed=st.integers(min_value=0, max_value=10_000),
+    c_init=st.sampled_from([1e-4, 0.01, 0.1, 1.0, 30.0]),
+    n=st.integers(min_value=1, max_value=60),
+)
+def test_value_equals_the_matrix_product_reference(seed, c_init, n):
+    """value() is bitwise the reference's forward pass of one matrix
+    product per layer over all samples, whose arithmetic the logged losses
+    of network runs were made with; the stacked pass differs in the last
+    bits on some points."""
+    dataset = generate_synthetic("two-cluster-classification", n, 20, seed, n_classes=4)
+    problem = MLPClassificationProblem(dataset, NET_DIMS)
+    x = kaiming_uniform_scaled_init(NET_DIMS, c_init, np.random.default_rng(seed + 1))
+    assert same_bits(problem.value(x), reference_value(problem, x))
 
 
 SCRIPT = Path(__file__).resolve().parents[1] / "scripts" / "train_small_net.py"
@@ -195,12 +212,6 @@ def test_elu_derivative_is_the_exponential_of_min_z_0():
     assert same_bits(np.exp(np.minimum(z, 0.0)), elu_derivative(z))
 
 
-def per_row_tail(z: np.ndarray, label: np.ndarray) -> float:
-    """Cross-entropy of one row of logits, one scalar at a time."""
-    m = float(np.max(z))
-    return m + float(np.log(np.sum(np.exp(z - m)))) - float(label @ z)
-
-
 @pytest.mark.parametrize("scale", [1e-3, 0.1, 1.0, 10.0, 100.0, 700.0])
 @pytest.mark.parametrize("classes", [2, 4, 7])
 def test_row_wise_value_tail_equals_the_per_row_tail(scale, classes):
@@ -217,8 +228,8 @@ def test_row_wise_value_tail_equals_the_per_row_tail(scale, classes):
     inputs = problem._features[[0] * len(points)]
     assert same_bits(_stacked_forward(dims, points, inputs)[1][-1], logits)
     no_label = np.zeros(classes)
-    assert same_bits(logsumexp(logits), [per_row_tail(z, no_label) for z in logits])
+    assert same_bits(logsumexp(logits), [reference_cross_entropy(z, no_label) for z in logits])
     for i in range(1, problem.n + 1):
         label = problem._one_hot[i - 1]
-        expected = [per_row_tail(z, label) for z in logits]
+        expected = [reference_cross_entropy(z, label) for z in logits]
         assert same_bits(problem.component_values(i, points), expected)

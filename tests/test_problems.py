@@ -9,13 +9,10 @@ from adaspider.core import OracleCounter, finite_difference_gradient, full_gradi
 from adaspider.data import Dataset, generate_synthetic
 from adaspider.problems import (
     MLPClassificationProblem,
-    MLPNet,
     QuadraticProblem,
     RegularizedERM,
     kaiming_uniform_scaled_init,
     logsumexp,
-    mlp_forward,
-    mlp_loss_and_gradient,
     mlp_param_count,
     nonconvex_regularizer,
     nonconvex_regularizer_grad,
@@ -150,93 +147,115 @@ class TestQuadraticProblem:
             assert np.allclose(problem.component_gradient(i, x), numeric, atol=1e-5)
 
 
+def one_sample_problem(dims, features, label: int = 0) -> MLPClassificationProblem:
+    """A network problem over one sample of the given features and class."""
+    features = np.asarray(features, dtype=np.float64)
+    dataset = Dataset(
+        indptr=[0, features.size],
+        indices=np.arange(1, features.size + 1),
+        values=features,
+        labels=[float(label)],
+        d=features.size,
+    )
+    return MLPClassificationProblem(dataset, dims)
+
+
 class TestMLPForward:
-    def test_zero_network_gives_zero_logits(self):
-        dims = (3, 5, 2)
-        net = MLPNet(layer_dims=dims, params=np.zeros(mlp_param_count(dims)))
-        assert np.array_equal(mlp_forward(net, np.array([1.0, -2.0, 0.5])), np.zeros(2))
+    def test_zero_network_loss_is_log_class_count(self):
+        # zero parameters give zero logits, so every class is equally likely
+        problem = one_sample_problem((3, 5, 2), [1.0, -2.0, 0.5])
+        zero = np.zeros(problem.d)
+        assert problem.component_value(1, zero) == pytest.approx(math.log(2.0))
+        assert problem.value(zero) == pytest.approx(math.log(2.0))
 
     def test_single_affine_layer(self):
-        net = MLPNet(layer_dims=(2, 1), params=np.array([1.0, 1.0, 0.0]))
-        assert mlp_forward(net, np.array([1.0, 2.0]))[0] == pytest.approx(3.0)
+        # weights (1, 1) and (0, 0), zero biases: logits (3, 0) at input (1, 2)
+        problem = one_sample_problem((2, 2), [1.0, 2.0], label=1)
+        x = np.array([1.0, 1.0, 0.0, 0.0, 0.0, 0.0])
+        expected = 3.0 + math.log1p(math.exp(-3.0))
+        assert problem.component_value(1, x) == pytest.approx(expected)
+        assert problem.value(x) == pytest.approx(expected)
 
     def test_output_shape_and_finiteness(self):
         dims = (4, 8, 3)
-        rng = np.random.default_rng(0)
-        net = kaiming_uniform_scaled_init(dims, 1.0, rng)
-        logits = mlp_forward(net, rng.standard_normal(4))
-        assert logits.shape == (3,)
-        assert np.all(np.isfinite(logits))
+        dataset = generate_synthetic(
+            "two-cluster-classification", n=5, d=4, seed=0, n_classes=3
+        )
+        problem = MLPClassificationProblem(dataset, dims)
+        x = kaiming_uniform_scaled_init(dims, 1.0, np.random.default_rng(0))
+        grads = problem.component_gradients([1, 3, 5], x)
+        assert grads.shape == (3, problem.d)
+        assert np.all(np.isfinite(grads))
+        assert np.isfinite(problem.value(x))
 
     def test_batch_forward_matches_per_sample(self):
+        # value() runs one matrix product per layer over all samples; the
+        # component values run the stacked pass one sample at a time
         dims = (4, 8, 3)
+        dataset = generate_synthetic(
+            "two-cluster-classification", n=5, d=4, seed=1, n_classes=3
+        )
+        problem = MLPClassificationProblem(dataset, dims)
         rng = np.random.default_rng(1)
-        net = kaiming_uniform_scaled_init(dims, 0.5, rng)
-        batch = rng.standard_normal((5, 4))
-        batched = mlp_forward(net, batch)
-        assert batched.shape == (5, 3)
-        for k in range(5):
-            assert np.allclose(batched[k], mlp_forward(net, batch[k]), atol=1e-14)
+        for _ in range(5):
+            x = kaiming_uniform_scaled_init(dims, 0.5, rng)
+            per_sample = np.mean([problem.component_value(i, x) for i in range(1, 6)])
+            assert problem.value(x) == pytest.approx(per_sample, abs=1e-14)
 
     def test_input_dimension_checked(self):
-        net = MLPNet(layer_dims=(2, 1), params=np.zeros(3))
-        with pytest.raises(ValueError, match="shape"):
-            mlp_forward(net, np.zeros(3))
+        dataset = generate_synthetic(
+            "two-cluster-classification", n=4, d=3, seed=0, n_classes=2
+        )
+        with pytest.raises(ValueError, match="does not match input size 2"):
+            MLPClassificationProblem(dataset, (2, 1))
 
 
 class TestMLPLoss:
     def test_zero_logits_loss_is_ln2(self):
-        dims = (3, 2)
-        net = MLPNet(layer_dims=dims, params=np.zeros(mlp_param_count(dims)))
-        loss, _ = mlp_loss_and_gradient(net, np.ones(3), np.array([1.0, 0.0]))
+        problem = one_sample_problem((3, 2), np.ones(3))
+        loss = problem.component_value(1, np.zeros(problem.d))
         assert loss == pytest.approx(math.log(2.0))
 
     def test_binary_softmax_identity(self):
         # one unit fed by a single weight: logits are (t, 0)
         for t in (-3.0, 0.0, 2.5):
-            net = MLPNet(layer_dims=(1, 2), params=np.array([t, 0.0, 0.0, 0.0]))
-            loss, _ = mlp_loss_and_gradient(
-                net, np.array([1.0]), np.array([1.0, 0.0])
-            )
+            problem = one_sample_problem((1, 2), [1.0])
+            loss = problem.component_value(1, np.array([t, 0.0, 0.0, 0.0]))
             assert loss == pytest.approx(math.log1p(math.exp(-t)))
 
     def test_gradient_matches_finite_differences(self):
         dims = (3, 4, 2)
         rng = np.random.default_rng(42)
         for _ in range(5):
-            net = kaiming_uniform_scaled_init(dims, 0.5, rng)
-            x_in = rng.standard_normal(3)
-            label = np.zeros(2)
-            label[int(rng.integers(2))] = 1.0
-            _, analytic = mlp_loss_and_gradient(net, x_in, label)
-
-            def loss_at(p):
-                value, _ = mlp_loss_and_gradient(
-                    MLPNet(layer_dims=dims, params=p), x_in, label
-                )
-                return value
-
+            x = kaiming_uniform_scaled_init(dims, 0.5, rng)
+            problem = one_sample_problem(
+                dims, rng.standard_normal(3), label=int(rng.integers(2))
+            )
+            analytic = problem.component_gradient(1, x)
             numeric = finite_difference_gradient(
-                lambda ps: [loss_at(p) for p in ps], net.params, 1e-6
+                lambda ps: problem.component_values(1, ps), x, 1e-6
             )
             rel = np.linalg.norm(analytic - numeric) / max(1.0, np.linalg.norm(analytic))
             assert rel <= 1e-5
 
-    def test_rejects_non_one_hot_labels(self):
-        dims = (2, 2)
-        net = MLPNet(layer_dims=dims, params=np.zeros(mlp_param_count(dims)))
-        for bad in (np.array([1.0, 1.0]), np.array([0.5, 0.5]), np.zeros(2)):
-            with pytest.raises(ValueError, match="one-hot"):
-                mlp_loss_and_gradient(net, np.ones(2), bad)
+    def test_rejects_labels_outside_the_classes(self):
+        for label in (-1.0, 2.0):
+            dataset = Dataset(
+                indptr=[0, 1, 2], indices=[1, 1], values=[1.0, 1.0],
+                labels=[0.0, label], d=1,
+            )
+            with pytest.raises(ValueError, match="labels must be integers in 0..1"):
+                MLPClassificationProblem(dataset, (1, 2))
 
     def test_logsumexp_stable_at_large_logits(self):
         z = np.array([1e3, -1e3, 500.0])
         assert np.isfinite(logsumexp(z))
         # loss through a network with huge logits stays finite
-        net = MLPNet(layer_dims=(1, 2), params=np.array([1e3, -1e3, 0.0, 0.0]))
-        loss, grad = mlp_loss_and_gradient(net, np.array([1.0]), np.array([1.0, 0.0]))
-        assert np.isfinite(loss)
-        assert np.all(np.isfinite(grad))
+        problem = one_sample_problem((1, 2), [1.0])
+        x = np.array([1e3, -1e3, 0.0, 0.0])
+        assert np.isfinite(problem.component_value(1, x))
+        assert np.isfinite(problem.value(x))
+        assert np.all(np.isfinite(problem.component_gradient(1, x)))
 
 
 class TestKaimingScaledInit:
@@ -244,32 +263,33 @@ class TestKaimingScaledInit:
         # one wide layer gives 1e5 draws for the empirical variance
         dims = (500, 200, 1)
         c_init = 0.03
-        net = kaiming_uniform_scaled_init(dims, c_init, np.random.default_rng(0))
-        first_layer = net.params[: 500 * 200]
+        params = kaiming_uniform_scaled_init(dims, c_init, np.random.default_rng(0))
+        first_layer = params[: 500 * 200]
         target = c_init / 500
         assert abs(first_layer.var() - target) <= 0.05 * target
 
     def test_uniform_bound(self):
         c_init = 0.01
         dims = (100, 50, 2)
-        net = kaiming_uniform_scaled_init(dims, c_init, np.random.default_rng(1))
+        params = kaiming_uniform_scaled_init(dims, c_init, np.random.default_rng(1))
         bound = math.sqrt(3 * c_init / 100)
-        first_layer = net.params[: 100 * 50]
+        first_layer = params[: 100 * 50]
         assert np.max(np.abs(first_layer)) <= bound
         # the draws should come close to filling the interval
         assert np.max(np.abs(first_layer)) >= 0.95 * bound
 
     def test_biases_zero(self):
         dims = (4, 3, 2)
-        net = kaiming_uniform_scaled_init(dims, 0.1, np.random.default_rng(2))
+        params = kaiming_uniform_scaled_init(dims, 0.1, np.random.default_rng(2))
+        assert params.shape == (mlp_param_count(dims),)
         w0_end = 4 * 3
-        assert np.array_equal(net.params[w0_end : w0_end + 3], np.zeros(3))
+        assert np.array_equal(params[w0_end : w0_end + 3], np.zeros(3))
 
     def test_deterministic_given_seed(self):
         dims = (6, 5, 4)
         a = kaiming_uniform_scaled_init(dims, 0.02, np.random.default_rng(7))
         b = kaiming_uniform_scaled_init(dims, 0.02, np.random.default_rng(7))
-        assert np.array_equal(a.params, b.params)
+        assert np.array_equal(a, b)
 
     def test_rejects_bad_inputs(self):
         with pytest.raises(ValueError):

@@ -72,6 +72,12 @@ class TestSqrtLemma:
             50, np.random.default_rng(0), rhs_factor=0.5
         ).passed
 
+    def test_nan_margin_fails(self):
+        # NaN compares false with everything, so it is no proof of the bound
+        report = check_sqrt_lemma([1.0, 2.0], rhs_factor=math.nan)
+        assert math.isnan(report.worst_margin)
+        assert report.violations == 1 and not report.passed
+
 
 class TestLogLemma:
     def test_single_one_witness(self):
