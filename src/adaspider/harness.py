@@ -19,7 +19,7 @@ from typing import Callable, Iterator
 import numpy as np
 
 from .core import FiniteSumProblem
-from .data import generate_synthetic, load_libsvm, scale_features
+from .data import SYNTHETIC_KINDS, generate_synthetic, load_libsvm, scale_features
 # run_algorithm calls the *_run names through this module's namespace, so
 # that a wrapper installed on harness.<name>_run is the one that runs.
 from .optimizers import (  # noqa: F401
@@ -212,7 +212,15 @@ def build_problem(spec: ProblemSpec) -> FiniteSumProblem:
         dataset = scale_features(dataset)
     if spec.loss == "mlp":
         return MLPClassificationProblem(dataset, spec.layer_dims)
-    return RegularizedERM(dataset, loss_kind=spec.loss, lam=spec.lam)
+    try:
+        return RegularizedERM(dataset, loss_kind=spec.loss, lam=spec.lam)
+    except ValueError as exc:
+        if spec.path or spec.loss != "logistic":
+            raise
+        # the only error left for synthetic data: labels logistic loss cannot use
+        raise ConfigError(
+            f"problem.synthetic {spec.synthetic!r} does not fit logistic loss: {exc}"
+        ) from None
 
 
 def initial_point(
@@ -324,6 +332,13 @@ def check_settings(config: ExperimentConfig) -> None:
             value = getattr(config.problem, name)
             if value < 1:
                 raise ConfigError(f"problem.{name} must be at least 1, got {value!r}")
+    # only logistic loss on synthetic data reads the kind
+    synthetic = config.problem.synthetic
+    if not config.problem.path and config.problem.loss == "logistic":
+        if synthetic not in SYNTHETIC_KINDS:
+            raise ConfigError(
+                f"problem.synthetic must be one of {list(SYNTHETIC_KINDS)}, got {synthetic!r}"
+            )
     for name in ("lam", "c_init"):
         _require(f"problem.{name}", getattr(config.problem, name), numbers.Real, "a number")
     lam, c_init = config.problem.lam, config.problem.c_init
@@ -425,9 +440,8 @@ def _plan(config: ExperimentConfig, problem: FiniteSumProblem) -> list:
     """The runs of ``config`` on ``problem``, already built from
     ``config.problem`` after ``check_settings(config)`` passed: one
     (spec, repeat, x0, method, rng) per (algorithm, repeat) pair, in order,
-    where ``method`` is the spec's checked description, built once."""
-    for spec in config.algorithms:
-        _resolve(spec, problem)  # the checks that need the problem
+    where ``method`` is the spec's checked description, built once. The
+    specs' checks that need the problem run here, in spec order."""
     plan = []
     for spec in config.algorithms:
         if config.steps is not None:

@@ -218,7 +218,9 @@ class RunTrace:
     snapshots in ``epoch_points``, at the top of a step whenever the
     charged-call count has completed another full pass, so every snapshot
     is one of x_0 .. x_{T-1}; :func:`_epoch_rows` evaluates them after the
-    steps. ``iterates``/``estimates`` hold the full path when kept.
+    steps. ``iterates``/``estimates`` hold the full path when kept. The
+    per-step fields are views of arrays sized for the step budget, which
+    :func:`_trace` cuts to the steps taken.
     """
 
     algo: str
@@ -366,10 +368,8 @@ def _adagrad_norm_method(problem: FiniteSumProblem, eta, b0, steps) -> _Method:
     return _Method("stochastic", steps, 1, 1, "adaptive", (eta, 1.0, b0**2))
 
 
-# A run draws its sample indices this many at a time, and a lockstep block
-# writes out the step sizes and norms of this many steps at a time.
+# A run draws its sample indices this many at a time.
 _DRAW_CHUNK = 1024
-_RECORD_CHUNK = 256
 # A lockstep member keeps 16 bytes a step for its step sizes and norms, plus
 # 8 d a step for each path it keeps; a block keeps at most 64 MB of them.
 _BLOCK_BYTES = 1 << 26
@@ -383,6 +383,29 @@ def _epoch_rows(problem: FiniteSumProblem, rows: list, points: list, diverged: b
         row.loss = problem.value(x)
         row.grad_norm = float(np.linalg.norm(problem.metric_gradient(x)))
     return rows
+
+
+def _trace(problem, algo: str, taken: int, records, rows, points, x, diverged_at) -> RunTrace:
+    """The RunTrace of a run that stopped at ``x`` after ``taken`` steps, from
+    its step sizes, estimator norms, charged calls, iterates and estimates
+    (``records``, None for a path not kept) and its epoch rows and points."""
+    step_sizes, est_norms, calls, iterates, estimates = (
+        None if a is None else a[:taken] for a in records
+    )
+    diverged = diverged_at is not None
+    return RunTrace(
+        algo=algo,
+        step_sizes=step_sizes,
+        estimator_norms=est_norms,
+        oracle_calls=calls,
+        epoch_rows=_epoch_rows(problem, rows, points, diverged),
+        epoch_points=points,
+        x_final=np.array(x, copy=True),
+        diverged=diverged,
+        diverged_at=diverged_at,
+        iterates=iterates,
+        estimates=estimates,
+    )
 
 
 class _Draws:
@@ -439,6 +462,8 @@ def _run_loop(problem, algo: str, x0, rng, keep_path: bool, method: _Method) -> 
     :func:`spider_estimator_update`. An epoch row and a copy of x are
     recorded at the top of a step if the charged calls have completed
     another full pass, and for a diverged x; rows are evaluated at the end.
+    Step t writes its step size, estimator norm, charged calls and, when
+    kept, iterate and estimate at index t of arrays sized for the budget.
     """
     n = problem.n
     counter = OracleCounter()
@@ -452,7 +477,11 @@ def _run_loop(problem, algo: str, x0, rng, keep_path: bool, method: _Method) -> 
     else:
         eta, scale, offset = method.coeffs
     x = as_param_vector(x0, problem.d)
-    step_sizes, est_norms, calls, rows, points, iterates, estimates = ([] for _ in range(7))
+    step_sizes, est_norms = np.empty(method.steps), np.empty(method.steps)
+    calls = np.empty(method.steps, dtype=np.int64)
+    iterates = np.empty((method.steps, problem.d)) if keep_path else None
+    estimates = np.empty((method.steps, problem.d)) if keep_path else None
+    rows, points = [], []
     gamma, accum, diverged_at = 0.0, 0.0, None
     y = mu = None  # the SVRG snapshot and its full gradient
 
@@ -467,7 +496,7 @@ def _run_loop(problem, algo: str, x0, rng, keep_path: bool, method: _Method) -> 
             if not rows or counter.component_calls // n > rows[-1].epoch:
                 mark(x)
             if keep_path:
-                iterates.append(np.array(x, copy=True))
+                iterates[t] = x
             if state is not None:
                 g = spider_estimator_update(state, problem, x, draws, counter, batch_size=batch)
             elif estimator == "stochastic":
@@ -489,30 +518,20 @@ def _run_loop(problem, algo: str, x0, rng, keep_path: bool, method: _Method) -> 
                 accum = state.grad_norm_accum if state is not None else accum + float(g @ g)
                 gamma = eta / (scale * math.sqrt(offset + accum))
             x = x - gamma * g
-            step_sizes.append(gamma)
-            est_norms.append(norm)
-            calls.append(counter.component_calls)
+            step_sizes[t] = gamma
+            est_norms[t] = norm
+            calls[t] = counter.component_calls
             if keep_path:
-                estimates.append(np.array(g, copy=True))
+                estimates[t] = g
             if _diverged(x):
                 diverged_at = t
                 mark(x)
                 break
     finally:
         draws.settle(draws.pos)
-    return RunTrace(
-        algo=algo,
-        step_sizes=np.asarray(step_sizes),
-        estimator_norms=np.asarray(est_norms),
-        oracle_calls=np.asarray(calls, dtype=np.int64),
-        epoch_rows=_epoch_rows(problem, rows, points, diverged_at is not None),
-        epoch_points=points,
-        x_final=np.array(x, copy=True),
-        diverged=diverged_at is not None,
-        diverged_at=diverged_at,
-        iterates=np.stack(iterates) if iterates else None,
-        estimates=np.stack(estimates) if estimates else None,
-    )
+    taken = method.steps if diverged_at is None else diverged_at + 1
+    records = (step_sizes, est_norms, calls, iterates, estimates)
+    return _trace(problem, algo, taken, records, rows, points, x, diverged_at)
 
 
 def adaspider_run(
@@ -662,10 +681,12 @@ def lockstep_run(
     The members are split into near-equal blocks that keep at most
     _BLOCK_BYTES of step records and paths each, and a group of two or
     more never steps a block of one member. A block is stepped when its
-    first outcome is requested. Records do not depend on the blocks: every
+    first outcome is requested; step t writes column t of its (members,
+    steps) step sizes and norms, (steps,) charged calls and kept paths for
+    the members still stepping. Records do not depend on the blocks: every
     member keeps its own rng, counter and step size. Its indices come in
     chunks from a :class:`_Draws`, and when it stops, these are settled
-    and its epoch rows evaluated, as a run alone's are.
+    and its trace built, as a run alone's are.
     """
     x0s = [as_param_vector(x0, problem.d) for _, x0, _ in runs]
     if len({(m.steps, m.period, m.batch) for m, _, _ in runs}) > 1:
@@ -722,8 +743,7 @@ def _lockstep_block(problem, algo: str, runs: list, x0s: list, keep_path) -> lis
     gamma = np.zeros(size)  # the last step size, as epoch rows record it
     draws = np.empty((size, 0), dtype=np.int64)
     anchor = base = x
-    gammas, norms = [], []  # of the steps after the first ``recorded``
-    calls = sampled = pos = recorded = 0
+    calls = sampled = pos = 0
     last_epoch = -1
 
     def mark(which):
@@ -731,37 +751,18 @@ def _lockstep_block(problem, algo: str, runs: list, x0s: list, keep_path) -> lis
             rows[r].append(EpochRow(calls // n, calls, math.inf, math.inf, float(gamma[k])))
             points[r].append(np.array(x[k], copy=True))
 
-    def record():
-        nonlocal recorded
-        taken = recorded + len(gammas)
-        step_sizes[live, recorded:taken] = np.stack(gammas, axis=1)
-        est_norms[live, recorded:taken] = np.stack(norms, axis=1)
-        recorded = taken
-        gammas.clear()
-        norms.clear()
-
-    def stop(mask, diverged_at=None):
-        """End the runs of the masked rows and drop those rows."""
+    def stop(mask, taken, diverged_at=None):
+        """End the masked rows' runs after ``taken`` steps; drop the rows."""
         nonlocal live, x, coeffs, accum, gamma, draws, anchor, base
-        if gammas:
-            record()
         for k in np.flatnonzero(mask):
             r = live[k]
             counters[r].charge(sampled)
             sources[r].settle(pos)
             if outcomes[r] is None:
-                outcomes[r] = RunTrace(
-                    algo=algo,
-                    step_sizes=step_sizes[r, :recorded],
-                    estimator_norms=est_norms[r, :recorded],
-                    oracle_calls=oracle_calls[:recorded],
-                    epoch_rows=_epoch_rows(problem, rows[r], points[r], diverged_at is not None),
-                    epoch_points=points[r],
-                    x_final=np.array(x[k], copy=True),
-                    diverged=diverged_at is not None,
-                    diverged_at=diverged_at,
-                    iterates=None if iterates is None else iterates[r, :recorded],
-                    estimates=None if estimates is None else estimates[r, :recorded],
+                paths = (None if a is None else a[r] for a in (iterates, estimates))
+                records = (step_sizes[r], est_norms[r], oracle_calls, *paths)
+                outcomes[r] = _trace(
+                    problem, algo, taken, records, rows[r], points[r], x[k], diverged_at
                 )
         keep = ~mask
         live, x, coeffs, accum, gamma, draws, anchor, base = (
@@ -785,7 +786,7 @@ def _lockstep_block(problem, algo: str, runs: list, x0s: list, keep_path) -> lis
             calls += n
             anchor, base = x, g
             if faulted.any():
-                stop(faulted)
+                stop(faulted, t)
                 if not live.size:
                     break
             g = base
@@ -832,18 +833,16 @@ def _lockstep_block(problem, algo: str, runs: list, x0s: list, keep_path) -> lis
         else:
             gamma = coeffs[:, 0]
         x = x - gamma[:, None] * g
-        gammas.append(gamma)
-        norms.append(norm)
+        step_sizes[live, t] = gamma
+        est_norms[live, t] = norm
         oracle_calls[t] = calls
-        if len(gammas) == _RECORD_CHUNK:
-            record()
         if not np.abs(x).max() <= DIVERGENCE_LIMIT:  # as in _diverged, per row
             diverged = ~(np.abs(x).max(axis=1) <= DIVERGENCE_LIMIT)
             mark(np.flatnonzero(diverged))
-            stop(diverged, diverged_at=t)
+            stop(diverged, t + 1, diverged_at=t)
             if not live.size:
                 break
-    stop(np.ones(len(live), dtype=bool))
+    stop(np.ones(len(live), dtype=bool), steps)
     return outcomes
 
 

@@ -368,15 +368,16 @@ class MLPClassificationProblem(FiniteSumProblem):
             )
         self.layer_dims = layer_dims
         self._features = dataset.dense()
-        classes = dataset.dense_labels().astype(np.int64)
+        labels = dataset.dense_labels()
         n_classes = layer_dims[-1]
-        if classes.min() < 0 or classes.max() >= n_classes:
+        # a NaN fails every comparison, so it is refused with the rest
+        if not np.all((labels >= 0) & (labels < n_classes) & (labels == np.floor(labels))):
             raise ValueError(
                 f"labels must be integers in 0..{n_classes - 1} for "
                 f"{n_classes} output units"
             )
         self._one_hot = np.zeros((dataset.n, n_classes))
-        self._one_hot[np.arange(dataset.n), classes] = 1.0
+        self._one_hot[np.arange(dataset.n), labels.astype(np.int64)] = 1.0
         super().__init__(n=dataset.n, d=mlp_param_count(layer_dims))
 
     def _params(self, x: np.ndarray, rows: int | None = None) -> np.ndarray:

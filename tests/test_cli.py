@@ -1,13 +1,19 @@
 """Command-line workflows and exit-code contract."""
 
+import contextlib
+import copy
 import hashlib
+import io
 import json
 import math
 import os
 import subprocess
 import sys
+import tempfile
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from adaspider import cli
 from adaspider.cli import gradient_check_report, main
@@ -167,6 +173,9 @@ class TestRun:
             ("problem.c_init", {"loss": "mlp", "n": 5, "c_init": math.inf}),
             ("problem.c_init", {"loss": "mlp", "n": 5, "c_init": -1}),
             ("problem.scale", {"n": 8, "d": 2, "scale": "no"}),
+            ("problem.synthetic", {"n": 8, "d": 2, "synthetic": "nope"}),
+            ("problem.synthetic", {"n": 8, "d": 2, "synthetic": "quadratic"}),
+            ("problem.synthetic", {"n": 8, "d": 2, "synthetic": "two-cluster-classification"}),
         ],
     )
     @pytest.mark.parametrize("command", ["run", "sweep"])
@@ -308,6 +317,9 @@ class TestRun:
                 ),
             ),
             ("2 1:1", "logistic", 2, "label 2.0 not usable for logistic loss"),
+            # a network label is a class, so a fractional one is refused
+            ("1.7 20:1", "mlp", 2, "labels must be integers in 0..3"),
+            ("-0.5 20:1", "mlp", 2, "labels must be integers in 0..3"),
         ],
     )
     def test_bad_data_exit_code_and_message(
@@ -573,3 +585,75 @@ class TestConsoleScript:
         )
         assert proc.returncode == 0
         assert (tmp_path / "records.csv").exists()
+
+
+# JSON values that replace fields of a small `run` or `sweep` document. No
+# value is a huge integer: nothing bounds `steps`, `repeats` or the problem
+# sizes from above, so huge sizes run (or allocate) without end and are out
+# of this test's scope. No value here exceeds 3.
+FIELD_VALUES = [
+    -1, 0, 1, 2, 3, 0.5, 2.5, 1e-3, math.inf, math.nan, None, True, False,
+    "", "x", "sgd", "mlp", "json", [], [2, 2], {}, {"eta": 0.1},
+]
+# Where a value may go: top-level and problem fields, an unknown field, and
+# the algorithm entry's name, a parameter and its params object.
+FIELD_PATHS = [
+    ("steps",), ("epochs",), ("repeats",), ("master_seed",), ("format",), ("out",),
+    ("algorithms",), ("extra",), ("problem", "n"), ("problem", "d"),
+    ("problem", "data_seed"), ("problem", "loss"), ("problem", "lam"),
+    ("problem", "scale"), ("problem", "synthetic"), ("problem", "layer_dims"),
+    ("problem", "c_init"), ("problem", "path"), ("algorithms", 0, "name"),
+    ("algorithms", 0, "eta"), ("algorithms", 0, "params"),
+]
+
+
+def _with_values(doc: dict, replacements) -> dict:
+    """``doc`` with each (path, value) set in turn; a path that an earlier
+    value took away is left out."""
+    doc = copy.deepcopy(doc)
+    for (*where, key), value in replacements:
+        container = doc
+        try:
+            for step in where:
+                container = container[step]
+        except (KeyError, IndexError, TypeError):
+            continue
+        if isinstance(container, dict):
+            container[key] = copy.deepcopy(value)
+    return doc
+
+
+class TestGeneratedDocuments:
+    @settings(max_examples=300, deadline=None)
+    @given(
+        command=st.sampled_from(["run", "sweep"]),
+        replacements=st.lists(
+            st.tuples(st.sampled_from(FIELD_PATHS), st.sampled_from(FIELD_VALUES)),
+            min_size=1, max_size=2,
+        ),
+    )
+    @example("run", [(("out",), "")])
+    @example("run", [(("problem", "synthetic"), "mlp"), (("problem", "loss"), "mlp")])
+    @example("sweep", [(("problem", "synthetic"), "x")])
+    def test_exits_0_or_2_with_one_error_line(self, command, replacements):
+        base = {
+            "problem": {"n": 5, "d": 3},
+            "algorithms": [{"name": "sgd", "eta": 0.1}],
+            "steps": 3,
+            "repeats": 2,
+        }
+        doc = _with_values(base, replacements)
+        with tempfile.TemporaryDirectory() as folder, contextlib.chdir(folder):
+            with open("cfg.json", "w", encoding="utf-8") as fh:
+                json.dump(doc, fh)
+            argv = [command, "--config", "cfg.json"]
+            if command == "sweep":
+                argv += ["--algo", "sgd", "--grid", "0.1"]
+            out, err = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                code = main(argv)
+        assert code in (0, 2), (doc, err.getvalue())
+        if code == 2:
+            assert out.getvalue() == ""
+            assert len(err.getvalue().splitlines()) == 1
+            assert err.getvalue().startswith("error: ")

@@ -234,6 +234,9 @@ class TestRunExperiment:
             ("problem.c_init", {"loss": "mlp", "n": 5, "c_init": 0}),
             ("problem.c_init", {"n": 8, "d": 2, "c_init": 0.0}),
             ("problem.scale", {"n": 8, "d": 2, "scale": "no"}),
+            # the kind logistic loss reads from synthetic data
+            ("problem.synthetic", {"n": 8, "d": 2, "synthetic": "nope"}),
+            ("problem.synthetic", {"n": 8, "d": 2, "synthetic": 5}),
         ],
     )
     def test_bad_values_rejected_before_problem_is_built(self, monkeypatch, field, problem):
@@ -251,12 +254,16 @@ class TestRunExperiment:
 
     def test_sizes_the_build_does_not_read_are_not_checked(self, tmp_path):
         # the network's input size comes from layer_dims, and a data file's
-        # sizes from the file
+        # sizes from the file; only logistic loss on synthetic data reads
+        # the synthetic kind
         data_path = tmp_path / "data.svm"
         data_path.write_text("1 1:0.5\n-1 2:1.5\n")
         for problem in (
             {"loss": "mlp", "n": 4, "d": 0, "layer_dims": [2, 2]},
             {"path": str(data_path), "n": 0, "d": -1},
+            {"path": str(data_path), "synthetic": "nope"},
+            {"loss": "squared", "n": 4, "d": 2, "synthetic": "nope"},
+            {"loss": "mlp", "n": 4, "layer_dims": [2, 2], "synthetic": "nope"},
         ):
             doc = {"problem": problem, "algorithms": [{"name": "sgd"}], "steps": 3}
             records = run_experiment(config_from_dict(dict(doc, repeats=1)))

@@ -213,7 +213,7 @@ class TestGroupEqualsRuns:
         batch=st.integers(min_value=1, max_value=4),
         scale=st.sampled_from([0.0, 1.0]),
         seed=st.integers(min_value=0, max_value=10_000),
-        # index draws and step records are taken in chunks of this size
+        # index draws are taken in chunks of this size
         chunk=st.sampled_from([1, 2, 5, 1024]),
         keep_path=st.sampled_from([False, True, "iterates"]),
     )
@@ -234,7 +234,6 @@ class TestGroupEqualsRuns:
         runs = group_runs(algo, scales, x0s, seed, steps, period, batch)
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(optimizers, "_DRAW_CHUNK", chunk)
-            mp.setattr(optimizers, "_RECORD_CHUNK", chunk)
             check_group(problem, algo, runs, keep_path)
 
     # AdaGrad-Norm's own step shrinks as it grows, so only its first steps

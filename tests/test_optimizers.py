@@ -1,6 +1,7 @@
 """Optimizer runs: estimator, step sizes, accounting, reference simulations."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -740,3 +741,21 @@ class TestTraceShape:
             assert np.all(np.diff(trace.oracle_calls) >= 0)
             epochs_calls = [r.oracle_calls for r in trace.epoch_rows]
             assert epochs_calls == sorted(epochs_calls)
+
+    # A run alone keeps 24 bytes a step for its step sizes, norms and charged
+    # calls, plus 8 d for each path it keeps; the rest is its epoch rows.
+    @pytest.mark.parametrize("keep_path, bound", [(False, 48), (True, 128)])
+    def test_step_records_stay_small(self, keep_path, bound):
+        problem = RegularizedERM(generate_synthetic("separable-logistic", 50, 5, 0))
+        steps = 200_000
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            trace = sgd_run(
+                problem, np.zeros(5), 0.1, steps, np.random.default_rng(0), keep_path=keep_path
+            )
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+        assert trace.num_steps == steps
+        assert peak / steps <= bound

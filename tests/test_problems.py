@@ -239,7 +239,8 @@ class TestMLPLoss:
             assert rel <= 1e-5
 
     def test_rejects_labels_outside_the_classes(self):
-        for label in (-1.0, 2.0):
+        # a fractional label is refused, not truncated to a class
+        for label in (-1.0, 2.0, 1.7, -0.5, 0.5, math.nan, math.inf):
             dataset = Dataset(
                 indptr=[0, 1, 2], indices=[1, 1], values=[1.0, 1.0],
                 labels=[0.0, label], d=1,
