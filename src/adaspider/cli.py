@@ -1,8 +1,10 @@
 """Command-line entry point: run, sweep, verify, and gradcheck workflows.
 
-Exit codes: 0 success, 1 check failure, 2 usage or configuration error,
-3 runtime failure. Standard output carries only data (records, JSON
-reports); diagnostics go to standard error.
+Exit codes: 0 success, 1 check failure, 2 a usage error or any error
+raised before the first run starts (a ConfigError, naming the bad
+field), 3 any fault after that, a non-finite gradient included. Standard
+output carries only data (records, JSON reports); diagnostics go to
+standard error.
 """
 
 from __future__ import annotations
@@ -14,7 +16,7 @@ import sys
 
 import numpy as np
 
-from .core import NonFiniteGradientError, finite_difference_gradient
+from .core import finite_difference_gradient
 from .data import generate_synthetic
 from .harness import (
     ALGORITHMS,
@@ -100,7 +102,7 @@ def _load_config(path: str | None) -> ExperimentConfig:
     with open(path, "r", encoding="utf-8") as fh:
         try:
             doc = json.load(fh)
-        except json.JSONDecodeError as exc:
+        except ValueError as exc:  # not JSON, or not UTF-8
             raise ConfigError(f"config file {path} is not valid JSON: {exc}") from None
     return config_from_dict(doc)
 
@@ -224,7 +226,7 @@ def gradient_check_report(points: int = 20, seed: int = 0, corrupt: bool = False
     regularizer gradient, for self-testing the check.
     """
     if points < 1:
-        raise ValueError(f"gradient check needs at least one point, got {points}")
+        raise ConfigError(f"gradient check needs at least one point, got {points}")
     rng = np.random.default_rng(seed)
     families: dict[str, float] = {}
 
@@ -354,16 +356,10 @@ def main(argv=None) -> int:
         return exc.code if isinstance(exc.code, int) else 2
     try:
         return args.func(args)
-    except ConfigError as exc:
+    except ConfigError as exc:  # raised before the first run starts
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except NonFiniteGradientError as exc:  # runtime fault, though a ValueError
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except Exception as exc:  # runtime failure
+    except Exception as exc:  # any fault after that
         print(f"error: {exc}", file=sys.stderr)
         return 3
 

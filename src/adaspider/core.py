@@ -36,8 +36,8 @@ def as_param_vector(values, d: int | None = None) -> np.ndarray:
 class NonFiniteGradientError(ValueError):
     """A component gradient evaluated to a non-finite value mid-run.
 
-    A runtime fault of the data or the iterate, not of the configuration:
-    the command line exits 3 for it.
+    A runtime fault of the data or the iterate, raised after the first run
+    starts: the command line exits 3 for it, as for every such fault.
     """
 
 

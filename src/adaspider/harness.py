@@ -359,7 +359,7 @@ def check_settings(config: ExperimentConfig) -> None:
     if config.format not in ("csv", "json"):
         raise ConfigError(f"unknown output format {config.format!r}")
     if not config.algorithms:
-        raise ConfigError("algorithm list is empty")
+        raise ConfigError("algorithms must list at least one algorithm")
     for spec in config.algorithms:
         _check_params(spec)
 
@@ -430,10 +430,21 @@ def _run_rng(master_seed: int, algo_name: str, repeat: int) -> np.random.Generat
 
 
 def run_experiment(config: ExperimentConfig) -> list:
-    """Execute every (algorithm, repeat) pair; |records| = algorithms x repeats."""
-    check_settings(config)
-    problem = build_problem(config.problem)
-    return _execute(problem, _plan(config, problem))
+    """Execute every (algorithm, repeat) pair; |records| = algorithms x repeats.
+
+    Everything raised before the first run starts is a ConfigError: a
+    ValueError from the settings, the data, the problem build or a
+    method's own checks is raised again as one, with the same text.
+    """
+    try:
+        check_settings(config)
+        problem = build_problem(config.problem)
+        plan = _plan(config, problem)
+    except ConfigError:
+        raise
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
+    return _execute(problem, plan)
 
 
 def _plan(config: ExperimentConfig, problem: FiniteSumProblem) -> list:
@@ -480,45 +491,33 @@ def _execute(problem: FiniteSumProblem, plan: list) -> list:
 def sweep_step_size(config: ExperimentConfig, algo_name: str, grid=None):
     """Run a scale sweep for one algorithm and pick the best grid value.
 
-    The score of a grid value is the mean final true gradient norm over
-    repeats; any diverged repeat ranks the value strictly after every
-    fully converged one. Every grid value is checked before the problem
-    is built, once, for the whole sweep. Returns (best value, {value:
-    records}).
+    The sweep is one experiment: ``config`` with its algorithms replaced by
+    one ``algo_name`` entry per grid value, each keeping the parameters of
+    the configured ``algo_name`` entry, if any. Every configured entry is
+    checked first, as a run of ``config`` checks it. The score of a grid
+    value is the mean final true gradient norm over repeats; any diverged
+    repeat ranks the value strictly after every fully converged one.
+    Returns (best value, {value: records}).
     """
     param = _check_params(AlgorithmSpec(name=algo_name)).sweep
     if param is None:
-        raise ConfigError(
-            f"{algo_name} does not expose a tunable step-size scale"
-        )
+        raise ConfigError(f"{algo_name} does not expose a tunable step-size scale")
     grid = list(DEFAULT_SWEEP_GRID if grid is None else grid)
     if not grid:
         raise ConfigError("sweep grid is empty")
-    base = next((a for a in config.algorithms if a.name == algo_name), None)
-    base_params = dict(base.params) if base is not None else {}
-    trials = []
-    for value in grid:
-        params = dict(base_params)
-        params[param] = value
-        trial_config = replace(
-            config, algorithms=[AlgorithmSpec(name=algo_name, params=params)]
-        )
-        check_settings(trial_config)
-        trials.append(trial_config)
-    problem = build_problem(config.problem)
-    plans = [_plan(trial_config, problem) for trial_config in trials]
-    records = _execute(problem, [run for plan in plans for run in plan])
-    results: dict = {}
-    scores = []
-    for value, plan in zip(grid, plans):
-        trial, records = records[: len(plan)], records[len(plan) :]
-        results[value] = trial
-        if any(r.diverged for r in trial):
-            scores.append(float("inf"))
-        else:
-            scores.append(float(np.mean([r.final_grad_norm for r in trial])))
-    best = grid[int(np.argmin(scores))]
-    return best, results
+    for spec in config.algorithms:
+        _check_params(spec)
+    base = next((a.params for a in config.algorithms if a.name == algo_name), {})
+    specs = [AlgorithmSpec(name=algo_name, params={**base, param: value}) for value in grid]
+    records = run_experiment(replace(config, algorithms=specs))
+    repeats = len(records) // len(grid)
+    trials = [records[k * repeats : (k + 1) * repeats] for k in range(len(grid))]
+    scores = [
+        math.inf if any(r.diverged for r in trial)
+        else float(np.mean([r.final_grad_norm for r in trial]))
+        for trial in trials
+    ]
+    return grid[int(np.argmin(scores))], dict(zip(grid, trials))
 
 
 def _format_float(value: float) -> str:

@@ -7,6 +7,7 @@ import io
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 import tempfile
@@ -18,7 +19,7 @@ from hypothesis import strategies as st
 from adaspider import cli
 from adaspider.cli import gradient_check_report, main
 from adaspider.harness import load_records
-from adaspider.problems import MLPClassificationProblem
+from adaspider.problems import MLPClassificationProblem, RegularizedERM
 from adaspider.verify import LemmaReport
 
 VERIFY_CHECK_NAMES = (
@@ -63,6 +64,14 @@ class TestRun:
         code, _out, err = run_main(capsys, "run", "--config", str(missing))
         assert code == 2
         assert str(missing) in err
+
+    def test_config_not_utf8_exits_2_and_names_path(self, tmp_path, capsys):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_bytes(b'{"steps": "\xff"}')
+        code, out, err = run_main(capsys, "run", "--config", str(cfg_path))
+        assert code == 2
+        assert err.startswith(f"error: config file {cfg_path} is not valid JSON: ")
+        assert out == ""
 
     @pytest.mark.parametrize("command", ["run", "sweep"])
     @pytest.mark.parametrize("name", ["nope.svm", "."])
@@ -134,6 +143,9 @@ class TestRun:
             ("problem.n", {"problem": {"n": 50.5, "d": 2}}),
             ("problem.d", {"problem": {"n": 8, "d": 3.5}}),
             ("problem.data_seed", {"problem": {"n": 8, "d": 2, "data_seed": 1.5}}),
+            # not an integer field: an entry the sweep does not run is still
+            # checked, as `run` checks it
+            ("unknown algorithm 'nope'", {"algorithms": [{"name": "nope", "wat": 1}]}),
         ],
     )
     @pytest.mark.parametrize("command", ["run", "sweep"])
@@ -342,6 +354,43 @@ class TestRun:
         )
         assert got == code
         assert f"error: {message}" in err
+
+
+class TestFaultAfterFirstRun:
+    """Once the first run has started, every error exits 3, a plain
+    ValueError included; exit 2 is for errors raised before that."""
+
+    # one sgd run alone calls component_gradient, a lockstep group of two
+    # calls component_gradients once per step for both members
+    @pytest.mark.parametrize(
+        "repeats, oracle", [("1", "component_gradient"), ("2", "component_gradients")]
+    )
+    def test_value_error_mid_run_exits_3(self, tmp_path, capsys, monkeypatch, repeats, oracle):
+        exact = getattr(RegularizedERM, oracle)
+        calls = []
+
+        def faulty(self, *args):
+            calls.append(args)
+            if len(calls) == 21:
+                raise ValueError("boom")
+            return exact(self, *args)
+
+        monkeypatch.setattr(RegularizedERM, oracle, faulty)
+        out_path = tmp_path / "records.csv"
+        code, out, err = run_main(
+            capsys, "run", "--algo", "sgd", "--steps", "50", "--repeats", repeats,
+            "--out", str(out_path),
+        )
+        assert (code, out, err) == (3, "", "error: boom\n")
+        assert len(calls) == 21
+        assert not out_path.exists()
+
+    def test_value_error_in_a_verify_check_exits_3(self, capsys, monkeypatch):
+        def faulty(*args, **kwargs):
+            raise ValueError("boom")
+
+        monkeypatch.setattr(cli, "check_rate_scaling", faulty)
+        assert run_main(capsys, "verify", "--suite", "rate") == (3, "", "error: boom\n")
 
 
 class TestSweep:
@@ -607,10 +656,11 @@ FIELD_PATHS = [
 ]
 
 
-def _with_values(doc: dict, replacements) -> dict:
-    """``doc`` with each (path, value) set in turn; a path that an earlier
-    value took away is left out."""
+def _with_values(doc: dict, replacements) -> tuple[dict, list]:
+    """``doc`` with each (path, value) set in turn, and the replacements
+    applied; a path that an earlier value took away is left out."""
     doc = copy.deepcopy(doc)
+    applied = []
     for (*where, key), value in replacements:
         container = doc
         try:
@@ -620,7 +670,17 @@ def _with_values(doc: dict, replacements) -> dict:
             continue
         if isinstance(container, dict):
             container[key] = copy.deepcopy(value)
-    return doc
+            applied.append((key, value))
+    return doc, applied
+
+
+def _names_a_replacement(message: str, applied) -> bool:
+    """Whether ``message`` names the key of one applied replacement, as a
+    whole word; a replaced algorithm name may be named by its value."""
+    return any(
+        re.search(rf"\b{key}\b", message) or (key == "name" and str(value) in message)
+        for key, value in applied
+    )
 
 
 class TestGeneratedDocuments:
@@ -635,6 +695,7 @@ class TestGeneratedDocuments:
     @example("run", [(("out",), "")])
     @example("run", [(("problem", "synthetic"), "mlp"), (("problem", "loss"), "mlp")])
     @example("sweep", [(("problem", "synthetic"), "x")])
+    @example("run", [(("algorithms",), [])])
     def test_exits_0_or_2_with_one_error_line(self, command, replacements):
         base = {
             "problem": {"n": 5, "d": 3},
@@ -642,7 +703,7 @@ class TestGeneratedDocuments:
             "steps": 3,
             "repeats": 2,
         }
-        doc = _with_values(base, replacements)
+        doc, applied = _with_values(base, replacements)
         with tempfile.TemporaryDirectory() as folder, contextlib.chdir(folder):
             with open("cfg.json", "w", encoding="utf-8") as fh:
                 json.dump(doc, fh)
@@ -657,3 +718,4 @@ class TestGeneratedDocuments:
             assert out.getvalue() == ""
             assert len(err.getvalue().splitlines()) == 1
             assert err.getvalue().startswith("error: ")
+            assert _names_a_replacement(err.getvalue(), applied), (doc, err.getvalue())

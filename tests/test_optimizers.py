@@ -744,10 +744,12 @@ class TestTraceShape:
 
     # A run alone keeps 24 bytes a step for its step sizes, norms and charged
     # calls, plus 8 d for each path it keeps; the rest is its epoch rows.
+    # At 20,000 steps a layout of 112 bytes a step (672 with both paths)
+    # still reads past both bounds.
     @pytest.mark.parametrize("keep_path, bound", [(False, 48), (True, 128)])
     def test_step_records_stay_small(self, keep_path, bound):
         problem = RegularizedERM(generate_synthetic("separable-logistic", 50, 5, 0))
-        steps = 200_000
+        steps = 20_000
         tracemalloc.start()
         try:
             before = tracemalloc.get_traced_memory()[0]
