@@ -124,10 +124,11 @@ class FiniteSumProblem:
             raise IndexError(f"component index {i} out of range 1..{self.n}")
 
     def _check_indices(self, indices) -> np.ndarray:
-        """1-d int64 array of 1-based indices, each checked to be in range."""
+        """1-d int64 array of 1-based indices, each checked to be in range;
+        the first index out of range is named."""
         indices = np.asarray(indices, dtype=np.int64).reshape(-1)
-        bad = (indices < 1) | (indices > self.n)
-        if bad.any():
+        if indices.size and (indices.min() < 1 or indices.max() > self.n):
+            bad = (indices < 1) | (indices > self.n)
             self._check_index(int(indices[np.argmax(bad)]))
         return indices
 

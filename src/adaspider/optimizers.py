@@ -664,7 +664,12 @@ def _row_squares(rows: np.ndarray) -> np.ndarray:
 
 
 def lockstep_run(
-    problem: FiniteSumProblem, algo: str, runs: list, *, keep_path: bool | str = False
+    problem: FiniteSumProblem,
+    algo: str,
+    runs: list,
+    *,
+    keep_path: bool | str = False,
+    rows: bool = True,
 ) -> Iterator:
     """R runs of one method stepped together in blocks of (k, d) iterates.
 
@@ -677,6 +682,14 @@ def lockstep_run(
     NonFiniteGradientError it would raise. ``keep_path`` may also be
     "iterates", which keeps the iterates and leaves ``estimates`` None, for
     a caller that reads only the iterates of long runs.
+
+    With ``rows=False`` no epoch is marked and no row evaluated: each
+    trace's ``epoch_rows`` and ``epoch_points`` are empty, and every other
+    field is the one made with rows. Its two callers need both: the
+    harness turns rows into records, while verify's seeded runs read only
+    paths and step records, and would evaluate a ``value`` and a
+    ``metric_gradient`` per boundary that nothing reads. It is internal;
+    no ``<algo>_run`` signature, config field or flag carries it.
 
     The members are split into near-equal blocks that keep at most
     _BLOCK_BYTES of step records and paths each, and a group of two or
@@ -702,11 +715,13 @@ def lockstep_run(
     return (
         outcome
         for start, stop in zip(bounds, bounds[1:])
-        for outcome in _lockstep_block(problem, algo, runs[start:stop], x0s[start:stop], keep_path)
+        for outcome in _lockstep_block(
+            problem, algo, runs[start:stop], x0s[start:stop], keep_path, rows
+        )
     )
 
 
-def _lockstep_block(problem, algo: str, runs: list, x0s: list, keep_path) -> list:
+def _lockstep_block(problem, algo: str, runs: list, x0s: list, keep_path, rows: bool) -> list:
     """The outcomes of one block of :func:`lockstep_run`'s members. SVRG
     and SPIDER share one inner step, grad f_i(x) - grad f_i(anchor) +
     base: SVRG's anchor and base are its snapshot and the snapshot's
@@ -715,7 +730,8 @@ def _lockstep_block(problem, algo: str, runs: list, x0s: list, keep_path) -> lis
     draws nothing. A member stops on its own when it diverges or its reset
     gradient is not finite; the others step on. Reset gradients go through
     ``full_gradient`` one member at a time and charge its counter there;
-    the sampled steps' calls are charged when the member stops.
+    the sampled steps' calls are charged when the member stops. Without
+    ``rows`` no epoch is marked.
     """
     method = runs[0][0]
     steps, period, batch, rule = method.steps, method.period, method.batch, method.rule
@@ -729,14 +745,15 @@ def _lockstep_block(problem, algo: str, runs: list, x0s: list, keep_path) -> lis
     sources = [_Draws(rng, n, method.index_draws(n), batch) for _, _, rng in runs]
     counters = [OracleCounter() for _ in runs]
     outcomes: list = [None] * size
-    rows, points = [[] for _ in runs], [[] for _ in runs]
+    epoch_rows, points = [[] for _ in runs], [[] for _ in runs]
     step_sizes, est_norms = np.empty((size, steps)), np.empty((size, steps))
     oracle_calls = np.empty(steps, dtype=np.int64)
     iterates = np.empty((size, steps, d)) if keep_path else None
     estimates = np.empty((size, steps, d)) if keep_path is True else None
     # Per-row state, one row per member still stepping; ``live`` maps rows
-    # to members, in member order.
-    live = np.arange(size)
+    # to members, in member order, and ``at`` indexes their rows of the
+    # records: a plain slice until a member stops.
+    live, at = np.arange(size), slice(None)
     x = np.stack(x0s)
     coeffs = np.array([m.coeffs for m, _, _ in runs])
     accum = np.zeros(size)
@@ -744,16 +761,16 @@ def _lockstep_block(problem, algo: str, runs: list, x0s: list, keep_path) -> lis
     draws = np.empty((size, 0), dtype=np.int64)
     anchor = base = x
     calls = sampled = pos = 0
-    last_epoch = -1
+    last_epoch = -1 if rows else math.inf  # without rows, no epoch is ever due
 
     def mark(which):
         for k, r in zip(which, live[which]):
-            rows[r].append(EpochRow(calls // n, calls, math.inf, math.inf, float(gamma[k])))
+            epoch_rows[r].append(EpochRow(calls // n, calls, math.inf, math.inf, float(gamma[k])))
             points[r].append(np.array(x[k], copy=True))
 
     def stop(mask, taken, diverged_at=None):
         """End the masked rows' runs after ``taken`` steps; drop the rows."""
-        nonlocal live, x, coeffs, accum, gamma, draws, anchor, base
+        nonlocal live, at, x, coeffs, accum, gamma, draws, anchor, base
         for k in np.flatnonzero(mask):
             r = live[k]
             counters[r].charge(sampled)
@@ -762,19 +779,20 @@ def _lockstep_block(problem, algo: str, runs: list, x0s: list, keep_path) -> lis
                 paths = (None if a is None else a[r] for a in (iterates, estimates))
                 records = (step_sizes[r], est_norms[r], oracle_calls, *paths)
                 outcomes[r] = _trace(
-                    problem, algo, taken, records, rows[r], points[r], x[k], diverged_at
+                    problem, algo, taken, records, epoch_rows[r], points[r], x[k], diverged_at
                 )
         keep = ~mask
         live, x, coeffs, accum, gamma, draws, anchor, base = (
             a[keep] for a in (live, x, coeffs, accum, gamma, draws, anchor, base)
         )
+        at = live
 
     for t in range(steps):
         if calls // n > last_epoch:
             mark(np.arange(len(live)))
             last_epoch = calls // n
         if iterates is not None:
-            iterates[live, t] = x
+            iterates[at, t] = x
         if resets and t % period == 0:
             g = np.empty_like(x)
             faulted = np.zeros(len(live), dtype=bool)
@@ -804,9 +822,11 @@ def _lockstep_block(problem, algo: str, runs: list, x0s: list, keep_path) -> lis
                     g = problem.component_gradients(indices[:, 0], x)
                 else:
                     # the samples at the iterates and at the anchors, in one call
-                    at = np.repeat(np.concatenate([x, anchor]), batch, axis=0)
+                    where = np.concatenate([x, anchor])
+                    if batch > 1:
+                        where = np.repeat(where, batch, axis=0)
                     flat = indices.ravel()
-                    both = problem.component_gradients(np.concatenate((flat, flat)), at)
+                    both = problem.component_gradients(np.concatenate((flat, flat)), where)
                     at_x, at_anchor = both.reshape(2, len(live), batch, d)
                     if batch == 1:  # as _sampled_correction: one difference
                         g = (at_x[:, 0] - at_anchor[:, 0]) + base
@@ -817,7 +837,7 @@ def _lockstep_block(problem, algo: str, runs: list, x0s: list, keep_path) -> lis
             if moving:
                 anchor, base = x, g
         if estimates is not None:
-            estimates[live, t] = g
+            estimates[at, t] = g
         squares = _row_squares(g)
         norm = np.sqrt(squares)
         if rule == "adaptive":
@@ -833,12 +853,13 @@ def _lockstep_block(problem, algo: str, runs: list, x0s: list, keep_path) -> lis
         else:
             gamma = coeffs[:, 0]
         x = x - gamma[:, None] * g
-        step_sizes[live, t] = gamma
-        est_norms[live, t] = norm
+        step_sizes[at, t] = gamma
+        est_norms[at, t] = norm
         oracle_calls[t] = calls
         if not np.abs(x).max() <= DIVERGENCE_LIMIT:  # as in _diverged, per row
             diverged = ~(np.abs(x).max(axis=1) <= DIVERGENCE_LIMIT)
-            mark(np.flatnonzero(diverged))
+            if rows:
+                mark(np.flatnonzero(diverged))
             stop(diverged, t + 1, diverged_at=t)
             if not live.size:
                 break

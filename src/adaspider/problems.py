@@ -56,12 +56,16 @@ def sigmoid(z: np.ndarray) -> np.ndarray:
     element at a time: numpy's vectorized exp rounds differently on some
     inputs, which would change the logged records. Where e^{-z} overflows
     it is taken as +inf (``math.exp(inf)``), so 1 / (1 + inf) gives 0.0,
-    as :func:`_sigmoid_scalar` does.
+    as :func:`_sigmoid_scalar` does; the elements are masked only once
+    ``math.exp`` has raised ``OverflowError``.
     """
     z = np.asarray(z, dtype=np.float64)
     neg = -z.ravel()
-    neg[neg > _EXP_LIMIT] = math.inf
-    e = np.fromiter(map(math.exp, neg.tolist()), np.float64, z.size)
+    try:
+        e = np.fromiter(map(math.exp, neg.tolist()), np.float64, z.size)
+    except OverflowError:
+        neg[neg > _EXP_LIMIT] = math.inf
+        e = np.fromiter(map(math.exp, neg.tolist()), np.float64, z.size)
     return (1.0 / (1.0 + e)).reshape(z.shape)
 
 

@@ -336,15 +336,20 @@ def sweep_trajectory_bound(
 def _seeded_runs(problem: FiniteSumProblem, x0: np.ndarray, config, seeds, keep_path):
     """The traces of ``adaspider_run(problem, x0, config,
     np.random.default_rng(seed), keep_path=True)`` for each seed, in order,
-    without ``estimates`` when ``keep_path`` is "iterates".
+    without ``estimates`` when ``keep_path`` is "iterates", and without
+    epoch rows and points.
 
     The config is checked and its method built once, as every run checks
     it; the runs step together in :func:`lockstep_run`, and a run's error
     is raised at its turn, as the runs made one at a time would raise it.
+    The variance and rate checks read only the paths and step records, so
+    the runs are made with ``rows=False`` and evaluate no ``value`` or
+    ``metric_gradient`` at their epoch boundaries; the harness, which
+    turns rows into records, keeps the default.
     """
     method = _adaspider_method(problem, config)
     runs = [(method, x0, np.random.default_rng(seed)) for seed in seeds]
-    for outcome in lockstep_run(problem, "adaspider", runs, keep_path=keep_path):
+    for outcome in lockstep_run(problem, "adaspider", runs, keep_path=keep_path, rows=False):
         if isinstance(outcome, Exception):
             raise outcome
         yield outcome

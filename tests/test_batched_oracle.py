@@ -90,9 +90,12 @@ class TestRowsMatchSingleCalls:
     def test_out_of_range_index_rejected(self, family):
         problem, point = make_problem(family, 5, 0)
         x = point(np.random.default_rng(0), 1.0)
-        for bad in ([0], [1, 6], [-2]):
-            with pytest.raises(IndexError, match="out of range"):
+        # the first index out of range is the one named
+        for bad, named in (([0], 0), ([1, 6], 6), ([-2], -2), ([1, 6, 0], 6), ([2, 0, 7], 0)):
+            message = rf"^component index {named} out of range 1\.\.5$"
+            with pytest.raises(IndexError, match=message):
                 problem.component_gradients(bad, x)
+        assert problem.component_gradients([], x).shape == (0, problem.d)
 
     def test_mlp_signed_zeros_at_zero_parameters(self):
         # zero activations times a negative error give -0.0 products, which

@@ -719,3 +719,58 @@ class TestGeneratedDocuments:
             assert len(err.getvalue().splitlines()) == 1
             assert err.getvalue().startswith("error: ")
             assert _names_a_replacement(err.getvalue(), applied), (doc, err.getvalue())
+
+    # The flags of `run` and `sweep` and the names an error about each may
+    # use: the flag, or the field it sets (`master_seed`, the algorithm, the
+    # swept `eta` of sgd).
+    FLAG_NAMES = {
+        "--steps": ("steps",),
+        "--repeats": ("repeats",),
+        "--seed": ("seed", "master_seed"),
+        "--grid": ("grid", "eta"),
+        "--algo": ("algo", "algorithm"),
+        "--out": ("out",),
+        "--format": ("format",),
+    }
+    # Values that replace one flag's value. No value is an integer above 2,
+    # so every run stays small; huge step counts are out of scope, as above.
+    FLAG_VALUES = [
+        "0", "-1", "1", "2", "", ",", "nan", "inf", "-inf", "0.5", "x", "sgd", "json",
+        "1,2", "records.json",
+    ]
+
+    @settings(max_examples=250, deadline=None)
+    @given(
+        command=st.sampled_from(["run", "sweep"]),
+        flag=st.sampled_from(sorted(FLAG_NAMES)),
+        value=st.sampled_from(FLAG_VALUES),
+    )
+    @example("run", "--seed", "-1")
+    @example("sweep", "--grid", "nan")
+    @example("sweep", "--algo", "")
+    @example("run", "--out", "")
+    def test_one_flag_value_exits_0_or_2_naming_the_flag(self, command, flag, value):
+        flags = {"--steps": "3", "--repeats": "2", "--seed": "0", "--algo": "sgd",
+                 "--out": "records.csv", "--format": "csv"}
+        if command == "sweep":
+            flags["--grid"] = "0.1"
+        elif flag == "--grid":
+            return  # `run` has no --grid
+        flags[flag] = value
+        doc = {"problem": {"n": 5, "d": 3}, "algorithms": [{"name": "sgd", "eta": 0.1}]}
+        with tempfile.TemporaryDirectory() as folder, contextlib.chdir(folder):
+            with open("cfg.json", "w", encoding="utf-8") as fh:
+                json.dump(doc, fh)
+            argv = [command, "--config", "cfg.json", *(s for item in flags.items() for s in item)]
+            out, err = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                code = main(argv)
+        assert code in (0, 2), (argv, err.getvalue())
+        if code == 2:
+            assert out.getvalue() == ""
+            # a usage error prints the usage first; every other error is one line
+            last = err.getvalue().splitlines()[-1]
+            assert last.startswith(("error: ", f"adaspider {command}: error: argument {flag}:"))
+            if last.startswith("error: "):
+                assert len(err.getvalue().splitlines()) == 1
+            assert any(re.search(rf"\b{name}\b", last) for name in self.FLAG_NAMES[flag]), last

@@ -17,6 +17,7 @@ from hypothesis import strategies as st
 
 import adaspider.harness as harness
 import adaspider.optimizers as optimizers
+import adaspider.verify as verify
 from adaspider.cli import main
 from adaspider.core import FiniteSumProblem, NonFiniteGradientError
 from adaspider.data import generate_synthetic
@@ -108,8 +109,10 @@ def members(problem, algo, runs) -> list:
     ]
 
 
-def grouped_outcomes(problem, algo, runs, keep_path=False) -> list:
-    return list(lockstep_run(problem, algo, members(problem, algo, runs), keep_path=keep_path))
+def grouped_outcomes(problem, algo, runs, keep_path=False, rows=True) -> list:
+    return list(
+        lockstep_run(problem, algo, members(problem, algo, runs), keep_path=keep_path, rows=rows)
+    )
 
 
 def registry_spec(algo, kw) -> AlgorithmSpec:
@@ -174,15 +177,18 @@ def one_at_a_time(problem, algo, runs, keep_path=False) -> list:
     return outcomes
 
 
-def check_group(problem, algo, runs, keep_path=False):
+def check_group(problem, algo, runs, keep_path=False, rows=True):
     """Lockstep outcomes equal the sequential ones, and every counter
     holds the closed-form count of its run's steps; returns the traces.
     With ``keep_path`` "iterates" the sequential runs keep their whole
-    path and the group's traces lack only the estimates."""
+    path and the group's traces lack only the estimates; without ``rows``
+    they lack only the epoch rows and points."""
     sequential, seq_counters = counted(
         lambda: one_at_a_time(problem, algo, runs, bool(keep_path))
     )
-    grouped, counters = counted(lambda: grouped_outcomes(problem, algo, runs, keep_path))
+    grouped, counters = counted(
+        lambda: grouped_outcomes(problem, algo, runs, keep_path, rows)
+    )
     assert len(grouped) == len(sequential) == len(counters) == len(seq_counters)
     for got, want, counter, seq_counter, kw in zip(
         grouped, sequential, counters, seq_counters, runs
@@ -193,6 +199,9 @@ def check_group(problem, algo, runs, keep_path=False):
             continue
         if keep_path == "iterates":
             want = replace(want, estimates=None)
+        if not rows:
+            assert want.epoch_rows and want.epoch_points
+            want = replace(want, epoch_rows=[], epoch_points=[])
         assert_same_trace(got, want)
         assert (got.iterates is not None) == bool(keep_path)
         spec = registry_spec(algo, kw)
@@ -216,25 +225,27 @@ class TestGroupEqualsRuns:
         # index draws are taken in chunks of this size
         chunk=st.sampled_from([1, 2, 5, 1024]),
         keep_path=st.sampled_from([False, True, "iterates"]),
+        rows=st.booleans(),
     )
-    @example("squared", "sgd", 8, 1, list(SCALES), 40, None, 1, 1.0, 0, 1024, False)
-    @example("quadratic", "svrg", 6, 1, [0.1, 10.0, 1e3], 30, 4, 3, 1.0, 1, 2, True)
-    @example("mlp", "adagrad_norm", 5, 1, [0.1, 1.0], 20, None, 1, 0.0, 2, 5, False)
-    @example("logistic", "svrg", 9, 3, list(SCALES) + [0.5, 5.0], 50, 7, 2, 0.0, 3, 1, False)
+    @example("squared", "sgd", 8, 1, list(SCALES), 40, None, 1, 1.0, 0, 1024, False, False)
+    @example("quadratic", "svrg", 6, 1, [0.1, 10.0, 1e3], 30, 4, 3, 1.0, 1, 2, True, True)
+    @example("mlp", "adagrad_norm", 5, 1, [0.1, 1.0], 20, None, 1, 0.0, 2, 5, False, True)
+    @example("logistic", "svrg", 9, 3, list(SCALES) + [0.5, 5.0], 50, 7, 2, 0.0, 3, 1, False, True)
     # a SPIDER batch of n or more takes the exact full-gradient difference
-    @example("quadratic", "adaspider", 1, 2, [1.0, 10.0], 30, 5, 1, 1.0, 0, 5, True)
-    @example("logistic", "spiderboost", 4, 3, list(SCALES), 40, 3, 4, 1.0, 1, 2, False)
-    @example("mlp", "spider", 6, 1, [0.1, 1.0, 10.0], 25, 5, 2, 0.0, 2, 1, True)
-    @example("squared", "adaspider", 10, 2, list(SCALES), 60, None, 3, 1.0, 4, 5, "iterates")
+    @example("quadratic", "adaspider", 1, 2, [1.0, 10.0], 30, 5, 1, 1.0, 0, 5, True, False)
+    @example("logistic", "spiderboost", 4, 3, list(SCALES), 40, 3, 4, 1.0, 1, 2, False, True)
+    @example("mlp", "spider", 6, 1, [0.1, 1.0, 10.0], 25, 5, 2, 0.0, 2, 1, True, True)
+    # verify's seeded runs: iterates kept, no rows
+    @example("squared", "adaspider", 10, 2, list(SCALES), 60, None, 3, 1.0, 4, 5, "iterates", False)
     def test_every_trace_field_bitwise(
-        self, family, algo, n, d, scales, steps, period, batch, scale, seed, chunk, keep_path
+        self, family, algo, n, d, scales, steps, period, batch, scale, seed, chunk, keep_path, rows
     ):
         problem = make_problem(family, n, d, seed)
         x0s = [start_point(family, problem, seed + k, scale) for k in range(len(scales))]
         runs = group_runs(algo, scales, x0s, seed, steps, period, batch)
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(optimizers, "_DRAW_CHUNK", chunk)
-            check_group(problem, algo, runs, keep_path)
+            check_group(problem, algo, runs, keep_path, rows)
 
     # AdaGrad-Norm's own step shrinks as it grows, so only its first steps
     # can diverge; a SPIDER step is at most scale^2 / sqrt(n) long.
@@ -682,6 +693,21 @@ class TestRowsAfterSteps:
         outcomes = runs_or_group(problem, "svrg", runs, grouped)
         assert all(isinstance(outcome, NonFiniteGradientError) for outcome in outcomes)
         assert calls.counts == {"value": 0, "metric_gradient": 0, "metric_gradients": 0}
+
+    def test_variance_check_evaluates_no_rows(self):
+        problem = verify.default_variance_problem(3)
+        calls = DiagnosticCalls(problem)
+        report = verify.check_cumulative_variance(problem, AdaSpiderConfig(steps=40), range(50))
+        assert report.trials == 50
+        assert calls.counts == {"value": 0, "metric_gradient": 0, "metric_gradients": 0}
+
+    def test_rate_check_evaluates_only_its_path_gradients(self):
+        problem = verify.default_rate_problem()
+        calls = DiagnosticCalls(problem)
+        report = verify.check_rate_scaling(problem, (10, 20, 40), range(2))
+        assert report.trials == 2
+        # one call per seed, for its 40-step path
+        assert calls.counts == {"value": 0, "metric_gradient": 0, "metric_gradients": 2}
 
 
 def sha256(data: bytes) -> str:
