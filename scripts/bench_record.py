@@ -3,7 +3,7 @@
 Usage, from the repository root:
 
     python3 scripts/bench_record.py --parent P1.json P2.json ... \\
-        --change C1.json C2.json ... --out BENCH_20.json
+        --change C1.json C2.json ... --out BENCH_<n>.json
 
 Each input is a ``perfbench/out/result-<workload>-seed<s>-trace<t>.json``
 file (or a directory holding such files) written by ``perfbench/run.py``
@@ -30,7 +30,9 @@ import os
 import statistics
 import sys
 
+# The benchmark declaration, which names the end-to-end metrics.
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+CATALOGUE = os.path.join(ROOT, "BENCHMARK.json")
 
 
 class RecordError(Exception):
@@ -146,13 +148,9 @@ def main(argv=None) -> int:
     parser.add_argument("--parent", nargs="+", required=True, help="result files or folders")
     parser.add_argument("--change", nargs="+", required=True, help="result files or folders")
     parser.add_argument("--out", required=True, help="the BENCH file to write")
-    parser.add_argument(
-        "--catalogue", default=os.path.join(ROOT, "BENCHMARK.json"),
-        help="the benchmark declaration naming the end-to-end metrics",
-    )
     args = parser.parse_args(argv)
     try:
-        with open(args.catalogue, encoding="utf-8") as fh:
+        with open(CATALOGUE, encoding="utf-8") as fh:
             catalogue = json.load(fh)
         names = [m["name"] for m in catalogue["end_to_end"]]
         doc = record(load_side(args.parent, names), load_side(args.change, names), catalogue)
