@@ -8,7 +8,9 @@ row per requested component in a single numpy call; full gradients,
 mini-batch corrections and the non-finite scan all go through it, and
 its rows are bitwise equal to the single-component calls, as is the
 single-sample correction ``component_gradient_difference``. Charged
-oracle access goes through :func:`full_gradient` or explicit
+oracle access goes through :func:`full_gradient`, its block form
+:func:`full_gradients` (one ``mean_gradients`` call for the resets of a
+lockstep block, charging each member's own counter n), or explicit
 ``counter.charge`` calls; diagnostic evaluations (loss curves, true
 gradient norms) use the problem's own methods and are never charged.
 """
@@ -209,14 +211,46 @@ def full_gradient(
     counter.charge(problem.n)
     g = problem.mean_gradient(x)
     if not np.all(np.isfinite(g)):
-        rows = problem.component_gradients(np.arange(1, problem.n + 1), x)
-        bad = ~np.isfinite(rows).all(axis=1)
-        if bad.any():
-            raise NonFiniteGradientError(
-                f"non-finite gradient from component {int(np.argmax(bad)) + 1}"
-            )
-        raise NonFiniteGradientError("non-finite full gradient")
+        raise _non_finite(problem, x)
     return g
+
+
+def full_gradients(
+    problem: FiniteSumProblem, points, counters: list
+) -> tuple[np.ndarray, dict]:
+    """:func:`full_gradient` at every row of a (R, d) block, row r charging
+    n to ``counters[r]``, in one :meth:`~FiniteSumProblem.mean_gradients`
+    call.
+
+    Returns the (R, d) gradients, each row bitwise what
+    :func:`full_gradient` returns at that point, and by row index the
+    :class:`NonFiniteGradientError` it would raise at each row that is not
+    finite.
+    """
+    points = np.asarray(points, dtype=np.float64)
+    if points.shape != (len(counters), problem.d):
+        raise ValueError(
+            f"points have shape {points.shape}, expected ({len(counters)}, {problem.d})"
+        )
+    for counter in counters:
+        counter.charge(problem.n)
+    g = problem.mean_gradients(points)
+    if np.isfinite(g).all():
+        return g, {}
+    bad = np.flatnonzero(~np.isfinite(g).all(axis=1))
+    return g, {int(k): _non_finite(problem, points[k]) for k in bad}
+
+
+def _non_finite(problem: FiniteSumProblem, x: np.ndarray) -> NonFiniteGradientError:
+    """The error of a full gradient at x that is not finite: it names the
+    first component whose gradient at x is not finite, if one is."""
+    rows = problem.component_gradients(np.arange(1, problem.n + 1), x)
+    bad = ~np.isfinite(rows).all(axis=1)
+    if bad.any():
+        return NonFiniteGradientError(
+            f"non-finite gradient from component {int(np.argmax(bad)) + 1}"
+        )
+    return NonFiniteGradientError("non-finite full gradient")
 
 
 # Most points per call of a finite-difference value function.

@@ -35,10 +35,10 @@ import numpy as np
 
 from .core import (
     FiniteSumProblem,
-    NonFiniteGradientError,
     OracleCounter,
     as_param_vector,
     full_gradient,
+    full_gradients,
 )
 
 # Iterates beyond this magnitude (or any non-finite coordinate) abort the
@@ -415,7 +415,13 @@ class _Draws:
     batches and add up to at most the run's own ``total`` draws.
     :meth:`integers` serves them as the generator's would, one value or one
     batch at a time; :meth:`settle` leaves the generator where scalar draws
-    of the values served so far would."""
+    of the values served so far would.
+
+    Before each chunk it keeps where the generator was, for :meth:`settle`
+    to rewind a run that stops inside the chunk. Of a PCG64 generator,
+    which ``np.random.default_rng`` makes, that is its state word and its
+    buffered 32-bit draw, as its increment never changes; of any other,
+    its whole state."""
 
     def __init__(self, rng: np.random.Generator, n: int, total: int, batch: int):
         self.rng, self.n, self.left = rng, n, total
@@ -427,7 +433,10 @@ class _Draws:
         """Draw and return the next chunk of ``size`` values."""
         self.size = min(self.chunk, self.left)
         self.left -= self.size
-        self.state = self.rng.bit_generator.state
+        state = self.rng.bit_generator.state
+        if state["bit_generator"] == "PCG64":
+            state = (state["state"]["state"], state["has_uint32"], state["uinteger"])
+        self.state = state
         return self.rng.integers(self.n, size=self.size)
 
     def integers(self, n: int, size: int | None = None):
@@ -444,7 +453,11 @@ class _Draws:
         """Rewind to before the current chunk and redraw its first ``served``
         values."""
         if served < self.size:
-            self.rng.bit_generator.state = self.state
+            state = self.state
+            if isinstance(state, tuple):
+                state = self.rng.bit_generator.state
+                state["state"]["state"], state["has_uint32"], state["uinteger"] = self.state
+            self.rng.bit_generator.state = state
             self.rng.integers(self.n, size=served)
 
 
@@ -728,10 +741,13 @@ def _lockstep_block(problem, algo: str, runs: list, x0s: list, keep_path, rows: 
     gradient, SPIDER's the previous iterate and estimate. A SPIDER batch of
     n or more takes the exact difference of full gradients instead and
     draws nothing. A member stops on its own when it diverges or its reset
-    gradient is not finite; the others step on. Reset gradients go through
-    ``full_gradient`` one member at a time and charge its counter there;
-    the sampled steps' calls are charged when the member stops. Without
-    ``rows`` no epoch is marked.
+    gradient is not finite; the others step on. A reset takes the whole
+    block's gradients in one ``full_gradients`` call, which charges each
+    member's own counter n and gives a non-finite row the error
+    ``full_gradient`` would raise; the sampled steps' calls are charged
+    when the member stops. The step rule's constants are column arrays,
+    cut with the other per-row state when members stop. Without ``rows``
+    no epoch is marked.
     """
     method = runs[0][0]
     steps, period, batch, rule = method.steps, method.period, method.batch, method.rule
@@ -755,7 +771,7 @@ def _lockstep_block(problem, algo: str, runs: list, x0s: list, keep_path, rows: 
     # records: a plain slice until a member stops.
     live, at = np.arange(size), slice(None)
     x = np.stack(x0s)
-    coeffs = np.array([m.coeffs for m, _, _ in runs])
+    coeffs = tuple(np.array(column) for column in zip(*(m.coeffs for m, _, _ in runs)))
     accum = np.zeros(size)
     gamma = np.zeros(size)  # the last step size, as epoch rows record it
     draws = np.empty((size, 0), dtype=np.int64)
@@ -782,9 +798,10 @@ def _lockstep_block(problem, algo: str, runs: list, x0s: list, keep_path, rows: 
                     problem, algo, taken, records, epoch_rows[r], points[r], x[k], diverged_at
                 )
         keep = ~mask
-        live, x, coeffs, accum, gamma, draws, anchor, base = (
-            a[keep] for a in (live, x, coeffs, accum, gamma, draws, anchor, base)
+        live, x, accum, gamma, draws, anchor, base = (
+            a[keep] for a in (live, x, accum, gamma, draws, anchor, base)
         )
+        coeffs = tuple(column[keep] for column in coeffs)
         at = live
 
     for t in range(steps):
@@ -794,16 +811,13 @@ def _lockstep_block(problem, algo: str, runs: list, x0s: list, keep_path, rows: 
         if iterates is not None:
             iterates[at, t] = x
         if resets and t % period == 0:
-            g = np.empty_like(x)
-            faulted = np.zeros(len(live), dtype=bool)
-            for k, r in enumerate(live):
-                try:
-                    g[k] = full_gradient(problem, x[k], counters[r])
-                except NonFiniteGradientError as exc:
-                    outcomes[r], faulted[k] = exc, True
+            g, faults = full_gradients(problem, x, [counters[r] for r in live])
             calls += n
             anchor, base = x, g
-            if faulted.any():
+            if faults:
+                faulted = np.zeros(len(live), dtype=bool)
+                for k, exc in faults.items():
+                    outcomes[live[k]], faulted[k] = exc, True
                 stop(faulted, t)
                 if not live.size:
                     break
@@ -841,17 +855,18 @@ def _lockstep_block(problem, algo: str, runs: list, x0s: list, keep_path, rows: 
         squares = _row_squares(g)
         norm = np.sqrt(squares)
         if rule == "adaptive":
+            eta, scale, offset = coeffs
             accum += squares
-            gamma = coeffs[:, 0] / (coeffs[:, 1] * np.sqrt(coeffs[:, 2] + accum))
+            gamma = eta / (scale * np.sqrt(offset + accum))
         elif rule == "eps":
-            eps, lsn, cap = coeffs.T
+            eps, lsn, cap = coeffs
             denom = lsn * norm
             with np.errstate(divide="ignore", invalid="ignore"):
                 quotient = eps / denom
             # Python's min(quotient, cap) takes cap only if cap < quotient
             gamma = np.where((norm == 0.0) | (denom == 0.0) | (cap < quotient), cap, quotient)
         else:
-            gamma = coeffs[:, 0]
+            (gamma,) = coeffs
         x = x - gamma[:, None] * g
         step_sizes[at, t] = gamma
         est_norms[at, t] = norm

@@ -37,6 +37,10 @@ _LOSS_CURVATURE = {"logistic": 0.25, "squared": 1.0}
 # maximized at z=0 with value 2.
 _REGULARIZER_SMOOTHNESS = 2.0
 
+# Most (point, component, coordinate) entries that one chunk of
+# ``RegularizedERM.mean_gradients`` holds: 8 MB a temporary.
+_MEAN_BLOCK = 1 << 20
+
 
 def _sigmoid_scalar(z: float) -> float:
     try:
@@ -154,6 +158,25 @@ class RegularizedERM(FiniteSumProblem):
         grads *= self._loss_slope(margins, self._labels[idx])[:, None]
         if self.lam:
             grads += self.lam * nonconvex_regularizer_grad(x)
+        return grads
+
+    def mean_gradients(self, points) -> np.ndarray:
+        """:meth:`mean_gradient` at every row of ``points``, bitwise: the
+        margins of every (point, component) pair in one stacked
+        ``np.matmul``, the loss slopes, the regularizer gradient once per
+        point added by broadcast, then the mean over the components. Rows
+        go in chunks of at most _MEAN_BLOCK (point, component, coordinate)
+        entries, which bounds each chunk's (k, n, d) temporaries."""
+        points = self._check_points(points)
+        grads = np.empty_like(points)
+        rows = max(1, _MEAN_BLOCK // (self.n * self.d))
+        for start in range(0, len(points), rows):
+            x = points[start : start + rows]
+            margins = np.matmul(self._features[:, None, :], x[:, None, :, None])[..., 0, 0]
+            terms = self._features * self._loss_slope(margins, self._labels)[..., None]
+            if self.lam:
+                terms += (self.lam * nonconvex_regularizer_grad(x))[:, None, :]
+            grads[start : start + rows] = terms.mean(axis=1)
         return grads
 
     # Vectorized diagnostics. einsum keeps the reduction order fixed so

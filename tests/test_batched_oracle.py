@@ -5,19 +5,22 @@ over many points, the sigmoid, and golden record digests."""
 import hashlib
 import json
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from mlp_reference import reference_rows
 
+from adaspider import problems
 from adaspider.cli import main
 from adaspider.core import (
     FiniteSumProblem,
     NonFiniteGradientError,
     OracleCounter,
     full_gradient,
+    full_gradients,
 )
 from adaspider.data import generate_synthetic
 from adaspider.optimizers import (
@@ -148,6 +151,49 @@ class TestDerivedFullGradients:
         with pytest.raises(ValueError, match="component 3"):
             full_gradient(problem, np.zeros(2), OracleCounter())
 
+    @pytest.mark.parametrize("family", FAMILIES)
+    def test_block_rows_are_full_gradients(self, family):
+        problem, point = make_problem(family, 12, 1)
+        rng = np.random.default_rng(2)
+        points = np.stack([point(rng, scale) for scale in (0.01, 1.0, 30.0)])
+        counters = [OracleCounter(5), OracleCounter(), OracleCounter()]
+        rows, faults = full_gradients(problem, points, counters)
+        assert faults == {}
+        assert [c.component_calls for c in counters] == [17, 12, 12]
+        for row, x in zip(rows, points):
+            assert same_bits(row, full_gradient(problem, x, OracleCounter()))
+
+    def test_block_faults_are_full_gradient_errors(self):
+        # component 2 is infinite, component 4 NaN wherever x[0] > 0
+        class Wall(FiniteSumProblem):
+            def component_gradient(self, i, x):
+                self._check_index(i)
+                if x[0] > 0 and i in (2, 4):
+                    return np.array([math.inf if i == 2 else math.nan, 0.0])
+                return np.array(x, copy=True)
+
+        problem = Wall(n=5, d=2)
+        points = np.array([[1.0, 0.0], [-1.0, 0.0], [2.0, 5.0]])
+        counters = [OracleCounter() for _ in points]
+        _, faults = full_gradients(problem, points, counters)
+        assert [c.component_calls for c in counters] == [5, 5, 5]
+        assert sorted(faults) == [0, 2]
+        for k, exc in faults.items():
+            with pytest.raises(NonFiniteGradientError) as alone:
+                full_gradient(problem, points[k], OracleCounter())
+            assert type(exc) is NonFiniteGradientError
+            assert str(exc) == str(alone.value) == "non-finite gradient from component 2"
+
+    def test_block_shape_checked_before_any_charge(self):
+        problem, _ = make_problem("logistic", 5, 0)
+        counters = [OracleCounter(), OracleCounter()]
+        for bad in (np.zeros((3, problem.d)), np.zeros((2, problem.d + 1)), np.zeros(problem.d)):
+            with pytest.raises(ValueError, match="expected"):
+                full_gradients(problem, bad, counters)
+        assert [c.component_calls for c in counters] == [0, 0]
+        rows, faults = full_gradients(problem, np.empty((0, problem.d)), [])
+        assert rows.shape == (0, problem.d) and faults == {}
+
     def test_nonfinite_gradient_is_its_own_error(self):
         # a ValueError subclass, so the command line can tell it from bad input
         problem = QuadraticProblem(np.stack([np.eye(1)] * 2), [[1.0], [np.inf]])
@@ -222,6 +268,47 @@ class TestBatchedPointGradients:
                 method(np.zeros(problem.d))
             with pytest.raises(ValueError, match="expected"):
                 method(np.zeros((2, problem.d + 1)))
+
+
+class TestErmMeanGradients:
+    """RegularizedERM's batched mean_gradients, in chunks of at most
+    problems._MEAN_BLOCK entries: every row bitwise mean_gradient."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        loss=st.sampled_from(["logistic", "squared"]),
+        lam=st.sampled_from([0.0, 0.1]),
+        n=st.integers(min_value=1, max_value=40),
+        d=st.integers(min_value=1, max_value=6),
+        count=st.integers(min_value=0, max_value=8),
+        # rows a chunk holds; None keeps the default cap
+        chunk=st.sampled_from([None, 1, 2, 3]),
+        # at 1e3 and 1e4, margins run past the sigmoid's overflow at 709.78
+        scale=st.sampled_from([0.01, 1.0, 30.0, 1e3, 1e4]),
+        seed=st.integers(min_value=0, max_value=10_000),
+    )
+    @example(loss="logistic", lam=0.1, n=20, d=1, count=8, chunk=3, scale=1e4, seed=0)
+    @example(loss="squared", lam=0.0, n=7, d=5, count=7, chunk=2, scale=1.0, seed=1)
+    def test_rows_bitwise_mean_gradient(self, loss, lam, n, d, count, chunk, scale, seed):
+        kind = "separable-logistic" if loss == "logistic" else "quadratic"
+        problem = RegularizedERM(generate_synthetic(kind, n, d, seed), loss_kind=loss, lam=lam)
+        points = scale * np.random.default_rng(seed + 1).standard_normal((count, d))
+        cap = problems._MEAN_BLOCK if chunk is None else chunk * n * d
+        with mock.patch.object(problems, "_MEAN_BLOCK", cap):
+            rows = problem.mean_gradients(points)
+        assert rows.shape == (count, d)
+        for row, x in zip(rows, points):
+            assert same_bits(row, problem.mean_gradient(x))
+
+    @pytest.mark.parametrize("d", [1, 4])
+    def test_margins_past_the_exp_overflow(self, d):
+        problem = RegularizedERM(generate_synthetic("separable-logistic", 30, d, 2))
+        points = 1e4 * np.random.default_rng(3).standard_normal((6, d))
+        margins = problem._labels * (problem._features @ points.T).T
+        # e^{-z} overflows at both signs of the labelled margin z
+        assert margins.max() > problems._EXP_LIMIT and margins.min() < -problems._EXP_LIMIT
+        for row, x in zip(problem.mean_gradients(points), points):
+            assert same_bits(row, problem.mean_gradient(x))
 
 
 class TestMiniBatchCorrections:

@@ -559,6 +559,27 @@ class TestGeneratorLeftAsScalarDraws:
         assert_left_after_scalar_draws(runs[0], 10, scalar_draws(algo, 30, 10, batch))
         assert_left_after_scalar_draws(runs[1], 10, scalar_draws(algo, 300, 10, batch))
 
+    @pytest.mark.parametrize("grouped", [False, True])
+    def test_odd_chunk_rewinds_the_buffered_half_draw(self, grouped):
+        # a chunk of 301 values leaves half of a 64-bit output buffered in
+        # the generator; a run that stops inside it must not keep that half
+        problem = Ramp(10)
+        x0s = [np.array([optimizers.DIVERGENCE_LIMIT - 5.0]), np.zeros(1)]
+        runs = group_runs("sgd", [1.0, 1.0], x0s, 3, 301, 1, 1)
+        outcomes = runs_or_group(problem, "sgd", runs, grouped)
+        assert outcomes[0].diverged and not outcomes[1].diverged
+        for trace, kw in zip(outcomes, runs):
+            assert_left_after_scalar_draws(kw, 10, trace.num_steps)
+
+    def test_other_bit_generators_rewind_their_whole_state(self):
+        x0 = np.array([optimizers.DIVERGENCE_LIMIT - 5.0])
+        rng, fresh = (np.random.Generator(np.random.MT19937(5)) for _ in range(2))
+        trace = optimizers.sgd_run(Ramp(10), x0, 1.0, 301, rng)
+        assert trace.diverged
+        for _ in range(trace.num_steps):
+            fresh.integers(10)
+        assert rng.integers(1 << 62, size=4).tolist() == fresh.integers(1 << 62, size=4).tolist()
+
     def test_diverged_member_draws_on_as_its_run_alone(self):
         problem = RegularizedERM(generate_synthetic("quadratic", 50, 5, 0), "squared", 0.1)
         alone, member = np.random.default_rng(0), np.random.default_rng(0)
@@ -568,6 +589,50 @@ class TestGeneratorLeftAsScalarDraws:
         )
         assert trace.diverged_at == grouped.diverged_at == 3
         assert member.integers(1000) == alone.integers(1000)
+
+
+class Cliff(Ramp):
+    """A Ramp whose component n has an infinite gradient at and past
+    ``wall``, and which counts its ``mean_gradient`` calls."""
+
+    def __init__(self, n: int, wall: float):
+        super().__init__(n)
+        self.wall, self.mean_calls = wall, 0
+
+    def component_gradient(self, i, x):
+        self._check_index(i)
+        return np.array([math.inf if i == self.n and x[0] >= self.wall else -1.0])
+
+    def mean_gradient(self, x):
+        self.mean_calls += 1
+        return FiniteSumProblem.mean_gradient(self, x)
+
+
+@pytest.mark.parametrize("algo", ["svrg", "adaspider", "spider", "spiderboost"])
+@pytest.mark.parametrize("batch", [1, 3])
+def test_faulting_resets_as_alone(algo, batch):
+    # Members climb towards the wall at 5. The first never reaches it, the
+    # third starts on it and faults at its first reset; the second and
+    # fourth pass it later and fault at a reset, or diverge first where an
+    # inner step samples component n past the wall.
+    x0s = [np.array([v]) for v in (-1e6, 4.5, 5.0, 3.5)]
+    runs = group_runs(algo, [1.0] * 4, x0s, 5, 40, 4, batch)
+    alone, grouped = Cliff(10, 5.0), Cliff(10, 5.0)
+    want, want_counters = counted(lambda: one_at_a_time(alone, algo, runs))
+    got, got_counters = counted(lambda: grouped_outcomes(grouped, algo, runs))
+    assert len(got_counters) == len(want_counters) == len(runs)
+    assert [c.component_calls for c in got_counters] == [
+        c.component_calls for c in want_counters
+    ]
+    assert want[0].num_steps == 40 and not want[0].diverged
+    assert str(want[2]) == "non-finite gradient from component 10"
+    assert sum(isinstance(w, NonFiniteGradientError) for w in want) >= 2
+    for g, w in zip(got, want):
+        if isinstance(w, Exception):
+            assert type(g) is type(w) and str(g) == str(w)
+        else:
+            assert_same_trace(g, w)
+    assert grouped.mean_calls == alone.mean_calls > 4
 
 
 class SteepWall(FiniteSumProblem):

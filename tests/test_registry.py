@@ -291,16 +291,23 @@ class TestWrappedNames:
             original_init(counter, *args, **kwargs)
             counters.append(counter)
 
+        # a run alone takes its snapshots one at a time, a lockstep group
+        # one block at a time: one point per row
         snapshots = []
-        full_gradient = optimizers.full_gradient
+        full_gradient, full_gradients = optimizers.full_gradient, optimizers.full_gradients
 
         def count_snapshots(*args, **kwargs):
             snapshots.append(args[1])
             return full_gradient(*args, **kwargs)
 
+        def count_block_snapshots(*args, **kwargs):
+            snapshots.extend(args[1])
+            return full_gradients(*args, **kwargs)
+
         monkeypatch.setattr(harness, "run_algorithm", wrap(harness.run_algorithm))
         monkeypatch.setattr(optimizers.OracleCounter, "__init__", register)
         monkeypatch.setattr(optimizers, "full_gradient", count_snapshots)
+        monkeypatch.setattr(optimizers, "full_gradients", count_block_snapshots)
         if case == "sweep":
             sweep_step_size(config, "sgd", grid)
             expected = [("sgd", eta, r) for eta in grid for r in range(3)]
