@@ -235,8 +235,6 @@ def full_gradients(
     for counter in counters:
         counter.charge(problem.n)
     g = problem.mean_gradients(points)
-    if np.isfinite(g).all():
-        return g, {}
     bad = np.flatnonzero(~np.isfinite(g).all(axis=1))
     return g, {int(k): _non_finite(problem, points[k]) for k in bad}
 
