@@ -415,13 +415,7 @@ class _Draws:
     batches and add up to at most the run's own ``total`` draws.
     :meth:`integers` serves them as the generator's would, one value or one
     batch at a time; :meth:`settle` leaves the generator where scalar draws
-    of the values served so far would.
-
-    Before each chunk it keeps where the generator was, for :meth:`settle`
-    to rewind a run that stops inside the chunk. Of a PCG64 generator,
-    which ``np.random.default_rng`` makes, that is its state word and its
-    buffered 32-bit draw, as its increment never changes; of any other,
-    its whole state."""
+    of the values served so far would."""
 
     def __init__(self, rng: np.random.Generator, n: int, total: int, batch: int):
         self.rng, self.n, self.left = rng, n, total
@@ -433,10 +427,7 @@ class _Draws:
         """Draw and return the next chunk of ``size`` values."""
         self.size = min(self.chunk, self.left)
         self.left -= self.size
-        state = self.rng.bit_generator.state
-        if state["bit_generator"] == "PCG64":
-            state = (state["state"]["state"], state["has_uint32"], state["uinteger"])
-        self.state = state
+        self.state = self.rng.bit_generator.state
         return self.rng.integers(self.n, size=self.size)
 
     def integers(self, n: int, size: int | None = None):
@@ -453,11 +444,7 @@ class _Draws:
         """Rewind to before the current chunk and redraw its first ``served``
         values."""
         if served < self.size:
-            state = self.state
-            if isinstance(state, tuple):
-                state = self.rng.bit_generator.state
-                state["state"]["state"], state["has_uint32"], state["uinteger"] = self.state
-            self.rng.bit_generator.state = state
+            self.rng.bit_generator.state = self.state
             self.rng.integers(self.n, size=served)
 
 
