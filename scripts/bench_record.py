@@ -8,12 +8,19 @@ Usage, from the repository root:
 Each input is a ``perfbench/out/result-<workload>-seed<s>-trace<t>.json``
 file (or a directory holding such files) written by ``perfbench/run.py``
 in a checkout of one side. A side may give several files of one workload
-and seed, from repeated runs: their executions are pooled. The output
-holds, per workload:
+and seed, from repeated runs: their executions are pooled within that
+seed. The output holds, per workload and for each of the four end-to-end
+metrics of ``BENCHMARK.json``:
 
-- the median and quartiles of the four end-to-end metrics of
-  ``BENCHMARK.json`` over every untraced execution of each side, and the
-  ratio of the change's median to the parent's;
+- each side's median at each seed, and the ratio of the change's to the
+  parent's;
+- each side's headline median, the median of its per-seed medians, so a
+  seed with more executions on one side does not tilt it; the quartiles
+  and count of all its untraced executions; and the ratio of the
+  change's headline median to the parent's;
+
+and per workload:
+
 - each side's per-execution numbers, by seed;
 - each side's failed and attempted operations;
 - the record digests by seed, and whether the two sides' are equal;
@@ -53,15 +60,17 @@ def result_files(paths: list) -> list:
     return files
 
 
-def spread(values: list) -> dict:
-    """Median, quartiles and count of ``values``; the quartiles of one
+def spread(by_seed: dict) -> dict:
+    """The median of the per-seed medians of ``by_seed`` (seed -> values),
+    and the quartiles and count of all its values; the quartiles of one
     value are that value."""
-    values = sorted(values)
+    values = sorted(v for seed_values in by_seed.values() for v in seed_values)
     if len(values) > 1:
         q1, _, q3 = statistics.quantiles(values, n=4, method="inclusive")
     else:
         q1 = q3 = values[0]
-    return {"median": statistics.median(values), "q1": q1, "q3": q3, "n": len(values)}
+    median = statistics.median(statistics.median(v) for v in by_seed.values())
+    return {"median": median, "q1": q1, "q3": q3, "n": len(values)}
 
 
 def load_side(paths: list, metrics: list) -> dict:
@@ -108,16 +117,25 @@ def record(parent: dict, change: dict, catalogue: dict) -> dict:
         summary = {}
         for metric in metrics:
             key = metric["name"]
-            pooled = {
-                label: spread([v for s in seeds for v in side["by_seed"][s][key]])
+            values = {
+                label: {s: side["by_seed"][s][key] for s in seeds}
                 for label, side in sides.items()
             }
+            per_seed = {}
+            for s in seeds:
+                medians = {label: statistics.median(v[s]) for label, v in values.items()}
+                per_seed[s] = {
+                    **medians,
+                    "change_over_parent": medians["change"] / medians["parent"],
+                }
+            heads = {label: spread(v) for label, v in values.items()}
             summary[key] = {
                 "unit": metric["unit"],
                 "better": metric["better"],
                 "bound": metric["bound"],
-                **pooled,
-                "change_over_parent": pooled["change"]["median"] / pooled["parent"]["median"],
+                **heads,
+                "change_over_parent": heads["change"]["median"] / heads["parent"]["median"],
+                "by_seed": per_seed,
             }
         workloads[name] = {
             "seeds": [int(s) for s in seeds],

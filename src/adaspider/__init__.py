@@ -13,13 +13,11 @@ from .data import Dataset, format_libsvm, generate_synthetic, parse_libsvm
 from .optimizers import (
     AdaSpiderConfig,
     RunTrace,
-    SpiderEstimatorState,
     adagrad_norm_run,
     adaspider_run,
     adaspider_step_size,
     select_output,
     sgd_run,
-    spider_estimator_update,
     spider_run,
     spiderboost_run,
     svrg_run,
@@ -43,7 +41,6 @@ __all__ = [
     "QuadraticProblem",
     "RegularizedERM",
     "RunTrace",
-    "SpiderEstimatorState",
     "adagrad_norm_run",
     "adaspider_run",
     "adaspider_step_size",
@@ -58,7 +55,6 @@ __all__ = [
     "parse_libsvm",
     "select_output",
     "sgd_run",
-    "spider_estimator_update",
     "spider_run",
     "spiderboost_run",
     "svrg_run",

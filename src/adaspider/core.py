@@ -198,7 +198,8 @@ class FiniteSumProblem:
 def full_gradient(
     problem: FiniteSumProblem, x: np.ndarray, counter: OracleCounter
 ) -> np.ndarray:
-    """Exact full gradient (1/n) sum_i grad f_i(x), charging n oracle calls.
+    """Exact full gradient (1/n) sum_i grad f_i(x), charging n oracle calls:
+    the one-row case of :func:`full_gradients`.
 
     Raises :class:`NonFiniteGradientError`, naming the first bad
     component, when the gradient is not finite.
@@ -208,24 +209,22 @@ def full_gradient(
         raise ValueError(
             f"point has shape {x.shape}, expected ({problem.d},)"
         )
-    counter.charge(problem.n)
-    g = problem.mean_gradient(x)
-    if not np.all(np.isfinite(g)):
-        raise _non_finite(problem, x)
-    return g
+    g, faults = full_gradients(problem, x[None], [counter])
+    if faults:
+        raise faults[0]
+    return g[0]
 
 
 def full_gradients(
     problem: FiniteSumProblem, points, counters: list
 ) -> tuple[np.ndarray, dict]:
-    """:func:`full_gradient` at every row of a (R, d) block, row r charging
+    """Exact full gradients at every row of a (R, d) block, row r charging
     n to ``counters[r]``, in one :meth:`~FiniteSumProblem.mean_gradients`
     call.
 
-    Returns the (R, d) gradients, each row bitwise what
-    :func:`full_gradient` returns at that point, and by row index the
-    :class:`NonFiniteGradientError` it would raise at each row that is not
-    finite.
+    Returns the (R, d) gradients, each row bitwise ``mean_gradient`` at
+    that point, and by row index a :class:`NonFiniteGradientError` naming
+    the first bad component for each row that is not finite.
     """
     points = np.asarray(points, dtype=np.float64)
     if points.shape != (len(counters), problem.d):

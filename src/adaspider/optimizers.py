@@ -14,7 +14,10 @@ every step length by 1/beta0.
 
 Every method pairs one of three gradient estimators (stochastic, SVRG
 snapshot, SPIDER) with one of four step rules (constant, AdaGrad-Norm, the
-eps-tied SPIDER step, the AdaSpider step above). Each method's
+eps-tied SPIDER step, the AdaSpider step above). SVRG and SPIDER are one
+recursion, g = grad f_i(x) - grad f_i(anchor) + base, reset to anchor x and
+base the exact full gradient every ``period`` steps; SVRG's anchor then
+stays put, SPIDER's moves to each iterate with its estimate. Each method's
 ``_METHODS`` entry checks a run's arguments and builds its
 :class:`_Method`, which both step loops read; the harness builds each
 planned run's method once with that table, and ``harness.ALGORITHMS``
@@ -62,27 +65,6 @@ def _diverged(x: np.ndarray) -> bool:
     return not (np.maximum.reduce(np.abs(x)) <= DIVERGENCE_LIMIT)
 
 
-@dataclass
-class SpiderEstimatorState:
-    """State of the recursive gradient estimator.
-
-    ``estimate`` is g_t for the last updated step, ``anchor_point`` the
-    point where it was formed, ``grad_norm_accum`` the running sum of
-    squared estimate norms (including the current one), and
-    ``step_index`` the index of the next update.
-    """
-
-    period: int
-    estimate: np.ndarray | None = None
-    anchor_point: np.ndarray | None = None
-    step_index: int = 0
-    grad_norm_accum: float = 0.0
-
-    def __post_init__(self):
-        if self.period < 1:
-            raise ValueError("full-gradient period must be at least 1")
-
-
 def _sampled_correction(
     problem: FiniteSumProblem,
     x: np.ndarray,
@@ -125,49 +107,45 @@ def _mean_difference(at_x: np.ndarray, at_anchor: np.ndarray) -> np.ndarray:
 
 
 def spider_estimator_update(
-    state: SpiderEstimatorState,
     problem: FiniteSumProblem,
-    x_t: np.ndarray,
-    rng: np.random.Generator,
+    x: np.ndarray,
+    anchor: np.ndarray | None,
+    base: np.ndarray | None,
+    reset: bool,
+    exact: bool,
+    batch: int,
+    draws,
     counter: OracleCounter,
-    batch_size: int = 1,
 ) -> np.ndarray:
-    """Advance the estimator to x_t and return the new estimate.
+    """One SVRG or SPIDER estimate of a run alone at x.
 
-    At reset steps (t mod period == 0) this is the exact full gradient
-    and charges n calls. Otherwise the recursive correction samples
-    ``batch_size`` components uniformly with replacement and charges two
-    calls per sampled component; exactly one rng draw is consumed. A
-    batch of n or more uses all components exactly once (the correction
-    is then the exact full-gradient difference). ``rng`` is a generator or
-    a stand-in with its ``integers``, such as a run's :class:`_Draws`.
+    At a reset it is the exact full gradient (charging n). Otherwise it is
+    grad f_i(x) - grad f_i(anchor) + base averaged over ``batch`` sampled
+    components (:func:`_sampled_correction`, charging 2 each), or with
+    ``exact`` the difference of two ``mean_gradient`` calls plus base
+    (charging 2n, drawing nothing). ``draws`` is a generator or a stand-in
+    with its ``integers``, such as a run's :class:`_Draws`.
     """
-    t = state.step_index
-    n = problem.n
-    if t % state.period == 0:
-        estimate = full_gradient(problem, x_t, counter)
-    elif batch_size >= n:
-        diff = problem.mean_gradient(x_t) - problem.mean_gradient(state.anchor_point)
-        counter.charge(2 * n)
-        estimate = diff + state.estimate
-    else:
-        correction = _sampled_correction(
-            problem, x_t, state.anchor_point, batch_size, rng, counter
-        )
-        estimate = correction + state.estimate
-    state.estimate = estimate
-    state.anchor_point = np.array(x_t, copy=True)
-    state.grad_norm_accum += float(estimate @ estimate)
-    state.step_index = t + 1
-    return estimate
+    if reset:
+        return full_gradient(problem, x, counter)
+    if exact:
+        diff = problem.mean_gradient(x) - problem.mean_gradient(anchor)
+        counter.charge(2 * problem.n)
+        return diff + base
+    return _sampled_correction(problem, x, anchor, batch, draws, counter) + base
+
+
+def _check_positive(what: str, *values) -> None:
+    """Refuse ``values`` unless each is positive and finite; NaN is refused."""
+    if not all(0 < v < math.inf for v in values):
+        raise ValueError(f"{what} must be positive and finite")
 
 
 def _adaspider_constants(n: int, beta0: float, g0: float) -> tuple[float, float]:
     """The run-constant factors (n^{1/4} beta0, sqrt(n) G0^2) of the step size."""
     if n < 1:
         raise ValueError("component count must be positive")
-    if beta0 <= 0 or g0 <= 0:
-        raise ValueError("beta0 and G0 must be positive")
+    _check_positive("beta0 and G0", beta0, g0)
     return n**0.25 * beta0, math.sqrt(n) * g0**2
 
 
@@ -291,11 +269,6 @@ class _Method:
 # of its run function, which the lockstep groups make too.
 
 
-def _check_eta(eta) -> None:
-    if eta <= 0:
-        raise ValueError("step size must be positive")
-
-
 def _check_batch(batch) -> None:
     if batch < 1:
         raise ValueError("inner batch size must be at least 1")
@@ -322,10 +295,8 @@ def _adaspider_method(problem: FiniteSumProblem, config: AdaSpiderConfig) -> _Me
 def _spider_method(
     problem: FiniteSumProblem, epsilon, smoothness, steps, period=None, inner_batch=1
 ) -> _Method:
-    if epsilon <= 0:
-        raise ValueError("target accuracy must be positive")
-    if smoothness <= 0:
-        raise ValueError("smoothness constant must be positive")
+    _check_positive("target accuracy", epsilon)
+    _check_positive("smoothness constant", smoothness)
     period = _spider_period(period, problem.n)
     _check_batch(inner_batch)
     root_n = math.sqrt(problem.n)
@@ -336,8 +307,7 @@ def _spider_method(
 def _spiderboost_method(
     problem: FiniteSumProblem, smoothness, steps, period=None, batch_size=None
 ) -> _Method:
-    if smoothness <= 0:
-        raise ValueError("smoothness constant must be positive")
+    _check_positive("smoothness constant", smoothness)
     root = ceil_sqrt(problem.n)
     period = _spider_period(period, root)
     batch = batch_size if batch_size is not None else root
@@ -348,7 +318,7 @@ def _spiderboost_method(
 def _svrg_method(
     problem: FiniteSumProblem, eta, epoch_length, steps, inner_batch=1
 ) -> _Method:
-    _check_eta(eta)
+    _check_positive("step size", eta)
     _check_batch(inner_batch)
     m = epoch_length if epoch_length is not None else problem.n
     if m < 1:
@@ -357,14 +327,13 @@ def _svrg_method(
 
 
 def _sgd_method(problem: FiniteSumProblem, eta, steps) -> _Method:
-    _check_eta(eta)
+    _check_positive("step size", eta)
     return _Method("stochastic", steps, 1, 1, "constant", (eta,))
 
 
 def _adagrad_norm_method(problem: FiniteSumProblem, eta, b0, steps) -> _Method:
-    _check_eta(eta)
-    if b0 <= 0:
-        raise ValueError("norm offset b0 must be positive")
+    _check_positive("step size", eta)
+    _check_positive("norm offset b0", b0)
     return _Method("stochastic", steps, 1, 1, "adaptive", (eta, 1.0, b0**2))
 
 
@@ -456,10 +425,12 @@ def _run_loop(problem, algo: str, x0, rng, keep_path: bool, method: _Method) -> 
     run's scalar draws leave it.
 
     A "stochastic" estimate is one sampled component gradient (charging 1).
-    Every ``period`` steps "svrg" makes x its snapshot y and takes y's full
-    gradient mu (charging n); in between, grad f_i(x) - grad f_i(y) + mu
-    averaged over ``batch`` samples (charging 2 each). "spider" is
-    :func:`spider_estimator_update`. An epoch row and a copy of x are
+    "svrg" and "spider" share one recursion, as in :func:`_lockstep_block`:
+    every ``period`` steps the anchor becomes x and the base its full
+    gradient; in between, each estimate is :func:`spider_estimator_update`'s
+    grad f_i(x) - grad f_i(anchor) + base. SVRG's anchor stays put until
+    the next reset; SPIDER's anchor and base move to x and g after every
+    step. An epoch row and a copy of x are
     recorded at the top of a step if the charged calls have completed
     another full pass, and for a diverged x; rows are evaluated at the end.
     Step t writes its step size, estimator norm, charged calls and, when
@@ -468,8 +439,10 @@ def _run_loop(problem, algo: str, x0, rng, keep_path: bool, method: _Method) -> 
     n = problem.n
     counter = OracleCounter()
     draws = _Draws(rng, n, method.index_draws(n), method.batch)
-    estimator, period, batch, rule = method.estimator, method.period, method.batch, method.rule
-    state = SpiderEstimatorState(period=period) if estimator == "spider" else None
+    period, batch, rule = method.period, method.batch, method.rule
+    resets = method.estimator != "stochastic"
+    moving = method.estimator == "spider"  # the anchor is the last iterate
+    exact = moving and batch >= n
     if rule == "constant":
         (eta,) = method.coeffs
     elif rule == "eps":
@@ -483,7 +456,7 @@ def _run_loop(problem, algo: str, x0, rng, keep_path: bool, method: _Method) -> 
     estimates = np.empty((method.steps, problem.d)) if keep_path else None
     rows, points = [], []
     gamma, accum, diverged_at = 0.0, 0.0, None
-    y = mu = None  # the SVRG snapshot and its full gradient
+    anchor = base = None
 
     def mark(x):
         # the row's step size is the last one taken
@@ -497,16 +470,16 @@ def _run_loop(problem, algo: str, x0, rng, keep_path: bool, method: _Method) -> 
                 mark(x)
             if keep_path:
                 iterates[t] = x
-            if state is not None:
-                g = spider_estimator_update(state, problem, x, draws, counter, batch_size=batch)
-            elif estimator == "stochastic":
+            if not resets:
                 g = problem.component_gradient(int(draws.integers(n)) + 1, x)
                 counter.charge(1)
-            elif t % period == 0:
-                y = np.array(x, copy=True)
-                g = mu = full_gradient(problem, y, counter)
             else:
-                g = _sampled_correction(problem, x, y, batch, draws, counter) + mu
+                reset = t % period == 0
+                g = spider_estimator_update(
+                    problem, x, anchor, base, reset, exact, batch, draws, counter
+                )
+                if reset or moving:
+                    anchor, base = x, g
             norm = _vector_norm(g)
             if rule == "constant":
                 gamma = eta
@@ -514,8 +487,7 @@ def _run_loop(problem, algo: str, x0, rng, keep_path: bool, method: _Method) -> 
                 denom = lsn * norm  # eps / denom would be +inf at zero
                 gamma = cap if norm == 0.0 or denom == 0.0 else min(eps / denom, cap)
             else:
-                # the SPIDER estimator keeps the sum of squared norms
-                accum = state.grad_norm_accum if state is not None else accum + float(g @ g)
+                accum += float(g @ g)
                 gamma = eta / (scale * math.sqrt(offset + accum))
             x = x - gamma * g
             step_sizes[t] = gamma

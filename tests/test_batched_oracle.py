@@ -23,11 +23,7 @@ from adaspider.core import (
     full_gradients,
 )
 from adaspider.data import generate_synthetic
-from adaspider.optimizers import (
-    SpiderEstimatorState,
-    spider_estimator_update,
-    svrg_run,
-)
+from adaspider.optimizers import spider_estimator_update, svrg_run
 from adaspider.problems import (
     MLPClassificationProblem,
     QuadraticProblem,
@@ -69,6 +65,18 @@ def stacked_mean(problem, x):
     return np.stack(
         [problem.component_gradient(i, x) for i in range(1, problem.n + 1)]
     ).mean(axis=0)
+
+
+class ChargeLog(OracleCounter):
+    """An oracle counter that also keeps each amount charged."""
+
+    def __init__(self):
+        super().__init__()
+        self.charges = []
+
+    def charge(self, amount: int) -> None:
+        self.charges.append(amount)
+        super().charge(amount)
 
 
 class TestRowsMatchSingleCalls:
@@ -133,6 +141,42 @@ class TestDerivedFullGradients:
             assert same_bits(
                 full_gradient(problem, x, OracleCounter()), stacked_mean(problem, x)
             )
+
+    @pytest.mark.parametrize("family", FAMILIES)
+    @settings(max_examples=15, deadline=None)
+    @given(
+        n=st.integers(min_value=1, max_value=12),
+        seed=st.integers(min_value=0, max_value=10_000),
+        scale=st.sampled_from([0.01, 1.0, 30.0]),
+    )
+    def test_one_row_full_gradient(self, family, n, seed, scale):
+        # full_gradient is the one-row case of full_gradients: bitwise
+        # mean_gradient, n charged once, and its own errors
+        problem, point = make_problem(family, n, seed)
+        x = point(np.random.default_rng(seed), scale)
+        counter = ChargeLog()
+        assert same_bits(full_gradient(problem, x, counter), problem.mean_gradient(x))
+        assert counter.charges == [problem.n]
+        bad = np.array(x, copy=True)
+        bad[0] = math.nan
+        counter = ChargeLog()
+        with pytest.raises(NonFiniteGradientError) as fault:
+            full_gradient(problem, bad, counter)
+        assert str(fault.value) == "non-finite gradient from component 1"
+        assert counter.charges == [problem.n]
+        for wrong in (np.append(x, 0.0), x[None]):
+            counter = ChargeLog()
+            with pytest.raises(ValueError) as shape:
+                full_gradient(problem, wrong, counter)
+            assert str(shape.value) == f"point has shape {wrong.shape}, expected ({problem.d},)"
+            assert counter.charges == []
+
+    def test_overflowing_mean_is_a_full_gradient_fault(self):
+        # every component gradient is finite, but their mean overflows
+        problem = QuadraticProblem(np.zeros((2, 1, 1)), [[1.7e308], [1.7e308]])
+        with np.errstate(over="ignore"), pytest.raises(NonFiniteGradientError) as fault:
+            full_gradient(problem, np.zeros(1), OracleCounter())
+        assert str(fault.value) == "non-finite full gradient"
 
     def test_mlp_metric_gradient_equals_stack_and_mean(self):
         problem, point = make_problem("mlp", 60, 5)
@@ -327,14 +371,11 @@ class TestMiniBatchCorrections:
     def test_spider_correction_bitwise(self, family, batch):
         problem, point = make_problem(family, 25, 8)
         rng = np.random.default_rng(9)
-        x, anchor = point(rng, 1.0), point(rng, 1.0)
-        state = SpiderEstimatorState(
-            period=10, estimate=point(rng, 1.0), anchor_point=anchor, step_index=1
-        )
-        previous = state.estimate
+        x, anchor, previous = point(rng, 1.0), point(rng, 1.0), point(rng, 1.0)
         counter = OracleCounter()
         got = spider_estimator_update(
-            state, problem, x, np.random.default_rng(10), counter, batch_size=batch
+            problem, x, anchor, previous, False, False, batch,
+            np.random.default_rng(10), counter,
         )
         indices = np.random.default_rng(10).integers(problem.n, size=batch)
         expected = self.loop_difference(problem, indices, x, anchor) / batch + previous
@@ -346,12 +387,9 @@ class TestMiniBatchCorrections:
         x, anchor = np.array([0.7]), np.array([-1.3])
         for seed in range(10):
             problem = QuadraticProblem.random(25, 1, np.random.default_rng(seed))
-            state = SpiderEstimatorState(
-                period=10, estimate=np.array([0.2]), anchor_point=anchor, step_index=1
-            )
             rng = np.random.default_rng(seed)
             got = spider_estimator_update(
-                state, problem, x, rng, OracleCounter(), batch_size=19
+                problem, x, anchor, np.array([0.2]), False, False, 19, rng, OracleCounter()
             )
             indices = np.random.default_rng(seed).integers(problem.n, size=19)
             expected = self.loop_difference(problem, indices, x, anchor) / 19 + 0.2

@@ -315,21 +315,21 @@ class TestGroupEqualsRuns:
 # One bad argument of each run function: (algo, key, value, message). The
 # AdaSpider keys are set on its config, which the run checks.
 BAD_ARGUMENTS = [
-    ("sgd", "eta", 0.0, "step size must be positive"),
-    ("adagrad_norm", "eta", -1.0, "step size must be positive"),
-    ("adagrad_norm", "b0", 0.0, "norm offset b0 must be positive"),
-    ("svrg", "eta", 0.0, "step size must be positive"),
+    ("sgd", "eta", 0.0, "step size must be positive and finite"),
+    ("adagrad_norm", "eta", -1.0, "step size must be positive and finite"),
+    ("adagrad_norm", "b0", 0.0, "norm offset b0 must be positive and finite"),
+    ("svrg", "eta", 0.0, "step size must be positive and finite"),
     ("svrg", "epoch_length", 0, "epoch length must be at least 1"),
     ("svrg", "inner_batch", 0, "inner batch size must be at least 1"),
-    ("spider", "epsilon", 0.0, "target accuracy must be positive"),
-    ("spider", "smoothness", -1.0, "smoothness constant must be positive"),
+    ("spider", "epsilon", 0.0, "target accuracy must be positive and finite"),
+    ("spider", "smoothness", -1.0, "smoothness constant must be positive and finite"),
     ("spider", "period", 0, "full-gradient period must be at least 1"),
     ("spider", "inner_batch", 0, "inner batch size must be at least 1"),
-    ("spiderboost", "smoothness", 0.0, "smoothness constant must be positive"),
+    ("spiderboost", "smoothness", 0.0, "smoothness constant must be positive and finite"),
     ("spiderboost", "period", 0, "full-gradient period must be at least 1"),
     ("spiderboost", "batch_size", 0, "inner batch size must be at least 1"),
-    ("adaspider", "beta0", 0.0, "beta0 and G0 must be positive"),
-    ("adaspider", "g0", -1.0, "beta0 and G0 must be positive"),
+    ("adaspider", "beta0", 0.0, "beta0 and G0 must be positive and finite"),
+    ("adaspider", "g0", -1.0, "beta0 and G0 must be positive and finite"),
     ("adaspider", "period", 0, "full-gradient period must be at least 1"),
     ("adaspider", "inner_batch", 0, "inner batch size must be at least 1"),
     *[(algo, "steps", 0, "step budget must be at least 1") for algo in ALGORITHM_NAMES],

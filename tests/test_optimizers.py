@@ -13,7 +13,6 @@ from adaspider.data import generate_synthetic
 from adaspider.harness import AlgorithmSpec, closed_form_oracle_calls
 from adaspider.optimizers import (
     AdaSpiderConfig,
-    SpiderEstimatorState,
     adagrad_norm_run,
     adaspider_run,
     adaspider_step_size,
@@ -66,26 +65,29 @@ class TestStepSize:
 
 
 class TestSpiderEstimator:
+    """The one SVRG/SPIDER estimate of a run alone,
+    ``spider_estimator_update(problem, x, anchor, base, reset, exact, batch,
+    draws, counter)``, and the runs that step through it."""
+
     def test_first_update_is_full_gradient(self):
         problem = two_component_quadratic()
-        state = SpiderEstimatorState(period=problem.n)
         counter = OracleCounter()
         est = spider_estimator_update(
-            state, problem, np.array([1.0]), np.random.default_rng(0), counter
+            problem, np.array([1.0]), None, None, True, False, 1,
+            np.random.default_rng(0), counter,
         )
         assert est == pytest.approx([3.0])
         assert counter.component_calls == 2
 
     def test_period_one_always_exact(self):
         problem = two_component_quadratic()
-        state = SpiderEstimatorState(period=1)
-        rng = np.random.default_rng(1)
-        counter = OracleCounter()
-        x = np.array([1.0])
-        for _ in range(5):
-            est = spider_estimator_update(state, problem, x, rng, counter)
+        trace = adaspider_run(
+            problem, np.array([1.0]), AdaSpiderConfig(steps=5, period=1),
+            np.random.default_rng(1), keep_path=True,
+        )
+        for x, est in zip(trace.iterates, trace.estimates):
             assert np.array_equal(est, problem.mean_gradient(x))
-            x = x - 0.1 * est
+        assert list(trace.oracle_calls) == [2, 4, 6, 8, 10]
 
     def test_inner_update_enumeration(self):
         # anchor x=1 with estimate 3; at x=0.5 the two possible updates are
@@ -94,16 +96,10 @@ class TestSpiderEstimator:
         problem = two_component_quadratic()
         seen = {}
         for seed in range(20):
-            state = SpiderEstimatorState(
-                period=10,
-                estimate=np.array([3.0]),
-                anchor_point=np.array([1.0]),
-                step_index=1,
-                grad_norm_accum=9.0,
-            )
             counter = OracleCounter()
             est = spider_estimator_update(
-                state, problem, np.array([0.5]), np.random.default_rng(seed), counter
+                problem, np.array([0.5]), np.array([1.0]), np.array([3.0]),
+                False, False, 1, np.random.default_rng(seed), counter,
             )
             assert counter.component_calls == 2
             seen[round(float(est[0]), 12)] = True
@@ -154,22 +150,35 @@ class TestSpiderEstimator:
         x_prev = np.array([1.0, -1.0])
         x_new = np.array([0.5, 0.25])
         prev_estimate = problem.mean_gradient(x_prev)
-        state = SpiderEstimatorState(
-            period=100,
-            estimate=prev_estimate.copy(),
-            anchor_point=x_prev.copy(),
-            step_index=1,
-            grad_norm_accum=float(prev_estimate @ prev_estimate),
-        )
         counter = OracleCounter()
         est = spider_estimator_update(
-            state, problem, x_new, np.random.default_rng(0), counter, batch_size=5
+            problem, x_new, x_prev, prev_estimate.copy(), False, True, 5,
+            np.random.default_rng(0), counter,
         )
         expected = (
             problem.mean_gradient(x_new) - problem.mean_gradient(x_prev) + prev_estimate
         )
         assert np.allclose(est, expected, atol=1e-15)
         assert counter.component_calls == 10
+
+    def test_run_with_batch_of_n_takes_the_exact_difference(self):
+        # a SPIDER run whose inner batch is n or more draws nothing and steps
+        # by the difference of two exact full gradients
+        problem = QuadraticProblem.random(5, 2, np.random.default_rng(3))
+        rng = np.random.default_rng(0)
+        before = rng.bit_generator.state
+        trace = spiderboost_run(
+            problem, np.array([1.0, -1.0]), 10.0, 6, rng,
+            period=100, batch_size=5, keep_path=True,
+        )
+        assert rng.bit_generator.state == before
+        assert list(np.diff(trace.oracle_calls)) == [10] * 5
+        for t in range(1, 6):
+            x, anchor = trace.iterates[t], trace.iterates[t - 1]
+            expected = (
+                problem.mean_gradient(x) - problem.mean_gradient(anchor)
+            ) + trace.estimates[t - 1]
+            assert np.array_equal(trace.estimates[t], expected)
 
 
 class TestAdaSpiderRun:
@@ -761,3 +770,59 @@ class TestTraceShape:
             tracemalloc.stop()
         assert trace.num_steps == steps
         assert peak / steps <= bound
+
+
+# Every positive real argument of each run function: (algo, key, message).
+# The AdaSpider keys are set on its config.
+POSITIVE_ARGUMENTS = [
+    ("sgd", "eta", "step size"),
+    ("adagrad_norm", "eta", "step size"),
+    ("adagrad_norm", "b0", "norm offset b0"),
+    ("svrg", "eta", "step size"),
+    ("spider", "epsilon", "target accuracy"),
+    ("spider", "smoothness", "smoothness constant"),
+    ("spiderboost", "smoothness", "smoothness constant"),
+    ("adaspider", "beta0", "beta0 and G0"),
+    ("adaspider", "g0", "beta0 and G0"),
+]
+
+
+# Each run function but adaspider_run, with valid values of its other arguments.
+RUNS = {
+    "sgd": (sgd_run, {"eta": 0.1}),
+    "adagrad_norm": (adagrad_norm_run, {"eta": 0.1, "b0": 1.0}),
+    "svrg": (svrg_run, {"eta": 0.1, "epoch_length": None}),
+    "spider": (spider_run, {"epsilon": 0.1, "smoothness": 1.0}),
+    "spiderboost": (spiderboost_run, {"smoothness": 1.0}),
+}
+
+
+def call_run(algo, problem, rng, **values):
+    """``<algo>_run`` for 5 steps from zero with valid arguments, except
+    for ``values``."""
+    x0 = np.zeros(problem.d)
+    if algo == "adaspider":
+        return adaspider_run(problem, x0, AdaSpiderConfig(steps=5, **values), rng)
+    run, args = RUNS[algo]
+    return run(problem, x0, steps=5, rng=rng, **{**args, **values})
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf, 0.0, -1.0])
+@pytest.mark.parametrize("algo,key,what", POSITIVE_ARGUMENTS)
+def test_run_refuses_an_argument_not_positive_and_finite(algo, key, what, value):
+    # NaN and infinity once slipped past the `<= 0` checks: NaN steps
+    # "diverged" at step 0, and beta0 = inf took zero-length steps
+    problem = QuadraticProblem.random(4, 2, np.random.default_rng(0))
+    rng = np.random.default_rng(1)
+    before = rng.bit_generator.state
+    with pytest.raises(ValueError) as refused:
+        call_run(algo, problem, rng, **{key: value})
+    assert str(refused.value) == f"{what} must be positive and finite"
+    assert rng.bit_generator.state == before
+    assert not call_run(algo, problem, rng, **{key: 0.5}).diverged
+
+
+@pytest.mark.parametrize("beta0,g0", [(math.nan, 1.0), (1.0, math.inf), (math.inf, 1.0)])
+def test_step_size_refuses_constants_not_positive_and_finite(beta0, g0):
+    with pytest.raises(ValueError, match="beta0 and G0 must be positive and finite"):
+        adaspider_step_size(4, beta0, g0, 0.0)
