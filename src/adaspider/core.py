@@ -10,7 +10,7 @@ its rows are bitwise equal to the single-component calls, as is the
 single-sample correction ``component_gradient_difference``. Charged
 oracle access goes through :func:`full_gradient`, its block form
 :func:`full_gradients` (one ``mean_gradients`` call for the resets of a
-lockstep block, charging each member's own counter n), or explicit
+lockstep group, charging each member's own counter n), or explicit
 ``counter.charge`` calls; diagnostic evaluations (loss curves, true
 gradient norms) use the problem's own methods and are never charged.
 """
@@ -82,7 +82,7 @@ class FiniteSumProblem:
             raise ValueError(f"component count must be positive, got {n}")
         if d < 1:
             raise ValueError(f"dimension must be positive, got {d}")
-        if known_smoothness is not None and known_smoothness <= 0:
+        if known_smoothness is not None and not known_smoothness > 0:  # NaN too
             raise ValueError("smoothness constant must be positive when given")
         self.n = int(n)
         self.d = int(d)
@@ -264,7 +264,7 @@ def finite_difference_gradient(
     (f(x + h e_j) - f(x - h e_j)) / (2 h). A call of ``values`` gets at most
     _FD_BLOCK points, x + h e_j for a run of j, then x - h e_j for the run.
     """
-    if h <= 0:
+    if not h > 0:  # NaN too
         raise ValueError(f"finite-difference step must be positive, got {h}")
     x = np.asarray(x, dtype=np.float64)
     grad = np.zeros_like(x)

@@ -409,7 +409,6 @@ def run_algorithm(
     rng: np.random.Generator,
     *,
     group: Iterator | None = None,
-    **run_kwargs,
 ) -> RunTrace:
     """Run ``spec`` through ``<name>_run``, looked up in this module when
     called; or, when the run is in a lockstep ``group``, take the group's
@@ -421,7 +420,7 @@ def run_algorithm(
         return outcome
     row, p = _resolve(spec, problem)
     run = globals()[f"{spec.name}_run"]
-    return run(problem, x0, rng=rng, **row.args(p, steps), **run_kwargs)
+    return run(problem, x0, rng=rng, **row.args(p, steps))
 
 
 def _run_rng(master_seed: int, algo_name: str, repeat: int) -> np.random.Generator:

@@ -23,9 +23,10 @@ stays put, SPIDER's moves to each iterate with its estimate. Each method's
 planned run's method once with that table, and ``harness.ALGORITHMS``
 lists the parameters. Group size chooses the loop: a run alone steps in
 ``_run_loop``, and runs of one method that share a step count, period and
-inner batch step together in blocks of iterates in :func:`lockstep_run`,
-with traces bitwise equal to the runs made alone; each keeps its own rng
-stream, oracle counter and step size.
+inner batch step together as one (R, d) iterate array in
+:func:`lockstep_run`, with what their caller reads bitwise equal to the
+runs made alone; each keeps its own rng stream, oracle counter and step
+size.
 """
 
 from __future__ import annotations
@@ -153,8 +154,8 @@ def adaspider_step_size(
     n: int, beta0: float, g0: float, accumulator: float
 ) -> float:
     """Adaptive step size; the accumulator must already include ||g_t||^2."""
-    if accumulator < 0:
-        raise ValueError("squared-norm accumulator cannot be negative")
+    if not accumulator >= 0:
+        raise ValueError("squared-norm accumulator must be non-negative")
     scale, offset = _adaspider_constants(n, beta0, g0)
     return 1.0 / (scale * math.sqrt(offset + accumulator))
 
@@ -191,20 +192,23 @@ class EpochRow:
 class RunTrace:
     """Per-step log of one optimizer run plus per-epoch diagnostics.
 
-    ``step_sizes``, ``estimator_norms`` and ``oracle_calls`` have one
-    entry per executed step. Epoch rows are recorded, with their iterate
-    snapshots in ``epoch_points``, at the top of a step whenever the
-    charged-call count has completed another full pass, so every snapshot
-    is one of x_0 .. x_{T-1}; :func:`_epoch_rows` evaluates them after the
-    steps. ``iterates``/``estimates`` hold the full path when kept. The
-    per-step fields are views of arrays sized for the step budget, which
+    ``num_steps`` counts the executed steps. ``step_sizes``,
+    ``estimator_norms`` and ``oracle_calls`` have one entry per executed
+    step; a lockstep member that keeps no path has none (None). Epoch rows
+    are recorded, with their iterate snapshots in ``epoch_points``, at the
+    top of a step whenever the charged-call count has completed another
+    full pass, so every snapshot is one of x_0 .. x_{T-1};
+    :func:`_epoch_rows` evaluates them after the steps.
+    ``iterates``/``estimates`` hold the full path when kept. The per-step
+    fields are views of arrays sized for the step budget, which
     :func:`_trace` cuts to the steps taken.
     """
 
     algo: str
-    step_sizes: np.ndarray
-    estimator_norms: np.ndarray
-    oracle_calls: np.ndarray
+    num_steps: int
+    step_sizes: np.ndarray | None
+    estimator_norms: np.ndarray | None
+    oracle_calls: np.ndarray | None
     epoch_rows: list[EpochRow]
     epoch_points: list[np.ndarray]
     x_final: np.ndarray
@@ -212,10 +216,6 @@ class RunTrace:
     diverged_at: int | None = None
     iterates: np.ndarray | None = None
     estimates: np.ndarray | None = None
-
-    @property
-    def num_steps(self) -> int:
-        return len(self.step_sizes)
 
 
 @dataclass(frozen=True)
@@ -339,9 +339,6 @@ def _adagrad_norm_method(problem: FiniteSumProblem, eta, b0, steps) -> _Method:
 
 # A run draws its sample indices this many at a time.
 _DRAW_CHUNK = 1024
-# A lockstep member keeps 16 bytes a step for its step sizes and norms, plus
-# 8 d a step for each path it keeps; a block keeps at most 64 MB of them.
-_BLOCK_BYTES = 1 << 26
 
 
 def _epoch_rows(problem: FiniteSumProblem, rows: list, points: list, diverged: bool) -> list:
@@ -357,13 +354,14 @@ def _epoch_rows(problem: FiniteSumProblem, rows: list, points: list, diverged: b
 def _trace(problem, algo: str, taken: int, records, rows, points, x, diverged_at) -> RunTrace:
     """The RunTrace of a run that stopped at ``x`` after ``taken`` steps, from
     its step sizes, estimator norms, charged calls, iterates and estimates
-    (``records``, None for a path not kept) and its epoch rows and points."""
+    (``records``, None for any not kept) and its epoch rows and points."""
     step_sizes, est_norms, calls, iterates, estimates = (
         None if a is None else a[:taken] for a in records
     )
     diverged = diverged_at is not None
     return RunTrace(
         algo=algo,
+        num_steps=taken,
         step_sizes=step_sizes,
         estimator_norms=est_norms,
         oracle_calls=calls,
@@ -425,7 +423,7 @@ def _run_loop(problem, algo: str, x0, rng, keep_path: bool, method: _Method) -> 
     run's scalar draws leave it.
 
     A "stochastic" estimate is one sampled component gradient (charging 1).
-    "svrg" and "spider" share one recursion, as in :func:`_lockstep_block`:
+    "svrg" and "spider" share one recursion, as in :func:`_lockstep_steps`:
     every ``period`` steps the anchor becomes x and the base its full
     gradient; in between, each estimate is :func:`spider_estimator_update`'s
     grad f_i(x) - grad f_i(anchor) + base. SVRG's anchor stays put until
@@ -641,73 +639,57 @@ def lockstep_run(
     runs: list,
     *,
     keep_path: bool | str = False,
-    rows: bool = True,
 ) -> Iterator:
-    """R runs of one method stepped together in blocks of (k, d) iterates.
+    """R runs of one method stepped together as one (R, d) iterate array.
 
     ``runs`` holds one (method, x0, rng) per member, where ``method`` is
     its checked :class:`_Method`, as its ``_METHODS`` entry builds it; the
     members share one step count, period and inner batch, and ``algo``
-    names them in their traces. Returns a lazy iterator over what each
-    member's ``<algo>_run`` call with ``keep_path`` would give, in order:
-    its RunTrace, equal field for field and bit for bit, or the
-    NonFiniteGradientError it would raise. ``keep_path`` may also be
-    "iterates", which keeps the iterates and leaves ``estimates`` None, for
-    a caller that reads only the iterates of long runs.
+    names them in their traces. The arguments are checked at the call;
+    the members are stepped when the first outcome is requested. Returns
+    an iterator over each member's outcome, in order: its RunTrace, or the
+    NonFiniteGradientError its ``<algo>_run`` call would raise.
 
-    With ``rows=False`` no epoch is marked and no row evaluated: each
-    trace's ``epoch_rows`` and ``epoch_points`` are empty, and every other
-    field is the one made with rows. Its two callers need both: the
-    harness turns rows into records, while verify's seeded runs read only
-    paths and step records, and would evaluate a ``value`` and a
-    ``metric_gradient`` per boundary that nothing reads. It is internal;
-    no ``<algo>_run`` signature, config field or flag carries it.
+    A member keeps what its caller reads, bit for bit as its ``<algo>_run``
+    call with ``keep_path`` keeps it:
 
-    The members are split into near-equal blocks that keep at most
-    _BLOCK_BYTES of step records and paths each, and a group of two or
-    more never steps a block of one member. A block is stepped when its
-    first outcome is requested; step t writes column t of its (members,
-    steps) step sizes and norms, (steps,) charged calls and kept paths for
-    the members still stepping. Records do not depend on the blocks: every
-    member keeps its own rng, counter and step size. Its indices come in
-    chunks from a :class:`_Draws`, and when it stops, these are settled
-    and its trace built, as a run alone's are.
+    - without ``keep_path``, the harness's groups: epoch rows and points,
+      ``x_final``, ``diverged``, ``diverged_at`` and ``num_steps``; no
+      per-step array is made, so ``step_sizes``, ``estimator_norms`` and
+      ``oracle_calls`` are None;
+    - with ``keep_path`` True, or "iterates" (which leaves ``estimates``
+      None, for a caller that reads only the iterates of long runs),
+      verify's seeded runs: the step records and the path, and no epoch
+      is marked or evaluated, so ``epoch_rows`` and ``epoch_points`` are
+      empty.
     """
     x0s = [as_param_vector(x0, problem.d) for _, x0, _ in runs]
     if len({(m.steps, m.period, m.batch) for m, _, _ in runs}) > 1:
         raise ValueError("lockstep runs must share steps, period and inner batch")
-    if not runs:
-        return iter(())
-    size = len(runs)
-    paths = 2 if keep_path is True else 1 if keep_path else 0
-    member_bytes = (16 + 8 * problem.d * paths) * runs[0][0].steps
-    blocks = -(-size // max(1, _BLOCK_BYTES // member_bytes))
-    blocks = max(1, min(blocks, size // 2))
-    bounds = [size * b // blocks for b in range(blocks + 1)]
-    return (
-        outcome
-        for start, stop in zip(bounds, bounds[1:])
-        for outcome in _lockstep_block(
-            problem, algo, runs[start:stop], x0s[start:stop], keep_path, rows
-        )
-    )
+    return _lockstep_steps(problem, algo, runs, x0s, keep_path)
 
 
-def _lockstep_block(problem, algo: str, runs: list, x0s: list, keep_path, rows: bool) -> list:
-    """The outcomes of one block of :func:`lockstep_run`'s members. SVRG
-    and SPIDER share one inner step, grad f_i(x) - grad f_i(anchor) +
-    base: SVRG's anchor and base are its snapshot and the snapshot's
-    gradient, SPIDER's the previous iterate and estimate. A SPIDER batch of
-    n or more takes the exact difference of full gradients instead and
-    draws nothing. A member stops on its own when it diverges or its reset
-    gradient is not finite; the others step on. A reset takes the whole
-    block's gradients in one ``full_gradients`` call, which charges each
-    member's own counter n and gives a non-finite row the error
+def _lockstep_steps(problem, algo: str, runs: list, x0s: list, keep_path) -> Iterator:
+    """The outcomes of :func:`lockstep_run`'s members, stepped on the first
+    request. SVRG and SPIDER share one inner step, grad f_i(x) - grad
+    f_i(anchor) + base: SVRG's anchor and base are its snapshot and the
+    snapshot's gradient, SPIDER's the previous iterate and estimate. A
+    SPIDER batch of n or more takes the exact difference of full gradients
+    instead and draws nothing. A member stops on its own when it diverges
+    or its reset gradient is not finite; the others step on. A reset takes
+    every member's gradient in one ``full_gradients`` call, which charges
+    each member's own counter n and gives a non-finite row the error
     ``full_gradient`` would raise; the sampled steps' calls are charged
-    when the member stops. The step rule's constants are column arrays,
-    cut with the other per-row state when members stop. Without ``rows``
-    no epoch is marked.
+    when the member stops. Every member keeps its own rng, counter and
+    step size; its indices come in chunks from a :class:`_Draws`, and when
+    it stops, these are settled and its trace built, as a run alone's are.
+    The step rule's constants are column arrays, cut with the other
+    per-row state when members stop. With a kept path, step t writes
+    column t of the (members, steps) step sizes and norms, the (steps,)
+    charged calls and the paths of the members still stepping.
     """
+    if not runs:
+        return
     method = runs[0][0]
     steps, period, batch, rule = method.steps, method.period, method.batch, method.rule
     n, d, size = problem.n, problem.d, len(runs)
@@ -721,10 +703,13 @@ def _lockstep_block(problem, algo: str, runs: list, x0s: list, keep_path, rows: 
     counters = [OracleCounter() for _ in runs]
     outcomes: list = [None] * size
     epoch_rows, points = [[] for _ in runs], [[] for _ in runs]
-    step_sizes, est_norms = np.empty((size, steps)), np.empty((size, steps))
-    oracle_calls = np.empty(steps, dtype=np.int64)
-    iterates = np.empty((size, steps, d)) if keep_path else None
-    estimates = np.empty((size, steps, d)) if keep_path is True else None
+    step_sizes = est_norms = oracle_calls = iterates = estimates = None
+    if keep_path:
+        step_sizes, est_norms = np.empty((size, steps)), np.empty((size, steps))
+        oracle_calls = np.empty(steps, dtype=np.int64)
+        iterates = np.empty((size, steps, d))
+        if keep_path is True:
+            estimates = np.empty((size, steps, d))
     # Per-row state, one row per member still stepping; ``live`` maps rows
     # to members, in member order, and ``at`` indexes their rows of the
     # records: a plain slice until a member stops.
@@ -736,7 +721,7 @@ def _lockstep_block(problem, algo: str, runs: list, x0s: list, keep_path, rows: 
     draws = np.empty((size, 0), dtype=np.int64)
     anchor = base = x
     calls = sampled = pos = 0
-    last_epoch = -1 if rows else math.inf  # without rows, no epoch is ever due
+    last_epoch = math.inf if keep_path else -1  # with a path, no epoch is ever due
 
     def mark(which):
         for k, r in zip(which, live[which]):
@@ -751,8 +736,10 @@ def _lockstep_block(problem, algo: str, runs: list, x0s: list, keep_path, rows: 
             counters[r].charge(sampled)
             sources[r].settle(pos)
             if outcomes[r] is None:
-                paths = (None if a is None else a[r] for a in (iterates, estimates))
-                records = (step_sizes[r], est_norms[r], oracle_calls, *paths)
+                sizes, norms, path, ests = (
+                    None if a is None else a[r] for a in (step_sizes, est_norms, iterates, estimates)
+                )
+                records = (sizes, norms, oracle_calls, path, ests)
                 outcomes[r] = _trace(
                     problem, algo, taken, records, epoch_rows[r], points[r], x[k], diverged_at
                 )
@@ -767,7 +754,7 @@ def _lockstep_block(problem, algo: str, runs: list, x0s: list, keep_path, rows: 
         if calls // n > last_epoch:
             mark(np.arange(len(live)))
             last_epoch = calls // n
-        if iterates is not None:
+        if keep_path:
             iterates[at, t] = x
         if resets and t % period == 0:
             g, faults = full_gradients(problem, x, [counters[r] for r in live])
@@ -809,16 +796,14 @@ def _lockstep_block(problem, algo: str, runs: list, x0s: list, keep_path, rows: 
             sampled += cost
             if moving:
                 anchor, base = x, g
-        if estimates is not None:
-            estimates[at, t] = g
         squares = _row_squares(g)
-        norm = np.sqrt(squares)
         if rule == "adaptive":
             eta, scale, offset = coeffs
             accum += squares
             gamma = eta / (scale * np.sqrt(offset + accum))
         elif rule == "eps":
             eps, lsn, cap = coeffs
+            norm = np.sqrt(squares)
             denom = lsn * norm
             with np.errstate(divide="ignore", invalid="ignore"):
                 quotient = eps / denom
@@ -827,18 +812,21 @@ def _lockstep_block(problem, algo: str, runs: list, x0s: list, keep_path, rows: 
         else:
             (gamma,) = coeffs
         x = x - gamma[:, None] * g
-        step_sizes[at, t] = gamma
-        est_norms[at, t] = norm
-        oracle_calls[t] = calls
+        if keep_path:
+            step_sizes[at, t] = gamma
+            est_norms[at, t] = np.sqrt(squares)
+            oracle_calls[t] = calls
+            if estimates is not None:
+                estimates[at, t] = g
         if not np.abs(x).max() <= DIVERGENCE_LIMIT:  # as in _diverged, per row
             diverged = ~(np.abs(x).max(axis=1) <= DIVERGENCE_LIMIT)
-            if rows:
+            if not keep_path:
                 mark(np.flatnonzero(diverged))
             stop(diverged, t + 1, diverged_at=t)
             if not live.size:
                 break
     stop(np.ones(len(live), dtype=bool), steps)
-    return outcomes
+    yield from outcomes
 
 
 def select_output(trace: RunTrace, rng: np.random.Generator):

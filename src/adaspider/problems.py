@@ -96,8 +96,8 @@ class RegularizedERM(FiniteSumProblem):
     def __init__(self, dataset: Dataset, loss_kind: str = "logistic", lam: float = 0.1):
         if loss_kind not in _LOSS_CURVATURE:
             raise ValueError(f"unknown loss kind {loss_kind!r}")
-        if lam < 0:
-            raise ValueError("regularizer weight must be non-negative")
+        if not 0 <= lam < math.inf:
+            raise ValueError("regularizer weight must be non-negative and finite")
         if dataset.n < 1:
             raise ValueError("dataset is empty")
         self.loss_kind = loss_kind
@@ -368,8 +368,8 @@ def kaiming_uniform_scaled_init(
     a scaled-down variant of the usual fan-in uniform scheme. The vector
     has the layout of :func:`_unpack_params`, the point that optimizers move.
     """
-    if c_init <= 0:
-        raise ValueError("c_init must be positive")
+    if not 0 < c_init < math.inf:
+        raise ValueError("c_init must be positive and finite")
     layer_dims = tuple(int(v) for v in layer_dims)
     if len(layer_dims) < 2:
         raise ValueError("layer_dims must list at least input and output sizes")

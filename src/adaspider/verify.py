@@ -342,14 +342,13 @@ def _seeded_runs(problem: FiniteSumProblem, x0: np.ndarray, config, seeds, keep_
     The config is checked and its method built once, as every run checks
     it; the runs step together in :func:`lockstep_run`, and a run's error
     is raised at its turn, as the runs made one at a time would raise it.
-    The variance and rate checks read only the paths and step records, so
-    the runs are made with ``rows=False`` and evaluate no ``value`` or
-    ``metric_gradient`` at their epoch boundaries; the harness, which
-    turns rows into records, keeps the default.
+    The variance and rate checks read only the paths and step records,
+    which is what a lockstep member with a kept path keeps: it marks no
+    epoch and evaluates no ``value`` or ``metric_gradient``.
     """
     method = _adaspider_method(problem, config)
     runs = [(method, x0, np.random.default_rng(seed)) for seed in seeds]
-    for outcome in lockstep_run(problem, "adaspider", runs, keep_path=keep_path, rows=False):
+    for outcome in lockstep_run(problem, "adaspider", runs, keep_path=keep_path):
         if isinstance(outcome, Exception):
             raise outcome
         yield outcome
@@ -464,7 +463,7 @@ def _path_gradient_norms(problem: FiniteSumProblem, iterates: np.ndarray) -> np.
 
     The true gradients come in blocks of _PATH_BLOCK rows, so the
     temporaries stay bounded while the caller holds the paths of every
-    seed of its lockstep block.
+    seed of its lockstep group.
     """
     norms = np.empty(len(iterates))
     for start in range(0, len(iterates), _PATH_BLOCK):
@@ -494,7 +493,7 @@ def check_rate_scaling(
     run with budget T: the adaptive step size uses no horizon, so the rng
     draws and steps do not depend on the budget, and a run that diverges
     at step t stops there under every budget above t. The seeds' runs
-    step together as one lockstep block.
+    step together as one lockstep group.
     """
     t_grid = [int(t) for t in t_grid]
     if len(t_grid) < 3:

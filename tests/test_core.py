@@ -1,5 +1,7 @@
 """Oracle abstraction: full gradients, accounting, finite differences."""
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -13,7 +15,8 @@ from adaspider.core import (
     full_gradient,
 )
 from adaspider.data import generate_synthetic
-from adaspider.problems import QuadraticProblem, RegularizedERM
+from adaspider.optimizers import adaspider_step_size
+from adaspider.problems import QuadraticProblem, RegularizedERM, kaiming_uniform_scaled_init
 
 
 class ScaledSquare(FiniteSumProblem):
@@ -181,3 +184,29 @@ class TestParamVector:
         x = as_param_vector([1, 2, 3])
         assert x.dtype == np.float64
         assert x.tolist() == [1.0, 2.0, 3.0]
+
+
+def _logistic(lam):
+    return RegularizedERM(generate_synthetic("separable-logistic", 4, 2, 0), lam=lam)
+
+
+# Public float arguments whose range check would let a NaN through: each
+# is refused with a ValueError that names the argument.
+@pytest.mark.parametrize(
+    "call,message",
+    [
+        (lambda: adaspider_step_size(4, 1.0, 1.0, math.nan), "accumulator"),
+        (lambda: FiniteSumProblem(3, 2, known_smoothness=math.nan), "smoothness"),
+        (lambda: _logistic(math.nan), "regularizer weight"),
+        (lambda: _logistic(math.inf), "regularizer weight"),
+        (lambda: finite_difference_gradient(np.sum, np.zeros(2), math.nan), "step"),
+        (
+            lambda: kaiming_uniform_scaled_init((3, 2), math.nan, np.random.default_rng(0)),
+            "c_init",
+        ),
+    ],
+    ids=["accumulator", "known_smoothness", "lam_nan", "lam_inf", "h", "c_init"],
+)
+def test_nan_arguments_refused(call, message):
+    with pytest.raises(ValueError, match=message):
+        call()

@@ -7,6 +7,7 @@ import json
 import math
 import runpy
 import sys
+import tracemalloc
 from dataclasses import fields, replace
 from pathlib import Path
 
@@ -109,10 +110,8 @@ def members(problem, algo, runs) -> list:
     ]
 
 
-def grouped_outcomes(problem, algo, runs, keep_path=False, rows=True) -> list:
-    return list(
-        lockstep_run(problem, algo, members(problem, algo, runs), keep_path=keep_path, rows=rows)
-    )
+def grouped_outcomes(problem, algo, runs, keep_path=False) -> list:
+    return list(lockstep_run(problem, algo, members(problem, algo, runs), keep_path=keep_path))
 
 
 def registry_spec(algo, kw) -> AlgorithmSpec:
@@ -142,6 +141,17 @@ def bits(value):
 def assert_same_trace(got: RunTrace, want: RunTrace) -> None:
     for f in fields(RunTrace):
         assert bits(getattr(got, f.name)) == bits(getattr(want, f.name)), f.name
+
+
+def kept(trace: RunTrace, keep_path=False) -> RunTrace:
+    """What a lockstep member keeps of its run alone's ``trace``, made with
+    ``bool(keep_path)``: without a path, no step records; with one, no
+    epoch rows or points, and with "iterates" no estimates either."""
+    if not keep_path:
+        return replace(trace, step_sizes=None, estimator_norms=None, oracle_calls=None)
+    assert trace.epoch_rows and trace.epoch_points
+    trace = replace(trace, epoch_rows=[], epoch_points=[])
+    return replace(trace, estimates=None) if keep_path == "iterates" else trace
 
 
 class RecordingCounter(optimizers.OracleCounter):
@@ -177,18 +187,16 @@ def one_at_a_time(problem, algo, runs, keep_path=False) -> list:
     return outcomes
 
 
-def check_group(problem, algo, runs, keep_path=False, rows=True):
+def check_group(problem, algo, runs, keep_path=False):
     """Lockstep outcomes equal the sequential ones, and every counter
     holds the closed-form count of its run's steps; returns the traces.
-    With ``keep_path`` "iterates" the sequential runs keep their whole
-    path and the group's traces lack only the estimates; without ``rows``
-    they lack only the epoch rows and points."""
+    Every field of a group's trace is bitwise that of the run alone, made
+    with ``bool(keep_path)``, but for what the member does not keep
+    (:func:`kept`)."""
     sequential, seq_counters = counted(
         lambda: one_at_a_time(problem, algo, runs, bool(keep_path))
     )
-    grouped, counters = counted(
-        lambda: grouped_outcomes(problem, algo, runs, keep_path, rows)
-    )
+    grouped, counters = counted(lambda: grouped_outcomes(problem, algo, runs, keep_path))
     assert len(grouped) == len(sequential) == len(counters) == len(seq_counters)
     for got, want, counter, seq_counter, kw in zip(
         grouped, sequential, counters, seq_counters, runs
@@ -197,12 +205,7 @@ def check_group(problem, algo, runs, keep_path=False, rows=True):
         if isinstance(want, Exception):
             assert type(got) is type(want) and str(got) == str(want)
             continue
-        if keep_path == "iterates":
-            want = replace(want, estimates=None)
-        if not rows:
-            assert want.epoch_rows and want.epoch_points
-            want = replace(want, epoch_rows=[], epoch_points=[])
-        assert_same_trace(got, want)
+        assert_same_trace(got, kept(want, keep_path))
         assert (got.iterates is not None) == bool(keep_path)
         spec = registry_spec(algo, kw)
         assert counter.component_calls == closed_form_oracle_calls(spec, problem, got.num_steps)
@@ -225,27 +228,26 @@ class TestGroupEqualsRuns:
         # index draws are taken in chunks of this size
         chunk=st.sampled_from([1, 2, 5, 1024]),
         keep_path=st.sampled_from([False, True, "iterates"]),
-        rows=st.booleans(),
     )
-    @example("squared", "sgd", 8, 1, list(SCALES), 40, None, 1, 1.0, 0, 1024, False, False)
-    @example("quadratic", "svrg", 6, 1, [0.1, 10.0, 1e3], 30, 4, 3, 1.0, 1, 2, True, True)
-    @example("mlp", "adagrad_norm", 5, 1, [0.1, 1.0], 20, None, 1, 0.0, 2, 5, False, True)
-    @example("logistic", "svrg", 9, 3, list(SCALES) + [0.5, 5.0], 50, 7, 2, 0.0, 3, 1, False, True)
+    @example("squared", "sgd", 8, 1, list(SCALES), 40, None, 1, 1.0, 0, 1024, False)
+    @example("quadratic", "svrg", 6, 1, [0.1, 10.0, 1e3], 30, 4, 3, 1.0, 1, 2, True)
+    @example("mlp", "adagrad_norm", 5, 1, [0.1, 1.0], 20, None, 1, 0.0, 2, 5, False)
+    @example("logistic", "svrg", 9, 3, list(SCALES) + [0.5, 5.0], 50, 7, 2, 0.0, 3, 1, False)
     # a SPIDER batch of n or more takes the exact full-gradient difference
-    @example("quadratic", "adaspider", 1, 2, [1.0, 10.0], 30, 5, 1, 1.0, 0, 5, True, False)
-    @example("logistic", "spiderboost", 4, 3, list(SCALES), 40, 3, 4, 1.0, 1, 2, False, True)
-    @example("mlp", "spider", 6, 1, [0.1, 1.0, 10.0], 25, 5, 2, 0.0, 2, 1, True, True)
-    # verify's seeded runs: iterates kept, no rows
-    @example("squared", "adaspider", 10, 2, list(SCALES), 60, None, 3, 1.0, 4, 5, "iterates", False)
+    @example("quadratic", "adaspider", 1, 2, [1.0, 10.0], 30, 5, 1, 1.0, 0, 5, True)
+    @example("logistic", "spiderboost", 4, 3, list(SCALES), 40, 3, 4, 1.0, 1, 2, False)
+    @example("mlp", "spider", 6, 1, [0.1, 1.0, 10.0], 25, 5, 2, 0.0, 2, 1, True)
+    # verify's rate check: iterates kept
+    @example("squared", "adaspider", 10, 2, list(SCALES), 60, None, 3, 1.0, 4, 5, "iterates")
     def test_every_trace_field_bitwise(
-        self, family, algo, n, d, scales, steps, period, batch, scale, seed, chunk, keep_path, rows
+        self, family, algo, n, d, scales, steps, period, batch, scale, seed, chunk, keep_path
     ):
         problem = make_problem(family, n, d, seed)
         x0s = [start_point(family, problem, seed + k, scale) for k in range(len(scales))]
         runs = group_runs(algo, scales, x0s, seed, steps, period, batch)
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(optimizers, "_DRAW_CHUNK", chunk)
-            check_group(problem, algo, runs, keep_path, rows)
+            check_group(problem, algo, runs, keep_path)
 
     # AdaGrad-Norm's own step shrinks as it grows, so only its first steps
     # can diverge; a SPIDER step is at most scale^2 / sqrt(n) long.
@@ -283,7 +285,7 @@ class TestGroupEqualsRuns:
         runs = group_runs("spider", [1.0, 1.0], [np.array([1e-150])] * 2, 0, 3, None, 1)
         for kw in runs:
             kw["smoothness"] = 1e-200
-        traces = check_group(problem, "spider", runs)
+        traces = check_group(problem, "spider", runs, keep_path=True)
         cap = 1.0 / (2.0 * math.sqrt(2) * 1e-200)
         assert all(t.step_sizes[0] == cap for t in traces)
 
@@ -353,45 +355,6 @@ def test_group_refuses_a_bad_argument_as_its_run_function(algo, key, value, mess
         grouped_outcomes(problem, algo, runs)
     assert type(grouped.value) is type(alone.value)
     assert str(grouped.value) == str(alone.value) == message
-
-
-# A member of 30 steps at d = 3 keeps 16 bytes a step, plus 24 for each path.
-@pytest.mark.parametrize("algo,keep_path,paths", [
-    ("adaspider", True, 2), ("svrg", "iterates", 1), ("sgd", False, 0)
-])
-@pytest.mark.parametrize(
-    "per_block,sizes", [(9, [9]), (8, [4, 5]), (4, [3, 3, 3]), (2, [2, 2, 2, 3]), (0, [2, 2, 2, 3])]
-)
-def test_blocks_bound_the_kept_records(lockstep_blocks, algo, keep_path, paths, per_block, sizes):
-    # near-equal blocks of at most per_block members, none of one member
-    problem = make_problem("logistic", 8, 3, 0)
-    x0s = [start_point("logistic", problem, k, 1.0) for k in range(9)]
-    scales = [*SCALES, 0.5, 5.0]
-    runs = group_runs(algo, scales, x0s, 0, 30, 4, 2)
-    one_block = grouped_outcomes(problem, algo, runs, keep_path)
-    blocks = lockstep_blocks(per_block * (16 + 24 * paths) * 30)
-    got = check_group(problem, algo, group_runs(algo, scales, x0s, 0, 30, 4, 2), keep_path)
-    assert blocks == sizes
-    for trace, want in zip(got, one_block, strict=True):
-        assert_same_trace(trace, want)
-
-
-@pytest.mark.parametrize("per_block,sizes", [(6, [6]), (4, [3, 3]), (2, [2, 2, 2]), (0, [2, 2, 2])])
-def test_groups_split_to_bound_memory(lockstep_blocks, per_block, sizes):
-    # 3 grid values x 2 repeats of 20 steps, one group whose members keep 16
-    # bytes a step
-    config = harness.ExperimentConfig(
-        problem=harness.ProblemSpec(n=10, d=2),
-        algorithms=[AlgorithmSpec("sgd")],
-        steps=20,
-        repeats=2,
-    )
-    want = harness.sweep_step_size(config, "sgd", [0.1, 1.0, 10.0])
-    blocks = lockstep_blocks(per_block * 16 * 20)
-    got = harness.sweep_step_size(config, "sgd", [0.1, 1.0, 10.0])
-    assert blocks == sizes
-    assert got[0] == want[0]
-    assert bits(list(got[1].values())) == bits(list(want[1].values()))
 
 
 def test_group_steps_nothing_before_its_first_run(monkeypatch):
@@ -631,7 +594,7 @@ def test_faulting_resets_as_alone(algo, batch):
         if isinstance(w, Exception):
             assert type(g) is type(w) and str(g) == str(w)
         else:
-            assert_same_trace(g, w)
+            assert_same_trace(g, kept(w))
     assert grouped.mean_calls == alone.mean_calls > 4
 
 
@@ -875,3 +838,28 @@ def test_comparison_script_golden_digest(tmp_path, monkeypatch, capsys):
     monkeypatch.setattr(sys, "argv", [str(COMPARE_SCRIPT), *argv])
     runpy.run_path(str(COMPARE_SCRIPT), run_name="__main__")
     assert sha256(out.read_bytes()) == COMPARE_GOLDEN
+
+
+def test_harness_group_keeps_no_per_step_records(monkeypatch):
+    # A 3-value sgd sweep x 2 repeats is one group of 6 members. Step sizes
+    # and norms kept per step would take 6 * T * 16 bytes; epoch rows take
+    # a point each per n = 1000 charged calls.
+    steps = 8000
+    problem = harness.build_problem(harness.ProblemSpec(n=1000, d=10))
+    monkeypatch.setattr(harness, "build_problem", lambda spec: problem)
+    config = harness.ExperimentConfig(
+        problem=harness.ProblemSpec(n=1000, d=10),
+        algorithms=[AlgorithmSpec("sgd")],
+        steps=steps,
+        repeats=2,
+    )
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        live = tracemalloc.get_traced_memory()[0]
+        _, trials = harness.sweep_step_size(config, "sgd", [0.01, 0.1, 1.0])
+        peak = tracemalloc.get_traced_memory()[1] - live
+    finally:
+        tracemalloc.stop()
+    assert [len(r.rows) for trial in trials.values() for r in trial] == [8] * 6
+    assert peak < 6 * steps * 16 / 2, peak

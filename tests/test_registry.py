@@ -269,7 +269,7 @@ class TestWrappedNames:
             master_seed=4,
         )
         calls, results, charged_before = [], [], []
-        counters = []
+        counters, made_by = [], []
 
         # the markers of an outside benchmark: a wrapper on the harness name
         # noting the first call, and a registry of every counter made
@@ -280,6 +280,7 @@ class TestWrappedNames:
                 seeds = rng.bit_generator.seed_seq.entropy
                 calls.append((spec.name, spec.params.get("eta"), seeds))
                 results.append(fn(spec, problem, x0, steps, rng, **kwargs))
+                made_by.append((spec, problem))
                 return results[-1]
 
             return functools.update_wrapper(wrapper, fn)
@@ -291,7 +292,7 @@ class TestWrappedNames:
             counters.append(counter)
 
         # a run alone takes its snapshots one at a time, a lockstep group
-        # one block at a time: one point per row
+        # all its members' at once: one point per row
         snapshots = []
         full_gradient, full_gradients = optimizers.full_gradient, optimizers.full_gradients
 
@@ -318,8 +319,11 @@ class TestWrappedNames:
         ]
         assert all(isinstance(trace, RunTrace) for trace in results)
         assert charged_before == [0]
+        # a grouped run keeps no per-step calls; its charges are the closed
+        # form of the steps it took
         assert sum(c.component_calls for c in counters) == sum(
-            t.oracle_calls[-1] for t in results
+            closed_form_oracle_calls(spec, problem, t.num_steps)
+            for (spec, problem), t in zip(made_by, results)
         )
         # one full gradient per SVRG snapshot (every n = 12 steps) of every
         # run, and one per SPIDER reset

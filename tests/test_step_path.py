@@ -1,6 +1,7 @@
 """Per-step bookkeeping: the estimator norm, the divergence test and the
 hoisted AdaSpider step size are bitwise equal to the forms they replace;
-golden digests of sweeps and of diverging runs."""
+a golden digest of diverging runs. The sweep goldens are in
+``tests/test_lockstep.py``."""
 
 import hashlib
 import json
@@ -171,32 +172,6 @@ class TestHoistedStepSize:
 
 def sha256(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
-
-
-# SHA-256 of the best-value CSV and of the JSON summary that ``adaspider
-# sweep --algo NAME`` writes on the bundled default problem (logistic,
-# n=64, d=10, 5 epochs, 5 repeats, seven grid values), computed when every
-# grid value rebuilt the problem and the step path used np.linalg.norm.
-SWEEP_GOLDEN = {
-    "sgd": (
-        "50925233e49bb0f961ea45e63c0b5e3b0c3afc676ed62afcf17df8cae60eb538",
-        "af04cd97c95b66d6cf8299645bedb6f0947cad721aa71c535658873d1071feb3",
-    ),
-    "svrg": (
-        "8acdf7bdf7b07e68c7ce464d561f2d8b86e17ca9238e82636a9780984ebe8d65",
-        "c40b24dbb6d3852fa71fe337caf6f555c0940467a5daeba59d8b42c33d663d43",
-    ),
-}
-
-
-@pytest.mark.parametrize("algo", sorted(SWEEP_GOLDEN))
-def test_golden_sweep_digest(algo, tmp_path, capsys):
-    csv_digest, summary_digest = SWEEP_GOLDEN[algo]
-    out_path = tmp_path / "best.csv"
-    assert main(["sweep", "--algo", algo, "--out", str(out_path)]) == 0
-    summary = capsys.readouterr().out
-    assert sha256(out_path.read_bytes()) == csv_digest
-    assert sha256(summary.encode()) == summary_digest
 
 
 # Five of these twelve runs (sgd, svrg, spiderboost) diverge, so the CSV
