@@ -201,17 +201,28 @@ def parse_libsvm(text: str, d: int | None = None) -> Dataset:
     Lines are read one at a time into growable typed buffers, which become
     the dataset's arrays without a copy.
     """
-    from array import array  # a shared library, so only processes that parse load it
+    return _parse_lines(_text_lines(text), d)
 
-    labels, indptr, indices, values = array("d"), array("q", [0]), array("q"), array("d")
-    prev_strs, idx = None, None
-    start, lineno = 0, 0
+
+def _text_lines(text: str):
+    """The lines of ``text``, split at "\n" only, one at a time."""
+    start = 0
     while start < len(text):
         end = text.find("\n", start)
         if end < 0:
             end = len(text)
-        line = text[start:end].strip()
-        start, lineno = end + 1, lineno + 1
+        yield text[start:end]
+        start = end + 1
+
+
+def _parse_lines(lines, d: int | None) -> Dataset:
+    """:func:`parse_libsvm` of the text whose lines ``lines`` yields."""
+    from array import array  # a shared library, so only processes that parse load it
+
+    labels, indptr, indices, values = array("d"), array("q", [0]), array("q"), array("d")
+    prev_strs, idx = None, None
+    for lineno, line in enumerate(lines, start=1):
+        line = line.strip()
         if not line or line.startswith("#"):
             continue
         try:
@@ -241,11 +252,12 @@ def parse_libsvm(text: str, d: int | None = None) -> Dataset:
 
 def load_libsvm(path: str, d: int | None = None) -> Dataset:
     """Read LibSVM data from a file path, or standard input when path is '-'.
-    Only "\n" ends a line, as in ``parse_libsvm``."""
+    Only "\n" ends a line, as in ``parse_libsvm``. The lines are parsed as
+    they are read, so the whole text is never held."""
     if path == "-":
-        return parse_libsvm(sys.stdin.read(), d=d)
+        return _parse_lines(sys.stdin, d)
     with open(path, "r", encoding="utf-8", newline="\n") as fh:
-        return parse_libsvm(fh.read(), d=d)
+        return _parse_lines(fh, d)
 
 
 def format_libsvm(dataset: Dataset) -> str:
