@@ -16,6 +16,8 @@ import numpy as np
 SYNTHETIC_KINDS = ("separable-logistic", "quadratic", "two-cluster-classification")
 
 _MAX_INDEX = np.iinfo(np.int64).max
+# format_libsvm joins the lines of this many rows at a time.
+_FORMAT_ROWS = 256
 
 
 def _frozen_array(name: str, value, dtype) -> np.ndarray:
@@ -264,28 +266,33 @@ def format_libsvm(dataset: Dataset) -> str:
     """Serialize to LibSVM text. ``parse_libsvm`` of the result round-trips.
 
     Labels and values are written as ``repr`` of the float, so the text
-    is exact. Rows are read from the arrays one at a time, so the text's
-    lines and the text itself are the only large objects. A row whose
-    indices differ from the previous row's is formatted pair by pair; a
-    run of rows with the same indices (every row of a dense dataset)
-    shares one ``str.format`` template of them.
+    is exact. Rows are read from the arrays one at a time, and their lines
+    are joined _FORMAT_ROWS at a time, so the lines of one group, the
+    groups and the text are the only large objects; each group's lines
+    are freed before the next group's are made, which reuses their memory.
+    A row whose indices differ from the previous row's is formatted pair
+    by pair; a run of rows with the same indices (every row of a dense
+    dataset) shares one ``str.format`` template of them.
     """
     bounds = dataset.indptr.tolist()
     indices, values = dataset.indices, dataset.values
     pattern, template = None, None
-    lines = []
+    groups, lines = [], []
     for label, a, b in zip(dataset.labels.tolist(), bounds, bounds[1:]):
         columns, row = indices[a:b].tolist(), values[a:b].tolist()
         if columns != pattern:
             pattern, template = columns, None
             pairs = [f" {idx}:{val!r}" for idx, val in zip(columns, row)]
             lines.append(repr(label) + "".join(pairs))
-            continue
-        if template is None:
-            template = "{!r}" + "".join([f" {idx}:{{!r}}" for idx in columns])
-        lines.append(template.format(label, *row))
-    lines.append("")  # the join then ends the text with a newline
-    return "\n".join(lines)
+        else:
+            if template is None:
+                template = "{!r}" + "".join([f" {idx}:{{!r}}" for idx in columns])
+            lines.append(template.format(label, *row))
+        if len(lines) == _FORMAT_ROWS:
+            groups.append("\n".join([*lines, ""]))  # each line ends with a newline
+            lines = []
+    groups.append("\n".join([*lines, ""]))
+    return "".join(groups)
 
 
 def scale_features(dataset: Dataset) -> Dataset:
