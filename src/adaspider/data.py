@@ -16,8 +16,6 @@ import numpy as np
 SYNTHETIC_KINDS = ("separable-logistic", "quadratic", "two-cluster-classification")
 
 _MAX_INDEX = np.iinfo(np.int64).max
-# format_libsvm joins the lines of this many rows at a time.
-_FORMAT_ROWS = 256
 
 
 def _frozen_array(name: str, value, dtype) -> np.ndarray:
@@ -267,11 +265,9 @@ def format_libsvm(dataset: Dataset) -> str:
 
     Labels and values are written as ``repr`` of the float, so the text
     is exact. Rows are read from the arrays one at a time, and their lines
-    are joined _FORMAT_ROWS at a time, so the lines of one group, the
-    groups and the text are the only large objects; each group's lines
-    are freed before the next group's are made, which reuses their memory.
-    A row whose indices differ from the previous row's is formatted pair
-    by pair; a run of rows with the same indices (every row of a dense
+    joined 256 at a time, which frees each group's lines for the next's. A
+    row whose indices differ from the previous row's is formatted pair by
+    pair; a run of rows with the same indices (every row of a dense
     dataset) shares one ``str.format`` template of them.
     """
     bounds = dataset.indptr.tolist()
@@ -288,7 +284,7 @@ def format_libsvm(dataset: Dataset) -> str:
             if template is None:
                 template = "{!r}" + "".join([f" {idx}:{{!r}}" for idx in columns])
             lines.append(template.format(label, *row))
-        if len(lines) == _FORMAT_ROWS:
+        if len(lines) == 256:
             groups.append("\n".join([*lines, ""]))  # each line ends with a newline
             lines = []
     groups.append("\n".join([*lines, ""]))

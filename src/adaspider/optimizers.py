@@ -192,15 +192,14 @@ class EpochRow:
 class RunTrace:
     """Per-step log of one optimizer run plus per-epoch diagnostics.
 
-    ``num_steps`` counts the executed steps. ``step_sizes``,
-    ``estimator_norms`` and ``oracle_calls`` have one entry per executed
-    step; a lockstep member that keeps no path has none (None). Epoch rows
-    are recorded, with their iterate snapshots in ``epoch_points``, at the
-    top of a step whenever the charged-call count has completed another
-    full pass, so every snapshot is one of x_0 .. x_{T-1};
-    :func:`_epoch_rows` evaluates them after the steps.
-    ``iterates``/``estimates`` hold the full path when kept. The per-step
-    fields are views of arrays sized for the step budget, which
+    ``step_sizes``, ``estimator_norms`` and ``oracle_calls`` have one
+    entry for each of the ``num_steps`` executed steps, or are None (see
+    :func:`lockstep_run`). Epoch rows are recorded, with their iterate
+    snapshots in ``epoch_points``, at the top of a step whenever the
+    charged-call count has completed another full pass, so every snapshot
+    is one of x_0 .. x_{T-1}; :func:`_epoch_rows` evaluates them after the
+    steps. ``iterates``/``estimates`` hold the full path when kept. The
+    per-step fields are views of arrays sized for the step budget, which
     :func:`_trace` cuts to the steps taken.
     """
 
@@ -645,23 +644,18 @@ def lockstep_run(
     ``runs`` holds one (method, x0, rng) per member, where ``method`` is
     its checked :class:`_Method`, as its ``_METHODS`` entry builds it; the
     members share one step count, period and inner batch, and ``algo``
-    names them in their traces. The arguments are checked at the call;
-    the members are stepped when the first outcome is requested. Returns
-    an iterator over each member's outcome, in order: its RunTrace, or the
-    NonFiniteGradientError its ``<algo>_run`` call would raise.
+    names them in their traces. The arguments are checked at the call,
+    and the members stepped at the first request. Returns an iterator over
+    each member's RunTrace, or the NonFiniteGradientError its
+    ``<algo>_run`` call would raise, in order. A trace keeps, bit for bit
+    as that call with ``keep_path`` keeps it, what its caller reads:
 
-    A member keeps what its caller reads, bit for bit as its ``<algo>_run``
-    call with ``keep_path`` keeps it:
-
-    - without ``keep_path``, the harness's groups: epoch rows and points,
+    - without ``keep_path`` (the harness): epoch rows and points,
       ``x_final``, ``diverged``, ``diverged_at`` and ``num_steps``; no
-      per-step array is made, so ``step_sizes``, ``estimator_norms`` and
-      ``oracle_calls`` are None;
-    - with ``keep_path`` True, or "iterates" (which leaves ``estimates``
-      None, for a caller that reads only the iterates of long runs),
-      verify's seeded runs: the step records and the path, and no epoch
-      is marked or evaluated, so ``epoch_rows`` and ``epoch_points`` are
-      empty.
+      per-step array is made, so the step records are None;
+    - with ``keep_path`` True, or "iterates", which leaves ``estimates``
+      None (verify): the step records and the path; no epoch is marked,
+      so ``epoch_rows`` and ``epoch_points`` are empty.
     """
     x0s = [as_param_vector(x0, problem.d) for _, x0, _ in runs]
     if len({(m.steps, m.period, m.batch) for m, _, _ in runs}) > 1:
@@ -684,9 +678,7 @@ def _lockstep_steps(problem, algo: str, runs: list, x0s: list, keep_path) -> Ite
     step size; its indices come in chunks from a :class:`_Draws`, and when
     it stops, these are settled and its trace built, as a run alone's are.
     The step rule's constants are column arrays, cut with the other
-    per-row state when members stop. With a kept path, step t writes
-    column t of the (members, steps) step sizes and norms, the (steps,)
-    charged calls and the paths of the members still stepping.
+    per-row state when members stop.
     """
     if not runs:
         return
@@ -706,10 +698,8 @@ def _lockstep_steps(problem, algo: str, runs: list, x0s: list, keep_path) -> Ite
     step_sizes = est_norms = oracle_calls = iterates = estimates = None
     if keep_path:
         step_sizes, est_norms = np.empty((size, steps)), np.empty((size, steps))
-        oracle_calls = np.empty(steps, dtype=np.int64)
-        iterates = np.empty((size, steps, d))
-        if keep_path is True:
-            estimates = np.empty((size, steps, d))
+        oracle_calls, iterates = np.empty(steps, dtype=np.int64), np.empty((size, steps, d))
+        estimates = np.empty((size, steps, d)) if keep_path is True else None
     # Per-row state, one row per member still stepping; ``live`` maps rows
     # to members, in member order, and ``at`` indexes their rows of the
     # records: a plain slice until a member stops.
@@ -736,10 +726,9 @@ def _lockstep_steps(problem, algo: str, runs: list, x0s: list, keep_path) -> Ite
             counters[r].charge(sampled)
             sources[r].settle(pos)
             if outcomes[r] is None:
-                sizes, norms, path, ests = (
-                    None if a is None else a[r] for a in (step_sizes, est_norms, iterates, estimates)
-                )
-                records = (sizes, norms, oracle_calls, path, ests)
+                kept = (step_sizes, est_norms, iterates, estimates)
+                records = [None if a is None else a[r] for a in kept]
+                records.insert(2, oracle_calls)  # shared by the members
                 outcomes[r] = _trace(
                     problem, algo, taken, records, epoch_rows[r], points[r], x[k], diverged_at
                 )

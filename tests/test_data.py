@@ -614,8 +614,8 @@ class TestMemory:
     def test_format_peak_is_about_twice_the_text(self):
         ds = generate_synthetic("quadratic", 2000, 50, 0)
         text, peak = traced_peak(format_libsvm, ds)
-        # the lines and their join, 2.1x; whole-dataset lists of the values
-        # and a second copy of the text read 4.8x
+        # the joined groups of lines and their join, 2.2x; whole-dataset
+        # lists of the values and a second copy of the text read 4.8x
         assert peak <= 2.5 * len(text), peak / len(text)
 
     def test_parse_peak_is_about_the_text(self):
