@@ -357,6 +357,56 @@ def test_group_refuses_a_bad_argument_as_its_run_function(algo, key, value, mess
     assert str(grouped.value) == str(alone.value) == message
 
 
+# A member's outcome depends on its own method, start and generator only:
+# nine members stepped as groups of the given sizes, each group in reverse
+# order, give the outcomes of one group of all nine.
+@pytest.mark.parametrize("algo,keep_path", [
+    ("adaspider", True), ("svrg", "iterates"), ("sgd", False)
+])
+@pytest.mark.parametrize("sizes", [[9], [4, 5], [3, 3, 3], [2, 2, 2, 3], [1] * 9])
+def test_members_do_not_depend_on_their_group(algo, keep_path, sizes):
+    problem = make_problem("logistic", 8, 3, 0)
+    x0s = [start_point("logistic", problem, k, 1.0) for k in range(9)]
+    scales = [*SCALES, 0.5, 5.0]
+    whole = check_group(problem, algo, group_runs(algo, scales, x0s, 0, 30, 4, 2), keep_path)
+    runs = group_runs(algo, scales, x0s, 0, 30, 4, 2)
+    got, start = [], 0
+    for size in sizes:
+        part = runs[start : start + size][::-1]
+        got += grouped_outcomes(problem, algo, part, keep_path)[::-1]
+        start += size
+    assert len(got) == len(whole) == 9
+    for g, w in zip(got, whole):
+        if isinstance(w, Exception):
+            assert type(g) is type(w) and str(g) == str(w)
+        else:
+            assert_same_trace(g, w)
+
+
+# The trials of a grid value do not depend on the other values of its
+# sweep or their order: 3 values x 2 repeats of 20 steps, swept as one
+# reversed group or in parts, give the trials of one sweep of all three.
+@pytest.mark.parametrize("parts", [
+    [[10.0, 1.0, 0.1]], [[0.1], [1.0, 10.0]], [[1.0], [10.0, 0.1]], [[0.1], [1.0], [10.0]]
+])
+def test_sweep_values_do_not_depend_on_their_group(parts):
+    config = harness.ExperimentConfig(
+        problem=harness.ProblemSpec(n=10, d=2),
+        algorithms=[AlgorithmSpec("sgd")],
+        steps=20,
+        repeats=2,
+    )
+    best, want = harness.sweep_step_size(config, "sgd", [0.1, 1.0, 10.0])
+    got = {}
+    for grid in parts:
+        got.update(harness.sweep_step_size(config, "sgd", grid)[1])
+    if len(parts) == 1:
+        assert harness.sweep_step_size(config, "sgd", parts[0])[0] == best
+    assert sorted(got) == sorted(want)
+    for value in want:
+        assert bits(got[value]) == bits(want[value])
+
+
 def test_group_steps_nothing_before_its_first_run(monkeypatch):
     # benchmark set-up time ends at the first run_algorithm call
     events = []

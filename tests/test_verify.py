@@ -429,10 +429,14 @@ class TestSeededChecksEqualPerSeedRuns:
     """The rate and variance checks step their seeds as one lockstep group;
     their reports equal those of one run per seed."""
 
-    def test_variance_reports(self):
+    # 60 seeds; the least number, 50; and an inner batch of n, whose
+    # corrections are the exact full-gradient difference.
+    @pytest.mark.parametrize("seeds,period,batch", [
+        (list(range(7, 427, 7)), 5, 2), (list(range(50)), 3, 1), (list(range(420, 0, -7)), 4, 6)
+    ])
+    def test_variance_reports(self, seeds, period, batch):
         problem = QuadraticProblem.random(6, 3, np.random.default_rng(5), definite=True)
-        config = AdaSpiderConfig(steps=25, beta0=1.5, g0=0.7, period=5, inner_batch=2)
-        seeds = list(range(7, 427, 7))
+        config = AdaSpiderConfig(steps=25, beta0=1.5, g0=0.7, period=period, inner_batch=batch)
         x0 = np.array([0.5, -1.0, 2.0])
         for check, lemma, power in (
             (check_cumulative_variance, "cumulative_variance", 0),
@@ -482,10 +486,14 @@ class TestSeededChecksEqualPerSeedRuns:
         gc.collect()
         assert problem_ref() is None
 
-    def test_rate_report(self):
+    # four seeds; one seed, the least; and a short budget grid
+    @pytest.mark.parametrize("t_grid,seeds", [
+        ((5, 40, 300), (3, 11, 4, 8)), ((5, 40, 300), (8,)), ((2, 3, 50), (3, 11))
+    ])
+    def test_rate_report(self, t_grid, seeds):
         dataset = generate_synthetic("quadratic", n=20, d=4, seed=3)
         problem = RegularizedERM(dataset, loss_kind="squared", lam=0.1)
-        t_grid, seeds, x0 = (5, 40, 300), (3, 11, 4, 8), np.full(4, 0.3)
+        x0 = np.full(4, 0.3)
         report = check_rate_scaling(problem, t_grid, seeds, beta0=0.5, g0=2.0, x0=x0)
         median = float(np.median(per_seed_rate_slopes(problem, t_grid, seeds, x0, 0.5, 2.0)))
         assert report.worst_margin == -0.35 - median
