@@ -201,28 +201,17 @@ def parse_libsvm(text: str, d: int | None = None) -> Dataset:
     Lines are read one at a time into growable typed buffers, which become
     the dataset's arrays without a copy.
     """
-    return _parse_lines(_text_lines(text), d)
-
-
-def _text_lines(text: str):
-    """The lines of ``text``, split at "\n" only, one at a time."""
-    start = 0
-    while start < len(text):
-        end = text.find("\n", start)
-        if end < 0:
-            end = len(text)
-        yield text[start:end]
-        start = end + 1
-
-
-def _parse_lines(lines, d: int | None) -> Dataset:
-    """:func:`parse_libsvm` of the text whose lines ``lines`` yields."""
     from array import array  # a shared library, so only processes that parse load it
 
     labels, indptr, indices, values = array("d"), array("q", [0]), array("q"), array("d")
     prev_strs, idx = None, None
-    for lineno, line in enumerate(lines, start=1):
-        line = line.strip()
+    start, lineno = 0, 0
+    while start < len(text):
+        end = text.find("\n", start)
+        if end < 0:
+            end = len(text)
+        line = text[start:end].strip()
+        start, lineno = end + 1, lineno + 1
         if not line or line.startswith("#"):
             continue
         try:
@@ -252,43 +241,39 @@ def _parse_lines(lines, d: int | None) -> Dataset:
 
 def load_libsvm(path: str, d: int | None = None) -> Dataset:
     """Read LibSVM data from a file path, or standard input when path is '-'.
-    Only "\n" ends a line, as in ``parse_libsvm``. The lines are parsed as
-    they are read, so the whole text is never held."""
+    Only "\n" ends a line, as in ``parse_libsvm``."""
     if path == "-":
-        return _parse_lines(sys.stdin, d)
+        return parse_libsvm(sys.stdin.read(), d=d)
     with open(path, "r", encoding="utf-8", newline="\n") as fh:
-        return _parse_lines(fh, d)
+        return parse_libsvm(fh.read(), d=d)
 
 
 def format_libsvm(dataset: Dataset) -> str:
     """Serialize to LibSVM text. ``parse_libsvm`` of the result round-trips.
 
     Labels and values are written as ``repr`` of the float, so the text
-    is exact. Rows are read from the arrays one at a time, and their lines
-    joined 256 at a time, which frees each group's lines for the next's. A
-    row whose indices differ from the previous row's is formatted pair by
-    pair; a run of rows with the same indices (every row of a dense
-    dataset) shares one ``str.format`` template of them.
+    is exact. Rows are read from the arrays one at a time, so the text's
+    lines and the text itself are the only large objects. A row whose
+    indices differ from the previous row's is formatted pair by pair; a
+    run of rows with the same indices (every row of a dense dataset)
+    shares one ``str.format`` template of them.
     """
     bounds = dataset.indptr.tolist()
     indices, values = dataset.indices, dataset.values
     pattern, template = None, None
-    groups, lines = [], []
+    lines = []
     for label, a, b in zip(dataset.labels.tolist(), bounds, bounds[1:]):
         columns, row = indices[a:b].tolist(), values[a:b].tolist()
         if columns != pattern:
             pattern, template = columns, None
             pairs = [f" {idx}:{val!r}" for idx, val in zip(columns, row)]
             lines.append(repr(label) + "".join(pairs))
-        else:
-            if template is None:
-                template = "{!r}" + "".join([f" {idx}:{{!r}}" for idx in columns])
-            lines.append(template.format(label, *row))
-        if len(lines) == 256:
-            groups.append("\n".join([*lines, ""]))  # each line ends with a newline
-            lines = []
-    groups.append("\n".join([*lines, ""]))
-    return "".join(groups)
+            continue
+        if template is None:
+            template = "{!r}" + "".join([f" {idx}:{{!r}}" for idx in columns])
+        lines.append(template.format(label, *row))
+    lines.append("")  # the join then ends the text with a newline
+    return "\n".join(lines)
 
 
 def scale_features(dataset: Dataset) -> Dataset:

@@ -614,8 +614,8 @@ class TestMemory:
     def test_format_peak_is_about_twice_the_text(self):
         ds = generate_synthetic("quadratic", 2000, 50, 0)
         text, peak = traced_peak(format_libsvm, ds)
-        # the joined groups of lines and their join, 2.2x; whole-dataset
-        # lists of the values and a second copy of the text read 4.8x
+        # the lines and their join, 2.1x; whole-dataset lists of the values
+        # and a second copy of the text read 4.8x
         assert peak <= 2.5 * len(text), peak / len(text)
 
     def test_parse_peak_is_about_the_text(self):
@@ -626,14 +626,3 @@ class TestMemory:
         # the arrays (0.71x the text here) and buffer slack, 0.82x; a split
         # copy of the text and per-row value chunks read 2.7x
         assert peak <= 1.6 * len(text), peak / len(text)
-
-    def test_load_peak_is_the_arrays(self, tmp_path):
-        ds = generate_synthetic("quadratic", 2000, 50, 0)
-        text = format_libsvm(ds)
-        path = tmp_path / "data.libsvm"
-        path.write_text(text, encoding="utf-8")
-        again, peak = traced_peak(load_libsvm, str(path))
-        assert again == ds
-        # the arrays and buffer slack, as in the parse; reading the whole
-        # text first, as bytes and then as str, read 2.0x
-        assert peak <= 1.0 * len(text), peak / len(text)
