@@ -107,9 +107,20 @@ def _load_config(path: str | None) -> ExperimentConfig:
     return config_from_dict(doc)
 
 
-def _apply_overrides(config: ExperimentConfig, args) -> ExperimentConfig:
+def _apply_overrides(config: ExperimentConfig, args, swept: str | None = None) -> ExperimentConfig:
+    """``config`` with the flags of ``args``. Each --<param> flag sets the
+    parameter on the algorithms the command runs that read it: the
+    configured ones, or the ``swept`` one's configured entry, added if there
+    is none; a flag that none of them reads is a ConfigError."""
     if args.algo is not None:
         config.algorithms = [AlgorithmSpec(name=args.algo)]
+    targets = config.algorithms
+    if swept is not None:
+        entry = next((a for a in config.algorithms if a.name == swept), None)
+        if entry is None:
+            entry = AlgorithmSpec(name=swept)
+            config.algorithms = [*config.algorithms, entry]
+        targets = [entry]
     if args.seed is not None:
         config.master_seed = args.seed
     if args.repeats is not None:
@@ -117,14 +128,16 @@ def _apply_overrides(config: ExperimentConfig, args) -> ExperimentConfig:
     if args.steps is not None:
         config.steps = args.steps
         config.epochs = None
-    # each flag sets the parameter only on the algorithms that read it
     for key in PARAM_FLAGS:
         value = getattr(args, key)
         if value is None:
             continue
-        for spec in config.algorithms:
-            if key in getattr(ALGORITHMS.get(spec.name), "params", ()):
-                spec.params[key] = value
+        readers = [a for a in targets if key in getattr(ALGORITHMS.get(a.name), "params", ())]
+        if not readers:
+            names = ", ".join(a.name for a in targets)
+            raise ConfigError(f"--{key} is not a parameter of {names or 'any algorithm'}")
+        for spec in readers:
+            spec.params[key] = value
     if args.out is not None:
         config.out = args.out
     if args.format is not None:
@@ -147,7 +160,7 @@ def _cmd_sweep(args) -> int:
     # retains any parameters set there
     algo_name = args.algo
     args.algo = None
-    config = _apply_overrides(_load_config(args.config), args)
+    config = _apply_overrides(_load_config(args.config), args, swept=algo_name)
     if args.grid is None:
         grid = list(DEFAULT_SWEEP_GRID)
     else:

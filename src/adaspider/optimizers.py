@@ -198,9 +198,10 @@ class RunTrace:
     snapshots in ``epoch_points``, at the top of a step whenever the
     charged-call count has completed another full pass, so every snapshot
     is one of x_0 .. x_{T-1}; :func:`_epoch_rows` evaluates them after the
-    steps. ``iterates``/``estimates`` hold the full path when kept. The
-    per-step fields are views of arrays sized for the step budget, which
-    :func:`_trace` cuts to the steps taken.
+    steps. ``iterates``/``estimates`` hold the full path when it is kept
+    (``keep_path``), and a run that keeps it, alone or in a group, marks no
+    epoch. The per-step fields are views of arrays sized for the step
+    budget, which :func:`_trace` cuts to the steps taken.
     """
 
     algo: str
@@ -427,11 +428,11 @@ def _run_loop(problem, algo: str, x0, rng, keep_path: bool, method: _Method) -> 
     gradient; in between, each estimate is :func:`spider_estimator_update`'s
     grad f_i(x) - grad f_i(anchor) + base. SVRG's anchor stays put until
     the next reset; SPIDER's anchor and base move to x and g after every
-    step. An epoch row and a copy of x are
-    recorded at the top of a step if the charged calls have completed
-    another full pass, and for a diverged x; rows are evaluated at the end.
-    Step t writes its step size, estimator norm, charged calls and, when
-    kept, iterate and estimate at index t of arrays sized for the budget.
+    step. Without ``keep_path``, an epoch row and a copy of x are recorded
+    at the top of a step if the charged calls have completed another full
+    pass, and for a diverged x; rows are evaluated at the end. Step t
+    writes its step size, estimator norm, charged calls and, with a kept
+    path, iterate and estimate at index t of arrays sized for the budget.
     """
     n = problem.n
     counter = OracleCounter()
@@ -454,6 +455,7 @@ def _run_loop(problem, algo: str, x0, rng, keep_path: bool, method: _Method) -> 
     rows, points = [], []
     gamma, accum, diverged_at = 0.0, 0.0, None
     anchor = base = None
+    last_epoch = math.inf if keep_path else -1  # with a path, no epoch is ever due
 
     def mark(x):
         # the row's step size is the last one taken
@@ -463,8 +465,9 @@ def _run_loop(problem, algo: str, x0, rng, keep_path: bool, method: _Method) -> 
 
     try:
         for t in range(method.steps):
-            if not rows or counter.component_calls // n > rows[-1].epoch:
+            if counter.component_calls // n > last_epoch:
                 mark(x)
+                last_epoch = counter.component_calls // n
             if keep_path:
                 iterates[t] = x
             if not resets:
@@ -494,7 +497,8 @@ def _run_loop(problem, algo: str, x0, rng, keep_path: bool, method: _Method) -> 
                 estimates[t] = g
             if _diverged(x):
                 diverged_at = t
-                mark(x)
+                if not keep_path:
+                    mark(x)
                 break
     finally:
         draws.settle(draws.pos)
@@ -647,15 +651,11 @@ def lockstep_run(
     names them in their traces. The arguments are checked at the call,
     and the members stepped at the first request. Returns an iterator over
     each member's RunTrace, or the NonFiniteGradientError its
-    ``<algo>_run`` call would raise, in order. A trace keeps, bit for bit
-    as that call with ``keep_path`` keeps it, what its caller reads:
-
-    - without ``keep_path`` (the harness): epoch rows and points,
-      ``x_final``, ``diverged``, ``diverged_at`` and ``num_steps``; no
-      per-step array is made, so the step records are None;
-    - with ``keep_path`` True, or "iterates", which leaves ``estimates``
-      None (verify): the step records and the path; no epoch is marked,
-      so ``epoch_rows`` and ``epoch_points`` are empty.
+    ``<algo>_run`` call would raise, in order. A trace is bit for bit that
+    call's with ``bool(keep_path)``, but for the per-step records its
+    caller does not read, which are None: without ``keep_path`` (the
+    harness), the step sizes, estimator norms and charged calls; with
+    "iterates" (the rate check), all but ``iterates``; with True, none.
     """
     x0s = [as_param_vector(x0, problem.d) for _, x0, _ in runs]
     if len({(m.steps, m.period, m.batch) for m, _, _ in runs}) > 1:
@@ -697,9 +697,10 @@ def _lockstep_steps(problem, algo: str, runs: list, x0s: list, keep_path) -> Ite
     epoch_rows, points = [[] for _ in runs], [[] for _ in runs]
     step_sizes = est_norms = oracle_calls = iterates = estimates = None
     if keep_path:
+        iterates = np.empty((size, steps, d))
+    if keep_path is True:
         step_sizes, est_norms = np.empty((size, steps)), np.empty((size, steps))
-        oracle_calls, iterates = np.empty(steps, dtype=np.int64), np.empty((size, steps, d))
-        estimates = np.empty((size, steps, d)) if keep_path is True else None
+        oracle_calls, estimates = np.empty(steps, dtype=np.int64), np.empty((size, steps, d))
     # Per-row state, one row per member still stepping; ``live`` maps rows
     # to members, in member order, and ``at`` indexes their rows of the
     # records: a plain slice until a member stops.
@@ -801,12 +802,11 @@ def _lockstep_steps(problem, algo: str, runs: list, x0s: list, keep_path) -> Ite
         else:
             (gamma,) = coeffs
         x = x - gamma[:, None] * g
-        if keep_path:
+        if keep_path is True:
             step_sizes[at, t] = gamma
             est_norms[at, t] = np.sqrt(squares)
             oracle_calls[t] = calls
-            if estimates is not None:
-                estimates[at, t] = g
+            estimates[at, t] = g
         if not np.abs(x).max() <= DIVERGENCE_LIMIT:  # as in _diverged, per row
             diverged = ~(np.abs(x).max(axis=1) <= DIVERGENCE_LIMIT)
             if not keep_path:

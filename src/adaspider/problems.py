@@ -84,6 +84,15 @@ def nonconvex_regularizer_grad(x: np.ndarray) -> np.ndarray:
     return 2.0 * x / np.square(1.0 + np.square(x))
 
 
+def _check_finite(what: str, values: np.ndarray) -> None:
+    """Refuse ``values``, one entry or one row per sample, unless every
+    entry is finite; the error names the first row that is not, from 1."""
+    finite = np.isfinite(values)
+    if not finite.all():
+        row = int(np.argmin(finite.reshape(len(finite), -1).all(axis=1))) + 1
+        raise ValueError(f"row {row}: {what} must be finite")
+
+
 class RegularizedERM(FiniteSumProblem):
     """Mean of per-sample losses plus a non-convex regularizer.
 
@@ -104,10 +113,12 @@ class RegularizedERM(FiniteSumProblem):
         self.lam = float(lam)
         self.dataset = dataset
         self._features = dataset.dense()
+        _check_finite("feature values", self._features)
         if loss_kind == "logistic":
             self._labels = map_binary_labels(dataset.dense_labels())
         else:
             self._labels = dataset.dense_labels()
+            _check_finite("label", self._labels)
         row_norms_sq = np.einsum("ij,ij->i", self._features, self._features)
         smoothness = float(
             _LOSS_CURVATURE[loss_kind] * row_norms_sq.max()
@@ -395,6 +406,7 @@ class MLPClassificationProblem(FiniteSumProblem):
             )
         self.layer_dims = layer_dims
         self._features = dataset.dense()
+        _check_finite("feature values", self._features)
         labels = dataset.dense_labels()
         n_classes = layer_dims[-1]
         # a NaN fails every comparison, so it is refused with the rest

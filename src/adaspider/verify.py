@@ -278,18 +278,16 @@ def check_trajectory_bound(
     (b) sum_t ||g_t||^2 is at most
         2 L^2 n^2 T / beta0^2 + 2 L^2 T^3 / beta0^2
         + 4 L T^2 ||grad f(x_0)|| / beta0 + 2 T ||grad f(x_0)||^2.
+    The trace must keep its path: ||grad f(x_0)|| is taken at its first iterate.
     """
     if problem.known_smoothness is None:
         raise ValueError("trajectory bound needs the instance smoothness constant")
-    if not trace.epoch_rows:
-        raise ValueError("trace has no diagnostics rows")
-    margins = []
-    step_lengths = trace.step_sizes * trace.estimator_norms
-    for length in step_lengths:
-        margins.append(rhs_factor / beta0 - float(length))
+    if trace.iterates is None:
+        raise ValueError("trajectory bound needs a trace made with keep_path=True")
     smoothness = problem.known_smoothness
     t_total = trace.num_steps
-    grad0 = trace.epoch_rows[0].grad_norm
+    grad0 = float(np.linalg.norm(problem.metric_gradient(trace.iterates[0])))
+    margins = rhs_factor / beta0 - trace.step_sizes * trace.estimator_norms
     lhs = float(np.sum(trace.estimator_norms**2))
     rhs = (
         2.0 * smoothness**2 * problem.n**2 * t_total / beta0**2
@@ -297,10 +295,9 @@ def check_trajectory_bound(
         + 4.0 * smoothness * t_total**2 * grad0 / beta0
         + 2.0 * t_total * grad0**2
     )
-    margins.append(rhs_factor * rhs - lhs)
     return _report(
         "trajectory_bound",
-        margins,
+        np.append(margins, rhs_factor * rhs - lhs),
         slack,
         detail=(
             f"{t_total} step lengths (cap {1.0 / beta0:.3e}) and growth bound "
@@ -316,7 +313,8 @@ def sweep_trajectory_bound(
     steps: int = 50,
     rhs_factor: float = 1.0,
 ) -> LemmaReport:
-    """Adaptive runs on random small quadratics, both bounds per run."""
+    """Adaptive runs on random small quadratics, both bounds per run. The
+    runs keep their paths, so they evaluate no epoch rows."""
 
     def reports():
         for run in range(runs):
@@ -326,7 +324,7 @@ def sweep_trajectory_bound(
             x0 = rng.standard_normal(d)
             trace = adaspider_run(
                 problem, x0, AdaSpiderConfig(steps=steps),
-                np.random.default_rng(rng.integers(2**32)),
+                np.random.default_rng(rng.integers(2**32)), keep_path=True,
             )
             yield f"run {run}", check_trajectory_bound(trace, problem, 1.0, rhs_factor=rhs_factor)
 
@@ -335,16 +333,15 @@ def sweep_trajectory_bound(
 
 def _seeded_runs(problem: FiniteSumProblem, x0: np.ndarray, config, seeds, keep_path):
     """The traces of ``adaspider_run(problem, x0, config,
-    np.random.default_rng(seed), keep_path=True)`` for each seed, in order,
-    without ``estimates`` when ``keep_path`` is "iterates", and without
-    epoch rows and points.
+    np.random.default_rng(seed), keep_path=True)`` for each seed, in order;
+    with ``keep_path`` "iterates", only their paths of iterates.
 
     The config is checked and its method built once, as every run checks
     it; the runs step together in :func:`lockstep_run`, and a run's error
     is raised at its turn, as the runs made one at a time would raise it.
-    The variance and rate checks read only the paths and step records,
-    which is what a lockstep member with a kept path keeps: it marks no
-    epoch and evaluates no ``value`` or ``metric_gradient``.
+    The variance and rate checks read only what their runs keep: with a
+    kept path, a run marks no epoch and evaluates no ``value`` or
+    ``metric_gradient``.
     """
     method = _adaspider_method(problem, config)
     runs = [(method, x0, np.random.default_rng(seed)) for seed in seeds]

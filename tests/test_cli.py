@@ -16,7 +16,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from adaspider import cli
+from adaspider import cli, harness
 from adaspider.cli import gradient_check_report, main
 from adaspider.harness import load_records
 from adaspider.problems import MLPClassificationProblem, RegularizedERM
@@ -263,6 +263,23 @@ class TestRun:
         assert code == 0
         assert len(load_records(str(out_path), "csv")) == 3
 
+    @pytest.mark.parametrize("algorithms, argv, message", [
+        ([], ["--algo", "adaspider", "--eta", "0.5"], "--eta is not a parameter of adaspider"),
+        (["sgd", "svrg"], ["--beta0", "2"], "--beta0 is not a parameter of sgd, svrg"),
+        (["adaspider"], ["--algo", "sgd", "--g0", "2"], "--g0 is not a parameter of sgd"),
+    ])
+    def test_flag_no_run_algorithm_reads_exits_2(self, tmp_path, capsys, algorithms, argv, message):
+        cfg_path = tmp_path / "cfg.json"
+        config = {"algorithms": [{"name": name} for name in algorithms], "steps": 5}
+        cfg_path.write_text(json.dumps(config))
+        out_path = tmp_path / "records.csv"
+        argv = ["run", "--out", str(out_path), *argv]
+        if algorithms:
+            argv += ["--config", str(cfg_path)]
+        code, out, err = run_main(capsys, *argv)
+        assert (code, out, err) == (2, "", f"error: {message}\n")
+        assert not out_path.exists()
+
     def test_unknown_flag_is_an_error(self, capsys):
         code, _out, _err = run_main(capsys, "run", "--wat", "3")
         assert code == 2
@@ -355,6 +372,35 @@ class TestRun:
         assert got == code
         assert f"error: {message}" in err
 
+    # Python's number syntax parses, but a non-finite feature value, or a
+    # label squared loss reads, is refused when the problem is built
+    @pytest.mark.parametrize("algo", ["sgd", "adaspider", "spiderboost"])
+    @pytest.mark.parametrize(
+        "text, loss, message",
+        [
+            ("1 1:inf 2:1", "squared", "row 1: feature values must be finite"),
+            ("1 1:nan 2:1", "squared", "row 1: feature values must be finite"),
+            ("1 1:1\n-1 1:1 2:-inf", "logistic", "row 2: feature values must be finite"),
+            ("1 20:1\n2 3:nan", "mlp", "row 2: feature values must be finite"),
+            ("1e400 1:1 2:1", "squared", "row 1: label must be finite"),
+            ("1 1:1\nnan 2:1", "squared", "row 2: label must be finite"),
+        ],
+    )
+    def test_non_finite_data_exits_2_before_any_run(
+        self, tmp_path, capsys, monkeypatch, algo, text, loss, message
+    ):
+        monkeypatch.setattr(harness, "run_algorithm", lambda *args, **kw: pytest.fail("a run"))
+        data_path = tmp_path / "data.svm"
+        data_path.write_text(text + "\n")
+        cfg_path = tmp_path / "cfg.json"
+        config = {"problem": {"path": str(data_path), "loss": loss},
+                  "algorithms": [{"name": algo}], "epochs": 2}
+        cfg_path.write_text(json.dumps(config))
+        out_path = tmp_path / "r.csv"
+        code, out, err = run_main(capsys, "run", "--config", str(cfg_path), "--out", str(out_path))
+        assert (code, out, err) == (2, "", f"error: {message}\n")
+        assert not out_path.exists()
+
 
 class TestFaultAfterFirstRun:
     """Once the first run has started, every error exits 3, a plain
@@ -416,6 +462,33 @@ class TestSweep:
         assert code == 0
         summary = json.loads(out)
         assert summary["best"] == 0.01
+
+    def test_flags_set_the_swept_algorithm_without_a_config_entry(self, tmp_path, capsys):
+        # the bundled config has only an adaspider entry
+        argv = ["sweep", "--algo", "spider", "--grid", "0.01,0.1", "--steps", "30",
+                "--repeats", "1"]
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({"algorithms": [{"name": "spider", "smoothness": 3}]}))
+        outputs = [
+            run_main(capsys, *argv),
+            run_main(capsys, *argv, "--smoothness", "3"),
+            run_main(capsys, *argv, "--config", str(cfg_path)),
+        ]
+        assert [code for code, _, _ in outputs] == [0, 0, 0]
+        plain, flagged, configured = (out for _, out, _ in outputs)
+        assert flagged == configured != plain
+
+    @pytest.mark.parametrize("flag", ["--smoothness", "--beta0"])
+    def test_flag_the_swept_algorithm_does_not_read_exits_2(self, tmp_path, capsys, flag):
+        # the configured spider and adaspider entries read it, but are not run
+        cfg_path = tmp_path / "cfg.json"
+        config = {"algorithms": [{"name": "spider"}, {"name": "adaspider"}], "steps": 5}
+        cfg_path.write_text(json.dumps(config))
+        code, out, err = run_main(
+            capsys, "sweep", "--algo", "sgd", "--grid", "0.1", "--config", str(cfg_path),
+            flag, "3",
+        )
+        assert (code, out, err) == (2, "", f"error: {flag} is not a parameter of sgd\n")
 
     def test_empty_grid_exits_2(self, capsys):
         code, out, err = run_main(capsys, "sweep", "--algo", "sgd", "--grid", "")

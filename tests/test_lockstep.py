@@ -145,12 +145,11 @@ def assert_same_trace(got: RunTrace, want: RunTrace) -> None:
 
 def kept(trace: RunTrace, keep_path=False) -> RunTrace:
     """What a lockstep member keeps of its run alone's ``trace``, made with
-    ``bool(keep_path)``: without a path, no step records; with one, no
-    epoch rows or points, and with "iterates" no estimates either."""
-    if not keep_path:
-        return replace(trace, step_sizes=None, estimator_norms=None, oracle_calls=None)
-    assert trace.epoch_rows and trace.epoch_points
-    trace = replace(trace, epoch_rows=[], epoch_points=[])
+    ``bool(keep_path)``: with True, all of it; without a path, no step
+    records; with "iterates", no step records or estimates."""
+    if keep_path is True:
+        return trace
+    trace = replace(trace, step_sizes=None, estimator_norms=None, oracle_calls=None)
     return replace(trace, estimates=None) if keep_path == "iterates" else trace
 
 
@@ -771,6 +770,22 @@ class TestRowsAfterSteps:
         outcomes = runs_or_group(problem, "svrg", runs, grouped)
         assert all(isinstance(outcome, NonFiniteGradientError) for outcome in outcomes)
         assert calls.counts == {"value": 0, "metric_gradient": 0, "metric_gradients": 0}
+
+    def test_trajectory_sweep_evaluates_one_gradient_a_run(self, monkeypatch):
+        # ||grad f(x0)|| is the one diagnostic the trajectory bound reads
+        made = []
+        random = QuadraticProblem.random
+
+        def counted_random(*args, **kwargs):
+            problem = random(*args, **kwargs)
+            made.append(DiagnosticCalls(problem))
+            return problem
+
+        monkeypatch.setattr(verify.QuadraticProblem, "random", counted_random)
+        report = verify.sweep_trajectory_bound(6, np.random.default_rng(2))
+        assert report.trials == len(made) == 6
+        for calls in made:
+            assert calls.counts == {"value": 0, "metric_gradient": 1, "metric_gradients": 0}
 
     def test_variance_check_evaluates_no_rows(self):
         problem = verify.default_variance_problem(3)

@@ -161,13 +161,15 @@ class TestTrajectoryBound:
             np.array([1.0, -1.0]),
             AdaSpiderConfig(steps=steps),
             np.random.default_rng(seed + 1),
+            keep_path=True,
         )
         return problem, trace
 
     def test_zero_gradient_problem_trivially_within_bound(self):
         problem = QuadraticProblem(np.zeros((3, 2, 2)), np.zeros((3, 2)))
         trace = adaspider_run(
-            problem, np.ones(2), AdaSpiderConfig(steps=10), np.random.default_rng(0)
+            problem, np.ones(2), AdaSpiderConfig(steps=10), np.random.default_rng(0),
+            keep_path=True,
         )
         report = check_trajectory_bound(trace, problem, 1.0)
         assert report.passed
@@ -188,6 +190,15 @@ class TestTrajectoryBound:
         report = sweep_trajectory_bound(50, np.random.default_rng(11))
         assert report.passed
         assert report.trials == 50
+
+    def test_trace_without_kept_path_refused(self):
+        problem = QuadraticProblem.random(4, 2, np.random.default_rng(0))
+        trace = adaspider_run(
+            problem, np.array([1.0, -1.0]), AdaSpiderConfig(steps=50), np.random.default_rng(1)
+        )
+        assert trace.epoch_rows  # a run without a kept path marks epochs
+        with pytest.raises(ValueError, match="keep_path"):
+            check_trajectory_bound(trace, problem, 1.0)
 
     def test_missing_smoothness_rejected(self):
         problem, trace = self._run()
