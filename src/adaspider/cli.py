@@ -111,16 +111,20 @@ def _apply_overrides(config: ExperimentConfig, args, swept: str | None = None) -
     """``config`` with the flags of ``args``. Each --<param> flag sets the
     parameter on the algorithms the command runs that read it: the
     configured ones, or the ``swept`` one's configured entry, added if there
-    is none; a flag that none of them reads is a ConfigError."""
+    is none; a flag that none of them reads is a ConfigError. So is a flag
+    that no run of the sweep reads: the swept key, which every run sets, and
+    SpiderBoost's smoothness, whose 1/smoothness step its swept eta replaces."""
     if args.algo is not None:
         config.algorithms = [AlgorithmSpec(name=args.algo)]
-    targets = config.algorithms
+    targets, unread = config.algorithms, ()
     if swept is not None:
         entry = next((a for a in config.algorithms if a.name == swept), None)
         if entry is None:
             entry = AlgorithmSpec(name=swept)
             config.algorithms = [*config.algorithms, entry]
-        targets = [entry]
+        targets, unread = [entry], (getattr(ALGORITHMS.get(swept), "sweep", None),)
+        if swept == "spiderboost":
+            unread += ("smoothness",)
     if args.seed is not None:
         config.master_seed = args.seed
     if args.repeats is not None:
@@ -132,6 +136,10 @@ def _apply_overrides(config: ExperimentConfig, args, swept: str | None = None) -
         value = getattr(args, key)
         if value is None:
             continue
+        if key in unread:
+            raise ConfigError(
+                f"--{key} is not read by a sweep of {swept}, which sets {unread[0]} on every run"
+            )
         readers = [a for a in targets if key in getattr(ALGORITHMS.get(a.name), "params", ())]
         if not readers:
             names = ", ".join(a.name for a in targets)

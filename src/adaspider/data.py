@@ -306,14 +306,13 @@ def generate_synthetic(
     seed: int,
     *,
     n_classes: int = 4,
-    noise: float = 0.01,
 ) -> Dataset:
     """Generate a deterministic synthetic dataset of the given kind.
 
     ``separable-logistic`` draws a hidden weight vector and labels each
     row by the sign of its inner product with it. ``quadratic`` draws
     (features, target) pairs for least squares with additive noise of
-    scale ``noise``. ``two-cluster-classification`` draws ``n_classes``
+    scale 0.01. ``two-cluster-classification`` draws ``n_classes``
     Gaussian clusters with integer class labels for the network task.
     Every feature is stored, so each row holds the indices 1..d.
     """
@@ -330,7 +329,7 @@ def generate_synthetic(
     elif kind == "quadratic":
         features = rng.standard_normal((n, d))
         w = rng.standard_normal(d)
-        labels = features @ w + noise * rng.standard_normal(n)
+        labels = features @ w + 0.01 * rng.standard_normal(n)
     else:
         means = 3.0 * rng.standard_normal((n_classes, d))
         assignments = rng.integers(n_classes, size=n)

@@ -157,6 +157,11 @@ class ProblemSpec:
     layer_dims: tuple = (20, 16, 16, 4)
     c_init: float = 0.01
 
+    def __post_init__(self):
+        for name in ("n", "d", "data_seed"):
+            setattr(self, name, _as_int(getattr(self, name)))
+        self.layer_dims = tuple(map(_as_int, self.layer_dims))
+
 
 @dataclass
 class ExperimentConfig:
@@ -168,6 +173,10 @@ class ExperimentConfig:
     master_seed: int = 0
     out: str | None = None
     format: str = "csv"
+
+    def __post_init__(self):
+        for name in ("steps", "epochs", "repeats", "master_seed"):
+            setattr(self, name, _as_int(getattr(self, name)))
 
 
 @dataclass
@@ -247,7 +256,9 @@ def _is_integer(value) -> bool:
 
 def _as_int(value):
     """``value`` as an int when integral; otherwise unchanged, for
-    check_settings to name."""
+    check_settings to name. The configs' integer fields go through it on
+    construction, so an integral float runs as its integer, whether it
+    comes from a document or from Python."""
     return int(value) if _is_integer(value) else value
 
 
@@ -601,11 +612,7 @@ def config_from_dict(doc: dict) -> ExperimentConfig:
     if "lambda" in prob_doc:
         prob_doc["lam"] = prob_doc.pop("lambda")
     if "layer_dims" in prob_doc:
-        dims = _require("problem.layer_dims", prob_doc["layer_dims"], (list, tuple), "a list")
-        prob_doc["layer_dims"] = tuple(_as_int(v) for v in dims)
-    for name in ("n", "d", "data_seed"):
-        if name in prob_doc:
-            prob_doc[name] = _as_int(prob_doc[name])
+        _require("problem.layer_dims", prob_doc["layer_dims"], (list, tuple), "a list")
     unknown = set(prob_doc) - {f.name for f in fields(ProblemSpec)}
     if unknown:
         raise ConfigError(f"unknown problem fields: {sorted(unknown)}")
@@ -619,15 +626,13 @@ def config_from_dict(doc: dict) -> ExperimentConfig:
         _require("algorithm name", name, str, "a string")
         params = _require(f"{name}: params", entry.pop("params", {}), dict, "a JSON object")
         algorithms.append(AlgorithmSpec(name=name, params={**params, **entry}))
-    # integer fields are converted only when integral; any other value stays
-    # as given, for check_settings to name
     return ExperimentConfig(
         problem=problem,
         algorithms=algorithms,
-        steps=_as_int(doc.get("steps")),
-        epochs=_as_int(doc.get("epochs")),
-        repeats=_as_int(doc.get("repeats", 5)),
-        master_seed=_as_int(doc.get("master_seed", 0)),
+        steps=doc.get("steps"),
+        epochs=doc.get("epochs"),
+        repeats=doc.get("repeats", 5),
+        master_seed=doc.get("master_seed", 0),
         out=doc.get("out"),
         format=doc.get("format", "csv"),
     )

@@ -293,7 +293,7 @@ def _adaspider_method(problem: FiniteSumProblem, config: AdaSpiderConfig) -> _Me
 
 
 def _spider_method(
-    problem: FiniteSumProblem, epsilon, smoothness, steps, period=None, inner_batch=1
+    problem: FiniteSumProblem, epsilon, smoothness, steps, period, inner_batch
 ) -> _Method:
     _check_positive("target accuracy", epsilon)
     _check_positive("smoothness constant", smoothness)
@@ -305,7 +305,7 @@ def _spider_method(
 
 
 def _spiderboost_method(
-    problem: FiniteSumProblem, smoothness, steps, period=None, batch_size=None
+    problem: FiniteSumProblem, smoothness, steps, period, batch_size
 ) -> _Method:
     _check_positive("smoothness constant", smoothness)
     root = ceil_sqrt(problem.n)
@@ -316,7 +316,7 @@ def _spiderboost_method(
 
 
 def _svrg_method(
-    problem: FiniteSumProblem, eta, epoch_length, steps, inner_batch=1
+    problem: FiniteSumProblem, eta, epoch_length, steps, inner_batch
 ) -> _Method:
     _check_positive("step size", eta)
     _check_batch(inner_batch)

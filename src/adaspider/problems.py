@@ -41,6 +41,11 @@ _REGULARIZER_SMOOTHNESS = 2.0
 # ``RegularizedERM.mean_gradients`` holds: 8 MB a temporary.
 _MEAN_BLOCK = 1 << 20
 
+# Most (point, component) margins that one chunk of
+# ``RegularizedERM.metric_gradients`` holds; logistic loss makes one
+# Python float of each in :func:`sigmoid`.
+_METRIC_BLOCK = 1 << 14
+
 
 def _sigmoid_scalar(z: float) -> float:
     try:
@@ -111,7 +116,6 @@ class RegularizedERM(FiniteSumProblem):
             raise ValueError("dataset is empty")
         self.loss_kind = loss_kind
         self.lam = float(lam)
-        self.dataset = dataset
         self._features = dataset.dense()
         _check_finite("feature values", self._features)
         if loss_kind == "logistic":
@@ -171,6 +175,16 @@ class RegularizedERM(FiniteSumProblem):
             grads += self.lam * nonconvex_regularizer_grad(x)
         return grads
 
+    def _in_chunks(self, gradients, points, block: int, entries: int) -> np.ndarray:
+        """``gradients`` of the rows of ``points``, called on chunks of at
+        most ``block`` entries, ``entries`` a row, and at least one row."""
+        points = self._check_points(points)
+        grads = np.empty_like(points)
+        rows = max(1, block // entries)
+        for start in range(0, len(points), rows):
+            grads[start : start + rows] = gradients(points[start : start + rows])
+        return grads
+
     def mean_gradients(self, points) -> np.ndarray:
         """:meth:`mean_gradient` at every row of ``points``, bitwise: the
         margins of every (point, component) pair in one stacked
@@ -178,17 +192,14 @@ class RegularizedERM(FiniteSumProblem):
         point added by broadcast, then the mean over the components. Rows
         go in chunks of at most _MEAN_BLOCK (point, component, coordinate)
         entries, which bounds each chunk's (k, n, d) temporaries."""
-        points = self._check_points(points)
-        grads = np.empty_like(points)
-        rows = max(1, _MEAN_BLOCK // (self.n * self.d))
-        for start in range(0, len(points), rows):
-            x = points[start : start + rows]
-            margins = np.matmul(self._features[:, None, :], x[:, None, :, None])[..., 0, 0]
-            terms = self._features * self._loss_slope(margins, self._labels)[..., None]
-            if self.lam:
-                terms += (self.lam * nonconvex_regularizer_grad(x))[:, None, :]
-            grads[start : start + rows] = terms.mean(axis=1)
-        return grads
+        return self._in_chunks(self._mean_chunk, points, _MEAN_BLOCK, self.n * self.d)
+
+    def _mean_chunk(self, x: np.ndarray) -> np.ndarray:
+        margins = np.matmul(self._features[:, None, :], x[:, None, :, None])[..., 0, 0]
+        terms = self._features * self._loss_slope(margins, self._labels)[..., None]
+        if self.lam:
+            terms += (self.lam * nonconvex_regularizer_grad(x))[:, None, :]
+        return terms.mean(axis=1)
 
     # Vectorized diagnostics. einsum keeps the reduction order fixed so
     # logged metrics are reproducible run to run.
@@ -198,9 +209,13 @@ class RegularizedERM(FiniteSumProblem):
         return float(losses.mean()) + self.lam * nonconvex_regularizer(x)
 
     def metric_gradients(self, points) -> np.ndarray:
-        """Full gradients at the rows of ``points``: all margins in one
-        einsum, then all loss slopes, then one einsum back to features."""
-        points = self._check_points(points)
+        """Full gradients at the rows of ``points``: per chunk of at most
+        _METRIC_BLOCK (point, component) margins, all margins in one
+        einsum, then all loss slopes, then one einsum back to features.
+        A row's bits do not depend on its chunk."""
+        return self._in_chunks(self._metric_chunk, points, _METRIC_BLOCK, self.n)
+
+    def _metric_chunk(self, points: np.ndarray) -> np.ndarray:
         margins = np.einsum("ij,tj->ti", self._features, points)
         coeff = self._loss_slope(margins, self._labels)
         grads = np.einsum("ij,ti->tj", self._features, coeff) / self.n

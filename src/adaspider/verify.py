@@ -10,6 +10,10 @@ a failure means.
 Every checker accepts a right-hand-side scale factor (``rhs_factor`` or
 an explicit threshold) whose only purpose is self-testing the harness:
 corrupting the inequality must make the checker fail loudly.
+
+The checks hand whole stored paths to the batched true-gradient calls
+(``mean_gradients``, ``metric_gradients``). The problem family bounds
+their temporaries itself: the ERM family evaluates them in chunks.
 """
 
 from __future__ import annotations
@@ -28,7 +32,11 @@ from .optimizers import (
 )
 from .problems import QuadraticProblem, RegularizedERM
 
-_SLACK = 1e-12
+_SLACK = 1e-12  # how far below zero a margin may be and still pass
+_MAX_ENUMERATION = 10000  # (component, outcome) pairs the recursion enumerates
+_MAX_LEN, _MAX_VALUE = 100, 1e3  # longest sequence and largest entry, scalar sweeps
+_MAX_N, _MAX_D = 10, 3  # largest n and d of the recursion sweep's instances
+_TRAJECTORY_STEPS = 50  # steps of each run of the trajectory sweep
 
 
 @dataclass
@@ -56,18 +64,18 @@ class LemmaReport:
         return json.dumps(self.to_dict())
 
 
-def _report(lemma: str, margins, slack: float, detail: str = "") -> LemmaReport:
+def _report(
+    lemma: str, trials: int, violations: int, worst_margin: float, detail: str
+) -> LemmaReport:
+    """The one way a checker builds its report: pass iff no violation."""
+    return LemmaReport(lemma, trials, violations, worst_margin, violations == 0, detail)
+
+
+def _margins_report(lemma: str, margins, detail: str) -> LemmaReport:
+    """One trial per margin; a margin below -_SLACK is a violation."""
     margins = np.asarray(margins, dtype=np.float64)
-    violations = int(np.sum(~(margins >= -slack)))  # a NaN margin is a violation
-    worst = float(margins.min()) if margins.size else 0.0
-    return LemmaReport(
-        lemma=lemma,
-        trials=int(margins.size),
-        violations=violations,
-        worst_margin=worst,
-        passed=violations == 0,
-        detail=detail,
-    )
+    violations = int(np.sum(~(margins >= -_SLACK)))  # a NaN margin is a violation
+    return _report(lemma, margins.size, violations, float(margins.min()), detail)
 
 
 def _validate_alphas(alphas) -> np.ndarray:
@@ -79,7 +87,7 @@ def _validate_alphas(alphas) -> np.ndarray:
     return a
 
 
-def check_sqrt_lemma(alphas, *, rhs_factor: float = 1.0, slack: float = _SLACK) -> LemmaReport:
+def check_sqrt_lemma(alphas, *, rhs_factor: float = 1.0) -> LemmaReport:
     """sqrt(sum a_t) <= sum a_t / sqrt(prefix-sum through t), with 0/0 := 0."""
     a = _validate_alphas(alphas)
     prefix = np.cumsum(a)
@@ -87,25 +95,23 @@ def check_sqrt_lemma(alphas, *, rhs_factor: float = 1.0, slack: float = _SLACK) 
     with np.errstate(divide="ignore", invalid="ignore"):
         terms = np.where(prefix > 0, a / np.sqrt(prefix), 0.0)
     rhs = float(terms.sum())
-    return _report(
+    return _margins_report(
         "sqrt_sum",
         [rhs_factor * rhs - lhs],
-        slack,
-        detail=f"lhs={lhs:.9e} rhs={rhs_factor * rhs:.9e}",
+        f"lhs={lhs:.9e} rhs={rhs_factor * rhs:.9e}",
     )
 
 
-def check_log_lemma(alphas, *, rhs_factor: float = 1.0, slack: float = _SLACK) -> LemmaReport:
+def check_log_lemma(alphas, *, rhs_factor: float = 1.0) -> LemmaReport:
     """sum a_t / (1 + prefix-sum through t) <= log(1 + sum a_t)."""
     a = _validate_alphas(alphas)
     prefix = np.cumsum(a)
     lhs = float((a / (1.0 + prefix)).sum()) if a.size else 0.0
     rhs = math.log1p(prefix[-1]) if a.size else 0.0
-    return _report(
+    return _margins_report(
         "log_sum",
         [rhs_factor * rhs - lhs],
-        slack,
-        detail=f"lhs={lhs:.9e} rhs={rhs_factor * rhs:.9e}",
+        f"lhs={lhs:.9e} rhs={rhs_factor * rhs:.9e}",
     )
 
 
@@ -119,55 +125,35 @@ def _sweep_report(lemma: str, detail: str, trials) -> LemmaReport:
             worst, worst_detail = single.worst_margin, f"worst {name}: {single.detail}"
         margins.append(single.worst_margin)
         violations += single.violations
-    report = _report(lemma, margins, _SLACK, detail=f"{detail}; {worst_detail}")
-    report.violations, report.passed = violations, violations == 0
-    return report
+    # np.min, not ``worst``: the sweep's margin is NaN if any trial's is
+    lowest = float(np.min(margins)) if margins else 0.0
+    return _report(lemma, len(margins), violations, lowest, f"{detail}; {worst_detail}")
 
 
 def _sweep_scalar_lemma(
-    check,
-    lemma: str,
-    trials: int,
-    rng: np.random.Generator,
-    max_len: int,
-    max_value: float,
-    rhs_factor: float,
+    check, lemma: str, trials: int, rng: np.random.Generator, rhs_factor: float
 ) -> LemmaReport:
     def reports():
         for trial in range(trials):
-            length = int(rng.integers(1, max_len + 1))
-            # downscale by a random power so magnitudes vary but stay <= max_value
+            length = int(rng.integers(1, _MAX_LEN + 1))
+            # downscale by a random power so magnitudes vary but stay <= _MAX_VALUE
             scale = 10.0 ** float(rng.uniform(-6.0, 0.0))
-            alphas = scale * rng.uniform(0.0, max_value, size=length)
+            alphas = scale * rng.uniform(0.0, _MAX_VALUE, size=length)
             yield f"trial {trial}", check(alphas, rhs_factor=rhs_factor)
 
-    return _sweep_report(lemma, f"lengths <= {max_len}", reports())
+    return _sweep_report(lemma, f"lengths <= {_MAX_LEN}", reports())
 
 
 def sweep_sqrt_lemma(
-    trials: int,
-    rng: np.random.Generator,
-    *,
-    max_len: int = 100,
-    max_value: float = 1e3,
-    rhs_factor: float = 1.0,
+    trials: int, rng: np.random.Generator, *, rhs_factor: float = 1.0
 ) -> LemmaReport:
-    return _sweep_scalar_lemma(
-        check_sqrt_lemma, "sqrt_sum", trials, rng, max_len, max_value, rhs_factor
-    )
+    return _sweep_scalar_lemma(check_sqrt_lemma, "sqrt_sum", trials, rng, rhs_factor)
 
 
 def sweep_log_lemma(
-    trials: int,
-    rng: np.random.Generator,
-    *,
-    max_len: int = 100,
-    max_value: float = 1e3,
-    rhs_factor: float = 1.0,
+    trials: int, rng: np.random.Generator, *, rhs_factor: float = 1.0
 ) -> LemmaReport:
-    return _sweep_scalar_lemma(
-        check_log_lemma, "log_sum", trials, rng, max_len, max_value, rhs_factor
-    )
+    return _sweep_scalar_lemma(check_log_lemma, "log_sum", trials, rng, rhs_factor)
 
 
 def check_variance_recursion(
@@ -177,8 +163,6 @@ def check_variance_recursion(
     grad_y_dist,
     *,
     rhs_factor: float = 1.0,
-    slack: float = _SLACK,
-    max_enumeration: int = 10000,
 ) -> LemmaReport:
     """One-step estimator variance recursion, both sides exact.
 
@@ -195,7 +179,7 @@ def check_variance_recursion(
     if problem.n > 20:
         raise ValueError(f"enumeration over n={problem.n} components refused (max 20)")
     outcomes = [(np.asarray(v, dtype=np.float64), float(p)) for v, p in grad_y_dist]
-    if problem.n * len(outcomes) > max_enumeration:
+    if problem.n * len(outcomes) > _MAX_ENUMERATION:
         raise ValueError("enumeration too large")
     total_p = sum(p for _, p in outcomes)
     if abs(total_p - 1.0) > 1e-9:
@@ -216,21 +200,15 @@ def check_variance_recursion(
         rhs_var += p * float(dev_y @ dev_y)
     l2 = problem.known_smoothness**2
     rhs = l2 * float(np.sum((x - y) ** 2)) + rhs_var
-    return _report(
+    return _margins_report(
         "variance_recursion",
         [rhs_factor * rhs - lhs],
-        slack,
-        detail=f"lhs={lhs:.9e} rhs={rhs_factor * rhs:.9e}",
+        f"lhs={lhs:.9e} rhs={rhs_factor * rhs:.9e}",
     )
 
 
 def sweep_variance_recursion(
-    trials: int,
-    rng: np.random.Generator,
-    *,
-    max_n: int = 10,
-    max_d: int = 3,
-    rhs_factor: float = 1.0,
+    trials: int, rng: np.random.Generator, *, rhs_factor: float = 1.0
 ) -> LemmaReport:
     """Random small quadratic instances with exact smoothness constants.
 
@@ -240,8 +218,8 @@ def sweep_variance_recursion(
     """
     def reports():
         for trial in range(trials):
-            n = int(rng.integers(1, max_n + 1))
-            d = int(rng.integers(1, max_d + 1))
+            n = int(rng.integers(1, _MAX_N + 1))
+            d = int(rng.integers(1, _MAX_D + 1))
             problem = QuadraticProblem.random(n, d, rng)
             x = rng.standard_normal(d)
             y = rng.standard_normal(d)
@@ -270,7 +248,6 @@ def check_trajectory_bound(
     beta0: float,
     *,
     rhs_factor: float = 1.0,
-    slack: float = _SLACK,
 ) -> LemmaReport:
     """Step-length bound and squared-estimator-norm growth bound.
 
@@ -295,11 +272,10 @@ def check_trajectory_bound(
         + 4.0 * smoothness * t_total**2 * grad0 / beta0
         + 2.0 * t_total * grad0**2
     )
-    return _report(
+    return _margins_report(
         "trajectory_bound",
         np.append(margins, rhs_factor * rhs - lhs),
-        slack,
-        detail=(
+        (
             f"{t_total} step lengths (cap {1.0 / beta0:.3e}) and growth bound "
             f"lhs={lhs:.9e} rhs={rhs_factor * rhs:.9e}"
         ),
@@ -307,11 +283,7 @@ def check_trajectory_bound(
 
 
 def sweep_trajectory_bound(
-    runs: int,
-    rng: np.random.Generator,
-    *,
-    steps: int = 50,
-    rhs_factor: float = 1.0,
+    runs: int, rng: np.random.Generator, *, rhs_factor: float = 1.0
 ) -> LemmaReport:
     """Adaptive runs on random small quadratics, both bounds per run. The
     runs keep their paths, so they evaluate no epoch rows."""
@@ -323,7 +295,7 @@ def sweep_trajectory_bound(
             problem = QuadraticProblem.random(n, d, rng, definite=bool(rng.integers(2)))
             x0 = rng.standard_normal(d)
             trace = adaspider_run(
-                problem, x0, AdaSpiderConfig(steps=steps),
+                problem, x0, AdaSpiderConfig(steps=_TRAJECTORY_STEPS),
                 np.random.default_rng(rng.integers(2**32)), keep_path=True,
             )
             yield f"run {run}", check_trajectory_bound(trace, problem, 1.0, rhs_factor=rhs_factor)
@@ -399,13 +371,9 @@ def _variance_check(
     mean = float(diffs.mean())
     stderr = float(diffs.std(ddof=1) / math.sqrt(len(diffs)))
     margin = mean + 3.0 * stderr
-    return LemmaReport(
-        lemma=lemma,
-        trials=len(seeds),
-        violations=0 if margin >= 0 else 1,
-        worst_margin=margin,
-        passed=margin >= 0,
-        detail=f"mean margin {mean:.3e}, stderr {stderr:.3e}, {len(seeds)} seeds",
+    return _report(
+        lemma, len(seeds), int(not margin >= 0), margin,
+        f"mean margin {mean:.3e}, stderr {stderr:.3e}, {len(seeds)} seeds",
     )
 
 
@@ -445,28 +413,9 @@ def check_weighted_variance(
     )
 
 
-# Rows of true gradients evaluated per batched call along a stored path;
-# bounds the per-element sigmoid temporaries of the logistic family.
-_PATH_BLOCK = 256
-
-
 def _row_norms(rows: np.ndarray) -> np.ndarray:
     """``_vector_norm`` of every row of a (R, d) block, bitwise."""
     return np.sqrt(_row_squares(rows))
-
-
-def _path_gradient_norms(problem: FiniteSumProblem, iterates: np.ndarray) -> np.ndarray:
-    """||grad f(x_t)|| at every row of a stored (T, d) path.
-
-    The true gradients come in blocks of _PATH_BLOCK rows, so the
-    temporaries stay bounded while the caller holds the paths of every
-    seed of its lockstep group.
-    """
-    norms = np.empty(len(iterates))
-    for start in range(0, len(iterates), _PATH_BLOCK):
-        block = problem.metric_gradients(iterates[start : start + _PATH_BLOCK])
-        norms[start : start + len(block)] = _row_norms(block)
-    return norms
 
 
 def check_rate_scaling(
@@ -507,7 +456,7 @@ def check_rate_scaling(
     config = AdaSpiderConfig(steps=t_grid[-1], beta0=beta0, g0=g0)
     slopes = []
     for trace in _seeded_runs(problem, x0, config, seeds, "iterates"):
-        norms = _path_gradient_norms(problem, trace.iterates)
+        norms = _row_norms(problem.metric_gradients(trace.iterates))
         means = []
         for t_budget in t_grid:
             mean_norm = float(norms[:t_budget].mean())
@@ -520,20 +469,16 @@ def check_rate_scaling(
         slopes.append(slope)
     median_slope = float(np.median(slopes))
     margin = slope_threshold - median_slope
-    return LemmaReport(
-        lemma="rate_scaling",
-        trials=len(slopes),
-        violations=0 if margin >= 0 else 1,
-        worst_margin=margin,
-        passed=margin >= 0,
-        detail=f"median slope {median_slope:.3f} over {len(slopes)} seeds, "
+    return _report(
+        "rate_scaling", len(slopes), int(not margin >= 0), margin,
+        f"median slope {median_slope:.3f} over {len(slopes)} seeds, "
         f"threshold {slope_threshold}",
     )
 
 
-def default_rate_problem(seed: int = 0) -> RegularizedERM:
+def default_rate_problem() -> RegularizedERM:
     """The fixed synthetic logistic instance used by the rate suite."""
-    dataset = generate_synthetic("separable-logistic", n=64, d=10, seed=seed)
+    dataset = generate_synthetic("separable-logistic", n=64, d=10, seed=0)
     return RegularizedERM(dataset, loss_kind="logistic", lam=0.1)
 
 

@@ -51,8 +51,8 @@ def report(number: int, name: str, ok: bool, detail: str = ""):
 def test_criterion_01_scalar_lemma_sweeps():
     start = time.time()
     rng = np.random.default_rng(2024)
-    sqrt_rep = sweep_sqrt_lemma(1000, rng, max_len=100, max_value=1e3)
-    log_rep = sweep_log_lemma(1000, rng, max_len=100, max_value=1e3)
+    sqrt_rep = sweep_sqrt_lemma(1000, rng)
+    log_rep = sweep_log_lemma(1000, rng)
     elapsed = time.time() - start
     ok = (
         sqrt_rep.passed
@@ -71,7 +71,7 @@ def test_criterion_01_scalar_lemma_sweeps():
 
 def test_criterion_02_variance_recursion_enumeration():
     start = time.time()
-    rep = sweep_variance_recursion(100, np.random.default_rng(7), max_n=10, max_d=3)
+    rep = sweep_variance_recursion(100, np.random.default_rng(7))
     elapsed = time.time() - start
     ok = rep.passed and rep.trials == 100 and elapsed < 10.0
     report(
@@ -182,7 +182,7 @@ def test_criterion_06_cumulative_variance_bound():
 
 
 def test_criterion_07_trajectory_bound_runs():
-    rep = sweep_trajectory_bound(50, np.random.default_rng(13), steps=50)
+    rep = sweep_trajectory_bound(50, np.random.default_rng(13))
     ok = rep.passed and rep.trials == 50
     report(
         7,

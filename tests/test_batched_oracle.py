@@ -256,7 +256,7 @@ class TestBatchedPointGradients:
         d=st.integers(min_value=1, max_value=6),
         seed=st.integers(min_value=0, max_value=10_000),
         scale=st.sampled_from([0.01, 1.0, 30.0]),
-        # lengths around the 256-row blocks of the rate check
+        # lengths around 256 rows, the metric_gradients chunk of the rate problem
         count=st.sampled_from([1, 2, 7, 255, 256, 257]),
     )
     def test_metric_gradient_rows_bitwise(self, family, n, d, seed, scale, count):
@@ -314,10 +314,20 @@ class TestBatchedPointGradients:
                 method(np.zeros((2, problem.d + 1)))
 
 
-class TestErmMeanGradients:
-    """RegularizedERM's batched mean_gradients, in chunks of at most
-    problems._MEAN_BLOCK entries: every row bitwise mean_gradient."""
+# RegularizedERM's chunked batched gradients: (batched method, one-point
+# method, the constant that bounds a chunk, a row's entries under it).
+ERM_CHUNKED = {
+    "mean": ("mean_gradients", "mean_gradient", "_MEAN_BLOCK", lambda n, d: n * d),
+    "metric": ("metric_gradients", "metric_gradient", "_METRIC_BLOCK", lambda n, d: n),
+}
 
+
+class TestErmMeanGradients:
+    """RegularizedERM's batched mean_gradients and metric_gradients, in
+    chunks of at most problems._MEAN_BLOCK and problems._METRIC_BLOCK
+    entries: every row bitwise the one-point call."""
+
+    @pytest.mark.parametrize("method", sorted(ERM_CHUNKED))
     @settings(max_examples=80, deadline=None)
     @given(
         loss=st.sampled_from(["logistic", "squared"]),
@@ -333,16 +343,27 @@ class TestErmMeanGradients:
     )
     @example(loss="logistic", lam=0.1, n=20, d=1, count=8, chunk=3, scale=1e4, seed=0)
     @example(loss="squared", lam=0.0, n=7, d=5, count=7, chunk=2, scale=1.0, seed=1)
-    def test_rows_bitwise_mean_gradient(self, loss, lam, n, d, count, chunk, scale, seed):
+    def test_rows_bitwise_one_point_call(
+        self, method, loss, lam, n, d, count, chunk, scale, seed
+    ):
+        batched, single, block, entries = ERM_CHUNKED[method]
         kind = "separable-logistic" if loss == "logistic" else "quadratic"
         problem = RegularizedERM(generate_synthetic(kind, n, d, seed), loss_kind=loss, lam=lam)
         points = scale * np.random.default_rng(seed + 1).standard_normal((count, d))
-        cap = problems._MEAN_BLOCK if chunk is None else chunk * n * d
-        with mock.patch.object(problems, "_MEAN_BLOCK", cap):
-            rows = problem.mean_gradients(points)
+        cap = getattr(problems, block) if chunk is None else chunk * entries(n, d)
+        with mock.patch.object(problems, block, cap):
+            rows = getattr(problem, batched)(points)
         assert rows.shape == (count, d)
         for row, x in zip(rows, points):
-            assert same_bits(row, problem.mean_gradient(x))
+            assert same_bits(row, getattr(problem, single)(x))
+
+    def test_metric_chunks_hold_256_rows_of_the_rate_problem(self):
+        # the rate check's paths: a chunk's sigmoid makes 16,384 floats
+        problem = RegularizedERM(generate_synthetic("separable-logistic", 64, 10, 0))
+        chunks = []
+        with mock.patch.object(problem, "_metric_chunk", lambda x: chunks.append(len(x)) or x):
+            problem.metric_gradients(np.zeros((600, 10)))
+        assert chunks == [256, 256, 88]
 
     @pytest.mark.parametrize("d", [1, 4])
     def test_margins_past_the_exp_overflow(self, d):
@@ -353,6 +374,8 @@ class TestErmMeanGradients:
         assert margins.max() > problems._EXP_LIMIT and margins.min() < -problems._EXP_LIMIT
         for row, x in zip(problem.mean_gradients(points), points):
             assert same_bits(row, problem.mean_gradient(x))
+        for row, x in zip(problem.metric_gradients(points), points):
+            assert same_bits(row, problem.metric_gradient(x))
 
 
 class TestMiniBatchCorrections:

@@ -121,6 +121,12 @@ class TestRun:
         assert "master_seed" in err
         assert not out_path.exists()
 
+    def test_config_document_not_an_object_exits_2(self, tmp_path, capsys):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text("[]")
+        code, out, err = run_main(capsys, "run", "--config", str(cfg_path))
+        assert (code, out, err) == (2, "", "error: config document must be a JSON object\n")
+
     def test_non_integer_inner_batch_exits_2_and_names_field(self, tmp_path, capsys):
         config = {
             "problem": {"n": 12, "d": 4},
@@ -489,6 +495,23 @@ class TestSweep:
             flag, "3",
         )
         assert (code, out, err) == (2, "", f"error: {flag} is not a parameter of sgd\n")
+
+    @pytest.mark.parametrize("algo,flag,swept", [
+        ("sgd", "--eta", "eta"),
+        ("svrg", "--eta", "eta"),
+        ("adagrad_norm", "--eta", "eta"),
+        ("spiderboost", "--eta", "eta"),
+        ("spider", "--eps", "eps"),
+        # the swept eta is the step that 1/smoothness would be
+        ("spiderboost", "--smoothness", "eta"),
+    ])
+    def test_flag_the_sweep_sets_on_every_run_exits_2(self, capsys, algo, flag, swept):
+        code, out, err = run_main(
+            capsys, "sweep", "--algo", algo, "--grid", "0.01,0.1", "--steps", "20",
+            "--repeats", "1", flag, "5",
+        )
+        message = f"{flag} is not read by a sweep of {algo}, which sets {swept} on every run"
+        assert (code, out, err) == (2, "", f"error: {message}\n")
 
     def test_empty_grid_exits_2(self, capsys):
         code, out, err = run_main(capsys, "sweep", "--algo", "sgd", "--grid", "")

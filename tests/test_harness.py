@@ -323,6 +323,21 @@ class TestRunExperiment:
         epochs = config_from_dict(dict(doc, steps=None, epochs=2.0))
         assert epochs.epochs == 2 and type(epochs.epochs) is int
 
+    @pytest.mark.parametrize("field,value", [
+        ("steps", 5.0), ("epochs", 2.0), ("repeats", 2.0), ("master_seed", 3.0),
+        ("n", 8.0), ("d", 3.0), ("data_seed", 1.0),
+    ])
+    def test_integral_float_fields_in_python_run_as_integers(self, field, value):
+        # as in the document form: the field runs as its integer
+        def config(value):
+            problem, top = {"n": 12, "d": 4, "data_seed": 0}, {"steps": 6, "repeats": 1}
+            if field == "epochs":
+                top["steps"] = None
+            (problem if field in problem else top)[field] = value
+            return small_config(problem=ProblemSpec(**problem), **top)
+
+        assert run_experiment(config(value)) == run_experiment(config(int(value)))
+
     def test_epoch_budget_resolves_per_algorithm(self):
         config = small_config(
             steps=None,
@@ -493,6 +508,12 @@ class TestSerialization:
         again = load_records(str(path), "csv")
         assert again[0].rows[0].grad_norm == 1.0 / 3.0
         assert again[0].rows[0].loss == 1e-300
+
+    def test_wrong_csv_header_refused(self, tmp_path):
+        path = tmp_path / "records.csv"
+        path.write_text("algo,seed,epoch\nsgd,0,0\n")
+        with pytest.raises(ValueError, match="does not start with the expected CSV header"):
+            load_records(str(path), "csv")
 
     def test_single_record_single_row(self, tmp_path):
         config = small_config(steps=1, repeats=1)

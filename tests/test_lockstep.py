@@ -702,6 +702,16 @@ class TestFaultOrder:
         assert capsys.readouterr().err == f"error: {expected}\n"
 
 
+def test_seeded_runs_raise_a_member_fault_at_its_turn():
+    # both members start at x = 1; the group's second full gradient at a
+    # positive point, the second member's only reset, is infinite
+    problem, config = Ramp(10, fault_at=2), AdaSpiderConfig(steps=5)
+    runs = verify._seeded_runs(problem, np.ones(1), config, (0, 1), True)
+    assert next(runs).num_steps == 5
+    with pytest.raises(NonFiniteGradientError, match="non-finite full gradient"):
+        next(runs)
+
+
 class DiagnosticCalls:
     """Counts of a problem's diagnostic calls: ``value``, ``metric_gradient``
     and ``metric_gradients`` made other than through ``metric_gradient``."""

@@ -16,7 +16,7 @@ from adaspider.optimizers import AdaSpiderConfig, adaspider_run
 from adaspider.problems import QuadraticProblem, RegularizedERM
 from adaspider.verify import (
     LemmaReport,
-    _path_gradient_norms,
+    _row_norms,
     check_cumulative_variance,
     check_log_lemma,
     check_rate_scaling,
@@ -145,6 +145,17 @@ class TestVarianceRecursion:
         dist = [(np.zeros(1), 1.0)]
         with pytest.raises(ValueError, match="enumeration"):
             check_variance_recursion(problem, np.zeros(1), np.ones(1), dist)
+
+    @pytest.mark.parametrize("outcomes,refused", [(500, False), (501, True)])
+    def test_refuses_more_than_ten_thousand_pairs(self, outcomes, refused):
+        # n=20 components times the g_y outcomes, at most 10,000 pairs
+        problem = QuadraticProblem.random(20, 1, np.random.default_rng(4))
+        dist = [(np.zeros(1), 1.0 / outcomes)] * outcomes
+        if refused:
+            with pytest.raises(ValueError, match="enumeration too large"):
+                check_variance_recursion(problem, np.zeros(1), np.ones(1), dist)
+        else:
+            assert check_variance_recursion(problem, np.zeros(1), np.ones(1), dist).trials == 1
 
     def test_corrupted_bound_fails(self):
         report = sweep_variance_recursion(
@@ -292,7 +303,7 @@ def separate_budget_means(problem, t_grid, seed, x0, beta0=1.0):
 
 
 # (problem, budget grid, seeds, x0, beta0); the logistic grid crosses the
-# 256-row evaluation blocks, the last instance diverges at step 23.
+# 256-row chunks of its metric_gradients, the last instance diverges at step 23.
 RATE_CASES = {
     "logistic": (default_rate_problem(), (10, 256, 600), (0, 1), None, 1.0),
     "single-component": (
@@ -324,7 +335,7 @@ class TestRateScaling:
             path = adaspider_run(
                 problem, start, config, np.random.default_rng(seed), keep_path=True
             ).iterates
-            norms = _path_gradient_norms(problem, path)
+            norms = _row_norms(problem.metric_gradients(path))
             assert [float(norms[:t].mean()) for t in t_grid] == expected
             slopes.append(float(np.polyfit(np.log(t_grid), np.log(expected), 1)[0]))
         report = check_rate_scaling(problem, t_grid, seeds, beta0=beta0, x0=x0)
