@@ -29,6 +29,7 @@ from .harness import (
     config_from_dict,
     emit_records,
     run_experiment,
+    sweep_overrides,
     sweep_step_size,
 )
 from .problems import (
@@ -112,8 +113,7 @@ def _apply_overrides(config: ExperimentConfig, args, swept: str | None = None) -
     parameter on the algorithms the command runs that read it: the
     configured ones, or the ``swept`` one's configured entry, added if there
     is none; a flag that none of them reads is a ConfigError. So is a flag
-    that no run of the sweep reads: the swept key, which every run sets, and
-    SpiderBoost's smoothness, whose 1/smoothness step its swept eta replaces."""
+    that no run of the sweep reads, one of ``harness.sweep_overrides``."""
     if args.algo is not None:
         config.algorithms = [AlgorithmSpec(name=args.algo)]
     targets, unread = config.algorithms, ()
@@ -122,9 +122,7 @@ def _apply_overrides(config: ExperimentConfig, args, swept: str | None = None) -
         if entry is None:
             entry = AlgorithmSpec(name=swept)
             config.algorithms = [*config.algorithms, entry]
-        targets, unread = [entry], (getattr(ALGORITHMS.get(swept), "sweep", None),)
-        if swept == "spiderboost":
-            unread += ("smoothness",)
+        targets, unread = [entry], sweep_overrides(swept)
     if args.seed is not None:
         config.master_seed = args.seed
     if args.repeats is not None:

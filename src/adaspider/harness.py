@@ -23,11 +23,16 @@ from .data import SYNTHETIC_KINDS, generate_synthetic, load_libsvm, scale_featur
 # run_algorithm calls the *_run names through this module's namespace, so
 # that a wrapper installed on harness.<name>_run is the one that runs.
 from .optimizers import (  # noqa: F401
-    _METHODS,
     AdaSpiderConfig,
     EpochRow,
     RunTrace,
+    _adagrad_norm_method,
+    _adaspider_method,
     _Method,
+    _sgd_method,
+    _spider_method,
+    _spiderboost_method,
+    _svrg_method,
     adagrad_norm_run,
     adaspider_run,
     ceil_sqrt,
@@ -64,18 +69,19 @@ _PROBLEM_DEFAULTS = {
 
 @dataclass(frozen=True)
 class Algorithm:
-    """One registry row: the parameters of a method of ``optimizers._METHODS``,
-    which builds the method's estimator and step rule from them.
+    """One registry row: a method's builder and its parameters.
 
     ``params`` maps each key the algorithm reads to (type, default). Every
     value must be positive and finite; a default named in _PROBLEM_DEFAULTS
     comes from the problem, and None leaves the key unset.
 
+    - ``build(problem, **args(p, steps))``: the checked ``optimizers._Method``;
     - ``flags``: the keys that `run` and `sweep` also take as --<key>;
     - ``sweep``: the key a step-size sweep tunes;
     - ``args(p, steps)``: the keyword arguments of ``<name>_run``.
     """
 
+    build: Callable
     params: dict
     flags: tuple = ()
     sweep: str | None = None
@@ -90,12 +96,13 @@ def _spiderboost_args(p: dict, steps: int) -> dict:
     return dict(p, steps=steps)
 
 
-# The algorithm registry. Names, parameter checks, dispatch, step budgets,
-# oracle-call counts and the CLI's parameter flags all follow from it. The
-# comment on each row names its step rule.
+# The algorithm registry. Names, methods, parameter checks, dispatch, step
+# budgets, oracle-call counts and the CLI's parameter flags all follow from
+# it. The comment on each row names its step rule.
 ALGORITHMS = {
     # the AdaSpider step: parameter-free, so not sweepable
     "adaspider": Algorithm(
+        _adaspider_method,
         {"beta0": (float, 1.0), "g0": (float, 1.0), "period": (int, "n"),
          "inner_batch": (int, 1)},
         flags=("beta0", "g0"),
@@ -103,6 +110,7 @@ ALGORITHMS = {
     ),
     # the eps-tied step
     "spider": Algorithm(
+        _spider_method,
         {"eps": (float, 0.01), "smoothness": (float, "L"), "period": (int, "n"),
          "inner_batch": (int, 1)},
         flags=("eps", "smoothness"), sweep="eps",
@@ -110,6 +118,7 @@ ALGORITHMS = {
     ),
     # a constant step: 1/smoothness, or eta when set
     "spiderboost": Algorithm(
+        _spiderboost_method,
         {"eta": (float, None), "smoothness": (float, "L"),
          "period": (int, "ceil(sqrt(n))"), "batch_size": (int, "ceil(sqrt(n))")},
         flags=("eta", "smoothness"), sweep="eta",
@@ -117,13 +126,15 @@ ALGORITHMS = {
     ),
     # a constant step eta
     "svrg": Algorithm(
+        _svrg_method,
         {"eta": (float, 0.01), "epoch_length": (int, "n"), "inner_batch": (int, 1)},
         flags=("eta",), sweep="eta",
     ),
     # a constant step eta
-    "sgd": Algorithm({"eta": (float, 0.01)}, flags=("eta",), sweep="eta"),
+    "sgd": Algorithm(_sgd_method, {"eta": (float, 0.01)}, flags=("eta",), sweep="eta"),
     # the AdaGrad-Norm step
     "adagrad_norm": Algorithm(
+        _adagrad_norm_method,
         {"eta": (float, 0.01), "b0": (float, 1e-4)}, flags=("eta",), sweep="eta"
     ),
 }
@@ -160,6 +171,7 @@ class ProblemSpec:
     def __post_init__(self):
         for name in ("n", "d", "data_seed"):
             setattr(self, name, _as_int(getattr(self, name)))
+        _require("problem.layer_dims", self.layer_dims, (list, tuple), "a list")
         self.layer_dims = tuple(map(_as_int, self.layer_dims))
 
 
@@ -378,7 +390,7 @@ def check_settings(config: ExperimentConfig) -> None:
 def _method(spec: AlgorithmSpec, problem: FiniteSumProblem, steps: int) -> _Method:
     """The checked description of ``steps`` steps of ``spec``."""
     row, p = _resolve(spec, problem)
-    return _METHODS[spec.name](problem, **row.args(p, steps))
+    return row.build(problem, **row.args(p, steps))
 
 
 def _costs(spec: AlgorithmSpec, problem: FiniteSumProblem) -> tuple[int, int, int]:
@@ -498,15 +510,26 @@ def _execute(problem: FiniteSumProblem, plan: list) -> list:
     return records
 
 
+def sweep_overrides(algo_name: str) -> tuple:
+    """The keys no run of a sweep of ``algo_name`` reads from its entry: the
+    swept key, set on every run, then SpiderBoost's smoothness, whose
+    1/smoothness step the swept eta replaces. Empty if no sweep tunes it."""
+    swept = getattr(ALGORITHMS.get(algo_name), "sweep", None)
+    if swept is None:
+        return ()
+    return (swept, "smoothness") if algo_name == "spiderboost" else (swept,)
+
+
 def sweep_step_size(config: ExperimentConfig, algo_name: str, grid=None):
     """Run a scale sweep for one algorithm and pick the best grid value.
 
     The sweep is one experiment: ``config`` with its algorithms replaced by
     one ``algo_name`` entry per grid value, each keeping the parameters of
     the configured ``algo_name`` entry, if any. Every configured entry is
-    checked first, as a run of ``config`` checks it. The score of a grid
-    value is the mean final true gradient norm over repeats; any diverged
-    repeat ranks the value strictly after every fully converged one.
+    checked first, as a run of ``config`` checks it, and the swept entry
+    may set none of :func:`sweep_overrides`. The score of a grid value is
+    the mean final true gradient norm over repeats; any diverged repeat
+    ranks the value strictly after every fully converged one.
     Returns (best value, {value: records}).
     """
     param = _check_params(AlgorithmSpec(name=algo_name)).sweep
@@ -518,6 +541,12 @@ def sweep_step_size(config: ExperimentConfig, algo_name: str, grid=None):
     for spec in config.algorithms:
         _check_params(spec)
     base = next((a.params for a in config.algorithms if a.name == algo_name), {})
+    unread = [key for key in sweep_overrides(algo_name) if key in base]
+    if unread:
+        raise ConfigError(
+            f"{algo_name}: parameter {unread[0]!r} is not read by a sweep of {algo_name}, "
+            f"which sets {param} on every run"
+        )
     specs = [AlgorithmSpec(name=algo_name, params={**base, param: value}) for value in grid]
     records = run_experiment(replace(config, algorithms=specs))
     repeats = len(records) // len(grid)
@@ -611,8 +640,6 @@ def config_from_dict(doc: dict) -> ExperimentConfig:
     prob_doc = dict(_require("problem", doc.get("problem", {}), dict, "a JSON object"))
     if "lambda" in prob_doc:
         prob_doc["lam"] = prob_doc.pop("lambda")
-    if "layer_dims" in prob_doc:
-        _require("problem.layer_dims", prob_doc["layer_dims"], (list, tuple), "a list")
     unknown = set(prob_doc) - {f.name for f in fields(ProblemSpec)}
     if unknown:
         raise ConfigError(f"unknown problem fields: {sorted(unknown)}")

@@ -17,16 +17,15 @@ snapshot, SPIDER) with one of four step rules (constant, AdaGrad-Norm, the
 eps-tied SPIDER step, the AdaSpider step above). SVRG and SPIDER are one
 recursion, g = grad f_i(x) - grad f_i(anchor) + base, reset to anchor x and
 base the exact full gradient every ``period`` steps; SVRG's anchor then
-stays put, SPIDER's moves to each iterate with its estimate. Each method's
-``_METHODS`` entry checks a run's arguments and builds its
-:class:`_Method`, which both step loops read; the harness builds each
-planned run's method once with that table, and ``harness.ALGORITHMS``
-lists the parameters. Group size chooses the loop: a run alone steps in
-``_run_loop``, and runs of one method that share a step count, period and
-inner batch step together as one (R, d) iterate array in
-:func:`lockstep_run`, with what their caller reads bitwise equal to the
-runs made alone; each keeps its own rng stream, oracle counter and step
-size.
+stays put, SPIDER's moves to each iterate with its estimate. Both step
+loops take the correction from :func:`_corrections`, or
+:func:`_exact_corrections` for a SPIDER batch of n or more, and read the
+checked :class:`_Method` that a run's ``<name>_method`` builder (held by
+its ``harness.ALGORITHMS`` row) makes. A run alone steps in ``_run_loop``;
+runs of one method that share a step count, period and inner batch step
+together as one (R, d) iterate array in :func:`lockstep_run`, with what
+their caller reads bitwise equal to the runs made alone; each keeps its
+own rng stream, oracle counter and step size.
 """
 
 from __future__ import annotations
@@ -58,48 +57,17 @@ def _vector_norm(v: np.ndarray) -> float:
 
 
 def _diverged(x: np.ndarray) -> bool:
-    """True if any coordinate is non-finite or beyond DIVERGENCE_LIMIT.
-
-    One reduction: a NaN propagates through the maximum and fails the
-    comparison, and an infinity exceeds the limit.
-    """
-    return not (np.maximum.reduce(np.abs(x)) <= DIVERGENCE_LIMIT)
-
-
-def _sampled_correction(
-    problem: FiniteSumProblem,
-    x: np.ndarray,
-    anchor: np.ndarray,
-    batch_size: int,
-    rng: np.random.Generator,
-    counter: OracleCounter,
-) -> np.ndarray:
-    """Mean of grad f_i(x) - grad f_i(anchor) over ``batch_size`` components
-    drawn uniformly with replacement (one rng draw); charges 2 per sample.
-
-    A single sample is one scalar draw and one
-    ``component_gradient_difference``. For a larger batch the sum runs from
-    zero in sampling order, adding each grad f_i(x) and subtracting each
-    grad f_i(anchor).
-    ``np.add.accumulate`` along the interleaved rows (:func:`_mean_difference`)
-    keeps exactly that order for every d; a plain axis-0 sum does not once
-    d == 1, where numpy switches to pairwise summation.
-    """
-    if batch_size == 1:
-        i = int(rng.integers(problem.n)) + 1
-        diff = problem.component_gradient_difference(i, x, anchor)
-        counter.charge(2)
-        return diff
-    indices = rng.integers(problem.n, size=batch_size) + 1
-    counter.charge(2 * batch_size)
-    return _mean_difference(
-        problem.component_gradients(indices, x), problem.component_gradients(indices, anchor)
-    )
+    """True if any coordinate of x, a vector or a (R, d) block, is non-finite
+    or beyond DIVERGENCE_LIMIT, in one reduction: a NaN propagates through
+    the maximum and fails the comparison, and an infinity exceeds the limit."""
+    return not (np.maximum.reduce(np.abs(x), axis=None) <= DIVERGENCE_LIMIT)
 
 
 def _mean_difference(at_x: np.ndarray, at_anchor: np.ndarray) -> np.ndarray:
     """Mean over axis -2 of ``at_x - at_anchor``, summed from zero in
-    sampling order: add each grad f_i(x), subtract each grad f_i(anchor)."""
+    sampling order: add each grad f_i(x), subtract each grad f_i(anchor).
+    ``np.add.accumulate`` keeps that order for every d; an axis-0 sum turns
+    pairwise once d == 1."""
     *lead, batch, d = at_x.shape
     terms = np.zeros((*lead, 2 * batch + 1, d))
     terms[..., 1::2, :] = at_x
@@ -107,33 +75,55 @@ def _mean_difference(at_x: np.ndarray, at_anchor: np.ndarray) -> np.ndarray:
     return np.add.accumulate(terms, axis=-2)[..., -1, :] / batch
 
 
+def _corrections(problem: FiniteSumProblem, indices, x, anchor) -> np.ndarray:
+    """grad f_i(x) - grad f_i(anchor) at each row of the (R, d) ``x`` and
+    ``anchor``, averaged over that row of the 1-based (R, batch) ``indices``
+    (by :func:`_mean_difference` for a batch above 1), from one
+    ``component_gradients`` call at the stacked iterates and anchors."""
+    size, batch = indices.shape
+    where = np.concatenate([x, anchor])
+    if batch > 1:
+        where = np.repeat(where, batch, axis=0)
+    flat = indices.ravel()
+    both = problem.component_gradients(np.concatenate((flat, flat)), where)
+    at_x, at_anchor = both.reshape(2, size, batch, problem.d)
+    if batch == 1:
+        return at_x[:, 0] - at_anchor[:, 0]
+    return _mean_difference(at_x, at_anchor)
+
+
+def _exact_corrections(problem: FiniteSumProblem, x, anchor) -> np.ndarray:
+    """grad f(x) - grad f(anchor) at each row of the (R, d) ``x`` and
+    ``anchor``, from one ``mean_gradients`` call on both stacks."""
+    both = problem.mean_gradients(np.concatenate([x, anchor]))
+    return both[: len(x)] - both[len(x) :]
+
+
 def spider_estimator_update(
-    problem: FiniteSumProblem,
-    x: np.ndarray,
-    anchor: np.ndarray | None,
-    base: np.ndarray | None,
-    reset: bool,
-    exact: bool,
-    batch: int,
-    draws,
+    problem: FiniteSumProblem, x, anchor, base, reset: bool, exact: bool, batch: int, draws,
     counter: OracleCounter,
 ) -> np.ndarray:
     """One SVRG or SPIDER estimate of a run alone at x.
 
     At a reset it is the exact full gradient (charging n). Otherwise it is
-    grad f_i(x) - grad f_i(anchor) + base averaged over ``batch`` sampled
-    components (:func:`_sampled_correction`, charging 2 each), or with
-    ``exact`` the difference of two ``mean_gradient`` calls plus base
-    (charging 2n, drawing nothing). ``draws`` is a generator or a stand-in
-    with its ``integers``, such as a run's :class:`_Draws`.
+    base plus :func:`_corrections` over ``batch`` components drawn uniformly
+    with replacement (one rng draw; charging 2 each), or with ``exact``
+    plus :func:`_exact_corrections` (charging 2n, drawing nothing), each on
+    a one-row block; a single sample, faster, is one scalar draw and one
+    ``component_gradient_difference``. ``draws`` is a generator or a
+    stand-in with its ``integers``, such as a run's :class:`_Draws`.
     """
     if reset:
         return full_gradient(problem, x, counter)
     if exact:
-        diff = problem.mean_gradient(x) - problem.mean_gradient(anchor)
         counter.charge(2 * problem.n)
-        return diff + base
-    return _sampled_correction(problem, x, anchor, batch, draws, counter) + base
+        return _exact_corrections(problem, x[None], anchor[None])[0] + base
+    counter.charge(2 * batch)
+    if batch == 1:
+        i = int(draws.integers(problem.n)) + 1
+        return problem.component_gradient_difference(i, x, anchor) + base
+    indices = draws.integers(problem.n, size=batch) + 1
+    return _corrections(problem, indices[None], x[None], anchor[None])[0] + base
 
 
 def _check_positive(what: str, *values) -> None:
@@ -245,22 +235,36 @@ class _Method:
         if self.steps < 1:
             raise ValueError("step budget must be at least 1")
 
+    @property
+    def resets(self) -> bool:
+        """Whether the estimate resets to a full gradient every ``period`` steps."""
+        return self.estimator != "stochastic"
+
+    @property
+    def moving(self) -> bool:
+        """Whether the anchor moves to each iterate (SPIDER), not at resets only."""
+        return self.estimator == "spider"
+
+    def exact(self, n: int) -> bool:
+        """Whether an inner step on n components is the exact full-gradient
+        difference, drawing nothing: a SPIDER batch of n or more."""
+        return self.moving and self.batch >= n
+
     def costs(self, n: int) -> tuple[int, int, int]:
         """(period, calls per reset, calls per inner step) on n components:
-        a stochastic step is a one-call reset, and a SPIDER batch of n or
-        more takes the exact full-gradient difference, 2n calls."""
-        if self.estimator == "stochastic":
+        a stochastic step is a one-call reset, and an exact inner step
+        takes 2n calls."""
+        if not self.resets:
             return 1, 1, 0
-        batch = min(self.batch, n) if self.estimator == "spider" else self.batch
-        return self.period, n, 2 * batch
+        return self.period, n, 2 * (n if self.exact(n) else self.batch)
 
     def index_draws(self, n: int) -> int:
-        """The sample indices a whole run draws: ``batch`` per inner step,
-        and none for a SPIDER batch of n or more, which takes the exact
-        difference of full gradients."""
-        if self.estimator == "stochastic":
+        """The sample indices a whole run draws: one a step for a stochastic
+        method, ``batch`` per inner step otherwise, and none when the inner
+        steps are exact."""
+        if not self.resets:
             return self.steps
-        if self.estimator == "spider" and self.batch >= n:
+        if self.exact(n):
             return 0
         return (self.steps + (-self.steps // self.period)) * self.batch
 
@@ -422,25 +426,20 @@ def _run_loop(problem, algo: str, x0, rng, keep_path: bool, method: _Method) -> 
     :class:`_Draws`, settled when the run ends, so ``rng`` ends where the
     run's scalar draws leave it.
 
-    A "stochastic" estimate is one sampled component gradient (charging 1).
-    "svrg" and "spider" share one recursion, as in :func:`_lockstep_steps`:
-    every ``period`` steps the anchor becomes x and the base its full
-    gradient; in between, each estimate is :func:`spider_estimator_update`'s
-    grad f_i(x) - grad f_i(anchor) + base. SVRG's anchor stays put until
-    the next reset; SPIDER's anchor and base move to x and g after every
-    step. Without ``keep_path``, an epoch row and a copy of x are recorded
-    at the top of a step if the charged calls have completed another full
-    pass, and for a diverged x; rows are evaluated at the end. Step t
-    writes its step size, estimator norm, charged calls and, with a kept
-    path, iterate and estimate at index t of arrays sized for the budget.
+    A "stochastic" estimate is one sampled component gradient (charging 1);
+    "svrg" and "spider" take the module's recursion from
+    :func:`spider_estimator_update`. Without ``keep_path``, an epoch row and
+    a copy of x are recorded at the top of a step if the charged calls have
+    completed another full pass, and for a diverged x; rows are evaluated at
+    the end. Step t writes its step size, estimator norm, charged calls and,
+    with a kept path, iterate and estimate at index t of arrays sized for
+    the budget.
     """
     n = problem.n
     counter = OracleCounter()
     draws = _Draws(rng, n, method.index_draws(n), method.batch)
     period, batch, rule = method.period, method.batch, method.rule
-    resets = method.estimator != "stochastic"
-    moving = method.estimator == "spider"  # the anchor is the last iterate
-    exact = moving and batch >= n
+    resets, moving, exact = method.resets, method.moving, method.exact(n)
     if rule == "constant":
         (eta,) = method.coeffs
     elif rule == "eps":
@@ -618,18 +617,6 @@ def adagrad_norm_run(
     return _run_loop(problem, "adagrad_norm", x0, rng, keep_path, method)
 
 
-# Each method's checks and :class:`_Method` by name: the harness builds each
-# planned run's method once with this table, for a lockstep group to read.
-_METHODS = {
-    "adaspider": _adaspider_method,
-    "spider": _spider_method,
-    "spiderboost": _spiderboost_method,
-    "svrg": _svrg_method,
-    "sgd": _sgd_method,
-    "adagrad_norm": _adagrad_norm_method,
-}
-
-
 def _row_squares(rows: np.ndarray) -> np.ndarray:
     """``v.dot(v)`` for every row v of a (R, d) block: one stacked
     ``np.matmul``, which takes the same dot per row."""
@@ -646,7 +633,7 @@ def lockstep_run(
     """R runs of one method stepped together as one (R, d) iterate array.
 
     ``runs`` holds one (method, x0, rng) per member, where ``method`` is
-    its checked :class:`_Method`, as its ``_METHODS`` entry builds it; the
+    its checked :class:`_Method`, as its ``<name>_method`` builder makes it; the
     members share one step count, period and inner batch, and ``algo``
     names them in their traces. The arguments are checked at the call,
     and the members stepped at the first request. Returns an iterator over
@@ -665,11 +652,9 @@ def lockstep_run(
 
 def _lockstep_steps(problem, algo: str, runs: list, x0s: list, keep_path) -> Iterator:
     """The outcomes of :func:`lockstep_run`'s members, stepped on the first
-    request. SVRG and SPIDER share one inner step, grad f_i(x) - grad
-    f_i(anchor) + base: SVRG's anchor and base are its snapshot and the
-    snapshot's gradient, SPIDER's the previous iterate and estimate. A
-    SPIDER batch of n or more takes the exact difference of full gradients
-    instead and draws nothing. A member stops on its own when it diverges
+    request. SVRG and SPIDER take each inner step from :func:`_corrections`
+    (or :func:`_exact_corrections`) at every live row, as a run alone does
+    at one row. A member stops on its own when it diverges
     or its reset gradient is not finite; the others step on. A reset takes
     every member's gradient in one ``full_gradients`` call, which charges
     each member's own counter n and gives a non-finite row the error
@@ -685,9 +670,7 @@ def _lockstep_steps(problem, algo: str, runs: list, x0s: list, keep_path) -> Ite
     method = runs[0][0]
     steps, period, batch, rule = method.steps, method.period, method.batch, method.rule
     n, d, size = problem.n, problem.d, len(runs)
-    resets = method.estimator != "stochastic"
-    moving = method.estimator == "spider"  # the anchor is the last iterate
-    exact = moving and batch >= n
+    resets, moving, exact = method.resets, method.moving, method.exact(n)
     _, reset_cost, inner_cost = method.costs(n)
     cost = inner_cost if resets else reset_cost  # per sampled step; a stochastic one is a reset
 
@@ -759,29 +742,18 @@ def _lockstep_steps(problem, algo: str, runs: list, x0s: list, keep_path) -> Ite
                     break
             g = base
         else:
-            if exact:  # as spider_estimator_update: two full gradients
-                both = problem.mean_gradients(np.concatenate([x, anchor]))
-                g = (both[: len(live)] - both[len(live) :]) + base
+            if exact:
+                g = _exact_corrections(problem, x, anchor) + base
             else:
                 if pos == draws.shape[1]:
                     draws = np.stack([sources[r].refill() for r in live]) + 1
                     pos = 0
                 indices = draws[:, pos : pos + batch]
                 pos += batch
-                if not resets:
-                    g = problem.component_gradients(indices[:, 0], x)
+                if resets:
+                    g = _corrections(problem, indices, x, anchor) + base
                 else:
-                    # the samples at the iterates and at the anchors, in one call
-                    where = np.concatenate([x, anchor])
-                    if batch > 1:
-                        where = np.repeat(where, batch, axis=0)
-                    flat = indices.ravel()
-                    both = problem.component_gradients(np.concatenate((flat, flat)), where)
-                    at_x, at_anchor = both.reshape(2, len(live), batch, d)
-                    if batch == 1:  # as _sampled_correction: one difference
-                        g = (at_x[:, 0] - at_anchor[:, 0]) + base
-                    else:
-                        g = _mean_difference(at_x, at_anchor) + base
+                    g = problem.component_gradients(indices[:, 0], x)
             calls += cost
             sampled += cost
             if moving:
@@ -807,8 +779,8 @@ def _lockstep_steps(problem, algo: str, runs: list, x0s: list, keep_path) -> Ite
             est_norms[at, t] = np.sqrt(squares)
             oracle_calls[t] = calls
             estimates[at, t] = g
-        if not np.abs(x).max() <= DIVERGENCE_LIMIT:  # as in _diverged, per row
-            diverged = ~(np.abs(x).max(axis=1) <= DIVERGENCE_LIMIT)
+        if _diverged(x):
+            diverged = ~(np.abs(x).max(axis=1) <= DIVERGENCE_LIMIT)  # per row
             if not keep_path:
                 mark(np.flatnonzero(diverged))
             stop(diverged, t + 1, diverged_at=t)

@@ -513,6 +513,16 @@ class TestSweep:
         message = f"{flag} is not read by a sweep of {algo}, which sets {swept} on every run"
         assert (code, out, err) == (2, "", f"error: {message}\n")
 
+    def test_configured_key_the_sweep_sets_on_every_run_exits_2(self, tmp_path, capsys):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({"algorithms": [{"name": "sgd", "eta": 5}]}))
+        code, out, err = run_main(
+            capsys, "sweep", "--algo", "sgd", "--grid", "0.01,0.1", "--steps", "20",
+            "--repeats", "1", "--config", str(cfg_path),
+        )
+        message = "sgd: parameter 'eta' is not read by a sweep of sgd, which sets eta on every run"
+        assert (code, out, err) == (2, "", f"error: {message}\n")
+
     def test_empty_grid_exits_2(self, capsys):
         code, out, err = run_main(capsys, "sweep", "--algo", "sgd", "--grid", "")
         assert code == 2
@@ -772,9 +782,12 @@ def _with_values(doc: dict, replacements) -> tuple[dict, list]:
 
 def _names_a_replacement(message: str, applied) -> bool:
     """Whether ``message`` names the key of one applied replacement, as a
-    whole word; a replaced algorithm name may be named by its value."""
+    whole word; a replaced algorithm name may be named by its value, and a
+    replaced object by one of its keys."""
     return any(
-        re.search(rf"\b{key}\b", message) or (key == "name" and str(value) in message)
+        re.search(rf"\b{key}\b", message)
+        or (key == "name" and str(value) in message)
+        or (isinstance(value, dict) and any(re.search(rf"\b{k}\b", message) for k in value))
         for key, value in applied
     )
 
@@ -793,12 +806,9 @@ class TestGeneratedDocuments:
     @example("sweep", [(("problem", "synthetic"), "x")])
     @example("run", [(("algorithms",), [])])
     def test_exits_0_or_2_with_one_error_line(self, command, replacements):
-        base = {
-            "problem": {"n": 5, "d": 3},
-            "algorithms": [{"name": "sgd", "eta": 0.1}],
-            "steps": 3,
-            "repeats": 2,
-        }
+        # a sweep of sgd sets eta on every run, so its entry sets none
+        entry = {"name": "sgd", "eta": 0.1} if command == "run" else {"name": "sgd"}
+        base = {"problem": {"n": 5, "d": 3}, "algorithms": [entry], "steps": 3, "repeats": 2}
         doc, applied = _with_values(base, replacements)
         with tempfile.TemporaryDirectory() as folder, contextlib.chdir(folder):
             with open("cfg.json", "w", encoding="utf-8") as fh:
@@ -853,7 +863,9 @@ class TestGeneratedDocuments:
         elif flag == "--grid":
             return  # `run` has no --grid
         flags[flag] = value
-        doc = {"problem": {"n": 5, "d": 3}, "algorithms": [{"name": "sgd", "eta": 0.1}]}
+        # a sweep of sgd sets eta on every run, so its entry sets none
+        entry = {"name": "sgd", "eta": 0.1} if command == "run" else {"name": "sgd"}
+        doc = {"problem": {"n": 5, "d": 3}, "algorithms": [entry]}
         with tempfile.TemporaryDirectory() as folder, contextlib.chdir(folder):
             with open("cfg.json", "w", encoding="utf-8") as fh:
                 json.dump(doc, fh)

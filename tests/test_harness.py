@@ -303,6 +303,13 @@ class TestRunExperiment:
         with pytest.raises(ConfigError, match="layer_dims"):
             config_from_dict(doc)
 
+    @pytest.mark.parametrize("dims", [4, None, "4,2", {4: 2}])
+    def test_problem_spec_refuses_layer_dims_not_a_list(self, dims):
+        # in Python as in a document, with the document's text
+        with pytest.raises(ConfigError) as excinfo:
+            ProblemSpec(layer_dims=dims)
+        assert str(excinfo.value) == f"problem.layer_dims must be a list, got {dims!r}"
+
     def test_integral_float_fields_in_document_accepted(self):
         doc = {
             "problem": {"loss": "mlp", "n": 8, "layer_dims": [4, 3, 2], "data_seed": 1},
@@ -441,7 +448,7 @@ class TestSweep:
     def test_sweep_preserves_base_parameters(self):
         config = small_config(
             algorithms=[
-                AlgorithmSpec(name="svrg", params={"eta": 0.5, "epoch_length": 3})
+                AlgorithmSpec(name="svrg", params={"epoch_length": 3})
             ],
             steps=12,
         )
@@ -452,6 +459,21 @@ class TestSweep:
         problem = build_problem(config.problem)
         spec = AlgorithmSpec(name="svrg", params={"epoch_length": 3})
         assert record.rows[-1].oracle_calls <= closed_form_oracle_calls(spec, problem, 12)
+
+    @pytest.mark.parametrize("algo,params,key,swept", [
+        ("sgd", {"eta": 5}, "eta", "eta"),
+        ("spider", {"eps": 0.1, "smoothness": 2.0}, "eps", "eps"),
+        # the swept eta is the step that 1/smoothness would be
+        ("spiderboost", {"smoothness": 2.0}, "smoothness", "eta"),
+    ])
+    def test_sweep_refuses_a_configured_key_no_run_reads(self, algo, params, key, swept):
+        config = small_config(algorithms=[AlgorithmSpec(name=algo, params=params)], steps=3)
+        with pytest.raises(ConfigError) as excinfo:
+            sweep_step_size(config, algo, [0.1])
+        assert str(excinfo.value) == (
+            f"{algo}: parameter {key!r} is not read by a sweep of {algo}, "
+            f"which sets {swept} on every run"
+        )
 
     def test_spider_sweep_tunes_accuracy_scale(self):
         config = small_config(

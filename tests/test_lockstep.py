@@ -100,7 +100,7 @@ def members(problem, algo, runs) -> list:
     built from its ``<algo>_run`` call's arguments as that call builds it."""
     return [
         (
-            optimizers._METHODS[algo](
+            harness.ALGORITHMS[algo].build(
                 problem, **{key: v for key, v in kw.items() if key not in ("x0", "rng")}
             ),
             kw["x0"],

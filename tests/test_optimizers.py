@@ -180,6 +180,41 @@ class TestSpiderEstimator:
             ) + trace.estimates[t - 1]
             assert np.array_equal(trace.estimates[t], expected)
 
+    @staticmethod
+    def count_rows(monkeypatch, problem, name):
+        """The rows of each call of ``problem.<name>``, in order."""
+        rows, original = [], getattr(problem, name)
+
+        def counted(*args):
+            result = original(*args)
+            rows.append(len(result))
+            return result
+
+        monkeypatch.setattr(problem, name, counted)
+        return rows
+
+    def test_batched_inner_step_is_one_component_gradients_call(self, monkeypatch):
+        # the samples at x and at the anchor come from one batched call; the
+        # resets (steps 0, 4 and 8) take their gradients through mean_gradients
+        dataset = generate_synthetic("separable-logistic", n=16, d=3, seed=0)
+        problem = RegularizedERM(dataset, lam=0.1)
+        rows = self.count_rows(monkeypatch, problem, "component_gradients")
+        spiderboost_run(
+            problem, np.zeros(3), 1.0, 10, np.random.default_rng(0), period=4, batch_size=3
+        )
+        assert rows == [2 * 3] * 7
+
+    def test_exact_inner_step_is_one_mean_gradients_call(self, monkeypatch):
+        # a batch of n or more: both full gradients of an inner step in one
+        # two-row call, as a reset (steps 0, 4 and 8) takes its one row
+        problem = QuadraticProblem.random(5, 2, np.random.default_rng(3))
+        rows = self.count_rows(monkeypatch, problem, "mean_gradients")
+        spider_run(
+            problem, np.zeros(2), 0.1, 10.0, 10, np.random.default_rng(0),
+            period=4, inner_batch=5,
+        )
+        assert rows == [1, 2, 2, 2, 1, 2, 2, 2, 1, 2]
+
 
 class TestAdaSpiderRun:
     def test_zero_gradient_problem_fixed_point(self):

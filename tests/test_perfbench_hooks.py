@@ -27,7 +27,7 @@ tracer.install(pkg)
 harness = pkg.harness
 problem = harness.build_problem(harness.ProblemSpec(n=8, d=2))
 calls = {}
-for name in ("svrg", "adaspider"):
+for name in ("svrg", "adaspider", "spiderboost"):
     harness.run_algorithm(
         harness.AlgorithmSpec(name), problem, np.zeros(2), 10, np.random.default_rng(0)
     )
@@ -53,11 +53,16 @@ def test_every_hook_found_and_the_estimator_hooks_called():
     found = json.loads(proc.stdout)
     assert found["markers"] == [] and found["tracer"] == []
     # svrg on n = 8 for 10 steps: resets at steps 0 and 8, and every step
-    # through the estimator hook; adaspider adds the same again
+    # through the estimator hook; adaspider adds the same again; spiderboost,
+    # whose batch of ceil(sqrt(8)) = 3 takes one-row blocks, resets every 3
+    # steps (0, 3, 6, 9)
     assert found["calls"] == {
         "svrg": {"optimizers.run": 1, "optimizers.estimator_update": 10, "core.full_gradient": 2},
         "adaspider": {
             "optimizers.run": 2, "optimizers.estimator_update": 20, "core.full_gradient": 4
         },
+        "spiderboost": {
+            "optimizers.run": 3, "optimizers.estimator_update": 30, "core.full_gradient": 8
+        },
     }
-    assert found["charged"] == 2 * (2 * 8 + 8 * 2)
+    assert found["charged"] == 2 * (2 * 8 + 8 * 2) + (4 * 8 + 6 * 2 * 3)
