@@ -113,7 +113,8 @@ def _apply_overrides(config: ExperimentConfig, args, swept: str | None = None) -
     parameter on the algorithms the command runs that read it: the
     configured ones, or the ``swept`` one's configured entry, added if there
     is none; a flag that none of them reads is a ConfigError. So is a flag
-    that no run of the sweep reads, one of ``harness.sweep_overrides``."""
+    that no run of the sweep reads, one of ``harness.sweep_overrides``. An
+    unknown algorithm among them is refused by name before any flag."""
     if args.algo is not None:
         config.algorithms = [AlgorithmSpec(name=args.algo)]
     targets, unread = config.algorithms, ()
@@ -134,11 +135,14 @@ def _apply_overrides(config: ExperimentConfig, args, swept: str | None = None) -
         value = getattr(args, key)
         if value is None:
             continue
+        unknown = next((a.name for a in targets if a.name not in ALGORITHMS), None)
+        if unknown is not None:
+            raise ConfigError(f"unknown algorithm {unknown!r}")
         if key in unread:
             raise ConfigError(
                 f"--{key} is not read by a sweep of {swept}, which sets {unread[0]} on every run"
             )
-        readers = [a for a in targets if key in getattr(ALGORITHMS.get(a.name), "params", ())]
+        readers = [a for a in targets if key in ALGORITHMS[a.name].params]
         if not readers:
             names = ", ".join(a.name for a in targets)
             raise ConfigError(f"--{key} is not a parameter of {names or 'any algorithm'}")

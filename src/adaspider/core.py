@@ -36,6 +36,16 @@ def as_param_vector(values, d: int | None = None) -> np.ndarray:
     return x
 
 
+def _row_squares(rows: np.ndarray) -> np.ndarray:
+    """``v.dot(v)`` of every row v of a (R, d) block, bitwise, in one stacked matmul."""
+    return np.matmul(rows[:, None, :], rows[:, :, None])[:, 0, 0]
+
+
+def _row_norms(rows: np.ndarray) -> np.ndarray:
+    """``math.sqrt(v.dot(v))`` of every row v of a (R, d) block, bitwise."""
+    return np.sqrt(_row_squares(rows))
+
+
 class NonFiniteGradientError(ValueError):
     """A component gradient evaluated to a non-finite value mid-run.
 
@@ -194,6 +204,11 @@ class FiniteSumProblem:
         reassociation.
         """
         return self.mean_gradients(points)
+
+    def metric_gradient_norms(self, points) -> np.ndarray:
+        """The norms of :meth:`metric_gradients`, shape (T,); a family may
+        take them chunk by chunk, bitwise equal, holding no (T, d) array."""
+        return _row_norms(self.metric_gradients(points))
 
 
 def full_gradient(

@@ -492,15 +492,14 @@ def _plan(config: ExperimentConfig, problem: FiniteSumProblem) -> list:
 def _execute(problem: FiniteSumProblem, plan: list) -> list:
     """One record per planned run, in order.
 
-    Consecutive runs of one algorithm whose methods share a step count,
-    period and inner batch step together as one :func:`lockstep_run`
-    group. Every run still makes one :func:`run_algorithm` call, in plan
-    order, and a group steps nothing before its first one.
+    Consecutive runs of one algorithm whose methods share a
+    ``lockstep_key`` (step count, period and inner batch) step together as
+    one :func:`lockstep_run` group. Every run still makes one
+    :func:`run_algorithm` call, in plan order, and a group steps nothing
+    before its first one.
     """
     records = []
-    for _key, runs in itertools.groupby(
-        plan, key=lambda run: (run[0].name, run[3].steps, run[3].period, run[3].batch)
-    ):
+    for _key, runs in itertools.groupby(plan, key=lambda run: (run[0].name, run[3].lockstep_key)):
         runs = list(runs)
         members = [(method, x0, rng) for _, _, x0, method, rng in runs]
         group = lockstep_run(problem, runs[0][0].name, members) if len(runs) > 1 else None

@@ -24,8 +24,8 @@ checked :class:`_Method` that a run's ``<name>_method`` builder (held by
 its ``harness.ALGORITHMS`` row) makes. A run alone steps in ``_run_loop``;
 runs of one method that share a step count, period and inner batch step
 together as one (R, d) iterate array in :func:`lockstep_run`, with what
-their caller reads bitwise equal to the runs made alone; each keeps its
-own rng stream, oracle counter and step size.
+their caller reads bitwise equal to the runs made alone. Alone or in a
+group, a run keeps its own step size and :class:`_RunState`.
 """
 
 from __future__ import annotations
@@ -39,6 +39,7 @@ import numpy as np
 from .core import (
     FiniteSumProblem,
     OracleCounter,
+    _row_squares,
     as_param_vector,
     full_gradient,
     full_gradients,
@@ -111,7 +112,7 @@ def spider_estimator_update(
     plus :func:`_exact_corrections` (charging 2n, drawing nothing), each on
     a one-row block; a single sample, faster, is one scalar draw and one
     ``component_gradient_difference``. ``draws`` is a generator or a
-    stand-in with its ``integers``, such as a run's :class:`_Draws`.
+    stand-in with its ``integers``: a run's :class:`_RunState`.
     """
     if reset:
         return full_gradient(problem, x, counter)
@@ -258,15 +259,10 @@ class _Method:
             return 1, 1, 0
         return self.period, n, 2 * (n if self.exact(n) else self.batch)
 
-    def index_draws(self, n: int) -> int:
-        """The sample indices a whole run draws: one a step for a stochastic
-        method, ``batch`` per inner step otherwise, and none when the inner
-        steps are exact."""
-        if not self.resets:
-            return self.steps
-        if self.exact(n):
-            return 0
-        return (self.steps + (-self.steps // self.period)) * self.batch
+    @property
+    def lockstep_key(self) -> tuple[int, int, int]:
+        """(steps, period, batch), equal in the runs of a lockstep group."""
+        return self.steps, self.period, self.batch
 
 
 # Each method's checks of its arguments, in the order and with the errors
@@ -341,7 +337,7 @@ def _adagrad_norm_method(problem: FiniteSumProblem, eta, b0, steps) -> _Method:
     return _Method("stochastic", steps, 1, 1, "adaptive", (eta, 1.0, b0**2))
 
 
-# A run draws its sample indices this many at a time.
+# A run draws its sample indices about this many at a time (see _RunState).
 _DRAW_CHUNK = 1024
 
 
@@ -355,10 +351,10 @@ def _epoch_rows(problem: FiniteSumProblem, rows: list, points: list, diverged: b
     return rows
 
 
-def _trace(problem, algo: str, taken: int, records, rows, points, x, diverged_at) -> RunTrace:
+def _trace(problem, algo: str, taken: int, records, run: _RunState, x, diverged_at) -> RunTrace:
     """The RunTrace of a run that stopped at ``x`` after ``taken`` steps, from
     its step sizes, estimator norms, charged calls, iterates and estimates
-    (``records``, None for any not kept) and its epoch rows and points."""
+    (``records``, None for any not kept) and the epoch rows of ``run``."""
     step_sizes, est_norms, calls, iterates, estimates = (
         None if a is None else a[:taken] for a in records
     )
@@ -369,8 +365,8 @@ def _trace(problem, algo: str, taken: int, records, rows, points, x, diverged_at
         step_sizes=step_sizes,
         estimator_norms=est_norms,
         oracle_calls=calls,
-        epoch_rows=_epoch_rows(problem, rows, points, diverged),
-        epoch_points=points,
+        epoch_rows=_epoch_rows(problem, run.rows, run.points, diverged),
+        epoch_points=run.points,
         x_final=np.array(x, copy=True),
         diverged=diverged,
         diverged_at=diverged_at,
@@ -379,27 +375,28 @@ def _trace(problem, algo: str, taken: int, records, rows, points, x, diverged_at
     )
 
 
-class _Draws:
-    """A run's sample indices, drawn from ``rng`` in chunks of
-    ``rng.integers(n, size=k)``, which yields the values of k scalar draws
-    in order and leaves the generator where they would. Chunks are whole
-    batches and add up to at most the run's own ``total`` draws.
-    :meth:`integers` serves them as the generator's would, one value or one
-    batch at a time; :meth:`settle` leaves the generator where scalar draws
-    of the values served so far would."""
+class _RunState:
+    """What one run owns, alone or as a lockstep member: its oracle
+    ``counter``, its sample indices, its epoch ``rows`` and their
+    ``points``, and, in a group, its ``outcome``. Indices come from ``rng``
+    in chunks of ``batch * max(1, _DRAW_CHUNK // batch)`` values of
+    ``rng.integers(n, size=k)``, which are those of k scalar draws and leave
+    the generator where they would; :meth:`integers` serves them one value
+    or one batch at a time. A run calls :meth:`settle` when it stops."""
 
-    def __init__(self, rng: np.random.Generator, n: int, total: int, batch: int):
-        self.rng, self.n, self.left = rng, n, total
+    def __init__(self, rng: np.random.Generator, n: int, batch: int):
+        self.rng, self.n = rng, n
+        self.counter = OracleCounter()
         self.chunk = batch * max(1, _DRAW_CHUNK // batch)
         self.values = np.empty(0, dtype=np.int64)
-        self.state, self.size, self.pos = None, 0, 0
+        self.state, self.pos = None, 0
+        self.rows, self.points = [], []
+        self.outcome = None
 
     def refill(self) -> np.ndarray:
-        """Draw and return the next chunk of ``size`` values."""
-        self.size = min(self.chunk, self.left)
-        self.left -= self.size
+        """Draw and return the next chunk."""
         self.state = self.rng.bit_generator.state
-        return self.rng.integers(self.n, size=self.size)
+        return self.rng.integers(self.n, size=self.chunk)
 
     def integers(self, n: int, size: int | None = None):
         if self.pos == len(self.values):
@@ -412,32 +409,36 @@ class _Draws:
         return self.values[pos : pos + size]
 
     def settle(self, served: int) -> None:
-        """Rewind to before the current chunk and redraw its first ``served``
-        values."""
-        if served < self.size:
+        """Leave the generator where scalar draws of the values served would:
+        rewind to before the last chunk and redraw its first ``served``."""
+        if self.state is not None and served < self.chunk:
             self.rng.bit_generator.state = self.state
             self.rng.integers(self.n, size=served)
+
+    def mark(self, calls: int, gamma: float, x: np.ndarray) -> None:
+        """Record an epoch row after ``calls`` charged calls and the last step
+        size ``gamma``, to be evaluated at this copy of x by _epoch_rows."""
+        self.rows.append(EpochRow(calls // self.n, calls, math.inf, math.inf, gamma))
+        self.points.append(np.array(x, copy=True))
 
 
 def _run_loop(problem, algo: str, x0, rng, keep_path: bool, method: _Method) -> RunTrace:
     """The step loop of a run alone: g is ``method``'s estimate at x, gamma
     its step rule's size, x <- x - gamma * g, for ``method.steps`` steps or
-    until x diverges. Calls are charged to a new counter; indices come from
-    :class:`_Draws`, settled when the run ends, so ``rng`` ends where the
-    run's scalar draws leave it.
+    until x diverges, with one :class:`_RunState`, settled when it ends.
 
     A "stochastic" estimate is one sampled component gradient (charging 1);
     "svrg" and "spider" take the module's recursion from
     :func:`spider_estimator_update`. Without ``keep_path``, an epoch row and
     a copy of x are recorded at the top of a step if the charged calls have
-    completed another full pass, and for a diverged x; rows are evaluated at
-    the end. Step t writes its step size, estimator norm, charged calls and,
-    with a kept path, iterate and estimate at index t of arrays sized for
-    the budget.
+    completed another full pass, and for a diverged x. Step t writes its
+    step size, estimator norm, charged calls and, with a kept path, iterate
+    and estimate at index t of arrays sized for the budget: 24 bytes a step,
+    and 8·d more for each path kept.
     """
     n = problem.n
-    counter = OracleCounter()
-    draws = _Draws(rng, n, method.index_draws(n), method.batch)
+    run = _RunState(rng, n, method.batch)
+    counter = run.counter
     period, batch, rule = method.period, method.batch, method.rule
     resets, moving, exact = method.resets, method.moving, method.exact(n)
     if rule == "constant":
@@ -451,31 +452,23 @@ def _run_loop(problem, algo: str, x0, rng, keep_path: bool, method: _Method) -> 
     calls = np.empty(method.steps, dtype=np.int64)
     iterates = np.empty((method.steps, problem.d)) if keep_path else None
     estimates = np.empty((method.steps, problem.d)) if keep_path else None
-    rows, points = [], []
     gamma, accum, diverged_at = 0.0, 0.0, None
     anchor = base = None
     last_epoch = math.inf if keep_path else -1  # with a path, no epoch is ever due
-
-    def mark(x):
-        # the row's step size is the last one taken
-        done = counter.component_calls
-        rows.append(EpochRow(done // n, done, math.inf, math.inf, gamma))
-        points.append(np.array(x, copy=True))
-
     try:
         for t in range(method.steps):
             if counter.component_calls // n > last_epoch:
-                mark(x)
+                run.mark(counter.component_calls, gamma, x)
                 last_epoch = counter.component_calls // n
             if keep_path:
                 iterates[t] = x
             if not resets:
-                g = problem.component_gradient(int(draws.integers(n)) + 1, x)
+                g = problem.component_gradient(int(run.integers(n)) + 1, x)
                 counter.charge(1)
             else:
                 reset = t % period == 0
                 g = spider_estimator_update(
-                    problem, x, anchor, base, reset, exact, batch, draws, counter
+                    problem, x, anchor, base, reset, exact, batch, run, counter
                 )
                 if reset or moving:
                     anchor, base = x, g
@@ -497,13 +490,13 @@ def _run_loop(problem, algo: str, x0, rng, keep_path: bool, method: _Method) -> 
             if _diverged(x):
                 diverged_at = t
                 if not keep_path:
-                    mark(x)
+                    run.mark(counter.component_calls, gamma, x)
                 break
     finally:
-        draws.settle(draws.pos)
+        run.settle(run.pos)
     taken = method.steps if diverged_at is None else diverged_at + 1
     records = (step_sizes, est_norms, calls, iterates, estimates)
-    return _trace(problem, algo, taken, records, rows, points, x, diverged_at)
+    return _trace(problem, algo, taken, records, run, x, diverged_at)
 
 
 def adaspider_run(
@@ -617,12 +610,6 @@ def adagrad_norm_run(
     return _run_loop(problem, "adagrad_norm", x0, rng, keep_path, method)
 
 
-def _row_squares(rows: np.ndarray) -> np.ndarray:
-    """``v.dot(v)`` for every row v of a (R, d) block: one stacked
-    ``np.matmul``, which takes the same dot per row."""
-    return np.matmul(rows[:, None, :], rows[:, :, None])[:, 0, 0]
-
-
 def lockstep_run(
     problem: FiniteSumProblem,
     algo: str,
@@ -645,7 +632,7 @@ def lockstep_run(
     "iterates" (the rate check), all but ``iterates``; with True, none.
     """
     x0s = [as_param_vector(x0, problem.d) for _, x0, _ in runs]
-    if len({(m.steps, m.period, m.batch) for m, _, _ in runs}) > 1:
+    if len({m.lockstep_key for m, _, _ in runs}) > 1:
         raise ValueError("lockstep runs must share steps, period and inner batch")
     return _lockstep_steps(problem, algo, runs, x0s, keep_path)
 
@@ -659,11 +646,11 @@ def _lockstep_steps(problem, algo: str, runs: list, x0s: list, keep_path) -> Ite
     every member's gradient in one ``full_gradients`` call, which charges
     each member's own counter n and gives a non-finite row the error
     ``full_gradient`` would raise; the sampled steps' calls are charged
-    when the member stops. Every member keeps its own rng, counter and
-    step size; its indices come in chunks from a :class:`_Draws`, and when
-    it stops, these are settled and its trace built, as a run alone's are.
-    The step rule's constants are column arrays, cut with the other
-    per-row state when members stop.
+    when the member stops. Every member keeps its own step size and
+    :class:`_RunState`, which draws its chunks in step with the others'
+    and, when the member stops, is settled and builds its trace. The step
+    rule's constants are column arrays, cut with the other per-row state
+    when members stop.
     """
     if not runs:
         return
@@ -674,10 +661,7 @@ def _lockstep_steps(problem, algo: str, runs: list, x0s: list, keep_path) -> Ite
     _, reset_cost, inner_cost = method.costs(n)
     cost = inner_cost if resets else reset_cost  # per sampled step; a stochastic one is a reset
 
-    sources = [_Draws(rng, n, method.index_draws(n), batch) for _, _, rng in runs]
-    counters = [OracleCounter() for _ in runs]
-    outcomes: list = [None] * size
-    epoch_rows, points = [[] for _ in runs], [[] for _ in runs]
+    members = [_RunState(rng, n, batch) for _, _, rng in runs]
     step_sizes = est_norms = oracle_calls = iterates = estimates = None
     if keep_path:
         iterates = np.empty((size, steps, d))
@@ -698,24 +682,21 @@ def _lockstep_steps(problem, algo: str, runs: list, x0s: list, keep_path) -> Ite
     last_epoch = math.inf if keep_path else -1  # with a path, no epoch is ever due
 
     def mark(which):
-        for k, r in zip(which, live[which]):
-            epoch_rows[r].append(EpochRow(calls // n, calls, math.inf, math.inf, float(gamma[k])))
-            points[r].append(np.array(x[k], copy=True))
+        for k in which:
+            members[live[k]].mark(calls, float(gamma[k]), x[k])
 
     def stop(mask, taken, diverged_at=None):
         """End the masked rows' runs after ``taken`` steps; drop the rows."""
         nonlocal live, at, x, coeffs, accum, gamma, draws, anchor, base
         for k in np.flatnonzero(mask):
-            r = live[k]
-            counters[r].charge(sampled)
-            sources[r].settle(pos)
-            if outcomes[r] is None:
+            member = members[live[k]]
+            member.counter.charge(sampled)
+            member.settle(pos)
+            if member.outcome is None:
                 kept = (step_sizes, est_norms, iterates, estimates)
-                records = [None if a is None else a[r] for a in kept]
+                records = [None if a is None else a[live[k]] for a in kept]
                 records.insert(2, oracle_calls)  # shared by the members
-                outcomes[r] = _trace(
-                    problem, algo, taken, records, epoch_rows[r], points[r], x[k], diverged_at
-                )
+                member.outcome = _trace(problem, algo, taken, records, member, x[k], diverged_at)
         keep = ~mask
         live, x, accum, gamma, draws, anchor, base = (
             a[keep] for a in (live, x, accum, gamma, draws, anchor, base)
@@ -730,13 +711,13 @@ def _lockstep_steps(problem, algo: str, runs: list, x0s: list, keep_path) -> Ite
         if keep_path:
             iterates[at, t] = x
         if resets and t % period == 0:
-            g, faults = full_gradients(problem, x, [counters[r] for r in live])
+            g, faults = full_gradients(problem, x, [members[r].counter for r in live])
             calls += n
             anchor, base = x, g
             if faults:
                 faulted = np.zeros(len(live), dtype=bool)
                 for k, exc in faults.items():
-                    outcomes[live[k]], faulted[k] = exc, True
+                    members[live[k]].outcome, faulted[k] = exc, True
                 stop(faulted, t)
                 if not live.size:
                     break
@@ -746,7 +727,8 @@ def _lockstep_steps(problem, algo: str, runs: list, x0s: list, keep_path) -> Ite
                 g = _exact_corrections(problem, x, anchor) + base
             else:
                 if pos == draws.shape[1]:
-                    draws = np.stack([sources[r].refill() for r in live]) + 1
+                    draws = np.stack([members[r].refill() for r in live])
+                    draws += 1
                     pos = 0
                 indices = draws[:, pos : pos + batch]
                 pos += batch
@@ -787,7 +769,7 @@ def _lockstep_steps(problem, algo: str, runs: list, x0s: list, keep_path) -> Ite
             if not live.size:
                 break
     stop(np.ones(len(live), dtype=bool), steps)
-    yield from outcomes
+    yield from (member.outcome for member in members)
 
 
 def select_output(trace: RunTrace, rng: np.random.Generator):

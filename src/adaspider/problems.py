@@ -26,7 +26,7 @@ import math
 
 import numpy as np
 
-from .core import FiniteSumProblem
+from .core import FiniteSumProblem, _row_norms
 from .data import Dataset, map_binary_labels
 
 # Curvature bound of the scalar loss z -> loss(z, b): 1/4 for logistic,
@@ -175,15 +175,13 @@ class RegularizedERM(FiniteSumProblem):
             grads += self.lam * nonconvex_regularizer_grad(x)
         return grads
 
-    def _in_chunks(self, gradients, points, block: int, entries: int) -> np.ndarray:
-        """``gradients`` of the rows of ``points``, called on chunks of at
-        most ``block`` entries, ``entries`` a row, and at least one row."""
-        points = self._check_points(points)
-        grads = np.empty_like(points)
+    def _in_chunks(self, chunk, points, out: np.ndarray, block: int, entries: int) -> np.ndarray:
+        """``out`` filled with ``chunk`` of the rows of the checked ``points``,
+        in chunks of at most ``block`` entries, ``entries`` a row, or one row."""
         rows = max(1, block // entries)
         for start in range(0, len(points), rows):
-            grads[start : start + rows] = gradients(points[start : start + rows])
-        return grads
+            out[start : start + rows] = chunk(points[start : start + rows])
+        return out
 
     def mean_gradients(self, points) -> np.ndarray:
         """:meth:`mean_gradient` at every row of ``points``, bitwise: the
@@ -192,7 +190,9 @@ class RegularizedERM(FiniteSumProblem):
         point added by broadcast, then the mean over the components. Rows
         go in chunks of at most _MEAN_BLOCK (point, component, coordinate)
         entries, which bounds each chunk's (k, n, d) temporaries."""
-        return self._in_chunks(self._mean_chunk, points, _MEAN_BLOCK, self.n * self.d)
+        points = self._check_points(points)
+        grads = np.empty_like(points)
+        return self._in_chunks(self._mean_chunk, points, grads, _MEAN_BLOCK, self.n * self.d)
 
     def _mean_chunk(self, x: np.ndarray) -> np.ndarray:
         margins = np.matmul(self._features[:, None, :], x[:, None, :, None])[..., 0, 0]
@@ -213,7 +213,18 @@ class RegularizedERM(FiniteSumProblem):
         _METRIC_BLOCK (point, component) margins, all margins in one
         einsum, then all loss slopes, then one einsum back to features.
         A row's bits do not depend on its chunk."""
-        return self._in_chunks(self._metric_chunk, points, _METRIC_BLOCK, self.n)
+        points = self._check_points(points)
+        grads = np.empty_like(points)
+        return self._in_chunks(self._metric_chunk, points, grads, _METRIC_BLOCK, self.n)
+
+    def metric_gradient_norms(self, points) -> np.ndarray:
+        """The norms of :meth:`metric_gradients`, taken chunk by chunk."""
+        points = self._check_points(points)
+
+        def chunk_norms(chunk):
+            return _row_norms(self._metric_chunk(chunk))
+
+        return self._in_chunks(chunk_norms, points, np.empty(len(points)), _METRIC_BLOCK, self.n)
 
     def _metric_chunk(self, points: np.ndarray) -> np.ndarray:
         margins = np.einsum("ij,tj->ti", self._features, points)

@@ -12,8 +12,9 @@ an explicit threshold) whose only purpose is self-testing the harness:
 corrupting the inequality must make the checker fail loudly.
 
 The checks hand whole stored paths to the batched true-gradient calls
-(``mean_gradients``, ``metric_gradients``). The problem family bounds
-their temporaries itself: the ERM family evaluates them in chunks.
+(``mean_gradients``, ``metric_gradients``, ``metric_gradient_norms``).
+The problem family bounds their temporaries itself: the ERM family
+evaluates them in chunks.
 """
 
 from __future__ import annotations
@@ -25,11 +26,9 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .core import FiniteSumProblem
+from .core import FiniteSumProblem, _row_squares
 from .data import generate_synthetic
-from .optimizers import (
-    AdaSpiderConfig, RunTrace, _adaspider_method, _row_squares, adaspider_run, lockstep_run,
-)
+from .optimizers import AdaSpiderConfig, RunTrace, _adaspider_method, adaspider_run, lockstep_run
 from .problems import QuadraticProblem, RegularizedERM
 
 _SLACK = 1e-12  # how far below zero a margin may be and still pass
@@ -413,11 +412,6 @@ def check_weighted_variance(
     )
 
 
-def _row_norms(rows: np.ndarray) -> np.ndarray:
-    """``_vector_norm`` of every row of a (R, d) block, bitwise."""
-    return np.sqrt(_row_squares(rows))
-
-
 def check_rate_scaling(
     problem: FiniteSumProblem,
     t_grid,
@@ -456,17 +450,11 @@ def check_rate_scaling(
     config = AdaSpiderConfig(steps=t_grid[-1], beta0=beta0, g0=g0)
     slopes = []
     for trace in _seeded_runs(problem, x0, config, seeds, "iterates"):
-        norms = _row_norms(problem.metric_gradients(trace.iterates))
-        means = []
-        for t_budget in t_grid:
-            mean_norm = float(norms[:t_budget].mean())
-            if mean_norm <= 0.0:
-                raise ValueError(
-                    "degenerate instance: zero mean gradient norm, no fit possible"
-                )
-            means.append(mean_norm)
-        slope = float(np.polyfit(np.log(t_grid), np.log(means), 1)[0])
-        slopes.append(slope)
+        norms = problem.metric_gradient_norms(trace.iterates)
+        means = [float(norms[:t_budget].mean()) for t_budget in t_grid]
+        if any(mean <= 0.0 for mean in means):
+            raise ValueError("degenerate instance: zero mean gradient norm, no fit possible")
+        slopes.append(float(np.polyfit(np.log(t_grid), np.log(means), 1)[0]))
     median_slope = float(np.median(slopes))
     margin = slope_threshold - median_slope
     return _report(

@@ -19,6 +19,7 @@ from adaspider.core import (
     FiniteSumProblem,
     NonFiniteGradientError,
     OracleCounter,
+    _row_norms,
     full_gradient,
     full_gradients,
 )
@@ -268,6 +269,15 @@ class TestBatchedPointGradients:
         assert rows.shape == (count, problem.d)
         for row, x in zip(rows, points):
             assert same_bits(row, problem.metric_gradient(x))
+
+    @pytest.mark.parametrize("family", FAMILIES)
+    @pytest.mark.parametrize("count", [0, 1, 257, 600])
+    def test_metric_gradient_norms_bitwise(self, family, count):
+        # 64 components: the ERM families take 256 rows a chunk
+        problem, _ = make_problem(family, 64, 0, d=10)
+        points = np.random.default_rng(1).standard_normal((count, problem.d))
+        norms = problem.metric_gradient_norms(points)
+        assert same_bits(norms, _row_norms(problem.metric_gradients(points)))
 
     def test_one_dimensional_metric_gradients(self):
         for family in ("logistic", "squared", "quadratic"):

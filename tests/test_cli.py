@@ -286,6 +286,11 @@ class TestRun:
         assert (code, out, err) == (2, "", f"error: {message}\n")
         assert not out_path.exists()
 
+    @pytest.mark.parametrize("argv", [["run", "--steps", "5"], ["sweep"]])
+    def test_unknown_algorithm_is_named_before_its_flags(self, capsys, argv):
+        code, out, err = run_main(capsys, *argv, "--algo", "nope", "--eta", "1")
+        assert (code, out, err) == (2, "", "error: unknown algorithm 'nope'\n")
+
     def test_unknown_flag_is_an_error(self, capsys):
         code, _out, _err = run_main(capsys, "run", "--wat", "3")
         assert code == 2

@@ -572,9 +572,10 @@ class TestGeneratorLeftAsScalarDraws:
         assert_left_after_scalar_draws(runs[1], 10, scalar_draws(algo, 300, 10, batch))
 
     @pytest.mark.parametrize("grouped", [False, True])
-    def test_odd_chunk_rewinds_the_buffered_half_draw(self, grouped):
+    def test_odd_chunk_rewinds_the_buffered_half_draw(self, grouped, monkeypatch):
         # a chunk of 301 values leaves half of a 64-bit output buffered in
         # the generator; a run that stops inside it must not keep that half
+        monkeypatch.setattr(optimizers, "_DRAW_CHUNK", 301)
         problem = Ramp(10)
         x0s = [np.array([optimizers.DIVERGENCE_LIMIT - 5.0]), np.zeros(1)]
         runs = group_runs("sgd", [1.0, 1.0], x0s, 3, 301, 1, 1)
@@ -807,10 +808,13 @@ class TestRowsAfterSteps:
     def test_rate_check_evaluates_only_its_path_gradients(self):
         problem = verify.default_rate_problem()
         calls = DiagnosticCalls(problem)
+        norms, paths = problem.metric_gradient_norms, []
+        problem.metric_gradient_norms = lambda points: paths.append(len(points)) or norms(points)
         report = verify.check_rate_scaling(problem, (10, 20, 40), range(2))
         assert report.trials == 2
-        # one call per seed, for its 40-step path
-        assert calls.counts == {"value": 0, "metric_gradient": 0, "metric_gradients": 2}
+        # one call per seed, for the norms along its 40-step path
+        assert paths == [40, 40]
+        assert calls.counts == {"value": 0, "metric_gradient": 0, "metric_gradients": 0}
 
 
 def sha256(data: bytes) -> str:

@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from adaspider.cli import main
+from adaspider.core import _row_norms
 from adaspider.data import generate_synthetic
 from adaspider.optimizers import (
     DIVERGENCE_LIMIT,
@@ -23,7 +24,6 @@ from adaspider.optimizers import (
     adaspider_step_size,
 )
 from adaspider.problems import RegularizedERM
-from adaspider.verify import _row_norms
 
 LIMIT = DIVERGENCE_LIMIT
 ABOVE_LIMIT = float(np.nextafter(LIMIT, np.inf))

@@ -3,6 +3,7 @@
 import gc
 import json
 import math
+import tracemalloc
 import weakref
 
 import numpy as np
@@ -11,12 +12,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from adaspider import verify
+from adaspider.core import _row_norms
 from adaspider.data import generate_synthetic
 from adaspider.optimizers import AdaSpiderConfig, adaspider_run
 from adaspider.problems import QuadraticProblem, RegularizedERM
 from adaspider.verify import (
     LemmaReport,
-    _row_norms,
     check_cumulative_variance,
     check_log_lemma,
     check_rate_scaling,
@@ -343,6 +344,25 @@ class TestRateScaling:
         if case == "diverging":
             trace = adaspider_run(problem, start, config, np.random.default_rng(0))
             assert trace.diverged_at == 23
+
+    def test_holds_no_path_of_true_gradients(self):
+        # 64 components: the true gradients come in chunks of 256 rows,
+        # whose temporaries take about 1.1 MB at d=100. A (T, d) array of
+        # them beside the path would take as much as the path itself.
+        dataset = generate_synthetic("separable-logistic", n=64, d=100, seed=0)
+        problem = RegularizedERM(dataset, "logistic", 0.1)
+        steps = 4000
+        path_bytes = steps * problem.d * 8
+        gc.collect()
+        tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            live = tracemalloc.get_traced_memory()[0]
+            check_rate_scaling(problem, (10, 100, steps), seeds=(0,))
+            peak = tracemalloc.get_traced_memory()[1] - live
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.5 * path_bytes, peak
 
     @pytest.mark.parametrize(
         "check",
