@@ -179,7 +179,8 @@ def _cmd_sweep(args) -> int:
             grid = [float(v) for v in args.grid.split(",")] if args.grid else []
         except ValueError:
             raise ConfigError(f"--grid must list numbers, got {args.grid!r}") from None
-    out = None if args.out is None else _checked_out(config.format, args.out)
+    check_settings(config)  # out is a string, or None, before it is checked
+    out = None if config.out is None else _checked_out(config.format, config.out)
     best, results = sweep_step_size(config, algo_name, grid)
     summary = {
         "algo": algo_name,

@@ -25,7 +25,8 @@ its ``harness.ALGORITHMS`` row) makes. A run alone steps in ``_run_loop``;
 runs of one method that share a step count, period and inner batch step
 together as one (R, d) iterate array in :func:`lockstep_run`, with what
 their caller reads bitwise equal to the runs made alone. Alone or in a
-group, a run keeps its own step size and :class:`_RunState`.
+group, a run keeps its own step size and :class:`_RunState`, whose
+docstring states how both loops draw, charge and stop.
 """
 
 from __future__ import annotations
@@ -48,13 +49,6 @@ from .core import (
 # Iterates beyond this magnitude (or any non-finite coordinate) abort the
 # run; the trace records the step index instead of raising.
 DIVERGENCE_LIMIT = 1e12
-
-
-def _vector_norm(v: np.ndarray) -> float:
-    """Euclidean norm of a float64 vector; bitwise equal to
-    ``float(np.linalg.norm(v))``, which computes sqrt(v.dot(v)) for a real
-    1-d array, without its argument handling."""
-    return math.sqrt(v.dot(v))
 
 
 def _diverged(x: np.ndarray) -> bool:
@@ -101,29 +95,25 @@ def _exact_corrections(problem: FiniteSumProblem, x, anchor) -> np.ndarray:
 
 
 def spider_estimator_update(
-    problem: FiniteSumProblem, x, anchor, base, reset: bool, exact: bool, batch: int, draws,
+    problem: FiniteSumProblem, x, anchor, base, reset: bool, exact: bool, indices,
     counter: OracleCounter,
 ) -> np.ndarray:
     """One SVRG or SPIDER estimate of a run alone at x.
 
-    At a reset it is the exact full gradient (charging n). Otherwise it is
-    base plus :func:`_corrections` over ``batch`` components drawn uniformly
-    with replacement (one rng draw; charging 2 each), or with ``exact``
-    plus :func:`_exact_corrections` (charging 2n, drawing nothing), each on
-    a one-row block; a single sample, faster, is one scalar draw and one
-    ``component_gradient_difference``. ``draws`` is a generator or a
-    stand-in with its ``integers``: a run's :class:`_RunState`.
+    At a reset it is the exact full gradient, charged to ``counter``.
+    Otherwise it is base plus :func:`_corrections` over the 1-based
+    ``indices`` the loop drew, or with ``exact`` plus
+    :func:`_exact_corrections` (``indices`` None), each on a one-row block;
+    a single sample, faster, is one ``component_gradient_difference``. It
+    draws nothing, and the loop charges the inner step (see
+    :class:`_RunState`).
     """
     if reset:
         return full_gradient(problem, x, counter)
     if exact:
-        counter.charge(2 * problem.n)
         return _exact_corrections(problem, x[None], anchor[None])[0] + base
-    counter.charge(2 * batch)
-    if batch == 1:
-        i = int(draws.integers(problem.n)) + 1
-        return problem.component_gradient_difference(i, x, anchor) + base
-    indices = draws.integers(problem.n, size=batch) + 1
+    if len(indices) == 1:
+        return problem.component_gradient_difference(int(indices[0]), x, anchor) + base
     return _corrections(problem, indices[None], x[None], anchor[None])[0] + base
 
 
@@ -337,7 +327,7 @@ def _adagrad_norm_method(problem: FiniteSumProblem, eta, b0, steps) -> _Method:
     return _Method("stochastic", steps, 1, 1, "adaptive", (eta, 1.0, b0**2))
 
 
-# A run draws its sample indices about this many at a time (see _RunState).
+# A loop draws a run's sample indices at most about this many at a time (see _RunState).
 _DRAW_CHUNK = 1024
 
 
@@ -377,43 +367,40 @@ def _trace(problem, algo: str, taken: int, records, run: _RunState, x, diverged_
 
 class _RunState:
     """What one run owns, alone or as a lockstep member: its oracle
-    ``counter``, its sample indices, its epoch ``rows`` and their
-    ``points``, and, in a group, its ``outcome``. Indices come from ``rng``
-    in chunks of ``batch * max(1, _DRAW_CHUNK // batch)`` values of
-    ``rng.integers(n, size=k)``, which are those of k scalar draws and leave
-    the generator where they would; :meth:`integers` serves them one value
-    or one batch at a time. A run calls :meth:`settle` when it stops."""
+    ``counter``, its epoch ``rows`` and their ``points``, and, in a group,
+    its ``outcome``. Both step loops follow one protocol with it:
 
-    def __init__(self, rng: np.random.Generator, n: int, batch: int):
+    - the loop draws: :meth:`refill` gives it the run's next chunk of
+      1-based sample indices, ``batch * max(1, min(_DRAW_CHUNK // batch,
+      steps))`` values of ``rng.integers(1, n + 1, size=k)``, which are
+      those of k scalar draws; the loop serves them from a cursor;
+    - a reset charges the counter n as it happens, through
+      ``full_gradient`` or ``full_gradients``; the loop counts the sampled
+      calls itself (epoch rows and per-step records read that count) and
+      charges them once, when the run stops;
+    - a run stops when its steps are done, when x diverges, or when a reset
+      gradient is not finite; it is then charged and :meth:`settle`-d,
+      which leaves the generator where scalar draws would.
+    """
+
+    def __init__(self, rng: np.random.Generator, n: int, method: _Method):
         self.rng, self.n = rng, n
         self.counter = OracleCounter()
-        self.chunk = batch * max(1, _DRAW_CHUNK // batch)
-        self.values = np.empty(0, dtype=np.int64)
-        self.state, self.pos = None, 0
+        self.chunk = method.batch * max(1, min(_DRAW_CHUNK // method.batch, method.steps))
+        self.state = self.outcome = None
         self.rows, self.points = [], []
-        self.outcome = None
 
     def refill(self) -> np.ndarray:
-        """Draw and return the next chunk."""
+        """Draw and return the next chunk of 1-based indices."""
         self.state = self.rng.bit_generator.state
-        return self.rng.integers(self.n, size=self.chunk)
-
-    def integers(self, n: int, size: int | None = None):
-        if self.pos == len(self.values):
-            self.values, self.pos = self.refill(), 0
-        pos = self.pos
-        if size is None:
-            self.pos += 1
-            return self.values[pos]
-        self.pos += size
-        return self.values[pos : pos + size]
+        return self.rng.integers(1, self.n + 1, size=self.chunk)
 
     def settle(self, served: int) -> None:
         """Leave the generator where scalar draws of the values served would:
         rewind to before the last chunk and redraw its first ``served``."""
         if self.state is not None and served < self.chunk:
             self.rng.bit_generator.state = self.state
-            self.rng.integers(self.n, size=served)
+            self.rng.integers(1, self.n + 1, size=served)
 
     def mark(self, calls: int, gamma: float, x: np.ndarray) -> None:
         """Record an epoch row after ``calls`` charged calls and the last step
@@ -423,24 +410,24 @@ class _RunState:
 
 
 def _run_loop(problem, algo: str, x0, rng, keep_path: bool, method: _Method) -> RunTrace:
-    """The step loop of a run alone: g is ``method``'s estimate at x, gamma
-    its step rule's size, x <- x - gamma * g, for ``method.steps`` steps or
-    until x diverges, with one :class:`_RunState`, settled when it ends.
+    """The step loop of a run alone, under :class:`_RunState`'s protocol: g
+    is ``method``'s estimate at x, gamma its step rule's size, x <- x -
+    gamma * g, for ``method.steps`` steps or until x diverges.
 
-    A "stochastic" estimate is one sampled component gradient (charging 1);
-    "svrg" and "spider" take the module's recursion from
-    :func:`spider_estimator_update`. Without ``keep_path``, an epoch row and
-    a copy of x are recorded at the top of a step if the charged calls have
-    completed another full pass, and for a diverged x. Step t writes its
-    step size, estimator norm, charged calls and, with a kept path, iterate
-    and estimate at index t of arrays sized for the budget: 24 bytes a step,
-    and 8·d more for each path kept.
+    A "stochastic" estimate is one sampled component gradient; "svrg" and
+    "spider" take the module's recursion from
+    :func:`spider_estimator_update`. Step t writes its step size, estimator
+    norm, charged calls and, with a kept path, iterate and estimate at
+    index t of arrays sized for the budget: 24 bytes a step, and 8·d more
+    for each path kept.
     """
     n = problem.n
-    run = _RunState(rng, n, method.batch)
+    run = _RunState(rng, n, method)
     counter = run.counter
     period, batch, rule = method.period, method.batch, method.rule
     resets, moving, exact = method.resets, method.moving, method.exact(n)
+    _, reset_cost, inner_cost = method.costs(n)
+    cost = inner_cost if resets else reset_cost  # per sampled step; a stochastic one is a reset
     if rule == "constant":
         (eta,) = method.coeffs
     elif rule == "eps":
@@ -449,53 +436,67 @@ def _run_loop(problem, algo: str, x0, rng, keep_path: bool, method: _Method) -> 
         eta, scale, offset = method.coeffs
     x = as_param_vector(x0, problem.d)
     step_sizes, est_norms = np.empty(method.steps), np.empty(method.steps)
-    calls = np.empty(method.steps, dtype=np.int64)
+    oracle_calls = np.empty(method.steps, dtype=np.int64)
     iterates = np.empty((method.steps, problem.d)) if keep_path else None
     estimates = np.empty((method.steps, problem.d)) if keep_path else None
     gamma, accum, diverged_at = 0.0, 0.0, None
-    anchor = base = None
+    anchor = base = indices = None
+    draws = np.empty(0, dtype=np.int64)
+    calls = sampled = pos = 0
     last_epoch = math.inf if keep_path else -1  # with a path, no epoch is ever due
     try:
         for t in range(method.steps):
-            if counter.component_calls // n > last_epoch:
-                run.mark(counter.component_calls, gamma, x)
-                last_epoch = counter.component_calls // n
+            if calls // n > last_epoch:
+                run.mark(calls, gamma, x)
+                last_epoch = calls // n
             if keep_path:
                 iterates[t] = x
-            if not resets:
-                g = problem.component_gradient(int(run.integers(n)) + 1, x)
-                counter.charge(1)
+            if resets and t % period == 0:
+                g = spider_estimator_update(problem, x, anchor, base, True, exact, None, counter)
+                calls += n
+                anchor, base = x, g
             else:
-                reset = t % period == 0
-                g = spider_estimator_update(
-                    problem, x, anchor, base, reset, exact, batch, run, counter
-                )
-                if reset or moving:
+                if not exact:
+                    if pos == len(draws):
+                        draws, pos = run.refill(), 0
+                    indices = draws[pos : pos + batch]
+                    pos += batch
+                if resets:
+                    g = spider_estimator_update(
+                        problem, x, anchor, base, False, exact, indices, counter
+                    )
+                else:
+                    g = problem.component_gradient(int(indices[0]), x)
+                calls += cost
+                sampled += cost
+                if moving:
                     anchor, base = x, g
-            norm = _vector_norm(g)
+            square = float(g.dot(g))
+            norm = math.sqrt(square)
             if rule == "constant":
                 gamma = eta
             elif rule == "eps":
                 denom = lsn * norm  # eps / denom would be +inf at zero
                 gamma = cap if norm == 0.0 or denom == 0.0 else min(eps / denom, cap)
             else:
-                accum += float(g @ g)
+                accum += square
                 gamma = eta / (scale * math.sqrt(offset + accum))
             x = x - gamma * g
             step_sizes[t] = gamma
             est_norms[t] = norm
-            calls[t] = counter.component_calls
+            oracle_calls[t] = calls
             if keep_path:
                 estimates[t] = g
             if _diverged(x):
                 diverged_at = t
                 if not keep_path:
-                    run.mark(counter.component_calls, gamma, x)
+                    run.mark(calls, gamma, x)
                 break
     finally:
-        run.settle(run.pos)
+        counter.charge(sampled)
+        run.settle(pos)
     taken = method.steps if diverged_at is None else diverged_at + 1
-    records = (step_sizes, est_norms, calls, iterates, estimates)
+    records = (step_sizes, est_norms, oracle_calls, iterates, estimates)
     return _trace(problem, algo, taken, records, run, x, diverged_at)
 
 
@@ -639,18 +640,15 @@ def lockstep_run(
 
 def _lockstep_steps(problem, algo: str, runs: list, x0s: list, keep_path) -> Iterator:
     """The outcomes of :func:`lockstep_run`'s members, stepped on the first
-    request. SVRG and SPIDER take each inner step from :func:`_corrections`
-    (or :func:`_exact_corrections`) at every live row, as a run alone does
-    at one row. A member stops on its own when it diverges
-    or its reset gradient is not finite; the others step on. A reset takes
-    every member's gradient in one ``full_gradients`` call, which charges
-    each member's own counter n and gives a non-finite row the error
-    ``full_gradient`` would raise; the sampled steps' calls are charged
-    when the member stops. Every member keeps its own step size and
-    :class:`_RunState`, which draws its chunks in step with the others'
-    and, when the member stops, is settled and builds its trace. The step
-    rule's constants are column arrays, cut with the other per-row state
-    when members stop.
+    request, each with its own step size and :class:`_RunState`, under
+    that class's protocol. Unlike a run alone, the loop stacks the live
+    members' chunks, drawn together, and serves every row from one cursor;
+    a reset is one ``full_gradients`` call for all live rows, which gives a
+    non-finite row the error ``full_gradient`` would raise; and SVRG and
+    SPIDER take each inner step from :func:`_corrections` (or
+    :func:`_exact_corrections`) at every live row. A member stops on its
+    own, and the others step on; the step rule's constants are column
+    arrays, cut with the other per-row state when members stop.
     """
     if not runs:
         return
@@ -661,7 +659,7 @@ def _lockstep_steps(problem, algo: str, runs: list, x0s: list, keep_path) -> Ite
     _, reset_cost, inner_cost = method.costs(n)
     cost = inner_cost if resets else reset_cost  # per sampled step; a stochastic one is a reset
 
-    members = [_RunState(rng, n, batch) for _, _, rng in runs]
+    members = [_RunState(rng, n, m) for m, _, rng in runs]
     step_sizes = est_norms = oracle_calls = iterates = estimates = None
     if keep_path:
         iterates = np.empty((size, steps, d))
@@ -728,7 +726,6 @@ def _lockstep_steps(problem, algo: str, runs: list, x0s: list, keep_path) -> Ite
             else:
                 if pos == draws.shape[1]:
                     draws = np.stack([members[r].refill() for r in live])
-                    draws += 1
                     pos = 0
                 indices = draws[:, pos : pos + batch]
                 pos += batch

@@ -545,6 +545,27 @@ class TestSweep:
         assert err.startswith(f"error: out {str(out)!r} is ")
         assert stdout == ""  # no summary
 
+    def test_config_out_writes_what_the_flag_writes(self, tmp_path, capsys):
+        argv = ["sweep", "--algo", "sgd", "--grid", "0.01,0.1", "--steps", "20",
+                "--repeats", "2"]
+        by_flag, by_config = tmp_path / "flag.csv", tmp_path / "config.csv"
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({"out": str(by_config)}))
+        flagged = run_main(capsys, *argv, "--out", str(by_flag))
+        configured = run_main(capsys, *argv, "--config", str(cfg_path))
+        assert flagged[0] == configured[0] == 0
+        assert flagged[1] == configured[1]  # the same summary
+        assert by_config.read_bytes() == by_flag.read_bytes()
+
+    def test_non_string_config_out_exits_2_before_any_run(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(cli, "sweep_step_size", lambda *args: pytest.fail("a run started"))
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({"steps": 5, "out": 5}))
+        code, out, err = run_main(
+            capsys, "sweep", "--algo", "sgd", "--grid", "0.1", "--config", str(cfg_path)
+        )
+        assert (code, out, err) == (2, "", "error: out must be a string, got 5\n")
+
 
 class TestVerify:
     def test_sqrt_suite_passes(self, capsys):

@@ -154,11 +154,18 @@ def kept(trace: RunTrace, keep_path=False) -> RunTrace:
 
 
 class RecordingCounter(optimizers.OracleCounter):
+    """An OracleCounter that keeps each amount charged to it, in order."""
+
     made: list = []
 
     def __init__(self, *args, **kwargs):
         super().__init__(*args, **kwargs)
+        self.charges = []
         RecordingCounter.made.append(self)
+
+    def charge(self, amount: int) -> None:
+        self.charges.append(amount)
+        super().charge(amount)
 
 
 def counted(fn):
@@ -602,6 +609,46 @@ class TestGeneratorLeftAsScalarDraws:
         )
         assert trace.diverged_at == grouped.diverged_at == 3
         assert member.integers(1000) == alone.integers(1000)
+
+
+class TestOneChargingRule:
+    """Alone or in a group, a run charges each reset n as it happens and its
+    sampled calls once, when it stops, so its counter ends at the
+    closed-form calls of the steps it took: completed, diverged, or up to
+    and including a reset whose gradient is not finite."""
+
+    @staticmethod
+    def assert_charged(counter, problem, algo, kw, steps):
+        """``counter`` holds the resets of ``steps`` steps (period 10), each
+        n, then the rest of their closed-form calls."""
+        total = closed_form_oracle_calls(registry_spec(algo, kw), problem, steps)
+        resets = 0 if algo in ("sgd", "adagrad_norm") else -(-steps // 10)
+        assert counter.charges == [problem.n] * resets + [total - problem.n * resets]
+        assert counter.component_calls == total
+
+    @pytest.mark.parametrize("grouped", [False, True])
+    @pytest.mark.parametrize("algo,batch", METHOD_BATCHES)
+    def test_completed_and_diverged_runs(self, algo, batch, grouped):
+        problem = Ramp(10)
+        x0s = [np.array([optimizers.DIVERGENCE_LIMIT - 5.0]), np.zeros(1)]
+        runs = group_runs(algo, [1.0, 1.0], x0s, 3, 300, 10, batch)
+        outcomes, counters = counted(lambda: runs_or_group(problem, algo, runs, grouped))
+        assert outcomes[0].diverged and not outcomes[1].diverged
+        for trace, counter, kw in zip(outcomes, counters, runs):
+            self.assert_charged(counter, problem, algo, kw, trace.num_steps)
+
+    @pytest.mark.parametrize("grouped", [False, True])
+    @pytest.mark.parametrize(
+        "algo,batch", [(a, b) for a, b in METHOD_BATCHES if a not in ("sgd", "adagrad_norm")]
+    )
+    def test_non_finite_reset(self, algo, batch, grouped):
+        # the first member's fourth reset, at step 30, is not finite
+        problem = Ramp(10, fault_at=4)
+        runs = group_runs(algo, [1e-3, 1e-3], [np.ones(1), np.array([-1e6])], 4, 300, 10, batch)
+        outcomes, counters = counted(lambda: runs_or_group(problem, algo, runs, grouped))
+        assert isinstance(outcomes[0], NonFiniteGradientError)
+        for steps, counter, kw in zip((31, 300), counters, runs):
+            self.assert_charged(counter, problem, algo, kw, steps)
 
 
 class Cliff(Ramp):

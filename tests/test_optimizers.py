@@ -66,15 +66,15 @@ class TestStepSize:
 
 class TestSpiderEstimator:
     """The one SVRG/SPIDER estimate of a run alone,
-    ``spider_estimator_update(problem, x, anchor, base, reset, exact, batch,
-    draws, counter)``, and the runs that step through it."""
+    ``spider_estimator_update(problem, x, anchor, base, reset, exact,
+    indices, counter)``, and the runs that step through it. It charges only
+    a reset; the run charges its inner steps (``tests/test_lockstep.py``)."""
 
     def test_first_update_is_full_gradient(self):
         problem = two_component_quadratic()
         counter = OracleCounter()
         est = spider_estimator_update(
-            problem, np.array([1.0]), None, None, True, False, 1,
-            np.random.default_rng(0), counter,
+            problem, np.array([1.0]), None, None, True, False, None, counter
         )
         assert est == pytest.approx([3.0])
         assert counter.component_calls == 2
@@ -97,11 +97,12 @@ class TestSpiderEstimator:
         seen = {}
         for seed in range(20):
             counter = OracleCounter()
+            indices = np.random.default_rng(seed).integers(problem.n, size=1) + 1
             est = spider_estimator_update(
                 problem, np.array([0.5]), np.array([1.0]), np.array([3.0]),
-                False, False, 1, np.random.default_rng(seed), counter,
+                False, False, indices, counter,
             )
-            assert counter.component_calls == 2
+            assert counter.component_calls == 0
             seen[round(float(est[0]), 12)] = True
         assert set(seen) == {2.0, 1.0}
         mean_over_components = np.mean(
@@ -152,14 +153,13 @@ class TestSpiderEstimator:
         prev_estimate = problem.mean_gradient(x_prev)
         counter = OracleCounter()
         est = spider_estimator_update(
-            problem, x_new, x_prev, prev_estimate.copy(), False, True, 5,
-            np.random.default_rng(0), counter,
+            problem, x_new, x_prev, prev_estimate.copy(), False, True, None, counter
         )
         expected = (
             problem.mean_gradient(x_new) - problem.mean_gradient(x_prev) + prev_estimate
         )
         assert np.allclose(est, expected, atol=1e-15)
-        assert counter.component_calls == 10
+        assert counter.component_calls == 0
 
     def test_run_with_batch_of_n_takes_the_exact_difference(self):
         # a SPIDER run whose inner batch is n or more draws nothing and steps

@@ -12,18 +12,21 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+import adaspider.optimizers as optimizers
 from adaspider.cli import main
 from adaspider.core import _row_norms
 from adaspider.data import generate_synthetic
+from adaspider.harness import ALGORITHM_NAMES
 from adaspider.optimizers import (
     DIVERGENCE_LIMIT,
     AdaSpiderConfig,
     _diverged,
-    _vector_norm,
     adaspider_run,
     adaspider_step_size,
 )
 from adaspider.problems import RegularizedERM
+
+from test_lockstep import FAMILIES, group_runs, make_problem, start_point
 
 LIMIT = DIVERGENCE_LIMIT
 ABOVE_LIMIT = float(np.nextafter(LIMIT, np.inf))
@@ -43,19 +46,6 @@ def reference_diverged(x: np.ndarray) -> bool:
 
 # Magnitudes from subnormal to the overflow range, so v.dot(v) both
 # underflows and overflows.
-scaled_vectors = st.tuples(
-    arrays(
-        np.float64,
-        st.integers(min_value=1, max_value=40),
-        elements=st.floats(-1.0, 1.0, allow_nan=False),
-    ),
-    st.sampled_from([1e-320, 1e-200, 1e-160, 1e-5, 1.0, 1e5, 1e150, 1e160, 1e300]),
-).map(lambda pair: pair[0] * pair[1])
-any_vectors = arrays(
-    np.float64,
-    st.integers(min_value=1, max_value=40),
-    elements=st.floats(allow_nan=True, allow_infinity=True),
-)
 block_shapes = st.tuples(st.integers(min_value=1, max_value=9), st.integers(min_value=1, max_value=40))
 scaled_blocks = st.tuples(
     arrays(np.float64, block_shapes, elements=st.floats(-1.0, 1.0, allow_nan=False)),
@@ -66,45 +56,27 @@ any_blocks = arrays(
 )
 
 
-@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
-@pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
 class TestNorm:
-    @given(st.one_of(scaled_vectors, any_vectors))
-    @settings(max_examples=400, deadline=None)
-    def test_equals_linalg_norm_bitwise(self, v):
-        assert same_bits(_vector_norm(v), reference_norm(v))
+    @pytest.mark.parametrize("algo", ALGORITHM_NAMES)
+    @pytest.mark.parametrize("family", FAMILIES)
+    def test_run_alone_records_linalg_norms(self, family, algo):
+        problem = make_problem(family, 7, 3, 0)
+        x0 = start_point(family, problem, 0, 1.0)
+        [kw] = group_runs(algo, [0.1], [x0], 0, 30, 4, 2)
+        trace = getattr(optimizers, f"{algo}_run")(problem, **kw, keep_path=True)
+        assert trace.num_steps == 30
+        for norm, estimate in zip(trace.estimator_norms, trace.estimates):
+            assert same_bits(norm, reference_norm(estimate))
 
-    @pytest.mark.parametrize(
-        "values",
-        [
-            [0.0],
-            [-0.0],
-            [3.0],
-            [-2.5e-310],
-            [1e200],
-            [-1e200, 1.0],
-            [1e-200, 1e-200],
-            [np.inf],
-            [-np.inf, 1.0],
-            [np.nan],
-            [np.inf, np.nan],
-            [3.0, 4.0],
-        ],
-    )
-    def test_edge_vectors(self, values):
-        v = np.array(values, dtype=np.float64)
-        assert same_bits(_vector_norm(v), reference_norm(v))
-
-    def test_returns_python_float(self):
-        assert type(_vector_norm(np.array([3.0, 4.0]))) is float
-
+    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
+    @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
     @given(st.one_of(scaled_blocks, any_blocks))
     @settings(max_examples=300, deadline=None)
-    def test_row_norms_equal_vector_norm_per_row(self, block):
+    def test_row_norms_equal_linalg_norm_per_row(self, block):
         norms = _row_norms(block)
         assert norms.shape == (block.shape[0],)
         for row, norm in zip(block, norms):
-            assert same_bits(norm, _vector_norm(row))
+            assert same_bits(norm, reference_norm(row))
 
 
 @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from adaspider import verify
+from adaspider import cli, verify
 from adaspider.core import _row_norms
 from adaspider.data import generate_synthetic
 from adaspider.optimizers import AdaSpiderConfig, adaspider_run
@@ -282,6 +282,23 @@ class TestMonteCarloVariance:
             rhs_factor=-1.0,
         )
         assert not report.passed
+
+    def test_short_runs_draw_short_chunks(self):
+        # The suite's 200 seeded runs of 40 steps step as one group. Each
+        # draws one chunk of at most one value a step, not 1024, so the
+        # group's stacked draws stay small beside its kept paths.
+        np.random.default_rng(0)  # numpy.random is imported on first use
+        verify._variance_runs.clear()
+        gc.collect()
+        tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            live = tracemalloc.get_traced_memory()[0]
+            cli._verify_reports("variance", 0, 1.0)
+            peak = tracemalloc.get_traced_memory()[1] - live
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2_000_000, peak
 
 
 def separate_budget_means(problem, t_grid, seed, x0, beta0=1.0):
