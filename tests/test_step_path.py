@@ -56,6 +56,8 @@ any_blocks = arrays(
 )
 
 
+@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
+@pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
 class TestNorm:
     @pytest.mark.parametrize("algo", ALGORITHM_NAMES)
     @pytest.mark.parametrize("family", FAMILIES)
@@ -68,11 +70,9 @@ class TestNorm:
         for norm, estimate in zip(trace.estimator_norms, trace.estimates):
             assert same_bits(norm, reference_norm(estimate))
 
-    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
-    @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
     @given(st.one_of(scaled_blocks, any_blocks))
     @settings(max_examples=300, deadline=None)
-    def test_row_norms_equal_linalg_norm_per_row(self, block):
+    def test_row_norms_equal_vector_norm_per_row(self, block):
         norms = _row_norms(block)
         assert norms.shape == (block.shape[0],)
         for row, norm in zip(block, norms):
