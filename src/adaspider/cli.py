@@ -71,12 +71,10 @@ def _default_out(fmt: str, out: str | None) -> str:
 
 
 def _checked_out(fmt: str, out: str | None) -> str:
-    """The records' path, checked before any run starts: an empty path, a
-    directory, or a file in a directory that does not exist, is a
-    configuration error."""
+    """The records' path, checked before any run starts and after
+    ``check_settings`` refused an empty one: a directory, or a file in a
+    directory that does not exist, is a configuration error."""
     path = _default_out(fmt, out)
-    if not path:
-        raise ConfigError("out must name a file, got ''")
     if os.path.isdir(path):
         raise ConfigError(f"out {path!r} is a directory")
     folder = os.path.dirname(path)

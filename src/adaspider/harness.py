@@ -348,7 +348,8 @@ def check_settings(config: ExperimentConfig) -> None:
             f"problem.data_seed must be non-negative, got {config.problem.data_seed!r}"
         )
     for field_name, value in (("problem.path", config.problem.path), ("out", config.out)):
-        _require(field_name, value, (str, type(None)), "a string")
+        if _require(field_name, value, (str, type(None)), "a string") == "":
+            raise ConfigError(f"{field_name} must name a file, got ''")
     if not config.problem.path:
         # synthetic data reads n, and d unless the network's layer_dims set it
         for name in ("n",) if config.problem.loss == "mlp" else ("n", "d"):
@@ -651,6 +652,9 @@ def config_from_dict(doc: dict) -> ExperimentConfig:
             raise ConfigError("every algorithm entry needs a 'name'")
         _require("algorithm name", name, str, "a string")
         params = _require(f"{name}: params", entry.pop("params", {}), dict, "a JSON object")
+        twice = [key for key in params if key in entry]
+        if twice:
+            raise ConfigError(f"{name}: parameter {twice[0]!r} is set both in and beside 'params'")
         algorithms.append(AlgorithmSpec(name=name, params={**params, **entry}))
     return ExperimentConfig(
         problem=problem,

@@ -23,10 +23,10 @@ loops take the correction from :func:`_corrections`, or
 checked :class:`_Method` that a run's ``<name>_method`` builder (held by
 its ``harness.ALGORITHMS`` row) makes. A run alone steps in ``_run_loop``;
 runs of one method that share a step count, period and inner batch step
-together as one (R, d) iterate array in :func:`lockstep_run`, with what
-their caller reads bitwise equal to the runs made alone. Alone or in a
-group, a run keeps its own step size and :class:`_RunState`, whose
-docstring states how both loops draw, charge and stop.
+together as one (R, d) iterate array in :func:`lockstep_run`, each trace
+bitwise that of the run made alone. Alone or in a group, a run keeps its
+own step size and :class:`_RunState`, whose docstring states how both
+loops draw, charge and stop; :class:`RunTrace` states what a run keeps.
 """
 
 from __future__ import annotations
@@ -171,32 +171,34 @@ class EpochRow:
 
 @dataclass
 class RunTrace:
-    """Per-step log of one optimizer run plus per-epoch diagnostics.
+    """One optimizer run, alone or a lockstep member, under one record rule.
 
-    ``step_sizes``, ``estimator_norms`` and ``oracle_calls`` have one
-    entry for each of the ``num_steps`` executed steps, or are None (see
-    :func:`lockstep_run`). Epoch rows are recorded, with their iterate
-    snapshots in ``epoch_points``, at the top of a step whenever the
-    charged-call count has completed another full pass, so every snapshot
-    is one of x_0 .. x_{T-1}; :func:`_epoch_rows` evaluates them after the
-    steps. ``iterates``/``estimates`` hold the full path when it is kept
-    (``keep_path``), and a run that keeps it, alone or in a group, marks no
-    epoch. The per-step fields are views of arrays sized for the step
-    budget, which :func:`_trace` cuts to the steps taken.
+    Without ``keep_path`` (the harness) a run keeps nothing per step; with
+    "iterates" (the rate check) each step's iterate; with True each step's
+    size, estimator norm, iterate and estimate. A record not kept is None,
+    a kept one a view of an array sized for the step budget. Only without
+    ``keep_path`` are epoch rows recorded, with their iterate snapshots in
+    ``epoch_points``, at the top of a step whenever the charged-call count
+    has completed another full pass, so every snapshot is one of x_0 ..
+    x_{T-1}; :func:`_epoch_rows` evaluates them after the steps.
+    ``charged_calls`` is the run's charged total when it stopped.
     """
 
     algo: str
     num_steps: int
+    charged_calls: int
     step_sizes: np.ndarray | None
     estimator_norms: np.ndarray | None
-    oracle_calls: np.ndarray | None
     epoch_rows: list[EpochRow]
     epoch_points: list[np.ndarray]
     x_final: np.ndarray
-    diverged: bool = False
     diverged_at: int | None = None
     iterates: np.ndarray | None = None
     estimates: np.ndarray | None = None
+
+    @property
+    def diverged(self) -> bool:
+        return self.diverged_at is not None
 
 
 @dataclass(frozen=True)
@@ -341,24 +343,30 @@ def _epoch_rows(problem: FiniteSumProblem, rows: list, points: list, diverged: b
     return rows
 
 
-def _trace(problem, algo: str, taken: int, records, run: _RunState, x, diverged_at) -> RunTrace:
+def _records(keep_path, size: int, steps: int, d: int) -> tuple:
+    """(step sizes, estimator norms, iterates, estimates) of ``size`` runs of
+    ``steps`` steps, member axis first, as far as RunTrace's rule keeps them."""
+    if keep_path is True:
+        return (np.empty((size, steps)), np.empty((size, steps)),
+                np.empty((size, steps, d)), np.empty((size, steps, d)))
+    return None, None, np.empty((size, steps, d)) if keep_path else None, None
+
+
+def _trace(problem, algo: str, taken: int, records, row, run, x, diverged_at) -> RunTrace:
     """The RunTrace of a run that stopped at ``x`` after ``taken`` steps, from
-    its step sizes, estimator norms, charged calls, iterates and estimates
-    (``records``, None for any not kept) and the epoch rows of ``run``."""
-    step_sizes, est_norms, calls, iterates, estimates = (
-        None if a is None else a[:taken] for a in records
+    its ``row`` of :func:`_records` and the counter and epoch rows of ``run``."""
+    step_sizes, est_norms, iterates, estimates = (
+        None if a is None else a[row, :taken] for a in records
     )
-    diverged = diverged_at is not None
     return RunTrace(
         algo=algo,
         num_steps=taken,
+        charged_calls=run.counter.component_calls,
         step_sizes=step_sizes,
         estimator_norms=est_norms,
-        oracle_calls=calls,
-        epoch_rows=_epoch_rows(problem, run.rows, run.points, diverged),
+        epoch_rows=_epoch_rows(problem, run.rows, run.points, diverged_at is not None),
         epoch_points=run.points,
         x_final=np.array(x, copy=True),
-        diverged=diverged,
         diverged_at=diverged_at,
         iterates=iterates,
         estimates=estimates,
@@ -376,8 +384,8 @@ class _RunState:
       those of k scalar draws; the loop serves them from a cursor;
     - a reset charges the counter n as it happens, through
       ``full_gradient`` or ``full_gradients``; the loop counts the sampled
-      calls itself (epoch rows and per-step records read that count) and
-      charges them once, when the run stops;
+      calls itself (epoch rows read that count) and charges them once, when
+      the run stops, so the trace's ``charged_calls`` is the counter's total;
     - a run stops when its steps are done, when x diverges, or when a reset
       gradient is not finite; it is then charged and :meth:`settle`-d,
       which leaves the generator where scalar draws would.
@@ -409,17 +417,15 @@ class _RunState:
         self.points.append(np.array(x, copy=True))
 
 
-def _run_loop(problem, algo: str, x0, rng, keep_path: bool, method: _Method) -> RunTrace:
+def _run_loop(problem, algo: str, x0, rng, keep_path, method: _Method) -> RunTrace:
     """The step loop of a run alone, under :class:`_RunState`'s protocol: g
     is ``method``'s estimate at x, gamma its step rule's size, x <- x -
     gamma * g, for ``method.steps`` steps or until x diverges.
 
     A "stochastic" estimate is one sampled component gradient; "svrg" and
     "spider" take the module's recursion from
-    :func:`spider_estimator_update`. Step t writes its step size, estimator
-    norm, charged calls and, with a kept path, iterate and estimate at
-    index t of arrays sized for the budget: 24 bytes a step, and 8·d more
-    for each path kept.
+    :func:`spider_estimator_update`. It keeps what :class:`RunTrace`'s
+    record rule says for ``keep_path``, in row 0 of :func:`_records`.
     """
     n = problem.n
     run = _RunState(rng, n, method)
@@ -435,10 +441,8 @@ def _run_loop(problem, algo: str, x0, rng, keep_path: bool, method: _Method) -> 
     else:
         eta, scale, offset = method.coeffs
     x = as_param_vector(x0, problem.d)
-    step_sizes, est_norms = np.empty(method.steps), np.empty(method.steps)
-    oracle_calls = np.empty(method.steps, dtype=np.int64)
-    iterates = np.empty((method.steps, problem.d)) if keep_path else None
-    estimates = np.empty((method.steps, problem.d)) if keep_path else None
+    records = _records(keep_path, 1, method.steps, problem.d)
+    step_sizes, est_norms, iterates, estimates = records
     gamma, accum, diverged_at = 0.0, 0.0, None
     anchor = base = indices = None
     draws = np.empty(0, dtype=np.int64)
@@ -450,7 +454,7 @@ def _run_loop(problem, algo: str, x0, rng, keep_path: bool, method: _Method) -> 
                 run.mark(calls, gamma, x)
                 last_epoch = calls // n
             if keep_path:
-                iterates[t] = x
+                iterates[0, t] = x
             if resets and t % period == 0:
                 g = spider_estimator_update(problem, x, anchor, base, True, exact, None, counter)
                 calls += n
@@ -472,21 +476,20 @@ def _run_loop(problem, algo: str, x0, rng, keep_path: bool, method: _Method) -> 
                 if moving:
                     anchor, base = x, g
             square = float(g.dot(g))
-            norm = math.sqrt(square)
             if rule == "constant":
                 gamma = eta
             elif rule == "eps":
+                norm = math.sqrt(square)
                 denom = lsn * norm  # eps / denom would be +inf at zero
                 gamma = cap if norm == 0.0 or denom == 0.0 else min(eps / denom, cap)
             else:
                 accum += square
                 gamma = eta / (scale * math.sqrt(offset + accum))
             x = x - gamma * g
-            step_sizes[t] = gamma
-            est_norms[t] = norm
-            oracle_calls[t] = calls
-            if keep_path:
-                estimates[t] = g
+            if keep_path is True:
+                step_sizes[0, t] = gamma
+                est_norms[0, t] = math.sqrt(square)
+                estimates[0, t] = g
             if _diverged(x):
                 diverged_at = t
                 if not keep_path:
@@ -496,8 +499,7 @@ def _run_loop(problem, algo: str, x0, rng, keep_path: bool, method: _Method) -> 
         counter.charge(sampled)
         run.settle(pos)
     taken = method.steps if diverged_at is None else diverged_at + 1
-    records = (step_sizes, est_norms, oracle_calls, iterates, estimates)
-    return _trace(problem, algo, taken, records, run, x, diverged_at)
+    return _trace(problem, algo, taken, records, 0, run, x, diverged_at)
 
 
 def adaspider_run(
@@ -506,14 +508,15 @@ def adaspider_run(
     config: AdaSpiderConfig,
     rng: np.random.Generator,
     *,
-    keep_path: bool = False,
+    keep_path: bool | str = False,
 ) -> RunTrace:
     """Run the adaptive variance-reduced method for ``config.steps`` steps.
 
     Per step: estimator update, accumulator update with the new squared
     norm, step size from the accumulator, then x <- x - gamma * g. One
     rng draw per inner step and none at reset steps, so a scalar
-    re-implementation with the same rng reproduces the run exactly.
+    re-implementation with the same rng reproduces the run exactly
+    (``keep_path``: see :class:`RunTrace`).
     """
     method = _adaspider_method(problem, config)
     return _run_loop(problem, "adaspider", x0, rng, keep_path, method)
@@ -529,14 +532,14 @@ def spider_run(
     *,
     period: int | None = None,
     inner_batch: int = 1,
-    keep_path: bool = False,
+    keep_path: bool | str = False,
 ) -> RunTrace:
     """Accuracy-dependent variant: same estimator, step size
     min(eps / (L sqrt(n) ||g_t||), 1 / (2 sqrt(n) L)).
 
     A zero estimator norm, or a denominator that underflows to zero,
     selects the constant branch. ``inner_batch`` is an opaque mini-batch
-    knob, default 1.
+    knob, default 1. ``keep_path``: see :class:`RunTrace`.
     """
     method = _spider_method(problem, epsilon, smoothness, steps, period, inner_batch)
     return _run_loop(problem, "spider", x0, rng, keep_path, method)
@@ -556,10 +559,11 @@ def spiderboost_run(
     *,
     period: int | None = None,
     batch_size: int | None = None,
-    keep_path: bool = False,
+    keep_path: bool | str = False,
 ) -> RunTrace:
     """Constant-step variant: full gradient every ceil(sqrt(n)) steps,
     mini-batched corrections of size ceil(sqrt(n)) in between, step 1/L.
+    ``keep_path``: see :class:`RunTrace`.
     """
     method = _spiderboost_method(problem, smoothness, steps, period, batch_size)
     return _run_loop(problem, "spiderboost", x0, rng, keep_path, method)
@@ -574,10 +578,10 @@ def svrg_run(
     rng: np.random.Generator,
     *,
     inner_batch: int = 1,
-    keep_path: bool = False,
+    keep_path: bool | str = False,
 ) -> RunTrace:
     """Snapshot-corrected stochastic steps (epoch length n by default) with
-    constant step size ``eta``."""
+    constant step size ``eta``. ``keep_path``: see :class:`RunTrace`."""
     method = _svrg_method(problem, eta, epoch_length, steps, inner_batch)
     return _run_loop(problem, "svrg", x0, rng, keep_path, method)
 
@@ -589,9 +593,9 @@ def sgd_run(
     steps: int,
     rng: np.random.Generator,
     *,
-    keep_path: bool = False,
+    keep_path: bool | str = False,
 ) -> RunTrace:
-    """Plain stochastic gradient descent, one component per step."""
+    """Plain SGD, one component per step; ``keep_path``: see :class:`RunTrace`."""
     return _run_loop(problem, "sgd", x0, rng, keep_path, _sgd_method(problem, eta, steps))
 
 
@@ -603,10 +607,11 @@ def adagrad_norm_run(
     steps: int,
     rng: np.random.Generator,
     *,
-    keep_path: bool = False,
+    keep_path: bool | str = False,
 ) -> RunTrace:
     """Stochastic gradients scaled by the inverse root of their running
-    squared-norm sum; the accumulator includes the current norm."""
+    squared-norm sum; the accumulator includes the current norm.
+    ``keep_path``: see :class:`RunTrace`."""
     method = _adagrad_norm_method(problem, eta, b0, steps)
     return _run_loop(problem, "adagrad_norm", x0, rng, keep_path, method)
 
@@ -627,10 +632,7 @@ def lockstep_run(
     and the members stepped at the first request. Returns an iterator over
     each member's RunTrace, or the NonFiniteGradientError its
     ``<algo>_run`` call would raise, in order. A trace is bit for bit that
-    call's with ``bool(keep_path)``, but for the per-step records its
-    caller does not read, which are None: without ``keep_path`` (the
-    harness), the step sizes, estimator norms and charged calls; with
-    "iterates" (the rate check), all but ``iterates``; with True, none.
+    call's with the same ``keep_path``, under :class:`RunTrace`'s record rule.
     """
     x0s = [as_param_vector(x0, problem.d) for _, x0, _ in runs]
     if len({m.lockstep_key for m, _, _ in runs}) > 1:
@@ -660,12 +662,7 @@ def _lockstep_steps(problem, algo: str, runs: list, x0s: list, keep_path) -> Ite
     cost = inner_cost if resets else reset_cost  # per sampled step; a stochastic one is a reset
 
     members = [_RunState(rng, n, m) for m, _, rng in runs]
-    step_sizes = est_norms = oracle_calls = iterates = estimates = None
-    if keep_path:
-        iterates = np.empty((size, steps, d))
-    if keep_path is True:
-        step_sizes, est_norms = np.empty((size, steps)), np.empty((size, steps))
-        oracle_calls, estimates = np.empty(steps, dtype=np.int64), np.empty((size, steps, d))
+    step_sizes, est_norms, iterates, estimates = records = _records(keep_path, size, steps, d)
     # Per-row state, one row per member still stepping; ``live`` maps rows
     # to members, in member order, and ``at`` indexes their rows of the
     # records: a plain slice until a member stops.
@@ -691,10 +688,9 @@ def _lockstep_steps(problem, algo: str, runs: list, x0s: list, keep_path) -> Ite
             member.counter.charge(sampled)
             member.settle(pos)
             if member.outcome is None:
-                kept = (step_sizes, est_norms, iterates, estimates)
-                records = [None if a is None else a[live[k]] for a in kept]
-                records.insert(2, oracle_calls)  # shared by the members
-                member.outcome = _trace(problem, algo, taken, records, member, x[k], diverged_at)
+                member.outcome = _trace(
+                    problem, algo, taken, records, live[k], member, x[k], diverged_at
+                )
         keep = ~mask
         live, x, accum, gamma, draws, anchor, base = (
             a[keep] for a in (live, x, accum, gamma, draws, anchor, base)
@@ -756,7 +752,6 @@ def _lockstep_steps(problem, algo: str, runs: list, x0s: list, keep_path) -> Ite
         if keep_path is True:
             step_sizes[at, t] = gamma
             est_norms[at, t] = np.sqrt(squares)
-            oracle_calls[t] = calls
             estimates[at, t] = g
         if _diverged(x):
             diverged = ~(np.abs(x).max(axis=1) <= DIVERGENCE_LIMIT)  # per row

@@ -254,11 +254,11 @@ def check_trajectory_bound(
     (b) sum_t ||g_t||^2 is at most
         2 L^2 n^2 T / beta0^2 + 2 L^2 T^3 / beta0^2
         + 4 L T^2 ||grad f(x_0)|| / beta0 + 2 T ||grad f(x_0)||^2.
-    The trace must keep its path: ||grad f(x_0)|| is taken at its first iterate.
+    Needs ``keep_path=True``; ||grad f(x_0)|| is taken at the first iterate.
     """
     if problem.known_smoothness is None:
         raise ValueError("trajectory bound needs the instance smoothness constant")
-    if trace.iterates is None:
+    if trace.step_sizes is None:
         raise ValueError("trajectory bound needs a trace made with keep_path=True")
     smoothness = problem.known_smoothness
     t_total = trace.num_steps
@@ -304,8 +304,7 @@ def sweep_trajectory_bound(
 
 def _seeded_runs(problem: FiniteSumProblem, x0: np.ndarray, config, seeds, keep_path):
     """The traces of ``adaspider_run(problem, x0, config,
-    np.random.default_rng(seed), keep_path=True)`` for each seed, in order;
-    with ``keep_path`` "iterates", only their paths of iterates.
+    np.random.default_rng(seed), keep_path=keep_path)`` for each seed, in order.
 
     The config is checked and its method built once, as every run checks
     it; the runs step together in :func:`lockstep_run`, and a run's error
@@ -435,6 +434,10 @@ def check_rate_scaling(
     at step t stops there under every budget above t. The seeds' runs
     step together as one lockstep group.
     """
+    t_grid = list(t_grid)
+    for t in t_grid:
+        if not float(t).is_integer():
+            raise ValueError(f"budget grid value {t!r} is not an integer")
     t_grid = [int(t) for t in t_grid]
     if len(t_grid) < 3:
         raise ValueError("rate fit needs at least 3 budget grid points")

@@ -134,6 +134,7 @@ def test_criterion_04_step_contract():
             np.zeros(6),
             AdaSpiderConfig(steps=120, beta0=beta0),
             np.random.default_rng(seed),
+            keep_path=True,
         )
         monotone_ok &= bool(np.all(np.diff(trace.step_sizes) <= 0.0))
         lengths = trace.step_sizes * trace.estimator_norms
@@ -158,10 +159,10 @@ def test_criterion_05_oracle_accounting():
             np.random.default_rng(steps),
         )
         expected = closed_form_oracle_calls(AlgorithmSpec("adaspider"), problem, steps)
-        ok &= int(trace.oracle_calls[-1]) == expected
+        ok &= trace.charged_calls == expected
         if steps == n:
             ok &= expected == n + 2 * (n - 1)
-        details.append(f"n={n},T={steps}:{int(trace.oracle_calls[-1])}={expected}")
+        details.append(f"n={n},T={steps}:{trace.charged_calls}={expected}")
     report(5, "charged oracle calls match the closed form", ok, " ".join(details))
 
 
@@ -217,7 +218,7 @@ def test_criterion_09_parameter_freeness():
             AdaSpiderConfig(steps=steps),  # untouched defaults beta0 = G0 = 1
             np.random.default_rng([17, seed]),
         )
-        assert trace.oracle_calls[-1] <= budget
+        assert trace.charged_calls <= budget
         finals.append(float(np.linalg.norm(problem.metric_gradient(trace.x_final))))
     hits = sum(f <= 1e-3 for f in finals)
     ok = hits >= 4

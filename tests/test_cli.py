@@ -828,6 +828,9 @@ class TestGeneratedDocuments:
         ),
     )
     @example("run", [(("out",), "")])
+    @example("run", [(("problem", "path"), "")])
+    # the entry's eta set again in its params object
+    @example("run", [(("algorithms", 0, "params"), {"eta": 0.1})])
     @example("run", [(("problem", "synthetic"), "mlp"), (("problem", "loss"), "mlp")])
     @example("sweep", [(("problem", "synthetic"), "x")])
     @example("run", [(("algorithms",), [])])

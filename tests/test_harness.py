@@ -2,6 +2,7 @@
 
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -86,7 +87,7 @@ class TestRunExperiment:
         expected = closed_form_oracle_calls(AlgorithmSpec("adaspider"), problem, 30)
         for record in records:
             assert record.rows[-1].oracle_calls <= expected
-        # the per-step counter is exact; re-run directly for the final value
+        # the run's charged total is exact; re-run directly for it
         from adaspider.optimizers import AdaSpiderConfig, adaspider_run
 
         trace = adaspider_run(
@@ -95,7 +96,7 @@ class TestRunExperiment:
             AdaSpiderConfig(steps=30),
             np.random.default_rng(0),
         )
-        assert trace.oracle_calls[-1] == expected
+        assert trace.charged_calls == expected
 
     def test_invalid_config_fails_before_running(self):
         with pytest.raises(ConfigError):
@@ -360,6 +361,33 @@ class TestRunExperiment:
             assert record.rows[-1].oracle_calls <= budget
 
 
+    def test_run_alone_keeps_no_per_step_records(self, monkeypatch):
+        # One repeat is a run alone. Step sizes, norms and charged calls kept
+        # per step would take 24 * T bytes; epoch rows take a point each per
+        # n = 1000 charged calls.
+        import adaspider.harness as harness
+
+        steps = 20_000
+        problem = build_problem(ProblemSpec(n=1000, d=10))
+        monkeypatch.setattr(harness, "build_problem", lambda spec: problem)
+        config = ExperimentConfig(
+            problem=ProblemSpec(n=1000, d=10),
+            algorithms=[AlgorithmSpec("sgd")],
+            steps=steps,
+            repeats=1,
+        )
+        tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            live = tracemalloc.get_traced_memory()[0]
+            (record,) = run_experiment(config)
+            peak = tracemalloc.get_traced_memory()[1] - live
+        finally:
+            tracemalloc.stop()
+        assert len(record.rows) == 20
+        assert peak < 24 * steps / 2, peak
+
+
 class TestStepsForBudget:
     @pytest.mark.parametrize("budget", [12, 36, 50, 100, 137])
     def test_adaspider_budget_inversion(self, budget):
@@ -607,6 +635,30 @@ class TestConfigDocument:
         # check_settings runs before any problem is built or any run starts
         with pytest.raises(ConfigError, match=field):
             check_settings(config_from_dict(dict(doc, steps=5)))
+
+    def test_parameter_set_in_and_beside_params_refused(self):
+        doc = {"algorithms": [{"name": "sgd", "params": {"eta": 0.1}, "eta": 0.2}], "steps": 5}
+        with pytest.raises(ConfigError, match="sgd: parameter 'eta' is set both"):
+            config_from_dict(doc)
+        # each place alone is accepted
+        for entry in ({"name": "sgd", "params": {"eta": 0.1}}, {"name": "sgd", "eta": 0.2}):
+            config_from_dict({"algorithms": [entry], "steps": 5})
+
+    @pytest.mark.parametrize("field", ["problem.path", "out"])
+    def test_empty_path_refused_before_problem_is_built(self, monkeypatch, field):
+        import adaspider.harness as harness
+
+        def fail_build(spec):
+            raise AssertionError("problem built before the fields were checked")
+
+        monkeypatch.setattr(harness, "build_problem", fail_build)
+        doc = {"problem": {"n": 8, "d": 2}, "algorithms": [{"name": "sgd"}], "steps": 5}
+        if field == "out":
+            doc["out"] = ""
+        else:
+            doc["problem"]["path"] = ""
+        with pytest.raises(ConfigError, match=f"^{field} must name a file, got ''$"):
+            run_experiment(config_from_dict(doc))
 
     def test_algorithm_entry_needs_name(self):
         with pytest.raises(ConfigError, match="name"):

@@ -8,7 +8,7 @@ import math
 import runpy
 import sys
 import tracemalloc
-from dataclasses import fields, replace
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -143,16 +143,6 @@ def assert_same_trace(got: RunTrace, want: RunTrace) -> None:
         assert bits(getattr(got, f.name)) == bits(getattr(want, f.name)), f.name
 
 
-def kept(trace: RunTrace, keep_path=False) -> RunTrace:
-    """What a lockstep member keeps of its run alone's ``trace``, made with
-    ``bool(keep_path)``: with True, all of it; without a path, no step
-    records; with "iterates", no step records or estimates."""
-    if keep_path is True:
-        return trace
-    trace = replace(trace, step_sizes=None, estimator_norms=None, oracle_calls=None)
-    return replace(trace, estimates=None) if keep_path == "iterates" else trace
-
-
 class RecordingCounter(optimizers.OracleCounter):
     """An OracleCounter that keeps each amount charged to it, in order."""
 
@@ -196,12 +186,9 @@ def one_at_a_time(problem, algo, runs, keep_path=False) -> list:
 def check_group(problem, algo, runs, keep_path=False):
     """Lockstep outcomes equal the sequential ones, and every counter
     holds the closed-form count of its run's steps; returns the traces.
-    Every field of a group's trace is bitwise that of the run alone, made
-    with ``bool(keep_path)``, but for what the member does not keep
-    (:func:`kept`)."""
-    sequential, seq_counters = counted(
-        lambda: one_at_a_time(problem, algo, runs, bool(keep_path))
-    )
+    Every field of a group's trace is bitwise that of the run alone made
+    with the same ``keep_path``, its ``charged_calls`` included."""
+    sequential, seq_counters = counted(lambda: one_at_a_time(problem, algo, runs, keep_path))
     grouped, counters = counted(lambda: grouped_outcomes(problem, algo, runs, keep_path))
     assert len(grouped) == len(sequential) == len(counters) == len(seq_counters)
     for got, want, counter, seq_counter, kw in zip(
@@ -211,9 +198,11 @@ def check_group(problem, algo, runs, keep_path=False):
         if isinstance(want, Exception):
             assert type(got) is type(want) and str(got) == str(want)
             continue
-        assert_same_trace(got, kept(want, keep_path))
+        assert_same_trace(got, want)
         assert (got.iterates is not None) == bool(keep_path)
+        assert (got.step_sizes is not None) == (got.estimates is not None) == (keep_path is True)
         spec = registry_spec(algo, kw)
+        assert got.charged_calls == counter.component_calls
         assert counter.component_calls == closed_form_oracle_calls(spec, problem, got.num_steps)
     return grouped
 
@@ -691,7 +680,7 @@ def test_faulting_resets_as_alone(algo, batch):
         if isinstance(w, Exception):
             assert type(g) is type(w) and str(g) == str(w)
         else:
-            assert_same_trace(g, kept(w))
+            assert_same_trace(g, w)
     assert grouped.mean_calls == alone.mean_calls > 4
 
 

@@ -37,6 +37,12 @@ def zero_problem(n=4, d=3):
     return QuadraticProblem(np.zeros((n, d, d)), np.zeros((n, d)))
 
 
+def charged_after_each_step(run, steps: int) -> list:
+    """The charged calls of the first t steps, for t = 1 .. ``steps``: the
+    ``charged_calls`` of ``run(t)``, the same run with a budget of t steps."""
+    return [run(t).charged_calls for t in range(1, steps + 1)]
+
+
 class TestStepSize:
     def test_forced_arithmetic(self):
         assert adaspider_step_size(16, 1.0, 1.0, 0.0) == pytest.approx(0.25)
@@ -81,13 +87,16 @@ class TestSpiderEstimator:
 
     def test_period_one_always_exact(self):
         problem = two_component_quadratic()
-        trace = adaspider_run(
-            problem, np.array([1.0]), AdaSpiderConfig(steps=5, period=1),
-            np.random.default_rng(1), keep_path=True,
-        )
+        def run(steps):
+            return adaspider_run(
+                problem, np.array([1.0]), AdaSpiderConfig(steps=steps, period=1),
+                np.random.default_rng(1), keep_path=True,
+            )
+
+        trace = run(5)
         for x, est in zip(trace.iterates, trace.estimates):
             assert np.array_equal(est, problem.mean_gradient(x))
-        assert list(trace.oracle_calls) == [2, 4, 6, 8, 10]
+        assert charged_after_each_step(run, 5) == [2, 4, 6, 8, 10]
 
     def test_inner_update_enumeration(self):
         # anchor x=1 with estimate 3; at x=0.5 the two possible updates are
@@ -165,14 +174,18 @@ class TestSpiderEstimator:
         # a SPIDER run whose inner batch is n or more draws nothing and steps
         # by the difference of two exact full gradients
         problem = QuadraticProblem.random(5, 2, np.random.default_rng(3))
+
+        def run(steps, rng=None):
+            return spiderboost_run(
+                problem, np.array([1.0, -1.0]), 10.0, steps, rng or np.random.default_rng(0),
+                period=100, batch_size=5, keep_path=True,
+            )
+
         rng = np.random.default_rng(0)
         before = rng.bit_generator.state
-        trace = spiderboost_run(
-            problem, np.array([1.0, -1.0]), 10.0, 6, rng,
-            period=100, batch_size=5, keep_path=True,
-        )
+        trace = run(6, rng)
         assert rng.bit_generator.state == before
-        assert list(np.diff(trace.oracle_calls)) == [10] * 5
+        assert list(np.diff(charged_after_each_step(run, 6))) == [10] * 5
         for t in range(1, 6):
             x, anchor = trace.iterates[t], trace.iterates[t - 1]
             expected = (
@@ -221,7 +234,7 @@ class TestAdaSpiderRun:
         problem = zero_problem(n=16, d=3)
         x0 = np.array([1.0, -2.0, 0.5])
         trace = adaspider_run(
-            problem, x0, AdaSpiderConfig(steps=12), np.random.default_rng(0)
+            problem, x0, AdaSpiderConfig(steps=12), np.random.default_rng(0), keep_path=True
         )
         assert np.array_equal(trace.x_final, x0)
         expected_gamma = 1.0 / (math.sqrt(16) * 1.0 * 1.0)
@@ -232,7 +245,7 @@ class TestAdaSpiderRun:
         trace = adaspider_run(
             problem, np.zeros(2), AdaSpiderConfig(steps=8), np.random.default_rng(0)
         )
-        assert trace.oracle_calls[-1] == 8 + 2 * 7
+        assert trace.charged_calls == 8 + 2 * 7
         for steps in (1, 5, 8, 17, 24):
             trace = adaspider_run(
                 problem,
@@ -240,7 +253,7 @@ class TestAdaSpiderRun:
                 AdaSpiderConfig(steps=steps),
                 np.random.default_rng(0),
             )
-            assert trace.oracle_calls[-1] == closed_form_oracle_calls(
+            assert trace.charged_calls == closed_form_oracle_calls(
                 AlgorithmSpec("adaspider"), problem, steps
             )
 
@@ -290,6 +303,7 @@ class TestAdaSpiderRun:
                 np.zeros(5),
                 AdaSpiderConfig(steps=60, beta0=beta0),
                 np.random.default_rng(4),
+                keep_path=True,
             )
             assert np.all(np.diff(trace.step_sizes) <= 1e-15)
             lengths = trace.step_sizes * trace.estimator_norms
@@ -298,15 +312,16 @@ class TestAdaSpiderRun:
     def test_deterministic_given_seed(self):
         dataset = generate_synthetic("separable-logistic", n=6, d=3, seed=0)
         problem = RegularizedERM(dataset, lam=0.1)
-        a = adaspider_run(
-            problem, np.zeros(3), AdaSpiderConfig(steps=30), np.random.default_rng(9)
-        )
-        b = adaspider_run(
-            problem, np.zeros(3), AdaSpiderConfig(steps=30), np.random.default_rng(9)
+        a, b = (
+            adaspider_run(
+                problem, np.zeros(3), AdaSpiderConfig(steps=30), np.random.default_rng(9),
+                keep_path=True,
+            )
+            for _ in range(2)
         )
         assert np.array_equal(a.x_final, b.x_final)
         assert np.array_equal(a.step_sizes, b.step_sizes)
-        assert np.array_equal(a.oracle_calls, b.oracle_calls)
+        assert a.charged_calls == b.charged_calls
 
     def test_inner_batch_extension_charges_per_sample(self):
         problem = QuadraticProblem.random(9, 2, np.random.default_rng(2))
@@ -316,7 +331,7 @@ class TestAdaSpiderRun:
             AdaSpiderConfig(steps=9, inner_batch=3),
             np.random.default_rng(0),
         )
-        assert trace.oracle_calls[-1] == 9 + 6 * 8
+        assert trace.charged_calls == 9 + 6 * 8
 
     def test_nonfinite_iterate_recorded_not_raised(self):
         class PoisonedAwayFromStart(ScaledSquare):
@@ -365,6 +380,7 @@ class TestSpiderRun:
             smoothness=smoothness,
             steps=5,
             rng=np.random.default_rng(1),
+            keep_path=True,
         )
         for gamma, est_norm in zip(trace.step_sizes, trace.estimator_norms):
             want = (
@@ -386,6 +402,7 @@ class TestSpiderRun:
             smoothness=2.0,
             steps=3,
             rng=np.random.default_rng(0),
+            keep_path=True,
         )
         assert np.allclose(trace.step_sizes, 1.0 / (2.0 * math.sqrt(4) * 2.0))
 
@@ -400,6 +417,7 @@ class TestSpiderRun:
             smoothness=smoothness,
             steps=40,
             rng=np.random.default_rng(3),
+            keep_path=True,
         )
         lengths = trace.step_sizes * trace.estimator_norms
         assert np.all(lengths <= eps / (smoothness * math.sqrt(9)) + 1e-15)
@@ -461,15 +479,18 @@ class TestSpiderRun:
 class TestSpiderBoostRun:
     def test_schedule_and_charges_n16(self):
         problem = QuadraticProblem.random(16, 2, np.random.default_rng(2))
-        trace = spiderboost_run(
-            problem,
-            np.zeros(2),
-            smoothness=10.0,
-            steps=8,
-            rng=np.random.default_rng(0),
-        )
+
+        def run(steps):
+            return spiderboost_run(
+                problem,
+                np.zeros(2),
+                smoothness=10.0,
+                steps=steps,
+                rng=np.random.default_rng(0),
+            )
+
         # full pass every 4 steps, batch 4: charges n, 8, 8, 8, n, 8, 8, 8
-        per_step = np.diff(np.concatenate([[0], trace.oracle_calls]))
+        per_step = np.diff(np.concatenate([[0], charged_after_each_step(run, 8)]))
         assert per_step.tolist() == [16, 8, 8, 8, 16, 8, 8, 8]
 
     def test_constant_step_size(self):
@@ -480,6 +501,7 @@ class TestSpiderBoostRun:
             smoothness=200.0,
             steps=6,
             rng=np.random.default_rng(0),
+            keep_path=True,
         )
         assert np.allclose(trace.step_sizes, 0.005)
 
@@ -539,20 +561,24 @@ class TestSpiderBoostRun:
 class TestSvrgRun:
     def test_snapshot_step_uses_exact_full_gradient(self):
         problem = QuadraticProblem.random(5, 3, np.random.default_rng(6))
-        trace = svrg_run(
-            problem,
-            np.ones(3),
-            eta=0.01,
-            epoch_length=4,
-            steps=9,
-            rng=np.random.default_rng(0),
-            keep_path=True,
-        )
+
+        def run(steps):
+            return svrg_run(
+                problem,
+                np.ones(3),
+                eta=0.01,
+                epoch_length=4,
+                steps=steps,
+                rng=np.random.default_rng(0),
+                keep_path=True,
+            )
+
+        trace = run(9)
         for t in (0, 4, 8):
             assert np.array_equal(
                 trace.estimates[t], problem.mean_gradient(trace.iterates[t])
             )
-        per_step = np.diff(np.concatenate([[0], trace.oracle_calls]))
+        per_step = np.diff(np.concatenate([[0], charged_after_each_step(run, 9)]))
         assert per_step.tolist() == [5, 2, 2, 2, 5, 2, 2, 2, 5]
 
     def test_corrected_gradient_cancels_at_snapshot_point(self):
@@ -584,7 +610,7 @@ class TestSvrgRun:
         for _ in range(steps):
             x = x - eta * problem.mean_gradient(x)
         assert np.allclose(trace.x_final, x, atol=1e-12)
-        assert trace.oracle_calls[-1] == 3 * steps
+        assert trace.charged_calls == 3 * steps
 
     def test_matches_scalar_reference_simulation(self):
         problem = two_component_quadratic()
@@ -620,7 +646,7 @@ class TestSgdRun:
             problem, np.array([1.0]), eta=0.1, steps=3, rng=np.random.default_rng(0)
         )
         assert trace.x_final[0] == pytest.approx(0.9**3)
-        assert trace.oracle_calls[-1] == 3
+        assert trace.charged_calls == 3
 
     def test_zero_gradient_constant_iterates(self):
         problem = zero_problem()
@@ -663,6 +689,7 @@ class TestAdagradNormRun:
             b0=2.0,
             steps=1,
             rng=np.random.default_rng(0),
+            keep_path=True,
         )
         assert trace.step_sizes[0] == pytest.approx(0.25)  # eta / b0
         assert np.array_equal(trace.x_final, np.ones(3))
@@ -677,6 +704,7 @@ class TestAdagradNormRun:
             b0=1e-4,
             steps=50,
             rng=np.random.default_rng(2),
+            keep_path=True,
         )
         assert np.all(np.diff(trace.step_sizes) <= 1e-18)
 
@@ -774,20 +802,24 @@ class TestTraceShape:
     def test_trace_length_equals_steps_and_calls_non_decreasing(self):
         dataset = generate_synthetic("separable-logistic", n=7, d=3, seed=5)
         problem = RegularizedERM(dataset, lam=0.1)
-        for steps in (1, 7, 20):
-            trace = adaspider_run(
+        def run(steps):
+            return adaspider_run(
                 problem,
                 np.zeros(3),
                 AdaSpiderConfig(steps=steps),
                 np.random.default_rng(0),
             )
+
+        for steps in (1, 7, 20):
+            trace = run(steps)
             assert trace.num_steps == steps
-            assert np.all(np.diff(trace.oracle_calls) >= 0)
+            assert np.all(np.diff(charged_after_each_step(run, steps)) >= 0)
             epochs_calls = [r.oracle_calls for r in trace.epoch_rows]
             assert epochs_calls == sorted(epochs_calls)
 
-    # A run alone keeps 24 bytes a step for its step sizes, norms and charged
-    # calls, plus 8 d for each path it keeps; the rest is its epoch rows.
+    # A run alone keeps nothing per step without keep_path, and with True
+    # 16 bytes a step for its step sizes and norms plus 8 d for each path;
+    # the rest is its epoch rows.
     # At 20,000 steps a layout of 112 bytes a step (672 with both paths)
     # still reads past both bounds.
     @pytest.mark.parametrize("keep_path, bound", [(False, 48), (True, 128)])

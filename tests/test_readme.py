@@ -14,7 +14,7 @@ def test_python_examples_run_as_written(capsys):
     assert blocks, "README has no python example"
     for block in blocks:
         exec(compile(block, str(README), "exec"), {"__name__": "__main__"})
-    # the example prints the run's charged oracle calls and last gradient norm
+    # the example prints the run's charged_calls and last gradient norm
     calls, grad_norm = capsys.readouterr().out.split()
     assert int(calls) > 0
     assert math.isfinite(float(grad_norm))

@@ -79,8 +79,10 @@ class TestBudgetProperties:
             assert steps == 1 and charged > budget
         trace = run_algorithm(spec, problem, np.zeros(problem.d), steps, np.random.default_rng(0))
         assert trace.num_steps == steps
-        for k, calls in enumerate(trace.oracle_calls, start=1):
-            assert calls == closed_form_oracle_calls(spec, problem, k)
+        # the charged calls of the first k steps are those of a run of k steps
+        for k in range(1, steps + 1):
+            first = run_algorithm(spec, problem, np.zeros(problem.d), k, np.random.default_rng(0))
+            assert first.charged_calls == closed_form_oracle_calls(spec, problem, k)
 
     @pytest.mark.parametrize(
         "name,params,budget,steps",
@@ -191,7 +193,10 @@ class TestSmoothnessSource:
         assert problem.known_smoothness is None
         x0 = np.zeros(problem.d)
         spec = AlgorithmSpec("spiderboost", {"eta": 0.05})
-        trace = run_algorithm(spec, problem, x0, 6, np.random.default_rng(0))
+        row, p = harness._resolve(spec, problem)
+        trace = optimizers.spiderboost_run(
+            problem, x0, rng=np.random.default_rng(0), keep_path=True, **row.args(p, 6)
+        )
         assert np.all(trace.step_sizes == 1.0 / (1.0 / 0.05))
         assert steps_for_budget(spec, problem, 3 * problem.n) >= 1
 
@@ -321,12 +326,13 @@ class TestWrappedNames:
         ]
         assert all(isinstance(trace, RunTrace) for trace in results)
         assert charged_before == [0]
-        # a grouped run keeps no per-step calls; its charges are the closed
-        # form of the steps it took
+        # a run's charges are the closed form of the steps it took
         assert sum(c.component_calls for c in counters) == sum(
             closed_form_oracle_calls(spec, problem, t.num_steps)
             for (spec, problem), t in zip(made_by, results)
         )
+        for (spec, problem), t in zip(made_by, results):
+            assert t.charged_calls == closed_form_oracle_calls(spec, problem, t.num_steps)
         # one full gradient per SVRG snapshot (every n = 12 steps) of every
         # run, and one per SPIDER reset
         svrg_and_spider = [t for t in results if t.algo in ("svrg", "adaspider")]

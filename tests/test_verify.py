@@ -212,6 +212,17 @@ class TestTrajectoryBound:
         with pytest.raises(ValueError, match="keep_path"):
             check_trajectory_bound(trace, problem, 1.0)
 
+    def test_trace_without_step_records_refused(self):
+        # "iterates" keeps the path but no step sizes or estimator norms
+        problem = QuadraticProblem.random(4, 2, np.random.default_rng(0))
+        trace = adaspider_run(
+            problem, np.array([1.0, -1.0]), AdaSpiderConfig(steps=50), np.random.default_rng(1),
+            keep_path="iterates",
+        )
+        assert trace.iterates is not None and trace.step_sizes is None
+        with pytest.raises(ValueError, match="keep_path=True"):
+            check_trajectory_bound(trace, problem, 1.0)
+
     def test_missing_smoothness_rejected(self):
         problem, trace = self._run()
         problem.known_smoothness = None
@@ -418,6 +429,21 @@ class TestRateScaling:
             slope_threshold=-0.5,
         )
         assert report.passed
+
+    def test_non_integral_budget_refused_before_any_run(self, monkeypatch):
+        import adaspider.verify as verify
+
+        problem = default_rate_problem()
+        # an integral float runs as its integer
+        want = check_rate_scaling(problem, (10, 100, 1000), seeds=(0,))
+        assert check_rate_scaling(problem, (10.0, 100, 1e3), seeds=(0,)) == want
+
+        def fail_run(*args, **kwargs):
+            raise AssertionError("a run started before the grid was checked")
+
+        monkeypatch.setattr(verify, "lockstep_run", fail_run)
+        with pytest.raises(ValueError, match=r"budget grid value 10\.7 is not an integer"):
+            check_rate_scaling(problem, (10.7, 100, 1000), seeds=(0,))
 
     def test_requires_three_grid_points(self):
         problem = default_rate_problem()
