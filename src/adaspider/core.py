@@ -2,16 +2,9 @@
 
 Everything downstream (optimizers, verification, the experiment harness)
 consumes objectives through :class:`FiniteSumProblem`: n component
-functions, each exposing a value and a gradient at a point. The batched
-oracle :meth:`FiniteSumProblem.component_gradients` returns one gradient
-row per requested component in one numpy call, at one point or one per
-row; the SVRG/SPIDER corrections of both step loops and the non-finite
-scan go through it, and its rows are bitwise equal to the
-single-component calls, as is a run alone's single-sample
-``component_gradient_difference``. Charged oracle access goes through
-:func:`full_gradient`, its block form :func:`full_gradients` (one
-``mean_gradients`` call for the resets of a lockstep group, charging
-each member's own counter n), or explicit ``counter.charge`` calls;
+functions, each exposing a value and a gradient at a point. Charged oracle
+access goes through :func:`full_gradient`, :func:`full_gradients` or
+explicit ``counter.charge`` calls, as ``optimizers._RunState`` states;
 diagnostic evaluations (loss curves, true gradient norms) use the
 problem's own methods and are never charged.
 """

@@ -198,8 +198,9 @@ def parse_libsvm(text: str, d: int | None = None) -> Dataset:
     Lines beginning with ``#`` are skipped. The dimension is the maximum
     feature index seen, unless ``d`` overrides it upward. Numbers are read
     with Python's ``int`` and ``float``; errors name the first bad line.
-    Lines are read one at a time into growable typed buffers, which become
-    the dataset's arrays without a copy.
+    Only "\\n" ends a line; a carriage return is whitespace. Lines are read
+    one at a time into growable typed buffers, which become the dataset's
+    arrays without a copy.
     """
     from array import array  # a shared library, so only processes that parse load it
 
@@ -240,8 +241,8 @@ def parse_libsvm(text: str, d: int | None = None) -> Dataset:
 
 
 def load_libsvm(path: str, d: int | None = None) -> Dataset:
-    """Read LibSVM data from a file path, or standard input when path is '-'.
-    Only "\n" ends a line, as in ``parse_libsvm``."""
+    """Read the whole of a LibSVM file, or of standard input when path is
+    '-', then parse it; only "\\n" ends a line, as in ``parse_libsvm``."""
     if path == "-":
         return parse_libsvm(sys.stdin.read(), d=d)
     with open(path, "r", encoding="utf-8", newline="\n") as fh:

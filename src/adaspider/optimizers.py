@@ -12,21 +12,10 @@ parameter-free step size
 The accumulator includes the current ||g_t||^2, which is what bounds
 every step length by 1/beta0.
 
-Every method pairs one of three gradient estimators (stochastic, SVRG
-snapshot, SPIDER) with one of four step rules (constant, AdaGrad-Norm, the
-eps-tied SPIDER step, the AdaSpider step above). SVRG and SPIDER are one
-recursion, g = grad f_i(x) - grad f_i(anchor) + base, reset to anchor x and
-base the exact full gradient every ``period`` steps; SVRG's anchor then
-stays put, SPIDER's moves to each iterate with its estimate. Both step
-loops take the correction from :func:`_corrections`, or
-:func:`_exact_corrections` for a SPIDER batch of n or more, and read the
-checked :class:`_Method` that a run's ``<name>_method`` builder (held by
-its ``harness.ALGORITHMS`` row) makes. A run alone steps in ``_run_loop``;
-runs of one method that share a step count, period and inner batch step
-together as one (R, d) iterate array in :func:`lockstep_run`, each trace
-bitwise that of the run made alone. Alone or in a group, a run keeps its
-own step size and :class:`_RunState`, whose docstring states how both
-loops draw, charge and stop; :class:`RunTrace` states what a run keeps.
+Every method is one gradient estimator paired with one step rule, checked
+once into a :class:`_Method`. A run steps alone in ``_run_loop``, or with
+runs of its method in :func:`lockstep_run`; :class:`_RunState` states how
+both loops draw, charge and stop, and :class:`RunTrace` what a run keeps.
 """
 
 from __future__ import annotations
@@ -40,6 +29,7 @@ import numpy as np
 from .core import (
     FiniteSumProblem,
     OracleCounter,
+    _row_norms,
     _row_squares,
     as_param_vector,
     full_gradient,
@@ -175,8 +165,9 @@ class RunTrace:
 
     Without ``keep_path`` (the harness) a run keeps nothing per step; with
     "iterates" (the rate check) each step's iterate; with True each step's
-    size, estimator norm, iterate and estimate. A record not kept is None,
-    a kept one a view of an array sized for the step budget. Only without
+    size, iterate and estimate, whose norm is ``estimator_norms``; any
+    other value is refused. A record not kept is None, a kept one a view
+    of an array sized for the step budget. Only without
     ``keep_path`` are epoch rows recorded, with their iterate snapshots in
     ``epoch_points``, at the top of a step whenever the charged-call count
     has completed another full pass, so every snapshot is one of x_0 ..
@@ -188,7 +179,6 @@ class RunTrace:
     num_steps: int
     charged_calls: int
     step_sizes: np.ndarray | None
-    estimator_norms: np.ndarray | None
     epoch_rows: list[EpochRow]
     epoch_points: list[np.ndarray]
     x_final: np.ndarray
@@ -200,15 +190,21 @@ class RunTrace:
     def diverged(self) -> bool:
         return self.diverged_at is not None
 
+    @property
+    def estimator_norms(self) -> np.ndarray | None:
+        """||g_t|| of each kept estimate, bitwise ``math.sqrt(g.dot(g))``."""
+        return None if self.estimates is None else _row_norms(self.estimates)
+
 
 @dataclass(frozen=True)
 class _Method:
     """One run's arguments as both step loops read them, once checked.
 
-    ``estimator`` is "stochastic" (one sampled gradient a step), "svrg" or
-    "spider", with reset ``period`` and inner ``batch`` (both 1 for
-    "stochastic"). ``rule`` names the step rule and ``coeffs`` holds its
-    run constants:
+    ``estimator`` is "stochastic" (one sampled gradient a step), or "svrg"
+    or "spider": g = grad f_i(x) - grad f_i(anchor) + base, reset to anchor
+    x and base the full gradient every ``period`` steps, averaging ``batch``
+    corrections (both 1 for "stochastic"). ``rule`` names the step rule and
+    ``coeffs`` holds its run constants:
 
     - "constant", (eta,): gamma = eta;
     - "adaptive", (eta, scale, offset): gamma = eta / (scale * sqrt(offset
@@ -343,27 +339,34 @@ def _epoch_rows(problem: FiniteSumProblem, rows: list, points: list, diverged: b
     return rows
 
 
+def _check_keep_path(keep_path) -> None:
+    """Refuse a ``keep_path`` other than False, True and "iterates"."""
+    # identity, not equality, since 1 == True and 0 == False
+    if keep_path is not True and keep_path is not False and not (
+        isinstance(keep_path, str) and keep_path == "iterates"
+    ):
+        raise ValueError(f"keep_path must be False, True or 'iterates', got {keep_path!r}")
+
+
 def _records(keep_path, size: int, steps: int, d: int) -> tuple:
-    """(step sizes, estimator norms, iterates, estimates) of ``size`` runs of
-    ``steps`` steps, member axis first, as far as RunTrace's rule keeps them."""
+    """(step sizes, iterates, estimates) of ``size`` runs of ``steps`` steps,
+    member axis first, as far as RunTrace's rule keeps them. They are
+    allocated when the runs start, so a group's are held whole while any
+    member's trace, a view of its row, is."""
     if keep_path is True:
-        return (np.empty((size, steps)), np.empty((size, steps)),
-                np.empty((size, steps, d)), np.empty((size, steps, d)))
-    return None, None, np.empty((size, steps, d)) if keep_path else None, None
+        return np.empty((size, steps)), np.empty((size, steps, d)), np.empty((size, steps, d))
+    return None, np.empty((size, steps, d)) if keep_path else None, None
 
 
 def _trace(problem, algo: str, taken: int, records, row, run, x, diverged_at) -> RunTrace:
     """The RunTrace of a run that stopped at ``x`` after ``taken`` steps, from
     its ``row`` of :func:`_records` and the counter and epoch rows of ``run``."""
-    step_sizes, est_norms, iterates, estimates = (
-        None if a is None else a[row, :taken] for a in records
-    )
+    step_sizes, iterates, estimates = (None if a is None else a[row, :taken] for a in records)
     return RunTrace(
         algo=algo,
         num_steps=taken,
         charged_calls=run.counter.component_calls,
         step_sizes=step_sizes,
-        estimator_norms=est_norms,
         epoch_rows=_epoch_rows(problem, run.rows, run.points, diverged_at is not None),
         epoch_points=run.points,
         x_final=np.array(x, copy=True),
@@ -418,15 +421,10 @@ class _RunState:
 
 
 def _run_loop(problem, algo: str, x0, rng, keep_path, method: _Method) -> RunTrace:
-    """The step loop of a run alone, under :class:`_RunState`'s protocol: g
-    is ``method``'s estimate at x, gamma its step rule's size, x <- x -
-    gamma * g, for ``method.steps`` steps or until x diverges.
-
-    A "stochastic" estimate is one sampled component gradient; "svrg" and
-    "spider" take the module's recursion from
-    :func:`spider_estimator_update`. It keeps what :class:`RunTrace`'s
-    record rule says for ``keep_path``, in row 0 of :func:`_records`.
-    """
+    """The step loop of a run alone: g is ``method``'s estimate at x (one
+    sampled component gradient, or :func:`spider_estimator_update`), gamma
+    its step rule's size, x <- x - gamma * g. It draws, charges and stops
+    as :class:`_RunState` says and keeps what :class:`RunTrace` says."""
     n = problem.n
     run = _RunState(rng, n, method)
     counter = run.counter
@@ -441,8 +439,9 @@ def _run_loop(problem, algo: str, x0, rng, keep_path, method: _Method) -> RunTra
     else:
         eta, scale, offset = method.coeffs
     x = as_param_vector(x0, problem.d)
+    _check_keep_path(keep_path)
     records = _records(keep_path, 1, method.steps, problem.d)
-    step_sizes, est_norms, iterates, estimates = records
+    step_sizes, iterates, estimates = records
     gamma, accum, diverged_at = 0.0, 0.0, None
     anchor = base = indices = None
     draws = np.empty(0, dtype=np.int64)
@@ -488,7 +487,6 @@ def _run_loop(problem, algo: str, x0, rng, keep_path, method: _Method) -> RunTra
             x = x - gamma * g
             if keep_path is True:
                 step_sizes[0, t] = gamma
-                est_norms[0, t] = math.sqrt(square)
                 estimates[0, t] = g
             if _diverged(x):
                 diverged_at = t
@@ -513,10 +511,10 @@ def adaspider_run(
     """Run the adaptive variance-reduced method for ``config.steps`` steps.
 
     Per step: estimator update, accumulator update with the new squared
-    norm, step size from the accumulator, then x <- x - gamma * g. One
-    rng draw per inner step and none at reset steps, so a scalar
-    re-implementation with the same rng reproduces the run exactly
-    (``keep_path``: see :class:`RunTrace`).
+    norm, step size from the accumulator, then x <- x - gamma * g. It
+    draws as :class:`_RunState` says, so a scalar re-implementation with
+    the same rng reproduces the run exactly (``keep_path``: see
+    :class:`RunTrace`).
     """
     method = _adaspider_method(problem, config)
     return _run_loop(problem, "adaspider", x0, rng, keep_path, method)
@@ -625,32 +623,28 @@ def lockstep_run(
 ) -> Iterator:
     """R runs of one method stepped together as one (R, d) iterate array.
 
-    ``runs`` holds one (method, x0, rng) per member, where ``method`` is
-    its checked :class:`_Method`, as its ``<name>_method`` builder makes it; the
-    members share one step count, period and inner batch, and ``algo``
-    names them in their traces. The arguments are checked at the call,
-    and the members stepped at the first request. Returns an iterator over
+    ``runs`` holds one (method, x0, rng) per member, ``method`` its checked
+    :class:`_Method`; the members share its ``lockstep_key``, and ``algo``
+    names them in their traces. The arguments are checked at the call, and
+    the members stepped at the first request. Returns an iterator over
     each member's RunTrace, or the NonFiniteGradientError its
-    ``<algo>_run`` call would raise, in order. A trace is bit for bit that
-    call's with the same ``keep_path``, under :class:`RunTrace`'s record rule.
+    ``<algo>_run`` call would raise, in order; a trace is bit for bit that
+    call's with the same ``keep_path``.
     """
     x0s = [as_param_vector(x0, problem.d) for _, x0, _ in runs]
     if len({m.lockstep_key for m, _, _ in runs}) > 1:
         raise ValueError("lockstep runs must share steps, period and inner batch")
+    _check_keep_path(keep_path)
     return _lockstep_steps(problem, algo, runs, x0s, keep_path)
 
 
 def _lockstep_steps(problem, algo: str, runs: list, x0s: list, keep_path) -> Iterator:
-    """The outcomes of :func:`lockstep_run`'s members, stepped on the first
-    request, each with its own step size and :class:`_RunState`, under
-    that class's protocol. Unlike a run alone, the loop stacks the live
-    members' chunks, drawn together, and serves every row from one cursor;
-    a reset is one ``full_gradients`` call for all live rows, which gives a
-    non-finite row the error ``full_gradient`` would raise; and SVRG and
-    SPIDER take each inner step from :func:`_corrections` (or
-    :func:`_exact_corrections`) at every live row. A member stops on its
-    own, and the others step on; the step rule's constants are column
-    arrays, cut with the other per-row state when members stop.
+    """The outcomes of :func:`lockstep_run`'s members, each with its own
+    step size and :class:`_RunState`. Unlike a run alone, the loop serves
+    the live members' stacked chunks from one cursor, resets all live rows
+    in one ``full_gradients`` call, takes every SVRG and SPIDER inner step
+    from :func:`_corrections` (or :func:`_exact_corrections`), and cuts a
+    stopped member's row from the per-row state, step rule columns too.
     """
     if not runs:
         return
@@ -662,7 +656,7 @@ def _lockstep_steps(problem, algo: str, runs: list, x0s: list, keep_path) -> Ite
     cost = inner_cost if resets else reset_cost  # per sampled step; a stochastic one is a reset
 
     members = [_RunState(rng, n, m) for m, _, rng in runs]
-    step_sizes, est_norms, iterates, estimates = records = _records(keep_path, size, steps, d)
+    step_sizes, iterates, estimates = records = _records(keep_path, size, steps, d)
     # Per-row state, one row per member still stepping; ``live`` maps rows
     # to members, in member order, and ``at`` indexes their rows of the
     # records: a plain slice until a member stops.
@@ -751,7 +745,6 @@ def _lockstep_steps(problem, algo: str, runs: list, x0s: list, keep_path) -> Ite
         x = x - gamma[:, None] * g
         if keep_path is True:
             step_sizes[at, t] = gamma
-            est_norms[at, t] = np.sqrt(squares)
             estimates[at, t] = g
         if _diverged(x):
             diverged = ~(np.abs(x).max(axis=1) <= DIVERGENCE_LIMIT)  # per row

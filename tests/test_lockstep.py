@@ -352,6 +352,22 @@ def test_group_refuses_a_bad_argument_as_its_run_function(algo, key, value, mess
     assert str(grouped.value) == str(alone.value) == message
 
 
+# keep_path is False, True or "iterates": a typo, or a value merely equal
+# or truthy, is refused at the run function's call and at lockstep_run's,
+# before any step.
+@pytest.mark.parametrize("keep_path", ["iterate", 1, 0.5, 0, None, np.True_])
+@pytest.mark.parametrize("algo", ["sgd", "adaspider"])
+def test_keep_path_other_than_its_three_values_is_refused(algo, keep_path):
+    problem = make_problem("quadratic", 4, 2, 0)
+    runs = group_runs(algo, [0.1, 0.2], [np.zeros(2)] * 2, 0, 10, 2, 1)
+    message = f"keep_path must be False, True or 'iterates', got {keep_path!r}"
+    with pytest.raises(ValueError) as alone:
+        getattr(optimizers, f"{algo}_run")(problem, **runs[0], keep_path=keep_path)
+    with pytest.raises(ValueError) as grouped:
+        lockstep_run(problem, algo, members(problem, algo, runs), keep_path=keep_path)
+    assert str(alone.value) == str(grouped.value) == message
+
+
 # A member's outcome depends on its own method, start and generator only:
 # nine members stepped as groups of the given sizes, each group in reverse
 # order, give the outcomes of one group of all nine.

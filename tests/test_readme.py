@@ -1,11 +1,25 @@
 """The README's Python examples run as written, with the public names it
 documents."""
 
+import importlib
 import math
 import re
 from pathlib import Path
 
+from adaspider.cli import VERIFY_SUITES
+
 README = Path(__file__).resolve().parents[1] / "README.md"
+MODULES = ("cli", "core", "data", "harness", "optimizers", "problems", "verify")
+
+
+def unresolved(names) -> list:
+    """Those of the ``module.name`` strings ``names`` that are not an
+    attribute of that adaspider module."""
+    return [
+        name for name in names
+        if not hasattr(importlib.import_module(f"adaspider.{name.split('.')[0]}"),
+                       name.split(".", 1)[1])
+    ]
 
 
 def test_python_examples_run_as_written(capsys):
@@ -18,3 +32,24 @@ def test_python_examples_run_as_written(capsys):
     calls, grad_norm = capsys.readouterr().out.split()
     assert int(calls) > 0
     assert math.isfinite(float(grad_norm))
+
+
+def test_module_qualified_names_resolve():
+    text = README.read_text(encoding="utf-8")
+    names = re.findall(rf"`((?:{'|'.join(MODULES)})\.\w+)`", text)
+    assert names
+    assert unresolved(names) == []
+
+
+def test_paper_to_code_table_names_resolve():
+    section = README.read_text(encoding="utf-8").split("## Paper to code\n")[1].split("\n## ")[0]
+    cells = [line.split("|")[2] for line in section.splitlines() if line.startswith("| ")][1:]
+    assert cells
+    for cell in cells:
+        # "(suite `x`)" and "(suites `x`, `y`)" name verify suites, not code
+        suites = re.findall(r"\(suites? ([^)]*)\)", cell)
+        code = re.sub(r"\(suites? [^)]*\)", "", cell)
+        assert set(re.findall(r"`(\w+)`", " ".join(suites))) <= set(VERIFY_SUITES)
+        names = re.findall(r"`([\w.]+)`", code)
+        assert names, cell
+        assert unresolved(names) == [], cell
