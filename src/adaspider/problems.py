@@ -42,40 +42,31 @@ _REGULARIZER_SMOOTHNESS = 2.0
 _MEAN_BLOCK = 1 << 20
 
 # Most (point, component) margins that one chunk of
-# ``RegularizedERM.metric_gradients`` holds; logistic loss makes one
-# Python float of each in :func:`sigmoid`.
+# ``RegularizedERM.metric_gradients`` holds, which bounds the chunk's
+# margin and loss-slope temporaries.
 _METRIC_BLOCK = 1 << 14
 
-
-def _sigmoid_scalar(z: float) -> float:
-    try:
-        return 1.0 / (1.0 + math.exp(-z))
-    except OverflowError:  # e^{-z} beyond the float range
-        return 0.0
-
-
-# The largest double whose ``math.exp`` is finite; the next one overflows.
+# The largest double whose ``np.exp`` is finite; the next one overflows.
 _EXP_LIMIT = 709.782712893384
 
 
-def sigmoid(z: np.ndarray) -> np.ndarray:
-    """Logistic function 1 / (1 + e^{-z}), elementwise.
+def _sigmoid_scalar(z: float) -> float:
+    """:func:`sigmoid` of one number, bitwise. Past _EXP_LIMIT e^{-z}
+    overflows and the value is 0.0, tested first because entering
+    ``np.errstate`` on every call would cost more than the exp."""
+    if -z > _EXP_LIMIT:
+        return 0.0
+    return 1.0 / (1.0 + np.exp(-z))
 
-    The exponentials come from the C library's exp (``math.exp``), one
-    element at a time: numpy's vectorized exp rounds differently on some
-    inputs, which would change the logged records. Where e^{-z} overflows
-    it is taken as +inf (``math.exp(inf)``), so 1 / (1 + inf) gives 0.0,
-    as :func:`_sigmoid_scalar` does; the elements are masked only once
-    ``math.exp`` has raised ``OverflowError``.
-    """
+
+def sigmoid(z: np.ndarray) -> np.ndarray:
+    """Logistic function 1 / (1 + e^{-z}), elementwise, with numpy's exp:
+    the logistic records depend on the exp kernel numpy picks for the CPU,
+    as the network's do. Where e^{-z} overflows it is +inf, and the value
+    0.0."""
     z = np.asarray(z, dtype=np.float64)
-    neg = -z.ravel()
-    try:
-        e = np.fromiter(map(math.exp, neg.tolist()), np.float64, z.size)
-    except OverflowError:
-        neg[neg > _EXP_LIMIT] = math.inf
-        e = np.fromiter(map(math.exp, neg.tolist()), np.float64, z.size)
-    return (1.0 / (1.0 + e)).reshape(z.shape)
+    with np.errstate(over="ignore"):
+        return 1.0 / (1.0 + np.exp(-z))
 
 
 def nonconvex_regularizer(x: np.ndarray) -> float:

@@ -5,6 +5,7 @@ over many points, the sigmoid, and golden record digests."""
 import hashlib
 import json
 import math
+import warnings
 from unittest import mock
 
 import numpy as np
@@ -368,7 +369,7 @@ class TestErmMeanGradients:
             assert same_bits(row, getattr(problem, single)(x))
 
     def test_metric_chunks_hold_256_rows_of_the_rate_problem(self):
-        # the rate check's paths: a chunk's sigmoid makes 16,384 floats
+        # the rate check's paths: a chunk holds 16,384 margins
         problem = RegularizedERM(generate_synthetic("separable-logistic", 64, 10, 0))
         chunks = []
         with mock.patch.object(problem, "_metric_chunk", lambda x: chunks.append(len(x)) or x):
@@ -464,6 +465,19 @@ class TestMiniBatchCorrections:
         assert same_bits(problem.component_gradient_difference(i, x, x), np.zeros(problem.d))
 
 
+# The exp's overflow threshold and its neighbours, and the non-finite inputs.
+EXP_EDGES = [
+    problems._EXP_LIMIT,
+    np.nextafter(problems._EXP_LIMIT, math.inf),
+    -problems._EXP_LIMIT,
+    np.nextafter(-problems._EXP_LIMIT, -math.inf),
+    np.nextafter(problems._EXP_LIMIT, 0.0),
+    math.inf,
+    -math.inf,
+    math.nan,
+]
+
+
 class TestSigmoid:
     @staticmethod
     def reference(z: float) -> float:
@@ -508,8 +522,53 @@ class TestSigmoid:
     def test_random_inputs_match_formula(self):
         # random finite inputs, element by element against the scalar formula
         z = np.random.default_rng(0).normal(0.0, 100.0, size=2000)
-        expected = [self.reference(v) for v in z.tolist()]
+        with np.errstate(over="ignore"):
+            expected = [1.0 / (1.0 + np.exp(-v)) for v in z]
         assert same_bits(sigmoid(z), expected)
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        scale=st.sampled_from([0.01, 1.0, 30.0, 1e3, 1e4]),
+        shape=st.sampled_from([(), (1,), (9,), (3, 4)]),
+        edges=st.lists(st.sampled_from(EXP_EDGES), max_size=4),
+        seed=st.integers(min_value=0, max_value=10_000),
+    )
+    @example(scale=1.0, shape=(3, 4), edges=EXP_EDGES[:4], seed=0)
+    @example(scale=1.0, shape=(3, 4), edges=EXP_EDGES[4:], seed=0)
+    @example(scale=1e4, shape=(), edges=[math.nan], seed=0)
+    def test_scalar_form_is_the_array_form_bitwise(self, scale, shape, edges, seed):
+        # a run alone takes the scalar form, a lockstep member the array one
+        z = np.array(scale * np.random.default_rng(seed).standard_normal(shape))
+        flat = z.reshape(-1)  # a view of z
+        flat[: len(edges)] = edges[: flat.size]
+        got = sigmoid(z)
+        assert np.shape(got) == shape
+        for v, value in zip(flat.tolist(), np.reshape(got, -1)):
+            assert same_bits(problems._sigmoid_scalar(np.float64(v)), value)
+
+    @pytest.mark.parametrize("scale", [1.0, 10.0, 100.0])
+    def test_near_the_c_library_formula(self, scale):
+        # numpy's exp is within one ulp of math.exp on these inputs; with
+        # the sum and the quotient rounded on both sides, the sigmoids are
+        # within 3 eps of each other, relative
+        z = np.random.default_rng(2).normal(0.0, scale, size=20_000)
+        c_exp = np.array([math.exp(-v) for v in z.tolist()])
+        assert np.abs(np.exp(-z).view(np.int64) - c_exp.view(np.int64)).max() <= 1
+        expected = [self.reference(v) for v in z.tolist()]
+        np.testing.assert_allclose(sigmoid(z), expected, rtol=3 * np.finfo(float).eps, atol=0)
+
+    @pytest.mark.parametrize("sign", [1.0, -1.0])
+    def test_component_gradient_past_the_overflow_warns_nothing(self, sign):
+        # CI turns warnings into errors; e^{-z} overflows for the labelled
+        # margin 1e4 |a_1|^2 and not for its negative
+        problem = RegularizedERM(generate_synthetic("separable-logistic", 4, 3, 0))
+        a, b = problem._features[0], problem._labels[0]
+        x = sign * 1e4 * b * a
+        assert sign * b * np.dot(a, x) > problems._EXP_LIMIT
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            grad = problem.component_gradient(1, x)
+        assert same_bits(grad, problem.component_gradients([1], x)[0])
 
     def test_keeps_shape(self):
         assert sigmoid(np.zeros((2, 3))).shape == (2, 3)
@@ -517,8 +576,9 @@ class TestSigmoid:
 
 
 # SHA-256 of the CSV written by ``adaspider run`` for each config, computed
-# with the per-component loops these paths replaced. Every algorithm runs,
-# with mini-batched corrections and a batch of more than n components.
+# with the per-component loops these paths replaced; the logistic one was
+# remade when ``sigmoid`` moved to numpy's exp. Every algorithm runs, with
+# mini-batched corrections and a batch of more than n components.
 GOLDEN = {
     "logistic": (
         {
@@ -534,7 +594,7 @@ GOLDEN = {
             ],
             "epochs": 4, "repeats": 2, "master_seed": 5,
         },
-        "9e3cf037e2110f92f681311765438476dd4dffc5daf0ce35fb0a95e295240f1f",
+        "7b083c63c53579ebd3ba3e234d41dd6bafbdbe9465b31041bdfc0d05904007af",
     ),
     "squared": (
         {

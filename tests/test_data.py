@@ -492,7 +492,7 @@ FORMAT_DIGESTS = [
 
 RUN_DIGESTS = {
     False: "e10512080f8a73739e171dc588e8fe185a73d2a32b59a83ecd6d28774ba37fd4",
-    True: "af1fed34eda0a48a3324100f1306981617ecc052937746e359de5a6c0f1af1a0",
+    True: "186e42accf22049cb6a270312d3937bdcf896d55546c8d3b96e4ecfee6abdad1",
 }
 
 

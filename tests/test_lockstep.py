@@ -893,18 +893,19 @@ RUN_CONFIG = {
 # SHA-256 of (sweep summary on stdout, best-value CSV) of ``adaspider sweep``
 # on the bundled default problem (logistic, n=64, d=10, 5 epochs, 5 repeats,
 # seven grid values) and on SQUARED_SVRG, and of the CSV of ``adaspider run``
-# on RUN_CONFIG; computed when every run was stepped on its own.
+# on RUN_CONFIG; computed when every run was stepped on its own. The
+# logistic ones were remade when ``sigmoid`` moved to numpy's exp.
 SWEEP_GOLDEN = {
     ("sgd", None, 0): (
-        "af04cd97c95b66d6cf8299645bedb6f0947cad721aa71c535658873d1071feb3",
+        "3e0aacbd31d5c76a4edc9360b5ddf2d0f1b34f8f3be3ef8f0ab513ae067e7851",
         "50925233e49bb0f961ea45e63c0b5e3b0c3afc676ed62afcf17df8cae60eb538",
     ),
     ("svrg", None, 0): (
-        "c40b24dbb6d3852fa71fe337caf6f555c0940467a5daeba59d8b42c33d663d43",
-        "8acdf7bdf7b07e68c7ce464d561f2d8b86e17ca9238e82636a9780984ebe8d65",
+        "cc48165a8fb39d85c67682f585b526bd151f2f13b3786577c1096d06e4a214d4",
+        "8d18e6a583c91c5a599c9c6dadb673b3303e220fec90cd5dbaa880c2aeeb2447",
     ),
     ("adagrad_norm", None, 0): (
-        "ead31f135ff39370a0907b8149f5672ba30012d5a0beda3a9623c61f95740ae7",
+        "1b40460c7269f91bf591c7d9c3b448dcfa99c40caba2f2b2940838621acd89a4",
         "d07631a3cd65b21f6310b6b14d0b35ac5f4ec70f0cae867d9d4c1719286fb1cc",
     ),
     ("svrg", "squared", 0): (
@@ -912,15 +913,15 @@ SWEEP_GOLDEN = {
         "aaf137715574a5960640617090f8fc7fadae00ba53d2711b9d5405d1cba7182a",
     ),
     ("sgd", None, 1729): (
-        "c6882cc3e1266bd06fdf1643bbcf5e784e46713af7d76be4e6650bc5bc8f32de",
+        "c8ec0142421062ca3ffbb2117a42983138730313e255a3efd802b98d2de2475f",
         "8dc8b8dfd04e697b702245d944f8255beb53143278318c645a27e3261d164dd8",
     ),
     ("svrg", None, 1729): (
-        "9cd74b9aafe6acd10b55c66cc12b7823c5b66614d9fb5fc06335bfe0356bd6d2",
-        "ee43443718126b3e67d436c38593358ccaf440753312b9231e0fc42cf704fe84",
+        "46f7451ba17e2ccfe58ae6109c00196c7aec1a1f1df01dac76c4ea21d0624ffa",
+        "29d0f96d0345534b0565c8716a330bd227c03a5996e339833b67dafd1c9ce8c1",
     ),
     ("adagrad_norm", None, 1729): (
-        "14a0dc4fde41059e01279da4a8a7bdc5b7987cee52ec9ccf11918332d8de9edf",
+        "6449e98dad14eba4aa6113706b5989c76e0e6a0afb9dda9fa1f403b0c973eb05",
         "69dbcbd0011d486c13da2079f1959dc21d409899c8cfc14058389f966f3c2de4",
     ),
     ("svrg", "squared", 1729): (
@@ -929,8 +930,8 @@ SWEEP_GOLDEN = {
     ),
 }
 RUN_GOLDEN = {
-    0: "e5ec7b2215c3011bce1113c74d6997bf5093ce4463303618c08ae75ba59fc7da",
-    1729: "e77a1f6327b2fa94401a61c0222d30e3ae3b221c7e3abe326cab21f89c8f3086",
+    0: "83114a3c75f9ba4314b1bcb198c169a00ea2cd968e2407ab4da1e4bebe624ad3",
+    1729: "2e56937d673fe89eda5f84e8ba371b169f0e969b885dc419b27d4fe899cc20e6",
 }
 
 
@@ -960,7 +961,7 @@ COMPARE_SCRIPT = Path(__file__).resolve().parents[1] / "scripts" / "compare_opti
 # SHA-256 of the CSV of scripts/compare_optimizers.py at n=60, d=5, 3 epochs
 # and 2 repeats: its SGD and SVRG sweeps step as lockstep groups, then the
 # six algorithms' repeats.
-COMPARE_GOLDEN = "7f21aed8b41585b8617931f559703eb3874cf4715551dabe66b49a82880e937f"
+COMPARE_GOLDEN = "5d499457cbd73a812c78be8669d2aa6b69c4744889b5ae4dd97b0d2ae2710d1c"
 
 
 def test_comparison_script_golden_digest(tmp_path, monkeypatch, capsys):
