@@ -559,8 +559,8 @@ class TestSigmoid:
 
     @pytest.mark.parametrize("sign", [1.0, -1.0])
     def test_component_gradient_past_the_overflow_warns_nothing(self, sign):
-        # CI turns warnings into errors; e^{-z} overflows for the labelled
-        # margin 1e4 |a_1|^2 and not for its negative
+        # CI turns warnings into errors; the loss slope takes e^{b_1 a_1.x},
+        # which overflows at sign 1 and underflows at sign -1
         problem = RegularizedERM(generate_synthetic("separable-logistic", 4, 3, 0))
         a, b = problem._features[0], problem._labels[0]
         x = sign * 1e4 * b * a
