@@ -3,23 +3,21 @@
 Usage, from the repository root:
 
     python3 scripts/bench_record.py --parent P1.json P2.json ... \\
-        --change C1.json C2.json ... [--base B1.json ...] --out BENCH_<n>.json
+        --change C1.json C2.json ... --out BENCH_<n>.json
 
 Each input is a ``perfbench/out/result-<workload>-seed<s>-trace<t>.json``
 file (or a directory holding such files) written by ``perfbench/run.py``
 in a checkout of one side. A side may give several files of one workload
 and seed, from repeated runs: their executions are pooled within that
-seed. The optional third side, the base, is an older commit run in the
-same session, such as the last re-anchor's: a drift that no single
-change/parent ratio shows adds up in change/base. The output holds, per
-workload and for each of the four end-to-end metrics of ``BENCHMARK.json``:
+seed. The output holds, per workload and for each of the four end-to-end
+metrics of ``BENCHMARK.json``:
 
 - each side's median at each seed, and the ratio of the change's to the
-  parent's (and to the base's);
+  parent's;
 - each side's headline median, the median of its per-seed medians, so a
   seed with more executions on one side does not tilt it; the quartiles
   and count of all its untraced executions; and the ratio of the
-  change's headline median to the parent's (and to the base's);
+  change's headline median to the parent's;
 
 and per workload:
 
@@ -105,29 +103,17 @@ def load_side(paths: list, metrics: list) -> dict:
     return side
 
 
-def ratios(values: dict) -> dict:
-    """The change's value over each other side's, by ``change_over_<side>``."""
-    return {
-        f"change_over_{label}": values["change"] / value
-        for label, value in values.items()
-        if label != "change"
-    }
-
-
-def record(parent: dict, change: dict, catalogue: dict, base: dict | None = None) -> dict:
-    """The BENCH document of two loaded sides, or three with a ``base``."""
+def record(parent: dict, change: dict, catalogue: dict) -> dict:
+    """The BENCH document of two loaded sides."""
     metrics = catalogue["end_to_end"]
-    loaded = {"parent": parent, "change": change}
-    if base is not None:
-        loaded["base"] = base
-    if any(set(side["workloads"]) != set(change["workloads"]) for side in loaded.values()):
-        raise RecordError("the sides ran different workloads")
+    if set(parent["workloads"]) != set(change["workloads"]):
+        raise RecordError("the two sides ran different workloads")
     workloads = {}
     for name in sorted(change["workloads"]):
-        sides = {label: side["workloads"][name] for label, side in loaded.items()}
+        sides = {"parent": parent["workloads"][name], "change": change["workloads"][name]}
+        if set(sides["parent"]["by_seed"]) != set(sides["change"]["by_seed"]):
+            raise RecordError(f"{name}: the two sides ran different seeds")
         seeds = sorted(sides["change"]["by_seed"], key=int)
-        if any(set(side["by_seed"]) != set(seeds) for side in sides.values()):
-            raise RecordError(f"{name}: the sides ran different seeds")
         summary = {}
         for metric in metrics:
             key = metric["name"]
@@ -138,14 +124,17 @@ def record(parent: dict, change: dict, catalogue: dict, base: dict | None = None
             per_seed = {}
             for s in seeds:
                 medians = {label: statistics.median(v[s]) for label, v in values.items()}
-                per_seed[s] = {**medians, **ratios(medians)}
+                per_seed[s] = {
+                    **medians,
+                    "change_over_parent": medians["change"] / medians["parent"],
+                }
             heads = {label: spread(v) for label, v in values.items()}
             summary[key] = {
                 "unit": metric["unit"],
                 "better": metric["better"],
                 "bound": metric["bound"],
                 **heads,
-                **ratios({label: head["median"] for label, head in heads.items()}),
+                "change_over_parent": heads["change"]["median"] / heads["parent"]["median"],
                 "by_seed": per_seed,
             }
         workloads[name] = {
@@ -166,7 +155,8 @@ def record(parent: dict, change: dict, catalogue: dict, base: dict | None = None
             "executions": {label: side["by_seed"] for label, side in sides.items()},
         }
     return {
-        **{label: side["environment"] for label, side in loaded.items()},
+        "parent": parent["environment"],
+        "change": change["environment"],
         "workloads": workloads,
     }
 
@@ -175,15 +165,13 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--parent", nargs="+", required=True, help="result files or folders")
     parser.add_argument("--change", nargs="+", required=True, help="result files or folders")
-    parser.add_argument("--base", nargs="+", help="result files or folders of an older commit")
     parser.add_argument("--out", required=True, help="the BENCH file to write")
     args = parser.parse_args(argv)
     try:
         with open(CATALOGUE, encoding="utf-8") as fh:
             catalogue = json.load(fh)
         names = [m["name"] for m in catalogue["end_to_end"]]
-        base = load_side(args.base, names) if args.base else None
-        doc = record(load_side(args.parent, names), load_side(args.change, names), catalogue, base)
+        doc = record(load_side(args.parent, names), load_side(args.change, names), catalogue)
     except (RecordError, OSError, KeyError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
@@ -193,7 +181,6 @@ def main(argv=None) -> int:
     for name, workload in doc["workloads"].items():
         cells = ", ".join(
             f"{key} {m['parent']['median']:.4g} -> {m['change']['median']:.4g}"
-            + (f" (base {m['base']['median']:.4g})" if "base" in m else "")
             for key, m in workload["metrics"].items()
         )
         same = all(d["equal"] for d in workload["digests"].values())

@@ -122,69 +122,3 @@ def test_one_side_of_two_commits_is_refused(tmp_path):
     assert proc.returncode == 2
     assert proc.stderr.startswith("error: ") and "commit" in proc.stderr
     assert not out.exists()
-
-
-def test_a_base_side_adds_its_ratios(tmp_path):
-    parent, change, base = tmp_path / "parent", tmp_path / "change", tmp_path / "base"
-    for folder, commit, walls in (
-        (parent, "p", {0: [2.0, 2.2], 1729: [2.4]}),
-        (change, "c", {0: [1.6], 1729: [1.8, 2.0]}),
-        (base, "b", {0: [1.5], 1729: [1.7]}),
-    ):
-        for seed, wall in walls.items():
-            write(folder, f"result-verify-all-seed{seed}.json",
-                  result("verify-all", seed, commit * 40, wall))
-    out = tmp_path / "BENCH.json"
-    proc = run("--parent", str(parent), "--change", str(change), "--base", str(base),
-               "--out", str(out))
-    assert proc.returncode == 0, proc.stderr
-    assert "wall_s 2.25 -> 1.75 (base 1.6)" in proc.stdout
-    doc = json.loads(out.read_text())
-    assert doc["base"]["commit"] == "b" * 40
-    workload = doc["workloads"]["verify-all"]
-    wall = workload["metrics"]["wall_s"]
-    assert wall["base"] == pytest.approx({"median": 1.6, "q1": 1.55, "q3": 1.65, "n": 2})
-    assert wall["change_over_parent"] == pytest.approx(1.75 / 2.25)
-    assert wall["change_over_base"] == pytest.approx(1.75 / 1.6)
-    assert wall["by_seed"]["1729"] == pytest.approx({
-        "parent": 2.4, "change": 1.9, "base": 1.7,
-        "change_over_parent": 1.9 / 2.4, "change_over_base": 1.9 / 1.7,
-    })
-    assert workload["operations"]["base"] == {"attempted": 20, "failed": 0}
-    assert workload["executions"]["base"]["0"]["wall_s"] == [1.5]
-    # the base's digests may differ: it is an older commit
-    assert set(workload["digests"]["0"]) == {"equal", "parent", "change"}
-
-
-def test_a_base_of_other_seeds_is_refused(tmp_path):
-    parent = write(tmp_path, "p.json", result("mlp-train", 0, "p" * 40, [1.0]))
-    change = write(tmp_path, "c.json", result("mlp-train", 0, "c" * 40, [1.0]))
-    base = write(tmp_path, "b.json", result("mlp-train", 1729, "b" * 40, [1.0]))
-    out = tmp_path / "BENCH.json"
-    proc = run("--parent", parent, "--change", change, "--base", base, "--out", str(out))
-    assert proc.returncode == 2
-    assert proc.stderr == "error: mlp-train: the sides ran different seeds\n"
-    assert not out.exists()
-
-
-def test_committed_records_read_as_a_record_without_a_base(tmp_path):
-    # a reader of the committed BENCH files finds every key it reads there
-    # in a record made now without a base, and no base key in either
-    parent = write(tmp_path, "p.json", result("mlp-train", 0, "p" * 40, [1.0]))
-    change = write(tmp_path, "c.json", result("mlp-train", 0, "c" * 40, [1.0]))
-    out = tmp_path / "BENCH.json"
-    assert run("--parent", parent, "--change", change, "--out", str(out)).returncode == 0
-    fresh = json.loads(out.read_text())
-    fresh_workload = fresh["workloads"]["mlp-train"]
-    fresh_metric = fresh_workload["metrics"]["wall_s"]
-    committed = sorted(ROOT.glob("BENCH_*.json"))
-    assert committed
-    for path in committed:
-        doc = json.loads(path.read_text())
-        assert set(doc) == set(fresh) == {"parent", "change", "workloads"}, path.name
-        for workload in doc["workloads"].values():
-            assert set(workload) == set(fresh_workload), path.name
-            for metric in workload["metrics"].values():
-                assert set(metric) <= set(fresh_metric), path.name
-                assert set(metric["parent"]) == set(fresh_metric["parent"]), path.name
-    assert not any("base" in key for key in fresh_metric)
