@@ -69,13 +69,18 @@ class FiniteSumProblem:
 
     Component indices are 1-based in the public interface. Subclasses
     implement :meth:`component_value` and :meth:`component_gradient`,
-    and should override :meth:`component_gradients` with a batched
-    version whose rows are bitwise equal to :meth:`component_gradient`
-    (the default stacks single calls). They may override :meth:`value`
-    and :meth:`metric_gradients` with vectorized versions, which are used
-    for diagnostics only, and :meth:`mean_gradients`,
+    and should override :meth:`_gradients` with a batched version whose
+    rows are bitwise equal to :meth:`component_gradient` (the default
+    stacks single calls). They may override :meth:`value` and
+    :meth:`metric_gradients` with vectorized versions, which are used for
+    diagnostics only, and :meth:`mean_gradients`,
     :meth:`component_values` and :meth:`component_gradient_difference`
     with faster versions bitwise equal to their defaults.
+
+    Indices and points are checked once, where they enter: the public
+    :meth:`component_gradients` checks them and calls :meth:`_gradients`,
+    which checks nothing. The step loops call :meth:`_gradients` directly
+    with the 0-based rows they drew themselves.
 
     Instances are immutable after construction and safe for concurrent
     read-only evaluation.
@@ -105,15 +110,21 @@ class FiniteSumProblem:
         repeat. ``x`` is one point, or a (k, d) block with one point per
         index. Row r is bitwise equal to
         ``component_gradient(indices[r], x)``, or to
-        ``component_gradient(indices[r], x[r])`` for a block.
+        ``component_gradient(indices[r], x[r])`` for a block. Checks both,
+        then calls :meth:`_gradients`.
         """
         indices = self._check_indices(indices)
+        x = self._check_at(indices, x)
         if indices.size == 0:
             return np.empty((0, self.d))
-        x = self._check_at(indices, x)
-        points = x if x.ndim == 2 else [x] * indices.size
+        return self._gradients(indices - 1, x)
+
+    def _gradients(self, rows: np.ndarray, x: np.ndarray) -> np.ndarray:
+        """:meth:`component_gradients` of the 0-based 1-d int array ``rows``
+        at the float64 x, one point or one per row, unchecked and not empty."""
+        points = x if x.ndim == 2 else [x] * len(rows)
         return np.stack(
-            [self.component_gradient(int(i), p) for i, p in zip(indices, points)]
+            [self.component_gradient(int(r) + 1, p) for r, p in zip(rows, points)]
         )
 
     def component_values(self, i: int, points) -> np.ndarray:
@@ -145,6 +156,8 @@ class FiniteSumProblem:
             raise ValueError(
                 f"points have shape {x.shape}, expected ({indices.size}, {self.d})"
             )
+        if x.ndim != 2 and x.shape != (self.d,):
+            raise ValueError(f"point has shape {x.shape}, expected ({self.d},)")
         return x
 
     def _check_points(self, points) -> np.ndarray:

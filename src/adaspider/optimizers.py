@@ -60,28 +60,28 @@ def _mean_difference(at_x: np.ndarray, at_anchor: np.ndarray) -> np.ndarray:
     return np.add.accumulate(terms, axis=-2)[..., -1, :] / batch
 
 
-def _corrections(problem: FiniteSumProblem, indices, x, anchor) -> np.ndarray:
-    """grad f_i(x) - grad f_i(anchor) at each row of the (R, d) ``x`` and
-    ``anchor``, averaged over that row of the 1-based (R, batch) ``indices``
-    (by :func:`_mean_difference` for a batch above 1), from one
-    ``component_gradients`` call at the stacked iterates and anchors."""
-    size, batch = indices.shape
-    where = np.concatenate([x, anchor])
-    if batch > 1:
-        where = np.repeat(where, batch, axis=0)
-    flat = indices.ravel()
-    both = problem.component_gradients(np.concatenate((flat, flat)), where)
-    at_x, at_anchor = both.reshape(2, size, batch, problem.d)
+def _corrections(problem: FiniteSumProblem, pair, block, h: int) -> np.ndarray:
+    """grad f_i(x) - grad f_i(anchor) for each of R rows, averaged over the
+    row's samples (by :func:`_mean_difference` for a batch above 1), from
+    one ``_gradients`` call on the (2, R, d) ``block`` of x, ``block[h]``,
+    and the anchor, ``block[1 - h]``. ``pair`` holds the 0-based
+    (2, R, batch) samples, the same in both halves. The caller drew them,
+    so they go to the unchecked ``_gradients``: nothing here checks them."""
+    batch = pair.shape[2]
+    points = block if batch == 1 else np.repeat(block, batch, axis=1)
+    both = problem._gradients(pair.reshape(-1), points.reshape(-1, problem.d))
+    both = both.reshape(pair.shape + (problem.d,))
     if batch == 1:
-        return at_x[:, 0] - at_anchor[:, 0]
-    return _mean_difference(at_x, at_anchor)
+        return both[h, :, 0] - both[1 - h, :, 0]
+    return _mean_difference(both[h], both[1 - h])
 
 
-def _exact_corrections(problem: FiniteSumProblem, x, anchor) -> np.ndarray:
-    """grad f(x) - grad f(anchor) at each row of the (R, d) ``x`` and
-    ``anchor``, from one ``mean_gradients`` call on both stacks."""
-    both = problem.mean_gradients(np.concatenate([x, anchor]))
-    return both[: len(x)] - both[len(x) :]
+def _exact_corrections(problem: FiniteSumProblem, block, h: int) -> np.ndarray:
+    """grad f(x) - grad f(anchor) at each row of ``block[h]`` and
+    ``block[1 - h]``, x and the anchor as in :func:`_corrections`, from one
+    ``mean_gradients`` call on the whole block."""
+    both = problem.mean_gradients(block.reshape(-1, problem.d)).reshape(block.shape)
+    return both[h] - both[1 - h]
 
 
 def spider_estimator_update(
@@ -93,18 +93,19 @@ def spider_estimator_update(
     At a reset it is the exact full gradient, charged to ``counter``.
     Otherwise it is base plus :func:`_corrections` over the 1-based
     ``indices`` the loop drew, or with ``exact`` plus
-    :func:`_exact_corrections` (``indices`` None), each on a one-row block;
-    a single sample, faster, is one ``component_gradient_difference``. It
-    draws nothing, and the loop charges the inner step (see
-    :class:`_RunState`).
+    :func:`_exact_corrections` (``indices`` None), each on a one-row block
+    of x and the anchor; a single sample, faster, is one
+    ``component_gradient_difference``. It draws nothing, and the loop
+    charges the inner step (see :class:`_RunState`).
     """
     if reset:
         return full_gradient(problem, x, counter)
     if exact:
-        return _exact_corrections(problem, x[None], anchor[None])[0] + base
+        return _exact_corrections(problem, np.stack((x, anchor))[:, None], 0)[0] + base
     if len(indices) == 1:
         return problem.component_gradient_difference(int(indices[0]), x, anchor) + base
-    return _corrections(problem, indices[None], x[None], anchor[None])[0] + base
+    pair = np.stack((indices, indices))[:, None] - 1
+    return _corrections(problem, pair, np.stack((x, anchor))[:, None], 0)[0] + base
 
 
 def _check_positive(what: str, *values) -> None:
@@ -645,6 +646,8 @@ def _lockstep_steps(problem, algo: str, runs: list, x0s: list, keep_path) -> Ite
     in one ``full_gradients`` call, takes every SVRG and SPIDER inner step
     from :func:`_corrections` (or :func:`_exact_corrections`), and cuts a
     stopped member's row from the per-row state, step rule columns too.
+    The loop drew its samples itself, so they go to the problem's
+    unchecked ``_gradients``, 0-based; nothing in a step checks indices.
     """
     if not runs:
         return
@@ -659,14 +662,20 @@ def _lockstep_steps(problem, algo: str, runs: list, x0s: list, keep_path) -> Ite
     step_sizes, iterates, estimates = records = _records(keep_path, size, steps, d)
     # Per-row state, one row per member still stepping; ``live`` maps rows
     # to members, in member order, and ``at`` indexes their rows of the
-    # records: a plain slice until a member stops.
+    # records: a plain slice until a member stops. x and the anchor are the
+    # halves of one (2, R, d) ``block``, x ``block[h]``: the new x goes
+    # into the old anchor's half when the anchor moves to x, at every
+    # SPIDER step and at an SVRG reset, and overwrites x otherwise. Cutting
+    # rows copies the block, and a trace copies what it keeps, so no trace
+    # shares the block. ``pair`` holds a step's 0-based draws once for each half.
     live, at = np.arange(size), slice(None)
-    x = np.stack(x0s)
+    block, h = np.empty((2, size, d)), 0
+    x = base = np.stack(x0s, out=block[0])
+    pair = np.empty((2, size, batch), dtype=np.int64)
     coeffs = tuple(np.array(column) for column in zip(*(m.coeffs for m, _, _ in runs)))
     accum = np.zeros(size)
     gamma = np.zeros(size)  # the last step size, as epoch rows record it
     draws = np.empty((size, 0), dtype=np.int64)
-    anchor = base = x
     calls = sampled = pos = 0
     last_epoch = math.inf if keep_path else -1  # with a path, no epoch is ever due
 
@@ -676,7 +685,7 @@ def _lockstep_steps(problem, algo: str, runs: list, x0s: list, keep_path) -> Ite
 
     def stop(mask, taken, diverged_at=None):
         """End the masked rows' runs after ``taken`` steps; drop the rows."""
-        nonlocal live, at, x, coeffs, accum, gamma, draws, anchor, base
+        nonlocal live, at, block, x, pair, coeffs, accum, gamma, draws, base
         for k in np.flatnonzero(mask):
             member = members[live[k]]
             member.counter.charge(sampled)
@@ -686,9 +695,9 @@ def _lockstep_steps(problem, algo: str, runs: list, x0s: list, keep_path) -> Ite
                     problem, algo, taken, records, live[k], member, x[k], diverged_at
                 )
         keep = ~mask
-        live, x, accum, gamma, draws, anchor, base = (
-            a[keep] for a in (live, x, accum, gamma, draws, anchor, base)
-        )
+        live, accum, gamma, draws, base = (a[keep] for a in (live, accum, gamma, draws, base))
+        block, pair = np.ascontiguousarray(block[:, keep]), pair[:, keep]
+        x = block[h]
         coeffs = tuple(column[keep] for column in coeffs)
         at = live
 
@@ -698,10 +707,11 @@ def _lockstep_steps(problem, algo: str, runs: list, x0s: list, keep_path) -> Ite
             last_epoch = calls // n
         if keep_path:
             iterates[at, t] = x
-        if resets and t % period == 0:
+        reset = resets and t % period == 0
+        if reset:
             g, faults = full_gradients(problem, x, [members[r].counter for r in live])
             calls += n
-            anchor, base = x, g
+            base = g
             if faults:
                 faulted = np.zeros(len(live), dtype=bool)
                 for k, exc in faults.items():
@@ -712,21 +722,22 @@ def _lockstep_steps(problem, algo: str, runs: list, x0s: list, keep_path) -> Ite
             g = base
         else:
             if exact:
-                g = _exact_corrections(problem, x, anchor) + base
+                g = _exact_corrections(problem, block, h) + base
             else:
                 if pos == draws.shape[1]:
                     draws = np.stack([members[r].refill() for r in live])
+                    draws -= 1
                     pos = 0
-                indices = draws[:, pos : pos + batch]
-                pos += batch
                 if resets:
-                    g = _corrections(problem, indices, x, anchor) + base
+                    pair[...] = draws[:, pos : pos + batch]
+                    g = _corrections(problem, pair, block, h) + base
                 else:
-                    g = problem.component_gradients(indices[:, 0], x)
+                    g = problem._gradients(draws[:, pos], x)
+                pos += batch
             calls += cost
             sampled += cost
             if moving:
-                anchor, base = x, g
+                base = g
         squares = _row_squares(g)
         if rule == "adaptive":
             eta, scale, offset = coeffs
@@ -742,7 +753,9 @@ def _lockstep_steps(problem, algo: str, runs: list, x0s: list, keep_path) -> Ite
             gamma = np.where((norm == 0.0) | (denom == 0.0) | (cap < quotient), cap, quotient)
         else:
             (gamma,) = coeffs
-        x = x - gamma[:, None] * g
+        if moving or reset:
+            h = 1 - h
+        x = np.subtract(x, gamma[:, None] * g, out=block[h])
         if keep_path is True:
             step_sizes[at, t] = gamma
             estimates[at, t] = g

@@ -132,6 +132,64 @@ class TestRowsMatchSingleCalls:
         assert problem.component_gradients([], np.zeros(2)).shape == (0, 2)
 
 
+class SingleOnly(FiniteSumProblem):
+    """A family with only ``component_gradient``: its ``_gradients`` is the
+    base class's stack of single calls."""
+
+    def component_gradient(self, i, x):
+        self._check_index(i)
+        return np.tanh(i * x) - x / i
+
+
+def entry_problem(family: str):
+    """A 7-component instance of ``family`` ("single": a SingleOnly) and
+    its sampler of points."""
+    if family == "single":
+        return SingleOnly(n=7, d=3), lambda r, scale: scale * r.standard_normal(3)
+    return make_problem(family, 7, 0)
+
+
+class TestCheckedOnce:
+    """``component_gradients`` checks the indices and the points, then
+    calls ``_gradients`` with 0-based rows, which checks nothing; the step
+    loops call ``_gradients`` with the rows they drew."""
+
+    @pytest.mark.parametrize("family", (*FAMILIES, "single"))
+    @pytest.mark.parametrize("scale", [0.01, 1.0, 30.0])
+    def test_unchecked_rows_equal_the_public_call(self, family, scale):
+        problem, point = entry_problem(family)
+        rng = np.random.default_rng(5)
+        indices = np.array([3, 1, 7, 3, 5])
+        x = point(rng, scale)
+        block = np.stack([point(rng, scale) for _ in indices])
+        for at, points in ((x, [x] * len(indices)), (block, block)):
+            rows = problem._gradients(indices - 1, at)
+            assert same_bits(rows, problem.component_gradients(indices, at))
+            for row, i, p in zip(rows, indices, points):
+                assert same_bits(row, problem.component_gradient(int(i), p))
+
+    @pytest.mark.parametrize("family", (*FAMILIES, "single"))
+    def test_public_call_refuses_what_it_refused(self, family):
+        problem, point = entry_problem(family)
+        d = problem.d
+        x = point(np.random.default_rng(0), 1.0)
+        for at in (x, np.stack([x, x, x])):
+            for bad, named in (([0, 1, 2], 0), ([2, 8, 1], 8), ([1, 8, 0], 8)):
+                message = rf"^component index {named} out of range 1\.\.7$"
+                with pytest.raises(IndexError, match=message):
+                    problem.component_gradients(bad, at)
+        for shape in ((3, d), (1, d), (2, d + 1), (0, d)):
+            with pytest.raises(ValueError) as wrong:
+                problem.component_gradients([1, 2], np.zeros(shape))
+            assert str(wrong.value) == f"points have shape {shape}, expected (2, {d})"
+        # neither one point nor one point per index
+        for shape in ((d + 1,), (), (1, 2, d)):
+            with pytest.raises(ValueError) as wrong:
+                problem.component_gradients([1, 2], np.zeros(shape))
+            assert str(wrong.value) == f"point has shape {shape}, expected ({d},)"
+        assert problem.component_gradients([], np.zeros((0, d))).shape == (0, d)
+
+
 class TestDerivedFullGradients:
     @pytest.mark.parametrize("family", FAMILIES)
     def test_mean_gradient_equals_stack_and_mean(self, family):

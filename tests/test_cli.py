@@ -418,9 +418,10 @@ class TestFaultAfterFirstRun:
     ValueError included; exit 2 is for errors raised before that."""
 
     # one sgd run alone calls component_gradient, a lockstep group of two
-    # calls component_gradients once per step for both members
+    # calls the unchecked batched oracle _gradients once per step for both
+    # members
     @pytest.mark.parametrize(
-        "repeats, oracle", [("1", "component_gradient"), ("2", "component_gradients")]
+        "repeats, oracle", [("1", "component_gradient"), ("2", "_gradients")]
     )
     def test_value_error_mid_run_exits_3(self, tmp_path, capsys, monkeypatch, repeats, oracle):
         exact = getattr(RegularizedERM, oracle)
@@ -616,13 +617,15 @@ class TestVerify:
     # iterate in the rate check, and one run per seed and one full-gradient
     # call per iterate in the variance checks; the seeds' runs now step as
     # one lockstep block in each check. Remade when ``sigmoid`` moved to
-    # numpy's exp.
+    # numpy's exp. The test ids are the seeds alone, so a remade digest
+    # keeps the test's name.
     @pytest.mark.parametrize(
         "seed, digest",
         [
             ("0", "99c5bbedc681974f960e645d8dfc98cefb50b4f44d9f689964422a1a538f1072"),
             ("1729", "fbc38f2682bef32cc906868242e00d762c5e47b2471beeec0b3dc527bffc3ed7"),
         ],
+        ids=["0", "1729"],
     )
     def test_full_suite_golden_digest(self, capsys, seed, digest):
         code, out, _err = run_main(capsys, "verify", "--suite", "all", "--seed", seed)

@@ -309,6 +309,95 @@ class TestGroupEqualsRuns:
             grouped_outcomes(problem, "adaspider", runs)
 
 
+# Members whose step scales make them diverge at different steps of a
+# 300-step group on the squared problem of test_members_diverge_at_different_steps,
+# largest first: the first rows stop first, and the rows of the block that
+# held them go on being stepped.
+STOPPING_SCALES = {
+    "sgd": [1e8, 1e4, 100.0, 10.0, 3.0, 1.0, 0.6, 0.3, 0.01],
+    "svrg": [1e8, 1e4, 100.0, 10.0, 3.0, 1.0, 0.6, 0.3, 0.01],
+    "spider": list(np.geomspace(1e8, 1e2, 16)),
+    "spiderboost": [1e8, 1e4, 100.0, 10.0, 3.0, 1.0, 0.6, 0.3, 0.01],
+}
+
+
+class TestStepBlock:
+    """A group's inner steps hand the samples they drew to the unchecked
+    ``_gradients``, and keep x and the anchor in one block that nothing a
+    trace keeps shares."""
+
+    @pytest.mark.parametrize("family", FAMILIES)
+    @pytest.mark.parametrize("algo", ALGORITHM_NAMES)
+    @pytest.mark.parametrize("batch", [1, 3])
+    def test_inner_steps_check_no_indices(self, family, algo, batch, monkeypatch):
+        # events in call order; a reset's full gradients and a stopped
+        # member's epoch rows may check (the network's default mean_gradient
+        # goes through component_gradients), the steps between them may not
+        events = []
+        problem = make_problem(family, 10, 2, 0)
+        check, batched = FiniteSumProblem._check_indices, problem._gradients
+
+        def counted_check(self, indices):
+            events.append("check")
+            return check(self, indices)
+
+        def step(*args):
+            events.append("gradients")
+            return batched(*args)
+
+        def region(name):
+            inner = getattr(optimizers, name)
+
+            def wrapped(*args):
+                events.append(name)
+                result = inner(*args)
+                events.append("end")
+                return result
+
+            monkeypatch.setattr(optimizers, name, wrapped)
+
+        monkeypatch.setattr(FiniteSumProblem, "_check_indices", counted_check)
+        monkeypatch.setattr(problem, "_gradients", step)
+        region("full_gradients")
+        region("_trace")
+        x0s = [start_point(family, problem, k, 1.0) for k in range(3)]
+        runs = group_runs(algo, [0.01, 0.02, 0.05], x0s, 0, 30, 4, batch)
+        traces = grouped_outcomes(problem, algo, runs)
+        assert [t.num_steps for t in traces] == [30] * 3
+        outside, depth = [], 0
+        for event in events:
+            depth += {"full_gradients": 1, "_trace": 1, "end": -1}.get(event, 0)
+            if not depth and event in ("check", "gradients"):
+                outside.append(event)
+        resets = events.count("full_gradients")
+        assert resets == (0 if algo in ("sgd", "adagrad_norm") else 8)
+        assert outside == ["gradients"] * (30 - resets)
+
+    @pytest.mark.parametrize("algo", sorted(STOPPING_SCALES))
+    @pytest.mark.parametrize("keep_path", [False, True, "iterates"])
+    def test_traces_of_stopped_members_stay_as_made(self, algo, keep_path, monkeypatch):
+        # a member's trace is made when it stops; the group then steps on,
+        # writing x into the block, and cuts the member's row from it
+        made, trace = [], optimizers._trace
+
+        def kept(*args):
+            made.append((outcome := trace(*args), bits(outcome)))
+            return outcome
+
+        monkeypatch.setattr(optimizers, "_trace", kept)
+        problem = make_problem("squared", 10, 3, 1)
+        scales = STOPPING_SCALES[algo]
+        runs = group_runs(algo, scales, [np.ones(3)] * len(scales), 5, 300, 5, 2)
+        traces = grouped_outcomes(problem, algo, runs, keep_path)
+        assert len({t.num_steps for t in traces}) >= 3
+        by_stop = sorted(traces, key=lambda t: t.num_steps)
+        assert [id(outcome) for outcome, _ in made] == [id(t) for t in by_stop]
+        for outcome, at_stop in made:
+            assert bits(outcome) == at_stop
+            assert outcome.iterates is None or len(outcome.iterates) == outcome.num_steps
+            assert keep_path or len(outcome.epoch_points) > 1
+
+
 # One bad argument of each run function: (algo, key, value, message). The
 # AdaSpider keys are set on its config, which the run checks.
 BAD_ARGUMENTS = [

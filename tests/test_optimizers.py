@@ -207,11 +207,12 @@ class TestSpiderEstimator:
         return rows
 
     def test_batched_inner_step_is_one_component_gradients_call(self, monkeypatch):
-        # the samples at x and at the anchor come from one batched call; the
-        # resets (steps 0, 4 and 8) take their gradients through mean_gradients
+        # the samples at x and at the anchor come from one batched call, of
+        # the unchecked body of component_gradients, since the loop drew them;
+        # the resets (steps 0, 4 and 8) take their gradients through mean_gradients
         dataset = generate_synthetic("separable-logistic", n=16, d=3, seed=0)
         problem = RegularizedERM(dataset, lam=0.1)
-        rows = self.count_rows(monkeypatch, problem, "component_gradients")
+        rows = self.count_rows(monkeypatch, problem, "_gradients")
         spiderboost_run(
             problem, np.zeros(3), 1.0, 10, np.random.default_rng(0), period=4, batch_size=3
         )
