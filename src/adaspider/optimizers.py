@@ -70,9 +70,10 @@ def _corrections(problem: FiniteSumProblem, pair, block, h: int) -> np.ndarray:
     batch = pair.shape[2]
     points = block if batch == 1 else np.repeat(block, batch, axis=1)
     both = problem._gradients(pair.reshape(-1), points.reshape(-1, problem.d))
-    both = both.reshape(pair.shape + (problem.d,))
     if batch == 1:
-        return both[h, :, 0] - both[1 - h, :, 0]
+        both = both.reshape(block.shape)
+        return both[h] - both[1 - h]
+    both = both.reshape(pair.shape + (problem.d,))
     return _mean_difference(both[h], both[1 - h])
 
 
