@@ -147,6 +147,57 @@ class AlgorithmSpec:
     params: dict = field(default_factory=dict)
 
 
+# The kinds of config field, and how an error names each.
+_KIND_WORDS = {int: "an integer", numbers.Real: "a number", bool: "true or false",
+               str: "a string", list: "a list", dict: "a JSON object"}
+
+
+@dataclass(frozen=True)
+class Rule:
+    """A config field's rule, held in the field's ``metadata["rule"]``:
+    its ``kind``, a key of _KIND_WORDS or a tuple of the allowed values;
+    the ``bound`` a value of that kind must pass, as a test and the words
+    of its error; and, for a field only synthetic data reads, the losses
+    that read it. An unread field is checked for its kind alone, or not
+    at all if it has allowed values."""
+
+    kind: object
+    bound: tuple = (lambda value: True, "")
+    reads: tuple | None = None
+
+    def check(self, name: str, value, problem: ProblemSpec | None) -> None:
+        """Raise a ConfigError naming ``name`` unless ``value`` keeps the rule."""
+        read = self.reads is None or (not problem.path and problem.loss in self.reads)
+        if isinstance(self.kind, tuple):
+            test, words = self.kind.__contains__, f"be one of {list(self.kind)}"
+        else:
+            _require(name, value, self.kind)
+            test, words = self.bound
+        if read and not test(value):
+            shown = list(value) if isinstance(value, tuple) else value
+            raise ConfigError(f"{name} must {words}, got {shown!r}")
+
+
+def _ruled(default, kind, bound=Rule.bound, reads=None):
+    """A config dataclass field with its Rule."""
+    return field(default=default, metadata={"rule": Rule(kind, bound, reads)})
+
+
+def _ints_as_ints(spec) -> None:
+    """Each integer field of ``spec`` through _as_int, on construction: an
+    integral float runs as its integer, from a document or from Python."""
+    for f in fields(spec):
+        if "rule" in f.metadata and f.metadata["rule"].kind is int:
+            setattr(spec, f.name, _as_int(getattr(spec, f.name)))
+
+
+_LOSSES = ("logistic", "squared", "mlp")
+_AT_LEAST_1 = (lambda value: value >= 1, "be at least 1")
+_NON_NEGATIVE = (lambda value: value >= 0, "be non-negative")
+_POSITIVE_FINITE = (lambda value: 0 < value < math.inf, "be positive and finite")
+_A_FILE = (lambda value: value != "", "name a file")
+
+
 @dataclass
 class ProblemSpec:
     """Either a LibSVM file or a synthetic dataset, plus the objective.
@@ -154,24 +205,29 @@ class ProblemSpec:
     ``loss`` is "logistic" or "squared" for the regularized ERM setups,
     or "mlp" for the small classification network (then ``layer_dims``
     and ``c_init`` apply, and the synthetic kind should be the cluster
-    generator).
+    generator). Synthetic data reads ``n``, and ``d`` unless the
+    network's ``layer_dims`` set it; only logistic loss reads the kind.
     """
 
-    path: str | None = None
-    synthetic: str = "separable-logistic"
-    n: int = 64
-    d: int = 10
-    data_seed: int = 0
-    loss: str = "logistic"
-    lam: float = 0.1
-    scale: bool = False
-    layer_dims: tuple = (20, 16, 16, 4)
-    c_init: float = 0.01
+    path: str | None = _ruled(None, str, _A_FILE)
+    synthetic: str = _ruled("separable-logistic", SYNTHETIC_KINDS, reads=("logistic",))
+    n: int = _ruled(64, int, _AT_LEAST_1, reads=_LOSSES)
+    d: int = _ruled(10, int, _AT_LEAST_1, reads=("logistic", "squared"))
+    data_seed: int = _ruled(0, int, _NON_NEGATIVE)
+    loss: str = _ruled("logistic", _LOSSES)
+    lam: float = _ruled(
+        0.1, numbers.Real, (lambda value: 0 <= value < math.inf, "be non-negative and finite")
+    )
+    scale: bool = _ruled(False, bool)
+    layer_dims: tuple = _ruled((20, 16, 16, 4), list, (
+        lambda dims: len(dims) >= 2 and all(_is_integer(k) and k >= 1 for k in dims),
+        "list at least input and output sizes, each a positive integer",
+    ))
+    c_init: float = _ruled(0.01, numbers.Real, _POSITIVE_FINITE)
 
     def __post_init__(self):
-        for name in ("n", "d", "data_seed"):
-            setattr(self, name, _as_int(getattr(self, name)))
-        _require("problem.layer_dims", self.layer_dims, (list, tuple), "a list")
+        _ints_as_ints(self)
+        _require("problem.layer_dims", self.layer_dims, list)
         self.layer_dims = tuple(map(_as_int, self.layer_dims))
 
 
@@ -179,16 +235,22 @@ class ProblemSpec:
 class ExperimentConfig:
     problem: ProblemSpec
     algorithms: list
-    steps: int | None = None
-    epochs: int | None = None
-    repeats: int = 5
-    master_seed: int = 0
-    out: str | None = None
-    format: str = "csv"
+    steps: int | None = _ruled(None, int, _AT_LEAST_1)
+    epochs: int | None = _ruled(None, int, _AT_LEAST_1)
+    repeats: int = _ruled(5, int, _AT_LEAST_1)
+    master_seed: int = _ruled(0, int, _NON_NEGATIVE)
+    out: str | None = _ruled(None, str, _A_FILE)
+    format: str = _ruled("csv", ("csv", "json"))
 
-    def __post_init__(self):
-        for name in ("steps", "epochs", "repeats", "master_seed"):
-            setattr(self, name, _as_int(getattr(self, name)))
+    __post_init__ = _ints_as_ints
+
+
+# Every config field with a rule, by the name its errors give it.
+CONFIG_FIELDS = {
+    prefix + f.name: f
+    for prefix, spec in (("", ExperimentConfig), ("problem.", ProblemSpec))
+    for f in fields(spec) if "rule" in f.metadata
+}
 
 
 @dataclass
@@ -211,7 +273,7 @@ class RunRecord:
 
 
 def build_problem(spec: ProblemSpec) -> FiniteSumProblem:
-    if spec.loss not in ("logistic", "squared", "mlp"):
+    if spec.loss not in _LOSSES:
         raise ConfigError(f"unknown loss kind {spec.loss!r}")
     if spec.path:
         try:
@@ -268,22 +330,19 @@ def _is_integer(value) -> bool:
 
 def _as_int(value):
     """``value`` as an int when integral; otherwise unchanged, for
-    check_settings to name. The configs' integer fields go through it on
-    construction, so an integral float runs as its integer, whether it
-    comes from a document or from Python."""
+    check_settings to name."""
     return int(value) if _is_integer(value) else value
 
 
-def _require_integer(field_name: str, value) -> None:
-    if not _is_integer(value):
-        raise ConfigError(f"{field_name} must be an integer, got {value!r}")
-
-
-def _require(field_name: str, value, kinds, what: str):
-    """``value``, once it is one of ``kinds``, and a bool only where ``kinds``
-    is bool."""
-    if not isinstance(value, kinds) or (isinstance(value, bool) and kinds is not bool):
-        raise ConfigError(f"{field_name} must be {what}, got {value!r}")
+def _require(field_name: str, value, kind):
+    """``value``, once it is of ``kind``, a key of _KIND_WORDS: an int is any
+    integral number, a list may be a tuple, and only bool takes a bool."""
+    if kind is int:
+        ok = _is_integer(value)
+    else:
+        ok = isinstance(value, (list, tuple) if kind is list else kind)
+    if not ok or (isinstance(value, bool) and kind is not bool):
+        raise ConfigError(f"{field_name} must be {_KIND_WORDS[kind]}, got {value!r}")
     return value
 
 
@@ -296,13 +355,8 @@ def _check_params(spec: AlgorithmSpec) -> Algorithm:
     for key, value in spec.params.items():
         if key not in row.params:
             raise ConfigError(f"unknown parameter {key!r} for {spec.name}")
-        field_name = f"{spec.name}: parameter {key!r}"
-        if row.params[key][0] is int:
-            _require_integer(field_name, value)
-        else:
-            _require(field_name, value, numbers.Real, "a number")
-        if not 0 < value < math.inf:
-            raise ConfigError(f"{field_name} must be positive and finite, got {value!r}")
+        kind = int if row.params[key][0] is int else numbers.Real
+        Rule(kind, _POSITIVE_FINITE).check(f"{spec.name}: parameter {key!r}", value, None)
     return row
 
 
@@ -325,63 +379,15 @@ def _resolve(spec: AlgorithmSpec, problem: FiniteSumProblem) -> tuple[Algorithm,
 
 
 def check_settings(config: ExperimentConfig) -> None:
-    """Every check that needs no problem instance, run before it is built."""
-    if not _is_integer(config.master_seed) or config.master_seed < 0:
-        raise ConfigError(
-            f"master_seed must be a non-negative integer, got {config.master_seed!r}"
-        )
-    _require_integer("repeats", config.repeats)
-    if config.repeats < 1:
-        raise ConfigError("repeats must be at least 1")
+    """Every check that needs no problem instance, run before it is built:
+    each rule in CONFIG_FIELDS, where None passes as a field's default, then
+    the rules that span fields, then each algorithm's parameters."""
+    for name, f in CONFIG_FIELDS.items():
+        value = getattr(config.problem if name.startswith("problem.") else config, f.name)
+        if value is not None or f.default is not None:
+            f.metadata["rule"].check(name, value, config.problem)
     if (config.steps is None) == (config.epochs is None):
         raise ConfigError("exactly one of 'steps' and 'epochs' must be set")
-    for name in ("steps", "epochs"):
-        value = getattr(config, name)
-        if value is not None:
-            _require_integer(name, value)
-            if value < 1:
-                raise ConfigError(f"{name} must be at least 1")
-    for name in ("n", "d", "data_seed"):
-        _require_integer(f"problem.{name}", getattr(config.problem, name))
-    if config.problem.data_seed < 0:
-        raise ConfigError(
-            f"problem.data_seed must be non-negative, got {config.problem.data_seed!r}"
-        )
-    for field_name, value in (("problem.path", config.problem.path), ("out", config.out)):
-        if _require(field_name, value, (str, type(None)), "a string") == "":
-            raise ConfigError(f"{field_name} must name a file, got ''")
-    if not config.problem.path:
-        # synthetic data reads n, and d unless the network's layer_dims set it
-        for name in ("n",) if config.problem.loss == "mlp" else ("n", "d"):
-            value = getattr(config.problem, name)
-            if value < 1:
-                raise ConfigError(f"problem.{name} must be at least 1, got {value!r}")
-    # only logistic loss on synthetic data reads the kind
-    synthetic = config.problem.synthetic
-    if not config.problem.path and config.problem.loss == "logistic":
-        if synthetic not in SYNTHETIC_KINDS:
-            raise ConfigError(
-                f"problem.synthetic must be one of {list(SYNTHETIC_KINDS)}, got {synthetic!r}"
-            )
-    for name in ("lam", "c_init"):
-        _require(f"problem.{name}", getattr(config.problem, name), numbers.Real, "a number")
-    lam, c_init = config.problem.lam, config.problem.c_init
-    if not 0 <= lam < math.inf:
-        raise ConfigError(f"problem.lam must be non-negative and finite, got {lam!r}")
-    if not 0 < c_init < math.inf:
-        raise ConfigError(f"problem.c_init must be positive and finite, got {c_init!r}")
-    _require("problem.scale", config.problem.scale, bool, "true or false")
-    dims = config.problem.layer_dims
-    for dim in dims:
-        _require_integer("problem.layer_dims entry", dim)
-    if len(dims) < 2:
-        raise ConfigError(
-            f"problem.layer_dims must list at least input and output sizes, got {list(dims)}"
-        )
-    if min(dims) < 1:
-        raise ConfigError(f"problem.layer_dims entries must be positive, got {list(dims)}")
-    if config.format not in ("csv", "json"):
-        raise ConfigError(f"unknown output format {config.format!r}")
     if not config.algorithms:
         raise ConfigError("algorithms must list at least one algorithm")
     for spec in config.algorithms:
@@ -631,38 +637,31 @@ def load_records(path: str, fmt: str) -> list:
 
 
 def config_from_dict(doc: dict) -> ExperimentConfig:
-    """Build a validated config from a parsed JSON document."""
+    """Build a config from a parsed JSON document; check_settings checks
+    its values."""
     if not isinstance(doc, dict):
         raise ConfigError("config document must be a JSON object")
     unknown = set(doc) - {f.name for f in fields(ExperimentConfig)}
     if unknown:
         raise ConfigError(f"unknown config fields: {sorted(unknown)}")
-    prob_doc = dict(_require("problem", doc.get("problem", {}), dict, "a JSON object"))
+    prob_doc = dict(_require("problem", doc.get("problem", {}), dict))
     if "lambda" in prob_doc:
+        if "lam" in prob_doc:
+            raise ConfigError("problem.lam is set both as 'lam' and as 'lambda'")
         prob_doc["lam"] = prob_doc.pop("lambda")
     unknown = set(prob_doc) - {f.name for f in fields(ProblemSpec)}
     if unknown:
         raise ConfigError(f"unknown problem fields: {sorted(unknown)}")
-    problem = ProblemSpec(**prob_doc)
     algorithms = []
-    for entry in _require("algorithms", doc.get("algorithms", []), list, "a list"):
-        entry = dict(_require("algorithms entry", entry, dict, "a JSON object"))
+    for entry in _require("algorithms", doc.get("algorithms", []), list):
+        entry = dict(_require("algorithms entry", entry, dict))
         name = entry.pop("name", None)
         if name is None:
             raise ConfigError("every algorithm entry needs a 'name'")
-        _require("algorithm name", name, str, "a string")
-        params = _require(f"{name}: params", entry.pop("params", {}), dict, "a JSON object")
+        _require("algorithm name", name, str)
+        params = _require(f"{name}: params", entry.pop("params", {}), dict)
         twice = [key for key in params if key in entry]
         if twice:
             raise ConfigError(f"{name}: parameter {twice[0]!r} is set both in and beside 'params'")
         algorithms.append(AlgorithmSpec(name=name, params={**params, **entry}))
-    return ExperimentConfig(
-        problem=problem,
-        algorithms=algorithms,
-        steps=doc.get("steps"),
-        epochs=doc.get("epochs"),
-        repeats=doc.get("repeats", 5),
-        master_seed=doc.get("master_seed", 0),
-        out=doc.get("out"),
-        format=doc.get("format", "csv"),
-    )
+    return ExperimentConfig(**dict(doc, problem=ProblemSpec(**prob_doc), algorithms=algorithms))

@@ -780,15 +780,12 @@ FIELD_VALUES = [
     -1, 0, 1, 2, 3, 0.5, 2.5, 1e-3, math.inf, math.nan, None, True, False,
     "", "x", "sgd", "mlp", "json", [], [2, 2], {}, {"eta": 0.1},
 ]
-# Where a value may go: top-level and problem fields, an unknown field, and
-# the algorithm entry's name, a parameter and its params object.
-FIELD_PATHS = [
-    ("steps",), ("epochs",), ("repeats",), ("master_seed",), ("format",), ("out",),
-    ("algorithms",), ("extra",), ("problem", "n"), ("problem", "d"),
-    ("problem", "data_seed"), ("problem", "loss"), ("problem", "lam"),
-    ("problem", "scale"), ("problem", "synthetic"), ("problem", "layer_dims"),
-    ("problem", "c_init"), ("problem", "path"), ("algorithms", 0, "name"),
-    ("algorithms", 0, "eta"), ("algorithms", 0, "params"),
+# Where a value may go: every field with a rule, the algorithms list, an
+# unknown field, and the algorithm entry's name, a parameter and its params
+# object.
+FIELD_PATHS = [tuple(name.split(".")) for name in harness.CONFIG_FIELDS] + [
+    ("algorithms",), ("extra",), ("algorithms", 0, "name"), ("algorithms", 0, "eta"),
+    ("algorithms", 0, "params"),
 ]
 
 

@@ -2,6 +2,8 @@
 
 import json
 import math
+import numbers
+import re
 import tracemalloc
 
 import numpy as np
@@ -10,6 +12,7 @@ import pytest
 from adaspider.harness import (
     ALGORITHM_NAMES,
     ALGORITHMS,
+    CONFIG_FIELDS,
     AlgorithmSpec,
     ConfigError,
     DEFAULT_SWEEP_GRID,
@@ -26,6 +29,45 @@ from adaspider.harness import (
     steps_for_budget,
     sweep_step_size,
 )
+
+
+# Values that a rule of each kind refuses: of another kind, a bool where a
+# number is meant, and, where the bound refuses them, values of the kind.
+OTHER_KIND = {int: ["x", 0.5, [1], True], numbers.Real: ["x", [1.0], True],
+              bool: ["no", 1], str: [5, ["a"]], list: [4, "x"]}
+OF_THE_KIND = {int: [-1, 0], numbers.Real: [-1.0, 0.0, math.inf, math.nan], str: [""],
+               list: [[], [2], [2, 0], [2, 1.5]]}
+# and one outside the allowed values, for a rule that lists them
+NOT_ALLOWED = ["nope", "", 7, None, True]
+
+
+def out_of_bound(rule) -> list:
+    """Values that only the bound of ``rule`` refuses, where its field is read."""
+    if isinstance(rule.kind, tuple):
+        return NOT_ALLOWED
+    return [v for v in OF_THE_KIND.get(rule.kind, []) if not rule.bound[0](v)]
+
+
+def rule_document(name: str, value, loss: str | None = None) -> dict:
+    """A small document with ``name`` set to ``value``, and ``loss`` set."""
+    doc = {"problem": {"n": 8, "d": 2}, "algorithms": [{"name": "sgd"}], "steps": 5}
+    if loss is not None:
+        doc["problem"]["loss"] = loss
+    if name == "epochs":
+        del doc["steps"]
+    owner, _, key = name.rpartition(".")
+    (doc["problem"] if owner else doc)[key] = value
+    return doc
+
+
+# (field, value, loss): each value each rule refuses, on every loss that
+# reads the field
+RULE_CASES = [
+    (name, value, loss)
+    for name, f in CONFIG_FIELDS.items()
+    for loss in f.metadata["rule"].reads or [None]
+    for value in OTHER_KIND.get(f.metadata["rule"].kind, []) + out_of_bound(f.metadata["rule"])
+]
 
 
 def small_config(**overrides):
@@ -238,6 +280,9 @@ class TestRunExperiment:
             # the kind logistic loss reads from synthetic data
             ("problem.synthetic", {"n": 8, "d": 2, "synthetic": "nope"}),
             ("problem.synthetic", {"n": 8, "d": 2, "synthetic": 5}),
+            # the loss, which build_problem alone would refuse without naming it
+            ("problem.loss", {"n": 8, "d": 2, "loss": 7}),
+            ("problem.loss", {"n": 8, "d": 2, "loss": None}),
         ],
     )
     def test_bad_values_rejected_before_problem_is_built(self, monkeypatch, field, problem):
@@ -252,6 +297,35 @@ class TestRunExperiment:
             run_experiment(config_from_dict(doc))
         with pytest.raises(ConfigError, match=field):
             sweep_step_size(config_from_dict(doc), "sgd", [0.1])
+
+    @pytest.mark.parametrize("name,value,loss", RULE_CASES)
+    def test_each_rule_refuses_before_problem_is_built(self, monkeypatch, name, value, loss):
+        import adaspider.harness as harness
+
+        def fail_build(spec):
+            raise AssertionError("problem built before the fields were checked")
+
+        monkeypatch.setattr(harness, "build_problem", fail_build)
+        doc = rule_document(name, value, loss)
+        with pytest.raises(ConfigError, match=f"^{re.escape(name)} must "):
+            run_experiment(config_from_dict(doc))
+        with pytest.raises(ConfigError, match=f"^{re.escape(name)} must "):
+            sweep_step_size(config_from_dict(doc), "sgd", [0.1])
+
+    @pytest.mark.parametrize("name", [name for name, f in CONFIG_FIELDS.items()
+                                      if f.metadata["rule"].reads])
+    def test_each_rule_checks_only_where_read(self, name):
+        # values of the field's kind that its bound refuses, where no problem
+        # reads it: on other losses, or with a data file
+        rule = CONFIG_FIELDS[name].metadata["rule"]
+        losses = CONFIG_FIELDS["problem.loss"].metadata["rule"].kind
+        assert out_of_bound(rule)
+        for value in out_of_bound(rule):
+            for loss in set(losses) - set(rule.reads):
+                check_settings(config_from_dict(rule_document(name, value, loss)))
+            doc = rule_document(name, value)
+            doc["problem"]["path"] = "data.svm"
+            check_settings(config_from_dict(doc))
 
     def test_sizes_the_build_does_not_read_are_not_checked(self, tmp_path):
         # the network's input size comes from layer_dims, and a data file's
@@ -643,6 +717,17 @@ class TestConfigDocument:
         # each place alone is accepted
         for entry in ({"name": "sgd", "params": {"eta": 0.1}}, {"name": "sgd", "eta": 0.2}):
             config_from_dict({"algorithms": [entry], "steps": 5})
+
+    def test_lam_set_both_as_lam_and_lambda_refused(self):
+        doc = {"problem": {"lam": 0.5, "lambda": 0.1}, "algorithms": [{"name": "sgd"}],
+               "steps": 5}
+        with pytest.raises(ConfigError) as excinfo:
+            config_from_dict(doc)
+        assert str(excinfo.value) == "problem.lam is set both as 'lam' and as 'lambda'"
+        # each key alone is accepted
+        for key in ("lam", "lambda"):
+            config = config_from_dict(dict(doc, problem={key: 0.1}))
+            assert config.problem.lam == 0.1
 
     @pytest.mark.parametrize("field", ["problem.path", "out"])
     def test_empty_path_refused_before_problem_is_built(self, monkeypatch, field):

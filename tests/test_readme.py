@@ -1,12 +1,14 @@
-"""The README's Python examples run as written, with the public names it
-documents."""
+"""The README's Python and JSON examples run as written, with the public
+names and config field rules it documents."""
 
 import importlib
+import json
 import math
 import re
 from pathlib import Path
 
 from adaspider.cli import VERIFY_SUITES
+from adaspider.harness import CONFIG_FIELDS, check_settings, config_from_dict
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 MODULES = ("cli", "core", "data", "harness", "optimizers", "problems", "verify")
@@ -53,3 +55,21 @@ def test_paper_to_code_table_names_resolve():
         names = re.findall(r"`([\w.]+)`", code)
         assert names, cell
         assert unresolved(names) == [], cell
+
+
+def _config_section() -> str:
+    text = README.read_text(encoding="utf-8")
+    return text.split("## Experiment config\n")[1].split("\n## ")[0]
+
+
+def test_field_rules_paragraph_names_every_rule():
+    paragraphs = _config_section().split("\n\n")
+    rules = next(p for p in paragraphs if p.startswith("Each field's rule"))
+    named = set(re.findall(r"`([\w.]+)`", rules))
+    assert set(CONFIG_FIELDS) <= named, set(CONFIG_FIELDS) - named
+
+
+def test_json_config_example_passes_the_checks():
+    blocks = re.findall(r"^```json\n(.*?)^```", _config_section(), re.S | re.M)
+    assert len(blocks) == 1
+    check_settings(config_from_dict(json.loads(blocks[0])))
