@@ -20,6 +20,7 @@ from .core import finite_difference_gradient
 from .data import generate_synthetic
 from .harness import (
     ALGORITHMS,
+    CONFIG_FIELDS,
     AlgorithmSpec,
     ConfigError,
     DEFAULT_SWEEP_GRID,
@@ -81,11 +82,6 @@ def _checked_out(fmt: str, out: str | None) -> str:
     if folder and not os.path.isdir(folder):
         raise ConfigError(f"out {path!r} is in a directory that does not exist")
     return path
-
-
-def _check_seed(seed: int) -> None:
-    if seed < 0:
-        raise ConfigError(f"--seed must be a non-negative integer, got {seed}")
 
 
 def _load_config(path: str | None) -> ExperimentConfig:
@@ -230,7 +226,7 @@ def _verify_reports(suite: str, seed: int, rhs_factor: float) -> list:
 
 
 def _cmd_verify(args) -> int:
-    _check_seed(args.seed)
+    CONFIG_FIELDS["master_seed"].metadata["rule"].check("--seed", args.seed, None)
     reports = _verify_reports(args.suite, args.seed, args.rhs_factor)
     for report in reports:
         print(report.to_json())
@@ -310,7 +306,7 @@ def gradient_check_report(points: int = 20, seed: int = 0, corrupt: bool = False
 
 
 def _cmd_gradcheck(args) -> int:
-    _check_seed(args.seed)
+    CONFIG_FIELDS["master_seed"].metadata["rule"].check("--seed", args.seed, None)
     report = gradient_check_report(
         points=args.points, seed=args.seed, corrupt=args.corrupt
     )

@@ -638,7 +638,8 @@ def load_records(path: str, fmt: str) -> list:
 
 def config_from_dict(doc: dict) -> ExperimentConfig:
     """Build a config from a parsed JSON document; check_settings checks
-    its values."""
+    its values, but for ``problem.lambda``, checked here by name before it
+    becomes ``lam``."""
     if not isinstance(doc, dict):
         raise ConfigError("config document must be a JSON object")
     unknown = set(doc) - {f.name for f in fields(ExperimentConfig)}
@@ -648,6 +649,8 @@ def config_from_dict(doc: dict) -> ExperimentConfig:
     if "lambda" in prob_doc:
         if "lam" in prob_doc:
             raise ConfigError("problem.lam is set both as 'lam' and as 'lambda'")
+        rule = CONFIG_FIELDS["problem.lam"].metadata["rule"]
+        rule.check("problem.lambda", prob_doc["lambda"], None)
         prob_doc["lam"] = prob_doc.pop("lambda")
     unknown = set(prob_doc) - {f.name for f in fields(ProblemSpec)}
     if unknown:

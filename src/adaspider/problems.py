@@ -12,8 +12,10 @@ which calls the same BLAS kernel per row as a single call (a plain 2-d
 product would not), and every other step is elementwise. The network
 is a flat parameter vector, laid out by :func:`_unpack_params`, with one
 stacked forward pass and one backpropagation, at one shared parameter
-vector or at one per row, whose per-row weights are views of the rows;
-its single-sample gradient and loss are their one-row cases, and the
+vector or at one per row, whose per-row weights are views of the rows.
+A single sample's gradient is the same two passes on 1-d arrays, each
+product by ``np.dot``, the gemv that the stacked ``np.matmul`` runs per
+row, so it is bitwise its row; its loss is the one-row case, and the
 difference of one sample's gradients at two points is one two-row pass.
 Only the full loss ``value()`` runs its own forward pass, one matrix
 product per layer over all samples.
@@ -337,19 +339,28 @@ def _unpack_params(layer_dims, params: np.ndarray):
 
 def _stacked_forward(layer_dims, params: np.ndarray, inputs: np.ndarray):
     """Forward pass of a (k, d_in) stack of inputs at one parameter vector
-    (d,) or at one per row (k, d). Returns, for :func:`_backprop`, the
-    layers, every layer's activations and each hidden layer's
-    ``min(z, 0)``, which the ELU and its derivative share.
+    (d,) or at one per row (k, d), or of one (d_in,) input at one (d,)
+    vector. Returns, for :func:`_backprop`, the layers, every layer's
+    activations and each hidden layer's ``min(z, 0)``, which the ELU and
+    its derivative share.
 
-    ``np.matmul(w, h[:, :, None])`` runs the gemv of ``w @ h`` once per
+    ``np.matmul(w, h[..., None])`` runs the gemv of ``w @ h`` once per
     row, whether ``w`` is one (out, in) matrix or a (k, out, in) stack of
     views of the rows of ``params``, so a row's logits depend neither on
-    the other rows nor on whether the rows share their parameters.
+    the other rows nor on whether the rows share their parameters. One
+    input takes ``np.dot(w, h)``, that same gemv once, with less overhead
+    than ``np.matmul``; but ``np.dot`` takes a 1 x 1 matrix for a scalar,
+    whose product keeps the sign of a zero that the gemv drops, so a 1 x 1
+    layer keeps ``np.matmul``. Every other step is elementwise or reduces
+    the last axis, so the 1-d pass is bitwise a row of the stacked one.
     """
     layers = _unpack_params(layer_dims, params)
     h, activations, belows = inputs, [inputs], []
     for k, (w, b) in enumerate(layers):
-        h = np.matmul(w, h[:, :, None])[:, :, 0] + b
+        if h.ndim == 1 and w.size > 1:
+            h = np.dot(w, h) + b
+        else:
+            h = np.matmul(w, h[..., None])[..., 0] + b
         if k < len(layers) - 1:  # elu(h), as :func:`elu` computes it
             belows.append(np.minimum(h, 0.0))
             h = np.where(h > 0, h, np.expm1(belows[-1]))
@@ -360,20 +371,25 @@ def _stacked_forward(layer_dims, params: np.ndarray, inputs: np.ndarray):
 def _backprop(layer_dims, layers, activations, belows, one_hot: np.ndarray) -> np.ndarray:
     """Cross-entropy gradient of every row of a :func:`_stacked_forward`
     pass, one flat parameter vector per row, by manual backpropagation
-    through the affine and ELU layers. Each layer's gradient is written
-    into its views of one (k, d) array."""
+    through the affine and ELU layers; of a 1-d pass, one (d,) vector,
+    with the transposed products by ``np.dot`` as in the forward pass.
+    Each layer's gradient is written into its views of one array."""
     logits = activations[-1]
-    shifted = np.exp(logits - np.maximum.reduce(logits, axis=1, keepdims=True))
+    shifted = np.exp(logits - np.maximum.reduce(logits, axis=-1, keepdims=True))
     # softmax - label is the gradient of the loss in the logits
-    delta = shifted / np.add.reduce(shifted, axis=1, keepdims=True) - one_hot
-    grads = np.empty((len(delta), mlp_param_count(layer_dims)))
+    delta = shifted / np.add.reduce(shifted, axis=-1, keepdims=True) - one_hot
+    grads = np.empty(delta.shape[:-1] + (mlp_param_count(layer_dims),))
     grad_layers = _unpack_params(layer_dims, grads)
     for k in range(len(layers) - 1, -1, -1):
         grad_w, grad_b = grad_layers[k]
         grad_b[...] = delta
-        np.multiply(delta[:, :, None], activations[k][:, None, :], out=grad_w)
+        np.multiply(delta[..., :, None], activations[k][..., None, :], out=grad_w)
         if k > 0:
-            delta = np.matmul(layers[k][0].swapaxes(-1, -2), delta[:, :, None])[:, :, 0]
+            w_t = layers[k][0].swapaxes(-1, -2)
+            if delta.ndim == 1 and w_t.size > 1:
+                delta = np.dot(w_t, delta)
+            else:
+                delta = np.matmul(w_t, delta[..., None])[..., 0]
             delta *= np.exp(belows[k - 1])  # ELU derivative: exp(+0.0) = 1 where z > 0
     # -0.0 products become +0.0, as when accumulating into a zero vector;
     # the recorded runs were made with that arithmetic.
@@ -442,7 +458,8 @@ class MLPClassificationProblem(FiniteSumProblem):
 
     def _gradients(self, rows, params: np.ndarray) -> np.ndarray:
         """Forward and backpropagation of the 0-based samples ``rows``, an
-        array or a slice, in one pass at one point or at one per row."""
+        array or a slice, in one pass at one point or at one per row; of one
+        sample, an integer ``rows``, as the 1-d pass at one point."""
         stacked = _stacked_forward(self.layer_dims, params, self._features[rows])
         return _backprop(self.layer_dims, *stacked, self._one_hot[rows])
 
@@ -461,8 +478,9 @@ class MLPClassificationProblem(FiniteSumProblem):
         return logsumexp(logits) - logits @ self._one_hot[i - 1]
 
     def component_gradient(self, i: int, x: np.ndarray) -> np.ndarray:
+        """The 1-d pass of sample i: bitwise its row of :meth:`component_gradients`."""
         self._check_index(i)
-        return self._gradients(slice(i - 1, i), self._params(x))[0]
+        return self._gradients(i - 1, self._params(x))
 
     def component_gradient_difference(self, i: int, x, anchor) -> np.ndarray:
         """One two-row pass, at x and at the anchor."""

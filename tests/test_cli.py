@@ -720,7 +720,7 @@ class TestGradcheck:
 def test_negative_seed_exits_2_and_names_flag(capsys, command):
     code, out, err = run_main(capsys, command, "--seed", "-1")
     assert code == 2
-    assert err == "error: --seed must be a non-negative integer, got -1\n"
+    assert err == "error: --seed must be non-negative, got -1\n"
     assert out == ""
 
 
@@ -785,7 +785,7 @@ FIELD_VALUES = [
 # object.
 FIELD_PATHS = [tuple(name.split(".")) for name in harness.CONFIG_FIELDS] + [
     ("algorithms",), ("extra",), ("algorithms", 0, "name"), ("algorithms", 0, "eta"),
-    ("algorithms", 0, "params"),
+    ("algorithms", 0, "params"), ("problem", "lambda"),
 ]
 
 

@@ -729,6 +729,12 @@ class TestConfigDocument:
             config = config_from_dict(dict(doc, problem={key: 0.1}))
             assert config.problem.lam == 0.1
 
+    @pytest.mark.parametrize("value", [-1, "0.1", True, math.inf])
+    def test_bad_lambda_refused_by_its_own_name(self, value):
+        doc = {"problem": {"lambda": value}, "algorithms": [{"name": "sgd"}], "steps": 5}
+        with pytest.raises(ConfigError, match=r"^problem\.lambda must be "):
+            config_from_dict(doc)
+
     @pytest.mark.parametrize("field", ["problem.path", "out"])
     def test_empty_path_refused_before_problem_is_built(self, monkeypatch, field):
         import adaspider.harness as harness

@@ -1,7 +1,7 @@
-"""The network oracle is one stacked forward pass and one backpropagation:
-its one-row and k-row logits, losses and gradients are bitwise equal to
-the per-sample reference in ``mlp_reference``, at one parameter vector
-and at one per row. The full loss ``value()`` is bitwise equal to the
+"""The network oracle is one forward pass and one backpropagation, stacked
+or on one 1-d sample: its 1-d, one-row and k-row logits, losses and
+gradients are bitwise equal to the per-sample reference in
+``mlp_reference``, at one parameter vector and at one per row. The full loss ``value()`` is bitwise equal to the
 reference's matrix-product forward pass."""
 
 import hashlib
@@ -23,6 +23,7 @@ from mlp_reference import (
 from adaspider.data import generate_synthetic
 from adaspider.problems import (
     MLPClassificationProblem,
+    _backprop,
     _stacked_forward,
     _unpack_params,
     kaiming_uniform_scaled_init,
@@ -47,6 +48,14 @@ def same_bits(a, b) -> bool:
 )
 @example(dims=[1, 1], n=1, seed=0, scale=0.0, picks=[0, 0])
 @example(dims=[3, 1, 2], n=3, seed=1, scale=-0.0, picks=[2, 0, 2])
+# widths past the strategy's reach the gemv kernels' unrolled blocks, which
+# the 1-d np.dot and the stacked np.matmul must share
+@example(dims=[20, 16, 16, 4], n=5, seed=2, scale=1.0, picks=[4, 1, 4, 0])
+@example(dims=[40, 33, 5], n=4, seed=3, scale=0.01, picks=[3, 2])
+@example(dims=[40, 33, 5], n=2, seed=4, scale=-0.0, picks=[1, 0])
+# 1 x 1 layers at -0.0, which np.dot would take for a scalar
+@example(dims=[1, 1], n=1, seed=0, scale=-0.0, picks=[0])
+@example(dims=[2, 1, 1, 2], n=2, seed=5, scale=-0.0, picks=[1, 0])
 def test_one_row_and_k_row_calls_match_reference(dims, n, seed, scale, picks):
     dims = tuple(dims)
     dataset = generate_synthetic(
@@ -69,6 +78,9 @@ def test_one_row_and_k_row_calls_match_reference(dims, n, seed, scale, picks):
         assert same_bits(problem.component_value(i, x), loss)
         one_row = _stacked_forward(dims, x, problem._features[i - 1][None])[1][-1][0]
         assert same_bits(one_row, logits)
+        unstacked = _stacked_forward(dims, x, problem._features[i - 1])
+        assert same_bits(unstacked[1][-1], logits)
+        assert same_bits(_backprop(dims, *unstacked, problem._one_hot[i - 1]), grad)
     assert same_bits(problem.value(x), reference_value(problem, x))
 
 
