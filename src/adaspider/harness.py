@@ -638,8 +638,7 @@ def load_records(path: str, fmt: str) -> list:
 
 def config_from_dict(doc: dict) -> ExperimentConfig:
     """Build a config from a parsed JSON document; check_settings checks
-    its values, but for ``problem.lambda``, checked here by name before it
-    becomes ``lam``."""
+    its values, and ``lambda`` is checked here, under its own name."""
     if not isinstance(doc, dict):
         raise ConfigError("config document must be a JSON object")
     unknown = set(doc) - {f.name for f in fields(ExperimentConfig)}

@@ -12,11 +12,10 @@ which calls the same BLAS kernel per row as a single call (a plain 2-d
 product would not), and every other step is elementwise. The network
 is a flat parameter vector, laid out by :func:`_unpack_params`, with one
 stacked forward pass and one backpropagation, at one shared parameter
-vector or at one per row, whose per-row weights are views of the rows.
-A single sample's gradient is the same two passes on 1-d arrays, each
-product by ``np.dot``, the gemv that the stacked ``np.matmul`` runs per
-row, so it is bitwise its row; its loss is the one-row case, and the
-difference of one sample's gradients at two points is one two-row pass.
+vector or at one per row, whose per-row weights are views of the rows;
+one sample's gradient is the 1-d pass, by ``np.dot``, the gemv that the
+stacked ``np.matmul`` runs per row. Its loss is the one-row case, and
+the difference of one sample's gradients at two points is one two-row pass.
 Only the full loss ``value()`` runs its own forward pass, one matrix
 product per layer over all samples.
 """
@@ -339,20 +338,17 @@ def _unpack_params(layer_dims, params: np.ndarray):
 
 def _stacked_forward(layer_dims, params: np.ndarray, inputs: np.ndarray):
     """Forward pass of a (k, d_in) stack of inputs at one parameter vector
-    (d,) or at one per row (k, d), or of one (d_in,) input at one (d,)
-    vector. Returns, for :func:`_backprop`, the layers, every layer's
-    activations and each hidden layer's ``min(z, 0)``, which the ELU and
-    its derivative share.
+    (d,) or at one per row (k, d), or of one (d_in,) input at one (d,).
+    Returns, for :func:`_backprop`, the layers, every layer's activations
+    and each hidden layer's ``min(z, 0)``, which the ELU and its
+    derivative share.
 
     ``np.matmul(w, h[..., None])`` runs the gemv of ``w @ h`` once per
     row, whether ``w`` is one (out, in) matrix or a (k, out, in) stack of
     views of the rows of ``params``, so a row's logits depend neither on
     the other rows nor on whether the rows share their parameters. One
-    input takes ``np.dot(w, h)``, that same gemv once, with less overhead
-    than ``np.matmul``; but ``np.dot`` takes a 1 x 1 matrix for a scalar,
-    whose product keeps the sign of a zero that the gemv drops, so a 1 x 1
-    layer keeps ``np.matmul``. Every other step is elementwise or reduces
-    the last axis, so the 1-d pass is bitwise a row of the stacked one.
+    input runs that gemv by the cheaper ``np.dot``, but for a 1 x 1 ``w``,
+    which ``np.dot`` takes for a scalar, keeping a zero's sign.
     """
     layers = _unpack_params(layer_dims, params)
     h, activations, belows = inputs, [inputs], []
@@ -371,9 +367,9 @@ def _stacked_forward(layer_dims, params: np.ndarray, inputs: np.ndarray):
 def _backprop(layer_dims, layers, activations, belows, one_hot: np.ndarray) -> np.ndarray:
     """Cross-entropy gradient of every row of a :func:`_stacked_forward`
     pass, one flat parameter vector per row, by manual backpropagation
-    through the affine and ELU layers; of a 1-d pass, one (d,) vector,
-    with the transposed products by ``np.dot`` as in the forward pass.
-    Each layer's gradient is written into its views of one array."""
+    through the affine and ELU layers, with the products of the forward
+    pass; of a 1-d pass, one (d,) vector. Each layer's gradient is written
+    into its views of one array."""
     logits = activations[-1]
     shifted = np.exp(logits - np.maximum.reduce(logits, axis=-1, keepdims=True))
     # softmax - label is the gradient of the loss in the logits

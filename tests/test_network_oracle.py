@@ -1,8 +1,9 @@
 """The network oracle is one forward pass and one backpropagation, stacked
 or on one 1-d sample: its 1-d, one-row and k-row logits, losses and
 gradients are bitwise equal to the per-sample reference in
-``mlp_reference``, at one parameter vector and at one per row. The full loss ``value()`` is bitwise equal to the
-reference's matrix-product forward pass."""
+``mlp_reference``, at one parameter vector and at one per row. The full
+loss ``value()`` is bitwise equal to the reference's matrix-product
+forward pass."""
 
 import hashlib
 import runpy
@@ -53,9 +54,8 @@ def same_bits(a, b) -> bool:
 @example(dims=[20, 16, 16, 4], n=5, seed=2, scale=1.0, picks=[4, 1, 4, 0])
 @example(dims=[40, 33, 5], n=4, seed=3, scale=0.01, picks=[3, 2])
 @example(dims=[40, 33, 5], n=2, seed=4, scale=-0.0, picks=[1, 0])
-# 1 x 1 layers at -0.0, which np.dot would take for a scalar
+# a 1 x 1 layer at -0.0, which np.dot would take for a scalar
 @example(dims=[1, 1], n=1, seed=0, scale=-0.0, picks=[0])
-@example(dims=[2, 1, 1, 2], n=2, seed=5, scale=-0.0, picks=[1, 0])
 def test_one_row_and_k_row_calls_match_reference(dims, n, seed, scale, picks):
     dims = tuple(dims)
     dataset = generate_synthetic(
