@@ -226,7 +226,7 @@ def _verify_reports(suite: str, seed: int, rhs_factor: float) -> list:
 
 
 def _cmd_verify(args) -> int:
-    CONFIG_FIELDS["master_seed"].metadata["rule"].check("--seed", args.seed, None)
+    CONFIG_FIELDS["master_seed"].metadata["rule"].check("--seed", args.seed)
     reports = _verify_reports(args.suite, args.seed, args.rhs_factor)
     for report in reports:
         print(report.to_json())
@@ -306,7 +306,7 @@ def gradient_check_report(points: int = 20, seed: int = 0, corrupt: bool = False
 
 
 def _cmd_gradcheck(args) -> int:
-    CONFIG_FIELDS["master_seed"].metadata["rule"].check("--seed", args.seed, None)
+    CONFIG_FIELDS["master_seed"].metadata["rule"].check("--seed", args.seed)
     report = gradient_check_report(
         points=args.points, seed=args.seed, corrupt=args.corrupt
     )

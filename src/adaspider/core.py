@@ -149,15 +149,22 @@ class FiniteSumProblem:
             self._check_index(int(indices[np.argmax(bad)]))
         return indices
 
+    def _check_point(self, x) -> np.ndarray:
+        """``x`` as float64, one point of shape (d,)."""
+        x = np.asarray(x, dtype=np.float64)
+        if x.shape != (self.d,):
+            raise ValueError(f"point has shape {x.shape}, expected ({self.d},)")
+        return x
+
     def _check_at(self, indices: np.ndarray, x) -> np.ndarray:
         """``x`` as float64: one point, or a (k, d) block of one point per index."""
         x = np.asarray(x, dtype=np.float64)
-        if x.ndim == 2 and x.shape != (indices.size, self.d):
+        if x.ndim != 2:
+            return self._check_point(x)
+        if x.shape != (indices.size, self.d):
             raise ValueError(
                 f"points have shape {x.shape}, expected ({indices.size}, {self.d})"
             )
-        if x.ndim != 2 and x.shape != (self.d,):
-            raise ValueError(f"point has shape {x.shape}, expected ({self.d},)")
         return x
 
     def _check_points(self, points) -> np.ndarray:
@@ -226,11 +233,7 @@ def full_gradient(
     Raises :class:`NonFiniteGradientError`, naming the first bad
     component, when the gradient is not finite.
     """
-    x = np.asarray(x, dtype=np.float64)
-    if x.shape != (problem.d,):
-        raise ValueError(
-            f"point has shape {x.shape}, expected ({problem.d},)"
-        )
+    x = problem._check_point(x)
     g, faults = full_gradients(problem, x[None], [counter])
     if faults:
         raise faults[0]

@@ -156,31 +156,27 @@ _KIND_WORDS = {int: "an integer", numbers.Real: "a number", bool: "true or false
 class Rule:
     """A config field's rule, held in the field's ``metadata["rule"]``:
     its ``kind``, a key of _KIND_WORDS or a tuple of the allowed values;
-    the ``bound`` a value of that kind must pass, as a test and the words
-    of its error; and, for a field only synthetic data reads, the losses
-    that read it. An unread field is checked for its kind alone, or not
-    at all if it has allowed values."""
+    and the ``bound`` a value of that kind must pass, as a test and the
+    words of its error. It holds wherever the field is set."""
 
     kind: object
     bound: tuple = (lambda value: True, "")
-    reads: tuple | None = None
 
-    def check(self, name: str, value, problem: ProblemSpec | None) -> None:
+    def check(self, name: str, value) -> None:
         """Raise a ConfigError naming ``name`` unless ``value`` keeps the rule."""
-        read = self.reads is None or (not problem.path and problem.loss in self.reads)
         if isinstance(self.kind, tuple):
             test, words = self.kind.__contains__, f"be one of {list(self.kind)}"
         else:
             _require(name, value, self.kind)
             test, words = self.bound
-        if read and not test(value):
+        if not test(value):
             shown = list(value) if isinstance(value, tuple) else value
             raise ConfigError(f"{name} must {words}, got {shown!r}")
 
 
-def _ruled(default, kind, bound=Rule.bound, reads=None):
+def _ruled(default, kind, bound=Rule.bound):
     """A config dataclass field with its Rule."""
-    return field(default=default, metadata={"rule": Rule(kind, bound, reads)})
+    return field(default=default, metadata={"rule": Rule(kind, bound)})
 
 
 def _ints_as_ints(spec) -> None:
@@ -207,12 +203,13 @@ class ProblemSpec:
     and ``c_init`` apply, and the synthetic kind should be the cluster
     generator). Synthetic data reads ``n``, and ``d`` unless the
     network's ``layer_dims`` set it; only logistic loss reads the kind.
+    Each field keeps its rule whether or not it is read.
     """
 
     path: str | None = _ruled(None, str, _A_FILE)
-    synthetic: str = _ruled("separable-logistic", SYNTHETIC_KINDS, reads=("logistic",))
-    n: int = _ruled(64, int, _AT_LEAST_1, reads=_LOSSES)
-    d: int = _ruled(10, int, _AT_LEAST_1, reads=("logistic", "squared"))
+    synthetic: str = _ruled("separable-logistic", SYNTHETIC_KINDS)
+    n: int = _ruled(64, int, _AT_LEAST_1)
+    d: int = _ruled(10, int, _AT_LEAST_1)
     data_seed: int = _ruled(0, int, _NON_NEGATIVE)
     loss: str = _ruled("logistic", _LOSSES)
     lam: float = _ruled(
@@ -356,7 +353,7 @@ def _check_params(spec: AlgorithmSpec) -> Algorithm:
         if key not in row.params:
             raise ConfigError(f"unknown parameter {key!r} for {spec.name}")
         kind = int if row.params[key][0] is int else numbers.Real
-        Rule(kind, _POSITIVE_FINITE).check(f"{spec.name}: parameter {key!r}", value, None)
+        Rule(kind, _POSITIVE_FINITE).check(f"{spec.name}: parameter {key!r}", value)
     return row
 
 
@@ -385,7 +382,7 @@ def check_settings(config: ExperimentConfig) -> None:
     for name, f in CONFIG_FIELDS.items():
         value = getattr(config.problem if name.startswith("problem.") else config, f.name)
         if value is not None or f.default is not None:
-            f.metadata["rule"].check(name, value, config.problem)
+            f.metadata["rule"].check(name, value)
     if (config.steps is None) == (config.epochs is None):
         raise ConfigError("exactly one of 'steps' and 'epochs' must be set")
     if not config.algorithms:
@@ -649,7 +646,7 @@ def config_from_dict(doc: dict) -> ExperimentConfig:
         if "lam" in prob_doc:
             raise ConfigError("problem.lam is set both as 'lam' and as 'lambda'")
         rule = CONFIG_FIELDS["problem.lam"].metadata["rule"]
-        rule.check("problem.lambda", prob_doc["lambda"], None)
+        rule.check("problem.lambda", prob_doc["lambda"])
         prob_doc["lam"] = prob_doc.pop("lambda")
     unknown = set(prob_doc) - {f.name for f in fields(ProblemSpec)}
     if unknown:

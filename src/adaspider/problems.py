@@ -138,6 +138,7 @@ class RegularizedERM(FiniteSumProblem):
 
     def component_value(self, i: int, x: np.ndarray) -> float:
         self._check_index(i)
+        x = self._check_point(x)
         a = self._features[i - 1]
         b = self._labels[i - 1]
         margin = float(np.dot(a, x))
@@ -145,6 +146,7 @@ class RegularizedERM(FiniteSumProblem):
 
     def component_gradient(self, i: int, x: np.ndarray) -> np.ndarray:
         self._check_index(i)
+        x = self._check_point(x)
         a = self._features[i - 1]
         b = self._labels[i - 1]
         margin = np.dot(a, x)
@@ -267,12 +269,13 @@ class QuadraticProblem(FiniteSumProblem):
 
     def component_value(self, i: int, x: np.ndarray) -> float:
         self._check_index(i)
+        x = self._check_point(x)
         a = self.matrices[i - 1]
         return float(0.5 * x @ a @ x + self.offsets[i - 1] @ x)
 
     def component_gradient(self, i: int, x: np.ndarray) -> np.ndarray:
         self._check_index(i)
-        return self.matrices[i - 1] @ x + self.offsets[i - 1]
+        return self.matrices[i - 1] @ self._check_point(x) + self.offsets[i - 1]
 
     def _gradients(self, rows, x: np.ndarray) -> np.ndarray:
         return np.matmul(self.matrices[rows], x[..., None])[:, :, 0] + self.offsets[rows]
@@ -445,13 +448,6 @@ class MLPClassificationProblem(FiniteSumProblem):
         self._one_hot[np.arange(dataset.n), labels.astype(np.int64)] = 1.0
         super().__init__(n=dataset.n, d=mlp_param_count(layer_dims))
 
-    def _params(self, x: np.ndarray) -> np.ndarray:
-        """``x`` as float64, one parameter vector."""
-        x = np.asarray(x, dtype=np.float64)
-        if x.shape != (self.d,):
-            raise ValueError(f"parameters have shape {x.shape}, expected ({self.d},)")
-        return x
-
     def _gradients(self, rows, params: np.ndarray) -> np.ndarray:
         """Forward and backpropagation of the 0-based samples ``rows``, an
         array or a slice, in one pass at one point or at one per row; of one
@@ -461,7 +457,7 @@ class MLPClassificationProblem(FiniteSumProblem):
 
     def component_value(self, i: int, x: np.ndarray) -> float:
         """Cross-entropy of sample i: the one-row :meth:`component_values`."""
-        return float(self.component_values(i, self._params(x)[None])[0])
+        return float(self.component_values(i, self._check_point(x)[None])[0])
 
     def component_values(self, i: int, points) -> np.ndarray:
         """One forward pass with one parameter vector per row, then the
@@ -476,12 +472,13 @@ class MLPClassificationProblem(FiniteSumProblem):
     def component_gradient(self, i: int, x: np.ndarray) -> np.ndarray:
         """The 1-d pass of sample i: bitwise its row of :meth:`component_gradients`."""
         self._check_index(i)
-        return self._gradients(i - 1, self._params(x))
+        return self._gradients(i - 1, self._check_point(x))
 
     def component_gradient_difference(self, i: int, x, anchor) -> np.ndarray:
         """One two-row pass, at x and at the anchor."""
         self._check_index(i)
-        both = self._gradients([i - 1, i - 1], np.stack((self._params(x), self._params(anchor))))
+        points = np.stack((self._check_point(x), self._check_point(anchor)))
+        both = self._gradients([i - 1, i - 1], points)
         return both[0] - both[1]
 
     def value(self, x: np.ndarray) -> float:
@@ -489,7 +486,7 @@ class MLPClassificationProblem(FiniteSumProblem):
         pass is one ``h @ w.T + b`` product per layer, the arithmetic the
         recorded losses were made with; the stacked pass differs from it in
         the last bits on some points."""
-        layers = _unpack_params(self.layer_dims, self._params(x))
+        layers = _unpack_params(self.layer_dims, self._check_point(x))
         h = self._features
         for k, (w, b) in enumerate(layers):
             h = h @ w.T + b

@@ -189,14 +189,14 @@ def check_variance_recursion(
     all_components = np.arange(1, problem.n + 1)
     diffs = problem.component_gradients(all_components, x)
     diffs -= problem.component_gradients(all_components, y)
-    lhs = 0.0
-    rhs_var = 0.0
-    for v, p in outcomes:
-        for diff in diffs:
-            dev = diff + v - grad_x
-            lhs += p / problem.n * float(dev @ dev)
-        dev_y = v - grad_y
-        rhs_var += p * float(dev_y @ dev_y)
+    vs = np.array([v for v, _ in outcomes])
+    ps = np.array([p for _, p in outcomes])
+    # accumulate adds term by term, outcome by outcome and component by
+    # component within one, where np.sum would pair the terms
+    devs = (diffs[None] + vs[:, None]) - grad_x
+    weights = np.repeat(ps / problem.n, problem.n)
+    lhs = float(np.add.accumulate(weights * _row_squares(devs.reshape(-1, problem.d)))[-1])
+    rhs_var = float(np.add.accumulate(ps * _row_squares(vs - grad_y))[-1])
     l2 = problem.known_smoothness**2
     rhs = l2 * float(np.sum((x - y) ** 2)) + rhs_var
     return _margins_report(
@@ -361,9 +361,8 @@ def _variance_check(
     l2n = problem.known_smoothness**2 * problem.n
     diffs = np.empty(len(seeds))
     for k, (gammas, squares, norms) in enumerate(_variance_traces(problem, config, seeds, x0)):
-        lhs = 0.0
-        for gamma, square in zip(gammas, squares):
-            lhs += gamma**weight_power * square
+        # term by term in step order, where np.sum would pair the terms
+        lhs = float(np.add.accumulate(gammas**weight_power * squares)[-1])
         rhs = l2n * float(np.sum(gammas ** (2 + weight_power) * norms**2))
         diffs[k] = rhs_factor * rhs - lhs
     mean = float(diffs.mean())

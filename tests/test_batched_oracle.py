@@ -188,6 +188,20 @@ class TestCheckedOnce:
                 problem.component_gradients([1, 2], np.zeros(shape))
             assert str(wrong.value) == f"point has shape {shape}, expected ({d},)"
         assert problem.component_gradients([], np.zeros((0, d))).shape == (0, d)
+        if family == "single":
+            return  # its component_gradient is the test's own, unchecked
+        # the scalar entries refuse a point of another shape, with the same words
+        scalar_entries = (
+            lambda bad: problem.component_gradient(1, bad),
+            lambda bad: problem.component_value(1, bad),
+            lambda bad: problem.component_gradient_difference(1, bad, x),
+            lambda bad: problem.component_gradient_difference(1, x, bad),
+        )
+        for shape in ((d + 1,), (), (1, d), (d, 1)):
+            for entry in scalar_entries:
+                with pytest.raises(ValueError) as wrong:
+                    entry(np.zeros(shape))
+                assert str(wrong.value) == f"point has shape {shape}, expected ({d},)"
 
 
 class TestDerivedFullGradients:

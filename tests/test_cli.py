@@ -185,6 +185,10 @@ class TestRun:
             ("problem.n", {"n": 0, "d": 2}),
             ("problem.d", {"n": 8, "d": 0}),
             ("problem.n", {"loss": "mlp", "n": -1}),
+            # sizes and a kind that no build of these documents reads
+            ("problem.n", {"path": "f.svm", "n": 0}),
+            ("problem.synthetic", {"loss": "squared", "synthetic": 5}),
+            ("problem.d", {"loss": "mlp", "n": 5, "d": 0}),
             ("problem.lam", {"n": 8, "d": 2, "lam": "x"}),
             ("problem.lam", {"n": 8, "d": 2, "lam": math.inf}),
             ("problem.lam", {"n": 8, "d": 2, "lam": -1}),

@@ -42,17 +42,22 @@ NOT_ALLOWED = ["nope", "", 7, None, True]
 
 
 def out_of_bound(rule) -> list:
-    """Values that only the bound of ``rule`` refuses, where its field is read."""
+    """Values that only the bound of ``rule`` refuses."""
     if isinstance(rule.kind, tuple):
         return NOT_ALLOWED
     return [v for v in OF_THE_KIND.get(rule.kind, []) if not rule.bound[0](v)]
 
 
-def rule_document(name: str, value, loss: str | None = None) -> dict:
-    """A small document with ``name`` set to ``value``, and ``loss`` set."""
-    doc = {"problem": {"n": 8, "d": 2}, "algorithms": [{"name": "sgd"}], "steps": 5}
-    if loss is not None:
-        doc["problem"]["loss"] = loss
+# Where a document's problem comes from: synthetic data for each loss, or a
+# data file (which no check reads before the problem is built)
+SOURCES = {loss: {"loss": loss} for loss in CONFIG_FIELDS["problem.loss"].metadata["rule"].kind}
+SOURCES["file"] = {"path": "data.svm"}
+
+
+def rule_document(name: str, value, source: str) -> dict:
+    """A small document on ``source`` with ``name`` set to ``value``."""
+    doc = {"problem": {"n": 8, "d": 2, **SOURCES[source]}, "algorithms": [{"name": "sgd"}],
+           "steps": 5}
     if name == "epochs":
         del doc["steps"]
     owner, _, key = name.rpartition(".")
@@ -60,12 +65,11 @@ def rule_document(name: str, value, loss: str | None = None) -> dict:
     return doc
 
 
-# (field, value, loss): each value each rule refuses, on every loss that
-# reads the field
+# (field, value, source): each value each rule refuses, on every source
 RULE_CASES = [
-    (name, value, loss)
+    (name, value, source)
     for name, f in CONFIG_FIELDS.items()
-    for loss in f.metadata["rule"].reads or [None]
+    for source in SOURCES
     for value in OTHER_KIND.get(f.metadata["rule"].kind, []) + out_of_bound(f.metadata["rule"])
 ]
 
@@ -256,12 +260,14 @@ class TestRunExperiment:
             ("problem.data_seed", {"n": 8, "d": 2, "data_seed": -1}),
             ("problem.data_seed", {"loss": "mlp", "n": 5, "data_seed": -3}),
             ("problem.path", {"path": 5}),
-            # the sizes the synthetic data reads
+            # the sizes, whatever the loss or the data source
             ("problem.n", {"n": 0, "d": 2}),
             ("problem.n", {"loss": "squared", "n": -3, "d": 2}),
             ("problem.d", {"n": 8, "d": 0}),
             ("problem.d", {"loss": "squared", "n": 8, "d": -1}),
             ("problem.n", {"loss": "mlp", "n": 0}),
+            ("problem.n", {"path": "f.svm", "n": 0}),
+            ("problem.d", {"loss": "mlp", "n": 5, "d": 0}),
             ("problem.lam", {"n": 8, "d": 2, "lam": "x"}),
             ("problem.lam", {"n": 8, "d": 2, "lam": None}),
             ("problem.lam", {"n": 8, "d": 2, "lambda": True}),
@@ -277,9 +283,10 @@ class TestRunExperiment:
             ("problem.c_init", {"loss": "mlp", "n": 5, "c_init": 0}),
             ("problem.c_init", {"n": 8, "d": 2, "c_init": 0.0}),
             ("problem.scale", {"n": 8, "d": 2, "scale": "no"}),
-            # the kind logistic loss reads from synthetic data
+            # the synthetic kind, whatever the loss
             ("problem.synthetic", {"n": 8, "d": 2, "synthetic": "nope"}),
             ("problem.synthetic", {"n": 8, "d": 2, "synthetic": 5}),
+            ("problem.synthetic", {"loss": "squared", "synthetic": 5}),
             # the loss, which build_problem alone would refuse without naming it
             ("problem.loss", {"n": 8, "d": 2, "loss": 7}),
             ("problem.loss", {"n": 8, "d": 2, "loss": None}),
@@ -298,51 +305,19 @@ class TestRunExperiment:
         with pytest.raises(ConfigError, match=field):
             sweep_step_size(config_from_dict(doc), "sgd", [0.1])
 
-    @pytest.mark.parametrize("name,value,loss", RULE_CASES)
-    def test_each_rule_refuses_before_problem_is_built(self, monkeypatch, name, value, loss):
+    @pytest.mark.parametrize("name,value,source", RULE_CASES)
+    def test_each_rule_refuses_before_problem_is_built(self, monkeypatch, name, value, source):
         import adaspider.harness as harness
 
         def fail_build(spec):
             raise AssertionError("problem built before the fields were checked")
 
         monkeypatch.setattr(harness, "build_problem", fail_build)
-        doc = rule_document(name, value, loss)
+        doc = rule_document(name, value, source)
         with pytest.raises(ConfigError, match=f"^{re.escape(name)} must "):
             run_experiment(config_from_dict(doc))
         with pytest.raises(ConfigError, match=f"^{re.escape(name)} must "):
             sweep_step_size(config_from_dict(doc), "sgd", [0.1])
-
-    @pytest.mark.parametrize("name", [name for name, f in CONFIG_FIELDS.items()
-                                      if f.metadata["rule"].reads])
-    def test_each_rule_checks_only_where_read(self, name):
-        # values of the field's kind that its bound refuses, where no problem
-        # reads it: on other losses, or with a data file
-        rule = CONFIG_FIELDS[name].metadata["rule"]
-        losses = CONFIG_FIELDS["problem.loss"].metadata["rule"].kind
-        assert out_of_bound(rule)
-        for value in out_of_bound(rule):
-            for loss in set(losses) - set(rule.reads):
-                check_settings(config_from_dict(rule_document(name, value, loss)))
-            doc = rule_document(name, value)
-            doc["problem"]["path"] = "data.svm"
-            check_settings(config_from_dict(doc))
-
-    def test_sizes_the_build_does_not_read_are_not_checked(self, tmp_path):
-        # the network's input size comes from layer_dims, and a data file's
-        # sizes from the file; only logistic loss on synthetic data reads
-        # the synthetic kind
-        data_path = tmp_path / "data.svm"
-        data_path.write_text("1 1:0.5\n-1 2:1.5\n")
-        for problem in (
-            {"loss": "mlp", "n": 4, "d": 0, "layer_dims": [2, 2]},
-            {"path": str(data_path), "n": 0, "d": -1},
-            {"path": str(data_path), "synthetic": "nope"},
-            {"loss": "squared", "n": 4, "d": 2, "synthetic": "nope"},
-            {"loss": "mlp", "n": 4, "layer_dims": [2, 2], "synthetic": "nope"},
-        ):
-            doc = {"problem": problem, "algorithms": [{"name": "sgd"}], "steps": 3}
-            records = run_experiment(config_from_dict(dict(doc, repeats=1)))
-            assert len(records) == 1
 
     def test_each_algorithm_rejects_keys_it_does_not_read(self):
         every_key = sorted({key for row in ALGORITHMS.values() for key in row.params})
