@@ -7,10 +7,11 @@ Usage, from the repository root:
 
 Each input is a ``perfbench/out/result-<workload>-seed<s>-trace<t>.json``
 file (or a directory holding such files) written by ``perfbench/run.py``
-in a checkout of one side. A side may give several files of one workload
-and seed, from repeated runs: their executions are pooled within that
-seed. The output holds, per workload and for each of the four end-to-end
-metrics of ``BENCHMARK.json``:
+in a git checkout of one side; a file that names no commit is refused.
+A side may give several files of one workload and seed, from repeated
+runs: their executions are pooled within that seed. The output holds,
+per workload and for each of the four end-to-end metrics of
+``BENCHMARK.json``:
 
 - each side's median at each seed, and the ratio of the change's to the
   parent's;
@@ -81,6 +82,8 @@ def load_side(paths: list, metrics: list) -> dict:
         with open(path, encoding="utf-8") as fh:
             result = json.load(fh)
         env = result["environment"]
+        if not env.get("commit"):
+            raise RecordError(f"{path}: names no commit; run perfbench in a git checkout")
         if side["environment"] is None:
             side["environment"] = env
         elif env.get("commit") != side["environment"].get("commit"):

@@ -39,6 +39,10 @@ def _row_norms(rows: np.ndarray) -> np.ndarray:
     return np.sqrt(_row_squares(rows))
 
 
+# The types of one 0-based row, as ``_gradients`` tells it from an array of rows.
+_ONE_ROW = (int, np.integer)
+
+
 class NonFiniteGradientError(ValueError):
     """A component gradient evaluated to a non-finite value mid-run.
 
@@ -79,8 +83,14 @@ class FiniteSumProblem:
 
     Indices and points are checked once, where they enter: the public
     :meth:`component_gradients` checks them and calls :meth:`_gradients`,
-    which checks nothing. The step loops call :meth:`_gradients` directly
-    with the 0-based rows they drew themselves.
+    which checks nothing. ``_gradients`` of an integer 0-based row is that
+    one sample's gradient at one point, and :meth:`_gradient_difference`
+    the difference of two of them, at x and at an anchor; the public
+    :meth:`component_gradient` and :meth:`component_gradient_difference`
+    are their checks plus that call in each family of the package, and the
+    defaults fall back on :meth:`component_gradient`, so a family that
+    defines only that still steps. The step loops call the unchecked
+    entries directly with the 0-based rows they drew themselves.
 
     Instances are immutable after construction and safe for concurrent
     read-only evaluation.
@@ -119,9 +129,12 @@ class FiniteSumProblem:
             return np.empty((0, self.d))
         return self._gradients(indices - 1, x)
 
-    def _gradients(self, rows: np.ndarray, x: np.ndarray) -> np.ndarray:
+    def _gradients(self, rows, x: np.ndarray) -> np.ndarray:
         """:meth:`component_gradients` of the 0-based 1-d int array ``rows``
-        at the float64 x, one point or one per row, unchecked and not empty."""
+        at the float64 x, one point or one per row, unchecked and not empty;
+        of an integer ``rows``, that sample's (d,) gradient at the one point x."""
+        if isinstance(rows, _ONE_ROW):
+            return self.component_gradient(rows + 1, x)
         points = x if x.ndim == 2 else [x] * len(rows)
         return np.stack(
             [self.component_gradient(int(r) + 1, p) for r, p in zip(rows, points)]
@@ -133,8 +146,15 @@ class FiniteSumProblem:
 
     def component_gradient_difference(self, i: int, x, anchor) -> np.ndarray:
         """grad f_i(x) - grad f_i(anchor), the SPIDER and SVRG single-sample
-        correction: bitwise the difference of two :meth:`component_gradient` calls."""
-        return self.component_gradient(i, x) - self.component_gradient(i, anchor)
+        correction: checks i and both points, then calls :meth:`_gradient_difference`."""
+        self._check_index(i)
+        return self._gradient_difference(i - 1, self._check_point(x), self._check_point(anchor))
+
+    def _gradient_difference(self, row: int, x: np.ndarray, anchor: np.ndarray) -> np.ndarray:
+        """:meth:`component_gradient_difference` of the 0-based integer
+        ``row``, unchecked: bitwise the difference of two one-sample
+        :meth:`_gradients`."""
+        return self._gradients(row, x) - self._gradients(row, anchor)
 
     def _check_index(self, i: int) -> None:
         if not 1 <= i <= self.n:

@@ -383,6 +383,14 @@ def check_settings(config: ExperimentConfig) -> None:
         value = getattr(config.problem if name.startswith("problem.") else config, f.name)
         if value is not None or f.default is not None:
             f.metadata["rule"].check(name, value)
+    problem = config.problem
+    if not problem.path and problem.loss == "logistic" and problem.synthetic == "quadratic":
+        # refused before a draw; two-cluster labels can fit at a tiny n, so
+        # build_problem still refuses them from the data
+        raise ConfigError(
+            "problem.synthetic 'quadratic' does not fit logistic loss: "
+            "its labels are real-valued regression targets"
+        )
     if (config.steps is None) == (config.epochs is None):
         raise ConfigError("exactly one of 'steps' and 'epochs' must be set")
     if not config.algorithms:

@@ -40,11 +40,19 @@ from .core import (
 # run; the trace records the step index instead of raising.
 DIVERGENCE_LIMIT = 1e12
 
+# A computed sum of squares at most this puts every coordinate below the
+# limit: the rounding of d non-negative terms cannot take half of it away.
+_SQUARES_BOUND = 0.5 * DIVERGENCE_LIMIT**2
+
 
 def _diverged(x: np.ndarray) -> bool:
     """True if any coordinate of x, a vector or a (R, d) block, is non-finite
-    or beyond DIVERGENCE_LIMIT, in one reduction: a NaN propagates through
-    the maximum and fails the comparison, and an infinity exceeds the limit."""
+    or beyond DIVERGENCE_LIMIT. A squared norm within _SQUARES_BOUND says
+    False at once; any other, NaN, inf and an overflowed square included,
+    decides by one reduction: a NaN propagates through the maximum and fails
+    the comparison, and an infinity exceeds the limit."""
+    if np.vdot(x, x) <= _SQUARES_BOUND:  # vdot flattens a block, and warns of no overflow
+        return False
     return not (np.maximum.reduce(np.abs(x), axis=None) <= DIVERGENCE_LIMIT)
 
 
@@ -95,16 +103,16 @@ def spider_estimator_update(
     Otherwise it is base plus :func:`_corrections` over the 1-based
     ``indices`` the loop drew, or with ``exact`` plus
     :func:`_exact_corrections` (``indices`` None), each on a one-row block
-    of x and the anchor; a single sample, faster, is one
-    ``component_gradient_difference``. It draws nothing, and the loop
-    charges the inner step (see :class:`_RunState`).
+    of x and the anchor; a single sample, faster, is one unchecked
+    ``_gradient_difference`` of its 0-based row. It draws nothing, and the
+    loop charges the inner step (see :class:`_RunState`).
     """
     if reset:
         return full_gradient(problem, x, counter)
     if exact:
         return _exact_corrections(problem, np.stack((x, anchor))[:, None], 0)[0] + base
     if len(indices) == 1:
-        return problem.component_gradient_difference(int(indices[0]), x, anchor) + base
+        return problem._gradient_difference(int(indices[0]) - 1, x, anchor) + base
     pair = np.stack((indices, indices))[:, None] - 1
     return _corrections(problem, pair, np.stack((x, anchor))[:, None], 0)[0] + base
 
@@ -426,7 +434,9 @@ def _run_loop(problem, algo: str, x0, rng, keep_path, method: _Method) -> RunTra
     """The step loop of a run alone: g is ``method``'s estimate at x (one
     sampled component gradient, or :func:`spider_estimator_update`), gamma
     its step rule's size, x <- x - gamma * g. It draws, charges and stops
-    as :class:`_RunState` says and keeps what :class:`RunTrace` says."""
+    as :class:`_RunState` says and keeps what :class:`RunTrace` says. It
+    drew its samples itself, so they go to the problem's unchecked
+    one-sample entries, 0-based, as a group's go to ``_gradients``."""
     n = problem.n
     run = _RunState(rng, n, method)
     counter = run.counter
@@ -471,7 +481,7 @@ def _run_loop(problem, algo: str, x0, rng, keep_path, method: _Method) -> RunTra
                         problem, x, anchor, base, False, exact, indices, counter
                     )
                 else:
-                    g = problem.component_gradient(int(indices[0]), x)
+                    g = problem._gradients(int(indices[0]) - 1, x)
                 calls += cost
                 sampled += cost
                 if moving:

@@ -14,7 +14,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from mlp_reference import reference_rows
 
-from adaspider import problems
+from adaspider import optimizers, problems
 from adaspider.cli import main
 from adaspider.core import (
     FiniteSumProblem,
@@ -25,6 +25,7 @@ from adaspider.core import (
     full_gradients,
 )
 from adaspider.data import generate_synthetic
+from adaspider.harness import ALGORITHM_NAMES
 from adaspider.optimizers import spider_estimator_update, svrg_run
 from adaspider.problems import (
     MLPClassificationProblem,
@@ -33,6 +34,8 @@ from adaspider.problems import (
     kaiming_uniform_scaled_init,
     sigmoid,
 )
+
+from test_lockstep import group_runs
 
 FAMILIES = ("logistic", "squared", "quadratic", "mlp")
 MLP_DIMS = (6, 5, 4, 3)
@@ -202,6 +205,90 @@ class TestCheckedOnce:
                 with pytest.raises(ValueError) as wrong:
                     entry(np.zeros(shape))
                 assert str(wrong.value) == f"point has shape {shape}, expected ({d},)"
+
+    @pytest.mark.parametrize("family", (*FAMILIES, "single"))
+    @settings(max_examples=15, deadline=None)
+    @given(
+        row=st.integers(min_value=0, max_value=6),
+        seed=st.integers(min_value=0, max_value=10_000),
+        scale=st.sampled_from([0.01, 1.0, 30.0]),
+    )
+    def test_one_sample_entries_equal_the_public_calls(self, family, row, seed, scale):
+        problem, point = entry_problem(family)
+        rng = np.random.default_rng(seed)
+        x, anchor = point(rng, scale), point(rng, scale)
+        for r in (row, np.int64(row)):
+            one = problem._gradients(r, x)
+            assert same_bits(one, problem.component_gradient(row + 1, x))
+            assert same_bits(one, problem._gradients(np.array([row]), x)[0])
+            assert same_bits(
+                problem._gradient_difference(r, x, anchor),
+                problem.component_gradient_difference(row + 1, x, anchor),
+            )
+
+    @pytest.mark.parametrize("family", (*FAMILIES, "single"))
+    def test_one_sample_public_entries_refuse_a_bad_index_or_point(self, family):
+        problem, point = entry_problem(family)
+        d = problem.d
+        x = point(np.random.default_rng(0), 1.0)
+        entries = [lambda i, p: problem.component_gradient_difference(i, p, x)]
+        if family != "single":  # its component_gradient is the test's own
+            entries.append(problem.component_gradient)
+        for entry in entries:
+            for bad in (0, 8, -1):
+                with pytest.raises(IndexError, match=rf"^component index {bad} out of range"):
+                    entry(bad, x)
+            with pytest.raises(ValueError) as wrong:
+                entry(1, np.zeros((d, 1)))
+            assert str(wrong.value) == f"point has shape {(d, 1)}, expected ({d},)"
+        with pytest.raises(ValueError) as wrong:
+            problem.component_gradient_difference(1, x, np.zeros((d, 1)))
+        assert str(wrong.value) == f"point has shape {(d, 1)}, expected ({d},)"
+
+
+def spy(monkeypatch, owner, names) -> dict:
+    """Count the calls of each attribute of ``owner`` in ``names``, which
+    go on to the original."""
+    calls = dict.fromkeys(names, 0)
+    for name in names:
+        original = getattr(owner, name)
+
+        def counted(*args, _name=name, _original=original):
+            calls[_name] += 1
+            return _original(*args)
+
+        monkeypatch.setattr(owner, name, counted)
+    return calls
+
+
+class TestRunAloneUnchecked:
+    """A run alone steps through the unchecked one-sample entries with the
+    rows it drew: no step checks an index or a point. The one point check
+    left is the charged reset's, in the public ``full_gradient``."""
+
+    @pytest.mark.parametrize("family", FAMILIES)
+    @pytest.mark.parametrize("algo", ALGORITHM_NAMES)
+    @pytest.mark.parametrize("batch", [1, 3])
+    def test_steps_make_no_checked_call(self, monkeypatch, family, algo, batch):
+        problem, point = make_problem(family, 7, 0)
+        x0 = point(np.random.default_rng(1), 0.1)
+        [kw] = group_runs(algo, [0.01], [x0], 0, 20, 4, batch)
+        checked = spy(monkeypatch, type(problem), (
+            "component_gradient", "component_gradient_difference", "_check_index", "_check_point"
+        ))
+        resets = spy(monkeypatch, optimizers, ("full_gradient",))
+        # what one charged reset checks: its point, once a full gradient
+        optimizers.full_gradient(problem, x0, OracleCounter())
+        per_reset = dict(checked)
+        assert per_reset["_check_point"] >= 1
+        assert per_reset["component_gradient"] == per_reset["_check_index"] == 0
+        # with a kept path no epoch row is evaluated, so only steps are counted
+        trace = getattr(optimizers, f"{algo}_run")(problem, **kw, keep_path=True)
+        assert trace.num_steps == 20 and not trace.diverged
+        # a period of 4: resets at steps 0, 4, 8, 12 and 16
+        runs_resets = resets["full_gradient"] - 1
+        assert runs_resets == (0 if algo in ("sgd", "adagrad_norm") else 5)
+        assert checked == {name: (1 + runs_resets) * k for name, k in per_reset.items()}
 
 
 class TestDerivedFullGradients:

@@ -122,3 +122,15 @@ def test_one_side_of_two_commits_is_refused(tmp_path):
     assert proc.returncode == 2
     assert proc.stderr.startswith("error: ") and "commit" in proc.stderr
     assert not out.exists()
+
+
+def test_a_side_that_names_no_commit_is_refused(tmp_path):
+    # perfbench run outside a git checkout records the commit as None
+    parent = write(tmp_path, "p.json", result("mlp-train", 0, None, [1.0]))
+    change = write(tmp_path, "c.json", result("mlp-train", 0, "c" * 40, [1.0]))
+    out = tmp_path / "BENCH.json"
+    for sides in ((parent, change), (change, parent)):
+        proc = run("--parent", sides[0], "--change", sides[1], "--out", str(out))
+        assert proc.returncode == 2
+        assert proc.stderr.startswith("error: ") and "names no commit" in proc.stderr
+        assert not out.exists()

@@ -9,6 +9,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from adaspider.data import generate_synthetic
 from adaspider.harness import (
     ALGORITHM_NAMES,
     ALGORITHMS,
@@ -318,6 +319,34 @@ class TestRunExperiment:
             run_experiment(config_from_dict(doc))
         with pytest.raises(ConfigError, match=f"^{re.escape(name)} must "):
             sweep_step_size(config_from_dict(doc), "sgd", [0.1])
+
+    def test_quadratic_kind_for_logistic_loss_refused_before_any_draw(self, monkeypatch):
+        import adaspider.harness as harness
+
+        drawn = []
+
+        def drawing(*args, **kwargs):
+            drawn.append(args)
+            return generate_synthetic(*args, **kwargs)
+
+        monkeypatch.setattr(harness, "generate_synthetic", drawing)
+        doc = {"problem": {"synthetic": "quadratic", "n": 8, "d": 2},
+               "algorithms": [{"name": "sgd"}], "steps": 5}
+        message = r"^problem\.synthetic 'quadratic' does not fit logistic loss"
+        with pytest.raises(ConfigError, match=message):
+            run_experiment(config_from_dict(doc))
+        with pytest.raises(ConfigError, match=message):
+            sweep_step_size(config_from_dict(doc), "sgd", [0.1])
+        assert drawn == []
+        # squared loss reads no kind and a data file no synthetic field; the
+        # cluster kind is still refused from its drawn labels
+        for problem in ({"synthetic": "quadratic", "n": 8, "d": 2, "loss": "squared"},
+                        {"synthetic": "quadratic", "path": "f.svm"}):
+            check_settings(config_from_dict(dict(doc, problem=problem)))
+        doc["problem"]["synthetic"] = "two-cluster-classification"
+        with pytest.raises(ConfigError, match=r"^problem\.synthetic 'two-cluster"):
+            run_experiment(config_from_dict(doc))
+        assert drawn == [("two-cluster-classification", 8, 2, 0)]
 
     def test_each_algorithm_rejects_keys_it_does_not_read(self):
         every_key = sorted({key for row in ALGORITHMS.values() for key in row.params})

@@ -8,7 +8,7 @@ import json
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
@@ -53,6 +53,16 @@ scaled_blocks = st.tuples(
 ).map(lambda pair: pair[0] * pair[1])
 any_blocks = arrays(
     np.float64, block_shapes, elements=st.floats(allow_nan=True, allow_infinity=True)
+)
+# Coordinates about the divergence test's limit and its squared-norm bound,
+# whose square root is about 7.07e11, and those that under- or overflow.
+EDGE_ELEMENTS = st.one_of(
+    st.sampled_from([
+        np.nan, np.inf, -np.inf, LIMIT, -LIMIT, ABOVE_LIMIT, -ABOVE_LIMIT, 7e11, -7e11,
+        7.0710678118654757e11, 1e200, -1e200, -0.0, 5e-324, -5e-324, 1e-310,
+    ]),
+    st.floats(min_value=-1.1e12, max_value=1.1e12),
+    st.floats(min_value=1e-320, max_value=1e-300),
 )
 
 
@@ -114,6 +124,21 @@ class TestDivergenceFlag:
     @settings(max_examples=400, deadline=None)
     def test_matches_two_reduction_form(self, x):
         assert _diverged(x) == reference_diverged(x)
+
+    @given(st.one_of(
+        arrays(np.float64, st.integers(min_value=1, max_value=60), elements=EDGE_ELEMENTS),
+        arrays(np.float64, block_shapes, elements=EDGE_ELEMENTS),
+    ))
+    @example(np.full(60, 7e11))  # squares past the bound, every coordinate below the limit
+    @example(np.full((9, 40), -7.0710678118654757e11))
+    @example(np.array([1e200, 0.0]))  # the square overflows
+    @example(np.array([[np.nan, 1.0], [np.inf, -np.inf]]))
+    @example(np.array([-0.0, 5e-324, -2.2250738585072014e-308]))
+    @example(np.array([ABOVE_LIMIT, 1e-300]))
+    @settings(max_examples=400, deadline=None)
+    def test_norm_first_decides_as_the_max_form(self, x):
+        # the squared-norm shortcut changes no decision, on vectors and blocks
+        assert _diverged(x) == (not (np.max(np.abs(x)) <= LIMIT))
 
 
 class TestHoistedStepSize:
