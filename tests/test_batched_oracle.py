@@ -191,19 +191,22 @@ class TestCheckedOnce:
                 problem.component_gradients([1, 2], np.zeros(shape))
             assert str(wrong.value) == f"point has shape {shape}, expected ({d},)"
         assert problem.component_gradients([], np.zeros((0, d))).shape == (0, d)
-        if family == "single":
-            return  # its component_gradient is the test's own, unchecked
-        # the scalar entries refuse a point of another shape, with the same words
-        scalar_entries = (
-            lambda bad: problem.component_gradient(1, bad),
-            lambda bad: problem.component_value(1, bad),
-            lambda bad: problem.component_gradient_difference(1, bad, x),
-            lambda bad: problem.component_gradient_difference(1, x, bad),
-        )
-        for shape in ((d + 1,), (), (1, d), (d, 1)):
-            for entry in scalar_entries:
+        # the one-sample entries refuse an index out of range and a point of
+        # another shape, with the same words
+        scalar_entries = [
+            lambda i, bad: problem.component_gradient_difference(i, bad, x),
+            lambda i, bad: problem.component_gradient_difference(i, x, bad),
+        ]
+        if family != "single":  # a SingleOnly's gradient checks no point, and it has no value
+            scalar_entries += [problem.component_gradient, problem.component_value]
+        for entry in scalar_entries:
+            for bad in (0, 8, -1):
+                message = rf"^component index {bad} out of range 1\.\.7$"
+                with pytest.raises(IndexError, match=message):
+                    entry(bad, x)
+            for shape in ((d + 1,), (), (1, d), (d, 1)):
                 with pytest.raises(ValueError) as wrong:
-                    entry(np.zeros(shape))
+                    entry(1, np.zeros(shape))
                 assert str(wrong.value) == f"point has shape {shape}, expected ({d},)"
 
     @pytest.mark.parametrize("family", (*FAMILIES, "single"))
@@ -226,25 +229,6 @@ class TestCheckedOnce:
                 problem.component_gradient_difference(row + 1, x, anchor),
             )
 
-    @pytest.mark.parametrize("family", (*FAMILIES, "single"))
-    def test_one_sample_public_entries_refuse_a_bad_index_or_point(self, family):
-        problem, point = entry_problem(family)
-        d = problem.d
-        x = point(np.random.default_rng(0), 1.0)
-        entries = [lambda i, p: problem.component_gradient_difference(i, p, x)]
-        if family != "single":  # its component_gradient is the test's own
-            entries.append(problem.component_gradient)
-        for entry in entries:
-            for bad in (0, 8, -1):
-                with pytest.raises(IndexError, match=rf"^component index {bad} out of range"):
-                    entry(bad, x)
-            with pytest.raises(ValueError) as wrong:
-                entry(1, np.zeros((d, 1)))
-            assert str(wrong.value) == f"point has shape {(d, 1)}, expected ({d},)"
-        with pytest.raises(ValueError) as wrong:
-            problem.component_gradient_difference(1, x, np.zeros((d, 1)))
-        assert str(wrong.value) == f"point has shape {(d, 1)}, expected ({d},)"
-
 
 def spy(monkeypatch, owner, names) -> dict:
     """Count the calls of each attribute of ``owner`` in ``names``, which
@@ -263,8 +247,8 @@ def spy(monkeypatch, owner, names) -> dict:
 
 class TestRunAloneUnchecked:
     """A run alone steps through the unchecked one-sample entries with the
-    rows it drew: no step checks an index or a point. The one point check
-    left is the charged reset's, in the public ``full_gradient``."""
+    rows it drew: no step checks an index or a point. The point checks
+    left are the charged resets', through the public ``full_gradient``."""
 
     @pytest.mark.parametrize("family", FAMILIES)
     @pytest.mark.parametrize("algo", ALGORITHM_NAMES)

@@ -5,6 +5,7 @@ a golden digest of diverging runs. The sweep goldens are in
 
 import hashlib
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -139,6 +140,12 @@ class TestDivergenceFlag:
     def test_norm_first_decides_as_the_max_form(self, x):
         # the squared-norm shortcut changes no decision, on vectors and blocks
         assert _diverged(x) == (not (np.max(np.abs(x)) <= LIMIT))
+
+    def test_an_overflowing_square_warns_nothing(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert _diverged(np.array([1e200, 0.0]))
+            assert _diverged(np.full((2, 3), -1e300))
 
 
 class TestHoistedStepSize:
