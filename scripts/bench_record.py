@@ -20,8 +20,16 @@ per workload and for each of the four end-to-end metrics of
   and count of all its untraced executions; and the ratio of the
   change's headline median to the parent's;
 
+- the runs, each one input file, whose value is the median of its
+  executions as perfbench reports it: each side's headline median and
+  quartiles over its runs, and the pairs, the k-th run of each side at a
+  seed in the order the runs started, with the count the change won;
+
 and per workload:
 
+- each side's runs in the order they started: seed, file, start (the
+  monotonic clock of the machine, so only runs made in one boot compare)
+  and each metric's run value;
 - each side's per-execution numbers, by seed;
 - each side's failed and attempted operations;
 - the record digests by seed, and whether the two sides' are equal;
@@ -92,18 +100,51 @@ def load_side(paths: list, metrics: list) -> dict:
                 f"{side['environment'].get('commit')} of the same side"
             )
         workload = side["workloads"].setdefault(
-            result["workload"], {"by_seed": {}, "attempted": 0, "failed": 0, "digests": {}}
+            result["workload"],
+            {"by_seed": {}, "runs": [], "attempted": 0, "failed": 0, "digests": {}},
         )
         seed = str(result["seed"])
         numbers = workload["by_seed"].setdefault(seed, {name: [] for name in metrics})
         for name in metrics:
             numbers[name].extend(result["e2e_all"][name])
+        starts = [e["import_start"] for e in result["raw"] if "import_start" in e]
+        if not starts:
+            raise RecordError(f"{path}: no execution started")
+        workload["runs"].append({
+            "seed": seed,
+            "file": os.path.basename(path),
+            "start": min(starts),
+            **{name: statistics.median(result["e2e_all"][name]) for name in metrics},
+        })
         workload["attempted"] += result["attempted"]
         workload["failed"] += result["failed"]
         digests = workload["digests"].setdefault(seed, result["digests"])
         if digests != result["digests"]:
             raise RecordError(f"{path}: record digests differ between runs of one side")
     return side
+
+
+def paired_runs(runs: dict, seeds: list, metric: dict) -> dict:
+    """Each side's headline over its runs' values of ``metric``, and the
+    count of pairs of runs, the k-th of each side at a seed, and of those
+    the change won."""
+    key = metric["name"]
+    by_seed = {
+        label: {s: [run[key] for run in side if run["seed"] == s] for s in seeds}
+        for label, side in runs.items()
+    }
+    pairs = [
+        pair
+        for s in seeds
+        for pair in zip(by_seed["parent"][s], by_seed["change"][s])
+    ]
+    lower = metric["better"] == "lower"
+    won = sum((c < p) if lower else (c > p) for p, c in pairs)
+    return {
+        **{label: spread(values) for label, values in by_seed.items()},
+        "pairs": len(pairs),
+        "change_won": won,
+    }
 
 
 def record(parent: dict, change: dict, catalogue: dict) -> dict:
@@ -117,6 +158,10 @@ def record(parent: dict, change: dict, catalogue: dict) -> dict:
         if set(sides["parent"]["by_seed"]) != set(sides["change"]["by_seed"]):
             raise RecordError(f"{name}: the two sides ran different seeds")
         seeds = sorted(sides["change"]["by_seed"], key=int)
+        runs = {
+            label: sorted(side["runs"], key=lambda run: run["start"])
+            for label, side in sides.items()
+        }
         summary = {}
         for metric in metrics:
             key = metric["name"]
@@ -139,6 +184,7 @@ def record(parent: dict, change: dict, catalogue: dict) -> dict:
                 **heads,
                 "change_over_parent": heads["change"]["median"] / heads["parent"]["median"],
                 "by_seed": per_seed,
+                "runs": paired_runs(runs, seeds, metric),
             }
         workloads[name] = {
             "seeds": [int(s) for s in seeds],
@@ -155,6 +201,7 @@ def record(parent: dict, change: dict, catalogue: dict) -> dict:
                 }
                 for s in seeds
             },
+            "runs": runs,
             "executions": {label: side["by_seed"] for label, side in sides.items()},
         }
     return {
@@ -184,6 +231,7 @@ def main(argv=None) -> int:
     for name, workload in doc["workloads"].items():
         cells = ", ".join(
             f"{key} {m['parent']['median']:.4g} -> {m['change']['median']:.4g}"
+            f" ({m['runs']['change_won']} of {m['runs']['pairs']} pairs won)"
             for key, m in workload["metrics"].items()
         )
         same = all(d["equal"] for d in workload["digests"].values())

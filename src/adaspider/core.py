@@ -39,10 +39,6 @@ def _row_norms(rows: np.ndarray) -> np.ndarray:
     return np.sqrt(_row_squares(rows))
 
 
-# The types of one 0-based row, as ``_gradients`` tells it from an array of rows.
-_ONE_ROW = (int, np.integer)
-
-
 class NonFiniteGradientError(ValueError):
     """A component gradient evaluated to a non-finite value mid-run.
 
@@ -78,19 +74,19 @@ class FiniteSumProblem:
     stacks single calls). They may override :meth:`value` and
     :meth:`metric_gradients` with vectorized versions, which are used for
     diagnostics only, and :meth:`mean_gradients`,
-    :meth:`component_values` and :meth:`component_gradient_difference`
-    with faster versions bitwise equal to their defaults.
+    :meth:`component_values`, :meth:`_gradient` and
+    :meth:`_gradient_difference` with faster versions bitwise equal to
+    their defaults.
 
     Indices and points are checked once, where they enter: the public
     :meth:`component_gradients` checks them and calls :meth:`_gradients`,
-    which checks nothing. ``_gradients`` of an integer 0-based row is that
-    one sample's gradient at one point, and :meth:`_gradient_difference`
-    the difference of two of them, at x and at an anchor; the public
-    :meth:`component_gradient` and :meth:`component_gradient_difference`
-    are their checks plus that call in each family of the package, and the
-    defaults fall back on :meth:`component_gradient`, so a family that
-    defines only that still steps. The step loops call the unchecked
-    entries directly with the 0-based rows they drew themselves.
+    which checks nothing. Its one-sample counterparts take an integer
+    0-based row and one point, unchecked: :meth:`_gradient` is that
+    sample's gradient, by default ``component_gradient(row + 1, x)``, and
+    :meth:`_gradient_difference` its difference at x and at an anchor, by
+    default two :meth:`_gradient` calls, behind the public
+    :meth:`component_gradient_difference`. The step loops call the
+    unchecked entries directly with the 0-based rows they drew themselves.
 
     Instances are immutable after construction and safe for concurrent
     read-only evaluation.
@@ -129,12 +125,9 @@ class FiniteSumProblem:
             return np.empty((0, self.d))
         return self._gradients(indices - 1, x)
 
-    def _gradients(self, rows, x: np.ndarray) -> np.ndarray:
+    def _gradients(self, rows: np.ndarray, x: np.ndarray) -> np.ndarray:
         """:meth:`component_gradients` of the 0-based 1-d int array ``rows``
-        at the float64 x, one point or one per row, unchecked and not empty;
-        of an integer ``rows``, that sample's (d,) gradient at the one point x."""
-        if isinstance(rows, _ONE_ROW):
-            return self.component_gradient(rows + 1, x)
+        at the float64 x, one point or one per row, unchecked and not empty."""
         points = x if x.ndim == 2 else [x] * len(rows)
         return np.stack(
             [self.component_gradient(int(r) + 1, p) for r, p in zip(rows, points)]
@@ -150,11 +143,16 @@ class FiniteSumProblem:
         self._check_index(i)
         return self._gradient_difference(i - 1, self._check_point(x), self._check_point(anchor))
 
+    def _gradient(self, row: int, x: np.ndarray) -> np.ndarray:
+        """The (d,) gradient of the 0-based sample ``row`` at the float64
+        point x, unchecked: bitwise ``component_gradient(row + 1, x)``."""
+        return self.component_gradient(row + 1, x)
+
     def _gradient_difference(self, row: int, x: np.ndarray, anchor: np.ndarray) -> np.ndarray:
         """:meth:`component_gradient_difference` of the 0-based integer
-        ``row``, unchecked: bitwise the difference of two one-sample
-        :meth:`_gradients`."""
-        return self._gradients(row, x) - self._gradients(row, anchor)
+        ``row``, unchecked: bitwise the difference of two :meth:`_gradient`
+        calls."""
+        return self._gradient(row, x) - self._gradient(row, anchor)
 
     def _check_index(self, i: int) -> None:
         if not 1 <= i <= self.n:

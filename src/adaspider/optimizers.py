@@ -436,7 +436,8 @@ def _run_loop(problem, algo: str, x0, rng, keep_path, method: _Method) -> RunTra
     its step rule's size, x <- x - gamma * g. It draws, charges and stops
     as :class:`_RunState` says and keeps what :class:`RunTrace` says. It
     drew its samples itself, so they go to the problem's unchecked
-    one-sample entries, 0-based, as a group's go to ``_gradients``."""
+    one-sample entries ``_gradient`` and ``_gradient_difference``, 0-based,
+    as a group's go to ``_gradients``."""
     n = problem.n
     run = _RunState(rng, n, method)
     counter = run.counter
@@ -481,7 +482,7 @@ def _run_loop(problem, algo: str, x0, rng, keep_path, method: _Method) -> RunTra
                         problem, x, anchor, base, False, exact, indices, counter
                     )
                 else:
-                    g = problem._gradients(int(indices[0]) - 1, x)
+                    g = problem._gradient(int(indices[0]) - 1, x)
                 calls += cost
                 sampled += cost
                 if moving:

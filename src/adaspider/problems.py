@@ -4,14 +4,15 @@ Regularized empirical risk (logistic or squared loss plus a bounded
 non-convex regularizer), random quadratic families for verification,
 and a small fully connected ELU network with manual backpropagation.
 
-Each family implements in numpy the unchecked oracle ``_gradients``
-behind ``component_gradients`` and ``component_gradient``: of a 0-based
-array of rows, a batch, and of an integer row, that one sample's gradient
-at one point; ``_gradient_difference(row, x, anchor)`` is the unchecked
-one-sample correction behind ``component_gradient_difference``. The
-public entries check the index and the point, then make that call; the
-step loops call the unchecked ones with the rows they drew. A batch's rows
-are bitwise equal to the one-sample gradients, at one shared point or at
+Each family implements in numpy the unchecked oracles behind its public
+entries: ``_gradients`` of a 0-based array of rows, a batch, behind
+``component_gradients``, and ``_gradient(row, x)`` of one integer 0-based
+row at one point, behind ``component_gradient``; the network also has
+``_gradient_difference(row, x, anchor)``, the one-sample correction
+behind ``component_gradient_difference``. The public entries check the
+index and the point, then make that call; the step loops call the
+unchecked ones with the rows they drew. A batch's rows are bitwise equal
+to the one-sample gradients, at one shared point or at
 one point per row: per-sample products run as a stacked ``np.matmul``,
 which calls the same BLAS kernel per row as a single call (a plain 2-d
 product would not), and every other step is elementwise. The network
@@ -32,7 +33,7 @@ import math
 
 import numpy as np
 
-from .core import _ONE_ROW, FiniteSumProblem, _row_norms
+from .core import FiniteSumProblem, _row_norms
 from .data import Dataset, map_binary_labels
 
 # Curvature bound of the scalar loss z -> loss(z, b): 1/4 for logistic,
@@ -151,21 +152,22 @@ class RegularizedERM(FiniteSumProblem):
 
     def component_gradient(self, i: int, x: np.ndarray) -> np.ndarray:
         self._check_index(i)
-        return self._gradients(i - 1, self._check_point(x))
+        return self._gradient(i - 1, self._check_point(x))
+
+    def _gradient(self, row: int, x: np.ndarray) -> np.ndarray:
+        a = self._features[row]
+        b = self._labels[row]
+        margin = np.dot(a, x)
+        if self.loss_kind == "logistic":
+            coeff = -b * _sigmoid_scalar(-b * margin)
+        else:
+            coeff = margin - b
+        grad = coeff * a
+        if self.lam:
+            grad = grad + self.lam * nonconvex_regularizer_grad(x)
+        return grad
 
     def _gradients(self, rows, x: np.ndarray) -> np.ndarray:
-        if isinstance(rows, _ONE_ROW):  # one sample at one point, in scalar arithmetic
-            a = self._features[rows]
-            b = self._labels[rows]
-            margin = np.dot(a, x)
-            if self.loss_kind == "logistic":
-                coeff = -b * _sigmoid_scalar(-b * margin)
-            else:
-                coeff = margin - b
-            grad = coeff * a
-            if self.lam:
-                grad = grad + self.lam * nonconvex_regularizer_grad(x)
-            return grad
         grads = self._features.take(rows, axis=0)  # a copy, as _features[rows], but faster
         margins = np.matmul(grads[:, None, :], x[..., None])[:, 0, 0]
         grads *= self._loss_slope(margins, self._labels[rows])[:, None]
@@ -281,11 +283,12 @@ class QuadraticProblem(FiniteSumProblem):
 
     def component_gradient(self, i: int, x: np.ndarray) -> np.ndarray:
         self._check_index(i)
-        return self._gradients(i - 1, self._check_point(x))
+        return self._gradient(i - 1, self._check_point(x))
+
+    def _gradient(self, row: int, x: np.ndarray) -> np.ndarray:
+        return self.matrices[row] @ x + self.offsets[row]
 
     def _gradients(self, rows, x: np.ndarray) -> np.ndarray:
-        if isinstance(rows, _ONE_ROW):
-            return self.matrices[rows] @ x + self.offsets[rows]
         return np.matmul(self.matrices[rows], x[..., None])[:, :, 0] + self.offsets[rows]
 
     def value(self, x: np.ndarray) -> float:
@@ -340,16 +343,10 @@ def _unpack_params(layer_dims, params: np.ndarray):
     (k, d) block, as (k, out, in) weight and (k, out) bias stacks. Per
     layer, the vector holds the (out, in) weight matrix in row-major order,
     then the bias."""
-    spans = _layout(tuple(layer_dims))[0]
-    if params.ndim == 1:  # plain slices: half the cost of ``...`` indexing
-        return [
-            (params[start:end].reshape(shape), params[end:bias_end])
-            for start, end, bias_end, shape in spans
-        ]
     lead = params.shape[:-1]
     return [
         (params[..., start:end].reshape(lead + shape), params[..., end:bias_end])
-        for start, end, bias_end, shape in spans
+        for start, end, bias_end, shape in _layout(tuple(layer_dims))[0]
     ]
 
 
@@ -487,6 +484,10 @@ class MLPClassificationProblem(FiniteSumProblem):
         """The 1-d pass of sample i: bitwise its row of :meth:`component_gradients`."""
         self._check_index(i)
         return self._gradients(i - 1, self._check_point(x))
+
+    def _gradient(self, row: int, x: np.ndarray) -> np.ndarray:
+        """The 1-d pass of the 0-based sample ``row``, unchecked."""
+        return self._gradients(row, x)
 
     def _gradient_difference(self, row: int, x: np.ndarray, anchor: np.ndarray) -> np.ndarray:
         """One two-row pass, at x and at the anchor."""

@@ -152,10 +152,31 @@ def entry_problem(family: str):
     return make_problem(family, 7, 0)
 
 
+class ArrayOnly(FiniteSumProblem):
+    """A quadratic family with ``component_gradient`` and a batched
+    ``_gradients`` that takes only an array of rows, as the class contract
+    allows: its one-sample entries are the base class's defaults."""
+
+    def __init__(self, quadratic: QuadraticProblem):
+        self.matrices, self.offsets = quadratic.matrices, quadratic.offsets
+        super().__init__(quadratic.n, quadratic.d, quadratic.known_smoothness)
+
+    def component_value(self, i, x):
+        return QuadraticProblem.component_value(self, i, x)
+
+    def component_gradient(self, i, x):
+        self._check_index(i)
+        return self.matrices[i - 1] @ self._check_point(x) + self.offsets[i - 1]
+
+    def _gradients(self, rows, x):
+        return np.matmul(self.matrices[rows], x[..., None])[:, :, 0] + self.offsets[rows]
+
+
 class TestCheckedOnce:
     """``component_gradients`` checks the indices and the points, then
     calls ``_gradients`` with 0-based rows, which checks nothing; the step
-    loops call ``_gradients`` with the rows they drew."""
+    loops call ``_gradients``, ``_gradient`` and ``_gradient_difference``
+    with the rows they drew."""
 
     @pytest.mark.parametrize("family", (*FAMILIES, "single"))
     @pytest.mark.parametrize("scale", [0.01, 1.0, 30.0])
@@ -221,7 +242,7 @@ class TestCheckedOnce:
         rng = np.random.default_rng(seed)
         x, anchor = point(rng, scale), point(rng, scale)
         for r in (row, np.int64(row)):
-            one = problem._gradients(r, x)
+            one = problem._gradient(r, x)
             assert same_bits(one, problem.component_gradient(row + 1, x))
             assert same_bits(one, problem._gradients(np.array([row]), x)[0])
             assert same_bits(
@@ -273,6 +294,22 @@ class TestRunAloneUnchecked:
         runs_resets = resets["full_gradient"] - 1
         assert runs_resets == (0 if algo in ("sgd", "adagrad_norm") else 5)
         assert checked == {name: (1 + runs_resets) * k for name, k in per_reset.items()}
+
+
+    @pytest.mark.parametrize("algo", ALGORITHM_NAMES)
+    @pytest.mark.parametrize("batch", [1, 3])
+    def test_a_batched_only_family_steps_alone(self, algo, batch):
+        # a family whose _gradients takes arrays only steps a run alone
+        # through the default one-sample entries, bitwise as the package's
+        quadratic, point = make_problem("quadratic", 7, 0)
+        x0 = point(np.random.default_rng(1), 0.1)
+        run = getattr(optimizers, f"{algo}_run")
+        traces = [
+            run(problem, **group_runs(algo, [0.01], [x0], 0, 20, 4, batch)[0], keep_path=True)
+            for problem in (ArrayOnly(quadratic), quadratic)
+        ]
+        assert traces[0].num_steps == 20 and not traces[0].diverged
+        assert same_bits(traces[0].iterates, traces[1].iterates)
 
 
 class TestDerivedFullGradients:

@@ -12,9 +12,10 @@ ROOT = Path(__file__).resolve().parents[1]
 SCRIPT = ROOT / "scripts" / "bench_record.py"
 
 
-def result(workload, seed, commit, wall, digest="d0"):
+def result(workload, seed, commit, wall, digest="d0", start=0.0):
     """A perfbench result file's fields that the script reads; the other
-    three end-to-end metrics are fixed multiples of the wall times."""
+    three end-to-end metrics are fixed multiples of the wall times, and
+    the executions started one second apart from ``start``."""
     return {
         "workload": workload,
         "seed": seed,
@@ -29,6 +30,7 @@ def result(workload, seed, commit, wall, digest="d0"):
         },
         "digests": {"records.csv": digest},
         "environment": {"commit": commit, "dirty": False, "nproc": 2},
+        "raw": [{"import_start": start + k} for k in range(len(wall))],
     }
 
 
@@ -109,6 +111,34 @@ def test_unequal_executions_per_seed_do_not_tilt_the_headline(tmp_path):
     assert (wall["parent"]["n"], wall["change"]["n"]) == (6, 6)
     assert wall["by_seed"]["0"]["change_over_parent"] == pytest.approx(80.96 / 81.39)
     assert wall["by_seed"]["1729"]["change_over_parent"] == pytest.approx(76.80 / 76.27)
+
+
+def test_runs_are_paired_in_the_order_they_started(tmp_path):
+    # file names sort in another order than the runs started: paired by
+    # name the change would win two of three pairs, by start it wins one
+    parent, change = tmp_path / "parent", tmp_path / "change"
+    for name, start, wall in (("a", 30, 1.2), ("b", 10, 1.0), ("c", 50, 1.1)):
+        write(parent, f"result-{name}.json", result("erm-protocol", 0, "p" * 40, [wall], start=start))
+    for name, start, wall in (("a", 20, 1.05), ("b", 40, 1.25), ("c", 60, 1.0)):
+        write(change, f"result-{name}.json", result("erm-protocol", 0, "c" * 40, [wall], start=start))
+    out = tmp_path / "BENCH.json"
+    proc = run("--parent", str(parent), "--change", str(change), "--out", str(out))
+    assert proc.returncode == 0, proc.stderr
+    assert "wall_s 1.1 -> 1.05 (1 of 3 pairs won)" in proc.stdout
+    workload = json.loads(out.read_text())["workloads"]["erm-protocol"]
+    assert [(r["file"], r["start"]) for r in workload["runs"]["parent"]] == [
+        ("result-b.json", 10), ("result-a.json", 30), ("result-c.json", 50)
+    ]
+    assert workload["runs"]["change"][1] == pytest.approx({
+        "seed": "0", "file": "result-b.json", "start": 40, "wall_s": 1.25, "setup_s": 0.125,
+        "oracle_calls_per_s": 800.0, "peak_rss_mb": 40.0,
+    })
+    wall = workload["metrics"]["wall_s"]["runs"]
+    assert wall["parent"] == pytest.approx({"median": 1.1, "q1": 1.05, "q3": 1.15, "n": 3})
+    assert (wall["pairs"], wall["change_won"]) == (3, 1)
+    # more calls a second is better: the same pair is won
+    calls = workload["metrics"]["oracle_calls_per_s"]["runs"]
+    assert (calls["pairs"], calls["change_won"]) == (3, 1)
 
 
 def test_one_side_of_two_commits_is_refused(tmp_path):

@@ -421,10 +421,10 @@ class TestFaultAfterFirstRun:
     """Once the first run has started, every error exits 3, a plain
     ValueError included; exit 2 is for errors raised before that."""
 
-    # one sgd run alone calls the unchecked oracle _gradients with one row
-    # per step, a lockstep group of two calls it once per step for both
-    # members
-    @pytest.mark.parametrize("repeats, oracle", [("1", "_gradients"), ("2", "_gradients")])
+    # one sgd run alone calls the unchecked one-sample oracle _gradient once
+    # per step, a lockstep group of two calls the unchecked batched oracle
+    # _gradients once per step for both members
+    @pytest.mark.parametrize("repeats, oracle", [("1", "_gradient"), ("2", "_gradients")])
     def test_value_error_mid_run_exits_3(self, tmp_path, capsys, monkeypatch, repeats, oracle):
         exact = getattr(RegularizedERM, oracle)
         calls = []
